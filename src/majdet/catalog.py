@@ -16,15 +16,24 @@ data, never errors):
   weak-log-general-d, sv-weak-log, open-q
 
 Determinant comparisons run in the log domain, and det(I + C^-1 D) is always
-computed as det(C + D)/det(C) through Cholesky log-determinants (explicit
-inverses appear only where singular values of the actual product are the
-object of study).
+computed as det(C + D)/det(C) through Cholesky log-determinants. Explicit
+inverses appear in two places: product_spectra reduces pd_inverse(C)
+against the Cholesky factor of D (lambda(C^-1 D) = lambda(R^T C^-1 R) with
+D = R R^T), and the singular-value statements need the actual product
+C^-1 D.
+
+The parametrized ids (det-power, thm32, abs-power, commuted-power,
+neg-power) are split at p: a preparation step does everything that does not
+depend on p (spectra, singular values, eigendecompositions) once per
+instance, and a cheap per-p step turns it into a verdict. run_check
+evaluates one p and check_p_grid a whole exponent grid through that split.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +45,19 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NegativePower,
+    NonFinite,
     UnknownInequality,
 )
 from .linalg import (
     as_square,
     eig_pd_product,
+    eigh_power,
     eigvals_sym,
     frobenius,
     logdet_pd,
+    pd_eigh,
     pd_inverse,
     singular_values,
-    sym_power,
     symmetrize,
 )
 from .orders import DEFAULT_TOL, OrderKind, OrderReport, check_order, sort_desc
@@ -166,18 +177,29 @@ class Instance:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Instance":
+        """Inverse of to_json; raises NonFinite on a NaN or infinite entry or p."""
+        p = payload.get("p")
+        if p is not None and not math.isfinite(p):
+            raise NonFinite(f"non-finite exponent p = {p}")
         return cls(
             partition=Partition(tuple(payload["partition"])) if "partition" in payload else None,
-            c=np.array(payload["c"], dtype=float) if "c" in payload else None,
-            d_blocks=tuple(np.array(b, dtype=float) for b in payload["d_blocks"])
+            c=_finite_array(payload["c"]) if "c" in payload else None,
+            d_blocks=tuple(_finite_array(b) for b in payload["d_blocks"])
             if "d_blocks" in payload else None,
-            d=np.array(payload["d"], dtype=float) if "d" in payload else None,
-            mats=tuple(np.array(m, dtype=float) for m in payload["mats"])
+            d=_finite_array(payload["d"]) if "d" in payload else None,
+            mats=tuple(_finite_array(m) for m in payload["mats"])
             if "mats" in payload else None,
             idx=tuple(payload["idx"]) if "idx" in payload else None,
-            p=payload.get("p"),
+            p=p,
             m=payload.get("m"),
         )
+
+
+def _finite_array(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite("instance matrix has a non-finite entry")
+    return arr
 
 
 def _exp_safe(x: float) -> float:
@@ -187,20 +209,39 @@ def _exp_safe(x: float) -> float:
         return math.inf
 
 
-def _digest(parts) -> str:
-    h = hashlib.sha256()
+def _feed(h, parts) -> None:
     for part in parts:
         if isinstance(part, np.ndarray):
             h.update(np.ascontiguousarray(part, dtype=float).tobytes())
         else:
             h.update(repr(part).encode())
         h.update(b"|")
+
+
+def _digest(parts) -> str:
+    h = hashlib.sha256()
+    _feed(h, parts)
     return h.hexdigest()[:16]
 
 
 def _fingerprint(n: int, partition: Partition | None, *payload) -> Fingerprint:
     sizes = partition.sizes if partition is not None else None
     return Fingerprint(n=n, partition=sizes, digest=_digest(payload))
+
+
+def _p_fingerprints(n: int, partition: Partition | None,
+                    *payload) -> Callable[[float], Fingerprint]:
+    """p -> _fingerprint(n, partition, *payload, p), hashing the payload once."""
+    sizes = partition.sizes if partition is not None else None
+    prefix = hashlib.sha256()
+    _feed(prefix, payload)
+
+    def at(p: float) -> Fingerprint:
+        h = prefix.copy()
+        _feed(h, (p,))
+        return Fingerprint(n=n, partition=sizes, digest=h.hexdigest()[:16])
+
+    return at
 
 
 def _scalar_verdict(inequality: str, llhs: float, lrhs: float, tol: float,
@@ -296,17 +337,33 @@ def _assemble_exact_blocks(d_blocks_exact, part: Partition):
     return exact.rational_matrix(full)
 
 
+def _det_ratio_exact(c_exact, d_exact):
+    """det(C + D)/det(C) over the rationals."""
+    return exact.det_exact(exact.mat_add(c_exact, d_exact)) / exact.det_exact(c_exact)
+
+
+def _blockwise_ratio_exact(c_exact, d_blocks_exact, part: Partition):
+    """prod_i det(Ci + Di)/det(Ci) over the rationals."""
+    return math.prod(
+        _det_ratio_exact(exact.submatrix(c_exact, lo, hi), db)
+        for (lo, hi), db in zip(part.offsets(), d_blocks_exact)
+    )
+
+
 def matic_exact(c_exact, d_blocks_exact, part: Partition):
     """Exact rational sides of the matic comparison: (blockwise product, full),
     each side as det(C + D)/det(C)."""
-    terms = []
-    for (lo, hi), db in zip(part.offsets(), d_blocks_exact):
-        cb = exact.submatrix(c_exact, lo, hi)
-        terms.append(exact.det_exact(exact.mat_add(cb, db)) / exact.det_exact(cb))
-    lhs = math.prod(terms)
-    d_full = _assemble_exact_blocks(d_blocks_exact, part)
-    rhs = exact.det_exact(exact.mat_add(c_exact, d_full)) / exact.det_exact(c_exact)
+    lhs = _blockwise_ratio_exact(c_exact, d_blocks_exact, part)
+    rhs = _det_ratio_exact(c_exact, _assemble_exact_blocks(d_blocks_exact, part))
     return lhs, rhs
+
+
+def matic_general_d_exact(c_exact, d_exact, part: Partition):
+    """Exact rational sides of matic-general-d: the blockwise product over the
+    diagonal blocks of D, and det(C + D)/det(C) with the full D."""
+    d_blocks_exact = [exact.submatrix(d_exact, lo, hi) for lo, hi in part.offsets()]
+    lhs = _blockwise_ratio_exact(c_exact, d_blocks_exact, part)
+    return lhs, _det_ratio_exact(c_exact, d_exact)
 
 
 def check_det_power(c, d_blocks, part: Partition, p: float,
@@ -316,13 +373,8 @@ def check_det_power(c, d_blocks, part: Partition, p: float,
     Sides are evaluated as sums of log1p(lambda^p) over the product spectra;
     the matrix power is never formed.
     """
-    if p < 0:
-        raise NegativePower(f"p = {p}; use the neg-power evaluator for p < 0")
-    x, y = product_spectra(c, d_blocks, part)
-    llhs = float(np.sum(np.log1p(x**p)))
-    lrhs = float(np.sum(np.log1p(y**p)))
-    fp = _fingerprint(part.n, part, c, *d_blocks, p)
-    return _scalar_verdict("det-power", llhs, lrhs, tol, fp, detail={"p": p})
+    inst = Instance(partition=part, c=c, d_blocks=d_blocks)
+    return check_p_grid("det-power", inst, (p,), tol)[0]
 
 
 def identity_abs_square(c, d_blocks, part: Partition,
@@ -420,12 +472,7 @@ def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
 def check_thm32(mats, part: Partition, p: float, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Weak majorization of the blockwise inverse-sum spectrum by the full one,
     both raised entrywise to p >= 1."""
-    if p < 1:
-        raise BadExponent(f"p = {p}; the weak majorization is stated for p >= 1")
-    x, y = _choi_spectra(mats, part)
-    fp = _fingerprint(part.n, part, *[as_square(a) for a in mats], p)
-    return _order_verdict("thm32", OrderKind.WEAK_MAJORIZE, x**p, y**p, tol, fp,
-                          detail={"p": p, "m": len(mats)})
+    return check_p_grid("thm32", Instance(partition=part, mats=mats), (p,), tol)[0]
 
 
 def check_open_q(mats, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -518,43 +565,6 @@ def check_kyfan(c, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdi
 # ---------------------------------------------------------------------------
 # Evaluators for statements that are false in general.
 
-def _eval_abs_power(inst: Instance, tol: float) -> InequalityVerdict:
-    if inst.p is None or inst.p < 0:
-        raise BadExponent("abs-power needs p >= 0")
-    cm = as_square(inst.c)
-    dbs = [as_square(b) for b in inst.d_blocks]
-    part = inst.partition
-    _check_block_shapes(cm, dbs, part)
-    c_blocks = diag_blocks(cm, part)
-    p = inst.p
-    llhs = 0.0
-    for cb, db in zip(c_blocks, dbs):
-        s = singular_values(pd_inverse(cb) @ db)
-        llhs += float(np.sum(np.log1p(s**p)))
-    s_full = singular_values(pd_inverse(cm) @ direct_sum(dbs))
-    lrhs = float(np.sum(np.log1p(s_full**p)))
-    fp = _fingerprint(part.n, part, cm, *dbs, p)
-    return _scalar_verdict("abs-power", llhs, lrhs, tol, fp, detail={"p": p})
-
-
-def _eval_commuted_power(inst: Instance, tol: float) -> InequalityVerdict:
-    if inst.p is None or inst.p < 0:
-        raise BadExponent("commuted-power needs p >= 0")
-    cm = as_square(inst.c)
-    dbs = [as_square(b) for b in inst.d_blocks]
-    part = inst.partition
-    _check_block_shapes(cm, dbs, part)
-    p = inst.p
-    cp_blocks = [sym_power(b, p) for b in diag_blocks(cm, part)]
-    dp_blocks = [sym_power(b, p) for b in dbs]
-    llhs = _logdet_ratio_blocks(cp_blocks, dp_blocks)
-    cp = sym_power(cm, p)
-    dp = direct_sum(dp_blocks)
-    lrhs = logdet_pd(symmetrize(cp + dp)) - logdet_pd(cp)
-    fp = _fingerprint(part.n, part, cm, *dbs, p)
-    return _scalar_verdict("commuted-power", llhs, lrhs, tol, fp, detail={"p": p})
-
-
 def _inv_square(a: np.ndarray) -> np.ndarray:
     inv = pd_inverse(a)
     return symmetrize(inv @ inv)
@@ -588,18 +598,6 @@ def inv_square_sum_exact(c_exact, d_blocks_exact, part: Partition):
     d_full = _assemble_exact_blocks(d_blocks_exact, part)
     rhs = exact.det_exact(exact.mat_add(inv_sq(d_full), inv_sq(c_exact)))
     return lhs, rhs
-
-
-def _eval_neg_power(inst: Instance, tol: float) -> InequalityVerdict:
-    if inst.p is None or inst.p >= 0:
-        raise BadExponent("neg-power needs p < 0")
-    x, y = product_spectra(inst.c, inst.d_blocks, inst.partition)
-    p = inst.p
-    llhs = float(np.sum(np.log1p(x**p)))
-    lrhs = float(np.sum(np.log1p(y**p)))
-    part = inst.partition
-    fp = _fingerprint(part.n, part, inst.c, *inst.d_blocks, p)
-    return _scalar_verdict("neg-power", llhs, lrhs, tol, fp, detail={"p": p})
 
 
 def _general_d_parts(inst: Instance):
@@ -645,11 +643,163 @@ def _eval_sv_weak_log(inst: Instance, tol: float) -> InequalityVerdict:
     return _order_verdict("sv-weak-log", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp)
 
 
+# ---------------------------------------------------------------------------
+# Parametrized checks, split at p. Each prepare step does the p-independent
+# work on one instance and returns the per-p step `at(p, tol) -> verdict`;
+# the arithmetic of each side is the same whether one p or a grid is asked.
+
+PerP = Callable[[float, float], InequalityVerdict]
+
+
+def _log1p_power_sides(inequality: str, x: np.ndarray, y: np.ndarray,
+                       fingerprints: Callable[[float], Fingerprint]) -> PerP:
+    """sum log1p(x^p) <= sum log1p(y^p) over precomputed spectra."""
+    def at(p: float, tol: float) -> InequalityVerdict:
+        llhs = float(np.sum(np.log1p(x**p)))
+        lrhs = float(np.sum(np.log1p(y**p)))
+        return _scalar_verdict(inequality, llhs, lrhs, tol, fingerprints(p), detail={"p": p})
+
+    return at
+
+
+def _spectra_log1p_power(inequality: str) -> Callable[[Instance], PerP]:
+    """det-power and neg-power: both sides from the product spectra."""
+    def prepare(inst: Instance) -> PerP:
+        part = inst.partition
+        x, y = product_spectra(inst.c, inst.d_blocks, part)
+        fingerprints = _p_fingerprints(part.n, part, inst.c, *inst.d_blocks)
+        return _log1p_power_sides(inequality, x, y, fingerprints)
+
+    return prepare
+
+
+def _prepare_thm32(inst: Instance) -> PerP:
+    mats, part = inst.mats, inst.partition
+    x, y = _choi_spectra(mats, part)
+    fingerprints = _p_fingerprints(part.n, part, *[as_square(a) for a in mats])
+    m = len(mats)
+
+    def at(p: float, tol: float) -> InequalityVerdict:
+        return _order_verdict("thm32", OrderKind.WEAK_MAJORIZE, x**p, y**p, tol,
+                              fingerprints(p), detail={"p": p, "m": m})
+
+    return at
+
+
+def _block_d_operands(inst: Instance):
+    cm = as_square(inst.c)
+    dbs = [as_square(b) for b in inst.d_blocks]
+    _check_block_shapes(cm, dbs, inst.partition)
+    return cm, dbs, inst.partition
+
+
+def _prepare_abs_power(inst: Instance) -> PerP:
+    cm, dbs, part = _block_d_operands(inst)
+    block_svs = [singular_values(pd_inverse(cb) @ db)
+                 for cb, db in zip(diag_blocks(cm, part), dbs)]
+    s_full = singular_values(pd_inverse(cm) @ direct_sum(dbs))
+    fingerprints = _p_fingerprints(part.n, part, cm, *dbs)
+
+    def at(p: float, tol: float) -> InequalityVerdict:
+        llhs = 0.0
+        for s in block_svs:
+            llhs += float(np.sum(np.log1p(s**p)))
+        lrhs = float(np.sum(np.log1p(s_full**p)))
+        return _scalar_verdict("abs-power", llhs, lrhs, tol, fingerprints(p), detail={"p": p})
+
+    return at
+
+
+def _prepare_commuted_power(inst: Instance) -> PerP:
+    cm, dbs, part = _block_d_operands(inst)
+    c_block_eigs = [pd_eigh(b) for b in diag_blocks(cm, part)]
+    d_block_eigs = [pd_eigh(b) for b in dbs]
+    c_eig = pd_eigh(cm)
+    fingerprints = _p_fingerprints(part.n, part, cm, *dbs)
+
+    def at(p: float, tol: float) -> InequalityVerdict:
+        cp_blocks = [eigh_power(w, v, p) for w, v in c_block_eigs]
+        dp_blocks = [eigh_power(w, v, p) for w, v in d_block_eigs]
+        llhs = _logdet_ratio_blocks(cp_blocks, dp_blocks)
+        cp = eigh_power(*c_eig, p)
+        dp = direct_sum(dp_blocks)
+        lrhs = logdet_pd(symmetrize(cp + dp)) - logdet_pd(cp)
+        return _scalar_verdict("commuted-power", llhs, lrhs, tol, fingerprints(p),
+                               detail={"p": p})
+
+    return at
+
+
+def _det_power_domain(p) -> None:
+    if p is None:
+        raise BadExponent("det-power needs p")
+    if p < 0:
+        raise NegativePower(f"p = {p}; use the neg-power evaluator for p < 0")
+
+
+def _thm32_domain(p) -> None:
+    if p is None:
+        raise BadExponent("thm32 needs p")
+    if p < 1:
+        raise BadExponent(f"p = {p}; the weak majorization is stated for p >= 1")
+
+
+def _neg_power_domain(p) -> None:
+    if p is None or p >= 0:
+        raise BadExponent("neg-power needs p < 0")
+
+
+def _nonnegative_domain(inequality: str) -> Callable[[float | None], None]:
+    def domain(p) -> None:
+        if p is None or p < 0:
+            raise BadExponent(f"{inequality} needs p >= 0")
+
+    return domain
+
+
+@dataclass(frozen=True)
+class _PSplit:
+    """A parametrized id: `domain(p)` raises on an exponent the statement is
+    not made for; `prepare(inst)` is the p-independent step."""
+
+    domain: Callable[[float | None], None]
+    prepare: Callable[[Instance], PerP]
+
+
+_P_SPLITS = {
+    "det-power": _PSplit(_det_power_domain, _spectra_log1p_power("det-power")),
+    "thm32": _PSplit(_thm32_domain, _prepare_thm32),
+    "abs-power": _PSplit(_nonnegative_domain("abs-power"), _prepare_abs_power),
+    "commuted-power": _PSplit(_nonnegative_domain("commuted-power"), _prepare_commuted_power),
+    "neg-power": _PSplit(_neg_power_domain, _spectra_log1p_power("neg-power")),
+}
+PARAMETRIZED_IDS = frozenset(_P_SPLITS)
+
+
+def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
+                 tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, ...]:
+    """Verdicts of a parametrized id at each exponent of ps, in order, on one
+    instance (inst.p is not read). Every exponent is checked against the
+    statement's domain first; the p-independent work is then done once."""
+    try:
+        split = _P_SPLITS[inequality]
+    except KeyError:
+        raise UnknownInequality(f"{inequality!r} is not a parametrized id") from None
+    for p in ps:
+        split.domain(p)
+    at = split.prepare(inst)
+    return tuple(at(p, tol) for p in ps)
+
+
+def _at_instance_p(inequality: str) -> Callable[[Instance, float], InequalityVerdict]:
+    return lambda inst, tol: check_p_grid(inequality, inst, (inst.p,), tol)[0]
+
+
 _EVALUATORS = {
-    "abs-power": _eval_abs_power,
-    "commuted-power": _eval_commuted_power,
+    "abs-power": _at_instance_p("abs-power"),
+    "commuted-power": _at_instance_p("commuted-power"),
     "inv-square-sum": _eval_inv_square_sum,
-    "neg-power": _eval_neg_power,
+    "neg-power": _at_instance_p("neg-power"),
     "matic-general-d": _eval_matic_general_d,
     "weak-log-general-d": _eval_weak_log_general_d,
     "sv-weak-log": _eval_sv_weak_log,
@@ -667,23 +817,17 @@ def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) 
 
 def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Dispatch any catalog id on an Instance; the single entry point used by
-    the fuzzer and the CLI."""
+    the fuzzer and the CLI. Parametrized ids are evaluated at inst.p."""
+    if inequality in _P_SPLITS:
+        return check_p_grid(inequality, inst, (inst.p,), tol)[0]
     if inequality in _EVALUATORS:
         return evaluate_general(inequality, inst, tol)
     if inequality == "main-thm":
         return check_main_theorem(inst.c, inst.d_blocks, inst.partition, tol)
     if inequality == "matic":
         return check_matic(inst.c, inst.d_blocks, inst.partition, tol)
-    if inequality == "det-power":
-        if inst.p is None:
-            raise BadExponent("det-power needs p")
-        return check_det_power(inst.c, inst.d_blocks, inst.partition, inst.p, tol)
     if inequality == "choi":
         return check_choi(inst.mats, inst.partition, tol)
-    if inequality == "thm32":
-        if inst.p is None:
-            raise BadExponent("thm32 needs p")
-        return check_thm32(inst.mats, inst.partition, inst.p, tol)
     if inequality == "open-q":
         return check_open_q(inst.mats, inst.partition, tol)
     if inequality == "lemma31":

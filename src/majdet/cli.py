@@ -22,6 +22,7 @@ from .catalog import (
     Instance,
     inv_square_sum_exact,
     matic_exact,
+    matic_general_d_exact,
     run_check,
 )
 from .errors import BadMatrixFile, MajdetError
@@ -183,8 +184,7 @@ def _exact_certification(ineq: str, extras: dict) -> dict | None:
         d_exact = extras.get("d_exact")
         if d_exact is None:
             return None
-        blocks = [exact_submatrix(d_exact, lo, hi) for lo, hi in part.offsets()]
-        lhs, rhs = matic_exact(c_exact, blocks, part)
+        lhs, rhs = matic_general_d_exact(c_exact, d_exact, part)
     else:
         return None
     return {

@@ -9,6 +9,10 @@ class NotSymmetric(MajdetError):
     """Matrix fails the symmetry tolerance."""
 
 
+class NonFinite(MajdetError):
+    """Matrix has a NaN or infinite entry."""
+
+
 class NotPositiveDefinite(MajdetError):
     """Cholesky factorization hit a non-positive (or near-zero) pivot."""
 

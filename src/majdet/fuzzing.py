@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .catalog import (
     INEQUALITY_IDS,
     InequalityVerdict,
     Instance,
+    check_p_grid,
     run_check,
 )
 from .errors import BadConfig, ResampleExhausted, UnknownInequality
@@ -34,10 +35,13 @@ from .orders import DEFAULT_TOL
 _MASK64 = (1 << 64) - 1
 
 # Default exponent grids for the parametrized ids when no explicit p is given.
-# det-power and thm32 act on spectra only, so large p is safe at any
-# conditioning; commuted-power forms the matrix powers C^p and D^p, whose
-# condition numbers are kappa^p, so its grid stops at p = 2 to stay inside
-# the Cholesky near-singular rejection envelope.
+# A trial draws its instance once and evaluates the whole grid on it through
+# catalog.check_p_grid, so the p-independent work is done once per trial;
+# the verdict kept is the first one of minimum margin. det-power and thm32
+# act on spectra only, so large p is safe at any conditioning;
+# commuted-power forms the matrix powers C^p and D^p, whose condition
+# numbers are kappa^p, so its grid stops at p = 2 to stay inside the
+# Cholesky near-singular rejection envelope.
 P_GRIDS = {
     "det-power": (0.0, 0.5, 1.0, 2.0, 3.0),
     "abs-power": (0.0, 0.5, 1.0, 2.0, 3.0),
@@ -280,16 +284,22 @@ def _ps_for(inequality: str, p: float | None):
 
 def run_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None = None,
               tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, Instance]:
-    """Evaluate one trial; for parametrized ids without an explicit p, the
-    whole default grid is evaluated and the worst-margin verdict is kept."""
-    worst: InequalityVerdict | None = None
-    worst_inst: Instance | None = None
-    for pv in _ps_for(inequality, p):
-        inst = build_instance(inequality, cfg, trial, p=pv)
-        verdict = run_check(inequality, inst, tol)
-        if worst is None or verdict.margin < worst.margin:
-            worst, worst_inst = verdict, inst
-    return worst, worst_inst
+    """Evaluate one trial.
+
+    For parametrized ids without an explicit p, the instance is drawn once
+    and the whole default grid is evaluated on it (the p-independent work
+    once, then one cheap step per p). The first verdict of minimum margin is
+    kept and returned with the instance carrying that verdict's p.
+    """
+    ps = _ps_for(inequality, p)
+    inst = build_instance(inequality, cfg, trial, p=ps[0])
+    if len(ps) == 1:
+        return run_check(inequality, inst, tol), inst
+    verdicts = check_p_grid(inequality, inst, ps, tol)
+    worst = min(range(len(ps)), key=lambda i: verdicts[i].margin)
+    if worst:
+        inst = replace(inst, p=ps[worst])
+    return verdicts[worst], inst
 
 
 def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NonFinite,
     NotPositiveDefinite,
     NotSymmetric,
 )
@@ -40,10 +41,16 @@ def as_square(a) -> np.ndarray:
 
 
 def require_symmetric(a) -> np.ndarray:
-    """Validate |a_ij - a_ji| <= 1e-12 * max(1, max|a_kl|) and return the array."""
+    """Validate |a_ij - a_ji| <= 1e-12 * max(1, max|a_kl|) and return the array.
+
+    Raises NonFinite on a NaN or infinite entry.
+    """
     m = as_square(a)
     if m.size:
-        slack = SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(m))))
+        amax = float(np.max(np.abs(m)))
+        if not math.isfinite(amax):
+            raise NonFinite(f"non-finite entry (max |a_ij| = {amax})")
+        slack = SYMMETRY_RTOL * max(1.0, amax)
         skew = float(np.max(np.abs(m - m.T)))
         if skew > slack:
             raise NotSymmetric(f"asymmetry {skew:.3e} exceeds tolerance {slack:.3e}")
@@ -94,7 +101,7 @@ def is_pd(a) -> bool:
     """Operational membership test: does Cholesky succeed?"""
     try:
         cholesky(a)
-    except (NotPositiveDefinite, NotSymmetric, DimensionMismatch):
+    except (NotPositiveDefinite, NotSymmetric, NonFinite, DimensionMismatch):
         return False
     return True
 
@@ -237,12 +244,22 @@ def eig_pd_product(a, b) -> np.ndarray:
     return w
 
 
-def sym_power(a, p: float) -> np.ndarray:
-    """a^p for symmetric positive definite a, via its spectral decomposition."""
+def pd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with a = V diag(w) V^T for symmetric positive definite a."""
     w, v = jacobi_eigen(a, vectors=True)
     if w.size and w[-1] <= 0.0:
         raise NotPositiveDefinite(f"eigenvalue {w[-1]:.3e} <= 0")
+    return w, v
+
+
+def eigh_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """a^p from the decomposition (w, V) = pd_eigh(a); one product per exponent."""
     return symmetrize((v * w**p) @ v.T)
+
+
+def sym_power(a, p: float) -> np.ndarray:
+    """a^p for symmetric positive definite a, via its spectral decomposition."""
+    return eigh_power(*pd_eigh(a), p)
 
 
 def pd_sqrt(a) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Matrix file format: JSON {"n": int, "rows": [[...]], optional "exact": ...}.
 
-"exact" holds per-entry ["numerator", "denominator"] string pairs and, when
-present, must agree with rows to 1e-12 after division; it enables exact
-rational certification of determinant comparisons.
+Every entry of "rows" must be finite; Python's json module would otherwise
+accept NaN and Infinity. "exact" holds per-entry ["numerator",
+"denominator"] string pairs and, when present, must agree with rows to
+1e-12 after division; it enables exact rational certification of
+determinant comparisons.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError) as err:
         raise BadMatrixFile(f"{path}: non-numeric entry ({err})") from err
+    if not np.all(np.isfinite(arr)):
+        raise BadMatrixFile(f"{path}: non-finite entry (NaN or infinity)")
     exact = None
     if "exact" in payload:
         raw = payload["exact"]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,16 +20,21 @@ from majdet.catalog import (
     check_matic,
     check_open_q,
     check_thm32,
+    PARAMETRIZED_IDS,
+    _fingerprint,
+    check_p_grid,
     evaluate_general,
     identity_abs_square,
     inv_square_sum_exact,
     matic_exact,
+    matic_general_d_exact,
     run_check,
 )
 from majdet.errors import (
     BadExponent,
     IndexOutOfRange,
     NegativePower,
+    NonFinite,
     UnknownInequality,
 )
 from majdet.exact import det_exact, rational_matrix, submatrix
@@ -454,3 +460,79 @@ class TestDispatch:
         v1 = run_check("inv-square-sum", inst)
         v2 = run_check("inv-square-sum", back)
         assert v1.margin == v2.margin
+
+    @pytest.mark.parametrize("field", ["c", "p"])
+    def test_instance_json_rejects_non_finite(self, rng, field):
+        c, blocks, part = random_block_instance(rng, 4, (2, 2))
+        payload = Instance(partition=part, c=c, d_blocks=blocks, p=2.0).to_json()
+        if field == "c":
+            payload["c"][1][2] = payload["c"][2][1] = math.nan
+        else:
+            payload["p"] = math.inf
+        with pytest.raises(NonFinite):
+            Instance.from_json(payload)
+
+
+class TestMaticGeneralDExact:
+    def test_reference_rhs_uses_full_d(self):
+        c = rational_matrix([[int(x) for x in row] for row in refdata.MATIC_GEN_C])
+        d = rational_matrix([[int(x) for x in row] for row in refdata.MATIC_GEN_D])
+        lhs, rhs = matic_general_d_exact(c, d, refdata.MATIC_GEN_PART)
+        assert lhs == Fraction(7, 2)
+        assert rhs == Fraction(224, 71) == det_exact(
+            [[c[i][j] + d[i][j] for j in range(2)] for i in range(2)]) / det_exact(c)
+        assert lhs > rhs
+
+
+P_INSTANCE_P = {"det-power": 2.0, "abs-power": 2.0, "commuted-power": 2.0,
+                "neg-power": -1.0, "thm32": 2.0}
+P_TEST_GRIDS = {"det-power": (0.0, 0.5, 2.0, 3.0), "abs-power": (0.0, 1.0, 3.0),
+                "commuted-power": (0.0, 0.5, 2.0), "neg-power": (-0.5, -3.0),
+                "thm32": (1.0, 2.5)}
+
+
+def p_instance(rng, inequality):
+    part = Partition((2, 3))
+    if inequality == "thm32":
+        mats = tuple(rand_pd(rng, 5, kappa=1e3) for _ in range(3))
+        return Instance(partition=part, mats=mats)
+    c, blocks, part = random_block_instance(rng, 5, (2, 3))
+    return Instance(partition=part, c=c, d_blocks=blocks)
+
+
+class TestPGrid:
+    def test_parametrized_ids(self):
+        assert PARAMETRIZED_IDS == set(P_INSTANCE_P)
+
+    @pytest.mark.parametrize("inequality", sorted(P_INSTANCE_P))
+    def test_grid_equals_one_check_per_p(self, rng, inequality):
+        inst = p_instance(rng, inequality)
+        ps = P_TEST_GRIDS[inequality]
+        grid = check_p_grid(inequality, inst, ps)
+        assert len(grid) == len(ps)
+        for p, verdict in zip(ps, grid):
+            single = run_check(inequality, replace(inst, p=p))
+            assert verdict.to_json() == single.to_json()
+            assert verdict.detail["p"] == p
+
+    def test_fingerprint_matches_unsplit_digest(self, rng):
+        c, blocks, part = random_block_instance(rng, 4, (2, 2))
+        verdict = check_det_power(c, blocks, part, p=2.0)
+        want = _fingerprint(part.n, part, c, *blocks, 2.0)
+        assert verdict.fingerprint == want
+
+    def test_domain_checked_before_any_work(self):
+        # an instance with no matrices: the exponent error must come first
+        for inequality, bad, err in (("det-power", -1.0, NegativePower),
+                                     ("thm32", 0.5, BadExponent),
+                                     ("neg-power", 1.0, BadExponent),
+                                     ("abs-power", -1.0, BadExponent),
+                                     ("commuted-power", None, BadExponent)):
+            with pytest.raises(err):
+                check_p_grid(inequality, Instance(), (P_INSTANCE_P[inequality], bad))
+            with pytest.raises(err):
+                run_check(inequality, Instance(p=bad))
+
+    def test_unknown_id(self):
+        with pytest.raises(UnknownInequality):
+            check_p_grid("matic", Instance(), (1.0,))

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import majdet
 from majdet import refdata
 from majdet.blocks import Partition, diag_blocks
 from majdet.cli import main
@@ -71,6 +74,13 @@ class TestMatrixFiles:
         with pytest.raises(BadMatrixFile):
             read_matrix(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry(self, tmp_path, token):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": 2, "rows": [[1.0, {token}], [{token}, 1.0]]}}')
+        with pytest.raises(BadMatrixFile):
+            read_matrix(path)
+
 
 class TestVerifyPaper:
     def test_exit_zero_and_json(self, capsys):
@@ -127,6 +137,34 @@ class TestCheck:
         lhs = Fraction(verdict["exact"]["lhs"])
         rhs = Fraction(verdict["exact"]["rhs"])
         assert lhs > rhs
+
+    def test_matic_general_d_exact_certificate_uses_full_d(self, capsys, tmp_path):
+        c_path = tmp_path / "c.json"
+        d_path = tmp_path / "d.json"
+        for path, m in ((c_path, refdata.MATIC_GEN_C), (d_path, refdata.MATIC_GEN_D)):
+            write_matrix(path, m, exact=[[Fraction(int(x)) for x in row] for row in m])
+        code, out, _ = run_cli(
+            capsys, "check", "matic-general-d",
+            "--c", str(c_path), "--d", str(d_path), "--part", "1,1",
+        )
+        assert code == 2
+        verdict = json.loads(out)
+        assert verdict["holds"] is False
+        assert verdict["exact"] == {"lhs": "7/2", "rhs": "224/71", "holds": False}
+
+    def test_nan_entry_exit_one(self, capsys, tmp_path):
+        paths = write_ref_files(tmp_path)
+        rows = refdata.WLOG_C.tolist()
+        rows[0][1] = rows[1][0] = float("nan")
+        write_matrix(paths["c"], np.array(rows))
+        code, out, err = run_cli(
+            capsys, "check", "matic",
+            "--c", str(paths["c"]), "--d", str(paths["d1"]), str(paths["d2"]),
+            "--part", "2,2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
 
     def test_single_blockdiagonal_d_file(self, capsys, tmp_path):
         paths = write_ref_files(tmp_path)
@@ -260,18 +298,22 @@ class TestGenCommand:
             assert arr.shape == (2, 2)
 
 
+def run_module(*argv):
+    """`python -m majdet.cli argv` importing the same majdet as this process,
+    also from a checkout that is not installed."""
+    src = str(Path(majdet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "majdet.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_console_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "majdet.cli", "verify-paper", "--json-only"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("verify-paper", "--json-only")
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
     def test_usage_error_exit_one(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "majdet.cli", "fuzz"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("fuzz")
         assert proc.returncode == 1

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import majdet.catalog as catalog_mod
+import majdet.fuzzing as fuzzing_mod
 from majdet.blocks import Partition
+from majdet.catalog import PARAMETRIZED_IDS, run_check
 from majdet.errors import ResampleExhausted, UnknownInequality
 from majdet.fuzzing import (
     FALSE_IDS,
+    P_GRIDS,
     GenConfig,
     GenStyle,
     build_instance,
@@ -12,10 +16,12 @@ from majdet.fuzzing import (
     fuzz,
     gen_pd,
     replay,
+    run_trial,
     sample_pd,
     trial_rng,
 )
 from majdet.linalg import is_pd
+from majdet.orders import DEFAULT_TOL
 
 
 def strip_wall_time(report_json: dict) -> dict:
@@ -163,3 +169,91 @@ class TestFuzz:
                                       build_instance("inv-square-sum", cfg, 0).c)
         help_text = build_parser().format_help()
         assert "shrink" not in help_text.lower()
+
+
+def per_p_loop_trial(inequality, cfg, trial, p=None, tol=DEFAULT_TOL):
+    """Oracle for run_trial: a fresh instance and a full check per exponent,
+    keeping the first verdict of minimum margin."""
+    worst = worst_inst = None
+    for pv in (p,) if p is not None else P_GRIDS.get(inequality, (None,)):
+        inst = build_instance(inequality, cfg, trial, p=pv)
+        verdict = run_check(inequality, inst, tol)
+        if worst is None or verdict.margin < worst.margin:
+            worst, worst_inst = verdict, inst
+    return worst, worst_inst
+
+
+def outcome(fn, *args, **kwargs):
+    """(verdict JSON, instance JSON) of a trial, or the error it raised."""
+    try:
+        verdict, inst = fn(*args, **kwargs)
+    except Exception as err:
+        return type(err).__name__, str(err)
+    return verdict.to_json(), inst.to_json()
+
+
+GRID_CONFIGS = (
+    GenConfig(n=4, partition=Partition((2, 2)), m=2, seed=0),
+    GenConfig(n=5, partition=Partition((2, 3)), m=3, seed=8, kappa_max=1e5),
+    GenConfig(n=3, partition=Partition((1, 2)), m=2, seed=123, style=GenStyle.GRAM,
+              kappa_max=1e4),
+    # commuted-power's grid reaches p = 2, where kappa^2 passes the Cholesky
+    # pivot floor: both paths must raise the same error
+    GenConfig(n=5, partition=Partition((2, 3)), m=3, seed=7, kappa_max=1e8),
+)
+
+
+class TestGridEvaluation:
+    def test_grid_ids_are_parametrized(self):
+        assert set(P_GRIDS) <= PARAMETRIZED_IDS
+
+    def test_oracle_covers_an_error(self):
+        got = outcome(run_trial, "commuted-power", GRID_CONFIGS[3], 2)
+        assert got[0] == "NotPositiveDefinite"
+
+    @pytest.mark.parametrize("inequality", sorted(P_GRIDS))
+    def test_run_trial_matches_per_p_loop(self, inequality):
+        for cfg in GRID_CONFIGS:
+            for trial in range(5):  # trial 0 is the injected counterexample for false ids
+                got = outcome(run_trial, inequality, cfg, trial)
+                assert got == outcome(per_p_loop_trial, inequality, cfg, trial), \
+                    (inequality, cfg.seed, trial)
+
+    def test_grid_winner_carries_its_p(self):
+        for inequality in P_GRIDS:
+            for trial in range(3):
+                verdict, inst = run_trial(inequality, GRID_CONFIGS[0], trial)
+                assert inst.p == verdict.detail["p"]
+
+    @pytest.mark.parametrize("inequality", sorted(P_GRIDS))
+    def test_explicit_p_matches_per_p_loop(self, inequality):
+        cfg = GRID_CONFIGS[0]
+        p = P_GRIDS[inequality][-1]
+        for trial in range(3):
+            got = outcome(run_trial, inequality, cfg, trial, p=p)
+            assert got == outcome(per_p_loop_trial, inequality, cfg, trial, p=p)
+
+    @pytest.mark.parametrize("inequality", sorted(P_GRIDS))
+    def test_kept_records_replay_exactly(self, inequality):
+        cfg = GRID_CONFIGS[1]
+        rep = fuzz(inequality, cfg, 6, keep_instances=True)
+        assert len(rep.records) == 6
+        for rec in rep.records:
+            assert replay(inequality, rec).to_json() == rec.verdict.to_json()
+
+    def test_one_draw_and_one_spectrum_per_trial(self, monkeypatch):
+        calls = {"build_instance": 0, "product_spectra": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(fuzzing_mod, "build_instance")
+        counting(catalog_mod, "product_spectra")
+        fuzz("det-power", GRID_CONFIGS[0], 7)
+        assert calls == {"build_instance": 7, "product_spectra": 7}

@@ -5,6 +5,7 @@ import pytest
 
 from majdet.errors import (
     DimensionMismatch,
+    NonFinite,
     NotPositiveDefinite,
     NotSymmetric,
 )
@@ -12,14 +13,17 @@ from majdet.linalg import (
     cholesky,
     det_pd,
     eig_pd_product,
+    eigh_power,
     eigvals_sym,
     hyperbolic_power,
     is_pd,
     jacobi_eigen,
     loewner_le,
     logdet_pd,
+    pd_eigh,
     pd_inverse,
     pd_sqrt,
+    require_symmetric,
     singular_values,
     sym_power,
 )
@@ -64,6 +68,16 @@ class TestCholesky:
     def test_is_pd(self, rng):
         assert is_pd(rand_pd(rng, 4))
         assert not is_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.array([[2.0, bad], [bad, 2.0]])
+        with pytest.raises(NonFinite):
+            require_symmetric(a)
+        with pytest.raises(NonFinite):
+            cholesky(a)
+        assert not is_pd(a)
+        assert not is_pd(np.diag([bad, 1.0]))
 
 
 class TestInverse:
@@ -169,6 +183,16 @@ class TestMatrixFunctions:
     def test_sym_power_inverse(self, rng):
         a = rand_pd(rng, 4, kappa=100.0)
         np.testing.assert_allclose(sym_power(a, -1.0), pd_inverse(a), rtol=1e-9, atol=1e-12)
+
+    def test_powers_from_one_decomposition(self, rng):
+        a = rand_pd(rng, 5, kappa=1e3)
+        w, v = pd_eigh(a)
+        for p in (0.0, 0.5, 1.0, 2.0, -1.5):
+            assert eigh_power(w, v, p).tobytes() == sym_power(a, p).tobytes()
+
+    def test_pd_eigh_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite):
+            pd_eigh(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestHyperbolicPower:
