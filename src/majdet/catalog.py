@@ -27,10 +27,16 @@ neg-power) are split at p: a preparation step does everything that does not
 depend on p (spectra, singular values, eigendecompositions) once per
 instance, and a cheap per-p step turns it into a verdict. run_check
 evaluates one p and check_p_grid a whole exponent grid through that split.
+
+SPECS holds one Spec per id: its role, the inputs it reads, its checker and,
+for the fuzzer and the CLI, its p-split with exponent grid and default p,
+its generator caps, its reference counterexample and its exact certifier.
+Adding an id means adding its checker and one Spec.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import math
 from collections.abc import Callable, Sequence
@@ -38,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exact
+from . import exact, refdata
 from .blocks import Partition, diag_blocks, direct_sum, principal_submatrix
 from .errors import (
     BadExponent,
@@ -62,36 +68,6 @@ from .linalg import (
 )
 from .orders import DEFAULT_TOL, OrderKind, OrderReport, check_order, sort_desc
 
-INEQUALITY_IDS = (
-    "main-thm",
-    "matic",
-    "det-power",
-    "abs-power",
-    "commuted-power",
-    "inv-square-sum",
-    "neg-power",
-    "matic-general-d",
-    "weak-log-general-d",
-    "sv-weak-log",
-    "choi",
-    "thm32",
-    "open-q",
-    "lemma31",
-    "fischer-tail",
-    "ky-fan",
-)
-
-# Statements checked as theorems: a violation is a bug, not a finding.
-THEOREM_IDS = frozenset(
-    {"main-thm", "matic", "det-power", "choi", "thm32", "lemma31", "fischer-tail", "ky-fan"}
-)
-# Statements evaluated without any expectation.
-EVALUATOR_IDS = frozenset(
-    {"abs-power", "commuted-power", "inv-square-sum", "neg-power",
-     "matic-general-d", "weak-log-general-d", "sv-weak-log"}
-)
-OPEN_IDS = frozenset({"open-q"})
-
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -112,7 +88,8 @@ class InequalityVerdict:
     """Both sides of an inequality plus the verdict.
 
     For determinant/product comparisons, lhs and rhs are the linear-domain
-    values, margin is log(rhs) - log(lhs), and tol is the absolute log-domain
+    values (None where one overflows a double; detail carries log_lhs and
+    log_rhs), margin is log(rhs) - log(lhs), and tol is the absolute log-domain
     tolerance actually applied, so holds == (margin >= -tol). For
     majorization-type checks the embedded OrderReport carries per-prefix
     margins and drives the verdict; margin is then the worst prefix margin.
@@ -202,11 +179,11 @@ def _finite_array(rows) -> np.ndarray:
     return arr
 
 
-def _exp_safe(x: float) -> float:
+def _exp_or_none(x: float) -> float | None:
     try:
         return math.exp(x)
     except OverflowError:
-        return math.inf
+        return None
 
 
 def _feed(h, parts) -> None:
@@ -250,8 +227,8 @@ def _scalar_verdict(inequality: str, llhs: float, lrhs: float, tol: float,
     tol_eff = tol * max(1.0, abs(llhs), abs(lrhs))
     return InequalityVerdict(
         inequality=inequality,
-        lhs=_exp_safe(llhs),
-        rhs=_exp_safe(lrhs),
+        lhs=_exp_or_none(llhs),
+        rhs=_exp_or_none(lrhs),
         margin=margin,
         holds=margin >= -tol_eff,
         tol=tol_eff,
@@ -277,22 +254,29 @@ def _order_verdict(inequality: str, kind: OrderKind, x, y, tol: float,
     )
 
 
-def _check_block_shapes(c: np.ndarray, d_blocks, part: Partition):
-    if c.shape[0] != part.n:
-        raise DimensionMismatch(f"C is {c.shape[0]}x{c.shape[0]}, partition needs {part.n}")
-    if len(d_blocks) != part.k:
-        raise DimensionMismatch(f"{len(d_blocks)} D blocks for a {part.k}-block partition")
-    for blk, size in zip(d_blocks, part.sizes):
+def _block_d_operands(c, d_blocks, part: Partition):
+    """(C, D blocks, diagonal blocks of C) as square arrays whose sizes match
+    the partition."""
+    cm = as_square(c)
+    dbs = [as_square(b) for b in d_blocks]
+    if cm.shape[0] != part.n:
+        raise DimensionMismatch(f"C is {cm.shape[0]}x{cm.shape[0]}, partition needs {part.n}")
+    if len(dbs) != part.k:
+        raise DimensionMismatch(f"{len(dbs)} D blocks for a {part.k}-block partition")
+    for blk, size in zip(dbs, part.sizes):
         if blk.shape[0] != size:
             raise DimensionMismatch(f"D block is {blk.shape[0]}x{blk.shape[0]}, expected {size}")
+    return cm, dbs, diag_blocks(cm, part)
+
+
+def _check_dim(m: np.ndarray, part: Partition):
+    if m.shape[0] != part.n:
+        raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[0]}, partition needs {part.n}")
 
 
 def product_spectra(c, d_blocks, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(concatenated per-block spectra of Ci^-1 Di, spectrum of C^-1 D)."""
-    cm = as_square(c)
-    dbs = [as_square(b) for b in d_blocks]
-    _check_block_shapes(cm, dbs, part)
-    c_blocks = diag_blocks(cm, part)
+    cm, dbs, c_blocks = _block_d_operands(c, d_blocks, part)
     per_block = [eig_pd_product(pd_inverse(cb), db) for cb, db in zip(c_blocks, dbs)]
     x = sort_desc(np.concatenate(per_block))
     y = eig_pd_product(pd_inverse(cm), direct_sum(dbs))
@@ -316,10 +300,7 @@ def _logdet_ratio_blocks(c_blocks, d_blocks) -> float:
 
 def check_matic(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """prod det(I + Ci^-1 Di) <= det(I + C^-1 D) for block-diagonal D."""
-    cm = as_square(c)
-    dbs = [as_square(b) for b in d_blocks]
-    _check_block_shapes(cm, dbs, part)
-    c_blocks = diag_blocks(cm, part)
+    cm, dbs, c_blocks = _block_d_operands(c, d_blocks, part)
     llhs = _logdet_ratio_blocks(c_blocks, dbs)
     d_full = direct_sum(dbs)
     lrhs = logdet_pd(symmetrize(cm + d_full)) - logdet_pd(cm)
@@ -386,10 +367,7 @@ def identity_abs_square(c, d_blocks, part: Partition,
     the explicit product vs Cholesky log-determinants). margin is minus the
     worst normalized residual, so holds == (margin >= -tol).
     """
-    cm = as_square(c)
-    dbs = [as_square(b) for b in d_blocks]
-    _check_block_shapes(cm, dbs, part)
-    c_blocks = diag_blocks(cm, part)
+    cm, dbs, c_blocks = _block_d_operands(c, d_blocks, part)
     d_full = direct_sum(dbs)
 
     def sides(cmat, dmat) -> tuple[float, float]:
@@ -412,8 +390,8 @@ def identity_abs_square(c, d_blocks, part: Partition,
     fp = _fingerprint(part.n, part, cm, *dbs)
     return InequalityVerdict(
         inequality="identity-abs-square",
-        lhs=_exp_safe(lg),
-        rhs=_exp_safe(rg),
+        lhs=_exp_or_none(lg),
+        rhs=_exp_or_none(rg),
         margin=-worst,
         holds=worst <= tol,
         tol=tol,
@@ -446,8 +424,7 @@ def _check_choi_shapes(mats, part: Partition):
     if not mats:
         raise DimensionMismatch("need at least one matrix")
     for a in mats:
-        if a.shape[0] != part.n:
-            raise DimensionMismatch(f"matrix is {a.shape[0]}x{a.shape[0]}, partition needs {part.n}")
+        _check_dim(a, part)
 
 
 def check_choi(mats, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -523,8 +500,7 @@ def check_fischer_tail(c, part: Partition, m: int | None = None,
     every m and reports the worst margin.
     """
     cm = as_square(c)
-    if cm.shape[0] != part.n:
-        raise DimensionMismatch(f"matrix is {cm.shape[0]}x{cm.shape[0]}, partition needs {part.n}")
+    _check_dim(cm, part)
     n = part.n
     if m is not None and not 1 <= m <= n:
         raise IndexOutOfRange(f"m = {m} out of range 1..{n}")
@@ -554,8 +530,7 @@ def check_fischer_tail(c, part: Partition, m: int | None = None,
 def check_kyfan(c, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """lambda(Diag C) majorized by lambda(C) (equal traces, dominated prefixes)."""
     cm = as_square(c)
-    if cm.shape[0] != part.n:
-        raise DimensionMismatch(f"matrix is {cm.shape[0]}x{cm.shape[0]}, partition needs {part.n}")
+    _check_dim(cm, part)
     x = sort_desc(np.concatenate([eigvals_sym(b) for b in diag_blocks(cm, part)]))
     y = eigvals_sym(cm)
     fp = _fingerprint(part.n, part, cm)
@@ -571,13 +546,11 @@ def _inv_square(a: np.ndarray) -> np.ndarray:
 
 
 def _eval_inv_square_sum(inst: Instance, tol: float) -> InequalityVerdict:
-    cm = as_square(inst.c)
-    dbs = [as_square(b) for b in inst.d_blocks]
     part = inst.partition
-    _check_block_shapes(cm, dbs, part)
+    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
     llhs = sum(
         logdet_pd(symmetrize(_inv_square(db) + _inv_square(cb)))
-        for cb, db in zip(diag_blocks(cm, part), dbs)
+        for cb, db in zip(c_blocks, dbs)
     )
     lrhs = logdet_pd(symmetrize(_inv_square(direct_sum(dbs)) + _inv_square(cm)))
     fp = _fingerprint(part.n, part, cm, *dbs)
@@ -606,8 +579,7 @@ def _general_d_parts(inst: Instance):
     part = inst.partition
     if cm.shape != dm.shape:
         raise DimensionMismatch(f"{cm.shape} vs {dm.shape}")
-    if cm.shape[0] != part.n:
-        raise DimensionMismatch(f"matrix is {cm.shape[0]}x{cm.shape[0]}, partition needs {part.n}")
+    _check_dim(cm, part)
     return cm, dm, diag_blocks(cm, part), diag_blocks(dm, part), part
 
 
@@ -629,14 +601,9 @@ def _eval_weak_log_general_d(inst: Instance, tol: float) -> InequalityVerdict:
 
 
 def _eval_sv_weak_log(inst: Instance, tol: float) -> InequalityVerdict:
-    cm = as_square(inst.c)
-    dbs = [as_square(b) for b in inst.d_blocks]
     part = inst.partition
-    _check_block_shapes(cm, dbs, part)
-    per_block = [
-        singular_values(pd_inverse(cb) @ db)
-        for cb, db in zip(diag_blocks(cm, part), dbs)
-    ]
+    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
+    per_block = [singular_values(pd_inverse(cb) @ db) for cb, db in zip(c_blocks, dbs)]
     x = sort_desc(np.concatenate(per_block))
     y = singular_values(pd_inverse(cm) @ direct_sum(dbs))
     fp = _fingerprint(part.n, part, cm, *dbs)
@@ -651,12 +618,23 @@ def _eval_sv_weak_log(inst: Instance, tol: float) -> InequalityVerdict:
 PerP = Callable[[float, float], InequalityVerdict]
 
 
+def _sum_log1p_power(x: np.ndarray, p: float) -> float:
+    """sum log1p(x^p). Where x^p overflows a double, its term is p*log(x),
+    which equals log1p(x^p) to double precision there."""
+    with np.errstate(over="ignore"):
+        xp = x**p
+    over = np.isinf(xp)
+    if over.any():
+        return float(np.sum(np.where(over, p * np.log(x), np.log1p(xp))))
+    return float(np.sum(np.log1p(xp)))
+
+
 def _log1p_power_sides(inequality: str, x: np.ndarray, y: np.ndarray,
                        fingerprints: Callable[[float], Fingerprint]) -> PerP:
     """sum log1p(x^p) <= sum log1p(y^p) over precomputed spectra."""
     def at(p: float, tol: float) -> InequalityVerdict:
-        llhs = float(np.sum(np.log1p(x**p)))
-        lrhs = float(np.sum(np.log1p(y**p)))
+        llhs = _sum_log1p_power(x, p)
+        lrhs = _sum_log1p_power(y, p)
         return _scalar_verdict(inequality, llhs, lrhs, tol, fingerprints(p), detail={"p": p})
 
     return at
@@ -680,39 +658,33 @@ def _prepare_thm32(inst: Instance) -> PerP:
     m = len(mats)
 
     def at(p: float, tol: float) -> InequalityVerdict:
-        return _order_verdict("thm32", OrderKind.WEAK_MAJORIZE, x**p, y**p, tol,
+        with np.errstate(over="ignore"):  # check_order rejects an overflowed power
+            xp, yp = x**p, y**p
+        return _order_verdict("thm32", OrderKind.WEAK_MAJORIZE, xp, yp, tol,
                               fingerprints(p), detail={"p": p, "m": m})
 
     return at
 
 
-def _block_d_operands(inst: Instance):
-    cm = as_square(inst.c)
-    dbs = [as_square(b) for b in inst.d_blocks]
-    _check_block_shapes(cm, dbs, inst.partition)
-    return cm, dbs, inst.partition
-
-
 def _prepare_abs_power(inst: Instance) -> PerP:
-    cm, dbs, part = _block_d_operands(inst)
-    block_svs = [singular_values(pd_inverse(cb) @ db)
-                 for cb, db in zip(diag_blocks(cm, part), dbs)]
+    part = inst.partition
+    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
+    block_svs = [singular_values(pd_inverse(cb) @ db) for cb, db in zip(c_blocks, dbs)]
     s_full = singular_values(pd_inverse(cm) @ direct_sum(dbs))
     fingerprints = _p_fingerprints(part.n, part, cm, *dbs)
 
     def at(p: float, tol: float) -> InequalityVerdict:
-        llhs = 0.0
-        for s in block_svs:
-            llhs += float(np.sum(np.log1p(s**p)))
-        lrhs = float(np.sum(np.log1p(s_full**p)))
+        llhs = sum(_sum_log1p_power(s, p) for s in block_svs)
+        lrhs = _sum_log1p_power(s_full, p)
         return _scalar_verdict("abs-power", llhs, lrhs, tol, fingerprints(p), detail={"p": p})
 
     return at
 
 
 def _prepare_commuted_power(inst: Instance) -> PerP:
-    cm, dbs, part = _block_d_operands(inst)
-    c_block_eigs = [pd_eigh(b) for b in diag_blocks(cm, part)]
+    part = inst.partition
+    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
+    c_block_eigs = [pd_eigh(b) for b in c_blocks]
     d_block_eigs = [pd_eigh(b) for b in dbs]
     c_eig = pd_eigh(cm)
     fingerprints = _p_fingerprints(part.n, part, cm, *dbs)
@@ -758,82 +730,183 @@ def _nonnegative_domain(inequality: str) -> Callable[[float | None], None]:
 
 
 @dataclass(frozen=True)
-class _PSplit:
+class PSplit:
     """A parametrized id: `domain(p)` raises on an exponent the statement is
-    not made for; `prepare(inst)` is the p-independent step."""
+    not made for; `prepare(inst)` is the p-independent step. `grid` is the
+    exponent grid a fuzz trial sweeps when no p is given, `default` the CLI's
+    p when --p is absent."""
 
     domain: Callable[[float | None], None]
     prepare: Callable[[Instance], PerP]
+    grid: tuple[float, ...]
+    default: float
+
+    def verdicts(self, inst: Instance, ps: Sequence[float],
+                 tol: float) -> tuple[InequalityVerdict, ...]:
+        """The verdict at each exponent of ps, in order (inst.p is not read).
+        Every exponent is checked first; the p-independent work is then done
+        once."""
+        for p in ps:
+            if p is not None and not math.isfinite(p):
+                raise NonFinite(f"non-finite exponent p = {p}")
+            self.domain(p)
+        at = self.prepare(inst)
+        return tuple(at(p, tol) for p in ps)
+
+    def check(self, inst: Instance, tol: float) -> InequalityVerdict:
+        return self.verdicts(inst, (inst.p,), tol)[0]
 
 
-_P_SPLITS = {
-    "det-power": _PSplit(_det_power_domain, _spectra_log1p_power("det-power")),
-    "thm32": _PSplit(_thm32_domain, _prepare_thm32),
-    "abs-power": _PSplit(_nonnegative_domain("abs-power"), _prepare_abs_power),
-    "commuted-power": _PSplit(_nonnegative_domain("commuted-power"), _prepare_commuted_power),
-    "neg-power": _PSplit(_neg_power_domain, _spectra_log1p_power("neg-power")),
+# ---------------------------------------------------------------------------
+# The registry: one Spec per catalog id.
+
+class Role(enum.Enum):
+    THEOREM = "theorem"      # expected to hold: a violation is a bug, not a finding
+    EVALUATOR = "evaluator"  # false in general: violations are data, never errors
+    OPEN = "open"            # unresolved: verdicts are recorded, nothing is asserted
+
+
+class Shape(enum.Enum):
+    """The Instance fields an id reads, and so the inputs the fuzzer draws
+    and the CLI loads."""
+
+    BLOCK_D = "block-d"      # partition, c, d_blocks
+    GENERAL_D = "general-d"  # partition, c, d
+    MATS = "mats"            # partition, mats
+    C = "c"                  # partition, c (and m for fischer-tail)
+    C_IDX = "c+idx"          # c, idx
+
+
+Checker = Callable[[Instance, float], InequalityVerdict]
+# (C cap, D-block cap, block-scale bias in decades) for block-D fuzz draws;
+# a None cap leaves GenConfig.kappa_max alone.
+Caps = tuple[float | None, float | None, float]
+
+
+@dataclass(frozen=True, eq=False)
+class Spec:
+    """What the catalog, the fuzzer and the CLI know about one id.
+
+    check: (instance, tol) -> verdict; a parametrized id is checked at inst.p.
+    split: the p-split of a parametrized id, with its fuzz grid and default p.
+    caps: the generator caps for block-D draws.
+    reference: (partition, C, D) of the counterexample the fuzzer injects as
+        trial 0; D is split into its diagonal blocks for a block-D id.
+    certify: (c_exact, d_exact, part) -> exact (lhs, rhs), with d_exact the
+        list of exact D blocks for a block-D id and the whole D otherwise.
+
+    Entries reach the public checkers and the certifiers through lambdas
+    that look up their module-level names, so a patch of a module attribute
+    (a tracer's, a test's) sees every call.
+    """
+
+    role: Role
+    shape: Shape
+    check: Checker
+    split: PSplit | None = None
+    caps: Caps = (None, None, 0.0)
+    reference: tuple[Partition, np.ndarray, np.ndarray] | None = None
+    certify: Callable | None = None
+
+
+def _parametrized(role: Role, shape: Shape, split: PSplit, **extra) -> Spec:
+    return Spec(role, shape, split.check, split=split, **extra)
+
+
+_INV_SQ_REF = (refdata.INV_SQ_PART, refdata.INV_SQ_C, refdata.INV_SQ_D)
+# The false block-D statements need squared inverses, matrix powers, or
+# singular values of explicit products, which square or cube the working
+# condition number. Their caps keep every derived object within double
+# precision while still reaching the strongly unequal block scales the known
+# violations live in. commuted-power forms C^p and D^p, whose condition
+# numbers are kappa^p, so its grid stops at p = 2 and its C draw is capped at
+# 1e6: C^2 then stays inside the Cholesky near-singular rejection envelope.
+
+SPECS: dict[str, Spec] = {
+    "main-thm": Spec(Role.THEOREM, Shape.BLOCK_D,
+                     lambda i, tol: check_main_theorem(i.c, i.d_blocks, i.partition, tol)),
+    "matic": Spec(Role.THEOREM, Shape.BLOCK_D,
+                  lambda i, tol: check_matic(i.c, i.d_blocks, i.partition, tol),
+                  certify=lambda c, d, part: matic_exact(c, d, part)),
+    "det-power": _parametrized(
+        Role.THEOREM, Shape.BLOCK_D,
+        PSplit(_det_power_domain, _spectra_log1p_power("det-power"),
+               grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
+    "abs-power": _parametrized(
+        Role.EVALUATOR, Shape.BLOCK_D,
+        PSplit(_nonnegative_domain("abs-power"), _prepare_abs_power,
+               grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=2.0),
+        caps=(1e3, 1e2, 1.0), reference=_INV_SQ_REF),
+    "commuted-power": _parametrized(
+        Role.EVALUATOR, Shape.BLOCK_D,
+        PSplit(_nonnegative_domain("commuted-power"), _prepare_commuted_power,
+               grid=(0.0, 0.5, 1.0, 2.0), default=2.0),
+        caps=(1e6, 1e3, 1.5), reference=_INV_SQ_REF),
+    "inv-square-sum": Spec(Role.EVALUATOR, Shape.BLOCK_D, _eval_inv_square_sum,
+                           caps=(None, 1e3, 1.5), reference=_INV_SQ_REF,
+                           certify=lambda c, d, part: inv_square_sum_exact(c, d, part)),
+    "neg-power": _parametrized(
+        Role.EVALUATOR, Shape.BLOCK_D,
+        PSplit(_neg_power_domain, _spectra_log1p_power("neg-power"),
+               grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
+        caps=(None, 1e3, 1.5),
+        reference=(refdata.NEG_POWER_PART, refdata.NEG_POWER_C, refdata.NEG_POWER_D)),
+    "matic-general-d": Spec(
+        Role.EVALUATOR, Shape.GENERAL_D, _eval_matic_general_d,
+        reference=(refdata.MATIC_GEN_PART, refdata.MATIC_GEN_C, refdata.MATIC_GEN_D),
+        certify=lambda c, d, part: matic_general_d_exact(c, d, part)),
+    "weak-log-general-d": Spec(Role.EVALUATOR, Shape.GENERAL_D, _eval_weak_log_general_d,
+                               reference=(refdata.WLOG_PART, refdata.WLOG_C, refdata.WLOG_D)),
+    "sv-weak-log": Spec(Role.EVALUATOR, Shape.BLOCK_D, _eval_sv_weak_log,
+                        caps=(1e2, 1e2, 1.0), reference=_INV_SQ_REF),
+    "choi": Spec(Role.THEOREM, Shape.MATS,
+                 lambda i, tol: check_choi(i.mats, i.partition, tol)),
+    "thm32": _parametrized(
+        Role.THEOREM, Shape.MATS,
+        PSplit(_thm32_domain, _prepare_thm32, grid=(1.0, 2.0, 3.0), default=1.0)),
+    "open-q": Spec(Role.OPEN, Shape.MATS,
+                   lambda i, tol: check_open_q(i.mats, i.partition, tol)),
+    "lemma31": Spec(Role.THEOREM, Shape.C_IDX,
+                    lambda i, tol: check_lemma31(i.c, i.idx, tol)),
+    "fischer-tail": Spec(Role.THEOREM, Shape.C,
+                         lambda i, tol: check_fischer_tail(i.c, i.partition, i.m, tol)),
+    "ky-fan": Spec(Role.THEOREM, Shape.C,
+                   lambda i, tol: check_kyfan(i.c, i.partition, tol)),
 }
-PARAMETRIZED_IDS = frozenset(_P_SPLITS)
+
+INEQUALITY_IDS = tuple(SPECS)
+THEOREM_IDS = frozenset(i for i, spec in SPECS.items() if spec.role is Role.THEOREM)
+EVALUATOR_IDS = frozenset(i for i, spec in SPECS.items() if spec.role is Role.EVALUATOR)
+
+
+def spec_of(inequality: str) -> Spec:
+    """The Spec of a catalog id; any other name raises UnknownInequality."""
+    try:
+        return SPECS[inequality]
+    except KeyError:
+        raise UnknownInequality(
+            f"unknown inequality id {inequality!r}; known: {', '.join(SPECS)}") from None
 
 
 def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
                  tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, ...]:
     """Verdicts of a parametrized id at each exponent of ps, in order, on one
-    instance (inst.p is not read). Every exponent is checked against the
-    statement's domain first; the p-independent work is then done once."""
-    try:
-        split = _P_SPLITS[inequality]
-    except KeyError:
-        raise UnknownInequality(f"{inequality!r} is not a parametrized id") from None
-    for p in ps:
-        split.domain(p)
-    at = split.prepare(inst)
-    return tuple(at(p, tol) for p in ps)
-
-
-def _at_instance_p(inequality: str) -> Callable[[Instance, float], InequalityVerdict]:
-    return lambda inst, tol: check_p_grid(inequality, inst, (inst.p,), tol)[0]
-
-
-_EVALUATORS = {
-    "abs-power": _at_instance_p("abs-power"),
-    "commuted-power": _at_instance_p("commuted-power"),
-    "inv-square-sum": _eval_inv_square_sum,
-    "neg-power": _at_instance_p("neg-power"),
-    "matic-general-d": _eval_matic_general_d,
-    "weak-log-general-d": _eval_weak_log_general_d,
-    "sv-weak-log": _eval_sv_weak_log,
-}
+    instance, with the p-independent work done once (see PSplit.verdicts)."""
+    split = spec_of(inequality).split
+    if split is None:
+        raise UnknownInequality(f"{inequality!r} is not a parametrized id")
+    return split.verdicts(inst, ps, tol)
 
 
 def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Evaluate one of the no-expectation statements; violation is data, not error."""
-    try:
-        fn = _EVALUATORS[inequality]
-    except KeyError:
-        raise UnknownInequality(f"{inequality!r} is not an evaluator id") from None
-    return fn(inst, tol)
+    spec = spec_of(inequality)
+    if spec.role is not Role.EVALUATOR:
+        raise UnknownInequality(f"{inequality!r} is not an evaluator id")
+    return spec.check(inst, tol)
 
 
 def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Dispatch any catalog id on an Instance; the single entry point used by
     the fuzzer and the CLI. Parametrized ids are evaluated at inst.p."""
-    if inequality in _P_SPLITS:
-        return check_p_grid(inequality, inst, (inst.p,), tol)[0]
-    if inequality in _EVALUATORS:
-        return evaluate_general(inequality, inst, tol)
-    if inequality == "main-thm":
-        return check_main_theorem(inst.c, inst.d_blocks, inst.partition, tol)
-    if inequality == "matic":
-        return check_matic(inst.c, inst.d_blocks, inst.partition, tol)
-    if inequality == "choi":
-        return check_choi(inst.mats, inst.partition, tol)
-    if inequality == "open-q":
-        return check_open_q(inst.mats, inst.partition, tol)
-    if inequality == "lemma31":
-        return check_lemma31(inst.c, inst.idx, tol)
-    if inequality == "fischer-tail":
-        return check_fischer_tail(inst.c, inst.partition, inst.m, tol)
-    if inequality == "ky-fan":
-        return check_kyfan(inst.c, inst.partition, tol)
-    raise UnknownInequality(f"unknown inequality id {inequality!r}")
+    return spec_of(inequality).check(inst, tol)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,32 +18,11 @@ import numpy as np
 
 from . import matio, scenarios
 from .blocks import Partition, diag_blocks, validate_partition
-from .catalog import (
-    INEQUALITY_IDS,
-    Instance,
-    inv_square_sum_exact,
-    matic_exact,
-    matic_general_d_exact,
-    run_check,
-)
+from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, run_check, spec_of
 from .errors import BadMatrixFile, MajdetError
 from .exact import submatrix as exact_submatrix
 from .fuzzing import GenConfig, GenStyle, fuzz, sample_pd, trial_rng
 from .orders import DEFAULT_TOL
-
-BLOCK_D_IDS = frozenset(
-    {"main-thm", "matic", "det-power", "abs-power", "commuted-power",
-     "inv-square-sum", "neg-power", "sv-weak-log"}
-)
-GENERAL_D_IDS = frozenset({"matic-general-d", "weak-log-general-d"})
-MATS_IDS = frozenset({"choi", "thm32", "open-q"})
-DEFAULT_P = {
-    "det-power": 1.0,
-    "abs-power": 2.0,
-    "commuted-power": 2.0,
-    "neg-power": -1.0,
-    "thm32": 1.0,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +49,15 @@ def _parse_idx(text: str) -> tuple[int, ...]:
         raise MajdetError(f"bad index list {text!r}; expected i,j,... (0-based)") from None
 
 
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
 
 
 def _table(lines, json_only: bool) -> None:
@@ -95,49 +82,14 @@ def _split_block_file(arr, exact, part: Partition, path: str):
     return blocks, exact_blocks
 
 
-def _load_check_inputs(args) -> tuple[Instance, dict]:
-    """Build the Instance for `check` from files and flags; returns extras for
-    exact certification."""
+def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
+    """Build the Instance for `check` from files and flags, plus the exact
+    (C, D) operands for certification when every one of them is rational."""
     ineq = args.inequality
-    extras: dict = {}
-    p = args.p if args.p is not None else DEFAULT_P.get(ineq)
+    shape = spec.shape
+    p = args.p if args.p is not None or spec.split is None else spec.split.default
 
-    if ineq in BLOCK_D_IDS or ineq in GENERAL_D_IDS:
-        if not args.c:
-            raise MajdetError(f"{ineq} needs --c")
-        c_arr, c_exact = matio.read_matrix(args.c)
-        n = c_arr.shape[0]
-        if not args.part:
-            raise MajdetError(f"{ineq} needs --part")
-        part = _parse_partition(args.part, n)
-        if ineq in GENERAL_D_IDS:
-            if not args.d or len(args.d) != 1:
-                raise MajdetError(f"{ineq} needs exactly one --d file")
-            d_arr, d_exact = matio.read_matrix(args.d[0])
-            extras.update(c_exact=c_exact, d_exact=d_exact, part=part)
-            return Instance(partition=part, c=c_arr, d=d_arr, p=p), extras
-        if not args.d:
-            raise MajdetError(f"{ineq} needs --d (block files, or one block-diagonal file)")
-        if len(args.d) == 1 and part.k > 1:
-            d_arr, d_exact = matio.read_matrix(args.d[0])
-            if d_arr.shape[0] != n:
-                raise MajdetError(f"D is {d_arr.shape[0]}x{d_arr.shape[0]}, expected {n}")
-            blocks, exact_blocks = _split_block_file(d_arr, d_exact, part, args.d[0])
-        else:
-            if len(args.d) != part.k:
-                raise MajdetError(f"expected {part.k} D block files, got {len(args.d)}")
-            blocks = []
-            exact_blocks = []
-            for path in args.d:
-                arr, ex = matio.read_matrix(path)
-                blocks.append(arr)
-                exact_blocks.append(ex)
-            if any(b is None for b in exact_blocks):
-                exact_blocks = None
-        extras.update(c_exact=c_exact, d_blocks_exact=exact_blocks, part=part)
-        return Instance(partition=part, c=c_arr, d_blocks=tuple(blocks), p=p), extras
-
-    if ineq in MATS_IDS:
+    if shape is Shape.MATS:
         if not args.a:
             raise MajdetError(f"{ineq} needs --a matrix files")
         mats = []
@@ -148,45 +100,62 @@ def _load_check_inputs(args) -> tuple[Instance, dict]:
         if not args.part:
             raise MajdetError(f"{ineq} needs --part")
         part = _parse_partition(args.part, n)
-        return Instance(partition=part, mats=tuple(mats), p=p), extras
+        return Instance(partition=part, mats=tuple(mats), p=p), None
 
-    if ineq == "lemma31":
+    if shape is Shape.C_IDX:
         if not args.a or len(args.a) != 1:
-            raise MajdetError("lemma31 needs exactly one --a file")
+            raise MajdetError(f"{ineq} needs exactly one --a file")
         arr, _ = matio.read_matrix(args.a[0])
         if not args.idx:
-            raise MajdetError("lemma31 needs --idx (0-based, comma separated)")
-        return Instance(c=arr, idx=_parse_idx(args.idx)), extras
+            raise MajdetError(f"{ineq} needs --idx (0-based, comma separated)")
+        return Instance(c=arr, idx=_parse_idx(args.idx)), None
 
-    # fischer-tail, ky-fan
     if not args.c:
         raise MajdetError(f"{ineq} needs --c")
-    arr, _ = matio.read_matrix(args.c)
+    c_arr, c_exact = matio.read_matrix(args.c)
+    n = c_arr.shape[0]
     if not args.part:
         raise MajdetError(f"{ineq} needs --part")
-    part = _parse_partition(args.part, arr.shape[0])
-    return Instance(partition=part, c=arr, m=args.m if ineq == "fischer-tail" else None), extras
-
-
-def _exact_certification(ineq: str, extras: dict) -> dict | None:
-    """Exact rational recomputation of both sides when all inputs are rational."""
-    c_exact = extras.get("c_exact")
-    part = extras.get("part")
-    if c_exact is None or part is None:
-        return None
-    if ineq in ("matic", "inv-square-sum"):
-        blocks = extras.get("d_blocks_exact")
-        if blocks is None or any(b is None for b in blocks):
-            return None
-        fn = matic_exact if ineq == "matic" else inv_square_sum_exact
-        lhs, rhs = fn(c_exact, blocks, part)
-    elif ineq == "matic-general-d":
-        d_exact = extras.get("d_exact")
-        if d_exact is None:
-            return None
-        lhs, rhs = matic_general_d_exact(c_exact, d_exact, part)
+    part = _parse_partition(args.part, n)
+    if shape is Shape.C:
+        return Instance(partition=part, c=c_arr, m=args.m), None
+    if shape is Shape.GENERAL_D:
+        if not args.d or len(args.d) != 1:
+            raise MajdetError(f"{ineq} needs exactly one --d file")
+        d_arr, d_exact = matio.read_matrix(args.d[0])
+        inst = Instance(partition=part, c=c_arr, d=d_arr, p=p)
+        return inst, _exact_pair(c_exact, d_exact)
+    if not args.d:
+        raise MajdetError(f"{ineq} needs --d (block files, or one block-diagonal file)")
+    if len(args.d) == 1 and part.k > 1:
+        d_arr, d_exact = matio.read_matrix(args.d[0])
+        if d_arr.shape[0] != n:
+            raise MajdetError(f"D is {d_arr.shape[0]}x{d_arr.shape[0]}, expected {n}")
+        blocks, exact_blocks = _split_block_file(d_arr, d_exact, part, args.d[0])
     else:
+        if len(args.d) != part.k:
+            raise MajdetError(f"expected {part.k} D block files, got {len(args.d)}")
+        blocks = []
+        exact_blocks = []
+        for path in args.d:
+            arr, ex = matio.read_matrix(path)
+            blocks.append(arr)
+            exact_blocks.append(ex)
+        if any(b is None for b in exact_blocks):
+            exact_blocks = None
+    inst = Instance(partition=part, c=c_arr, d_blocks=tuple(blocks), p=p)
+    return inst, _exact_pair(c_exact, exact_blocks)
+
+
+def _exact_pair(c_exact, d_exact) -> tuple | None:
+    return None if c_exact is None or d_exact is None else (c_exact, d_exact)
+
+
+def _exact_certification(spec: Spec, part: Partition, exact_ops: tuple | None) -> dict | None:
+    """Exact rational recomputation of both sides when all inputs are rational."""
+    if spec.certify is None or exact_ops is None:
         return None
+    lhs, rhs = spec.certify(*exact_ops, part)
     return {
         "lhs": f"{lhs.numerator}/{lhs.denominator}",
         "rhs": f"{rhs.numerator}/{rhs.denominator}",
@@ -212,9 +181,10 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst, extras = _load_check_inputs(args)
+    spec = spec_of(args.inequality)
+    inst, exact_ops = _load_check_inputs(args, spec)
     verdict = run_check(args.inequality, inst, tol=args.tol)
-    cert = _exact_certification(args.inequality, extras)
+    cert = _exact_certification(spec, inst.partition, exact_ops)
     payload = verdict.to_json()
     if cert is not None:
         payload["exact"] = cert
@@ -223,9 +193,12 @@ def cmd_check(args) -> int:
         f"{args.inequality}: {'holds' if verdict.holds else 'VIOLATED'} "
         f"(margin {verdict.margin:.6g}, tol {verdict.tol:g})"
     ]
-    if verdict.lhs is not None:
-        lines.append(f"  lhs = {verdict.lhs:.10g}")
-        lines.append(f"  rhs = {verdict.rhs:.10g}")
+    for side in ("lhs", "rhs"):
+        value = getattr(verdict, side)
+        if value is not None:
+            lines.append(f"  {side} = {value:.10g}")
+        elif f"log_{side}" in verdict.detail:
+            lines.append(f"  {side} = exp({verdict.detail[f'log_{side}']:.10g})")
     if verdict.order is not None:
         lines.append(f"  order check: {verdict.order.verdict()}")
     if cert is not None:
@@ -238,10 +211,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.inequality not in INEQUALITY_IDS:
-        raise MajdetError(
-            f"unknown inequality {args.inequality!r}; known: {', '.join(INEQUALITY_IDS)}"
-        )
     part = _parse_partition(args.part, args.n) if args.part else None
     cfg = GenConfig(
         n=args.n,
@@ -310,10 +279,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--d", nargs="+", help="D block files (or one block-diagonal/general D)")
     sp.add_argument("--a", nargs="+", help="matrix files for the A_i family / lemma31 input")
     sp.add_argument("--part", help="partition sizes n1,n2,...,nk")
-    sp.add_argument("--p", type=float, default=None, help="exponent for parametrized checks")
+    sp.add_argument("--p", type=finite, default=None, help="exponent for parametrized checks")
     sp.add_argument("--m", type=int, default=None, help="tail start (fischer-tail; 1-based)")
     sp.add_argument("--idx", help="0-based principal submatrix indices, e.g. 0,2,3")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=finite, default=DEFAULT_TOL)
     sp.add_argument("--json-only", action="store_true")
     sp.set_defaults(fn=cmd_check)
 
@@ -325,11 +294,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--style", choices=[s.value for s in GenStyle], default="spectral")
-    sp.add_argument("--kappa-max", type=float, default=1e6)
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--p", type=float, default=None,
+    sp.add_argument("--kappa-max", type=finite, default=1e6)
+    sp.add_argument("--scale", type=finite, default=1.0)
+    sp.add_argument("--p", type=finite, default=None,
                     help="fix the exponent (default: id-specific grid)")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=finite, default=DEFAULT_TOL)
     sp.add_argument("--keep-instances", action="store_true",
                     help="serialize every trial's instance, not just violations")
     sp.add_argument("--json-only", action="store_true")
@@ -340,8 +309,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--part", help="write one file per block of this partition")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--style", choices=[s.value for s in GenStyle], default="spectral")
-    sp.add_argument("--kappa-max", type=float, default=1e6)
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--kappa-max", type=finite, default=1e6)
+    sp.add_argument("--scale", type=finite, default=1.0)
     sp.add_argument("--out", required=True, help="output path")
     sp.add_argument("--json-only", action="store_true")
     sp.set_defaults(fn=cmd_gen)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DimensionMismatch, SingularMatrix
 
 RationalMatrix = list[list[Fraction]]
@@ -36,10 +34,6 @@ def rational_matrix(rows) -> RationalMatrix:
     return out
 
 
-def to_float(m: RationalMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m])
-
-
 def mat_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if len(a) != len(b):
         raise DimensionMismatch(f"{len(a)} vs {len(b)}")
@@ -52,10 +46,6 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise DimensionMismatch(f"{n} vs {len(b)}")
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_identity(n: int) -> RationalMatrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def submatrix(m: RationalMatrix, lo: int, hi: int) -> RationalMatrix:

@@ -2,12 +2,15 @@
 
 Every trial draws from its own substream: the trial seed is a splitmix-style
 mix of (master seed, trial index), so reports are deterministic regardless of
-execution order and removing one trial never perturbs another. For the
-false-inequality ids the known reference counterexample is injected as trial
-0, so the recorded violation never depends on random search luck; random
-block scales are additionally biased apart for those ids, the regime the
-violations live in. No shrinking is performed: violating instances are
-stored verbatim and can be replayed in isolation.
+execution order and removing one trial never perturbs another. What a
+trial draws follows the id's catalog Spec: its input shape, its generator
+caps, and, for the false-inequality ids, the known reference counterexample
+injected as trial 0, so the recorded violation never depends on random
+search luck; random block scales are additionally biased apart for those
+ids, the regime the violations live in. Without an explicit p, a trial of a
+parametrized id sweeps the Spec's exponent grid on one draw. No shrinking is
+performed: violating instances are stored verbatim and can be replayed in
+isolation.
 """
 
 from __future__ import annotations
@@ -18,55 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import refdata
 from .blocks import Partition, validate_partition
-from .catalog import (
-    EVALUATOR_IDS,
-    INEQUALITY_IDS,
-    InequalityVerdict,
-    Instance,
-    check_p_grid,
-    run_check,
-)
-from .errors import BadConfig, ResampleExhausted, UnknownInequality
+from .catalog import InequalityVerdict, Instance, Shape, run_check, spec_of
+from .errors import BadConfig, ResampleExhausted
 from .linalg import eigvals_sym
 from .orders import DEFAULT_TOL
 
 _MASK64 = (1 << 64) - 1
-
-# Default exponent grids for the parametrized ids when no explicit p is given.
-# A trial draws its instance once and evaluates the whole grid on it through
-# catalog.check_p_grid, so the p-independent work is done once per trial;
-# the verdict kept is the first one of minimum margin. det-power and thm32
-# act on spectra only, so large p is safe at any conditioning;
-# commuted-power forms the matrix powers C^p and D^p, whose condition
-# numbers are kappa^p, so its grid stops at p = 2 to stay inside the
-# Cholesky near-singular rejection envelope.
-P_GRIDS = {
-    "det-power": (0.0, 0.5, 1.0, 2.0, 3.0),
-    "abs-power": (0.0, 0.5, 1.0, 2.0, 3.0),
-    "commuted-power": (0.0, 0.5, 1.0, 2.0),
-    "thm32": (1.0, 2.0, 3.0),
-    "neg-power": (-0.5, -1.0, -2.0, -3.0),
-}
-
-# Ids whose statement is false in general: biased generation plus a trial-0
-# injection of the reference counterexample.
-FALSE_IDS = frozenset(EVALUATOR_IDS)
-
-# Conditioning caps for the false-family block ids, as
-# (C cap, D-block cap, block scale bias in decades). These statements need
-# squared inverses, matrix powers, or singular values of explicit products,
-# which square or cube the working condition number; the caps keep every
-# derived object within double-precision resolution while still reaching the
-# strongly-unequal-block-scale regime the known violations live in.
-_FALSE_BLOCK_CAPS = {
-    "inv-square-sum": (None, 1e3, 1.5),
-    "commuted-power": (None, 1e3, 1.5),
-    "neg-power": (None, 1e3, 1.5),
-    "abs-power": (1e3, 1e2, 1.0),
-    "sv-weak-log": (1e2, 1e2, 1.0),
-}
 
 
 class GenStyle(enum.Enum):
@@ -162,46 +123,16 @@ def gen_pd(cfg: GenConfig, trial: int) -> np.ndarray:
     return sample_pd(rng, cfg.n, cfg.style, cfg.kappa_max, cfg.entry_scale)
 
 
-def _injected_instance(inequality: str, p: float | None) -> Instance | None:
-    """Reference counterexample injected as trial 0 for the false ids."""
-    if inequality in ("inv-square-sum", "abs-power", "commuted-power", "sv-weak-log"):
-        part = refdata.INV_SQ_PART
-        return Instance(
-            partition=part,
-            c=refdata.INV_SQ_C.copy(),
-            d_blocks=tuple(
-                refdata.INV_SQ_D[lo:hi, lo:hi].copy() for lo, hi in part.offsets()
-            ),
-            p=p,
-        )
-    if inequality == "neg-power":
-        part = refdata.NEG_POWER_PART
-        return Instance(
-            partition=part,
-            c=refdata.NEG_POWER_C.copy(),
-            d_blocks=tuple(
-                refdata.NEG_POWER_D[lo:hi, lo:hi].copy() for lo, hi in part.offsets()
-            ),
-            p=p,
-        )
-    if inequality == "matic-general-d":
-        return Instance(partition=refdata.MATIC_GEN_PART,
-                        c=refdata.MATIC_GEN_C.copy(), d=refdata.MATIC_GEN_D.copy(), p=p)
-    if inequality == "weak-log-general-d":
-        return Instance(partition=refdata.WLOG_PART,
-                        c=refdata.WLOG_C.copy(), d=refdata.WLOG_D.copy(), p=p)
-    return None
-
-
 def build_instance(inequality: str, cfg: GenConfig, trial: int,
                    p: float | None = None) -> Instance:
     """Draw the instance for one trial (or return the injected counterexample)."""
-    if inequality not in INEQUALITY_IDS:
-        raise UnknownInequality(f"unknown inequality id {inequality!r}")
-    if trial == 0 and inequality in FALSE_IDS:
-        injected = _injected_instance(inequality, p)
-        if injected is not None:
-            return injected
+    spec = spec_of(inequality)
+    if trial == 0 and spec.reference is not None:
+        ref_part, ref_c, ref_d = spec.reference
+        if spec.shape is Shape.GENERAL_D:
+            return Instance(partition=ref_part, c=ref_c.copy(), d=ref_d.copy(), p=p)
+        blocks = tuple(ref_d[lo:hi, lo:hi].copy() for lo, hi in ref_part.offsets())
+        return Instance(partition=ref_part, c=ref_c.copy(), d_blocks=blocks, p=p)
     rng = trial_rng(cfg, trial)
     n = cfg.n
     part = cfg.part()
@@ -210,21 +141,20 @@ def build_instance(inequality: str, cfg: GenConfig, trial: int,
         kappa = cfg.kappa_max if cap is None else min(cfg.kappa_max, cap)
         return sample_pd(rng, size, cfg.style, kappa, cfg.entry_scale)
 
-    if inequality in ("choi", "thm32", "open-q"):
+    if spec.shape is Shape.MATS:
         mats = tuple(draw(n) for _ in range(cfg.m))
         return Instance(partition=part, mats=mats, p=p)
-    if inequality == "lemma31":
+    if spec.shape is Shape.C_IDX:
         a = draw(n)
         size = int(rng.integers(1, n + 1))
         idx = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
         return Instance(c=a, idx=idx)
-    if inequality in ("ky-fan", "fischer-tail"):
+    if spec.shape is Shape.C:
         return Instance(partition=part, c=draw(n))
-    if inequality in ("matic-general-d", "weak-log-general-d"):
+    if spec.shape is Shape.GENERAL_D:
         return Instance(partition=part, c=draw(n), d=draw(n), p=p)
 
-    # block-diagonal D family
-    c_cap, d_cap, bias = _FALSE_BLOCK_CAPS.get(inequality, (None, None, 0.0))
+    c_cap, d_cap, bias = spec.caps
     c = draw(n, c_cap)
     blocks = []
     for size in part.sizes:
@@ -276,26 +206,22 @@ class FuzzReport:
         }
 
 
-def _ps_for(inequality: str, p: float | None):
-    if p is not None:
-        return (p,)
-    return P_GRIDS.get(inequality, (None,))
-
-
 def run_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None = None,
               tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, Instance]:
     """Evaluate one trial.
 
     For parametrized ids without an explicit p, the instance is drawn once
-    and the whole default grid is evaluated on it (the p-independent work
+    and the Spec's whole grid is evaluated on it (the p-independent work
     once, then one cheap step per p). The first verdict of minimum margin is
     kept and returned with the instance carrying that verdict's p.
     """
-    ps = _ps_for(inequality, p)
-    inst = build_instance(inequality, cfg, trial, p=ps[0])
-    if len(ps) == 1:
+    split = spec_of(inequality).split
+    if p is not None or split is None:
+        inst = build_instance(inequality, cfg, trial, p=p)
         return run_check(inequality, inst, tol), inst
-    verdicts = check_p_grid(inequality, inst, ps, tol)
+    ps = split.grid
+    inst = build_instance(inequality, cfg, trial, p=ps[0])
+    verdicts = split.verdicts(inst, ps, tol)
     worst = min(range(len(ps)), key=lambda i: verdicts[i].margin)
     if worst:
         inst = replace(inst, p=ps[worst])
@@ -310,8 +236,6 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     tol) apart from the wall_time field. Instances are serialized only for
     violations unless keep_instances is set.
     """
-    if inequality not in INEQUALITY_IDS:
-        raise UnknownInequality(f"unknown inequality id {inequality!r}")
     if trials < 1:
         raise BadConfig(f"trials must be >= 1, got {trials}")
     t0 = time.perf_counter()

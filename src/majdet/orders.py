@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyVector, LengthMismatch, NonPositiveEntry, ZeroOrder
+from .errors import EmptyVector, LengthMismatch, NonFinite, NonPositiveEntry, ZeroOrder
 
 DEFAULT_TOL = 1e-9
 
@@ -39,7 +39,8 @@ class OrderReport:
     the log kinds; per-entry difference for ENTRYWISE_LE). residual is the
     total-equality gap for the non-weak kinds, None otherwise. fail_index is
     the first 1-based k whose margin dips below tolerance (n when only the
-    total-equality condition fails).
+    total-equality condition fails). Every margin is finite: check_order
+    raises NonFinite instead of judging a NaN or an infinity.
     """
 
     kind: OrderKind
@@ -94,10 +95,14 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
     Margins are computed on sorted-descending copies. Tolerances are applied
     per prefix, scaled by max(1, |prefix|). With pad=True (ENTRYWISE_LE
     only), the shorter vector is zero-padded to the longer one's length.
+    A NaN or infinite entry, or a prefix sum that overflows, raises
+    NonFinite.
     """
     kind = OrderKind(kind)
     xs = sort_desc(x)
     ys = sort_desc(y)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise NonFinite("order check on a non-finite (NaN or infinite) entry")
     if xs.size != ys.size:
         if pad and kind is OrderKind.ENTRYWISE_LE:
             width = max(xs.size, ys.size)
@@ -120,6 +125,8 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
             ys = np.log(ys)
         margins, scales, ok = _prefix_margins(xs, ys, tol)
         residual = float(margins[-1]) if kind in STRICT_KINDS else None
+    if not np.all(np.isfinite(margins)):
+        raise NonFinite("order check with a prefix sum that overflows")
 
     fail_index: int | None = None
     holds = bool(ok.all())

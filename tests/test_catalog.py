@@ -20,7 +20,9 @@ from majdet.catalog import (
     check_matic,
     check_open_q,
     check_thm32,
-    PARAMETRIZED_IDS,
+    SPECS,
+    THEOREM_IDS,
+    Role,
     _fingerprint,
     check_p_grid,
     evaluate_general,
@@ -403,6 +405,54 @@ class TestKyFan:
             assert check_kyfan(c, Partition((1, 2, 3))).holds
 
 
+class TestRegistry:
+    def test_id_tables_derive_from_specs(self):
+        assert INEQUALITY_IDS == tuple(SPECS)
+        assert THEOREM_IDS == {i for i, s in SPECS.items() if s.role is Role.THEOREM}
+        assert EVALUATOR_IDS == {i for i, s in SPECS.items() if s.role is Role.EVALUATOR}
+        assert {i for i, s in SPECS.items() if s.role is Role.OPEN} == {"open-q"}
+
+    def test_every_evaluator_injects_a_reference(self):
+        for inequality, spec in SPECS.items():
+            assert (spec.reference is not None) == (spec.role is Role.EVALUATOR), inequality
+
+    def test_certifiers_on_rational_ids_only(self):
+        assert {i for i, s in SPECS.items() if s.certify} == {
+            "matic", "inv-square-sum", "matic-general-d"}
+
+
+class TestOverflowingPower:
+    @pytest.mark.parametrize("inequality,scale,p", [
+        ("det-power", 1000.0, 120.0), ("abs-power", 1000.0, 120.0),
+        ("neg-power", 1e-3, -120.0),
+    ])
+    def test_equality_case_holds(self, inequality, scale, p):
+        # C = I, D = scale I: both sides are 2 log1p(scale^p) and scale^p
+        # overflows a double
+        part = Partition((1, 1))
+        inst = Instance(partition=part, c=np.eye(2), d_blocks=(np.array([[scale]]),) * 2, p=p)
+        verdict = run_check(inequality, inst)
+        assert verdict.holds
+        assert verdict.margin == pytest.approx(0.0, abs=1e-12)
+        assert verdict.lhs is None and verdict.rhs is None
+        assert verdict.detail["log_lhs"] == pytest.approx(2 * p * math.log(scale))
+
+    def test_partial_overflow_keeps_small_terms(self):
+        # one spectrum entry overflows at p = 120, the other does not
+        part = Partition((1, 1))
+        d_blocks = (np.array([[1000.0]]), np.array([[2.0]]))
+        inst = Instance(partition=part, c=np.eye(2), d_blocks=d_blocks, p=120.0)
+        verdict = run_check("det-power", inst)
+        want = 120.0 * math.log(1000.0) + math.log1p(2.0**120)
+        assert verdict.detail["log_lhs"] == pytest.approx(want, rel=1e-15)
+        assert verdict.holds
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(NonFinite):
+            run_check("det-power", Instance(p=p))
+
+
 class TestDispatch:
     def test_run_check_all_ids(self, rng):
         part = Partition((1, 1))
@@ -502,7 +552,7 @@ def p_instance(rng, inequality):
 
 class TestPGrid:
     def test_parametrized_ids(self):
-        assert PARAMETRIZED_IDS == set(P_INSTANCE_P)
+        assert {i for i, spec in SPECS.items() if spec.split} == set(P_INSTANCE_P)
 
     @pytest.mark.parametrize("inequality", sorted(P_INSTANCE_P))
     def test_grid_equals_one_check_per_p(self, rng, inequality):

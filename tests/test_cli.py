@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +13,10 @@ import pytest
 import majdet
 from majdet import refdata
 from majdet.blocks import Partition, diag_blocks
+from majdet.catalog import SPECS, Shape, run_check
 from majdet.cli import main
 from majdet.errors import BadMatrixFile
+from majdet.fuzzing import GenConfig, build_instance
 from majdet.matio import read_matrix, write_matrix
 
 from oracles import rand_pd
@@ -227,6 +231,88 @@ class TestCheck:
         assert code == 0
 
 
+def instance_args(tmp_path, shape: Shape, inst) -> list[str]:
+    """`check` arguments that load inst from freshly written files."""
+    def write(name, m):
+        path = tmp_path / f"{name}.json"
+        write_matrix(path, m)
+        return str(path)
+
+    if shape is Shape.C_IDX:
+        return ["--a", write("a", inst.c), "--idx", ",".join(map(str, inst.idx))]
+    if shape is Shape.MATS:
+        args = ["--a", *[write(f"a{i}", m) for i, m in enumerate(inst.mats)]]
+    else:
+        args = ["--c", write("c", inst.c)]
+    if shape is Shape.GENERAL_D:
+        args += ["--d", write("d", inst.d)]
+    elif shape is Shape.BLOCK_D:
+        args += ["--d", *[write(f"d{i}", b) for i, b in enumerate(inst.d_blocks)]]
+    return args + ["--part", ",".join(map(str, inst.partition.sizes))]
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("inequality", list(SPECS))
+def test_check_every_id_matches_run_check(capsys, tmp_path, inequality):
+    spec = SPECS[inequality]
+    cfg = GenConfig(n=4, partition=Partition((2, 2)), m=2, seed=2026)
+    inst = build_instance(inequality, cfg, 1)
+    if spec.split is not None:
+        inst = replace(inst, p=spec.split.default)
+    verdict = run_check(inequality, inst)
+    code, out, _ = run_cli(capsys, "check", inequality, "--json-only",
+                           *instance_args(tmp_path, spec.shape, inst))
+    assert out == json.dumps(verdict.to_json()) + "\n"
+    assert code == (0 if verdict.holds else 2)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("inequality", ["det-power", "abs-power"])
+    def test_overflowing_power_equality_holds(self, capsys, tmp_path, inequality):
+        # C = I, D = 1000 I: both sides are 2 log1p(1000^120), and 1000^120
+        # overflows a double
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
+        write_matrix(c_path, np.eye(2))
+        write_matrix(d_path, 1000.0 * np.eye(2))
+        code, out, err = run_cli(capsys, "check", inequality, "--c", str(c_path),
+                                 "--d", str(d_path), "--part", "1,1", "--p", "120")
+        assert code == 0
+        verdict = json.loads(out, parse_constant=reject_constant)
+        assert verdict["holds"] is True
+        assert verdict["margin"] == pytest.approx(0.0, abs=1e-12)
+        assert verdict["lhs"] is None and verdict["rhs"] is None
+        assert verdict["detail"]["log_lhs"] == pytest.approx(240 * math.log(1000.0))
+        assert "lhs = exp(" in err
+
+    def test_overflowing_order_power_is_input_error(self, capsys, tmp_path):
+        # the inverse-sum spectra are 100 and 200; their 150th powers overflow
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"a{i}.json"
+            write_matrix(path, np.diag([0.01, 0.02]))
+            paths.append(str(path))
+        code, out, err = run_cli(capsys, "check", "thm32", "--a", *paths,
+                                 "--part", "1,1", "--p", "150")
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("flag", ["--p", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exit_one(self, capsys, tmp_path, flag, value):
+        paths = write_ref_files(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "check", "det-power",
+            "--c", str(paths["c"]), "--d", str(paths["d1"]), str(paths["d2"]),
+            "--part", "2,2", flag, value,
+        )
+        assert code == 1
+        assert out == ""
+
+
 class TestFuzzCommand:
     def test_theorem_exit_zero(self, capsys):
         code, out, _ = run_cli(
@@ -254,6 +340,20 @@ class TestFuzzCommand:
             "--trials", "100",
         )
         assert code == 0
+
+    def test_commuted_power_high_kappa_reports(self, capsys):
+        # C^2 at p = 2 has condition number kappa^2; the C draw is capped at
+        # 1e6 so no trial falls through the Cholesky pivot floor
+        code, out, _ = run_cli(
+            capsys, "fuzz", "commuted-power", "--n", "5", "--part", "2,3",
+            "--kappa-max", "1e8", "--seed", "7", "--trials", "5",
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        rep = json.loads(lines[0], parse_constant=reject_constant)
+        assert rep["trials"] == 5
+        assert rep["violating"][0]["trial"] == 0
 
     def test_unknown_id_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "bogus", "--n", "2", "--trials", "1")

@@ -4,11 +4,9 @@ import pytest
 import majdet.catalog as catalog_mod
 import majdet.fuzzing as fuzzing_mod
 from majdet.blocks import Partition
-from majdet.catalog import PARAMETRIZED_IDS, run_check
+from majdet.catalog import SPECS, run_check
 from majdet.errors import ResampleExhausted, UnknownInequality
 from majdet.fuzzing import (
-    FALSE_IDS,
-    P_GRIDS,
     GenConfig,
     GenStyle,
     build_instance,
@@ -22,6 +20,9 @@ from majdet.fuzzing import (
 )
 from majdet.linalg import is_pd
 from majdet.orders import DEFAULT_TOL
+
+
+GRID_IDS = sorted(i for i, spec in SPECS.items() if spec.split)
 
 
 def strip_wall_time(report_json: dict) -> dict:
@@ -148,8 +149,8 @@ class TestFuzz:
             ) + 1e-15
 
     def test_false_ids_cover_evaluators(self):
-        assert "inv-square-sum" in FALSE_IDS
-        assert "main-thm" not in FALSE_IDS
+        assert SPECS["inv-square-sum"].reference is not None
+        assert SPECS["main-thm"].reference is None
 
     def test_open_q_proved_case_no_violations(self):
         cfg = GenConfig(n=2, partition=Partition((1, 1)), m=2, seed=99)
@@ -175,7 +176,8 @@ def per_p_loop_trial(inequality, cfg, trial, p=None, tol=DEFAULT_TOL):
     """Oracle for run_trial: a fresh instance and a full check per exponent,
     keeping the first verdict of minimum margin."""
     worst = worst_inst = None
-    for pv in (p,) if p is not None else P_GRIDS.get(inequality, (None,)):
+    split = SPECS[inequality].split
+    for pv in (p,) if p is not None or split is None else split.grid:
         inst = build_instance(inequality, cfg, trial, p=pv)
         verdict = run_check(inequality, inst, tol)
         if worst is None or verdict.margin < worst.margin:
@@ -197,21 +199,26 @@ GRID_CONFIGS = (
     GenConfig(n=5, partition=Partition((2, 3)), m=3, seed=8, kappa_max=1e5),
     GenConfig(n=3, partition=Partition((1, 2)), m=2, seed=123, style=GenStyle.GRAM,
               kappa_max=1e4),
-    # commuted-power's grid reaches p = 2, where kappa^2 passes the Cholesky
-    # pivot floor: both paths must raise the same error
+    # kappa_max above commuted-power's C cap of 1e6
     GenConfig(n=5, partition=Partition((2, 3)), m=3, seed=7, kappa_max=1e8),
+    # thm32's grid reaches p = 3, where the inverse-sum spectra of matrices
+    # scaled by 1e-110 overflow a double: both paths must raise the same error
+    GenConfig(n=3, partition=Partition((1, 2)), m=2, seed=5, entry_scale=1e-110),
 )
 
 
 class TestGridEvaluation:
     def test_grid_ids_are_parametrized(self):
-        assert set(P_GRIDS) <= PARAMETRIZED_IDS
+        for inequality in GRID_IDS:
+            split = SPECS[inequality].split
+            for p in (*split.grid, split.default):
+                split.domain(p)
 
     def test_oracle_covers_an_error(self):
-        got = outcome(run_trial, "commuted-power", GRID_CONFIGS[3], 2)
-        assert got[0] == "NotPositiveDefinite"
+        got = outcome(run_trial, "thm32", GRID_CONFIGS[4], 2)
+        assert got[0] == "NonFinite"
 
-    @pytest.mark.parametrize("inequality", sorted(P_GRIDS))
+    @pytest.mark.parametrize("inequality", GRID_IDS)
     def test_run_trial_matches_per_p_loop(self, inequality):
         for cfg in GRID_CONFIGS:
             for trial in range(5):  # trial 0 is the injected counterexample for false ids
@@ -220,20 +227,20 @@ class TestGridEvaluation:
                     (inequality, cfg.seed, trial)
 
     def test_grid_winner_carries_its_p(self):
-        for inequality in P_GRIDS:
+        for inequality in GRID_IDS:
             for trial in range(3):
                 verdict, inst = run_trial(inequality, GRID_CONFIGS[0], trial)
                 assert inst.p == verdict.detail["p"]
 
-    @pytest.mark.parametrize("inequality", sorted(P_GRIDS))
+    @pytest.mark.parametrize("inequality", GRID_IDS)
     def test_explicit_p_matches_per_p_loop(self, inequality):
         cfg = GRID_CONFIGS[0]
-        p = P_GRIDS[inequality][-1]
+        p = SPECS[inequality].split.grid[-1]
         for trial in range(3):
             got = outcome(run_trial, inequality, cfg, trial, p=p)
             assert got == outcome(per_p_loop_trial, inequality, cfg, trial, p=p)
 
-    @pytest.mark.parametrize("inequality", sorted(P_GRIDS))
+    @pytest.mark.parametrize("inequality", GRID_IDS)
     def test_kept_records_replay_exactly(self, inequality):
         cfg = GRID_CONFIGS[1]
         rep = fuzz(inequality, cfg, 6, keep_instances=True)

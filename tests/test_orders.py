@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from majdet.errors import (
     EmptyVector,
     LengthMismatch,
+    NonFinite,
     NonPositiveEntry,
     ZeroOrder,
 )
@@ -164,6 +165,20 @@ class TestCheckOrder:
             x, y = majorization_pair(rng, n, positive=True)
             for p in (0.5, 1.0, 2.0):
                 assert check_order(OrderKind.WEAK_MAJORIZE, x**-p, y**-p).holds
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_raises(self, kind, bad):
+        with pytest.raises(NonFinite):
+            check_order(kind, [bad, 1.0], [2.0, 1.0])
+        with pytest.raises(NonFinite):
+            check_order(kind, [2.0, 1.0], [2.0, bad])
+
+    def test_overflowing_prefix_sum_raises(self):
+        big = np.array([1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite):
+                check_order(OrderKind.WEAK_MAJORIZE, big, big)
 
 
 class TestMeans:
