@@ -17,10 +17,10 @@ data, never errors):
 
 Determinant comparisons run in the log domain, and det(I + C^-1 D) is always
 computed as det(C + D)/det(C) through Cholesky log-determinants. Explicit
-inverses appear in two places: product_spectra reduces pd_inverse(C)
-against the Cholesky factor of D (lambda(C^-1 D) = lambda(R^T C^-1 R) with
-D = R R^T), and the singular-value statements need the actual product
-C^-1 D.
+inverses appear in two places: product_spectra takes lambda(C^-1 D) as the
+squared singular values of L^T R, with pd_inverse(C) = L L^T and D = R R^T
+(linalg.eig_pd_product), and the singular-value statements need the actual
+product C^-1 D.
 
 The parametrized ids (det-power, thm32, abs-power, commuted-power,
 neg-power) are split at p: a preparation step does everything that does not

@@ -18,7 +18,7 @@ class NotPositiveDefinite(MajdetError):
 
 
 class NoConvergence(MajdetError):
-    """Eigensolver failed to reduce the off-diagonal norm within budget."""
+    """LAPACK's symmetric eigensolver or SVD did not converge (numpy LinAlgError)."""
 
 
 class DimensionMismatch(MajdetError):

@@ -16,6 +16,7 @@ isolation.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -50,8 +51,10 @@ class GenConfig:
     def __post_init__(self):
         if self.n < 1:
             raise BadConfig(f"dimension must be >= 1, got {self.n}")
-        if self.kappa_max < 1.0:
-            raise BadConfig(f"condition cap must be >= 1, got {self.kappa_max}")
+        if not (math.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
+            raise BadConfig(f"condition cap must be finite and >= 1, got {self.kappa_max}")
+        if not (math.isfinite(self.entry_scale) and self.entry_scale > 0.0):
+            raise BadConfig(f"entry scale must be finite and > 0, got {self.entry_scale}")
         if self.m < 1:
             raise BadConfig(f"matrix count must be >= 1, got {self.m}")
         if self.partition is not None:

@@ -3,12 +3,15 @@
 Eigenvalue oracles go through the characteristic polynomial: closed-form
 coefficients plus sign-change bisection for 2x2/3x3, Faddeev-LeVerrier
 coefficients plus companion-matrix roots for general n. Neither route shares
-code with the Jacobi solver under test.
+code with the LAPACK eigensolver under test. Eigenvalues of C^-1 D are
+bracketed exactly by counting them above a rational mu through the inertia
+of D - mu C in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,6 +115,40 @@ def eig_companion(a: np.ndarray) -> np.ndarray:
     """Eigenvalues via companion-matrix roots of the characteristic polynomial."""
     roots = np.roots(charpoly_coeffs(a))
     return np.sort(roots.real)[::-1]
+
+
+def positive_inertia(a: list[list[Fraction]]) -> int:
+    """Number of positive eigenvalues of a symmetric rational matrix, exactly.
+
+    By Sylvester's law of inertia it is the number of positive pivots of an
+    LDL^T factorization, run here without pivoting in Fraction arithmetic.
+    """
+    m = [row[:] for row in a]
+    n = len(m)
+    positive = 0
+    for k in range(n):
+        piv = m[k][k]
+        if piv == 0:
+            raise ValueError(f"zero pivot at index {k}; bracket at another point")
+        positive += piv > 0
+        for i in range(k + 1, n):
+            f = m[i][k] / piv
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return positive
+
+
+def count_product_eigs_above(c: np.ndarray, d: np.ndarray, mu: Fraction) -> int:
+    """Number of eigenvalues of C^-1 D above mu, for float PD matrices C and D.
+
+    C^-1 D is similar to the symmetric L^-1 D L^-T (C = L L^T), and
+    L^-1 (D - mu C) L^-T = L^-1 D L^-T - mu I is congruent to D - mu C, so
+    the count is the positive inertia of D - mu C, taken exactly on the
+    floats' rational values.
+    """
+    n = c.shape[0]
+    return positive_inertia([[Fraction(float(d[i, j])) - mu * Fraction(float(c[i, j]))
+                              for j in range(n)] for i in range(n)])
 
 
 def rand_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

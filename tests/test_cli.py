@@ -386,6 +386,15 @@ class TestGenCommand:
                              "--out", str(tmp_path / "x.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_scale_exit_one(self, capsys, tmp_path, scale):
+        out_path = tmp_path / "x.json"
+        code, out, _ = run_cli(capsys, "gen", "--n", "2", "--scale", scale,
+                               "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert not out_path.exists()
+
     def test_partition_writes_blocks(self, capsys, tmp_path):
         out_path = tmp_path / "d.json"
         code, out, _ = run_cli(capsys, "gen", "--n", "4", "--part", "2,2",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import majdet.catalog as catalog_mod
 import majdet.fuzzing as fuzzing_mod
 from majdet.blocks import Partition
 from majdet.catalog import SPECS, run_check
-from majdet.errors import ResampleExhausted, UnknownInequality
+from majdet.errors import BadConfig, ResampleExhausted, UnknownInequality
 from majdet.fuzzing import (
     GenConfig,
     GenStyle,
@@ -71,6 +73,15 @@ class TestGeneration:
         rng = trial_rng(GenConfig(n=4, seed=0), 0)
         with pytest.raises(ResampleExhausted):
             sample_pd(rng, 4, GenStyle.GRAM, kappa_max=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("kappa_max", math.inf), ("kappa_max", math.nan), ("kappa_max", 0.5),
+        ("entry_scale", math.inf), ("entry_scale", math.nan), ("entry_scale", 0.0),
+        ("entry_scale", -1.0),
+    ])
+    def test_config_rejects_bad_cap_or_scale(self, field, value):
+        with pytest.raises(BadConfig):
+            GenConfig(n=2, **{field: value})
 
     def test_derive_seed_pure(self):
         assert derive_seed(42, 7) == derive_seed(42, 7)
