@@ -27,7 +27,7 @@ from .fuzzing import FuzzReport, GenConfig, GenStyle, TrialRecord, fuzz, gen_pd,
 from .linalg import (
     cholesky,
     det_pd,
-    eig_pd_product,
+    eig_pencil,
     eigh_sym,
     eigvals_sym,
     hyperbolic_power,
@@ -59,7 +59,7 @@ __all__ = [
     "check_thm32", "evaluate_general", "identity_abs_square", "run_check",
     "det_exact", "inverse_exact", "rational_matrix",
     "FuzzReport", "GenConfig", "GenStyle", "TrialRecord", "fuzz", "gen_pd", "replay",
-    "cholesky", "det_pd", "eig_pd_product", "eigh_sym", "eigvals_sym", "hyperbolic_power",
+    "cholesky", "det_pd", "eig_pencil", "eigh_sym", "eigvals_sym", "hyperbolic_power",
     "is_pd", "loewner_le", "logdet_pd", "pd_inverse", "pd_sqrt",
     "singular_values", "sym_power",
     "OrderKind", "OrderReport", "check_order", "geometric_mean", "power_mean", "sort_desc",

@@ -15,12 +15,14 @@ data, never errors):
   abs-power, commuted-power, inv-square-sum, neg-power, matic-general-d,
   weak-log-general-d, sv-weak-log, open-q
 
+Every C+D id compares the diagonal blocks Ci, Di of one C and one D with the
+whole; a block-D id's D is the direct sum of its blocks, so main-thm and
+weak-log-general-d share one check, as do matic and matic-general-d.
 Determinant comparisons run in the log domain, and det(I + C^-1 D) is always
-computed as det(C + D)/det(C) through Cholesky log-determinants. Explicit
-inverses appear in two places: product_spectra takes lambda(C^-1 D) as the
-squared singular values of L^T R, with pd_inverse(C) = L L^T and D = R R^T
-(linalg.eig_pd_product), and the singular-value statements need the actual
-product C^-1 D.
+computed as det(C + D)/det(C) through Cholesky log-determinants. Spectra of
+C^-1 D come from linalg.eig_pencil, which never inverts C; explicit inverses
+appear only where a statement names them, and in the singular-value
+statements, which need the actual product C^-1 D.
 
 The parametrized ids (det-power, thm32, abs-power, commuted-power,
 neg-power) are split at p: a preparation step does everything that does not
@@ -56,7 +58,7 @@ from .errors import (
 )
 from .linalg import (
     as_square,
-    eig_pd_product,
+    eig_pencil,
     eigh_power,
     eigvals_sym,
     frobenius,
@@ -254,19 +256,39 @@ def _order_verdict(inequality: str, kind: OrderKind, x, y, tol: float,
     )
 
 
-def _block_d_operands(c, d_blocks, part: Partition):
-    """(C, D blocks, diagonal blocks of C) as square arrays whose sizes match
-    the partition."""
-    cm = as_square(c)
+def _block_diagonal(d_blocks, part: Partition) -> np.ndarray:
+    """The block-diagonal D with diagonal blocks d_blocks, whose sizes must
+    match the partition."""
     dbs = [as_square(b) for b in d_blocks]
-    if cm.shape[0] != part.n:
-        raise DimensionMismatch(f"C is {cm.shape[0]}x{cm.shape[0]}, partition needs {part.n}")
     if len(dbs) != part.k:
         raise DimensionMismatch(f"{len(dbs)} D blocks for a {part.k}-block partition")
     for blk, size in zip(dbs, part.sizes):
         if blk.shape[0] != size:
             raise DimensionMismatch(f"D block is {blk.shape[0]}x{blk.shape[0]}, expected {size}")
-    return cm, dbs, diag_blocks(cm, part)
+    return direct_sum(dbs)
+
+
+def _instance_d(inst: Instance) -> np.ndarray:
+    """D of a block-D or general-D instance."""
+    return inst.d if inst.d_blocks is None else _block_diagonal(inst.d_blocks, inst.partition)
+
+
+def _c_d_payload(inst: Instance) -> tuple[np.ndarray, ...]:
+    """The arrays a block-D or general-D instance's fingerprint hashes: C and
+    D, or C and the D blocks."""
+    ds = (inst.d,) if inst.d_blocks is None else inst.d_blocks
+    return tuple(as_square(m) for m in (inst.c, *ds))
+
+
+def _c_d_operands(c, d, part: Partition):
+    """(C, D, diagonal blocks of C, diagonal blocks of D) as square arrays
+    whose size matches the partition."""
+    cm = as_square(c)
+    dm = as_square(d)
+    if cm.shape != dm.shape:
+        raise DimensionMismatch(f"{cm.shape} vs {dm.shape}")
+    _check_dim(cm, part)
+    return cm, dm, diag_blocks(cm, part), diag_blocks(dm, part)
 
 
 def _check_dim(m: np.ndarray, part: Partition):
@@ -274,20 +296,26 @@ def _check_dim(m: np.ndarray, part: Partition):
         raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[0]}, partition needs {part.n}")
 
 
-def product_spectra(c, d_blocks, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """(concatenated per-block spectra of Ci^-1 Di, spectrum of C^-1 D)."""
-    cm, dbs, c_blocks = _block_d_operands(c, d_blocks, part)
-    per_block = [eig_pd_product(pd_inverse(cb), db) for cb, db in zip(c_blocks, dbs)]
-    x = sort_desc(np.concatenate(per_block))
-    y = eig_pd_product(pd_inverse(cm), direct_sum(dbs))
-    return x, y
+def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(concatenated spectra of Ci^-1 Di, spectrum of C^-1 D), with Ci and Di
+    the diagonal blocks of C and D."""
+    cm, dm, c_blocks, d_blocks = _c_d_operands(c, d, part)
+    x = sort_desc(np.concatenate([eig_pencil(cb, db) for cb, db in zip(c_blocks, d_blocks)]))
+    return x, eig_pencil(cm, dm)
+
+
+def _weak_log_verdict(inequality: str, inst: Instance, tol: float) -> InequalityVerdict:
+    """main-thm (block-diagonal D) and weak-log-general-d (any D): the
+    blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
+    part = inst.partition
+    x, y = product_spectra(inst.c, _instance_d(inst), part)
+    fp = _fingerprint(part.n, part, *_c_d_payload(inst))
+    return _order_verdict(inequality, OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp)
 
 
 def check_main_theorem(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Weak log majorization of the blockwise spectrum by the full spectrum."""
-    x, y = product_spectra(c, d_blocks, part)
-    fp = _fingerprint(part.n, part, c, *d_blocks)
-    return _order_verdict("main-thm", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp)
+    return _weak_log_verdict("main-thm", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
 
 
 def _logdet_ratio_blocks(c_blocks, d_blocks) -> float:
@@ -298,24 +326,20 @@ def _logdet_ratio_blocks(c_blocks, d_blocks) -> float:
     )
 
 
+def _matic_verdict(inequality: str, inst: Instance, tol: float) -> InequalityVerdict:
+    """matic (block-diagonal D) and matic-general-d (any D):
+    prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
+    part = inst.partition
+    cm, dm, c_blocks, d_blocks = _c_d_operands(inst.c, _instance_d(inst), part)
+    llhs = _logdet_ratio_blocks(c_blocks, d_blocks)
+    lrhs = logdet_pd(symmetrize(cm + dm)) - logdet_pd(cm)
+    fp = _fingerprint(part.n, part, *_c_d_payload(inst))
+    return _scalar_verdict(inequality, llhs, lrhs, tol, fp)
+
+
 def check_matic(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """prod det(I + Ci^-1 Di) <= det(I + C^-1 D) for block-diagonal D."""
-    cm, dbs, c_blocks = _block_d_operands(c, d_blocks, part)
-    llhs = _logdet_ratio_blocks(c_blocks, dbs)
-    d_full = direct_sum(dbs)
-    lrhs = logdet_pd(symmetrize(cm + d_full)) - logdet_pd(cm)
-    fp = _fingerprint(part.n, part, cm, *dbs)
-    return _scalar_verdict("matic", llhs, lrhs, tol, fp)
-
-
-def _assemble_exact_blocks(d_blocks_exact, part: Partition):
-    n = part.n
-    full = [[0 for _ in range(n)] for _ in range(n)]
-    for (lo, _hi), db in zip(part.offsets(), d_blocks_exact):
-        for i, row in enumerate(db):
-            for j, v in enumerate(row):
-                full[lo + i][lo + j] = v
-    return exact.rational_matrix(full)
+    return _matic_verdict("matic", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
 
 
 def _det_ratio_exact(c_exact, d_exact):
@@ -323,27 +347,13 @@ def _det_ratio_exact(c_exact, d_exact):
     return exact.det_exact(exact.mat_add(c_exact, d_exact)) / exact.det_exact(c_exact)
 
 
-def _blockwise_ratio_exact(c_exact, d_blocks_exact, part: Partition):
-    """prod_i det(Ci + Di)/det(Ci) over the rationals."""
-    return math.prod(
-        _det_ratio_exact(exact.submatrix(c_exact, lo, hi), db)
-        for (lo, hi), db in zip(part.offsets(), d_blocks_exact)
+def matic_exact(c_exact, d_exact, part: Partition):
+    """Exact rational sides of matic and matic-general-d:
+    (prod_i det(Ci + Di)/det(Ci), det(C + D)/det(C))."""
+    lhs = math.prod(
+        _det_ratio_exact(exact.submatrix(c_exact, lo, hi), exact.submatrix(d_exact, lo, hi))
+        for lo, hi in part.offsets()
     )
-
-
-def matic_exact(c_exact, d_blocks_exact, part: Partition):
-    """Exact rational sides of the matic comparison: (blockwise product, full),
-    each side as det(C + D)/det(C)."""
-    lhs = _blockwise_ratio_exact(c_exact, d_blocks_exact, part)
-    rhs = _det_ratio_exact(c_exact, _assemble_exact_blocks(d_blocks_exact, part))
-    return lhs, rhs
-
-
-def matic_general_d_exact(c_exact, d_exact, part: Partition):
-    """Exact rational sides of matic-general-d: the blockwise product over the
-    diagonal blocks of D, and det(C + D)/det(C) with the full D."""
-    d_blocks_exact = [exact.submatrix(d_exact, lo, hi) for lo, hi in part.offsets()]
-    lhs = _blockwise_ratio_exact(c_exact, d_blocks_exact, part)
     return lhs, _det_ratio_exact(c_exact, d_exact)
 
 
@@ -367,13 +377,12 @@ def identity_abs_square(c, d_blocks, part: Partition,
     the explicit product vs Cholesky log-determinants). margin is minus the
     worst normalized residual, so holds == (margin >= -tol).
     """
-    cm, dbs, c_blocks = _block_d_operands(c, d_blocks, part)
-    d_full = direct_sum(dbs)
+    cm, d_full, c_blocks, dbs = _c_d_operands(c, _block_diagonal(d_blocks, part), part)
 
     def sides(cmat, dmat) -> tuple[float, float]:
-        s = singular_values(pd_inverse(cmat) @ dmat)
-        left = float(np.sum(np.log1p(s**2)))
         ic = pd_inverse(cmat)
+        s = singular_values(ic @ dmat)
+        left = float(np.sum(np.log1p(s**2)))
         idm = pd_inverse(dmat)
         right = logdet_pd(symmetrize(idm @ idm + ic @ ic)) + 2.0 * logdet_pd(dmat)
         return left, right
@@ -547,65 +556,34 @@ def _inv_square(a: np.ndarray) -> np.ndarray:
 
 def _eval_inv_square_sum(inst: Instance, tol: float) -> InequalityVerdict:
     part = inst.partition
-    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
+    cm, dm, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
     llhs = sum(
         logdet_pd(symmetrize(_inv_square(db) + _inv_square(cb)))
         for cb, db in zip(c_blocks, dbs)
     )
-    lrhs = logdet_pd(symmetrize(_inv_square(direct_sum(dbs)) + _inv_square(cm)))
+    lrhs = logdet_pd(symmetrize(_inv_square(dm) + _inv_square(cm)))
     fp = _fingerprint(part.n, part, cm, *dbs)
     return _scalar_verdict("inv-square-sum", llhs, lrhs, tol, fp)
 
 
-def inv_square_sum_exact(c_exact, d_blocks_exact, part: Partition):
-    """Exact rational sides of inv-square-sum: (blockwise product, full det)."""
-    def inv_sq(m):
-        inv = exact.inverse_exact(m)
-        return exact.mat_mul(inv, inv)
+def inv_square_sum_exact(c_exact, d_exact, part: Partition):
+    """Exact rational sides of inv-square-sum: (blockwise product, full det),
+    each factor det(D^-2 + C^-2)."""
+    def side(cm, dm):
+        ic, idm = exact.inverse_exact(cm), exact.inverse_exact(dm)
+        return exact.det_exact(exact.mat_add(exact.mat_mul(idm, idm), exact.mat_mul(ic, ic)))
 
-    terms = []
-    for (lo, hi), db in zip(part.offsets(), d_blocks_exact):
-        cb = exact.submatrix(c_exact, lo, hi)
-        terms.append(exact.det_exact(exact.mat_add(inv_sq(db), inv_sq(cb))))
-    lhs = math.prod(terms)
-    d_full = _assemble_exact_blocks(d_blocks_exact, part)
-    rhs = exact.det_exact(exact.mat_add(inv_sq(d_full), inv_sq(c_exact)))
-    return lhs, rhs
-
-
-def _general_d_parts(inst: Instance):
-    cm = as_square(inst.c)
-    dm = as_square(inst.d)
-    part = inst.partition
-    if cm.shape != dm.shape:
-        raise DimensionMismatch(f"{cm.shape} vs {dm.shape}")
-    _check_dim(cm, part)
-    return cm, dm, diag_blocks(cm, part), diag_blocks(dm, part), part
-
-
-def _eval_matic_general_d(inst: Instance, tol: float) -> InequalityVerdict:
-    cm, dm, c_blocks, d_blocks, part = _general_d_parts(inst)
-    llhs = _logdet_ratio_blocks(c_blocks, d_blocks)
-    lrhs = logdet_pd(symmetrize(cm + dm)) - logdet_pd(cm)
-    fp = _fingerprint(part.n, part, cm, dm)
-    return _scalar_verdict("matic-general-d", llhs, lrhs, tol, fp)
-
-
-def _eval_weak_log_general_d(inst: Instance, tol: float) -> InequalityVerdict:
-    cm, dm, c_blocks, d_blocks, part = _general_d_parts(inst)
-    per_block = [eig_pd_product(pd_inverse(cb), db) for cb, db in zip(c_blocks, d_blocks)]
-    x = sort_desc(np.concatenate(per_block))
-    y = eig_pd_product(pd_inverse(cm), dm)
-    fp = _fingerprint(part.n, part, cm, dm)
-    return _order_verdict("weak-log-general-d", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp)
+    lhs = math.prod(side(exact.submatrix(c_exact, lo, hi), exact.submatrix(d_exact, lo, hi))
+                    for lo, hi in part.offsets())
+    return lhs, side(c_exact, d_exact)
 
 
 def _eval_sv_weak_log(inst: Instance, tol: float) -> InequalityVerdict:
     part = inst.partition
-    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
+    cm, dm, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
     per_block = [singular_values(pd_inverse(cb) @ db) for cb, db in zip(c_blocks, dbs)]
     x = sort_desc(np.concatenate(per_block))
-    y = singular_values(pd_inverse(cm) @ direct_sum(dbs))
+    y = singular_values(pd_inverse(cm) @ dm)
     fp = _fingerprint(part.n, part, cm, *dbs)
     return _order_verdict("sv-weak-log", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp)
 
@@ -644,8 +622,8 @@ def _spectra_log1p_power(inequality: str) -> Callable[[Instance], PerP]:
     """det-power and neg-power: both sides from the product spectra."""
     def prepare(inst: Instance) -> PerP:
         part = inst.partition
-        x, y = product_spectra(inst.c, inst.d_blocks, part)
-        fingerprints = _p_fingerprints(part.n, part, inst.c, *inst.d_blocks)
+        x, y = product_spectra(inst.c, _instance_d(inst), part)
+        fingerprints = _p_fingerprints(part.n, part, *_c_d_payload(inst))
         return _log1p_power_sides(inequality, x, y, fingerprints)
 
     return prepare
@@ -668,9 +646,9 @@ def _prepare_thm32(inst: Instance) -> PerP:
 
 def _prepare_abs_power(inst: Instance) -> PerP:
     part = inst.partition
-    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
+    cm, dm, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
     block_svs = [singular_values(pd_inverse(cb) @ db) for cb, db in zip(c_blocks, dbs)]
-    s_full = singular_values(pd_inverse(cm) @ direct_sum(dbs))
+    s_full = singular_values(pd_inverse(cm) @ dm)
     fingerprints = _p_fingerprints(part.n, part, cm, *dbs)
 
     def at(p: float, tol: float) -> InequalityVerdict:
@@ -683,7 +661,7 @@ def _prepare_abs_power(inst: Instance) -> PerP:
 
 def _prepare_commuted_power(inst: Instance) -> PerP:
     part = inst.partition
-    cm, dbs, c_blocks = _block_d_operands(inst.c, inst.d_blocks, part)
+    cm, _, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
     c_block_eigs = [pd_eigh(b) for b in c_blocks]
     d_block_eigs = [pd_eigh(b) for b in dbs]
     c_eig = pd_eigh(cm)
@@ -793,7 +771,7 @@ class Spec:
     reference: (partition, C, D) of the counterexample the fuzzer injects as
         trial 0; D is split into its diagonal blocks for a block-D id.
     certify: (c_exact, d_exact, part) -> exact (lhs, rhs), with d_exact the
-        list of exact D blocks for a block-D id and the whole D otherwise.
+        whole exact D, block diagonal for a block-D id.
 
     Entries reach the public checkers and the certifiers through lambdas
     that look up their module-level names, so a patch of a module attribute
@@ -824,9 +802,9 @@ _INV_SQ_REF = (refdata.INV_SQ_PART, refdata.INV_SQ_C, refdata.INV_SQ_D)
 
 SPECS: dict[str, Spec] = {
     "main-thm": Spec(Role.THEOREM, Shape.BLOCK_D,
-                     lambda i, tol: check_main_theorem(i.c, i.d_blocks, i.partition, tol)),
+                     lambda i, tol: _weak_log_verdict("main-thm", i, tol)),
     "matic": Spec(Role.THEOREM, Shape.BLOCK_D,
-                  lambda i, tol: check_matic(i.c, i.d_blocks, i.partition, tol),
+                  lambda i, tol: _matic_verdict("matic", i, tol),
                   certify=lambda c, d, part: matic_exact(c, d, part)),
     "det-power": _parametrized(
         Role.THEOREM, Shape.BLOCK_D,
@@ -852,11 +830,14 @@ SPECS: dict[str, Spec] = {
         caps=(None, 1e3, 1.5),
         reference=(refdata.NEG_POWER_PART, refdata.NEG_POWER_C, refdata.NEG_POWER_D)),
     "matic-general-d": Spec(
-        Role.EVALUATOR, Shape.GENERAL_D, _eval_matic_general_d,
+        Role.EVALUATOR, Shape.GENERAL_D,
+        lambda i, tol: _matic_verdict("matic-general-d", i, tol),
         reference=(refdata.MATIC_GEN_PART, refdata.MATIC_GEN_C, refdata.MATIC_GEN_D),
-        certify=lambda c, d, part: matic_general_d_exact(c, d, part)),
-    "weak-log-general-d": Spec(Role.EVALUATOR, Shape.GENERAL_D, _eval_weak_log_general_d,
-                               reference=(refdata.WLOG_PART, refdata.WLOG_C, refdata.WLOG_D)),
+        certify=lambda c, d, part: matic_exact(c, d, part)),
+    "weak-log-general-d": Spec(
+        Role.EVALUATOR, Shape.GENERAL_D,
+        lambda i, tol: _weak_log_verdict("weak-log-general-d", i, tol),
+        reference=(refdata.WLOG_PART, refdata.WLOG_C, refdata.WLOG_D)),
     "sv-weak-log": Spec(Role.EVALUATOR, Shape.BLOCK_D, _eval_sv_weak_log,
                         caps=(1e2, 1e2, 1.0), reference=_INV_SQ_REF),
     "choi": Spec(Role.THEOREM, Shape.MATS,
@@ -888,6 +869,15 @@ def spec_of(inequality: str) -> Spec:
             f"unknown inequality id {inequality!r}; known: {', '.join(SPECS)}") from None
 
 
+def exponent_spec(inequality: str, p: float | None) -> Spec:
+    """spec_of(inequality), raising BadExponent when an exponent p is given to
+    an id that has none."""
+    spec = spec_of(inequality)
+    if p is not None and spec.split is None:
+        raise BadExponent(f"{inequality} takes no exponent, got p = {p}")
+    return spec
+
+
 def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
                  tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, ...]:
     """Verdicts of a parametrized id at each exponent of ps, in order, on one
@@ -900,13 +890,13 @@ def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
 
 def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Evaluate one of the no-expectation statements; violation is data, not error."""
-    spec = spec_of(inequality)
-    if spec.role is not Role.EVALUATOR:
+    if spec_of(inequality).role is not Role.EVALUATOR:
         raise UnknownInequality(f"{inequality!r} is not an evaluator id")
-    return spec.check(inst, tol)
+    return run_check(inequality, inst, tol)
 
 
 def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Dispatch any catalog id on an Instance; the single entry point used by
-    the fuzzer and the CLI. Parametrized ids are evaluated at inst.p."""
-    return spec_of(inequality).check(inst, tol)
+    the fuzzer and the CLI. Parametrized ids are evaluated at inst.p; an
+    instance with a p for an id without an exponent raises BadExponent."""
+    return exponent_spec(inequality, inst.p).check(inst, tol)

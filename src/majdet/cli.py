@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import matio, scenarios
+from . import exact, matio, scenarios
 from .blocks import Partition, diag_blocks, validate_partition
 from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, run_check, spec_of
 from .errors import BadMatrixFile, MajdetError
-from .exact import submatrix as exact_submatrix
 from .fuzzing import GenConfig, GenStyle, fuzz, sample_pd, trial_rng
 from .orders import DEFAULT_TOL
 
@@ -66,20 +65,18 @@ def _table(lines, json_only: bool) -> None:
             print(line, file=sys.stderr)
 
 
-def _split_block_file(arr, exact, part: Partition, path: str):
-    """Split a single block-diagonal matrix file into blocks; off-blocks must be zero."""
+def _split_block_file(arr, d_exact, part: Partition, path: str) -> list[np.ndarray]:
+    """Split a single block-diagonal matrix file into blocks; off-block
+    entries, exact ones included, must be zero."""
     mask = np.ones_like(arr, dtype=bool)
     for lo, hi in part.offsets():
         mask[lo:hi, lo:hi] = False
-    if np.any(arr[mask] != 0.0):
+    exact_off_block = d_exact is not None and any(d_exact[i][j] for i, j in zip(*np.nonzero(mask)))
+    if np.any(arr[mask] != 0.0) or exact_off_block:
         raise BadMatrixFile(
             f"{path}: single D file must be block diagonal for this partition"
         )
-    blocks = diag_blocks(arr, part)
-    exact_blocks = None
-    if exact is not None:
-        exact_blocks = [exact_submatrix(exact, lo, hi) for lo, hi in part.offsets()]
-    return blocks, exact_blocks
+    return diag_blocks(arr, part)
 
 
 def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
@@ -108,7 +105,7 @@ def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
         arr, _ = matio.read_matrix(args.a[0])
         if not args.idx:
             raise MajdetError(f"{ineq} needs --idx (0-based, comma separated)")
-        return Instance(c=arr, idx=_parse_idx(args.idx)), None
+        return Instance(c=arr, idx=_parse_idx(args.idx), p=p), None
 
     if not args.c:
         raise MajdetError(f"{ineq} needs --c")
@@ -118,7 +115,7 @@ def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
         raise MajdetError(f"{ineq} needs --part")
     part = _parse_partition(args.part, n)
     if shape is Shape.C:
-        return Instance(partition=part, c=c_arr, m=args.m), None
+        return Instance(partition=part, c=c_arr, m=args.m, p=p), None
     if shape is Shape.GENERAL_D:
         if not args.d or len(args.d) != 1:
             raise MajdetError(f"{ineq} needs exactly one --d file")
@@ -131,7 +128,7 @@ def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
         d_arr, d_exact = matio.read_matrix(args.d[0])
         if d_arr.shape[0] != n:
             raise MajdetError(f"D is {d_arr.shape[0]}x{d_arr.shape[0]}, expected {n}")
-        blocks, exact_blocks = _split_block_file(d_arr, d_exact, part, args.d[0])
+        blocks = _split_block_file(d_arr, d_exact, part, args.d[0])
     else:
         if len(args.d) != part.k:
             raise MajdetError(f"expected {part.k} D block files, got {len(args.d)}")
@@ -141,10 +138,9 @@ def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
             arr, ex = matio.read_matrix(path)
             blocks.append(arr)
             exact_blocks.append(ex)
-        if any(b is None for b in exact_blocks):
-            exact_blocks = None
+        d_exact = None if None in exact_blocks else exact.direct_sum(exact_blocks)
     inst = Instance(partition=part, c=c_arr, d_blocks=tuple(blocks), p=p)
-    return inst, _exact_pair(c_exact, exact_blocks)
+    return inst, _exact_pair(c_exact, d_exact)
 
 
 def _exact_pair(c_exact, d_exact) -> tuple | None:

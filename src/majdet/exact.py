@@ -52,6 +52,16 @@ def submatrix(m: RationalMatrix, lo: int, hi: int) -> RationalMatrix:
     return [row[lo:hi] for row in m[lo:hi]]
 
 
+def direct_sum(blocks) -> RationalMatrix:
+    """Block-diagonal assembly of square rational matrices."""
+    n = sum(len(b) for b in blocks)
+    out: RationalMatrix = []
+    for b in blocks:
+        lo = len(out)
+        out += [[Fraction(0)] * lo + list(row) + [Fraction(0)] * (n - lo - len(b)) for row in b]
+    return out
+
+
 def det_exact(m: RationalMatrix) -> Fraction:
     """Exact determinant via Bareiss fraction-free elimination.
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocks import Partition, validate_partition
-from .catalog import InequalityVerdict, Instance, Shape, run_check, spec_of
-from .errors import BadConfig, ResampleExhausted
+from .catalog import InequalityVerdict, Instance, Shape, exponent_spec, run_check, spec_of
+from .errors import BadConfig, MajdetError, ResampleExhausted
 from .linalg import eigvals_sym
 from .orders import DEFAULT_TOL
 
@@ -237,8 +237,10 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
 
     The report content is a pure function of (inequality, cfg, trials, p,
     tol) apart from the wall_time field. Instances are serialized only for
-    violations unless keep_instances is set.
+    violations unless keep_instances is set. A p for an id without an
+    exponent raises BadExponent; a trial's error names the trial and seed.
     """
+    exponent_spec(inequality, p)
     if trials < 1:
         raise BadConfig(f"trials must be >= 1, got {trials}")
     t0 = time.perf_counter()
@@ -247,7 +249,11 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     worst_margin = float("inf")
     kept: list[TrialRecord] = []
     for trial in range(trials):
-        verdict, inst = run_trial(inequality, cfg, trial, p=p, tol=tol)
+        try:
+            verdict, inst = run_trial(inequality, cfg, trial, p=p, tol=tol)
+        except MajdetError as err:
+            raise type(err)(
+                f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
         worst_margin = min(worst_margin, verdict.margin)
         if verdict.holds:
             holds += 1

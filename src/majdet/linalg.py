@@ -2,11 +2,11 @@
 
 Cholesky factorization (which doubles as the positive-definiteness test,
 with a relative pivot floor on top of LAPACK's), the symmetric eigensolver,
-spectral matrix functions, singular values, and the eigenvalues of products
-of two positive definite matrices, taken as squared singular values of the
-product of their Cholesky factors. LAPACK failures surface as the package's
-own errors: NotPositiveDefinite from Cholesky, NoConvergence from the
-eigensolver and the SVD.
+spectral matrix functions, singular values, and the spectrum of the pencil
+C^-1 D for positive definite C and D, taken as the squared singular values
+of L^-1 R with C = L L^T and D = R R^T. LAPACK failures surface as the
+package's own errors: NotPositiveDefinite from Cholesky, NoConvergence from
+the eigensolver and the SVD.
 """
 
 from __future__ import annotations
@@ -124,22 +124,21 @@ def eigvals_sym(a) -> np.ndarray:
     return w[::-1]
 
 
-def eig_pd_product(a, b) -> np.ndarray:
-    """Eigenvalues of the product a@b for positive definite a and b.
+def eig_pencil(c, d) -> np.ndarray:
+    """Eigenvalues of C^-1 D for positive definite C and D, sorted nonincreasing.
 
-    With a = L L^T and b = R R^T, lambda(ab) = lambda(R^T a R) =
-    sigma(L^T R)^2. Taking singular values of the product of Cholesky
-    factors keeps the reduction in factored form, so the condition number
-    is never squared; the output is real and positive, and the nonsymmetric
-    product ab is never formed.
+    With C = L L^T and D = R R^T, lambda(C^-1 D) = lambda(L^-1 D L^-T) =
+    sigma(L^-1 R)^2. The reduction stays in factored form, so the condition
+    number is never squared; C is never inverted, the nonsymmetric product
+    C^-1 D is never formed, and the output is real and positive.
     """
-    ma = as_square(a)
-    mb = as_square(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"{ma.shape} vs {mb.shape}")
-    w = singular_values(cholesky(ma).T @ cholesky(mb)) ** 2
+    mc = as_square(c)
+    md = as_square(d)
+    if mc.shape != md.shape:
+        raise DimensionMismatch(f"{mc.shape} vs {md.shape}")
+    w = singular_values(np.linalg.solve(cholesky(mc), cholesky(md))) ** 2
     if w.size and w[-1] <= 0.0:
-        raise NotPositiveDefinite("product spectrum not strictly positive")
+        raise NotPositiveDefinite("pencil spectrum not strictly positive")
     return w
 
 

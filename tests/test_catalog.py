@@ -29,7 +29,6 @@ from majdet.catalog import (
     identity_abs_square,
     inv_square_sum_exact,
     matic_exact,
-    matic_general_d_exact,
     run_check,
 )
 from majdet.errors import (
@@ -122,8 +121,8 @@ class TestMatic:
         verdict = check_matic(refdata.WLOG_C, blocks, PART22)
         assert verdict.holds
         c_exact = rational_matrix([[int(x) for x in row] for row in refdata.WLOG_C])
-        blocks_exact = [rational_matrix([[int(x) for x in row] for row in b]) for b in blocks]
-        lhs_exact, rhs_exact = matic_exact(c_exact, blocks_exact, PART22)
+        d_exact = rational_matrix([[int(x) for x in row] for row in direct_sum(blocks)])
+        lhs_exact, rhs_exact = matic_exact(c_exact, d_exact, PART22)
         assert verdict.lhs == pytest.approx(float(lhs_exact), rel=1e-10)
         assert verdict.rhs == pytest.approx(float(rhs_exact), rel=1e-10)
         assert lhs_exact <= rhs_exact
@@ -181,10 +180,7 @@ class TestEvaluators:
         assert verdict.rhs == pytest.approx(refdata.INV_SQ_FULL, abs=1e-3)
 
     def test_inv_square_sum_exact_certification(self):
-        blocks_exact = [
-            submatrix(refdata.INV_SQ_D_EXACT, lo, hi) for lo, hi in PART22.offsets()
-        ]
-        lhs, rhs = inv_square_sum_exact(refdata.INV_SQ_C_EXACT, blocks_exact, PART22)
+        lhs, rhs = inv_square_sum_exact(refdata.INV_SQ_C_EXACT, refdata.INV_SQ_D_EXACT, PART22)
         assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
         assert lhs > rhs
 
@@ -230,7 +226,7 @@ class TestEvaluators:
             c, blocks, part = random_block_instance(rng, 4, (2, 2), kappa=100.0)
             inst = Instance(partition=part, c=c, d_blocks=blocks, p=2.0)
             a = evaluate_general("abs-power", inst)
-            b = evaluate_general("inv-square-sum", inst)
+            b = evaluate_general("inv-square-sum", replace(inst, p=None))
             assert a.margin == pytest.approx(b.margin, abs=1e-8)
             assert a.holds == b.holds
 
@@ -239,7 +235,7 @@ class TestEvaluators:
             c, blocks, part = random_block_instance(rng, 4, (2, 2), kappa=100.0)
             inst = Instance(partition=part, c=c, d_blocks=blocks, p=2.0)
             a = evaluate_general("commuted-power", inst)
-            b = evaluate_general("inv-square-sum", inst)
+            b = evaluate_general("inv-square-sum", replace(inst, p=None))
             assert a.margin == pytest.approx(b.margin, abs=1e-8)
             assert a.holds == b.holds
 
@@ -420,6 +416,38 @@ class TestRegistry:
         assert {i for i, s in SPECS.items() if s.certify} == {
             "matic", "inv-square-sum", "matic-general-d"}
 
+    def test_p_on_id_without_exponent(self, rng):
+        c, blocks, part = random_block_instance(rng, 4, (2, 2))
+        inst = Instance(partition=part, c=c, d_blocks=blocks, p=2.0)
+        for inequality in ("main-thm", "matic", "inv-square-sum"):
+            with pytest.raises(BadExponent, match="takes no exponent"):
+                run_check(inequality, inst)
+
+
+class TestBlockDiagonalGeneralD:
+    """A block-diagonal D given whole to the general-D ids is the block-D case."""
+
+    def test_general_d_ids_match_block_d_ids(self, rng):
+        for sizes in ((2, 2), (1, 3), (2, 1, 2), (5,)):
+            c, blocks, part = random_block_instance(rng, sum(sizes), sizes, kappa=1e6)
+            block_d = Instance(partition=part, c=c, d_blocks=blocks)
+            general_d = Instance(partition=part, c=c, d=direct_sum(blocks))
+            wl = run_check("weak-log-general-d", general_d)
+            mt = run_check("main-thm", block_d)
+            assert wl.order.margins == mt.order.margins
+            assert (wl.margin, wl.holds) == (mt.margin, mt.holds)
+            mg = run_check("matic-general-d", general_d)
+            m = run_check("matic", block_d)
+            assert (mg.lhs, mg.rhs, mg.margin, mg.holds) == (m.lhs, m.rhs, m.margin, m.holds)
+
+    def test_exact_certificates_agree(self):
+        c = rational_matrix([[int(x) for x in row] for row in refdata.WLOG_C])
+        d = rational_matrix([[int(x) for x in row] for row in direct_sum(ref_wlog_blocks())])
+        got = {i: SPECS[i].certify(c, d, PART22) for i in ("matic", "matic-general-d")}
+        assert got["matic"] == got["matic-general-d"]
+        lhs, rhs = got["matic"]
+        assert lhs <= rhs
+
 
 class TestOverflowingPower:
     @pytest.mark.parametrize("inequality,scale,p", [
@@ -507,8 +535,8 @@ class TestDispatch:
         np.testing.assert_array_equal(back.c, inst.c)
         assert back.partition.sizes == part.sizes
         assert back.p == 2.0
-        v1 = run_check("inv-square-sum", inst)
-        v2 = run_check("inv-square-sum", back)
+        v1 = run_check("abs-power", inst)
+        v2 = run_check("abs-power", back)
         assert v1.margin == v2.margin
 
     @pytest.mark.parametrize("field", ["c", "p"])
@@ -527,7 +555,7 @@ class TestMaticGeneralDExact:
     def test_reference_rhs_uses_full_d(self):
         c = rational_matrix([[int(x) for x in row] for row in refdata.MATIC_GEN_C])
         d = rational_matrix([[int(x) for x in row] for row in refdata.MATIC_GEN_D])
-        lhs, rhs = matic_general_d_exact(c, d, refdata.MATIC_GEN_PART)
+        lhs, rhs = matic_exact(c, d, refdata.MATIC_GEN_PART)
         assert lhs == Fraction(7, 2)
         assert rhs == Fraction(224, 71) == det_exact(
             [[c[i][j] + d[i][j] for j in range(2)] for i in range(2)]) / det_exact(c)

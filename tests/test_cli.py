@@ -16,7 +16,7 @@ from majdet.blocks import Partition, diag_blocks
 from majdet.catalog import SPECS, Shape, run_check
 from majdet.cli import main
 from majdet.errors import BadMatrixFile
-from majdet.fuzzing import GenConfig, build_instance
+from majdet.fuzzing import GenConfig, build_instance, derive_seed
 from majdet.matio import read_matrix, write_matrix
 
 from oracles import rand_pd
@@ -183,6 +183,40 @@ class TestCheck:
         )
         assert code == 0
 
+    def test_single_exact_d_file_certifies_like_block_files(self, capsys, tmp_path):
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
+        write_matrix(c_path, refdata.INV_SQ_C, exact=refdata.INV_SQ_C_EXACT)
+        write_matrix(d_path, refdata.INV_SQ_D, exact=refdata.INV_SQ_D_EXACT)
+        block_paths = []
+        for i, (lo, hi) in enumerate(Partition((2, 2)).offsets()):
+            path = tmp_path / f"d{i}.json"
+            write_matrix(path, refdata.INV_SQ_D[lo:hi, lo:hi],
+                         exact=[row[lo:hi] for row in refdata.INV_SQ_D_EXACT[lo:hi]])
+            block_paths.append(str(path))
+        outs = []
+        for d_args in ([str(d_path)], block_paths):
+            code, out, _ = run_cli(capsys, "check", "inv-square-sum", "--c", str(c_path),
+                                   "--d", *d_args, "--part", "2,2")
+            assert code == 2
+            outs.append(json.loads(out))
+        assert outs[0] == outs[1]
+        assert outs[0]["exact"]["holds"] is False
+
+    def test_single_d_file_with_exact_off_block_entry_exit_one(self, capsys, tmp_path):
+        # the float entry rounds to 0.0, but the exact D is not block diagonal
+        paths = write_ref_files(tmp_path)
+        full = np.zeros((4, 4))
+        full[:2, :2] = refdata.WLOG_D[:2, :2]
+        full[2:, 2:] = refdata.WLOG_D[2:, 2:]
+        d_exact = [[Fraction(int(x)) for x in row] for row in full]
+        d_exact[0][3] = d_exact[3][0] = Fraction(1, 10**15)
+        d_path = tmp_path / "dfull.json"
+        write_matrix(d_path, full, exact=d_exact)
+        code, out, err = run_cli(capsys, "check", "matic", "--c", str(paths["c"]),
+                                 "--d", str(d_path), "--part", "2,2")
+        assert (code, out) == (1, "")
+        assert "block diagonal" in err
+
     def test_bad_partition_exit_one(self, capsys, tmp_path):
         paths = write_ref_files(tmp_path)
         code, _, err = run_cli(
@@ -267,6 +301,27 @@ def test_check_every_id_matches_run_check(capsys, tmp_path, inequality):
                            *instance_args(tmp_path, spec.shape, inst))
     assert out == json.dumps(verdict.to_json()) + "\n"
     assert code == (0 if verdict.holds else 2)
+
+
+NO_EXPONENT_IDS = [i for i, spec in SPECS.items() if spec.split is None]
+
+
+@pytest.mark.parametrize("inequality", NO_EXPONENT_IDS)
+def test_check_rejects_p_without_exponent(capsys, tmp_path, inequality):
+    cfg = GenConfig(n=4, partition=Partition((2, 2)), m=2, seed=2026)
+    inst = build_instance(inequality, cfg, 1)
+    code, out, err = run_cli(capsys, "check", inequality, "--p", "7",
+                             *instance_args(tmp_path, SPECS[inequality].shape, inst))
+    assert (code, out) == (1, "")
+    assert f"{inequality} takes no exponent" in err
+
+
+@pytest.mark.parametrize("inequality", NO_EXPONENT_IDS)
+def test_fuzz_rejects_p_without_exponent(capsys, inequality):
+    code, out, err = run_cli(capsys, "fuzz", inequality, "--n", "2", "--part", "1,1",
+                             "--trials", "3", "--p", "7")
+    assert (code, out) == (1, "")
+    assert f"{inequality} takes no exponent" in err
 
 
 class TestOverflow:
@@ -358,6 +413,12 @@ class TestFuzzCommand:
     def test_unknown_id_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "bogus", "--n", "2", "--trials", "1")
         assert code == 1
+
+    def test_trial_error_names_trial(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "thm32", "--n", "3", "--part", "1,2",
+                                 "--scale", "1e-110", "--trials", "3", "--seed", "5")
+        assert (code, out) == (1, "")
+        assert f"trial 0 (seed {derive_seed(5, 0)}): order check on a non-finite" in err
 
     def test_bad_config_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "fuzz", "main-thm", "--n", "4",

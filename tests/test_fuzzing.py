@@ -7,7 +7,13 @@ import majdet.catalog as catalog_mod
 import majdet.fuzzing as fuzzing_mod
 from majdet.blocks import Partition
 from majdet.catalog import SPECS, run_check
-from majdet.errors import BadConfig, ResampleExhausted, UnknownInequality
+from majdet.errors import (
+    BadConfig,
+    BadExponent,
+    NonFinite,
+    ResampleExhausted,
+    UnknownInequality,
+)
 from majdet.fuzzing import (
     GenConfig,
     GenStyle,
@@ -101,6 +107,17 @@ class TestFuzz:
     def test_unknown_id(self):
         with pytest.raises(UnknownInequality):
             fuzz("no-such-id", GenConfig(n=2), 1)
+
+    @pytest.mark.parametrize("inequality", sorted(i for i, s in SPECS.items() if not s.split))
+    def test_p_on_id_without_exponent(self, inequality):
+        with pytest.raises(BadExponent, match="takes no exponent"):
+            fuzz(inequality, GenConfig(n=2, partition=Partition((1, 1))), 3, p=7.0)
+
+    def test_trial_error_names_trial_and_seed(self):
+        # thm32's p = 3 power of the inverse-sum spectrum overflows at this scale
+        cfg = GenConfig(n=3, partition=Partition((1, 2)), entry_scale=1e-110, seed=5)
+        with pytest.raises(NonFinite, match=rf"^trial 0 \(seed {derive_seed(5, 0)}\): order check"):
+            fuzz("thm32", cfg, 3)
 
     def test_deterministic_report(self):
         cfg = GenConfig(n=4, partition=Partition((2, 2)), seed=31337)
