@@ -26,18 +26,14 @@ from .exact import det_exact, inverse_exact, rational_matrix
 from .fuzzing import FuzzReport, GenConfig, GenStyle, TrialRecord, fuzz, gen_pd, replay
 from .linalg import (
     cholesky,
-    det_pd,
     eig_pencil,
     eigh_sym,
     eigvals_sym,
     hyperbolic_power,
     is_pd,
-    loewner_le,
     logdet_pd,
     pd_inverse,
-    pd_sqrt,
     singular_values,
-    sym_power,
 )
 from .orders import (
     OrderKind,
@@ -59,9 +55,8 @@ __all__ = [
     "check_thm32", "evaluate_general", "identity_abs_square", "run_check",
     "det_exact", "inverse_exact", "rational_matrix",
     "FuzzReport", "GenConfig", "GenStyle", "TrialRecord", "fuzz", "gen_pd", "replay",
-    "cholesky", "det_pd", "eig_pencil", "eigh_sym", "eigvals_sym", "hyperbolic_power",
-    "is_pd", "loewner_le", "logdet_pd", "pd_inverse", "pd_sqrt",
-    "singular_values", "sym_power",
+    "cholesky", "eig_pencil", "eigh_sym", "eigvals_sym", "hyperbolic_power",
+    "is_pd", "logdet_pd", "pd_inverse", "singular_values",
     "OrderKind", "OrderReport", "check_order", "geometric_mean", "power_mean", "sort_desc",
     "__version__",
 ]

@@ -1,7 +1,9 @@
 """Partitions, diagonal-block extraction, direct sums, principal submatrices.
 
 Blocks are contiguous along the diagonal; non-contiguous selections go
-through principal_submatrix.
+through principal_submatrix. Every matrix argument may also be a stack of
+equally sized matrices along leading axes; the operation then applies to
+each matrix of the stack.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
-from .linalg import as_square
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,14 @@ class Partition:
         return out
 
 
+def _square(a) -> np.ndarray:
+    """A float64 square matrix, or a stack of them."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def validate_partition(sizes, n: int) -> Partition:
     """Partition whose sizes sum to the ambient dimension n."""
     part = Partition(tuple(sizes))
@@ -54,34 +63,40 @@ def validate_partition(sizes, n: int) -> Partition:
 
 def diag_blocks(c, part: Partition) -> list[np.ndarray]:
     """The contiguous diagonal blocks of c under the partition (copies)."""
-    m = as_square(c)
-    if m.shape[0] != part.n:
-        raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[0]}, partition needs {part.n}")
-    return [m[lo:hi, lo:hi].copy() for lo, hi in part.offsets()]
+    m = _square(c)
+    if m.shape[-1] != part.n:
+        raise DimensionMismatch(f"matrix is {m.shape[-1]}x{m.shape[-1]}, partition needs {part.n}")
+    return [m[..., lo:hi, lo:hi].copy() for lo, hi in part.offsets()]
 
 
 def direct_sum(blocks) -> np.ndarray:
     """Block-diagonal assembly of square matrices."""
-    mats = [as_square(b) for b in blocks]
-    n = sum(b.shape[0] for b in mats)
-    out = np.zeros((n, n))
+    mats = [_square(b) for b in blocks]
+    n = sum(b.shape[-1] for b in mats)
+    out = np.zeros((mats[0].shape[:-2] if mats else ()) + (n, n))
     start = 0
     for b in mats:
-        stop = start + b.shape[0]
-        out[start:stop, start:stop] = b
+        stop = start + b.shape[-1]
+        out[..., start:stop, start:stop] = b
         start = stop
     return out
 
 
-def principal_submatrix(a, idx) -> np.ndarray:
-    """Rows and columns of a restricted to the 0-based index set idx."""
-    m = as_square(a)
+def principal_indices(idx, n: int) -> tuple[int, ...]:
+    """idx as 0-based ints, checked to be a nonempty, strictly increasing
+    subset of range(n)."""
     indices = [int(i) for i in idx]
     if not indices:
         raise IndexOutOfRange("index set must be nonempty")
-    if any(i < 0 or i >= m.shape[0] for i in indices):
-        raise IndexOutOfRange(f"indices {indices} out of range for n={m.shape[0]}")
+    if any(i < 0 or i >= n for i in indices):
+        raise IndexOutOfRange(f"indices {indices} out of range for n={n}")
     if any(b <= a_ for a_, b in zip(indices, indices[1:])):
         raise IndexOutOfRange(f"indices must be strictly increasing, got {indices}")
-    sel = np.array(indices)
-    return m[np.ix_(sel, sel)].copy()
+    return tuple(indices)
+
+
+def principal_submatrix(a, idx) -> np.ndarray:
+    """Rows and columns of a restricted to the 0-based index set idx (a copy)."""
+    m = _square(a)
+    sel = np.array(principal_indices(idx, m.shape[-1]))
+    return m[..., sel[:, None], sel]

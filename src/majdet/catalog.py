@@ -20,9 +20,18 @@ whole; a block-D id's D is the direct sum of its blocks, so main-thm and
 weak-log-general-d share one check, as do matic and matic-general-d.
 Determinant comparisons run in the log domain, and det(I + C^-1 D) is always
 computed as det(C + D)/det(C) through Cholesky log-determinants. Spectra of
-C^-1 D come from linalg.eig_pencil, which never inverts C; explicit inverses
-appear only where a statement names them, and in the singular-value
-statements, which need the actual product C^-1 D.
+C^-1 D come from the pencil kernel behind linalg.eig_pencil, which never
+inverts C; explicit inverses appear only where a statement names them, and
+in the singular-value statements, which need the actual product C^-1 D.
+
+Inputs are validated once, at the boundary: validate_instance checks each
+input matrix of the id's Shape (square, sized for the partition, finite,
+symmetric), and the checkers then call only linalg's private kernels, which
+validate nothing. Every checker is written with numpy broadcasting, so it
+takes one validated instance or a stack of them (stack_instances: the
+matrices of instances with one stack_key, stacked along a leading axis) and
+returns one verdict per instance; check_validated runs it, and the fuzzer
+evaluates a whole group of trials in one call per kernel that way.
 
 The parametrized ids (det-power, thm32, abs-power, commuted-power,
 neg-power) are split at p: a preparation step does everything that does not
@@ -40,14 +49,16 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import math
+import numbers
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import exact, refdata
-from .blocks import Partition, diag_blocks, direct_sum, principal_submatrix
+from .blocks import Partition, diag_blocks, direct_sum, principal_indices, principal_submatrix
 from .errors import (
     BadExponent,
     DimensionMismatch,
@@ -57,18 +68,20 @@ from .errors import (
     UnknownInequality,
 )
 from .linalg import (
+    _eigvalsh,
+    _logdet,
+    _pd_eigh,
+    _pd_inverse,
+    _pencil,
+    _rowwise,
+    _singular_values,
     as_square,
-    eig_pencil,
     eigh_power,
-    eigvals_sym,
     frobenius,
-    logdet_pd,
-    pd_eigh,
-    pd_inverse,
-    singular_values,
+    require_symmetric,
     symmetrize,
 )
-from .orders import DEFAULT_TOL, OrderKind, OrderReport, check_order, sort_desc
+from .orders import DEFAULT_TOL, OrderKind, OrderReport, check_orders, sort_desc
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,11 @@ class InequalityVerdict:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Inputs for one inequality check; only the fields the id needs are set."""
+    """Inputs for one inequality check; only the fields the id needs are set.
+
+    The matrices may also be stacks along one leading axis, one matrix per
+    instance, for instances that share everything else (stack_instances).
+    """
 
     partition: Partition | None = None
     c: np.ndarray | None = None
@@ -156,10 +173,14 @@ class Instance:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Instance":
-        """Inverse of to_json; raises NonFinite on a NaN or infinite entry or p."""
+        """Inverse of to_json; raises NonFinite on a NaN or infinite entry or p,
+        and BadExponent on a p that is not a number."""
         p = payload.get("p")
-        if p is not None and not math.isfinite(p):
-            raise NonFinite(f"non-finite exponent p = {p}")
+        if p is not None:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise BadExponent(f"exponent p must be a number, got {p!r}")
+            if not math.isfinite(p):
+                raise NonFinite(f"non-finite exponent p = {p}")
         return cls(
             partition=Partition(tuple(payload["partition"])) if "partition" in payload else None,
             c=_finite_array(payload["c"]) if "c" in payload else None,
@@ -179,6 +200,38 @@ def _finite_array(rows) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFinite("instance matrix has a non-finite entry")
     return arr
+
+
+# The matrix fields of an Instance; d_blocks and mats hold tuples of matrices.
+_MATRIX_FIELDS = ("c", "d", "d_blocks", "mats")
+
+
+def _shapes(value):
+    if value is None:
+        return None
+    return tuple(np.shape(a) for a in value) if isinstance(value, tuple) else np.shape(value)
+
+
+def stack_key(inst: Instance) -> tuple:
+    """Instances with equal keys stack into one (stack_instances): the same
+    matrix fields set, with the same shapes, and the same partition, idx, m
+    and p."""
+    return (*(_shapes(getattr(inst, f)) for f in _MATRIX_FIELDS),
+            inst.partition, inst.idx, inst.m, inst.p)
+
+
+def stack_instances(insts: Sequence[Instance]) -> Instance:
+    """One Instance whose matrices are those of insts (all of one stack_key)
+    stacked along a new leading axis, in order."""
+    def stacked(values: list):
+        if values[0] is None:
+            return None
+        if isinstance(values[0], tuple):
+            return tuple(np.stack(column) for column in zip(*values))
+        return np.stack(values)
+
+    return replace(insts[0], **{f: stacked([getattr(inst, f) for inst in insts])
+                                for f in _MATRIX_FIELDS})
 
 
 def _exp_or_none(x: float) -> float | None:
@@ -203,24 +256,42 @@ def _digest(parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _instances(a: np.ndarray):
+    """The index of each instance in a matrix stack a: the one index () when
+    a is a single matrix."""
+    return itertools.product(*map(range, a.shape[:-2]))
+
+
 def _fingerprint(n: int, partition: Partition | None, *payload) -> Fingerprint:
     sizes = partition.sizes if partition is not None else None
     return Fingerprint(n=n, partition=sizes, digest=_digest(payload))
 
 
+def _fingerprints(n: int, partition: Partition | None, arrays, *extra) -> list[Fingerprint]:
+    """One fingerprint per instance of a stack (one in all for an instance):
+    _fingerprint of its matrices from arrays, then of extra."""
+    return [_fingerprint(n, partition, *(a[i] for a in arrays), *extra)
+            for i in _instances(arrays[0])]
+
+
 def _p_fingerprints(n: int, partition: Partition | None,
-                    *payload) -> Callable[[float], Fingerprint]:
-    """p -> _fingerprint(n, partition, *payload, p), hashing the payload once."""
+                    arrays) -> list[Callable[[float], Fingerprint]]:
+    """Per instance, p -> _fingerprint(n, partition, *its matrices, p),
+    hashing the matrices once."""
     sizes = partition.sizes if partition is not None else None
-    prefix = hashlib.sha256()
-    _feed(prefix, payload)
 
-    def at(p: float) -> Fingerprint:
-        h = prefix.copy()
-        _feed(h, (p,))
-        return Fingerprint(n=n, partition=sizes, digest=h.hexdigest()[:16])
+    def for_instance(i) -> Callable[[float], Fingerprint]:
+        prefix = hashlib.sha256()
+        _feed(prefix, [a[i] for a in arrays])
 
-    return at
+        def at(p: float) -> Fingerprint:
+            h = prefix.copy()
+            _feed(h, (p,))
+            return Fingerprint(n=n, partition=sizes, digest=h.hexdigest()[:16])
+
+        return at
+
+    return [for_instance(i) for i in _instances(arrays[0])]
 
 
 def _scalar_verdict(inequality: str, llhs: float, lrhs: float, tol: float,
@@ -239,107 +310,149 @@ def _scalar_verdict(inequality: str, llhs: float, lrhs: float, tol: float,
     )
 
 
-def _order_verdict(inequality: str, kind: OrderKind, x, y, tol: float,
-                   fingerprint: Fingerprint, detail: dict | None = None,
-                   pad: bool = False) -> InequalityVerdict:
-    report = check_order(kind, x, y, tol=tol, pad=pad)
-    return InequalityVerdict(
-        inequality=inequality,
-        lhs=None,
-        rhs=None,
-        margin=report.worst_margin(),
-        holds=report.holds,
-        tol=tol,
-        fingerprint=fingerprint,
-        order=report,
-        detail=detail or {},
-    )
+def _scalar_verdicts(inequality: str, llhs, lrhs, tol: float,
+                     fingerprints: list[Fingerprint],
+                     detail: dict | None = None) -> list[InequalityVerdict]:
+    """One scalar verdict per instance, from the per-instance log sides."""
+    return [_scalar_verdict(inequality, lo, hi, tol, fp, detail)
+            for lo, hi, fp in zip(np.ravel(llhs).tolist(), np.ravel(lrhs).tolist(), fingerprints)]
 
 
-def _block_diagonal(d_blocks, part: Partition) -> np.ndarray:
-    """The block-diagonal D with diagonal blocks d_blocks, whose sizes must
-    match the partition."""
-    dbs = [as_square(b) for b in d_blocks]
-    if len(dbs) != part.k:
-        raise DimensionMismatch(f"{len(dbs)} D blocks for a {part.k}-block partition")
-    for blk, size in zip(dbs, part.sizes):
-        if blk.shape[0] != size:
-            raise DimensionMismatch(f"D block is {blk.shape[0]}x{blk.shape[0]}, expected {size}")
-    return direct_sum(dbs)
+def _order_verdicts(inequality: str, kind: OrderKind, x, y, tol: float,
+                    fingerprints: list[Fingerprint],
+                    detail: dict | None = None) -> list[InequalityVerdict]:
+    """One order verdict per row pair of x and y (per instance)."""
+    return [
+        InequalityVerdict(
+            inequality=inequality,
+            lhs=None,
+            rhs=None,
+            margin=report.worst_margin(),
+            holds=report.holds,
+            tol=tol,
+            fingerprint=fp,
+            order=report,
+            detail=dict(detail or {}),
+        )
+        for report, fp in zip(check_orders(kind, x, y, tol), fingerprints)
+    ]
 
 
-def _instance_d(inst: Instance) -> np.ndarray:
-    """D of a block-D or general-D instance."""
-    return inst.d if inst.d_blocks is None else _block_diagonal(inst.d_blocks, inst.partition)
-
-
-def _c_d_payload(inst: Instance) -> tuple[np.ndarray, ...]:
-    """The arrays a block-D or general-D instance's fingerprint hashes: C and
-    D, or C and the D blocks."""
-    ds = (inst.d,) if inst.d_blocks is None else inst.d_blocks
-    return tuple(as_square(m) for m in (inst.c, *ds))
-
-
-def _c_d_operands(c, d, part: Partition):
-    """(C, D, diagonal blocks of C, diagonal blocks of D) as square arrays
-    whose size matches the partition."""
-    cm = as_square(c)
-    dm = as_square(d)
-    if cm.shape != dm.shape:
-        raise DimensionMismatch(f"{cm.shape} vs {dm.shape}")
-    _check_dim(cm, part)
-    return cm, dm, diag_blocks(cm, part), diag_blocks(dm, part)
-
+# ---------------------------------------------------------------------------
+# Validation at the boundary: each input matrix is checked once, and the
+# checkers below run on what it returns, through the linalg kernels only.
+# Derived matrices (sums, inverses, powers) are symmetrized where they are
+# formed and never validated again.
 
 def _check_dim(m: np.ndarray, part: Partition):
     if m.shape[0] != part.n:
         raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[0]}, partition needs {part.n}")
 
 
+def validate_instance(shape: Shape, inst: Instance) -> Instance:
+    """inst with every input matrix its Shape reads as a float array,
+    checked once: square and sized for the partition (DimensionMismatch),
+    finite (NonFinite) and symmetric (NotSymmetric). lemma31's idx comes
+    back as checked ints. A C+D instance may carry D whole or as its
+    diagonal blocks."""
+    part = inst.partition
+    if shape is Shape.MATS:
+        mats = [as_square(a) for a in inst.mats]
+        if not mats:
+            raise DimensionMismatch("need at least one matrix")
+        for a in mats:
+            _check_dim(a, part)
+        return replace(inst, mats=tuple(require_symmetric(a) for a in mats))
+    if shape is Shape.C_IDX:
+        a = as_square(inst.c)
+        idx = principal_indices(inst.idx, a.shape[0])
+        return replace(inst, c=require_symmetric(a), idx=idx)
+    if shape is Shape.C:
+        c = as_square(inst.c)
+        _check_dim(c, part)
+        return replace(inst, c=require_symmetric(c))
+    if inst.d_blocks is None:
+        c = as_square(inst.c)
+        d = as_square(inst.d)
+        if c.shape != d.shape:
+            raise DimensionMismatch(f"{c.shape} vs {d.shape}")
+        _check_dim(c, part)
+        return replace(inst, c=require_symmetric(c), d=require_symmetric(d))
+    blocks = [as_square(b) for b in inst.d_blocks]
+    if len(blocks) != part.k:
+        raise DimensionMismatch(f"{len(blocks)} D blocks for a {part.k}-block partition")
+    for blk, size in zip(blocks, part.sizes):
+        if blk.shape[0] != size:
+            raise DimensionMismatch(f"D block is {blk.shape[0]}x{blk.shape[0]}, expected {size}")
+    c = as_square(inst.c)
+    if c.shape != (part.n, part.n):
+        raise DimensionMismatch(f"{c.shape} vs {(part.n, part.n)}")
+    return replace(inst, c=require_symmetric(c),
+                   d_blocks=tuple(require_symmetric(b) for b in blocks))
+
+
+# ---------------------------------------------------------------------------
+# Checkers. Each takes a validated instance, or a stack of them (matrices
+# with one leading axis), and returns one verdict per instance: the same
+# code runs with and without the leading axis.
+
+def _instance_d(inst: Instance) -> np.ndarray:
+    """D of a validated block-D or general-D instance."""
+    return inst.d if inst.d_blocks is None else direct_sum(inst.d_blocks)
+
+
+def _c_d_payload(inst: Instance) -> tuple[np.ndarray, ...]:
+    """The arrays a block-D or general-D instance's fingerprint hashes: C and
+    D, or C and the D blocks."""
+    return (inst.c, inst.d) if inst.d_blocks is None else (inst.c, *inst.d_blocks)
+
+
 def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """(concatenated spectra of Ci^-1 Di, spectrum of C^-1 D), with Ci and Di
-    the diagonal blocks of C and D."""
-    cm, dm, c_blocks, d_blocks = _c_d_operands(c, d, part)
-    x = sort_desc(np.concatenate([eig_pencil(cb, db) for cb, db in zip(c_blocks, d_blocks)]))
-    return x, eig_pencil(cm, dm)
+    """(concatenated spectra of Ci^-1 Di sorted nonincreasing, spectrum of
+    C^-1 D), with Ci and Di the diagonal blocks of C and D: positive
+    definite float arrays, or stacks of them."""
+    x = sort_desc(np.concatenate(
+        [_pencil(cb, db) for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))],
+        axis=-1))
+    return x, _pencil(c, d)
 
 
-def _weak_log_verdict(inequality: str, inst: Instance, tol: float) -> InequalityVerdict:
+def _weak_log_verdicts(inequality: str, inst: Instance, tol: float) -> list[InequalityVerdict]:
     """main-thm (block-diagonal D) and weak-log-general-d (any D): the
     blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
     part = inst.partition
     x, y = product_spectra(inst.c, _instance_d(inst), part)
-    fp = _fingerprint(part.n, part, *_c_d_payload(inst))
-    return _order_verdict(inequality, OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp)
+    return _order_verdicts(inequality, OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
+                           _fingerprints(part.n, part, _c_d_payload(inst)))
 
 
 def check_main_theorem(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Weak log majorization of the blockwise spectrum by the full spectrum."""
-    return _weak_log_verdict("main-thm", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
+    return run_check("main-thm", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
 
 
-def _logdet_ratio_blocks(c_blocks, d_blocks) -> float:
+def _logdet_ratio_blocks(c_blocks, d_blocks):
     """sum_i [logdet(Ci + Di) - logdet(Ci)]."""
     return sum(
-        logdet_pd(symmetrize(cb + db)) - logdet_pd(cb)
+        _logdet(symmetrize(cb + db)) - _logdet(cb)
         for cb, db in zip(c_blocks, d_blocks)
     )
 
 
-def _matic_verdict(inequality: str, inst: Instance, tol: float) -> InequalityVerdict:
+def _matic_verdicts(inequality: str, inst: Instance, tol: float) -> list[InequalityVerdict]:
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
     part = inst.partition
-    cm, dm, c_blocks, d_blocks = _c_d_operands(inst.c, _instance_d(inst), part)
-    llhs = _logdet_ratio_blocks(c_blocks, d_blocks)
-    lrhs = logdet_pd(symmetrize(cm + dm)) - logdet_pd(cm)
-    fp = _fingerprint(part.n, part, *_c_d_payload(inst))
-    return _scalar_verdict(inequality, llhs, lrhs, tol, fp)
+    c, d = inst.c, _instance_d(inst)
+    llhs = _logdet_ratio_blocks(diag_blocks(c, part), diag_blocks(d, part))
+    lrhs = _logdet(symmetrize(c + d)) - _logdet(c)
+    return _scalar_verdicts(inequality, llhs, lrhs, tol,
+                            _fingerprints(part.n, part, _c_d_payload(inst)))
 
 
 def check_matic(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """prod det(I + Ci^-1 Di) <= det(I + C^-1 D) for block-diagonal D."""
-    return _matic_verdict("matic", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
+    return run_check("matic", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
 
 
 def _det_ratio_exact(c_exact, d_exact):
@@ -377,19 +490,21 @@ def identity_abs_square(c, d_blocks, part: Partition,
     the explicit product vs Cholesky log-determinants). margin is minus the
     worst normalized residual, so holds == (margin >= -tol).
     """
-    cm, d_full, c_blocks, dbs = _c_d_operands(c, _block_diagonal(d_blocks, part), part)
+    inst = validate_instance(Shape.BLOCK_D, Instance(partition=part, c=c, d_blocks=d_blocks))
+    cm, d_full = inst.c, _instance_d(inst)
+    dbs = diag_blocks(d_full, part)
 
     def sides(cmat, dmat) -> tuple[float, float]:
-        ic = pd_inverse(cmat)
-        s = singular_values(ic @ dmat)
+        ic = _pd_inverse(cmat)
+        s = _singular_values(ic @ dmat)
         left = float(np.sum(np.log1p(s**2)))
-        idm = pd_inverse(dmat)
-        right = logdet_pd(symmetrize(idm @ idm + ic @ ic)) + 2.0 * logdet_pd(dmat)
+        idm = _pd_inverse(dmat)
+        right = float(_logdet(symmetrize(idm @ idm + ic @ ic))) + 2.0 * float(_logdet(dmat))
         return left, right
 
     lg, rg = sides(cm, d_full)
     lb, rb = 0.0, 0.0
-    for cb, db in zip(c_blocks, dbs):
+    for cb, db in zip(diag_blocks(cm, part), dbs):
         bl, br = sides(cb, db)
         lb += bl
         rb += br
@@ -415,50 +530,49 @@ def identity_abs_square(c, d_blocks, part: Partition,
 
 def _block_inverse_sums(mats, part: Partition) -> list[np.ndarray]:
     """Per position j: sum_i inv(block_j(Ai))."""
-    sums = [np.zeros((s, s)) for s in part.sizes]
+    sums = [np.zeros(mats[0].shape[:-2] + (s, s)) for s in part.sizes]
     for a in mats:
         for j, blk in enumerate(diag_blocks(a, part)):
-            sums[j] = sums[j] + pd_inverse(blk)
+            sums[j] = sums[j] + _pd_inverse(blk)
     return [symmetrize(s) for s in sums]
 
 
 def _full_inverse_sum(mats) -> np.ndarray:
     total = np.zeros_like(mats[0])
     for a in mats:
-        total = total + pd_inverse(a)
+        total = total + _pd_inverse(a)
     return symmetrize(total)
 
 
-def _check_choi_shapes(mats, part: Partition):
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    for a in mats:
-        _check_dim(a, part)
+def _choi_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+    mats, part = inst.mats, inst.partition
+    llhs = sum(_logdet(s) for s in _block_inverse_sums(mats, part))
+    lrhs = _logdet(_full_inverse_sum(mats))
+    return _scalar_verdicts("choi", llhs, lrhs, tol, _fingerprints(part.n, part, mats),
+                            detail={"m": len(mats)})
 
 
 def check_choi(mats, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """prod_j det(sum_i inv(Ai_block_j)) <= det(sum_i inv(Ai))."""
-    ms = [as_square(a) for a in mats]
-    _check_choi_shapes(ms, part)
-    llhs = sum(logdet_pd(s) for s in _block_inverse_sums(ms, part))
-    lrhs = logdet_pd(_full_inverse_sum(ms))
-    fp = _fingerprint(part.n, part, *ms)
-    return _scalar_verdict("choi", llhs, lrhs, tol, fp, detail={"m": len(ms)})
+    return run_check("choi", Instance(partition=part, mats=tuple(mats)), tol)
 
 
 def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    ms = [as_square(a) for a in mats]
-    _check_choi_shapes(ms, part)
-    block_spec = np.concatenate([eigvals_sym(s) for s in _block_inverse_sums(ms, part)])
-    x = sort_desc(block_spec)
-    y = eigvals_sym(_full_inverse_sum(ms))
-    return x, y
+    block_spec = np.concatenate([_eigvalsh(s) for s in _block_inverse_sums(mats, part)], axis=-1)
+    return sort_desc(block_spec), _eigvalsh(_full_inverse_sum(mats))
 
 
 def check_thm32(mats, part: Partition, p: float, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Weak majorization of the blockwise inverse-sum spectrum by the full one,
     both raised entrywise to p >= 1."""
-    return check_p_grid("thm32", Instance(partition=part, mats=mats), (p,), tol)[0]
+    return check_p_grid("thm32", Instance(partition=part, mats=tuple(mats)), (p,), tol)[0]
+
+
+def _open_q_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+    mats, part = inst.mats, inst.partition
+    x, y = _choi_spectra(mats, part)
+    return _order_verdicts("open-q", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
+                           _fingerprints(part.n, part, mats), detail={"m": len(mats)})
 
 
 def check_open_q(mats, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -467,33 +581,48 @@ def check_open_q(mats, part: Partition, tol: float = DEFAULT_TOL) -> InequalityV
     Open in general (proved only for 2x2 with two 1x1 blocks); this records
     the empirical verdict and asserts nothing.
     """
-    x, y = _choi_spectra(mats, part)
-    fp = _fingerprint(part.n, part, *[as_square(a) for a in mats])
-    return _order_verdict("open-q", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp,
-                          detail={"m": len(mats)})
+    return run_check("open-q", Instance(partition=part, mats=tuple(mats)), tol)
+
+
+def _lemma31_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+    a, indices = inst.c, inst.idx
+    sub_inv = _pd_inverse(principal_submatrix(a, indices))
+    inv_sub = principal_submatrix(_pd_inverse(a), indices)
+    diff = symmetrize(inv_sub - sub_inv)
+    lam_mins = _eigvalsh(diff)[..., -1]
+    verdicts = []
+    for i, fp in zip(_instances(a), _fingerprints(a.shape[-1], None, (a,), indices)):
+        lam_min = float(lam_mins[i])
+        fro = frobenius(diff[i])
+        margin = lam_min / max(1.0, fro)
+        verdicts.append(InequalityVerdict(
+            inequality="lemma31",
+            lhs=None,
+            rhs=None,
+            margin=margin,
+            holds=margin >= -tol,
+            tol=tol,
+            fingerprint=fp,
+            detail={"idx": list(indices), "lambda_min": lam_min, "fro_norm": fro},
+        ))
+    return verdicts
 
 
 def check_lemma31(a, idx, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """inv([A]) <= [inv(A)] in the Loewner order, for a principal submatrix [.]."""
-    am = as_square(a)
-    indices = tuple(int(i) for i in idx)
-    sub_inv = pd_inverse(principal_submatrix(am, indices))
-    inv_sub = principal_submatrix(pd_inverse(am), indices)
-    diff = symmetrize(inv_sub - sub_inv)
-    w = eigvals_sym(diff)
-    lam_min = float(w[-1]) if w.size else 0.0
-    margin = lam_min / max(1.0, frobenius(diff))
-    fp = _fingerprint(am.shape[0], None, am, indices)
-    return InequalityVerdict(
-        inequality="lemma31",
-        lhs=None,
-        rhs=None,
-        margin=margin,
-        holds=margin >= -tol,
-        tol=tol,
-        fingerprint=fp,
-        detail={"idx": list(indices), "lambda_min": lam_min, "fro_norm": frobenius(diff)},
-    )
+    return run_check("lemma31", Instance(c=a, idx=idx), tol)
+
+
+def _tail_start(m, n: int) -> int | None:
+    """fischer-tail's m as an int in 1..n; None checks every m."""
+    if m is None:
+        return None
+    if (isinstance(m, bool) or not isinstance(m, numbers.Real) or not math.isfinite(m)
+            or m != int(m)):
+        raise IndexOutOfRange(f"m = {m!r} is not an integer in 1..{n}")
+    if not 1 <= m <= n:
+        raise IndexOutOfRange(f"m = {m} out of range 1..{n}")
+    return int(m)
 
 
 def _tail_logsum(sorted_desc: np.ndarray, m: int) -> float:
@@ -501,69 +630,76 @@ def _tail_logsum(sorted_desc: np.ndarray, m: int) -> float:
     return float(np.sum(np.log(sorted_desc[m - 1:])))
 
 
+def _fischer_tail_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+    c, part = inst.c, inst.partition
+    n = part.n
+    start = _tail_start(inst.m, n)
+    lam_full = _eigvalsh(c)
+    lam_diag = sort_desc(np.concatenate([_eigvalsh(b) for b in diag_blocks(c, part)], axis=-1))
+    ms = range(1, n + 1) if start is None else [start]
+    verdicts = []
+    for i, fp in zip(_instances(c), _fingerprints(n, part, (c,), inst.m)):
+        worst_norm = math.inf
+        worst = (0.0, 0.0, 1)
+        per_m = {}
+        for mm in ms:
+            llhs = _tail_logsum(lam_full[i], mm)
+            lrhs = _tail_logsum(lam_diag[i], mm)
+            scale = max(1.0, abs(llhs), abs(lrhs))
+            per_m[mm] = lrhs - llhs
+            normed = (lrhs - llhs) / scale
+            if normed < worst_norm:
+                worst_norm = normed
+                worst = (llhs, lrhs, mm)
+        llhs, lrhs, worst_m = worst
+        verdicts.append(_scalar_verdict(
+            "fischer-tail", llhs, lrhs, tol, fp,
+            detail={"worst_m": worst_m, "margins_by_m": {str(k): v for k, v in per_m.items()}}))
+    return verdicts
+
+
 def check_fischer_tail(c, part: Partition, m: int | None = None,
                        tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Tail products prod_{i>=m} lambda_i(C) <= prod_{i>=m} lambda_i(Diag C).
 
     m = 1 is the Fischer inequality det(C) <= prod det(Ci); m = None checks
-    every m and reports the worst margin.
+    every m and reports the worst margin. A non-integer m, or one outside
+    1..n, raises IndexOutOfRange.
     """
-    cm = as_square(c)
-    _check_dim(cm, part)
-    n = part.n
-    if m is not None and not 1 <= m <= n:
-        raise IndexOutOfRange(f"m = {m} out of range 1..{n}")
-    lam_full = eigvals_sym(cm)
-    lam_diag = sort_desc(np.concatenate([eigvals_sym(b) for b in diag_blocks(cm, part)]))
-    ms = range(1, n + 1) if m is None else [int(m)]
-    worst_norm = math.inf
-    worst = (0.0, 0.0, 1)
-    per_m = {}
-    for mm in ms:
-        llhs = _tail_logsum(lam_full, mm)
-        lrhs = _tail_logsum(lam_diag, mm)
-        scale = max(1.0, abs(llhs), abs(lrhs))
-        per_m[mm] = lrhs - llhs
-        normed = (lrhs - llhs) / scale
-        if normed < worst_norm:
-            worst_norm = normed
-            worst = (llhs, lrhs, mm)
-    llhs, lrhs, worst_m = worst
-    fp = _fingerprint(part.n, part, cm, m)
-    verdict = _scalar_verdict("fischer-tail", llhs, lrhs, tol, fp,
-                              detail={"worst_m": worst_m,
-                                      "margins_by_m": {str(k): v for k, v in per_m.items()}})
-    return verdict
+    return run_check("fischer-tail", Instance(partition=part, c=c, m=m), tol)
+
+
+def _kyfan_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+    c, part = inst.c, inst.partition
+    x = np.concatenate([_eigvalsh(b) for b in diag_blocks(c, part)], axis=-1)
+    return _order_verdicts("ky-fan", OrderKind.MAJORIZE, x, _eigvalsh(c), tol,
+                           _fingerprints(part.n, part, (c,)))
 
 
 def check_kyfan(c, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """lambda(Diag C) majorized by lambda(C) (equal traces, dominated prefixes)."""
-    cm = as_square(c)
-    _check_dim(cm, part)
-    x = sort_desc(np.concatenate([eigvals_sym(b) for b in diag_blocks(cm, part)]))
-    y = eigvals_sym(cm)
-    fp = _fingerprint(part.n, part, cm)
-    return _order_verdict("ky-fan", OrderKind.MAJORIZE, x, y, tol, fp)
+    return run_check("ky-fan", Instance(partition=part, c=c), tol)
 
 
 # ---------------------------------------------------------------------------
 # Evaluators for statements that are false in general.
 
 def _inv_square(a: np.ndarray) -> np.ndarray:
-    inv = pd_inverse(a)
+    inv = _pd_inverse(a)
     return symmetrize(inv @ inv)
 
 
-def _eval_inv_square_sum(inst: Instance, tol: float) -> InequalityVerdict:
+def _inv_square_sum_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
     part = inst.partition
-    cm, dm, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
+    c, d = inst.c, _instance_d(inst)
+    dbs = diag_blocks(d, part)
     llhs = sum(
-        logdet_pd(symmetrize(_inv_square(db) + _inv_square(cb)))
-        for cb, db in zip(c_blocks, dbs)
+        _logdet(symmetrize(_inv_square(db) + _inv_square(cb)))
+        for cb, db in zip(diag_blocks(c, part), dbs)
     )
-    lrhs = logdet_pd(symmetrize(_inv_square(dm) + _inv_square(cm)))
-    fp = _fingerprint(part.n, part, cm, *dbs)
-    return _scalar_verdict("inv-square-sum", llhs, lrhs, tol, fp)
+    lrhs = _logdet(symmetrize(_inv_square(d) + _inv_square(c)))
+    return _scalar_verdicts("inv-square-sum", llhs, lrhs, tol,
+                            _fingerprints(part.n, part, (c, *dbs)))
 
 
 def inv_square_sum_exact(c_exact, d_exact, part: Partition):
@@ -578,42 +714,44 @@ def inv_square_sum_exact(c_exact, d_exact, part: Partition):
     return lhs, side(c_exact, d_exact)
 
 
-def _eval_sv_weak_log(inst: Instance, tol: float) -> InequalityVerdict:
+def _sv_weak_log_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
     part = inst.partition
-    cm, dm, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
-    per_block = [singular_values(pd_inverse(cb) @ db) for cb, db in zip(c_blocks, dbs)]
-    x = sort_desc(np.concatenate(per_block))
-    y = singular_values(pd_inverse(cm) @ dm)
-    fp = _fingerprint(part.n, part, cm, *dbs)
-    return _order_verdict("sv-weak-log", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol, fp)
+    c, d = inst.c, _instance_d(inst)
+    dbs = diag_blocks(d, part)
+    x = np.concatenate(
+        [_singular_values(_pd_inverse(cb) @ db) for cb, db in zip(diag_blocks(c, part), dbs)],
+        axis=-1)
+    y = _singular_values(_pd_inverse(c) @ d)
+    return _order_verdicts("sv-weak-log", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
+                           _fingerprints(part.n, part, (c, *dbs)))
 
 
 # ---------------------------------------------------------------------------
 # Parametrized checks, split at p. Each prepare step does the p-independent
-# work on one instance and returns the per-p step `at(p, tol) -> verdict`;
-# the arithmetic of each side is the same whether one p or a grid is asked.
+# work on a validated instance or stack and returns the per-p step
+# `at(p, tol) -> one verdict per instance`; the arithmetic of each side is
+# the same whether one p or a grid is asked.
 
-PerP = Callable[[float, float], InequalityVerdict]
+PerP = Callable[[float, float], list[InequalityVerdict]]
 
 
-def _sum_log1p_power(x: np.ndarray, p: float) -> float:
-    """sum log1p(x^p). Where x^p overflows a double, its term is p*log(x),
-    which equals log1p(x^p) to double precision there."""
+def _sum_log1p_power(x: np.ndarray, p: float):
+    """sum log1p(x^p) over the last axis. Where x^p overflows a double, its
+    term is p*log(x), which equals log1p(x^p) to double precision there."""
     with np.errstate(over="ignore"):
         xp = x**p
     over = np.isinf(xp)
     if over.any():
-        return float(np.sum(np.where(over, p * np.log(x), np.log1p(xp))))
-    return float(np.sum(np.log1p(xp)))
+        return np.sum(np.where(over, p * np.log(x), np.log1p(xp)), axis=-1)
+    return np.sum(np.log1p(xp), axis=-1)
 
 
 def _log1p_power_sides(inequality: str, x: np.ndarray, y: np.ndarray,
-                       fingerprints: Callable[[float], Fingerprint]) -> PerP:
+                       fingerprints: list[Callable[[float], Fingerprint]]) -> PerP:
     """sum log1p(x^p) <= sum log1p(y^p) over precomputed spectra."""
-    def at(p: float, tol: float) -> InequalityVerdict:
-        llhs = _sum_log1p_power(x, p)
-        lrhs = _sum_log1p_power(y, p)
-        return _scalar_verdict(inequality, llhs, lrhs, tol, fingerprints(p), detail={"p": p})
+    def at(p: float, tol: float) -> list[InequalityVerdict]:
+        return _scalar_verdicts(inequality, _sum_log1p_power(x, p), _sum_log1p_power(y, p),
+                                tol, [fp(p) for fp in fingerprints], detail={"p": p})
 
     return at
 
@@ -623,7 +761,7 @@ def _spectra_log1p_power(inequality: str) -> Callable[[Instance], PerP]:
     def prepare(inst: Instance) -> PerP:
         part = inst.partition
         x, y = product_spectra(inst.c, _instance_d(inst), part)
-        fingerprints = _p_fingerprints(part.n, part, *_c_d_payload(inst))
+        fingerprints = _p_fingerprints(part.n, part, _c_d_payload(inst))
         return _log1p_power_sides(inequality, x, y, fingerprints)
 
     return prepare
@@ -632,50 +770,54 @@ def _spectra_log1p_power(inequality: str) -> Callable[[Instance], PerP]:
 def _prepare_thm32(inst: Instance) -> PerP:
     mats, part = inst.mats, inst.partition
     x, y = _choi_spectra(mats, part)
-    fingerprints = _p_fingerprints(part.n, part, *[as_square(a) for a in mats])
+    fingerprints = _p_fingerprints(part.n, part, mats)
     m = len(mats)
 
-    def at(p: float, tol: float) -> InequalityVerdict:
-        with np.errstate(over="ignore"):  # check_order rejects an overflowed power
-            xp, yp = x**p, y**p
-        return _order_verdict("thm32", OrderKind.WEAK_MAJORIZE, xp, yp, tol,
-                              fingerprints(p), detail={"p": p, "m": m})
+    def at(p: float, tol: float) -> list[InequalityVerdict]:
+        with np.errstate(over="ignore"):  # check_orders rejects an overflowed power
+            xp, yp = x**p, _rowwise(lambda row: row**p, y)
+        return _order_verdicts("thm32", OrderKind.WEAK_MAJORIZE, xp, yp, tol,
+                               [fp(p) for fp in fingerprints], detail={"p": p, "m": m})
 
     return at
 
 
 def _prepare_abs_power(inst: Instance) -> PerP:
     part = inst.partition
-    cm, dm, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
-    block_svs = [singular_values(pd_inverse(cb) @ db) for cb, db in zip(c_blocks, dbs)]
-    s_full = singular_values(pd_inverse(cm) @ dm)
-    fingerprints = _p_fingerprints(part.n, part, cm, *dbs)
+    c, d = inst.c, _instance_d(inst)
+    dbs = diag_blocks(d, part)
+    block_svs = [_singular_values(_pd_inverse(cb) @ db)
+                 for cb, db in zip(diag_blocks(c, part), dbs)]
+    s_full = _singular_values(_pd_inverse(c) @ d)
+    fingerprints = _p_fingerprints(part.n, part, (c, *dbs))
 
-    def at(p: float, tol: float) -> InequalityVerdict:
+    def at(p: float, tol: float) -> list[InequalityVerdict]:
         llhs = sum(_sum_log1p_power(s, p) for s in block_svs)
         lrhs = _sum_log1p_power(s_full, p)
-        return _scalar_verdict("abs-power", llhs, lrhs, tol, fingerprints(p), detail={"p": p})
+        return _scalar_verdicts("abs-power", llhs, lrhs, tol, [fp(p) for fp in fingerprints],
+                                detail={"p": p})
 
     return at
 
 
 def _prepare_commuted_power(inst: Instance) -> PerP:
     part = inst.partition
-    cm, _, c_blocks, dbs = _c_d_operands(inst.c, _instance_d(inst), part)
-    c_block_eigs = [pd_eigh(b) for b in c_blocks]
-    d_block_eigs = [pd_eigh(b) for b in dbs]
-    c_eig = pd_eigh(cm)
-    fingerprints = _p_fingerprints(part.n, part, cm, *dbs)
+    c = inst.c
+    dbs = diag_blocks(_instance_d(inst), part)
+    c_block_eigs = [_pd_eigh(b) for b in diag_blocks(c, part)]
+    d_block_eigs = [_pd_eigh(b) for b in dbs]
+    c_eig = _pd_eigh(c)
+    fingerprints = _p_fingerprints(part.n, part, (c, *dbs))
 
-    def at(p: float, tol: float) -> InequalityVerdict:
+    def at(p: float, tol: float) -> list[InequalityVerdict]:
         cp_blocks = [eigh_power(w, v, p) for w, v in c_block_eigs]
         dp_blocks = [eigh_power(w, v, p) for w, v in d_block_eigs]
         llhs = _logdet_ratio_blocks(cp_blocks, dp_blocks)
         cp = eigh_power(*c_eig, p)
         dp = direct_sum(dp_blocks)
-        lrhs = logdet_pd(symmetrize(cp + dp)) - logdet_pd(cp)
-        return _scalar_verdict("commuted-power", llhs, lrhs, tol, fingerprints(p),
-                               detail={"p": p})
+        lrhs = _logdet(symmetrize(cp + dp)) - _logdet(cp)
+        return _scalar_verdicts("commuted-power", llhs, lrhs, tol,
+                                [fp(p) for fp in fingerprints], detail={"p": p})
 
     return at
 
@@ -719,20 +861,13 @@ class PSplit:
     grid: tuple[float, ...]
     default: float
 
-    def verdicts(self, inst: Instance, ps: Sequence[float],
-                 tol: float) -> tuple[InequalityVerdict, ...]:
-        """The verdict at each exponent of ps, in order (inst.p is not read).
-        Every exponent is checked first; the p-independent work is then done
-        once."""
+    def require(self, ps: Sequence[float]) -> None:
+        """Raise on the first exponent of ps that is not finite or outside
+        the domain."""
         for p in ps:
             if p is not None and not math.isfinite(p):
                 raise NonFinite(f"non-finite exponent p = {p}")
             self.domain(p)
-        at = self.prepare(inst)
-        return tuple(at(p, tol) for p in ps)
-
-    def check(self, inst: Instance, tol: float) -> InequalityVerdict:
-        return self.verdicts(inst, (inst.p,), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +890,7 @@ class Shape(enum.Enum):
     C_IDX = "c+idx"          # c, idx
 
 
-Checker = Callable[[Instance, float], InequalityVerdict]
+Checker = Callable[[Instance, float], list[InequalityVerdict]]
 # (C cap, D-block cap, block-scale bias in decades) for block-D fuzz draws;
 # a None cap leaves GenConfig.kappa_max alone.
 Caps = tuple[float | None, float | None, float]
@@ -765,7 +900,8 @@ Caps = tuple[float | None, float | None, float]
 class Spec:
     """What the catalog, the fuzzer and the CLI know about one id.
 
-    check: (instance, tol) -> verdict; a parametrized id is checked at inst.p.
+    check: (validated instance or stack, tol) -> one verdict per instance;
+        None for a parametrized id, which its split checks.
     split: the p-split of a parametrized id, with its fuzz grid and default p.
     caps: the generator caps for block-D draws.
     reference: (partition, C, D) of the counterexample the fuzzer injects as
@@ -773,22 +909,18 @@ class Spec:
     certify: (c_exact, d_exact, part) -> exact (lhs, rhs), with d_exact the
         whole exact D, block diagonal for a block-D id.
 
-    Entries reach the public checkers and the certifiers through lambdas
-    that look up their module-level names, so a patch of a module attribute
-    (a tracer's, a test's) sees every call.
+    Entries reach the certifiers through lambdas that look up their
+    module-level names, so a patch of a module attribute (a tracer's, a
+    test's) sees every call.
     """
 
     role: Role
     shape: Shape
-    check: Checker
+    check: Checker | None = None
     split: PSplit | None = None
     caps: Caps = (None, None, 0.0)
     reference: tuple[Partition, np.ndarray, np.ndarray] | None = None
     certify: Callable | None = None
-
-
-def _parametrized(role: Role, shape: Shape, split: PSplit, **extra) -> Spec:
-    return Spec(role, shape, split.check, split=split, **extra)
 
 
 _INV_SQ_REF = (refdata.INV_SQ_PART, refdata.INV_SQ_C, refdata.INV_SQ_D)
@@ -802,57 +934,52 @@ _INV_SQ_REF = (refdata.INV_SQ_PART, refdata.INV_SQ_C, refdata.INV_SQ_D)
 
 SPECS: dict[str, Spec] = {
     "main-thm": Spec(Role.THEOREM, Shape.BLOCK_D,
-                     lambda i, tol: _weak_log_verdict("main-thm", i, tol)),
+                     lambda i, tol: _weak_log_verdicts("main-thm", i, tol)),
     "matic": Spec(Role.THEOREM, Shape.BLOCK_D,
-                  lambda i, tol: _matic_verdict("matic", i, tol),
+                  lambda i, tol: _matic_verdicts("matic", i, tol),
                   certify=lambda c, d, part: matic_exact(c, d, part)),
-    "det-power": _parametrized(
+    "det-power": Spec(
         Role.THEOREM, Shape.BLOCK_D,
-        PSplit(_det_power_domain, _spectra_log1p_power("det-power"),
-               grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
-    "abs-power": _parametrized(
+        split=PSplit(_det_power_domain, _spectra_log1p_power("det-power"),
+                     grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
+    "abs-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D,
-        PSplit(_nonnegative_domain("abs-power"), _prepare_abs_power,
-               grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=2.0),
+        split=PSplit(_nonnegative_domain("abs-power"), _prepare_abs_power,
+                     grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=2.0),
         caps=(1e3, 1e2, 1.0), reference=_INV_SQ_REF),
-    "commuted-power": _parametrized(
+    "commuted-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D,
-        PSplit(_nonnegative_domain("commuted-power"), _prepare_commuted_power,
-               grid=(0.0, 0.5, 1.0, 2.0), default=2.0),
+        split=PSplit(_nonnegative_domain("commuted-power"), _prepare_commuted_power,
+                     grid=(0.0, 0.5, 1.0, 2.0), default=2.0),
         caps=(1e6, 1e3, 1.5), reference=_INV_SQ_REF),
-    "inv-square-sum": Spec(Role.EVALUATOR, Shape.BLOCK_D, _eval_inv_square_sum,
+    "inv-square-sum": Spec(Role.EVALUATOR, Shape.BLOCK_D, _inv_square_sum_verdicts,
                            caps=(None, 1e3, 1.5), reference=_INV_SQ_REF,
                            certify=lambda c, d, part: inv_square_sum_exact(c, d, part)),
-    "neg-power": _parametrized(
+    "neg-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D,
-        PSplit(_neg_power_domain, _spectra_log1p_power("neg-power"),
-               grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
+        split=PSplit(_neg_power_domain, _spectra_log1p_power("neg-power"),
+                     grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
         caps=(None, 1e3, 1.5),
         reference=(refdata.NEG_POWER_PART, refdata.NEG_POWER_C, refdata.NEG_POWER_D)),
     "matic-general-d": Spec(
         Role.EVALUATOR, Shape.GENERAL_D,
-        lambda i, tol: _matic_verdict("matic-general-d", i, tol),
+        lambda i, tol: _matic_verdicts("matic-general-d", i, tol),
         reference=(refdata.MATIC_GEN_PART, refdata.MATIC_GEN_C, refdata.MATIC_GEN_D),
         certify=lambda c, d, part: matic_exact(c, d, part)),
     "weak-log-general-d": Spec(
         Role.EVALUATOR, Shape.GENERAL_D,
-        lambda i, tol: _weak_log_verdict("weak-log-general-d", i, tol),
+        lambda i, tol: _weak_log_verdicts("weak-log-general-d", i, tol),
         reference=(refdata.WLOG_PART, refdata.WLOG_C, refdata.WLOG_D)),
-    "sv-weak-log": Spec(Role.EVALUATOR, Shape.BLOCK_D, _eval_sv_weak_log,
+    "sv-weak-log": Spec(Role.EVALUATOR, Shape.BLOCK_D, _sv_weak_log_verdicts,
                         caps=(1e2, 1e2, 1.0), reference=_INV_SQ_REF),
-    "choi": Spec(Role.THEOREM, Shape.MATS,
-                 lambda i, tol: check_choi(i.mats, i.partition, tol)),
-    "thm32": _parametrized(
+    "choi": Spec(Role.THEOREM, Shape.MATS, _choi_verdicts),
+    "thm32": Spec(
         Role.THEOREM, Shape.MATS,
-        PSplit(_thm32_domain, _prepare_thm32, grid=(1.0, 2.0, 3.0), default=1.0)),
-    "open-q": Spec(Role.OPEN, Shape.MATS,
-                   lambda i, tol: check_open_q(i.mats, i.partition, tol)),
-    "lemma31": Spec(Role.THEOREM, Shape.C_IDX,
-                    lambda i, tol: check_lemma31(i.c, i.idx, tol)),
-    "fischer-tail": Spec(Role.THEOREM, Shape.C,
-                         lambda i, tol: check_fischer_tail(i.c, i.partition, i.m, tol)),
-    "ky-fan": Spec(Role.THEOREM, Shape.C,
-                   lambda i, tol: check_kyfan(i.c, i.partition, tol)),
+        split=PSplit(_thm32_domain, _prepare_thm32, grid=(1.0, 2.0, 3.0), default=1.0)),
+    "open-q": Spec(Role.OPEN, Shape.MATS, _open_q_verdicts),
+    "lemma31": Spec(Role.THEOREM, Shape.C_IDX, _lemma31_verdicts),
+    "fischer-tail": Spec(Role.THEOREM, Shape.C, _fischer_tail_verdicts),
+    "ky-fan": Spec(Role.THEOREM, Shape.C, _kyfan_verdicts),
 }
 
 INEQUALITY_IDS = tuple(SPECS)
@@ -878,14 +1005,30 @@ def exponent_spec(inequality: str, p: float | None) -> Spec:
     return spec
 
 
+def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
+                    tol: float = DEFAULT_TOL) -> list[tuple[InequalityVerdict, ...]]:
+    """Verdicts of a validated instance (validate_instance), or of each
+    instance of a stack of them (stack_instances), at each exponent of ps:
+    one tuple per instance, in stack order. The exponents must have passed
+    the id's PSplit.require; an id without an exponent ignores ps and gives
+    one verdict per instance."""
+    spec = spec_of(inequality)
+    if spec.split is None:
+        return [(verdict,) for verdict in spec.check(inst, tol)]
+    at = spec.split.prepare(inst)
+    return list(zip(*(at(p, tol) for p in ps)))
+
+
 def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
                  tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, ...]:
     """Verdicts of a parametrized id at each exponent of ps, in order, on one
-    instance, with the p-independent work done once (see PSplit.verdicts)."""
-    split = spec_of(inequality).split
-    if split is None:
+    instance. Every exponent is checked first; the p-independent work is
+    then done once."""
+    spec = spec_of(inequality)
+    if spec.split is None:
         raise UnknownInequality(f"{inequality!r} is not a parametrized id")
-    return split.verdicts(inst, ps, tol)
+    spec.split.require(ps)
+    return check_validated(inequality, validate_instance(spec.shape, inst), ps, tol)[0]
 
 
 def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -897,6 +1040,10 @@ def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) 
 
 def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Dispatch any catalog id on an Instance; the single entry point used by
-    the fuzzer and the CLI. Parametrized ids are evaluated at inst.p; an
-    instance with a p for an id without an exponent raises BadExponent."""
-    return exponent_spec(inequality, inst.p).check(inst, tol)
+    the CLI. Parametrized ids are evaluated at inst.p; an instance with a p
+    for an id without an exponent raises BadExponent. The exponent is
+    checked first, then each input matrix once (validate_instance)."""
+    spec = exponent_spec(inequality, inst.p)
+    if spec.split is not None:
+        spec.split.require((inst.p,))
+    return check_validated(inequality, validate_instance(spec.shape, inst), (inst.p,), tol)[0][0]

@@ -11,6 +11,12 @@ ids, the regime the violations live in. Without an explicit p, a trial of a
 parametrized id sweeps the Spec's exponent grid on one draw. No shrinking is
 performed: violating instances are stored verbatim and can be replayed in
 isolation.
+
+fuzz takes the trials a chunk at a time: each trial is drawn and validated
+on its own, then the trials whose instances stack (catalog.stack_key) go
+through the id's checker as one stack, one call per kernel, with results
+equal bit for bit to checking them one by one. run_trial is the same code
+on a one-trial range.
 """
 
 from __future__ import annotations
@@ -23,7 +29,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocks import Partition, validate_partition
-from .catalog import InequalityVerdict, Instance, Shape, exponent_spec, run_check, spec_of
+from .catalog import (
+    InequalityVerdict,
+    Instance,
+    Shape,
+    check_validated,
+    exponent_spec,
+    run_check,
+    spec_of,
+    stack_instances,
+    stack_key,
+    validate_instance,
+)
 from .errors import BadConfig, MajdetError, ResampleExhausted
 from .linalg import eigvals_sym
 from .orders import DEFAULT_TOL
@@ -209,26 +226,55 @@ class FuzzReport:
         }
 
 
+# Trials per chunk: fuzz draws and checks at most this many trials at once,
+# so memory does not grow with the trial count.
+_CHUNK = 64
+
+
+def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
+                tol: float) -> list[tuple[InequalityVerdict, Instance]]:
+    """Evaluate a range of trials, in order.
+
+    Each trial is drawn from its own substream and validated. Trials whose
+    instances stack (catalog.stack_key: shapes, partition, idx, m, p) are
+    checked together, one call per kernel. For parametrized ids without an
+    explicit p, each draw is checked at every exponent of the Spec's grid
+    (the p-independent work once, then one cheap step per p); the first
+    verdict of minimum margin is kept and returned with the instance
+    carrying that verdict's p.
+    """
+    spec = exponent_spec(inequality, p)
+    ps = (p,) if p is not None or spec.split is None else spec.split.grid
+    drawn = [build_instance(inequality, cfg, trial, p=ps[0]) for trial in trials]
+    if spec.split is not None:
+        spec.split.require(ps)
+    groups: dict[tuple, list[int]] = {}
+    for k, inst in enumerate(drawn):
+        groups.setdefault(stack_key(inst), []).append(k)
+    results: list = [None] * len(drawn)
+    for members in groups.values():
+        stack = stack_instances([validate_instance(spec.shape, drawn[k]) for k in members])
+        for k, verdicts in zip(members, check_validated(inequality, stack, ps, tol)):
+            worst = min(range(len(ps)), key=lambda i: verdicts[i].margin)
+            inst = replace(drawn[k], p=ps[worst]) if worst else drawn[k]
+            results[k] = (verdicts[worst], inst)
+    return results
+
+
 def run_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None = None,
               tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, Instance]:
-    """Evaluate one trial.
+    """Evaluate one trial: _run_trials on a one-trial range."""
+    return _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)[0]
 
-    For parametrized ids without an explicit p, the instance is drawn once
-    and the Spec's whole grid is evaluated on it (the p-independent work
-    once, then one cheap step per p). The first verdict of minimum margin is
-    kept and returned with the instance carrying that verdict's p.
-    """
-    split = spec_of(inequality).split
-    if p is not None or split is None:
-        inst = build_instance(inequality, cfg, trial, p=p)
-        return run_check(inequality, inst, tol), inst
-    ps = split.grid
-    inst = build_instance(inequality, cfg, trial, p=ps[0])
-    verdicts = split.verdicts(inst, ps, tol)
-    worst = min(range(len(ps)), key=lambda i: verdicts[i].margin)
-    if worst:
-        inst = replace(inst, p=ps[worst])
-    return verdicts[worst], inst
+
+def _named_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None,
+                 tol: float) -> tuple[InequalityVerdict, Instance]:
+    """run_trial, with the trial index and seed in front of any error."""
+    try:
+        return run_trial(inequality, cfg, trial, p=p, tol=tol)
+    except MajdetError as err:
+        raise type(err)(
+            f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
 
 
 def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
@@ -238,7 +284,10 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     The report content is a pure function of (inequality, cfg, trials, p,
     tol) apart from the wall_time field. Instances are serialized only for
     violations unless keep_instances is set. A p for an id without an
-    exponent raises BadExponent; a trial's error names the trial and seed.
+    exponent raises BadExponent. Trials are evaluated a chunk at a time;
+    a chunk that raises is evaluated again one trial at a time, so the
+    error raised is that of the first failing trial, named with its index
+    and seed.
     """
     exponent_spec(inequality, p)
     if trials < 1:
@@ -248,24 +297,25 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     violations = 0
     worst_margin = float("inf")
     kept: list[TrialRecord] = []
-    for trial in range(trials):
+    for start in range(0, trials, _CHUNK):
+        chunk = range(start, min(start + _CHUNK, trials))
         try:
-            verdict, inst = run_trial(inequality, cfg, trial, p=p, tol=tol)
-        except MajdetError as err:
-            raise type(err)(
-                f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
-        worst_margin = min(worst_margin, verdict.margin)
-        if verdict.holds:
-            holds += 1
-        else:
-            violations += 1
-        if not verdict.holds or keep_instances:
-            kept.append(TrialRecord(
-                trial=trial,
-                seed=derive_seed(cfg.seed, trial),
-                verdict=verdict,
-                instance=inst.to_json(),
-            ))
+            results = _run_trials(inequality, cfg, chunk, p, tol)
+        except MajdetError:
+            results = [_named_trial(inequality, cfg, trial, p, tol) for trial in chunk]
+        for trial, (verdict, inst) in zip(chunk, results):
+            worst_margin = min(worst_margin, verdict.margin)
+            if verdict.holds:
+                holds += 1
+            else:
+                violations += 1
+            if not verdict.holds or keep_instances:
+                kept.append(TrialRecord(
+                    trial=trial,
+                    seed=derive_seed(cfg.seed, trial),
+                    verdict=verdict,
+                    instance=inst.to_json(),
+                ))
     return FuzzReport(
         inequality=inequality,
         trials=trials,

@@ -7,6 +7,16 @@ C^-1 D for positive definite C and D, taken as the squared singular values
 of L^-1 R with C = L L^T and D = R R^T. LAPACK failures surface as the
 package's own errors: NotPositiveDefinite from Cholesky, NoConvergence from
 the eigensolver and the SVD.
+
+Each computation is one private kernel over a matrix or a `(..., n, n)`
+stack of them, with numpy's stacked LAPACK calls, so a stack costs one call
+per kernel and its results equal the per-matrix calls bit for bit. Kernels
+do no input validation; they keep only the checks that follow from the
+computation (a non-finite operand, which a derived matrix can overflow to,
+the pivot floor, a non-positive spectrum). The public functions validate
+their input with require_symmetric (or as_square) and then run the same
+kernel. The catalog validates each input matrix once and calls the kernels
+directly.
 """
 
 from __future__ import annotations
@@ -45,11 +55,11 @@ def require_symmetric(a) -> np.ndarray:
     """
     m = as_square(a)
     if m.size:
-        amax = float(np.max(np.abs(m)))
+        amax = float(np.maximum.reduce(np.abs(m), axis=None))
         if not math.isfinite(amax):
             raise NonFinite(f"non-finite entry (max |a_ij| = {amax})")
         slack = SYMMETRY_RTOL * max(1.0, amax)
-        skew = float(np.max(np.abs(m - m.T)))
+        skew = float(np.maximum.reduce(np.abs(m - m.T), axis=None))
         if skew > slack:
             raise NotSymmetric(f"asymmetry {skew:.3e} exceeds tolerance {slack:.3e}")
     return m
@@ -57,11 +67,46 @@ def require_symmetric(a) -> np.ndarray:
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """(a + a^T)/2, used to scrub roundoff after congruences and products."""
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    return m.diagonal(axis1=-2, axis2=-1)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m, or NonFinite as require_symmetric raises it. Inputs are finite once
+    validated, but a matrix derived from them (a sum, an inverse, a power)
+    can overflow, and LAPACK does not always fail on it."""
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
+        raise NonFinite(f"non-finite entry (max |a_ij| = {float(np.abs(m).max())})")
+    return m
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    # A symmetric m with a NaN or infinite entry either makes LAPACK fail or
+    # yields a NaN or infinite pivot, or an infinite diagonal and so an
+    # infinite floor; each fails below, and NonFinite is raised before the
+    # Cholesky error, so a finite m pays for no separate scan.
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        _finite(m)
+        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
+    if m.shape[-1]:
+        pivots = _diagonal(low) ** 2
+        floor = PIVOT_REL_FLOOR * np.maximum.reduce(_diagonal(m), axis=-1)
+        ok = (np.minimum.reduce(pivots, axis=-1) >= floor) & (floor < math.inf)
+        if not np.logical_and.reduce(ok, axis=None):
+            _finite(m)
+            at = tuple(np.argwhere(~(pivots >= floor[..., None]))[0])
+            raise NotPositiveDefinite(f"pivot {pivots[at]:.3e} at index {at[-1]} "
+                                      f"(floor {floor[at[:-1]]:.3e})")
+    return low
 
 
 def cholesky(a) -> np.ndarray:
@@ -71,18 +116,7 @@ def cholesky(a) -> np.ndarray:
     below 1e-13 times the largest diagonal entry (near-singular inputs are
     rejected, never regularized).
     """
-    m = require_symmetric(a)
-    try:
-        low = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
-    pivots = low.diagonal() ** 2
-    if pivots.size:
-        floor = PIVOT_REL_FLOOR * m.diagonal().max()
-        if pivots.min() < floor:
-            i = int(np.argmax(pivots < floor))
-            raise NotPositiveDefinite(f"pivot {pivots[i]:.3e} at index {i} (floor {floor:.3e})")
-    return low
+    return _cholesky(require_symmetric(a))
 
 
 def is_pd(a) -> bool:
@@ -94,10 +128,22 @@ def is_pd(a) -> bool:
     return True
 
 
+def _pd_inverse(m: np.ndarray) -> np.ndarray:
+    low_inv = np.linalg.inv(_cholesky(m))
+    return symmetrize(low_inv.swapaxes(-1, -2) @ low_inv)
+
+
 def pd_inverse(a) -> np.ndarray:
     """Inverse of a positive definite matrix, L^-T L^-1 from its Cholesky factor."""
-    low_inv = np.linalg.inv(cholesky(a))
-    return symmetrize(low_inv.T @ low_inv)
+    return _pd_inverse(require_symmetric(a))
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        w, v = np.linalg.eigh(symmetrize(_finite(m)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh: {exc}") from exc
+    return w[..., ::-1], v[..., ::-1]
 
 
 def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
@@ -106,22 +152,44 @@ def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
     Column i of V pairs with eigenvalue i. LAPACK's symmetric eigensolver
     (numpy.linalg.eigh) on the symmetric part of a.
     """
-    m = symmetrize(require_symmetric(a))
+    return _eigh(require_symmetric(a))
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
     try:
-        w, v = np.linalg.eigh(m)
+        w = np.linalg.eigvalsh(symmetrize(_finite(m)))
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh: {exc}") from exc
-    return w[::-1], v[:, ::-1]
+        raise NoConvergence(f"eigvalsh: {exc}") from exc
+    return w[..., ::-1]
 
 
 def eigvals_sym(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted nonincreasing."""
-    m = symmetrize(require_symmetric(a))
+    return _eigvalsh(require_symmetric(a))
+
+
+def _singular_values(x: np.ndarray) -> np.ndarray:
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+        raise NonFinite("non-finite entry")
     try:
-        w = np.linalg.eigvalsh(m)
+        return np.linalg.svd(x, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigvalsh: {exc}") from exc
-    return w[::-1]
+        raise NoConvergence(f"svd: {exc}") from exc
+
+
+def singular_values(x) -> np.ndarray:
+    """Singular values of a square matrix, sorted nonincreasing (LAPACK SVD).
+
+    Raises NonFinite on a NaN or infinite entry.
+    """
+    return _singular_values(as_square(x))
+
+
+def _pencil(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    w = _singular_values(np.linalg.solve(_cholesky(c), _cholesky(d))) ** 2
+    if w.size and np.logical_or.reduce(w[..., -1] <= 0.0, axis=None):
+        raise NotPositiveDefinite("pencil spectrum not strictly positive")
+    return w
 
 
 def eig_pencil(c, d) -> np.ndarray:
@@ -136,34 +204,42 @@ def eig_pencil(c, d) -> np.ndarray:
     md = as_square(d)
     if mc.shape != md.shape:
         raise DimensionMismatch(f"{mc.shape} vs {md.shape}")
-    w = singular_values(np.linalg.solve(cholesky(mc), cholesky(md))) ** 2
-    if w.size and w[-1] <= 0.0:
-        raise NotPositiveDefinite("pencil spectrum not strictly positive")
-    return w
+    return _pencil(require_symmetric(mc), require_symmetric(md))
+
+
+def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = _eigh(m)
+    if w.size:
+        low = w[..., -1]
+        if (low <= 0.0).any():
+            raise NotPositiveDefinite(f"eigenvalue {low[low <= 0.0].flat[0]:.3e} <= 0")
+    return w, v
 
 
 def pd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with a = V diag(w) V^T for symmetric positive definite a."""
-    w, v = eigh_sym(a)
-    if w.size and w[-1] <= 0.0:
-        raise NotPositiveDefinite(f"eigenvalue {w[-1]:.3e} <= 0")
-    return w, v
+    return _pd_eigh(require_symmetric(a))
+
+
+def _rowwise(f, x: np.ndarray) -> np.ndarray:
+    """f(x) for an elementwise numpy function f, applied to each row of x
+    (the last axis) on its own.
+
+    numpy picks the code path of a transcendental function (vectorized or
+    scalar libm, which differ in the last bit) by the layout and length of
+    the operand it is handed. The eigenvalue rows of _eigvalsh and _eigh are
+    reversed views; row by row, a row of a stack is handed over exactly as
+    the vector of one matrix is, so both get the same bits.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    return np.stack([f(row) for row in rows]).reshape(x.shape)
 
 
 def eigh_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """a^p from the decomposition (w, V) = pd_eigh(a); one product per exponent."""
-    return symmetrize((v * w**p) @ v.T)
-
-
-def sym_power(a, p: float) -> np.ndarray:
-    """a^p for symmetric positive definite a, via its spectral decomposition."""
-    return eigh_power(*pd_eigh(a), p)
-
-
-def pd_sqrt(a) -> np.ndarray:
-    """Symmetric positive definite square root."""
-    cholesky(a)  # fail fast on non-PD input
-    return sym_power(a, 0.5)
+    """a^p from the decomposition (w, V) = pd_eigh(a), or from a stack of
+    them; one product per exponent."""
+    wp = _rowwise(lambda row: row**p, w)
+    return symmetrize((v * wp[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def hyperbolic_power(a, b, p: float) -> np.ndarray:
@@ -188,41 +264,10 @@ def hyperbolic_power(a, b, p: float) -> np.ndarray:
     return b_half_inv @ ((v * w**p) @ v.T) @ b_half
 
 
-def singular_values(x) -> np.ndarray:
-    """Singular values of a square matrix, sorted nonincreasing (LAPACK SVD).
-
-    Raises NonFinite on a NaN or infinite entry.
-    """
-    m = as_square(x)
-    if not np.isfinite(m).all():
-        raise NonFinite("non-finite entry")
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"svd: {exc}") from exc
-
-
-def det_pd(a) -> float:
-    """Determinant of a positive definite matrix: product of squared Cholesky pivots."""
-    d = np.diag(cholesky(a))
-    return float(np.prod(d) ** 2)
+def _logdet(m: np.ndarray):
+    return 2.0 * np.sum(np.log(_diagonal(_cholesky(m))), axis=-1)
 
 
 def logdet_pd(a) -> float:
     """log det of a positive definite matrix, overflow-safe."""
-    return 2.0 * float(np.sum(np.log(np.diag(cholesky(a)))))
-
-
-def loewner_le(a, b, tol: float = 1e-9) -> bool:
-    """Loewner order test: is b - a positive semidefinite up to tolerance?
-
-    True iff lambda_min(b - a) >= -tol * max(1, ||b - a||_F).
-    """
-    ma = require_symmetric(a)
-    mb = require_symmetric(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"{ma.shape} vs {mb.shape}")
-    diff = symmetrize(mb - ma)
-    w = eigvals_sym(diff)
-    lam_min = float(w[-1]) if w.size else 0.0
-    return lam_min >= -tol * max(1.0, frobenius(diff))
+    return float(_logdet(require_symmetric(a)))

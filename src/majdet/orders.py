@@ -3,7 +3,9 @@ and sorted entrywise domination, each reported with per-prefix margins.
 
 Log-order arithmetic happens entirely in the log domain (prefix sums of
 logarithms, never raw products) so verdicts survive eigenvalue ratios up to
-1e12 at dimensions up to 100.
+1e12 at dimensions up to 100. check_order compares two vectors;
+check_orders compares the rows of two (..., n) arrays, taking the prefix
+margins of every row in one pass and building one OrderReport per row.
 """
 
 from __future__ import annotations
@@ -71,26 +73,23 @@ class OrderReport:
 
 
 def sort_desc(v) -> np.ndarray:
-    """Rearrange into nonincreasing order (stable for ties)."""
-    arr = np.asarray(v, dtype=float).ravel()
+    """Rearrange into nonincreasing order (stable for ties); each row of a
+    (..., n) array separately."""
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.size == 0:
         raise EmptyVector("cannot sort an empty vector")
-    return -np.sort(-arr, kind="stable")
+    return -np.sort(-arr, axis=-1, kind="stable")
 
 
-def _prefix_margins(x: np.ndarray, y: np.ndarray, tol: float):
-    """Per-prefix margins plus scale-aware pass flags."""
-    px = np.cumsum(x)
-    py = np.cumsum(y)
-    margins = py - px
-    scales = np.maximum(1.0, np.maximum(np.abs(px), np.abs(py)))
-    ok = margins >= -tol * scales
-    return margins, scales, ok
+def _require_finite(xs: np.ndarray, ys: np.ndarray) -> None:
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise NonFinite("order check on a non-finite (NaN or infinite) entry")
 
 
 def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
                 pad: bool = False) -> OrderReport:
-    """Decide whether x is below y in the given order, with margins.
+    """Decide whether the vector x is below the vector y in the given order,
+    with margins.
 
     Margins are computed on sorted-descending copies. Tolerances are applied
     per prefix, scaled by max(1, |prefix|). With pad=True (ENTRYWISE_LE
@@ -99,10 +98,9 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
     NonFinite.
     """
     kind = OrderKind(kind)
-    xs = sort_desc(x)
-    ys = sort_desc(y)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise NonFinite("order check on a non-finite (NaN or infinite) entry")
+    xs = sort_desc(np.ravel(x))
+    ys = sort_desc(np.ravel(y))
+    _require_finite(xs, ys)
     if xs.size != ys.size:
         if pad and kind is OrderKind.ENTRYWISE_LE:
             width = max(xs.size, ys.size)
@@ -110,40 +108,58 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
             ys = np.concatenate([ys, np.zeros(width - ys.size)])
         else:
             raise LengthMismatch(f"{xs.size} vs {ys.size}")
-    n = xs.size
+    return _reports(kind, xs, ys, tol)[0]
 
+
+def check_orders(kind: OrderKind, x, y, tol: float = DEFAULT_TOL) -> list[OrderReport]:
+    """check_order on each row pair of two (..., n) arrays of equal shape:
+    one OrderReport per row, in C order (one in all for two vectors)."""
+    kind = OrderKind(kind)
+    xs = sort_desc(x)
+    ys = sort_desc(y)
+    _require_finite(xs, ys)
+    if xs.shape != ys.shape:
+        raise LengthMismatch(f"{xs.shape} vs {ys.shape}")
+    return _reports(kind, xs, ys, tol)
+
+
+def _reports(kind: OrderKind, xs: np.ndarray, ys: np.ndarray,
+             tol: float) -> list[OrderReport]:
+    """Reports for the rows of xs and ys, sorted nonincreasing and finite;
+    the prefix margins of all rows are taken at once."""
+    n = xs.shape[-1]
     if kind is OrderKind.ENTRYWISE_LE:
         margins = ys - xs
         scales = np.maximum(1.0, np.maximum(np.abs(xs), np.abs(ys)))
-        ok = margins >= -tol * scales
-        residual = None
     else:
         if kind in LOG_KINDS:
-            if xs[-1] <= 0.0 or ys[-1] <= 0.0:
+            if (xs[..., -1] <= 0.0).any() or (ys[..., -1] <= 0.0).any():
                 raise NonPositiveEntry("log orders need strictly positive entries")
             xs = np.log(xs)
             ys = np.log(ys)
-        margins, scales, ok = _prefix_margins(xs, ys, tol)
-        residual = float(margins[-1]) if kind in STRICT_KINDS else None
-    if not np.all(np.isfinite(margins)):
+        px = np.cumsum(xs, axis=-1)
+        py = np.cumsum(ys, axis=-1)
+        margins = py - px
+        scales = np.maximum(1.0, np.maximum(np.abs(px), np.abs(py)))
+    if not np.isfinite(margins).all():
         raise NonFinite("order check with a prefix sum that overflows")
-
-    fail_index: int | None = None
-    holds = bool(ok.all())
-    if not holds:
-        fail_index = int(np.argmin(ok)) + 1
-    elif residual is not None and abs(residual) > tol * scales[-1]:
-        holds = False
-        fail_index = n
-    return OrderReport(
-        kind=kind,
-        n=n,
-        margins=tuple(float(v) for v in margins),
-        residual=residual,
-        holds=holds,
-        fail_index=fail_index,
-        tol=tol,
-    )
+    rows = margins.reshape(-1, n).tolist()
+    oks = (margins >= -tol * scales).reshape(-1, n).tolist()
+    if kind in STRICT_KINDS:
+        totals_off = (np.abs(margins[..., -1]) > tol * scales[..., -1]).reshape(-1).tolist()
+    else:
+        totals_off = [False] * len(rows)
+    reports = []
+    for row, ok, total_off in zip(rows, oks, totals_off):
+        holds = all(ok)
+        fail_index = None if holds else ok.index(False) + 1
+        if holds and total_off:
+            holds = False
+            fail_index = n
+        reports.append(OrderReport(kind=kind, n=n, margins=tuple(row),
+                                   residual=row[-1] if kind in STRICT_KINDS else None,
+                                   holds=holds, fail_index=fail_index, tol=tol))
+    return reports
 
 
 def _positive(a) -> np.ndarray:

@@ -5,7 +5,8 @@ coefficients plus sign-change bisection for 2x2/3x3, Faddeev-LeVerrier
 coefficients plus companion-matrix roots for general n. Neither route shares
 code with the LAPACK eigensolver under test. Eigenvalues of C^-1 D are
 bracketed exactly by counting them above a rational mu through the inertia
-of D - mu C in rational arithmetic.
+of D - mu C in rational arithmetic. The Loewner order oracle for lemma31
+is the smallest eigenvalue of the difference.
 """
 
 from __future__ import annotations
@@ -149,6 +150,18 @@ def count_product_eigs_above(c: np.ndarray, d: np.ndarray, mu: Fraction) -> int:
     n = c.shape[0]
     return positive_inertia([[Fraction(float(d[i, j])) - mu * Fraction(float(c[i, j]))
                               for j in range(n)] for i in range(n)])
+
+
+def loewner_le(a, b, tol: float = 1e-9) -> bool:
+    """Loewner order test: is b - a positive semidefinite up to tolerance?
+
+    True iff lambda_min(b - a) >= -tol * max(1, ||b - a||_F), with the
+    symmetric part of b - a and numpy's eigvalsh.
+    """
+    diff = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    diff = (diff + diff.T) / 2.0
+    lam_min = float(np.linalg.eigvalsh(diff)[0]) if diff.size else 0.0
+    return lam_min >= -tol * max(1.0, float(np.linalg.norm(diff)))
 
 
 def rand_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import majdet.catalog as catalog_mod
+import majdet.linalg as linalg_mod
 from majdet import refdata
 from majdet.blocks import Partition, diag_blocks, direct_sum
 from majdet.catalog import (
@@ -23,6 +25,7 @@ from majdet.catalog import (
     SPECS,
     THEOREM_IDS,
     Role,
+    Shape,
     _fingerprint,
     check_p_grid,
     evaluate_general,
@@ -36,12 +39,13 @@ from majdet.errors import (
     IndexOutOfRange,
     NegativePower,
     NonFinite,
+    NotSymmetric,
     UnknownInequality,
 )
 from majdet.exact import det_exact, rational_matrix, submatrix
 from majdet.linalg import eigvals_sym, pd_inverse
 
-from oracles import rand_pd
+from oracles import loewner_le, rand_pd
 
 PART22 = Partition((2, 2))
 
@@ -332,7 +336,6 @@ class TestLemma31:
 
     def test_random_with_eigen_oracle(self, rng):
         from majdet.blocks import principal_submatrix
-        from majdet.linalg import loewner_le
         for _ in range(10):
             a = rand_pd(rng, 5, kappa=1e3)
             idx = (0, 2, 3)
@@ -475,6 +478,16 @@ class TestOverflowingPower:
         assert verdict.detail["log_lhs"] == pytest.approx(want, rel=1e-15)
         assert verdict.holds
 
+    def test_overflowing_matrix_power_raises(self):
+        # C^2 and D^2 overflow a double; the factorization of C^2 + D^2 must
+        # raise, not yield a NaN margin that the grid's minimum skips
+        part = Partition((1, 1))
+        inst = Instance(partition=part, c=1e200 * np.eye(2),
+                        d_blocks=(np.array([[1e200]]),) * 2, p=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="non-finite entry"):
+                run_check("commuted-power", inst)
+
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_exponent_rejected(self, p):
         with pytest.raises(NonFinite):
@@ -614,3 +627,98 @@ class TestPGrid:
     def test_unknown_id(self):
         with pytest.raises(UnknownInequality):
             check_p_grid("matic", Instance(), (1.0,))
+
+
+def small_pd(rng, n):
+    """A PD matrix whose entries are all below 1 in magnitude, so the
+    symmetry tolerance is 1e-12 on the matrix and on each of its blocks."""
+    g = rng.standard_normal((n, n))
+    a = g @ g.T + n * np.eye(n)
+    a = (a + a.T) / 2.0
+    return a / (2.0 * np.abs(a).max())
+
+
+def shape_instances(rng):
+    """Shape -> (an instance of that shape, its matrix fields)."""
+    part = Partition((2, 2))
+    c, d = small_pd(rng, 4), small_pd(rng, 4)
+    return {
+        Shape.BLOCK_D: (Instance(partition=part, c=c, d_blocks=(small_pd(rng, 2),
+                                                                small_pd(rng, 2))),
+                        ("c", "d_blocks")),
+        Shape.GENERAL_D: (Instance(partition=part, c=c, d=d), ("c", "d")),
+        Shape.MATS: (Instance(partition=part, mats=(small_pd(rng, 4), small_pd(rng, 4),
+                                                    small_pd(rng, 4))), ("mats",)),
+        Shape.C: (Instance(partition=part, c=c), ("c",)),
+        Shape.C_IDX: (Instance(c=c, idx=(0, 1, 3)), ("c",)),
+    }
+
+
+def corrupt(inst, field, how):
+    """inst with entry (0, 1) of the field's first matrix made NaN on both
+    sides, or made asymmetric by 1e-3."""
+    value = getattr(inst, field)
+    first = (value[0] if isinstance(value, tuple) else value).copy()
+    if how == "nan":
+        first[0, 1] = first[1, 0] = math.nan
+    else:
+        first[0, 1] += 1e-3
+    return replace(inst, **{field: (first, *value[1:]) if isinstance(value, tuple) else first})
+
+
+class TestValidateOnce:
+    """run_check validates each input matrix exactly once, then runs the
+    kernels on what validation returned."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = linalg_mod.require_symmetric
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        for module in (linalg_mod, catalog_mod):
+            monkeypatch.setattr(module, "require_symmetric", counting)
+        return calls
+
+    @pytest.mark.parametrize("inequality", INEQUALITY_IDS)
+    def test_one_validation_per_input_matrix(self, rng, counted, inequality):
+        spec = SPECS[inequality]
+        inst, fields = shape_instances(rng)[spec.shape]
+        if spec.split:
+            inst = replace(inst, p=spec.split.default)
+        inputs = sum(len(v) if isinstance(v, tuple) else 1
+                     for v in (getattr(inst, f) for f in fields))
+        run_check(inequality, inst)
+        assert len(counted) == inputs
+
+    @pytest.mark.parametrize("inequality", [
+        "main-thm", "weak-log-general-d", "choi", "ky-fan", "lemma31"])
+    @pytest.mark.parametrize("how, err, message", [
+        ("nan", NonFinite, "non-finite entry (max |a_ij| = nan)"),
+        ("skew", NotSymmetric, "asymmetry 1.000e-03 exceeds tolerance 1.000e-12"),
+    ])
+    def test_bad_input_keeps_its_error(self, rng, inequality, how, err, message):
+        # one id per Shape; a NaN or an asymmetric C, D, D block or A_1
+        inst, fields = shape_instances(rng)[SPECS[inequality].shape]
+        for field in fields:
+            with pytest.raises(err) as info:
+                run_check(inequality, corrupt(inst, field, how))
+            assert str(info.value) == message, (inequality, field)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("p", ["x", True, [2.0]])
+    def test_instance_json_rejects_a_p_that_is_not_a_number(self, rng, p):
+        c, blocks, part = random_block_instance(rng, 4, (2, 2))
+        payload = Instance(partition=part, c=c, d_blocks=blocks, p=2.0).to_json()
+        payload["p"] = p
+        with pytest.raises(BadExponent):
+            Instance.from_json(payload)
+
+    @pytest.mark.parametrize("m", [2.5, math.nan, True, "2"])
+    def test_fischer_tail_rejects_a_non_integer_m(self, rng, m):
+        with pytest.raises(IndexOutOfRange):
+            check_fischer_tail(rand_pd(rng, 4), PART22, m=m)

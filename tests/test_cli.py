@@ -418,7 +418,8 @@ class TestFuzzCommand:
         code, out, err = run_cli(capsys, "fuzz", "thm32", "--n", "3", "--part", "1,2",
                                  "--scale", "1e-110", "--trials", "3", "--seed", "5")
         assert (code, out) == (1, "")
-        assert f"trial 0 (seed {derive_seed(5, 0)}): order check on a non-finite" in err
+        assert err == (f"majdet: error: trial 0 (seed {derive_seed(5, 0)}): order check on a "
+                       "non-finite (NaN or infinite) entry\n")
 
     def test_bad_config_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "fuzz", "main-thm", "--n", "4",

@@ -10,6 +10,7 @@ from majdet.catalog import SPECS, run_check
 from majdet.errors import (
     BadConfig,
     BadExponent,
+    MajdetError,
     NonFinite,
     ResampleExhausted,
     UnknownInequality,
@@ -277,18 +278,108 @@ class TestGridEvaluation:
             assert replay(inequality, rec).to_json() == rec.verdict.to_json()
 
     def test_one_draw_and_one_spectrum_per_trial(self, monkeypatch):
-        calls = {"build_instance": 0, "product_spectra": 0}
+        # seven trials of one shape: seven draws, and their spectra in one
+        # stacked product_spectra call of seven instances
+        draws = []
+        stacks = []
+        build, spectra = fuzzing_mod.build_instance, catalog_mod.product_spectra
 
-        def counting(module, name):
-            original = getattr(module, name)
+        def counting_build(*args, **kwargs):
+            draws.append(args[2])
+            return build(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+        def counting_spectra(c, d, part):
+            stacks.append(c.shape[:-2])
+            return spectra(c, d, part)
 
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(fuzzing_mod, "build_instance")
-        counting(catalog_mod, "product_spectra")
+        monkeypatch.setattr(fuzzing_mod, "build_instance", counting_build)
+        monkeypatch.setattr(catalog_mod, "product_spectra", counting_spectra)
         fuzz("det-power", GRID_CONFIGS[0], 7)
-        assert calls == {"build_instance": 7, "product_spectra": 7}
+        assert draws == list(range(7))
+        assert stacks == [(7,)]
+
+
+def oracle_report(inequality, cfg, trials, p=None, keep_instances=False):
+    """fuzz's report (without wall_time) from a loop of one-trial oracles,
+    or (error type, message) of the first trial that raises."""
+    holds = violations = 0
+    worst_margin = math.inf
+    violating = []
+    for trial in range(trials):
+        seed = derive_seed(cfg.seed, trial)
+        try:
+            verdict, inst = per_p_loop_trial(inequality, cfg, trial, p=p)
+        except MajdetError as err:
+            return type(err).__name__, f"trial {trial} (seed {seed}): {err}"
+        worst_margin = min(worst_margin, verdict.margin)
+        holds += verdict.holds
+        violations += not verdict.holds
+        if not verdict.holds or keep_instances:
+            violating.append({"trial": trial, "seed": seed, "verdict": verdict.to_json(),
+                              "instance": inst.to_json()})
+    return {"inequality": inequality, "trials": trials, "holds": holds,
+            "violations": violations, "worst_margin": worst_margin,
+            "config": cfg.to_json(), "violating": violating}
+
+
+def fuzz_outcome(*args, **kwargs):
+    try:
+        return strip_wall_time(fuzz(*args, **kwargs).to_json())
+    except MajdetError as err:
+        return type(err).__name__, str(err)
+
+
+class TestStackedFuzz:
+    """fuzz evaluates the trials of a chunk as stacks; its reports equal a
+    trial-by-trial loop of build_instance and run_check byte for byte."""
+
+    @pytest.fixture
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(fuzzing_mod, "_CHUNK", 4)
+        return 4
+
+    @pytest.mark.parametrize("inequality", sorted(SPECS))
+    def test_reports_equal_per_trial_loop(self, small_chunk, inequality):
+        for cfg in GRID_CONFIGS:
+            for trials in (small_chunk - 1, small_chunk, small_chunk + 1):
+                got = fuzz_outcome(inequality, cfg, trials, keep_instances=True)
+                assert got == oracle_report(inequality, cfg, trials, keep_instances=True), \
+                    (cfg.seed, trials)
+
+    @pytest.mark.parametrize("inequality", GRID_IDS)
+    def test_explicit_p_equals_per_trial_loop(self, small_chunk, inequality):
+        split = SPECS[inequality].split
+        for p in (split.default, split.grid[-1]):
+            got = fuzz_outcome(inequality, GRID_CONFIGS[0], small_chunk + 1, p=p,
+                               keep_instances=True)
+            assert got == oracle_report(inequality, GRID_CONFIGS[0], small_chunk + 1, p=p,
+                                        keep_instances=True)
+
+    @pytest.mark.parametrize("inequality", ["main-thm", "inv-square-sum", "lemma31"])
+    def test_chunk_edges_at_the_real_chunk(self, inequality):
+        chunk = fuzzing_mod._CHUNK
+        cfg = GRID_CONFIGS[0]
+        for trials in (chunk - 1, chunk, chunk + 1):
+            assert fuzz_outcome(inequality, cfg, trials) == oracle_report(inequality, cfg, trials)
+
+    def test_error_config_keeps_the_first_error(self, small_chunk):
+        cfg = GRID_CONFIGS[4]
+        got = fuzz_outcome("thm32", cfg, 3)
+        assert got == ("NonFinite", f"trial 0 (seed {derive_seed(5, 0)}): order check on a "
+                                    "non-finite (NaN or infinite) entry")
+        assert got == oracle_report("thm32", cfg, 3)
+
+    def test_error_in_a_later_chunk(self, small_chunk, monkeypatch):
+        # trial 6 fails to draw: trials 0..5 succeed, and the error names trial 6
+        build = fuzzing_mod.build_instance
+
+        def failing(inequality, cfg, trial, p=None):
+            if trial == 6:
+                raise ResampleExhausted("no draw")
+            return build(inequality, cfg, trial, p=p)
+
+        monkeypatch.setattr(fuzzing_mod, "build_instance", failing)
+        cfg = GRID_CONFIGS[0]
+        with pytest.raises(ResampleExhausted) as info:
+            fuzz("matic", cfg, 9)
+        assert str(info.value) == f"trial 6 (seed {derive_seed(cfg.seed, 6)}): no draw"

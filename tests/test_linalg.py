@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import majdet.linalg as linalg_mod
 from majdet.errors import (
     DimensionMismatch,
     NonFinite,
@@ -12,27 +13,25 @@ from majdet.errors import (
 )
 from majdet.linalg import (
     cholesky,
-    det_pd,
     eig_pencil,
     eigh_power,
     eigh_sym,
     eigvals_sym,
     hyperbolic_power,
     is_pd,
-    loewner_le,
     logdet_pd,
     pd_eigh,
     pd_inverse,
-    pd_sqrt,
     require_symmetric,
     singular_values,
-    sym_power,
+    symmetrize,
 )
 
 from oracles import (
     count_product_eigs_above,
     eig_bisect,
     eig_companion,
+    loewner_le,
     rand_pd,
     rand_psd,
     rand_sym,
@@ -154,7 +153,8 @@ class TestJacobi:
             a = rand_pd(rng, 6, kappa=1e3)
             w = eigvals_sym(a)
             assert abs(w.sum() - np.trace(a)) <= 1e-10 * abs(np.trace(a))
-            assert abs(np.prod(w) - det_pd(a)) <= 1e-9 * det_pd(a)
+            det = math.exp(logdet_pd(a))
+            assert abs(np.prod(w) - det) <= 1e-9 * det
 
 
 class TestEigPdProduct:
@@ -204,31 +204,39 @@ class TestEigPdProduct:
 
 
 class TestMatrixFunctions:
+    """Spectral powers a^p = eigh_power(*pd_eigh(a), p)."""
+
+    @staticmethod
+    def power(a, p):
+        return eigh_power(*pd_eigh(a), p)
+
     def test_sqrt_identity(self):
-        np.testing.assert_allclose(pd_sqrt(np.eye(3)), np.eye(3))
+        np.testing.assert_allclose(self.power(np.eye(3), 0.5), np.eye(3))
 
     def test_sqrt_diagonal(self):
-        np.testing.assert_allclose(pd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(self.power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
 
     def test_sqrt_reconstruction(self, rng):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = pd_sqrt(a)
+        s = self.power(a, 0.5)
         assert np.linalg.norm(s @ s - a) <= 1e-10 * np.linalg.norm(a)
         for _ in range(5):
             a = rand_pd(rng, 5, kappa=1e4)
-            s = pd_sqrt(a)
+            s = self.power(a, 0.5)
             assert np.linalg.norm(s @ s - a) <= 1e-10 * np.linalg.norm(a)
             assert is_pd(s)
 
     def test_sym_power_inverse(self, rng):
         a = rand_pd(rng, 4, kappa=100.0)
-        np.testing.assert_allclose(sym_power(a, -1.0), pd_inverse(a), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(self.power(a, -1.0), pd_inverse(a), rtol=1e-9, atol=1e-12)
 
     def test_powers_from_one_decomposition(self, rng):
+        # one decomposition serves every exponent: a^0 = I, a^1 = a, a^2 = a a
         a = rand_pd(rng, 5, kappa=1e3)
         w, v = pd_eigh(a)
-        for p in (0.0, 0.5, 1.0, 2.0, -1.5):
-            assert eigh_power(w, v, p).tobytes() == sym_power(a, p).tobytes()
+        np.testing.assert_allclose(eigh_power(w, v, 0.0), np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(eigh_power(w, v, 1.0), a, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(eigh_power(w, v, 2.0), a @ a, rtol=1e-9, atol=1e-9)
 
     def test_pd_eigh_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -298,22 +306,29 @@ class TestSingularValues:
 
 
 class TestDetPd:
+    """Determinants of positive definite matrices through logdet_pd."""
+
     def test_identity(self):
-        assert det_pd(np.eye(5)) == pytest.approx(1.0)
+        assert math.exp(logdet_pd(np.eye(5))) == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert det_pd(np.diag([2.0, 3.0, 4.0])) == pytest.approx(24.0)
+        assert math.exp(logdet_pd(np.diag([2.0, 3.0, 4.0]))) == pytest.approx(24.0)
 
     def test_known_2x2(self):
         # eigenvalues 5 and 1, so the determinant is 5
-        assert det_pd(np.array([[3.0, 2.0], [2.0, 3.0]])) == pytest.approx(5.0, rel=1e-12)
+        a = np.array([[3.0, 2.0], [2.0, 3.0]])
+        assert math.exp(logdet_pd(a)) == pytest.approx(5.0, rel=1e-12)
 
     def test_logdet(self, rng):
         a = rand_pd(rng, 5, kappa=1e4)
-        assert logdet_pd(a) == pytest.approx(math.log(det_pd(a)), rel=1e-12)
+        sign, want = np.linalg.slogdet(a)
+        assert sign == 1.0
+        assert logdet_pd(a) == pytest.approx(want, rel=1e-12)
 
 
 class TestLoewner:
+    """The Loewner order oracle of tests/oracles.py."""
+
     def test_trivial(self):
         assert loewner_le(np.eye(3), 2.0 * np.eye(3))
         assert not loewner_le(2.0 * np.eye(3), np.eye(3))
@@ -336,3 +351,73 @@ class TestLoewner:
             assert loewner_le(a, b)
             wa, wb = eigvals_sym(a), eigvals_sym(b)
             assert np.all(wa <= wb + 1e-9)
+
+
+STACK_NS = (1, 2, 4, 8, 16, 32)
+STACK_SIZES = (1, 2, 10)
+
+
+def pd_stack(rng, size, n, kappa=1e4):
+    return np.stack([rand_pd(rng, n, kappa=kappa) for _ in range(size)])
+
+
+def kernel_cases():
+    """(name, kernel over one stack argument) for every private kernel."""
+    return {
+        "cholesky": linalg_mod._cholesky,
+        "logdet": linalg_mod._logdet,
+        "pd_inverse": linalg_mod._pd_inverse,
+        "eigh": linalg_mod._eigh,
+        "pd_eigh": linalg_mod._pd_eigh,
+        "eigvalsh": linalg_mod._eigvalsh,
+        "singular_values": linalg_mod._singular_values,
+        "pencil": lambda a: linalg_mod._pencil(a, a[..., ::-1, ::-1].copy()),
+        "eigh_power": lambda a: eigh_power(*linalg_mod._pd_eigh(a), 1.7),
+        "rowwise_pow": lambda a: linalg_mod._rowwise(lambda r: r**3.0, linalg_mod._eigvalsh(a)),
+        "symmetrize": symmetrize,
+    }
+
+
+class TestStackedKernels:
+    """Each kernel over a (T, n, n) stack gives, bit for bit, what it gives
+    one matrix at a time. A numpy whose stacked LAPACK, matmul or reduction
+    paths round differently fails here rather than as drifting reports."""
+
+    @pytest.mark.parametrize("name", sorted(kernel_cases()))
+    @pytest.mark.parametrize("n", STACK_NS)
+    def test_stack_equals_loop(self, rng, name, n):
+        kernel = kernel_cases()[name]
+        for size in STACK_SIZES:
+            stack = pd_stack(rng, size, n)
+            got = kernel(stack)
+            got = got if isinstance(got, tuple) else (got,)
+            for t in range(size):
+                want = kernel(stack[t])
+                want = want if isinstance(want, tuple) else (want,)
+                for g, w in zip(got, want):
+                    assert np.asarray(g[t]).tobytes() == np.asarray(w).tobytes(), (name, n, size, t)
+
+    def test_pivot_floor_rejects_any_matrix_of_a_stack(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 1e-14])])
+        with pytest.raises(NotPositiveDefinite, match=r"pivot 1\.000e-14 at index 1"):
+            linalg_mod._cholesky(stack)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([math.inf, math.inf]), np.diag([math.inf, 1.0]), np.array([[math.inf]]),
+        np.array([[2.0, math.nan], [math.nan, 2.0]]), np.array([[2.0, -math.inf], [-math.inf, 2.0]]),
+        np.diag([1.0, math.nan]), np.full((3, 3), math.inf),
+    ])
+    def test_non_finite_matrix_raises_non_finite(self, bad):
+        # a derived matrix that overflowed is rejected, alone or in a stack
+        with np.errstate(all="ignore"):
+            for m in (bad, np.stack([np.eye(len(bad)), bad])):
+                with pytest.raises(NonFinite, match="non-finite entry"):
+                    linalg_mod._cholesky(m)
+                with pytest.raises(NonFinite, match="non-finite entry"):
+                    linalg_mod._eigvalsh(m)
+
+    def test_nan_pivot_fails_the_floor(self, monkeypatch):
+        # a factorization that returned a NaN pivot must not pass
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: np.full_like(m, np.nan))
+        with pytest.raises(NotPositiveDefinite, match="pivot nan"):
+            linalg_mod._cholesky(np.eye(2))

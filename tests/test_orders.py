@@ -15,6 +15,7 @@ from majdet.errors import (
 from majdet.orders import (
     OrderKind,
     check_order,
+    check_orders,
     geometric_mean,
     power_mean,
     sort_desc,
@@ -179,6 +180,35 @@ class TestCheckOrder:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite):
                 check_order(OrderKind.WEAK_MAJORIZE, big, big)
+
+
+class TestStackedOrders:
+    """check_orders on (T, n) rows equals check_order row by row, margins
+    bit for bit: the prefix margins of a stack are taken in one pass."""
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+    def test_rows_equal_loop(self, rng, kind, n):
+        for size in (1, 2, 10):
+            x = np.exp(rng.uniform(-20.0, 20.0, size=(size, n)))
+            y = np.exp(rng.uniform(-20.0, 20.0, size=(size, n)))
+            y[0] = x[0][::-1]  # a row that holds with equality
+            reports = check_orders(kind, x, y)
+            assert len(reports) == size
+            for t, report in enumerate(reports):
+                want = check_order(kind, x[t], y[t])
+                assert report == want
+                assert (np.array(report.margins).tobytes()
+                        == np.array(want.margins).tobytes())
+
+    def test_any_bad_row_raises(self):
+        x = np.ones((3, 2))
+        y = np.ones((3, 2))
+        y[2, 1] = math.nan
+        with pytest.raises(NonFinite):
+            check_orders(OrderKind.MAJORIZE, x, y)
+        with pytest.raises(LengthMismatch):
+            check_orders(OrderKind.MAJORIZE, x, np.ones((3, 3)))
 
 
 class TestMeans:
