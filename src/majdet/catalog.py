@@ -54,6 +54,7 @@ import math
 import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,8 +64,10 @@ from .errors import (
     BadExponent,
     DimensionMismatch,
     IndexOutOfRange,
+    MissingField,
     NegativePower,
     NonFinite,
+    SingularMatrix,
     UnknownInequality,
 )
 from .linalg import (
@@ -354,7 +357,12 @@ def validate_instance(shape: Shape, inst: Instance) -> Instance:
     checked once: square and sized for the partition (DimensionMismatch),
     finite (NonFinite) and symmetric (NotSymmetric). lemma31's idx comes
     back as checked ints. A C+D instance may carry D whole or as its
-    diagonal blocks."""
+    diagonal blocks. A field the Shape reads that is unset raises
+    MissingField."""
+    for name in _REQUIRED_FIELDS[shape]:
+        if getattr(inst, name) is None and (name != "d" or inst.d_blocks is None):
+            needs = "d or d_blocks" if name == "d" else name
+            raise MissingField(f"a {shape.value} instance needs {needs}, which is unset")
     part = inst.partition
     if shape is Shape.MATS:
         mats = [as_square(a) for a in inst.mats]
@@ -455,19 +463,43 @@ def check_matic(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> Inequ
     return run_check("matic", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
 
 
-def _det_ratio_exact(c_exact, d_exact):
-    """det(C + D)/det(C) over the rationals."""
-    return exact.det_exact(exact.mat_add(c_exact, d_exact)) / exact.det_exact(c_exact)
+def _certify(factor, c_exact, d_exact, part: Partition):
+    """(prod_i factor(Ci, Di), factor(C, D)) over the diagonal blocks and the
+    whole of an exact C and D, on integers: C = C'/s and D = D'/t with C', D'
+    from clearing denominators, and factor(C', D', s, t, name) returns the
+    exact Fraction, name labelling the block ("" for the whole)."""
+    (c, s), (d, t) = exact.clear_denominators(c_exact), exact.clear_denominators(d_exact)
+
+    def at(lo: int, hi: int, name: str) -> Fraction:
+        return factor(exact.submatrix(c, lo, hi), exact.submatrix(d, lo, hi), s, t, name)
+
+    lhs = math.prod(at(lo, hi, str(i)) for i, (lo, hi) in enumerate(part.offsets(), start=1))
+    return lhs, at(0, len(c), "")
+
+
+def _nonzero_det(a: exact.IntMatrix, name: str) -> int:
+    det = exact.det_int(a)
+    if det == 0:
+        raise SingularMatrix(f"exact {name} is singular")
+    return det
+
+
+def _combine(x: int, a: exact.IntMatrix, y: int, b: exact.IntMatrix) -> exact.IntMatrix:
+    """x a + y b for integer matrices a and b."""
+    return [[x * u + y * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _det_ratio_exact(c, d, s: int, t: int, name: str) -> Fraction:
+    """det(C + D)/det(C) for C = c/s, D = d/t: det(t c + s d)/(t^n det c)."""
+    det_c = _nonzero_det(c, "C" + name)
+    return Fraction(exact.det_int(_combine(t, c, s, d)), t ** len(c) * det_c)
 
 
 def matic_exact(c_exact, d_exact, part: Partition):
     """Exact rational sides of matic and matic-general-d:
-    (prod_i det(Ci + Di)/det(Ci), det(C + D)/det(C))."""
-    lhs = math.prod(
-        _det_ratio_exact(exact.submatrix(c_exact, lo, hi), exact.submatrix(d_exact, lo, hi))
-        for lo, hi in part.offsets()
-    )
-    return lhs, _det_ratio_exact(c_exact, d_exact)
+    (prod_i det(Ci + Di)/det(Ci), det(C + D)/det(C)). A singular exact C or
+    Ci raises SingularMatrix."""
+    return _certify(_det_ratio_exact, c_exact, d_exact, part)
 
 
 def check_det_power(c, d_blocks, part: Partition, p: float,
@@ -702,16 +734,20 @@ def _inv_square_sum_verdicts(inst: Instance, tol: float) -> list[InequalityVerdi
                             _fingerprints(part.n, part, (c, *dbs)))
 
 
+def _inv_square_sum_det(c, d, s: int, t: int, name: str) -> Fraction:
+    """det(D^-2 + C^-2) for C = c/s, D = d/t, without an inverse: since
+    D^-2 + C^-2 = D^-2 (C^2 + D^2) C^-2, it is
+    det(C^2 + D^2)/(det C det D)^2 = det(t^2 c^2 + s^2 d^2)/(det c det d)^2."""
+    scale = _nonzero_det(c, "C" + name) * _nonzero_det(d, "D" + name)
+    squares = _combine(t * t, exact.mat_mul(c, c), s * s, exact.mat_mul(d, d))
+    return Fraction(exact.det_int(squares), scale * scale)
+
+
 def inv_square_sum_exact(c_exact, d_exact, part: Partition):
     """Exact rational sides of inv-square-sum: (blockwise product, full det),
-    each factor det(D^-2 + C^-2)."""
-    def side(cm, dm):
-        ic, idm = exact.inverse_exact(cm), exact.inverse_exact(dm)
-        return exact.det_exact(exact.mat_add(exact.mat_mul(idm, idm), exact.mat_mul(ic, ic)))
-
-    lhs = math.prod(side(exact.submatrix(c_exact, lo, hi), exact.submatrix(d_exact, lo, hi))
-                    for lo, hi in part.offsets())
-    return lhs, side(c_exact, d_exact)
+    each factor det(D^-2 + C^-2). A singular exact C, Ci, D or Di raises
+    SingularMatrix."""
+    return _certify(_inv_square_sum_det, c_exact, d_exact, part)
 
 
 def _sv_weak_log_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
@@ -889,6 +925,16 @@ class Shape(enum.Enum):
     C = "c"                  # partition, c (and m for fischer-tail)
     C_IDX = "c+idx"          # c, idx
 
+
+# The Instance fields validate_instance requires per Shape; "d" is met by
+# d or d_blocks.
+_REQUIRED_FIELDS = {
+    Shape.BLOCK_D: ("partition", "c", "d"),
+    Shape.GENERAL_D: ("partition", "c", "d"),
+    Shape.MATS: ("partition", "mats"),
+    Shape.C: ("partition", "c"),
+    Shape.C_IDX: ("c", "idx"),
+}
 
 Checker = Callable[[Instance, float], list[InequalityVerdict]]
 # (C cap, D-block cap, block-scale bias in decades) for block-D fuzz draws;

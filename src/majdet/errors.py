@@ -53,6 +53,10 @@ class BadConfig(MajdetError):
     """Generator configuration outside its documented bounds."""
 
 
+class MissingField(MajdetError):
+    """Instance lacks a field its inequality reads."""
+
+
 class IndexOutOfRange(MajdetError):
     """Principal-submatrix index set is invalid."""
 

@@ -1,18 +1,24 @@
 """Exact rational matrix arithmetic for certifying determinant comparisons.
 
-Matrices are plain lists of lists of fractions.Fraction. The determinant
-uses Bareiss fraction-free elimination (every division is exact, bit growth
-stays polynomial); the inverse is Gauss-Jordan over the rationals. These
-back the zero-tolerance certification of strict inequality violations.
+Matrices are plain lists of lists of fractions.Fraction. A determinant is
+taken by Bareiss on integers after clearing denominators: m = A/s with A an
+integer matrix and s the least common denominator of m's entries, and
+det(m) = det(A)/s^n, with det(A) from Bareiss's fraction-free elimination
+(every division is an exact integer division, bit growth stays polynomial),
+so no step normalizes a fraction. The inverse is Gauss-Jordan over the
+rationals. These back the zero-tolerance certification of strict inequality
+violations.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularMatrix
 
 RationalMatrix = list[list[Fraction]]
+IntMatrix = list[list[int]]
 
 
 def rational_matrix(rows) -> RationalMatrix:
@@ -41,6 +47,7 @@ def mat_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """a b; on integer matrices it stays in integers."""
     n = len(a)
     if len(b) != n:
         raise DimensionMismatch(f"{n} vs {len(b)}")
@@ -62,35 +69,47 @@ def direct_sum(blocks) -> RationalMatrix:
     return out
 
 
+def clear_denominators(m) -> tuple[IntMatrix, int]:
+    """(A, s) with A an integer matrix and s the least common denominator of
+    the entries of m (ints, Fractions, or anything Fraction() takes), so that
+    m = A/s exactly."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
+    s = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
+
+
+def det_int(a: IntMatrix) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: each step's entries are minors of a, so the division by the
+    previous pivot is exact. A zero pivot swaps in a lower row; a zero
+    column returns 0."""
+    sign, prev = 1, 1
+    while len(a) > 1:
+        r = next((i for i, row in enumerate(a) if row[0]), None)
+        if r is None:
+            return 0
+        if r:
+            a = list(a)
+            a[0], a[r] = a[r], a[0]
+            sign = -sign
+        top = a[0]
+        pivot = top[0]
+        a = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             for row in a[1:]]
+        prev = pivot
+    return sign * a[0][0] if a else 1
+
+
 def det_exact(m: RationalMatrix) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination.
+    """Exact determinant: Bareiss on integers after clearing denominators.
 
     Singular input returns exactly 0; no rounding anywhere.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionMismatch("determinant needs a square matrix")
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    a, s = clear_denominators(m)
+    return Fraction(det_int(a), s ** n)
 
 
 def inverse_exact(m: RationalMatrix) -> RationalMatrix:

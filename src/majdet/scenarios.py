@@ -16,6 +16,7 @@ from . import refdata
 from .blocks import diag_blocks, direct_sum
 from .catalog import (
     Instance,
+    check_p_grid,
     evaluate_general,
     inv_square_sum_exact,
     product_spectra,
@@ -133,10 +134,10 @@ def run_ex26() -> ScenarioResult:
     closed_ok = all(refdata.neg_power_g(q) > refdata.neg_power_f(q) for q in grid)
     part = refdata.NEG_POWER_PART
     d_blocks = tuple(refdata.NEG_POWER_D[lo:hi, lo:hi] for lo, hi in part.offsets())
+    inst = Instance(partition=part, c=refdata.NEG_POWER_C, d_blocks=d_blocks)
+    verdicts = check_p_grid("neg-power", inst, [-q for q in grid])
     matrix_ok = True
-    for q in grid:
-        inst = Instance(partition=part, c=refdata.NEG_POWER_C, d_blocks=d_blocks, p=-q)
-        verdict = evaluate_general("neg-power", inst)
+    for q, verdict in zip(grid, verdicts):
         gap = abs(verdict.lhs - refdata.neg_power_g(q)) + abs(verdict.rhs - refdata.neg_power_f(q))
         if verdict.holds or gap > 1e-6 * max(1.0, refdata.neg_power_g(q)):
             matrix_ok = False

@@ -6,7 +6,10 @@ coefficients plus companion-matrix roots for general n. Neither route shares
 code with the LAPACK eigensolver under test. Eigenvalues of C^-1 D are
 bracketed exactly by counting them above a rational mu through the inertia
 of D - mu C in rational arithmetic. The Loewner order oracle for lemma31
-is the smallest eigenvalue of the difference.
+is the smallest eigenvalue of the difference. The exact determinant
+oracles run Bareiss's elimination on Fractions, normalizing every step, and
+take det(D^-2 + C^-2) through exact inverses; majdet.exact works on
+integers and majdet.catalog never inverts, so equal Fractions check both.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from majdet.exact import inverse_exact, mat_add, mat_mul
 
 
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -150,6 +155,39 @@ def count_product_eigs_above(c: np.ndarray, d: np.ndarray, mu: Fraction) -> int:
     n = c.shape[0]
     return positive_inertia([[Fraction(float(d[i, j])) - mu * Fraction(float(c[i, j]))
                               for j in range(n)] for i in range(n)])
+
+
+def det_fraction_bareiss(m) -> Fraction:
+    """Determinant by Bareiss elimination on Fractions: each step's entries
+    are divided by the previous pivot as Fractions, zero pivots swap rows."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def inv_square_sum_det_by_inverse(c, d) -> Fraction:
+    """det(D^-2 + C^-2) of rational C and D through their exact inverses."""
+    ic, id_ = inverse_exact(c), inverse_exact(d)
+    return det_fraction_bareiss(mat_add(mat_mul(id_, id_), mat_mul(ic, ic)))
 
 
 def loewner_le(a, b, tol: float = 1e-9) -> bool:

@@ -37,6 +37,7 @@ from majdet.catalog import (
 from majdet.errors import (
     BadExponent,
     IndexOutOfRange,
+    MissingField,
     NegativePower,
     NonFinite,
     NotSymmetric,
@@ -562,6 +563,23 @@ class TestDispatch:
             payload["p"] = math.inf
         with pytest.raises(NonFinite):
             Instance.from_json(payload)
+
+
+class TestMissingField:
+    """An Instance without a field its Shape reads is an input error that
+    names the field."""
+
+    @pytest.mark.parametrize("inequality,inst,field", [
+        ("main-thm", Instance(c=np.eye(2), d_blocks=(np.eye(2),)), "partition"),
+        ("matic", Instance(partition=Partition((1, 1)), c=np.eye(2)), "d or d_blocks"),
+        ("matic-general-d", Instance(partition=Partition((1, 1)), d=np.eye(2)), "c"),
+        ("choi", Instance(mats=(np.eye(2),)), "partition"),
+        ("ky-fan", Instance(c=np.eye(2)), "partition"),
+        ("lemma31", Instance(c=np.eye(2)), "idx"),
+    ])
+    def test_names_the_field(self, inequality, inst, field):
+        with pytest.raises(MissingField, match=f"needs {field},"):
+            run_check(inequality, inst)
 
 
 class TestMaticGeneralDExact:

@@ -16,6 +16,7 @@ from majdet.blocks import Partition, diag_blocks
 from majdet.catalog import SPECS, Shape, run_check
 from majdet.cli import main
 from majdet.errors import BadMatrixFile
+from majdet.exact import rational_matrix
 from majdet.fuzzing import GenConfig, build_instance, derive_seed
 from majdet.matio import read_matrix, write_matrix
 
@@ -155,6 +156,26 @@ class TestCheck:
         verdict = json.loads(out)
         assert verdict["holds"] is False
         assert verdict["exact"] == {"lhs": "7/2", "rhs": "224/71", "holds": False}
+
+    @pytest.mark.parametrize("inequality", ["matic", "matic-general-d"])
+    def test_singular_exact_c_exit_one(self, capsys, tmp_path, inequality):
+        # the float C agrees with the exact one within read_matrix's 1e-12 and
+        # passes the pivot floor, but the exact C is singular
+        c_path = tmp_path / "c.json"
+        write_matrix(c_path, [[1.0, 1.0], [1.0, 1.0 + 5e-13]],
+                     exact=[[Fraction(1)] * 2, [Fraction(1)] * 2])
+        if inequality == "matic":
+            d_paths = [str(tmp_path / "d1.json"), str(tmp_path / "d2.json")]
+            for path in d_paths:
+                write_matrix(path, [[1.0]], exact=[[Fraction(1)]])
+        else:
+            d_paths = [str(tmp_path / "d.json")]
+            write_matrix(d_paths[0], np.eye(2), exact=rational_matrix([[1, 0], [0, 1]]))
+        code, out, err = run_cli(capsys, "check", inequality, "--c", str(c_path),
+                                 "--d", *d_paths, "--part", "1,1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("majdet: error:") and "exact C is singular" in err
 
     def test_nan_entry_exit_one(self, capsys, tmp_path):
         paths = write_ref_files(tmp_path)

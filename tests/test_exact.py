@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from majdet import refdata
-from majdet.errors import SingularMatrix
+import majdet.exact as exact_mod
+from majdet import refdata, scenarios
+from majdet.blocks import Partition
+from majdet.catalog import inv_square_sum_exact, matic_exact
+from majdet.errors import DimensionMismatch, SingularMatrix
 from majdet.exact import (
+    clear_denominators,
     det_exact,
     inverse_exact,
     mat_add,
@@ -15,7 +19,7 @@ from majdet.exact import (
 )
 from majdet.linalg import logdet_pd
 
-from oracles import rand_pd
+from oracles import det_fraction_bareiss, inv_square_sum_det_by_inverse, rand_pd
 
 
 def test_rational_matrix_inputs():
@@ -88,3 +92,116 @@ def test_reference_inverse_square_sum_value():
     b2 = det_exact(mat_add(inv_sq(submatrix(d, 2, 4)), inv_sq(submatrix(c, 2, 4))))
     assert abs(float(b1 * b2) - 54.6523) <= 1e-3
     assert b1 * b2 > full  # strict, zero tolerance
+
+
+def random_rational(rng, n: int) -> list[list[Fraction]]:
+    """n x n rationals with mixed denominators and signs."""
+    return [[Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 40))) for _ in range(n)]
+            for _ in range(n)]
+
+
+def rational_pd(rng, n: int) -> list[list[Fraction]]:
+    """A positive definite matrix snapped to symmetric rationals."""
+    a = rand_pd(rng, n, kappa=30.0, scale=float(rng.uniform(0.2, 5.0)))
+    rat = [[Fraction(x).limit_denominator(10**4) for x in row] for row in a]
+    return [[rat[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def test_clear_denominators_is_exact(rng):
+    m = random_rational(rng, 5)
+    a, s = clear_denominators(m)
+    assert all(type(x) is int for row in a for x in row)
+    assert [[Fraction(x, s) for x in row] for row in a] == m
+    assert s == math.lcm(*(x.denominator for row in m for x in row))
+
+
+class TestDetAgainstFractionBareiss:
+    """det_exact (Bareiss on integers) equals Bareiss on Fractions exactly."""
+
+    def test_random_mixed_denominators(self, rng):
+        for n in range(1, 9):
+            for _ in range(3):
+                m = random_rational(rng, n)
+                assert det_exact(m) == det_fraction_bareiss(m)
+
+    def test_zero_leading_pivot_needs_swap(self):
+        m = rational_matrix([["0", "1/2", 3], [(2, 3), 5, "-1/7"], [1, (-4, 9), 2]])
+        assert det_exact(m) == det_fraction_bareiss(m) != 0
+        # a pivot that turns zero mid-elimination
+        m = rational_matrix([[1, 2, 3], [2, 4, 5], [3, 7, 1]])
+        assert det_exact(m) == det_fraction_bareiss(m) == 1  # -31 + 26 + 6
+
+    def test_singular_is_exactly_zero(self, rng):
+        m = random_rational(rng, 5)
+        m[3] = [2 * x - y for x, y in zip(m[0], m[1])]
+        assert det_exact(m) == det_fraction_bareiss(m) == 0
+        zero_column = [[Fraction(0), *row[1:]] for row in random_rational(rng, 4)]
+        assert det_exact(zero_column) == 0
+
+    def test_small_orders(self):
+        assert det_exact([]) == det_fraction_bareiss([]) == 1
+        assert det_exact([[Fraction(-3, 7)]]) == det_fraction_bareiss([[Fraction(-3, 7)]])
+        assert det_exact([[0]]) == 0
+
+    def test_int_string_and_float_entries(self):
+        m = [[2, "1/3", 0.25], ["-5/6", 0.1, 7], [1e-3, "4", -3]]
+        assert det_exact(m) == det_fraction_bareiss(m)
+        assert det_exact([[1, 2], [3, 4]]) == Fraction(-2)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            det_exact([[1, 2]])
+
+
+class TestInvSquareSumAgainstInverse:
+    """The inverse-free certificate equals det(D^-2 + C^-2) through inverses."""
+
+    def test_reference_instance(self):
+        c, d = refdata.INV_SQ_C_EXACT, refdata.INV_SQ_D_EXACT
+        lhs, rhs = inv_square_sum_exact(c, d, refdata.INV_SQ_PART)
+        assert rhs == inv_square_sum_det_by_inverse(c, d)
+        blocks = [inv_square_sum_det_by_inverse(submatrix(c, lo, hi), submatrix(d, lo, hi))
+                  for lo, hi in refdata.INV_SQ_PART.offsets()]
+        assert lhs == blocks[0] * blocks[1]
+        assert lhs > rhs
+
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1), (2, 1), (2, 3), (3, 5), (4, 4, 4)])
+    def test_random_pd_pairs(self, rng, sizes):
+        part = Partition(sizes)
+        c, d = rational_pd(rng, part.n), rational_pd(rng, part.n)
+        lhs, rhs = inv_square_sum_exact(c, d, part)
+        assert rhs == inv_square_sum_det_by_inverse(c, d)
+        assert lhs == math.prod(
+            inv_square_sum_det_by_inverse(submatrix(c, lo, hi), submatrix(d, lo, hi))
+            for lo, hi in part.offsets())
+
+
+class TestSingularExactOperand:
+    def test_matic_singular_c(self):
+        c = rational_matrix([[1, 1], [1, 1]])
+        with pytest.raises(SingularMatrix, match="exact C is singular"):
+            matic_exact(c, rational_matrix([[1, 0], [0, 1]]), Partition((1, 1)))
+
+    def test_matic_singular_block(self):
+        c = rational_matrix([[0, 1], [1, 1]])
+        with pytest.raises(SingularMatrix, match="exact C1 is singular"):
+            matic_exact(c, rational_matrix([[1, 0], [0, 1]]), Partition((1, 1)))
+
+    def test_inv_square_sum_singular_d(self):
+        c = rational_matrix([[2, 1], [1, 2]])
+        d = rational_matrix([[1, 0], [0, 0]])
+        with pytest.raises(SingularMatrix, match="exact D2 is singular"):
+            inv_square_sum_exact(c, d, Partition((1, 1)))
+
+
+def test_certifier_path_never_inverts(monkeypatch):
+    """The inv-square-sum certificate and ex-2.8 run without a Fraction
+    inverse."""
+    def no_inverse(m):
+        raise AssertionError("inverse_exact on the certifier path")
+
+    monkeypatch.setattr(exact_mod, "inverse_exact", no_inverse)
+    lhs, rhs = inv_square_sum_exact(refdata.INV_SQ_C_EXACT, refdata.INV_SQ_D_EXACT,
+                                    refdata.INV_SQ_PART)
+    assert lhs > rhs
+    assert scenarios.run_ex28().passed
