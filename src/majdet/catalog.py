@@ -67,6 +67,7 @@ from .errors import (
     MissingField,
     NegativePower,
     NonFinite,
+    NotPositiveDefinite,
     SingularMatrix,
     UnknownInequality,
 )
@@ -348,53 +349,55 @@ def _order_verdicts(inequality: str, kind: OrderKind, x, y, tol: float,
 # formed and never validated again.
 
 def _check_dim(m: np.ndarray, part: Partition):
-    if m.shape[0] != part.n:
-        raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[0]}, partition needs {part.n}")
+    if m.shape[-1] != part.n:
+        raise DimensionMismatch(f"matrix is {m.shape[-1]}x{m.shape[-1]}, partition needs {part.n}")
 
 
-def validate_instance(shape: Shape, inst: Instance) -> Instance:
+def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     """inst with every input matrix its Shape reads as a float array,
     checked once: square and sized for the partition (DimensionMismatch),
     finite (NonFinite) and symmetric (NotSymmetric). lemma31's idx comes
     back as checked ints. A C+D instance may carry D whole or as its
     diagonal blocks. A field the Shape reads that is unset raises
-    MissingField."""
+    MissingField. With lead = 1, inst is a stack (stack_instances) and each
+    matrix of it is checked, on its own symmetry slack, in one call per
+    field."""
     for name in _REQUIRED_FIELDS[shape]:
         if getattr(inst, name) is None and (name != "d" or inst.d_blocks is None):
             needs = "d or d_blocks" if name == "d" else name
             raise MissingField(f"a {shape.value} instance needs {needs}, which is unset")
     part = inst.partition
     if shape is Shape.MATS:
-        mats = [as_square(a) for a in inst.mats]
+        mats = [as_square(a, lead) for a in inst.mats]
         if not mats:
             raise DimensionMismatch("need at least one matrix")
         for a in mats:
             _check_dim(a, part)
         return replace(inst, mats=tuple(require_symmetric(a) for a in mats))
     if shape is Shape.C_IDX:
-        a = as_square(inst.c)
-        idx = principal_indices(inst.idx, a.shape[0])
+        a = as_square(inst.c, lead)
+        idx = principal_indices(inst.idx, a.shape[-1])
         return replace(inst, c=require_symmetric(a), idx=idx)
     if shape is Shape.C:
-        c = as_square(inst.c)
+        c = as_square(inst.c, lead)
         _check_dim(c, part)
         return replace(inst, c=require_symmetric(c))
     if inst.d_blocks is None:
-        c = as_square(inst.c)
-        d = as_square(inst.d)
+        c = as_square(inst.c, lead)
+        d = as_square(inst.d, lead)
         if c.shape != d.shape:
             raise DimensionMismatch(f"{c.shape} vs {d.shape}")
         _check_dim(c, part)
         return replace(inst, c=require_symmetric(c), d=require_symmetric(d))
-    blocks = [as_square(b) for b in inst.d_blocks]
+    blocks = [as_square(b, lead) for b in inst.d_blocks]
     if len(blocks) != part.k:
         raise DimensionMismatch(f"{len(blocks)} D blocks for a {part.k}-block partition")
     for blk, size in zip(blocks, part.sizes):
-        if blk.shape[0] != size:
-            raise DimensionMismatch(f"D block is {blk.shape[0]}x{blk.shape[0]}, expected {size}")
-    c = as_square(inst.c)
-    if c.shape != (part.n, part.n):
-        raise DimensionMismatch(f"{c.shape} vs {(part.n, part.n)}")
+        if blk.shape[-1] != size:
+            raise DimensionMismatch(f"D block is {blk.shape[-1]}x{blk.shape[-1]}, expected {size}")
+    c = as_square(inst.c, lead)
+    if c.shape[-1] != part.n:
+        raise DimensionMismatch(f"{c.shape[-2:]} vs {(part.n, part.n)}")
     return replace(inst, c=require_symmetric(c),
                    d_blocks=tuple(require_symmetric(b) for b in blocks))
 
@@ -721,15 +724,25 @@ def _inv_square(a: np.ndarray) -> np.ndarray:
     return symmetrize(inv @ inv)
 
 
+def _inv_square_sum_logdet(c: np.ndarray, d: np.ndarray, where: str):
+    """log det(D^-2 + C^-2); a failure on the derived sum names it and
+    where it was formed."""
+    total = symmetrize(_inv_square(d) + _inv_square(c))
+    try:
+        return _logdet(total)
+    except (NotPositiveDefinite, NonFinite) as err:
+        raise type(err)(f"D^-2 + C^-2 ({where}): {err}") from err
+
+
 def _inv_square_sum_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
     part = inst.partition
     c, d = inst.c, _instance_d(inst)
     dbs = diag_blocks(d, part)
     llhs = sum(
-        _logdet(symmetrize(_inv_square(db) + _inv_square(cb)))
-        for cb, db in zip(diag_blocks(c, part), dbs)
+        _inv_square_sum_logdet(cb, db, f"block {j}")
+        for j, (cb, db) in enumerate(zip(diag_blocks(c, part), dbs), start=1)
     )
-    lrhs = _logdet(symmetrize(_inv_square(d) + _inv_square(c)))
+    lrhs = _inv_square_sum_logdet(c, d, "whole")
     return _scalar_verdicts("inv-square-sum", llhs, lrhs, tol,
                             _fingerprints(part.n, part, (c, *dbs)))
 

@@ -12,11 +12,14 @@ parametrized id sweeps the Spec's exponent grid on one draw. No shrinking is
 performed: violating instances are stored verbatim and can be replayed in
 isolation.
 
-fuzz takes the trials a chunk at a time: each trial is drawn and validated
-on its own, then the trials whose instances stack (catalog.stack_key) go
-through the id's checker as one stack, one call per kernel, with results
-equal bit for bit to checking them one by one. run_trial is the same code
-on a one-trial range.
+fuzz takes the trials a chunk at a time: it draws per trial, forms per
+stack, and validates the stack once. Each trial makes its generator calls
+from its own substream; the chunk's SPECTRAL matrices are then formed with
+one stacked qr and one stacked product per matrix size. The trials whose
+instances stack (catalog.stack_key) are validated as one stack and go
+through the id's checker as one stack, one call per kernel. Draws, verdicts
+and reports equal drawing and checking the trials one by one, bit for bit.
+build_instance and run_trial are the same code on a one-trial range.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +37,7 @@ from .catalog import (
     InequalityVerdict,
     Instance,
     Shape,
+    Spec,
     check_validated,
     exponent_spec,
     run_check,
@@ -42,7 +47,7 @@ from .catalog import (
     validate_instance,
 )
 from .errors import BadConfig, MajdetError, ResampleExhausted
-from .linalg import eigvals_sym
+from .linalg import eigvals_sym, symmetrize
 from .orders import DEFAULT_TOL
 
 _MASK64 = (1 << 64) - 1
@@ -66,6 +71,12 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise BadConfig(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.style, GenStyle):
+            raise BadConfig(f"style must be a GenStyle, got {self.style!r}")
         if self.n < 1:
             raise BadConfig(f"dimension must be >= 1, got {self.n}")
         if not (math.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
@@ -108,9 +119,24 @@ def trial_rng(cfg: GenConfig, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, trial)))
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+def _spectral_parts(rng: np.random.Generator, n: int,
+                    kappa_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The random parts of one SPECTRAL matrix, in stream order: its
+    log-uniform spectrum in [1, kappa_max], then the Gaussian block whose
+    orthogonal factor conjugates it."""
+    lam = np.exp(rng.uniform(0.0, np.log(kappa_max), size=n)) if kappa_max > 1.0 \
+        else np.ones(n)
+    return lam, rng.standard_normal((n, n))
+
+
+def _form_spectral(lam: np.ndarray, g: np.ndarray, entry_scale: float) -> np.ndarray:
+    """Q diag(lam) Q^T * entry_scale, with Q the orthogonal factor of g whose
+    R has a positive diagonal. Takes the parts of one matrix, or stacks of
+    them ((..., n) spectra, (..., n, n) blocks): one qr and one product for
+    the whole stack, equal bit for bit to forming each matrix on its own."""
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(r.diagonal(axis1=-2, axis2=-1))[..., None, :]
+    return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2) * entry_scale)
 
 
 def sample_pd(rng: np.random.Generator, n: int, style: GenStyle = GenStyle.SPECTRAL,
@@ -122,11 +148,7 @@ def sample_pd(rng: np.random.Generator, n: int, style: GenStyle = GenStyle.SPECT
     G, resampled (up to 100 times) until the condition cap holds.
     """
     if style is GenStyle.SPECTRAL:
-        lam = np.exp(rng.uniform(0.0, np.log(kappa_max), size=n)) if kappa_max > 1.0 \
-            else np.ones(n)
-        q = _random_orthogonal(rng, n)
-        a = (q * lam) @ q.T * entry_scale
-        return (a + a.T) / 2.0
+        return _form_spectral(*_spectral_parts(rng, n, kappa_max), entry_scale)
     for _ in range(100):
         g = rng.standard_normal((n, n)) * entry_scale
         a = g @ g.T + 1e-3 * n * np.eye(n)
@@ -143,47 +165,95 @@ def gen_pd(cfg: GenConfig, trial: int) -> np.ndarray:
     return sample_pd(rng, cfg.n, cfg.style, cfg.kappa_max, cfg.entry_scale)
 
 
-def build_instance(inequality: str, cfg: GenConfig, trial: int,
-                   p: float | None = None) -> Instance:
-    """Draw the instance for one trial (or return the injected counterexample)."""
-    spec = spec_of(inequality)
+# A drawn matrix before forming: the matrix itself (GRAM, or a reference), or
+# the place of its parts among the chunk's SPECTRAL parts, (size, index).
+_Slot = np.ndarray | tuple[int, int]
+
+
+def _draw_trial(spec: Spec, cfg: GenConfig, trial: int, p: float | None,
+                draw: Callable[..., _Slot]) -> Callable[[Callable[[_Slot], np.ndarray]], Instance]:
+    """Make one trial's generator calls, each matrix through draw, and
+    return what builds its Instance once the drawn matrices are formed (or
+    the injected counterexample)."""
     if trial == 0 and spec.reference is not None:
         ref_part, ref_c, ref_d = spec.reference
         if spec.shape is Shape.GENERAL_D:
-            return Instance(partition=ref_part, c=ref_c.copy(), d=ref_d.copy(), p=p)
-        blocks = tuple(ref_d[lo:hi, lo:hi].copy() for lo, hi in ref_part.offsets())
-        return Instance(partition=ref_part, c=ref_c.copy(), d_blocks=blocks, p=p)
+            ref = Instance(partition=ref_part, c=ref_c.copy(), d=ref_d.copy(), p=p)
+        else:
+            blocks = tuple(ref_d[lo:hi, lo:hi].copy() for lo, hi in ref_part.offsets())
+            ref = Instance(partition=ref_part, c=ref_c.copy(), d_blocks=blocks, p=p)
+        return lambda formed: ref
     rng = trial_rng(cfg, trial)
     n = cfg.n
     part = cfg.part()
 
-    def draw(size: int, cap: float | None = None) -> np.ndarray:
-        kappa = cfg.kappa_max if cap is None else min(cfg.kappa_max, cap)
-        return sample_pd(rng, size, cfg.style, kappa, cfg.entry_scale)
-
     if spec.shape is Shape.MATS:
-        mats = tuple(draw(n) for _ in range(cfg.m))
-        return Instance(partition=part, mats=mats, p=p)
+        mats = [draw(rng, n) for _ in range(cfg.m)]
+        return lambda formed: Instance(partition=part, mats=tuple(map(formed, mats)), p=p)
     if spec.shape is Shape.C_IDX:
-        a = draw(n)
+        a = draw(rng, n)
         size = int(rng.integers(1, n + 1))
         idx = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        return Instance(c=a, idx=idx)
+        return lambda formed: Instance(c=formed(a), idx=idx)
     if spec.shape is Shape.C:
-        return Instance(partition=part, c=draw(n))
+        c = draw(rng, n)
+        return lambda formed: Instance(partition=part, c=formed(c))
     if spec.shape is Shape.GENERAL_D:
-        return Instance(partition=part, c=draw(n), d=draw(n), p=p)
+        c = draw(rng, n)
+        d = draw(rng, n)
+        return lambda formed: Instance(partition=part, c=formed(c), d=formed(d), p=p)
 
     c_cap, d_cap, bias = spec.caps
-    c = draw(n, c_cap)
+    c = draw(rng, n, c_cap)
     blocks = []
     for size in part.sizes:
-        blk = draw(size, d_cap)
-        if bias:
-            # hunt in the regime of strongly unequal block scales
-            blk = blk * 10.0 ** rng.uniform(-bias, bias)
-        blocks.append(blk)
-    return Instance(partition=part, c=c, d_blocks=tuple(blocks), p=p)
+        blk = draw(rng, size, d_cap)
+        # hunt in the regime of strongly unequal block scales
+        blocks.append((blk, 10.0 ** rng.uniform(-bias, bias) if bias else None))
+    return lambda formed: Instance(
+        partition=part, c=formed(c),
+        d_blocks=tuple(formed(b) if scale is None else formed(b) * scale for b, scale in blocks),
+        p=p)
+
+
+def build_instances(inequality: str, cfg: GenConfig, trials: range,
+                    p: float | None = None) -> list[Instance]:
+    """Draw the instances of a range of trials, in order (trial 0 of a false
+    id is its injected counterexample).
+
+    Each trial makes its generator calls from its own substream, in the
+    order sample_pd makes them, so every draw is a pure function of (cfg,
+    trial). The SPECTRAL matrices are then formed per stack: one
+    _form_spectral per matrix size over all the trials, with the block-scale
+    bias applied after. GRAM matrices are formed where they are drawn: their
+    resample loop reads eigenvalues and so decides the later draws.
+    """
+    spec = spec_of(inequality)
+    parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def draw(rng: np.random.Generator, size: int, cap: float | None = None) -> _Slot:
+        kappa = cfg.kappa_max if cap is None else min(cfg.kappa_max, cap)
+        if cfg.style is not GenStyle.SPECTRAL:
+            return sample_pd(rng, size, cfg.style, kappa, cfg.entry_scale)
+        drawn = parts.setdefault(size, [])
+        drawn.append(_spectral_parts(rng, size, kappa))
+        return size, len(drawn) - 1
+
+    builders = [_draw_trial(spec, cfg, trial, p, draw) for trial in trials]
+    stacks = {size: _form_spectral(np.stack([lam for lam, _ in drawn]),
+                                   np.stack([g for _, g in drawn]), cfg.entry_scale)
+              for size, drawn in parts.items()}
+
+    def formed(slot: _Slot) -> np.ndarray:
+        return stacks[slot[0]][slot[1]] if isinstance(slot, tuple) else slot
+
+    return [build(formed) for build in builders]
+
+
+def build_instance(inequality: str, cfg: GenConfig, trial: int,
+                   p: float | None = None) -> Instance:
+    """Draw the instance for one trial: build_instances on a one-trial range."""
+    return build_instances(inequality, cfg, range(trial, trial + 1), p)[0]
 
 
 @dataclass(frozen=True)
@@ -235,8 +305,8 @@ def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
                 tol: float) -> list[tuple[InequalityVerdict, Instance]]:
     """Evaluate a range of trials, in order.
 
-    Each trial is drawn from its own substream and validated. Trials whose
-    instances stack (catalog.stack_key: shapes, partition, idx, m, p) are
+    The trials are drawn by build_instances. Trials whose instances stack
+    (catalog.stack_key: shapes, partition, idx, m, p) are validated and
     checked together, one call per kernel. For parametrized ids without an
     explicit p, each draw is checked at every exponent of the Spec's grid
     (the p-independent work once, then one cheap step per p); the first
@@ -245,7 +315,7 @@ def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
     """
     spec = exponent_spec(inequality, p)
     ps = (p,) if p is not None or spec.split is None else spec.split.grid
-    drawn = [build_instance(inequality, cfg, trial, p=ps[0]) for trial in trials]
+    drawn = build_instances(inequality, cfg, trials, p=ps[0])
     if spec.split is not None:
         spec.split.require(ps)
     groups: dict[tuple, list[int]] = {}
@@ -253,7 +323,8 @@ def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
         groups.setdefault(stack_key(inst), []).append(k)
     results: list = [None] * len(drawn)
     for members in groups.values():
-        stack = stack_instances([validate_instance(spec.shape, drawn[k]) for k in members])
+        stack = validate_instance(spec.shape, stack_instances([drawn[k] for k in members]),
+                                  lead=1)
         for k, verdicts in zip(members, check_validated(inequality, stack, ps, tol)):
             worst = min(range(len(ps)), key=lambda i: verdicts[i].margin)
             inst = replace(drawn[k], p=ps[worst]) if worst else drawn[k]
@@ -290,6 +361,8 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     and seed.
     """
     exponent_spec(inequality, p)
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise BadConfig(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise BadConfig(f"trials must be >= 1, got {trials}")
     t0 = time.perf_counter()

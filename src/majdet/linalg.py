@@ -13,10 +13,11 @@ stack of them, with numpy's stacked LAPACK calls, so a stack costs one call
 per kernel and its results equal the per-matrix calls bit for bit. Kernels
 do no input validation; they keep only the checks that follow from the
 computation (a non-finite operand, which a derived matrix can overflow to,
-the pivot floor, a non-positive spectrum). The public functions validate
-their input with require_symmetric (or as_square) and then run the same
-kernel. The catalog validates each input matrix once and calls the kernels
-directly.
+the pivot floor, a non-positive spectrum). The public functions take one
+matrix, validate it with as_square and require_symmetric, and then run the
+same kernel. require_symmetric also takes a stack, with each matrix judged
+on its own slack, so the catalog validates each input matrix, or a whole
+stack of them, once and calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ SYMMETRY_RTOL = 1e-12
 PIVOT_REL_FLOOR = 1e-13
 
 
-def as_square(a) -> np.ndarray:
-    """Coerce to a float64 square ndarray."""
+def as_square(a, lead: int = 0) -> np.ndarray:
+    """Coerce to a float64 square matrix, or to a stack of square matrices
+    along `lead` leading axes."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 + lead or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -51,18 +53,37 @@ def as_square(a) -> np.ndarray:
 def require_symmetric(a) -> np.ndarray:
     """Validate |a_ij - a_ji| <= 1e-12 * max(1, max|a_kl|) and return the array.
 
-    Raises NonFinite on a NaN or infinite entry.
+    a is a square matrix or a `(..., n, n)` stack of them; each matrix is
+    judged on its own slack, never on the largest entry of the stack. Raises
+    NonFinite on a NaN or infinite entry. On a stack, the error names the
+    first non-finite matrix, or else the first asymmetric one.
     """
-    m = as_square(a)
+    m = as_square(a, max(np.ndim(a) - 2, 0))
     if m.size:
+        # One pass over the whole stack settles the common case: every entry
+        # finite and no asymmetry above 1e-12, the smallest slack there is.
         amax = float(np.maximum.reduce(np.abs(m), axis=None))
-        if not math.isfinite(amax):
-            raise NonFinite(f"non-finite entry (max |a_ij| = {amax})")
-        slack = SYMMETRY_RTOL * max(1.0, amax)
-        skew = float(np.maximum.reduce(np.abs(m - m.T), axis=None))
-        if skew > slack:
-            raise NotSymmetric(f"asymmetry {skew:.3e} exceeds tolerance {slack:.3e}")
+        skew = float(np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2)), axis=None)) \
+            if math.isfinite(amax) else math.inf
+        if skew > SYMMETRY_RTOL:
+            _judge_each(m)
     return m
+
+
+def _judge_each(m: np.ndarray) -> None:
+    """require_symmetric's test on each matrix of m, with its own slack."""
+    amax = np.maximum.reduce(np.abs(m), axis=(-2, -1))
+    finite = amax < math.inf
+    if not np.logical_and.reduce(finite, axis=None):
+        at = np.flatnonzero(~finite)[0]
+        raise NonFinite(f"non-finite entry (max |a_ij| = {float(amax.flat[at])})")
+    slack = SYMMETRY_RTOL * np.maximum(amax, 1.0)
+    skew = np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1))
+    over = skew > slack
+    if np.logical_or.reduce(over, axis=None):
+        at = np.flatnonzero(over)[0]
+        raise NotSymmetric(f"asymmetry {float(skew.flat[at]):.3e} "
+                           f"exceeds tolerance {float(slack.flat[at]):.3e}")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -116,7 +137,7 @@ def cholesky(a) -> np.ndarray:
     below 1e-13 times the largest diagonal entry (near-singular inputs are
     rejected, never regularized).
     """
-    return _cholesky(require_symmetric(a))
+    return _cholesky(require_symmetric(as_square(a)))
 
 
 def is_pd(a) -> bool:
@@ -135,7 +156,7 @@ def _pd_inverse(m: np.ndarray) -> np.ndarray:
 
 def pd_inverse(a) -> np.ndarray:
     """Inverse of a positive definite matrix, L^-T L^-1 from its Cholesky factor."""
-    return _pd_inverse(require_symmetric(a))
+    return _pd_inverse(require_symmetric(as_square(a)))
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +173,7 @@ def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
     Column i of V pairs with eigenvalue i. LAPACK's symmetric eigensolver
     (numpy.linalg.eigh) on the symmetric part of a.
     """
-    return _eigh(require_symmetric(a))
+    return _eigh(require_symmetric(as_square(a)))
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -165,7 +186,7 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
 
 def eigvals_sym(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted nonincreasing."""
-    return _eigvalsh(require_symmetric(a))
+    return _eigvalsh(require_symmetric(as_square(a)))
 
 
 def _singular_values(x: np.ndarray) -> np.ndarray:
@@ -218,7 +239,7 @@ def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def pd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with a = V diag(w) V^T for symmetric positive definite a."""
-    return _pd_eigh(require_symmetric(a))
+    return _pd_eigh(require_symmetric(as_square(a)))
 
 
 def _rowwise(f, x: np.ndarray) -> np.ndarray:
@@ -270,4 +291,4 @@ def _logdet(m: np.ndarray):
 
 def logdet_pd(a) -> float:
     """log det of a positive definite matrix, overflow-safe."""
-    return float(_logdet(require_symmetric(a)))
+    return float(_logdet(require_symmetric(as_square(a))))

@@ -10,6 +10,9 @@ is the smallest eigenvalue of the difference. The exact determinant
 oracles run Bareiss's elimination on Fractions, normalizing every step, and
 take det(D^-2 + C^-2) through exact inverses; majdet.exact works on
 integers and majdet.catalog never inverts, so equal Fractions check both.
+The draw oracles form each random matrix on its own, one qr and one product
+per matrix, and draw one trial at a time; majdet.fuzzing forms them per
+stack, so equal bytes check the stacked draws.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from majdet.catalog import Instance, Shape, spec_of
+from majdet.errors import ResampleExhausted
 from majdet.exact import inverse_exact, mat_add, mat_mul
+from majdet.fuzzing import GenStyle, trial_rng
+from majdet.linalg import eigvals_sym
 
 
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -240,3 +247,60 @@ def majorization_pair(rng: np.random.Generator, n: int,
         x[j] += delta
         x = np.sort(x)[::-1]
     return x, y
+
+
+def sample_pd_per_matrix(rng: np.random.Generator, n: int, style: GenStyle = GenStyle.SPECTRAL,
+                         kappa_max: float = 1e6, entry_scale: float = 1.0) -> np.ndarray:
+    """fuzzing.sample_pd, one matrix at a time: SPECTRAL is rand_pd, GRAM
+    the resample loop."""
+    if style is GenStyle.SPECTRAL:
+        return rand_pd(rng, n, kappa_max, entry_scale)
+    for _ in range(100):
+        g = rng.standard_normal((n, n)) * entry_scale
+        a = g @ g.T + 1e-3 * n * np.eye(n)
+        a = (a + a.T) / 2.0
+        w = eigvals_sym(a)
+        if w[0] <= kappa_max * w[-1]:
+            return a
+    raise ResampleExhausted(f"no draw met kappa_max={kappa_max:g} in 100 attempts")
+
+
+def build_instance_per_trial(inequality: str, cfg, trial: int, p: float | None = None) -> Instance:
+    """fuzzing.build_instance, drawing and forming each matrix of one trial
+    in turn."""
+    spec = spec_of(inequality)
+    if trial == 0 and spec.reference is not None:
+        ref_part, ref_c, ref_d = spec.reference
+        if spec.shape is Shape.GENERAL_D:
+            return Instance(partition=ref_part, c=ref_c.copy(), d=ref_d.copy(), p=p)
+        blocks = tuple(ref_d[lo:hi, lo:hi].copy() for lo, hi in ref_part.offsets())
+        return Instance(partition=ref_part, c=ref_c.copy(), d_blocks=blocks, p=p)
+    rng = trial_rng(cfg, trial)
+    n = cfg.n
+    part = cfg.part()
+
+    def draw(size: int, cap: float | None = None) -> np.ndarray:
+        kappa = cfg.kappa_max if cap is None else min(cfg.kappa_max, cap)
+        return sample_pd_per_matrix(rng, size, cfg.style, kappa, cfg.entry_scale)
+
+    if spec.shape is Shape.MATS:
+        mats = tuple(draw(n) for _ in range(cfg.m))
+        return Instance(partition=part, mats=mats, p=p)
+    if spec.shape is Shape.C_IDX:
+        a = draw(n)
+        size = int(rng.integers(1, n + 1))
+        idx = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        return Instance(c=a, idx=idx)
+    if spec.shape is Shape.C:
+        return Instance(partition=part, c=draw(n))
+    if spec.shape is Shape.GENERAL_D:
+        return Instance(partition=part, c=draw(n), d=draw(n), p=p)
+    c_cap, d_cap, bias = spec.caps
+    c = draw(n, c_cap)
+    blocks = []
+    for size in part.sizes:
+        blk = draw(size, d_cap)
+        if bias:
+            blk = blk * 10.0 ** rng.uniform(-bias, bias)
+        blocks.append(blk)
+    return Instance(partition=part, c=c, d_blocks=tuple(blocks), p=p)

@@ -27,6 +27,8 @@ from majdet.catalog import (
     Role,
     Shape,
     _fingerprint,
+    stack_instances,
+    validate_instance,
     check_p_grid,
     evaluate_general,
     identity_abs_square,
@@ -36,15 +38,17 @@ from majdet.catalog import (
 )
 from majdet.errors import (
     BadExponent,
+    DimensionMismatch,
     IndexOutOfRange,
     MissingField,
     NegativePower,
     NonFinite,
+    NotPositiveDefinite,
     NotSymmetric,
     UnknownInequality,
 )
 from majdet.exact import det_exact, rational_matrix, submatrix
-from majdet.linalg import eigvals_sym, pd_inverse
+from majdet.linalg import eigvals_sym, pd_inverse, require_symmetric
 
 from oracles import loewner_le, rand_pd
 
@@ -183,6 +187,15 @@ class TestEvaluators:
         assert not verdict.holds
         assert verdict.lhs == pytest.approx(refdata.INV_SQ_BLOCKS, abs=1e-3)
         assert verdict.rhs == pytest.approx(refdata.INV_SQ_FULL, abs=1e-3)
+
+    def test_inv_square_sum_names_the_rejected_block(self):
+        # C and its block 2 pass the pivot floor; block 2's D^-2 + C^-2 does not
+        c = np.eye(3)
+        c[1:, 1:] = [[1.0, 1.0], [1.0, 1.0 + 5e-13]]
+        inst = Instance(partition=Partition((1, 2)), c=c, d_blocks=(np.eye(1), np.eye(2)))
+        run_check("matic", inst)
+        with pytest.raises(NotPositiveDefinite, match=r"^D\^-2 \+ C\^-2 \(block 2\): pivot "):
+            run_check("inv-square-sum", inst)
 
     def test_inv_square_sum_exact_certification(self):
         lhs, rhs = inv_square_sum_exact(refdata.INV_SQ_C_EXACT, refdata.INV_SQ_D_EXACT, PART22)
@@ -725,6 +738,65 @@ class TestValidateOnce:
             with pytest.raises(err) as info:
                 run_check(inequality, corrupt(inst, field, how))
             assert str(info.value) == message, (inequality, field)
+
+
+class TestStackedValidation:
+    """validate_instance on a stack (lead = 1) judges each matrix as it
+    would judge it alone, and run_check's messages are those of one matrix."""
+
+    def test_each_matrix_on_its_own_slack(self):
+        big = 1e6 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        skewed = np.eye(2)
+        skewed[0, 1] = 1e-11
+        # a slack taken from the whole stack's largest entry (2e-6) would pass
+        assert 1e-11 < 1e-12 * np.abs(big).max()
+        for stack in (np.stack([big, skewed]), np.stack([skewed, big])):
+            with pytest.raises(NotSymmetric,
+                               match=r"^asymmetry 1\.000e-11 exceeds tolerance 1\.000e-12$"):
+                require_symmetric(stack)
+            with pytest.raises(NotSymmetric):
+                validate_instance(Shape.C, Instance(partition=Partition((2,)), c=stack), lead=1)
+        require_symmetric(np.stack([big, np.eye(2)]))
+
+    @pytest.mark.parametrize("shape", list(Shape))
+    def test_nan_in_any_member(self, rng, shape):
+        inst, fields = shape_instances(rng)[shape]
+        for field in fields:
+            for member in range(3):
+                members = [corrupt(inst, field, "nan") if j == member else inst for j in range(3)]
+                with pytest.raises(NonFinite, match=r"^non-finite entry \(max \|a_ij\| = nan\)$"):
+                    validate_instance(shape, stack_instances(members), lead=1)
+
+    @pytest.mark.parametrize("shape", list(Shape))
+    def test_valid_stack_passes(self, rng, shape):
+        inst, fields = shape_instances(rng)[shape]
+        stack = stack_instances([inst, inst])
+        checked = validate_instance(shape, stack, lead=1)
+        for field in fields:
+            np.testing.assert_array_equal(getattr(checked, field), getattr(stack, field))
+
+    def test_leading_axes_are_checked(self, rng):
+        inst, _ = shape_instances(rng)[Shape.C]
+        with pytest.raises(DimensionMismatch, match=r"got shape \(4, 4\)$"):
+            validate_instance(Shape.C, inst, lead=1)
+        with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(2, 4, 4\)$"):
+            run_check("ky-fan", replace(inst, c=np.stack([inst.c, inst.c])))
+
+    @pytest.mark.parametrize("inequality, field, value, message", [
+        ("main-thm", "c", np.eye(3), "(3, 3) vs (4, 4)"),
+        ("main-thm", "c", np.ones((3, 4)), "expected a square matrix, got shape (3, 4)"),
+        ("main-thm", "d_blocks", (np.eye(3), np.eye(2)), "D block is 3x3, expected 2"),
+        ("main-thm", "d_blocks", (np.eye(2),), "1 D blocks for a 2-block partition"),
+        ("weak-log-general-d", "d", np.eye(3), "(4, 4) vs (3, 3)"),
+        ("choi", "mats", (np.eye(4), np.eye(3)), "matrix is 3x3, partition needs 4"),
+        ("ky-fan", "c", np.eye(3), "matrix is 3x3, partition needs 4"),
+        ("lemma31", "c", np.ones(4), "expected a square matrix, got shape (4,)"),
+    ])
+    def test_wrong_size_keeps_its_message(self, rng, inequality, field, value, message):
+        inst, _ = shape_instances(rng)[SPECS[inequality].shape]
+        with pytest.raises(DimensionMismatch) as info:
+            run_check(inequality, replace(inst, **{field: value}))
+        assert str(info.value) == message
 
 
 class TestBoundary:

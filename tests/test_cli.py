@@ -177,6 +177,23 @@ class TestCheck:
         assert out == ""
         assert err.startswith("majdet: error:") and "exact C is singular" in err
 
+    def test_inv_square_sum_names_the_rejected_derived_matrix(self, capsys, tmp_path):
+        # C passes the pivot floor, so matic and main-thm hold on these files;
+        # inv-square-sum's derived D^-2 + C^-2 fails it
+        c_path = tmp_path / "c.json"
+        write_matrix(c_path, [[1.0, 1.0], [1.0, 1.0 + 5e-13]])
+        d_paths = [str(tmp_path / "d1.json"), str(tmp_path / "d2.json")]
+        for path in d_paths:
+            write_matrix(path, [[1.0]])
+        argv = ("--c", str(c_path), "--d", *d_paths, "--part", "1,1")
+        for inequality in ("matic", "main-thm"):
+            assert run_cli(capsys, "check", inequality, *argv)[0] == 0
+        code, out, err = run_cli(capsys, "check", "inv-square-sum", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("majdet: error: D^-2 + C^-2 (whole): "
+                       "pivot 1.074e+09 at index 1 (floor 7.999e+11)\n")
+
     def test_nan_entry_exit_one(self, capsys, tmp_path):
         paths = write_ref_files(tmp_path)
         rows = refdata.WLOG_C.tolist()

@@ -30,6 +30,8 @@ from majdet.fuzzing import (
 from majdet.linalg import is_pd
 from majdet.orders import DEFAULT_TOL
 
+from oracles import build_instance_per_trial, sample_pd_per_matrix
+
 
 GRID_IDS = sorted(i for i, spec in SPECS.items() if spec.split)
 
@@ -89,6 +91,27 @@ class TestGeneration:
     def test_config_rejects_bad_cap_or_scale(self, field, value):
         with pytest.raises(BadConfig):
             GenConfig(n=2, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("n", True), ("n", "2"), ("m", 1.5), ("m", True),
+        ("seed", 1.5), ("seed", False), ("seed", None),
+        ("style", "spectral"), ("style", "gram"), ("style", None),
+    ])
+    def test_config_rejects_a_wrong_type(self, field, value):
+        with pytest.raises(BadConfig, match=f"^{field} must be"):
+            GenConfig(**{"n": 2, field: value})
+
+    def test_string_style_is_not_read_as_gram(self):
+        # a str style used to fall through sample_pd's SPECTRAL test to GRAM
+        with pytest.raises(BadConfig):
+            gen_pd(GenConfig(n=3, style="spectral", seed=1), 1)
+        with pytest.raises(BadConfig):
+            fuzz("main-thm", GenConfig(n=2, style="spectral"), 1)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3", None])
+    def test_fuzz_rejects_trials_that_are_not_an_int(self, trials):
+        with pytest.raises(BadConfig, match="^trials must be an int"):
+            fuzz("main-thm", GenConfig(n=2), trials)
 
     def test_derive_seed_pure(self):
         assert derive_seed(42, 7) == derive_seed(42, 7)
@@ -207,7 +230,7 @@ def per_p_loop_trial(inequality, cfg, trial, p=None, tol=DEFAULT_TOL):
     worst = worst_inst = None
     split = SPECS[inequality].split
     for pv in (p,) if p is not None or split is None else split.grid:
-        inst = build_instance(inequality, cfg, trial, p=pv)
+        inst = build_instance_per_trial(inequality, cfg, trial, p=pv)
         verdict = run_check(inequality, inst, tol)
         if worst is None or verdict.margin < worst.margin:
             worst, worst_inst = verdict, inst
@@ -278,24 +301,32 @@ class TestGridEvaluation:
             assert replay(inequality, rec).to_json() == rec.verdict.to_json()
 
     def test_one_draw_and_one_spectrum_per_trial(self, monkeypatch):
-        # seven trials of one shape: seven draws, and their spectra in one
-        # stacked product_spectra call of seven instances
-        draws = []
+        # seven trials of one shape: seven substreams, one stacked qr per
+        # matrix size (seven 4x4 Cs, fourteen 2x2 D blocks), and their
+        # spectra in one stacked product_spectra call of seven instances
+        streams = []
+        qrs = []
         stacks = []
-        build, spectra = fuzzing_mod.build_instance, catalog_mod.product_spectra
+        rng_of, qr, spectra = fuzzing_mod.trial_rng, np.linalg.qr, catalog_mod.product_spectra
 
-        def counting_build(*args, **kwargs):
-            draws.append(args[2])
-            return build(*args, **kwargs)
+        def counting_rng(cfg, trial):
+            streams.append(trial)
+            return rng_of(cfg, trial)
+
+        def counting_qr(a, *args, **kwargs):
+            qrs.append(a.shape)
+            return qr(a, *args, **kwargs)
 
         def counting_spectra(c, d, part):
             stacks.append(c.shape[:-2])
             return spectra(c, d, part)
 
-        monkeypatch.setattr(fuzzing_mod, "build_instance", counting_build)
+        monkeypatch.setattr(fuzzing_mod, "trial_rng", counting_rng)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         monkeypatch.setattr(catalog_mod, "product_spectra", counting_spectra)
         fuzz("det-power", GRID_CONFIGS[0], 7)
-        assert draws == list(range(7))
+        assert streams == list(range(7))
+        assert qrs == [(7, 4, 4), (14, 2, 2)]
         assert stacks == [(7,)]
 
 
@@ -371,15 +402,60 @@ class TestStackedFuzz:
 
     def test_error_in_a_later_chunk(self, small_chunk, monkeypatch):
         # trial 6 fails to draw: trials 0..5 succeed, and the error names trial 6
-        build = fuzzing_mod.build_instance
+        rng_of = fuzzing_mod.trial_rng
 
-        def failing(inequality, cfg, trial, p=None):
+        def failing(cfg, trial):
             if trial == 6:
                 raise ResampleExhausted("no draw")
-            return build(inequality, cfg, trial, p=p)
+            return rng_of(cfg, trial)
 
-        monkeypatch.setattr(fuzzing_mod, "build_instance", failing)
+        monkeypatch.setattr(fuzzing_mod, "trial_rng", failing)
         cfg = GRID_CONFIGS[0]
         with pytest.raises(ResampleExhausted) as info:
             fuzz("matic", cfg, 9)
         assert str(info.value) == f"trial 6 (seed {derive_seed(cfg.seed, 6)}): no draw"
+
+
+def matrix_bytes(value) -> list[bytes]:
+    """The bytes of each matrix of an Instance field (a matrix or a tuple)."""
+    return [a.tobytes() for a in (value if isinstance(value, tuple) else (value,))]
+
+
+class TestStackedDraws:
+    """build_instances draws per trial and forms per stack; every matrix
+    equals the per-matrix oracle's bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 32])
+    @pytest.mark.parametrize("count", [1, 2, 10, 64])
+    def test_stacked_formation_equals_per_matrix(self, n, count):
+        kappa, scale = 1e6, 0.5
+        parts = [fuzzing_mod._spectral_parts(np.random.default_rng([n, j]), n, kappa)
+                 for j in range(count)]
+        stack = fuzzing_mod._form_spectral(np.stack([lam for lam, _ in parts]),
+                                           np.stack([g for _, g in parts]), scale)
+        assert stack.shape == (count, n, n)
+        for j in range(count):
+            want = sample_pd_per_matrix(np.random.default_rng([n, j]), n, GenStyle.SPECTRAL,
+                                        kappa, scale)
+            assert stack[j].tobytes() == want.tobytes(), (n, count, j)
+
+    @pytest.mark.parametrize("style", list(GenStyle))
+    def test_sample_pd_equals_per_matrix(self, style):
+        for n in (1, 2, 5):
+            for seed in range(5):
+                got = sample_pd(np.random.default_rng(seed), n, style, 1e4, 2.0)
+                want = sample_pd_per_matrix(np.random.default_rng(seed), n, style, 1e4, 2.0)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("inequality", sorted(SPECS))
+    def test_build_instances_equal_per_trial(self, inequality):
+        for cfg in GRID_CONFIGS:
+            got = fuzzing_mod.build_instances(inequality, cfg, range(12), p=2.0)
+            for trial, inst in zip(range(12), got):
+                want = build_instance_per_trial(inequality, cfg, trial, p=2.0)
+                for field in ("c", "d", "d_blocks", "mats"):
+                    mine, theirs = getattr(inst, field), getattr(want, field)
+                    assert (mine is None) == (theirs is None)
+                    if mine is not None:
+                        assert matrix_bytes(mine) == matrix_bytes(theirs), (cfg.seed, trial, field)
+                assert (inst.partition, inst.idx, inst.p) == (want.partition, want.idx, want.p)
