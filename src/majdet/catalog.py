@@ -16,8 +16,9 @@ data, never errors):
   weak-log-general-d, sv-weak-log, open-q
 
 Every C+D id compares the diagonal blocks Ci, Di of one C and one D with the
-whole; a block-D id's D is the direct sum of its blocks, so main-thm and
-weak-log-general-d share one check, as do matic and matic-general-d.
+whole; a block-D id's D must be block diagonal, and is hashed and written as
+its blocks, so main-thm and weak-log-general-d share one check, as do matic
+and matic-general-d.
 Determinant comparisons run in the log domain, and det(I + C^-1 D) is always
 computed as det(C + D)/det(C) through Cholesky log-determinants. Spectra of
 C^-1 D come from the pencil kernel behind linalg.eig_pencil, which never
@@ -53,7 +54,7 @@ import itertools
 import math
 import numbers
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,7 @@ from .errors import (
     IndexOutOfRange,
     MissingField,
     NegativePower,
+    NotBlockDiagonal,
     NonFinite,
     NotPositiveDefinite,
     SingularMatrix,
@@ -73,6 +75,7 @@ from .errors import (
 )
 from .linalg import (
     _eigvalsh,
+    _finite,
     _logdet,
     _pd_eigh,
     _pd_inverse,
@@ -142,28 +145,43 @@ class InequalityVerdict:
 class Instance:
     """Inputs for one inequality check; only the fields the id needs are set.
 
-    The matrices may also be stacks along one leading axis, one matrix per
+    d_blocks is a constructor keyword, not a field: blocks D1, ..., Dk, sized
+    for the partition (DimensionMismatch), set d to their direct sum. The
+    matrices may also be stacks along one leading axis, one matrix per
     instance, for instances that share everything else (stack_instances).
     """
 
     partition: Partition | None = None
     c: np.ndarray | None = None
-    d_blocks: tuple[np.ndarray, ...] | None = None
+    d_blocks: InitVar[tuple[np.ndarray, ...] | None] = None
     d: np.ndarray | None = None
     mats: tuple[np.ndarray, ...] | None = None
     idx: tuple[int, ...] | None = None
     p: float | None = None
     m: int | None = None
 
-    def to_json(self) -> dict:
+    def __post_init__(self, d_blocks):
+        if d_blocks is None:
+            return
+        d, part = direct_sum(d_blocks), self.partition  # direct_sum checks squareness
+        if part is not None and len(d_blocks) != part.k:
+            raise DimensionMismatch(f"{len(d_blocks)} D blocks for a {part.k}-block partition")
+        for size, got in zip(part.sizes if part else (), (np.shape(b)[-1] for b in d_blocks)):
+            if got != size:
+                raise DimensionMismatch(f"D block is {got}x{got}, expected {size}")
+        object.__setattr__(self, "d", d)
+
+    def to_json(self, shape: Shape | None = None) -> dict:
+        """The set fields as JSON; a Shape.BLOCK_D instance writes D as its
+        blocks, under "d_blocks" (_c_d_payload)."""
         out: dict = {}
         if self.partition is not None:
             out["partition"] = list(self.partition.sizes)
         if self.c is not None:
             out["c"] = self.c.tolist()
-        if self.d_blocks is not None:
-            out["d_blocks"] = [b.tolist() for b in self.d_blocks]
-        if self.d is not None:
+        if self.d is not None and shape is Shape.BLOCK_D:
+            out["d_blocks"] = [b.tolist() for b in _c_d_payload(shape, self)[1:]]
+        elif self.d is not None:
             out["d"] = self.d.tolist()
         if self.mats is not None:
             out["mats"] = [m.tolist() for m in self.mats]
@@ -177,8 +195,8 @@ class Instance:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Instance":
-        """Inverse of to_json; raises NonFinite on a NaN or infinite entry or p,
-        and BadExponent on a p that is not a number."""
+        """Inverse of to_json (D from "d" or "d_blocks"); raises NonFinite on a
+        NaN or infinite entry or p, and BadExponent on a p not a number."""
         p = payload.get("p")
         if p is not None:
             if isinstance(p, bool) or not isinstance(p, (int, float)):
@@ -206,8 +224,8 @@ def _finite_array(rows) -> np.ndarray:
     return arr
 
 
-# The matrix fields of an Instance; d_blocks and mats hold tuples of matrices.
-_MATRIX_FIELDS = ("c", "d", "d_blocks", "mats")
+# The matrix fields of an Instance; mats holds a tuple of matrices.
+_MATRIX_FIELDS = ("c", "d", "mats")
 
 
 def _shapes(value):
@@ -357,13 +375,13 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     """inst with every input matrix its Shape reads as a float array,
     checked once: square and sized for the partition (DimensionMismatch),
     finite (NonFinite) and symmetric (NotSymmetric). lemma31's idx comes
-    back as checked ints. A C+D instance may carry D whole or as its
-    diagonal blocks. A field the Shape reads that is unset raises
-    MissingField. With lead = 1, inst is a stack (stack_instances) and each
-    matrix of it is checked, on its own symmetry slack, in one call per
-    field."""
+    back as checked ints. A block-D D must be zero off the diagonal blocks
+    (NotBlockDiagonal), each block judged symmetric on its own slack. A
+    field the Shape reads that is unset raises MissingField. With lead = 1,
+    inst is a stack (stack_instances) and each matrix of it is checked, on
+    its own symmetry slack, in one call per field."""
     for name in _REQUIRED_FIELDS[shape]:
-        if getattr(inst, name) is None and (name != "d" or inst.d_blocks is None):
+        if getattr(inst, name) is None:
             needs = "d or d_blocks" if name == "d" else name
             raise MissingField(f"a {shape.value} instance needs {needs}, which is unset")
     part = inst.partition
@@ -382,24 +400,24 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
         c = as_square(inst.c, lead)
         _check_dim(c, part)
         return replace(inst, c=require_symmetric(c))
-    if inst.d_blocks is None:
-        c = as_square(inst.c, lead)
-        d = as_square(inst.d, lead)
-        if c.shape != d.shape:
-            raise DimensionMismatch(f"{c.shape} vs {d.shape}")
-        _check_dim(c, part)
-        return replace(inst, c=require_symmetric(c), d=require_symmetric(d))
-    blocks = [as_square(b, lead) for b in inst.d_blocks]
-    if len(blocks) != part.k:
-        raise DimensionMismatch(f"{len(blocks)} D blocks for a {part.k}-block partition")
-    for blk, size in zip(blocks, part.sizes):
-        if blk.shape[-1] != size:
-            raise DimensionMismatch(f"D block is {blk.shape[-1]}x{blk.shape[-1]}, expected {size}")
     c = as_square(inst.c, lead)
-    if c.shape[-1] != part.n:
-        raise DimensionMismatch(f"{c.shape[-2:]} vs {(part.n, part.n)}")
-    return replace(inst, c=require_symmetric(c),
-                   d_blocks=tuple(require_symmetric(b) for b in blocks))
+    d = as_square(inst.d, lead)
+    if c.shape != d.shape:
+        raise DimensionMismatch(f"{c.shape} vs {d.shape}")
+    _check_dim(c, part)
+    c = require_symmetric(c)
+    if shape is Shape.GENERAL_D:
+        return replace(inst, c=c, d=require_symmetric(d))
+    off = d.copy()  # D with its diagonal blocks zeroed
+    for lo, hi in part.offsets():
+        require_symmetric(d[..., lo:hi, lo:hi])
+        off[..., lo:hi, lo:hi] = 0.0
+    if np.logical_or.reduce(off != 0.0, axis=None):  # NaN and inf included
+        _finite(off)
+        at = tuple(np.argwhere(off)[0])
+        raise NotBlockDiagonal(f"D is not block diagonal for partition {part.sizes}: entry "
+                               f"({at[-2]}, {at[-1]}) = {float(d[at])!r} is off the blocks")
+    return replace(inst, c=c, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +425,12 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
 # with one leading axis), and returns one verdict per instance: the same
 # code runs with and without the leading axis.
 
-def _instance_d(inst: Instance) -> np.ndarray:
-    """D of a validated block-D or general-D instance."""
-    return inst.d if inst.d_blocks is None else direct_sum(inst.d_blocks)
-
-
-def _c_d_payload(inst: Instance) -> tuple[np.ndarray, ...]:
-    """The arrays a block-D or general-D instance's fingerprint hashes: C and
-    D, or C and the D blocks."""
-    return (inst.c, inst.d) if inst.d_blocks is None else (inst.c, *inst.d_blocks)
+def _c_d_payload(shape: Shape, inst: Instance) -> tuple[np.ndarray, ...]:
+    """A C+D instance as an id of the Shape hashes and writes it: C, then D
+    whole, or for Shape.BLOCK_D the diagonal blocks of D."""
+    if shape is Shape.BLOCK_D:
+        return (inst.c, *diag_blocks(inst.d, inst.partition))
+    return inst.c, inst.d
 
 
 def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -432,9 +447,10 @@ def _weak_log_verdicts(inequality: str, inst: Instance, tol: float) -> list[Ineq
     """main-thm (block-diagonal D) and weak-log-general-d (any D): the
     blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
     part = inst.partition
-    x, y = product_spectra(inst.c, _instance_d(inst), part)
+    x, y = product_spectra(inst.c, inst.d, part)
+    payload = _c_d_payload(SPECS[inequality].shape, inst)
     return _order_verdicts(inequality, OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
-                           _fingerprints(part.n, part, _c_d_payload(inst)))
+                           _fingerprints(part.n, part, payload))
 
 
 def check_main_theorem(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -454,11 +470,11 @@ def _matic_verdicts(inequality: str, inst: Instance, tol: float) -> list[Inequal
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
     part = inst.partition
-    c, d = inst.c, _instance_d(inst)
+    c, d = inst.c, inst.d
     llhs = _logdet_ratio_blocks(diag_blocks(c, part), diag_blocks(d, part))
     lrhs = _logdet(symmetrize(c + d)) - _logdet(c)
-    return _scalar_verdicts(inequality, llhs, lrhs, tol,
-                            _fingerprints(part.n, part, _c_d_payload(inst)))
+    payload = _c_d_payload(SPECS[inequality].shape, inst)
+    return _scalar_verdicts(inequality, llhs, lrhs, tol, _fingerprints(part.n, part, payload))
 
 
 def check_matic(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -526,8 +542,7 @@ def identity_abs_square(c, d_blocks, part: Partition,
     worst normalized residual, so holds == (margin >= -tol).
     """
     inst = validate_instance(Shape.BLOCK_D, Instance(partition=part, c=c, d_blocks=d_blocks))
-    cm, d_full = inst.c, _instance_d(inst)
-    dbs = diag_blocks(d_full, part)
+    payload = _c_d_payload(Shape.BLOCK_D, inst)
 
     def sides(cmat, dmat) -> tuple[float, float]:
         ic = _pd_inverse(cmat)
@@ -537,16 +552,16 @@ def identity_abs_square(c, d_blocks, part: Partition,
         right = float(_logdet(symmetrize(idm @ idm + ic @ ic))) + 2.0 * float(_logdet(dmat))
         return left, right
 
-    lg, rg = sides(cm, d_full)
+    lg, rg = sides(inst.c, inst.d)
     lb, rb = 0.0, 0.0
-    for cb, db in zip(diag_blocks(cm, part), dbs):
+    for cb, db in zip(diag_blocks(inst.c, part), payload[1:]):
         bl, br = sides(cb, db)
         lb += bl
         rb += br
     res_global = abs(lg - rg) / max(1.0, abs(lg), abs(rg))
     res_block = abs(lb - rb) / max(1.0, abs(lb), abs(rb))
     worst = max(res_global, res_block)
-    fp = _fingerprint(part.n, part, cm, *dbs)
+    fp = _fingerprint(part.n, part, *payload)
     return InequalityVerdict(
         inequality="identity-abs-square",
         lhs=_exp_or_none(lg),
@@ -736,7 +751,7 @@ def _inv_square_sum_logdet(c: np.ndarray, d: np.ndarray, where: str):
 
 def _inv_square_sum_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
     part = inst.partition
-    c, d = inst.c, _instance_d(inst)
+    c, d = inst.c, inst.d
     dbs = diag_blocks(d, part)
     llhs = sum(
         _inv_square_sum_logdet(cb, db, f"block {j}")
@@ -765,7 +780,7 @@ def inv_square_sum_exact(c_exact, d_exact, part: Partition):
 
 def _sv_weak_log_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
     part = inst.partition
-    c, d = inst.c, _instance_d(inst)
+    c, d = inst.c, inst.d
     dbs = diag_blocks(d, part)
     x = np.concatenate(
         [_singular_values(_pd_inverse(cb) @ db) for cb, db in zip(diag_blocks(c, part), dbs)],
@@ -809,8 +824,8 @@ def _spectra_log1p_power(inequality: str) -> Callable[[Instance], PerP]:
     """det-power and neg-power: both sides from the product spectra."""
     def prepare(inst: Instance) -> PerP:
         part = inst.partition
-        x, y = product_spectra(inst.c, _instance_d(inst), part)
-        fingerprints = _p_fingerprints(part.n, part, _c_d_payload(inst))
+        x, y = product_spectra(inst.c, inst.d, part)
+        fingerprints = _p_fingerprints(part.n, part, _c_d_payload(SPECS[inequality].shape, inst))
         return _log1p_power_sides(inequality, x, y, fingerprints)
 
     return prepare
@@ -833,7 +848,7 @@ def _prepare_thm32(inst: Instance) -> PerP:
 
 def _prepare_abs_power(inst: Instance) -> PerP:
     part = inst.partition
-    c, d = inst.c, _instance_d(inst)
+    c, d = inst.c, inst.d
     dbs = diag_blocks(d, part)
     block_svs = [_singular_values(_pd_inverse(cb) @ db)
                  for cb, db in zip(diag_blocks(c, part), dbs)]
@@ -852,7 +867,7 @@ def _prepare_abs_power(inst: Instance) -> PerP:
 def _prepare_commuted_power(inst: Instance) -> PerP:
     part = inst.partition
     c = inst.c
-    dbs = diag_blocks(_instance_d(inst), part)
+    dbs = diag_blocks(inst.d, part)
     c_block_eigs = [_pd_eigh(b) for b in diag_blocks(c, part)]
     d_block_eigs = [_pd_eigh(b) for b in dbs]
     c_eig = _pd_eigh(c)
@@ -932,15 +947,14 @@ class Shape(enum.Enum):
     """The Instance fields an id reads, and so the inputs the fuzzer draws
     and the CLI loads."""
 
-    BLOCK_D = "block-d"      # partition, c, d_blocks
+    BLOCK_D = "block-d"      # partition, c, d block diagonal for the partition
     GENERAL_D = "general-d"  # partition, c, d
     MATS = "mats"            # partition, mats
     C = "c"                  # partition, c (and m for fischer-tail)
     C_IDX = "c+idx"          # c, idx
 
 
-# The Instance fields validate_instance requires per Shape; "d" is met by
-# d or d_blocks.
+# The Instance fields validate_instance requires per Shape.
 _REQUIRED_FIELDS = {
     Shape.BLOCK_D: ("partition", "c", "d"),
     Shape.GENERAL_D: ("partition", "c", "d"),
@@ -964,7 +978,7 @@ class Spec:
     split: the p-split of a parametrized id, with its fuzz grid and default p.
     caps: the generator caps for block-D draws.
     reference: (partition, C, D) of the counterexample the fuzzer injects as
-        trial 0; D is split into its diagonal blocks for a block-D id.
+        trial 0; D is block diagonal for the partition for a block-D id.
     certify: (c_exact, d_exact, part) -> exact (lhs, rhs), with d_exact the
         whole exact D, block diagonal for a block-D id.
 

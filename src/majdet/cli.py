@@ -14,10 +14,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import exact, matio, scenarios
-from .blocks import Partition, diag_blocks, validate_partition
+from .blocks import Partition, validate_partition
 from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, run_check, spec_of
 from .errors import BadMatrixFile, MajdetError
 from .fuzzing import GenConfig, GenStyle, fuzz, sample_pd, trial_rng
@@ -65,18 +63,12 @@ def _table(lines, json_only: bool) -> None:
             print(line, file=sys.stderr)
 
 
-def _split_block_file(arr, d_exact, part: Partition, path: str) -> list[np.ndarray]:
-    """Split a single block-diagonal matrix file into blocks; off-block
-    entries, exact ones included, must be zero."""
-    mask = np.ones_like(arr, dtype=bool)
-    for lo, hi in part.offsets():
-        mask[lo:hi, lo:hi] = False
-    exact_off_block = d_exact is not None and any(d_exact[i][j] for i, j in zip(*np.nonzero(mask)))
-    if np.any(arr[mask] != 0.0) or exact_off_block:
-        raise BadMatrixFile(
-            f"{path}: single D file must be block diagonal for this partition"
-        )
-    return diag_blocks(arr, part)
+def _require_exact_block_diagonal(d_exact, part: Partition, path: str) -> None:
+    """A single D file's exact entries off the diagonal blocks must be zero.
+    The catalog checks the float D, but an exact entry can round to 0.0."""
+    if d_exact is not None and d_exact != exact.direct_sum(
+            [exact.submatrix(d_exact, lo, hi) for lo, hi in part.offsets()]):
+        raise BadMatrixFile(f"{path}: single D file must be block diagonal for this partition")
 
 
 def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
@@ -116,30 +108,23 @@ def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
     part = _parse_partition(args.part, n)
     if shape is Shape.C:
         return Instance(partition=part, c=c_arr, m=args.m, p=p), None
-    if shape is Shape.GENERAL_D:
+    if shape is Shape.GENERAL_D or (args.d and len(args.d) == 1 and part.k > 1):
         if not args.d or len(args.d) != 1:
             raise MajdetError(f"{ineq} needs exactly one --d file")
         d_arr, d_exact = matio.read_matrix(args.d[0])
+        if shape is Shape.BLOCK_D:
+            if d_arr.shape[0] != n:
+                raise MajdetError(f"D is {d_arr.shape[0]}x{d_arr.shape[0]}, expected {n}")
+            _require_exact_block_diagonal(d_exact, part, args.d[0])
         inst = Instance(partition=part, c=c_arr, d=d_arr, p=p)
         return inst, _exact_pair(c_exact, d_exact)
     if not args.d:
         raise MajdetError(f"{ineq} needs --d (block files, or one block-diagonal file)")
-    if len(args.d) == 1 and part.k > 1:
-        d_arr, d_exact = matio.read_matrix(args.d[0])
-        if d_arr.shape[0] != n:
-            raise MajdetError(f"D is {d_arr.shape[0]}x{d_arr.shape[0]}, expected {n}")
-        blocks = _split_block_file(d_arr, d_exact, part, args.d[0])
-    else:
-        if len(args.d) != part.k:
-            raise MajdetError(f"expected {part.k} D block files, got {len(args.d)}")
-        blocks = []
-        exact_blocks = []
-        for path in args.d:
-            arr, ex = matio.read_matrix(path)
-            blocks.append(arr)
-            exact_blocks.append(ex)
-        d_exact = None if None in exact_blocks else exact.direct_sum(exact_blocks)
-    inst = Instance(partition=part, c=c_arr, d_blocks=tuple(blocks), p=p)
+    if len(args.d) != part.k:
+        raise MajdetError(f"expected {part.k} D block files, got {len(args.d)}")
+    blocks, exact_blocks = zip(*map(matio.read_matrix, args.d))
+    d_exact = None if None in exact_blocks else exact.direct_sum(exact_blocks)
+    inst = Instance(partition=part, c=c_arr, d_blocks=blocks, p=p)
     return inst, _exact_pair(c_exact, d_exact)
 
 

@@ -21,6 +21,10 @@ class NoConvergence(MajdetError):
     """LAPACK's symmetric eigensolver or SVD did not converge (numpy LinAlgError)."""
 
 
+class NotBlockDiagonal(MajdetError):
+    """A block-D id's D has a nonzero entry off its partition's diagonal blocks."""
+
+
 class DimensionMismatch(MajdetError):
     """Operands have incompatible dimensions."""
 

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import Partition, validate_partition
+from .blocks import Partition, direct_sum, validate_partition
 from .catalog import (
     InequalityVerdict,
     Instance,
@@ -71,12 +72,16 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "m", "seed"):
+        for name, kind in (("n", int), ("m", int), ("seed", int),
+                           ("kappa_max", numbers.Real), ("entry_scale", numbers.Real)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadConfig(f"{name} must be an int, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an int" if kind is int else "a real number"
+                raise BadConfig(f"{name} must be {what}, got {value!r}")
         if not isinstance(self.style, GenStyle):
             raise BadConfig(f"style must be a GenStyle, got {self.style!r}")
+        if self.partition is not None and not isinstance(self.partition, Partition):
+            raise BadConfig(f"partition must be a Partition or None, got {self.partition!r}")
         if self.n < 1:
             raise BadConfig(f"dimension must be >= 1, got {self.n}")
         if not (math.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
@@ -177,11 +182,7 @@ def _draw_trial(spec: Spec, cfg: GenConfig, trial: int, p: float | None,
     the injected counterexample)."""
     if trial == 0 and spec.reference is not None:
         ref_part, ref_c, ref_d = spec.reference
-        if spec.shape is Shape.GENERAL_D:
-            ref = Instance(partition=ref_part, c=ref_c.copy(), d=ref_d.copy(), p=p)
-        else:
-            blocks = tuple(ref_d[lo:hi, lo:hi].copy() for lo, hi in ref_part.offsets())
-            ref = Instance(partition=ref_part, c=ref_c.copy(), d_blocks=blocks, p=p)
+        ref = Instance(partition=ref_part, c=ref_c.copy(), d=ref_d.copy(), p=p)
         return lambda formed: ref
     rng = trial_rng(cfg, trial)
     n = cfg.n
@@ -198,21 +199,18 @@ def _draw_trial(spec: Spec, cfg: GenConfig, trial: int, p: float | None,
     if spec.shape is Shape.C:
         c = draw(rng, n)
         return lambda formed: Instance(partition=part, c=formed(c))
-    if spec.shape is Shape.GENERAL_D:
-        c = draw(rng, n)
-        d = draw(rng, n)
-        return lambda formed: Instance(partition=part, c=formed(c), d=formed(d), p=p)
 
+    # a general D is drawn as one block; a general-D id has no caps or bias
     c_cap, d_cap, bias = spec.caps
     c = draw(rng, n, c_cap)
     blocks = []
-    for size in part.sizes:
+    for size in part.sizes if spec.shape is Shape.BLOCK_D else (n,):
         blk = draw(rng, size, d_cap)
         # hunt in the regime of strongly unequal block scales
         blocks.append((blk, 10.0 ** rng.uniform(-bias, bias) if bias else None))
     return lambda formed: Instance(
         partition=part, c=formed(c),
-        d_blocks=tuple(formed(b) if scale is None else formed(b) * scale for b, scale in blocks),
+        d=direct_sum([formed(b) if scale is None else formed(b) * scale for b, scale in blocks]),
         p=p)
 
 
@@ -360,7 +358,7 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     error raised is that of the first failing trial, named with its index
     and seed.
     """
-    exponent_spec(inequality, p)
+    spec = exponent_spec(inequality, p)
     if isinstance(trials, bool) or not isinstance(trials, int):
         raise BadConfig(f"trials must be an int, got {trials!r}")
     if trials < 1:
@@ -387,7 +385,7 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
                     trial=trial,
                     seed=derive_seed(cfg.seed, trial),
                     verdict=verdict,
-                    instance=inst.to_json(),
+                    instance=inst.to_json(spec.shape),
                 ))
     return FuzzReport(
         inequality=inequality,

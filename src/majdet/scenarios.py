@@ -133,8 +133,7 @@ def run_ex26() -> ScenarioResult:
     grid = [round(0.1 * i, 1) for i in range(1, 101)]
     closed_ok = all(refdata.neg_power_g(q) > refdata.neg_power_f(q) for q in grid)
     part = refdata.NEG_POWER_PART
-    d_blocks = tuple(refdata.NEG_POWER_D[lo:hi, lo:hi] for lo, hi in part.offsets())
-    inst = Instance(partition=part, c=refdata.NEG_POWER_C, d_blocks=d_blocks)
+    inst = Instance(partition=part, c=refdata.NEG_POWER_C, d=refdata.NEG_POWER_D)
     verdicts = check_p_grid("neg-power", inst, [-q for q in grid])
     matrix_ok = True
     for q, verdict in zip(grid, verdicts):
@@ -167,8 +166,7 @@ def run_ex27() -> ScenarioResult:
 def run_ex28() -> ScenarioResult:
     """Violation of the inverse-square-sum determinant bound, certified exactly."""
     part = refdata.INV_SQ_PART
-    d_blocks = tuple(refdata.INV_SQ_D[lo:hi, lo:hi] for lo, hi in part.offsets())
-    inst = Instance(partition=part, c=refdata.INV_SQ_C, d_blocks=d_blocks)
+    inst = Instance(partition=part, c=refdata.INV_SQ_C, d=refdata.INV_SQ_D)
     verdict = evaluate_general("inv-square-sum", inst)
     lhs_exact, rhs_exact = inv_square_sum_exact(refdata.INV_SQ_C_EXACT,
                                                 refdata.INV_SQ_D_EXACT, part)

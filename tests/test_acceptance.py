@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 
 from majdet import scenarios
-from majdet.blocks import Partition
+from majdet.blocks import Partition, diag_blocks
 from majdet.catalog import Instance, evaluate_general, identity_abs_square
 from majdet.fuzzing import GenConfig, build_instance, fuzz
 from majdet.linalg import eigh_sym, hyperbolic_power
@@ -232,13 +232,13 @@ def test_criterion_11_identity_and_verdict_equivalence():
     worst_residual = 0.0
     for trial in range(1, 1001):  # skip the injected trial 0: random instances
         inst = build_instance("abs-power", cfg, trial, p=2.0)
-        ident = identity_abs_square(inst.c, inst.d_blocks, inst.partition)
+        ident = identity_abs_square(inst.c, diag_blocks(inst.d, inst.partition), inst.partition)
         worst_residual = max(worst_residual, -ident.margin)
         assert ident.holds, f"identity residual {-ident.margin:.3e} at trial {trial}"
         via_abs = evaluate_general("abs-power", inst)
         via_sq = evaluate_general(
             "inv-square-sum",
-            Instance(partition=inst.partition, c=inst.c, d_blocks=inst.d_blocks),
+            Instance(partition=inst.partition, c=inst.c, d=inst.d),
         )
         if via_abs.holds != via_sq.holds:
             mismatches += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -43,11 +44,13 @@ from majdet.errors import (
     MissingField,
     NegativePower,
     NonFinite,
+    NotBlockDiagonal,
     NotPositiveDefinite,
     NotSymmetric,
     UnknownInequality,
 )
 from majdet.exact import det_exact, rational_matrix, submatrix
+from majdet.fuzzing import replay
 from majdet.linalg import eigvals_sym, pd_inverse, require_symmetric
 
 from oracles import loewner_le, rand_pd
@@ -466,6 +469,107 @@ class TestBlockDiagonalGeneralD:
         assert lhs <= rhs
 
 
+BLOCK_D_IDS = sorted(i for i, spec in SPECS.items() if spec.shape is Shape.BLOCK_D)
+
+
+def block_d_instance(inequality, part, c, d):
+    spec = SPECS[inequality]
+    return Instance(partition=part, c=c, d=d, p=spec.split.default if spec.split else None)
+
+
+class TestOneD:
+    """An Instance holds one D; a block-D id checks that it is block
+    diagonal for the partition, and hashes and writes it as its blocks."""
+
+    def test_one_d_field(self):
+        names = [f.name for f in dataclasses.fields(Instance)]
+        assert "d" in names and "d_blocks" not in names
+
+    @pytest.mark.parametrize("inequality", BLOCK_D_IDS)
+    def test_dense_d_is_rejected(self, rng, inequality):
+        # ex. 2.3's D, for which the paper shows main-thm's conclusion fails
+        inst = block_d_instance(inequality, refdata.WLOG_PART, refdata.WLOG_C, refdata.WLOG_D)
+        message = r"^D is not block diagonal for partition \(2, 2\): entry \(0, 2\) = 6\.0 "
+        with pytest.raises(NotBlockDiagonal, match=message):
+            run_check(inequality, inst)
+        with pytest.raises(NotBlockDiagonal, match=message):
+            replay(inequality, {"instance": inst.to_json()})
+        part = Partition((1, 2, 2))
+        dense = block_d_instance(inequality, part, rand_pd(rng, 5), rand_pd(rng, 5))
+        with pytest.raises(NotBlockDiagonal, match=r"entry \(0, 1\)"):
+            run_check(inequality, dense)
+
+    @pytest.mark.parametrize("inequality", BLOCK_D_IDS)
+    def test_one_nonzero_off_block_entry_is_rejected(self, inequality):
+        d = direct_sum(ref_wlog_blocks())
+        d[1, 3] = d[3, 1] = 1e-300
+        inst = block_d_instance(inequality, PART22, refdata.WLOG_C, d)
+        with pytest.raises(NotBlockDiagonal, match=r"entry \(1, 3\) = 1e-300 "):
+            run_check(inequality, inst)
+
+    @pytest.mark.parametrize("inequality", BLOCK_D_IDS)
+    def test_non_finite_off_block_entry_is_non_finite(self, inequality):
+        for bad in (math.nan, math.inf):
+            d = direct_sum(ref_wlog_blocks())
+            d[0, 3] = d[3, 0] = bad
+            d[1, 2] = d[2, 1] = 5.0  # a finite off-block entry comes first
+            with pytest.raises(NonFinite):
+                run_check(inequality, block_d_instance(inequality, PART22, refdata.WLOG_C, d))
+
+    def test_dense_member_of_a_stack_is_rejected(self, rng):
+        c, blocks, part = random_block_instance(rng, 4, (2, 2))
+        good = Instance(partition=part, c=c, d_blocks=blocks)
+        bad = Instance(partition=part, c=c, d=rand_pd(rng, 4))
+        for members in ([bad, good, good], [good, good, bad]):
+            with pytest.raises(NotBlockDiagonal):
+                validate_instance(Shape.BLOCK_D, stack_instances(members), lead=1)
+        validate_instance(Shape.BLOCK_D, stack_instances([good, good]), lead=1)
+
+    def test_each_d_block_on_its_own_slack(self):
+        skewed = np.eye(2)
+        skewed[0, 1] = 1e-11
+        d = direct_sum([1e6 * np.array([[2.0, 1.0], [1.0, 2.0]]), skewed])
+        # a slack taken from the whole D's largest entry (2e-6) would pass
+        inst = Instance(partition=PART22, c=np.eye(4), d=d)
+        with pytest.raises(NotSymmetric, match=r"^asymmetry 1\.000e-11 exceeds tolerance 1\.000e-12$"):
+            run_check("main-thm", inst)
+
+    @pytest.mark.parametrize("inequality", ["main-thm", "matic", "det-power", "neg-power"])
+    def test_one_instance_one_verdict(self, inequality):
+        blocks = ref_wlog_blocks()
+        whole = block_d_instance(inequality, PART22, refdata.WLOG_C, direct_sum(blocks))
+        split = replace(whole, d_blocks=blocks)
+        assert run_check(inequality, whole).to_json() == run_check(inequality, split).to_json()
+
+    def test_block_d_fingerprint_hashes_the_blocks(self):
+        blocks = ref_wlog_blocks()
+        verdict = check_main_theorem(refdata.WLOG_C, blocks, PART22)
+        assert verdict.fingerprint == _fingerprint(4, PART22, refdata.WLOG_C, *blocks)
+        assert verdict.fingerprint.digest == "0862b4f67bbacf26"
+        general = run_check("weak-log-general-d", Instance(partition=PART22, c=refdata.WLOG_C,
+                                                           d=direct_sum(blocks)))
+        assert general.fingerprint == _fingerprint(4, PART22, refdata.WLOG_C, direct_sum(blocks))
+
+    @pytest.mark.parametrize("inequality", BLOCK_D_IDS)
+    def test_reference_d_is_block_diagonal(self, inequality):
+        reference = SPECS[inequality].reference
+        if reference is None:
+            return
+        part, c, d = reference
+        assert direct_sum(diag_blocks(d, part)).tobytes() == d.tobytes()
+        validate_instance(Shape.BLOCK_D, Instance(partition=part, c=c, d=d))
+
+    def test_from_json_reads_blocks_and_whole_d_alike(self, rng):
+        for sizes in ((2, 2), (1, 3), (2, 1, 2), (5,)):
+            c, blocks, part = random_block_instance(rng, sum(sizes), sizes, kappa=1e6)
+            split = Instance(partition=part, c=c, d_blocks=blocks).to_json(Shape.BLOCK_D)
+            whole = Instance(partition=part, c=c, d_blocks=blocks).to_json()
+            assert "d_blocks" in split and "d" not in split
+            assert "d" in whole and "d_blocks" not in whole
+            a, b = Instance.from_json(split), Instance.from_json(whole)
+            assert a.d.tobytes() == b.d.tobytes() == direct_sum(blocks).tobytes()
+
+
 class TestOverflowingPower:
     @pytest.mark.parametrize("inequality,scale,p", [
         ("det-power", 1000.0, 120.0), ("abs-power", 1000.0, 120.0),
@@ -676,7 +780,7 @@ def shape_instances(rng):
     return {
         Shape.BLOCK_D: (Instance(partition=part, c=c, d_blocks=(small_pd(rng, 2),
                                                                 small_pd(rng, 2))),
-                        ("c", "d_blocks")),
+                        ("c", "d")),
         Shape.GENERAL_D: (Instance(partition=part, c=c, d=d), ("c", "d")),
         Shape.MATS: (Instance(partition=part, mats=(small_pd(rng, 4), small_pd(rng, 4),
                                                     small_pd(rng, 4))), ("mats",)),
@@ -720,8 +824,11 @@ class TestValidateOnce:
         inst, fields = shape_instances(rng)[spec.shape]
         if spec.split:
             inst = replace(inst, p=spec.split.default)
-        inputs = sum(len(v) if isinstance(v, tuple) else 1
-                     for v in (getattr(inst, f) for f in fields))
+        # a block-D instance's D is validated as its diagonal blocks
+        inputs = sum(len(v) if isinstance(v, (tuple, list)) else 1
+                     for v in (diag_blocks(inst.d, inst.partition)
+                               if spec.shape is Shape.BLOCK_D and f == "d" else getattr(inst, f)
+                               for f in fields))
         run_check(inequality, inst)
         assert len(counted) == inputs
 

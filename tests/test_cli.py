@@ -240,6 +240,16 @@ class TestCheck:
         assert outs[0] == outs[1]
         assert outs[0]["exact"]["holds"] is False
 
+    def test_single_dense_d_file_exit_one(self, capsys, tmp_path):
+        paths = write_ref_files(tmp_path)
+        d_path = tmp_path / "dfull.json"
+        write_matrix(d_path, refdata.WLOG_D)
+        for inequality in ("main-thm", "matic", "det-power"):
+            code, out, err = run_cli(capsys, "check", inequality, "--c", str(paths["c"]),
+                                     "--d", str(d_path), "--part", "2,2")
+            assert (code, out) == (1, "")
+            assert "block diagonal" in err
+
     def test_single_d_file_with_exact_off_block_entry_exit_one(self, capsys, tmp_path):
         # the float entry rounds to 0.0, but the exact D is not block diagonal
         paths = write_ref_files(tmp_path)
@@ -319,7 +329,8 @@ def instance_args(tmp_path, shape: Shape, inst) -> list[str]:
     if shape is Shape.GENERAL_D:
         args += ["--d", write("d", inst.d)]
     elif shape is Shape.BLOCK_D:
-        args += ["--d", *[write(f"d{i}", b) for i, b in enumerate(inst.d_blocks)]]
+        args += ["--d", *[write(f"d{i}", b)
+                          for i, b in enumerate(diag_blocks(inst.d, inst.partition))]]
     return args + ["--part", ",".join(map(str, inst.partition.sizes))]
 
 

@@ -96,6 +96,8 @@ class TestGeneration:
         ("n", 2.5), ("n", True), ("n", "2"), ("m", 1.5), ("m", True),
         ("seed", 1.5), ("seed", False), ("seed", None),
         ("style", "spectral"), ("style", "gram"), ("style", None),
+        ("kappa_max", "1e6"), ("kappa_max", True), ("entry_scale", "2"),
+        ("entry_scale", False), ("partition", (1, 1)),
     ])
     def test_config_rejects_a_wrong_type(self, field, value):
         with pytest.raises(BadConfig, match=f"^{field} must be"):
@@ -123,8 +125,7 @@ class TestGeneration:
         a = build_instance("main-thm", cfg, 5)
         b = build_instance("main-thm", cfg, 5)
         np.testing.assert_array_equal(a.c, b.c)
-        for x, y in zip(a.d_blocks, b.d_blocks):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.d, b.d)
 
 
 class TestFuzz:
@@ -347,7 +348,7 @@ def oracle_report(inequality, cfg, trials, p=None, keep_instances=False):
         violations += not verdict.holds
         if not verdict.holds or keep_instances:
             violating.append({"trial": trial, "seed": seed, "verdict": verdict.to_json(),
-                              "instance": inst.to_json()})
+                              "instance": inst.to_json(SPECS[inequality].shape)})
     return {"inequality": inequality, "trials": trials, "holds": holds,
             "violations": violations, "worst_margin": worst_margin,
             "config": cfg.to_json(), "violating": violating}
@@ -453,7 +454,7 @@ class TestStackedDraws:
             got = fuzzing_mod.build_instances(inequality, cfg, range(12), p=2.0)
             for trial, inst in zip(range(12), got):
                 want = build_instance_per_trial(inequality, cfg, trial, p=2.0)
-                for field in ("c", "d", "d_blocks", "mats"):
+                for field in ("c", "d", "mats"):
                     mine, theirs = getattr(inst, field), getattr(want, field)
                     assert (mine is None) == (theirs is None)
                     if mine is not None:
