@@ -9,6 +9,7 @@ stdout as line-delimited JSON; a human-readable table goes to stderr unless
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,6 +51,13 @@ def finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def tolerance(text: str) -> float:
+    value = finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative; a tolerance must be >= 0")
     return value
 
 
@@ -246,13 +254,25 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# Each handler is looked up in the module when main runs, so the cached
+# parser holds none and a patched cmd_* applies.
+_COMMANDS = {
+    "verify-paper": lambda args: cmd_verify_paper(args),
+    "check": lambda args: cmd_check(args),
+    "fuzz": lambda args: cmd_fuzz(args),
+    "gen": lambda args: cmd_gen(args),
+}
+
+
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process: built on the first call, shared by
+    every later `main` call."""
     parser = _Parser(prog="majdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("verify-paper", help="replicate the built-in reference examples")
     sp.add_argument("--json-only", action="store_true", help="suppress the stderr table")
-    sp.set_defaults(fn=cmd_verify_paper)
 
     sp = sub.add_parser("check", help="check one inequality on matrix files")
     sp.add_argument("inequality", choices=sorted(INEQUALITY_IDS))
@@ -263,9 +283,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=finite, default=None, help="exponent for parametrized checks")
     sp.add_argument("--m", type=int, default=None, help="tail start (fischer-tail; 1-based)")
     sp.add_argument("--idx", help="0-based principal submatrix indices, e.g. 0,2,3")
-    sp.add_argument("--tol", type=finite, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     sp.add_argument("--json-only", action="store_true")
-    sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("fuzz", help="randomized trials of one inequality")
     sp.add_argument("inequality")
@@ -279,11 +298,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--scale", type=finite, default=1.0)
     sp.add_argument("--p", type=finite, default=None,
                     help="fix the exponent (default: id-specific grid)")
-    sp.add_argument("--tol", type=finite, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     sp.add_argument("--keep-instances", action="store_true",
                     help="serialize every trial's instance, not just violations")
     sp.add_argument("--json-only", action="store_true")
-    sp.set_defaults(fn=cmd_fuzz)
 
     sp = sub.add_parser("gen", help="write random PD matrix file(s)")
     sp.add_argument("--n", type=int, required=True)
@@ -294,7 +312,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--scale", type=finite, default=1.0)
     sp.add_argument("--out", required=True, help="output path")
     sp.add_argument("--json-only", action="store_true")
-    sp.set_defaults(fn=cmd_gen)
     return parser
 
 
@@ -305,7 +322,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except MajdetError as err:
         print(f"majdet: error: {err}", file=sys.stderr)
         return 1

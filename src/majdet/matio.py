@@ -38,7 +38,7 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
         raise BadMatrixFile(f"{path}: expected an object with 'n' and 'rows'")
     n = payload["n"]
     rows = payload["rows"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadMatrixFile(f"{path}: 'n' must be a positive integer")
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
@@ -53,7 +53,7 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
     if "exact" in payload:
         raw = payload["exact"]
         if (not isinstance(raw, list) or len(raw) != n
-                or any(len(r) != n for r in raw)):
+                or any(not isinstance(r, list) or len(r) != n for r in raw)):
             raise BadMatrixFile(f"{path}: 'exact' must be a {n}x{n} array of pairs")
         try:
             exact = [
@@ -61,7 +61,10 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
             ]
         except (TypeError, ValueError, ZeroDivisionError) as err:
             raise BadMatrixFile(f"{path}: bad exact entry ({err})") from err
-        approx = np.array([[float(f) for f in row] for row in exact])
+        try:
+            approx = np.array([[float(f) for f in row] for row in exact])
+        except OverflowError as err:
+            raise BadMatrixFile(f"{path}: exact entry out of float range ({err})") from err
         if np.max(np.abs(approx - arr)) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
             raise BadMatrixFile(f"{path}: 'exact' disagrees with 'rows'")
     return arr, exact

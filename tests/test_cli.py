@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import majdet
-from majdet import refdata
+from majdet import cli, refdata
 from majdet.blocks import Partition, diag_blocks
 from majdet.catalog import SPECS, Shape, run_check
-from majdet.cli import main
+from majdet.cli import build_parser, main
 from majdet.errors import BadMatrixFile
 from majdet.exact import rational_matrix
 from majdet.fuzzing import GenConfig, build_instance, derive_seed
@@ -283,6 +283,21 @@ class TestCheck:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("payload", [
+        {"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], "exact": [1, 2]},
+        {"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]],
+         "exact": [[["1" + "0" * 400, "1"], ["0", "1"]], [["0", "1"], ["1", "1"]]]},
+        {"n": True, "rows": [[1.0]]},
+    ], ids=["exact-not-pairs", "exact-overflows-float", "n-is-bool"])
+    def test_malformed_matrix_file_exit_one(self, capsys, tmp_path, payload):
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
+        c_path.write_text(json.dumps(payload))
+        write_matrix(d_path, np.eye(2))
+        code, out, err = run_cli(capsys, "check", "matic", "--c", str(c_path),
+                                 "--d", str(d_path), "--part", "1,1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"majdet: error: {c_path}: ")
+
     def test_weak_log_general_d_exit_two(self, capsys, tmp_path):
         c_path = tmp_path / "c.json"
         d_path = tmp_path / "d.json"
@@ -416,6 +431,25 @@ class TestOverflow:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["check", "fuzz"])
+    @pytest.mark.parametrize("value", ["-0.5", "-1e-9", "-inf"])
+    def test_negative_tol_exit_one(self, capsys, tmp_path, command, value):
+        paths = write_ref_files(tmp_path)
+        argv = (["check", "ky-fan", "--c", str(paths["c"]), "--part", "4"] if command == "check"
+                else ["fuzz", "ky-fan", "--n", "2", "--trials", "2"])
+        code, out, err = run_cli(capsys, *argv, f"--tol={value}")
+        assert (code, out) == (1, "")
+        assert "argument --tol" in err
+
+    def test_zero_tol_holds_on_equality(self, capsys, tmp_path):
+        # ky-fan on one block compares a trace with itself: margin exactly 0
+        paths = write_ref_files(tmp_path)
+        code, out, _ = run_cli(capsys, "check", "ky-fan", "--c", str(paths["c"]),
+                               "--part", "4", "--tol", "0")
+        assert code == 0
+        verdict = json.loads(out)
+        assert (verdict["holds"], verdict["margin"], verdict["tol"]) == (True, 0.0, 0.0)
+
 
 class TestFuzzCommand:
     def test_theorem_exit_zero(self, capsys):
@@ -518,6 +552,71 @@ class TestGenCommand:
             assert arr.shape == (2, 2)
 
 
+class TestParserReuse:
+    """One parser serves every main() call of a process, and behaves like a
+    freshly built one."""
+
+    def test_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        for argv in (["--help"], ["check", "no-such-id"], ["verify-paper", "--json-only"],
+                     ["fuzz", "main-thm", "--n", "2", "--trials", "2"]):
+            run_cli(capsys, *argv)
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-paper"], ["check", "matic"], ["fuzz", "matic", "--n", "2", "--trials", "1"],
+        ["gen", "--n", "2", "--out", "x.json"],
+    ], ids=lambda argv: argv[0])
+    def test_parser_holds_no_handler(self, argv):
+        args = build_parser().parse_args(argv)
+        assert not any(callable(value) for value in vars(args).values())
+
+    def test_reused_parser_matches_fresh(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        paths = write_ref_files(tmp_path)
+        sequence = [
+            ["--help"],
+            ["check", "--help"],
+            ["fuzz", "main-thm", "--trials", "3"],  # usage error: --n is required
+            ["check", "no-such-id"],
+            ["check", "matic", "--c", str(paths["c"]), "--d", str(paths["d1"]),
+             str(paths["d2"]), "--part", "2,2"],
+            ["fuzz", "main-thm", "--n", "4", "--part", "2,2", "--trials", "5",
+             "--seed", "3", "--json-only"],
+        ]
+
+        def run_all(argvs):
+            results = {}
+            for argv in argvs:
+                code, out, err = run_cli(capsys, *argv)
+                if out.startswith("{"):  # drop the fuzz report's wall_time
+                    out = [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+                           for line in out.splitlines()]
+                results[tuple(argv)] = (code, out, err)
+            return results
+
+        forward = run_all(sequence)
+        backward = run_all(sequence[::-1])
+        build_parser.cache_clear()
+        fresh = run_all(sequence)
+        assert forward == backward == fresh
+        assert [forward[tuple(argv)][0] for argv in sequence] == [0, 0, 1, 1, 0, 0]
+
+    def test_patched_handler_runs(self, capsys, tmp_path, monkeypatch):
+        build_parser()
+        seen = []
+
+        def fake_check(args):
+            seen.append(args.inequality)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_check", fake_check)
+        paths = write_ref_files(tmp_path)
+        assert main(["check", "matic", "--c", str(paths["c"])]) == 7
+        assert seen == ["matic"]
+
+
 def run_module(*argv):
     """`python -m majdet.cli argv` importing the same majdet as this process,
     also from a checkout that is not installed."""
@@ -533,6 +632,13 @@ class TestEntryPoint:
         proc = run_module("verify-paper", "--json-only")
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_help_matches_in_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "--help")
+        proc = run_module("--help")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert (code, err) == (0, "") and out.startswith("usage: majdet")
 
     def test_usage_error_exit_one(self):
         proc = run_module("fuzz")
