@@ -29,16 +29,20 @@ Inputs are validated once, at the boundary: validate_instance checks each
 input matrix of the id's Shape (square, sized for the partition, finite,
 symmetric), and the checkers then call only linalg's private kernels, which
 validate nothing. Every checker is written with numpy broadcasting, so it
-takes one validated instance or a stack of them (stack_instances: the
-matrices of instances with one stack_key, stacked along a leading axis) and
-returns one verdict per instance; check_validated runs it, and the fuzzer
-evaluates a whole group of trials in one call per kernel that way.
+takes one validated instance or a stack of them (instances that share
+everything but their matrices, whose matrices are stacked along a leading
+axis, as stack_instances builds it or the fuzzer draws it) and returns one
+verdict per instance; check_validated runs it, and the fuzzer evaluates a
+whole group of trials in one call per kernel that way.
 
 The parametrized ids (det-power, thm32, abs-power, commuted-power,
 neg-power) are split at p: a preparation step does everything that does not
 depend on p (spectra, singular values, eigendecompositions) once per
-instance, and a cheap per-p step turns it into a verdict. run_check
-evaluates one p and check_p_grid a whole exponent grid through that split.
+instance or stack, and returns a grid step, which takes a whole exponent
+grid and computes each side over it in one numpy pass: the powers as one
+(P, ...) stack, one log1p and one sum, or one order check, over all the
+exponents. run_check evaluates one p and check_p_grid a grid through that
+split; each verdict has the bits of a one-exponent grid.
 
 SPECS holds one Spec per id: its role, the inputs it reads, its checker and,
 for the fuzzer and the CLI, its p-split with exponent grid and default p,
@@ -62,9 +66,11 @@ import numpy as np
 from . import exact, refdata
 from .blocks import Partition, diag_blocks, direct_sum, principal_indices, principal_submatrix
 from .errors import (
+    BadConfig,
     BadExponent,
     DimensionMismatch,
     IndexOutOfRange,
+    MajdetError,
     MissingField,
     NegativePower,
     NotBlockDiagonal,
@@ -83,7 +89,7 @@ from .linalg import (
     _rowwise,
     _singular_values,
     as_square,
-    eigh_power,
+    eigh_powers,
     frobenius,
     require_symmetric,
     symmetrize,
@@ -228,23 +234,10 @@ def _finite_array(rows) -> np.ndarray:
 _MATRIX_FIELDS = ("c", "d", "mats")
 
 
-def _shapes(value):
-    if value is None:
-        return None
-    return tuple(np.shape(a) for a in value) if isinstance(value, tuple) else np.shape(value)
-
-
-def stack_key(inst: Instance) -> tuple:
-    """Instances with equal keys stack into one (stack_instances): the same
-    matrix fields set, with the same shapes, and the same partition, idx, m
-    and p."""
-    return (*(_shapes(getattr(inst, f)) for f in _MATRIX_FIELDS),
-            inst.partition, inst.idx, inst.m, inst.p)
-
-
 def stack_instances(insts: Sequence[Instance]) -> Instance:
-    """One Instance whose matrices are those of insts (all of one stack_key)
-    stacked along a new leading axis, in order."""
+    """One Instance whose matrices are those of insts stacked along a new
+    leading axis, in order; insts share matrix shapes, partition, idx, m
+    and p, and the stack takes those of the first."""
     def stacked(values: list):
         if values[0] is None:
             return None
@@ -340,24 +333,27 @@ def _scalar_verdicts(inequality: str, llhs, lrhs, tol: float,
             for lo, hi, fp in zip(np.ravel(llhs).tolist(), np.ravel(lrhs).tolist(), fingerprints)]
 
 
+def _order_verdict(inequality: str, report: OrderReport, tol: float,
+                   fingerprint: Fingerprint, detail: dict | None = None) -> InequalityVerdict:
+    return InequalityVerdict(
+        inequality=inequality,
+        lhs=None,
+        rhs=None,
+        margin=report.worst_margin(),
+        holds=report.holds,
+        tol=tol,
+        fingerprint=fingerprint,
+        order=report,
+        detail=dict(detail or {}),
+    )
+
+
 def _order_verdicts(inequality: str, kind: OrderKind, x, y, tol: float,
                     fingerprints: list[Fingerprint],
                     detail: dict | None = None) -> list[InequalityVerdict]:
     """One order verdict per row pair of x and y (per instance)."""
-    return [
-        InequalityVerdict(
-            inequality=inequality,
-            lhs=None,
-            rhs=None,
-            margin=report.worst_margin(),
-            holds=report.holds,
-            tol=tol,
-            fingerprint=fp,
-            order=report,
-            detail=dict(detail or {}),
-        )
-        for report, fp in zip(check_orders(kind, x, y, tol), fingerprints)
-    ]
+    return [_order_verdict(inequality, report, tol, fp, detail)
+            for report, fp in zip(check_orders(kind, x, y, tol), fingerprints)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +537,7 @@ def identity_abs_square(c, d_blocks, part: Partition,
     the explicit product vs Cholesky log-determinants). margin is minus the
     worst normalized residual, so holds == (margin >= -tol).
     """
+    require_tol(tol)
     inst = validate_instance(Shape.BLOCK_D, Instance(partition=part, c=c, d_blocks=d_blocks))
     payload = _c_d_payload(Shape.BLOCK_D, inst)
 
@@ -792,37 +789,58 @@ def _sv_weak_log_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]
 
 # ---------------------------------------------------------------------------
 # Parametrized checks, split at p. Each prepare step does the p-independent
-# work on a validated instance or stack and returns the per-p step
-# `at(p, tol) -> one verdict per instance`; the arithmetic of each side is
-# the same whether one p or a grid is asked.
+# work on a validated instance or stack and returns the grid step
+# `step(ps, tol) -> one verdict list per exponent, one verdict per instance`.
+# A step computes each side over the whole grid in one numpy pass, with one
+# power x**p per exponent: numpy's fast paths for p = 0.5, 2 and -1 round
+# differently from a broadcast power, and one power per p keeps every verdict
+# the bits of a one-exponent grid.
 
-PerP = Callable[[float, float], list[InequalityVerdict]]
+GridStep = Callable[[Sequence[float], float], list[list[InequalityVerdict]]]
 
 
-def _sum_log1p_power(x: np.ndarray, p: float):
-    """sum log1p(x^p) over the last axis. Where x^p overflows a double, its
-    term is p*log(x), which equals log1p(x^p) to double precision there."""
+def _powers(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """x**p for each p of ps, as a (P, ...) stack; an overflow is left inf."""
     with np.errstate(over="ignore"):
-        xp = x**p
+        return np.stack([x**p for p in ps])
+
+
+def _sum_log1p_power(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """sum log1p(x^p) over the last axis, for each p of ps: a (P, ...) array.
+    Where x^p overflows a double, its term is p*log(x), which equals
+    log1p(x^p) to double precision there."""
+    xp = _powers(x, ps)
     over = np.isinf(xp)
     if over.any():
-        return np.sum(np.where(over, p * np.log(x), np.log1p(xp)), axis=-1)
+        p_col = np.reshape(ps, (-1,) + (1,) * x.ndim)
+        return np.sum(np.where(over, p_col * np.log(x), np.log1p(xp)), axis=-1)
     return np.sum(np.log1p(xp), axis=-1)
 
 
+def _scalar_grid(inequality: str, llhs: np.ndarray, lrhs: np.ndarray, ps: Sequence[float],
+                 tol: float, fingerprints: list[Callable[[float], Fingerprint]]
+                 ) -> list[list[InequalityVerdict]]:
+    """One list of scalar verdicts per exponent, from (P, ...) log sides."""
+    rows = zip(ps, np.reshape(llhs, (len(ps), -1)).tolist(),
+               np.reshape(lrhs, (len(ps), -1)).tolist())
+    return [[_scalar_verdict(inequality, lo, hi, tol, fp(p), {"p": p})
+             for lo, hi, fp in zip(los, his, fingerprints)]
+            for p, los, his in rows]
+
+
 def _log1p_power_sides(inequality: str, x: np.ndarray, y: np.ndarray,
-                       fingerprints: list[Callable[[float], Fingerprint]]) -> PerP:
+                       fingerprints: list[Callable[[float], Fingerprint]]) -> GridStep:
     """sum log1p(x^p) <= sum log1p(y^p) over precomputed spectra."""
-    def at(p: float, tol: float) -> list[InequalityVerdict]:
-        return _scalar_verdicts(inequality, _sum_log1p_power(x, p), _sum_log1p_power(y, p),
-                                tol, [fp(p) for fp in fingerprints], detail={"p": p})
+    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
+        return _scalar_grid(inequality, _sum_log1p_power(x, ps), _sum_log1p_power(y, ps),
+                            ps, tol, fingerprints)
 
-    return at
+    return step
 
 
-def _spectra_log1p_power(inequality: str) -> Callable[[Instance], PerP]:
+def _spectra_log1p_power(inequality: str) -> Callable[[Instance], GridStep]:
     """det-power and neg-power: both sides from the product spectra."""
-    def prepare(inst: Instance) -> PerP:
+    def prepare(inst: Instance) -> GridStep:
         part = inst.partition
         x, y = product_spectra(inst.c, inst.d, part)
         fingerprints = _p_fingerprints(part.n, part, _c_d_payload(SPECS[inequality].shape, inst))
@@ -831,22 +849,25 @@ def _spectra_log1p_power(inequality: str) -> Callable[[Instance], PerP]:
     return prepare
 
 
-def _prepare_thm32(inst: Instance) -> PerP:
+def _prepare_thm32(inst: Instance) -> GridStep:
     mats, part = inst.mats, inst.partition
     x, y = _choi_spectra(mats, part)
     fingerprints = _p_fingerprints(part.n, part, mats)
     m = len(mats)
 
-    def at(p: float, tol: float) -> list[InequalityVerdict]:
-        with np.errstate(over="ignore"):  # check_orders rejects an overflowed power
-            xp, yp = x**p, _rowwise(lambda row: row**p, y)
-        return _order_verdicts("thm32", OrderKind.WEAK_MAJORIZE, xp, yp, tol,
-                               [fp(p) for fp in fingerprints], detail={"p": p, "m": m})
+    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
+        # check_orders rejects an overflowed power
+        with np.errstate(over="ignore"):
+            yp = np.stack([_rowwise(lambda row: row**p, y) for p in ps])
+        reports = iter(check_orders(OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol))
+        return [[_order_verdict("thm32", report, tol, fp(p), {"p": p, "m": m})
+                 for fp, report in zip(fingerprints, reports)]
+                for p in ps]
 
-    return at
+    return step
 
 
-def _prepare_abs_power(inst: Instance) -> PerP:
+def _prepare_abs_power(inst: Instance) -> GridStep:
     part = inst.partition
     c, d = inst.c, inst.d
     dbs = diag_blocks(d, part)
@@ -855,16 +876,15 @@ def _prepare_abs_power(inst: Instance) -> PerP:
     s_full = _singular_values(_pd_inverse(c) @ d)
     fingerprints = _p_fingerprints(part.n, part, (c, *dbs))
 
-    def at(p: float, tol: float) -> list[InequalityVerdict]:
-        llhs = sum(_sum_log1p_power(s, p) for s in block_svs)
-        lrhs = _sum_log1p_power(s_full, p)
-        return _scalar_verdicts("abs-power", llhs, lrhs, tol, [fp(p) for fp in fingerprints],
-                                detail={"p": p})
+    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
+        llhs = sum(_sum_log1p_power(s, ps) for s in block_svs)
+        return _scalar_grid("abs-power", llhs, _sum_log1p_power(s_full, ps), ps, tol,
+                            fingerprints)
 
-    return at
+    return step
 
 
-def _prepare_commuted_power(inst: Instance) -> PerP:
+def _prepare_commuted_power(inst: Instance) -> GridStep:
     part = inst.partition
     c = inst.c
     dbs = diag_blocks(inst.d, part)
@@ -873,17 +893,17 @@ def _prepare_commuted_power(inst: Instance) -> PerP:
     c_eig = _pd_eigh(c)
     fingerprints = _p_fingerprints(part.n, part, (c, *dbs))
 
-    def at(p: float, tol: float) -> list[InequalityVerdict]:
-        cp_blocks = [eigh_power(w, v, p) for w, v in c_block_eigs]
-        dp_blocks = [eigh_power(w, v, p) for w, v in d_block_eigs]
+    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
+        # every power below is a (P, ..., n, n) stack, one product for the grid
+        cp_blocks = [eigh_powers(w, v, ps) for w, v in c_block_eigs]
+        dp_blocks = [eigh_powers(w, v, ps) for w, v in d_block_eigs]
         llhs = _logdet_ratio_blocks(cp_blocks, dp_blocks)
-        cp = eigh_power(*c_eig, p)
+        cp = eigh_powers(*c_eig, ps)
         dp = direct_sum(dp_blocks)
         lrhs = _logdet(symmetrize(cp + dp)) - _logdet(cp)
-        return _scalar_verdicts("commuted-power", llhs, lrhs, tol,
-                                [fp(p) for fp in fingerprints], detail={"p": p})
+        return _scalar_grid("commuted-power", llhs, lrhs, ps, tol, fingerprints)
 
-    return at
+    return step
 
 
 def _det_power_domain(p) -> None:
@@ -916,12 +936,13 @@ def _nonnegative_domain(inequality: str) -> Callable[[float | None], None]:
 @dataclass(frozen=True)
 class PSplit:
     """A parametrized id: `domain(p)` raises on an exponent the statement is
-    not made for; `prepare(inst)` is the p-independent step. `grid` is the
+    not made for; `prepare(inst)` is the p-independent step, and returns the
+    grid step `(ps, tol) -> one verdict list per p`. `grid` is the
     exponent grid a fuzz trial sweeps when no p is given, `default` the CLI's
     p when --p is absent."""
 
     domain: Callable[[float | None], None]
-    prepare: Callable[[Instance], PerP]
+    prepare: Callable[[Instance], GridStep]
     grid: tuple[float, ...]
     default: float
 
@@ -1069,6 +1090,13 @@ def spec_of(inequality: str) -> Spec:
             f"unknown inequality id {inequality!r}; known: {', '.join(SPECS)}") from None
 
 
+def require_tol(tol) -> None:
+    """Raise BadConfig on a tolerance that is not a finite real >= 0."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not math.isfinite(tol) or tol < 0):
+        raise BadConfig(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def exponent_spec(inequality: str, p: float | None) -> Spec:
     """spec_of(inequality), raising BadExponent when an exponent p is given to
     an id that has none."""
@@ -1088,20 +1116,29 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
     spec = spec_of(inequality)
     if spec.split is None:
         return [(verdict,) for verdict in spec.check(inst, tol)]
-    at = spec.split.prepare(inst)
-    return list(zip(*(at(p, tol) for p in ps)))
+    step = spec.split.prepare(inst)
+    try:
+        per_p = step(ps, tol)
+    except MajdetError:
+        # The grid stops at its first failing kernel call over all exponents;
+        # one exponent at a time raises the error of the first failing
+        # exponent, as checking the exponents in turn does.
+        per_p = [step((p,), tol)[0] for p in ps]
+    return list(zip(*per_p))
 
 
 def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
                  tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, ...]:
     """Verdicts of a parametrized id at each exponent of ps, in order, on one
-    instance. Every exponent is checked first; the p-independent work is
-    then done once."""
+    instance. The tolerance and every exponent are checked first; the
+    p-independent work is then done once, and the whole grid in one step."""
     spec = spec_of(inequality)
     if spec.split is None:
         raise UnknownInequality(f"{inequality!r} is not a parametrized id")
+    require_tol(tol)
     spec.split.require(ps)
-    return check_validated(inequality, validate_instance(spec.shape, inst), ps, tol)[0]
+    inst = validate_instance(spec.shape, inst)
+    return check_validated(inequality, inst, ps, tol)[0] if len(ps) else ()
 
 
 def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -1114,9 +1151,11 @@ def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) 
 def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Dispatch any catalog id on an Instance; the single entry point used by
     the CLI. Parametrized ids are evaluated at inst.p; an instance with a p
-    for an id without an exponent raises BadExponent. The exponent is
-    checked first, then each input matrix once (validate_instance)."""
+    for an id without an exponent raises BadExponent. The exponent and the
+    tolerance (require_tol) are checked first, then each input matrix once
+    (validate_instance)."""
     spec = exponent_spec(inequality, inst.p)
+    require_tol(tol)
     if spec.split is not None:
         spec.split.require((inst.p,))
     return check_validated(inequality, validate_instance(spec.shape, inst), (inst.p,), tol)[0][0]

@@ -12,14 +12,18 @@ parametrized id sweeps the Spec's exponent grid on one draw. No shrinking is
 performed: violating instances are stored verbatim and can be replayed in
 isolation.
 
-fuzz takes the trials a chunk at a time: it draws per trial, forms per
-stack, and validates the stack once. Each trial makes its generator calls
-from its own substream; the chunk's SPECTRAL matrices are then formed with
-one stacked qr and one stacked product per matrix size. The trials whose
-instances stack (catalog.stack_key) are validated as one stack and go
-through the id's checker as one stack, one call per kernel. Draws, verdicts
-and reports equal drawing and checking the trials one by one, bit for bit.
-build_instance and run_trial are the same code on a one-trial range.
+fuzz takes the trials a chunk at a time, and a chunk is a stack from the
+draw through to the verdict. Each trial makes its generator calls from its
+own substream, writing its random parts straight into the chunk's arrays;
+the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
+product per matrix size, and its C, D and mats are (trials, n, n) stacks.
+Each stack (the drawn trials, lemma31's trials of one idx, the injected
+counterexample on its own) is validated once and goes through the id's
+checker in one call per kernel, a parametrized id's exponent grid in one
+step. A per-trial Instance is built only for a record the report keeps.
+Draws, verdicts and reports equal drawing and checking the trials one by
+one, bit for bit. build_instances, build_instance and run_trial are the same
+code on a range of trials or on one.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ import math
 import numbers
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .blocks import Partition, direct_sum, validate_partition
+from .blocks import Partition, validate_partition
 from .catalog import (
     InequalityVerdict,
     Instance,
@@ -41,10 +46,9 @@ from .catalog import (
     Spec,
     check_validated,
     exponent_spec,
+    require_tol,
     run_check,
     spec_of,
-    stack_instances,
-    stack_key,
     validate_instance,
 )
 from .errors import BadConfig, MajdetError, ResampleExhausted
@@ -128,9 +132,9 @@ def _spectral_parts(rng: np.random.Generator, n: int,
                     kappa_max: float) -> tuple[np.ndarray, np.ndarray]:
     """The random parts of one SPECTRAL matrix, in stream order: its
     log-uniform spectrum in [1, kappa_max], then the Gaussian block whose
-    orthogonal factor conjugates it."""
-    lam = np.exp(rng.uniform(0.0, np.log(kappa_max), size=n)) if kappa_max > 1.0 \
-        else np.ones(n)
+    orthogonal factor conjugates it. Without room for a spectrum (kappa_max
+    <= 1) no spectrum is drawn and it is all ones."""
+    lam = np.exp(rng.random(n) * np.log(kappa_max)) if kappa_max > 1.0 else np.ones(n)
     return lam, rng.standard_normal((n, n))
 
 
@@ -170,82 +174,135 @@ def gen_pd(cfg: GenConfig, trial: int) -> np.ndarray:
     return sample_pd(rng, cfg.n, cfg.style, cfg.kappa_max, cfg.entry_scale)
 
 
-# A drawn matrix before forming: the matrix itself (GRAM, or a reference), or
-# the place of its parts among the chunk's SPECTRAL parts, (size, index).
-_Slot = np.ndarray | tuple[int, int]
-
-
-def _draw_trial(spec: Spec, cfg: GenConfig, trial: int, p: float | None,
-                draw: Callable[..., _Slot]) -> Callable[[Callable[[_Slot], np.ndarray]], Instance]:
-    """Make one trial's generator calls, each matrix through draw, and
-    return what builds its Instance once the drawn matrices are formed (or
-    the injected counterexample)."""
-    if trial == 0 and spec.reference is not None:
-        ref_part, ref_c, ref_d = spec.reference
-        ref = Instance(partition=ref_part, c=ref_c.copy(), d=ref_d.copy(), p=p)
-        return lambda formed: ref
-    rng = trial_rng(cfg, trial)
-    n = cfg.n
-    part = cfg.part()
-
+def _roles(spec: Spec, cfg: GenConfig) -> list[tuple[int, float]]:
+    """(size, condition cap) of each matrix a drawn trial makes, in draw
+    order: the mats, or C, then for a C+D id the blocks of D (a general D is
+    drawn as one block)."""
+    n, kappa = cfg.n, cfg.kappa_max
     if spec.shape is Shape.MATS:
-        mats = [draw(rng, n) for _ in range(cfg.m)]
-        return lambda formed: Instance(partition=part, mats=tuple(map(formed, mats)), p=p)
-    if spec.shape is Shape.C_IDX:
-        a = draw(rng, n)
-        size = int(rng.integers(1, n + 1))
-        idx = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        return lambda formed: Instance(c=formed(a), idx=idx)
-    if spec.shape is Shape.C:
-        c = draw(rng, n)
-        return lambda formed: Instance(partition=part, c=formed(c))
+        return [(n, kappa)] * cfg.m
+    if spec.shape in (Shape.C, Shape.C_IDX):
+        return [(n, kappa)]
+    c_cap, d_cap, _ = spec.caps
+    sizes = cfg.part().sizes if spec.shape is Shape.BLOCK_D else (n,)
+    return [(n, kappa if c_cap is None else min(kappa, c_cap))] + \
+        [(size, kappa if d_cap is None else min(kappa, d_cap)) for size in sizes]
 
-    # a general D is drawn as one block; a general-D id has no caps or bias
-    c_cap, d_cap, bias = spec.caps
-    c = draw(rng, n, c_cap)
-    blocks = []
-    for size in part.sizes if spec.shape is Shape.BLOCK_D else (n,):
-        blk = draw(rng, size, d_cap)
-        # hunt in the regime of strongly unequal block scales
-        blocks.append((blk, 10.0 ** rng.uniform(-bias, bias) if bias else None))
-    return lambda formed: Instance(
-        partition=part, c=formed(c),
-        d=direct_sum([formed(b) if scale is None else formed(b) * scale for b, scale in blocks]),
-        p=p)
+
+# A chunk's trials as stacks: per group, the positions of its trials in the
+# chunk and their instances stacked along a leading axis.
+_Groups = list[tuple[list[int], Instance]]
+
+
+def _form_by_size(roles: list[tuple[int, float]], uniforms: list[np.ndarray],
+                  gaussians: list[np.ndarray], entry_scale: float) -> list[np.ndarray]:
+    """Each role's (trials, size, size) stack of SPECTRAL matrices, with one
+    exp, one qr and one product per size: a spectrum is exp(u * log(cap)),
+    all ones for a zero row u."""
+    mats: list = [None] * len(roles)
+    for size in dict.fromkeys(size for size, _ in roles):
+        js = [j for j, (s, _) in enumerate(roles) if s == size]
+        lam = np.exp(np.stack([uniforms[j] * np.log(roles[j][1]) for j in js]))
+        formed = _form_spectral(lam.reshape(-1, size),
+                                np.stack([gaussians[j] for j in js]).reshape(-1, size, size),
+                                entry_scale)
+        for j, stack in zip(js, formed.reshape(len(js), -1, size, size)):
+            mats[j] = stack
+    return mats
+
+
+def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _Groups:
+    """Draw a range of trials straight into stacks.
+
+    Trial 0 of a false id is its injected counterexample, a group of its
+    own. Every other trial makes its generator calls from its own substream,
+    in the order sample_pd makes them: per matrix its spectrum's uniforms
+    and its Gaussian block (SPECTRAL), written into the chunk's arrays, then
+    a D block's scale bias; lemma31's idx last. The SPECTRAL matrices are
+    then formed per size (_form_by_size). GRAM matrices are formed where
+    they are drawn, since their resample loop reads eigenvalues and so
+    decides the later draws. The drawn trials are one group; lemma31's are
+    grouped by idx.
+    """
+    groups: _Groups = []
+    drawn = list(trials)
+    if spec.reference is not None and drawn[:1] == [0]:
+        ref_part, ref_c, ref_d = spec.reference
+        groups.append(([0], Instance(partition=ref_part, c=ref_c[None].copy(),
+                                     d=ref_d[None].copy(), p=p)))
+        drawn = drawn[1:]
+    if not drawn:
+        return groups
+    first, count, n = len(groups), len(drawn), cfg.n
+    roles = _roles(spec, cfg)
+    spectral = cfg.style is GenStyle.SPECTRAL
+    # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
+    # no room for a spectrum, which is then not drawn) and Gaussian block,
+    # or a GRAM matrix
+    uniforms = [np.zeros((count, size)) for size, _ in roles]
+    blocks = [np.empty((count, size, size)) for size, _ in roles]
+    bias = spec.caps[2] if spec.shape is Shape.BLOCK_D else 0.0
+    scales = np.empty((len(roles), count))
+    idxs = []
+    for t, trial in enumerate(drawn):
+        rng = trial_rng(cfg, trial)
+        for j, (size, kappa) in enumerate(roles):
+            if not spectral:
+                blocks[j][t] = sample_pd(rng, size, cfg.style, kappa, cfg.entry_scale)
+            else:
+                if kappa > 1.0:
+                    rng.random(out=uniforms[j][t])
+                rng.standard_normal(out=blocks[j][t])
+            if bias and j:
+                # hunt in the regime of strongly unequal block scales
+                scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
+        if spec.shape is Shape.C_IDX:
+            size = int(rng.integers(1, n + 1))
+            idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+    mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
+
+    positions = list(range(first, first + count))
+    part = cfg.part()
+    if spec.shape is Shape.MATS:
+        groups.append((positions, Instance(partition=part, mats=tuple(mats), p=p)))
+    elif spec.shape is Shape.C:
+        groups.append((positions, Instance(partition=part, c=mats[0])))
+    elif spec.shape is Shape.C_IDX:
+        members: dict[tuple[int, ...], list[int]] = {}
+        for t, idx in enumerate(idxs):
+            members.setdefault(idx, []).append(t)
+        for idx, ts in members.items():
+            groups.append(([first + t for t in ts], Instance(c=mats[0][ts], idx=idx)))
+    elif spec.shape is Shape.GENERAL_D:
+        groups.append((positions, Instance(partition=part, c=mats[0], d=mats[1], p=p)))
+    else:
+        d = np.zeros((count, n, n))
+        for j, (lo, hi) in enumerate(part.offsets(), start=1):
+            d[:, lo:hi, lo:hi] = mats[j] * scales[j, :, None, None] if bias else mats[j]
+        groups.append((positions, Instance(partition=part, c=mats[0], d=d, p=p)))
+    return groups
+
+
+def _member(stack: Instance, j: int, p: float | None) -> Instance:
+    """Instance j of a stacked Instance, at exponent p."""
+    return Instance(partition=stack.partition,
+                    c=None if stack.c is None else stack.c[j],
+                    d=None if stack.d is None else stack.d[j],
+                    mats=None if stack.mats is None else tuple(a[j] for a in stack.mats),
+                    idx=stack.idx, p=p, m=stack.m)
 
 
 def build_instances(inequality: str, cfg: GenConfig, trials: range,
                     p: float | None = None) -> list[Instance]:
     """Draw the instances of a range of trials, in order (trial 0 of a false
-    id is its injected counterexample).
-
-    Each trial makes its generator calls from its own substream, in the
-    order sample_pd makes them, so every draw is a pure function of (cfg,
-    trial). The SPECTRAL matrices are then formed per stack: one
-    _form_spectral per matrix size over all the trials, with the block-scale
-    bias applied after. GRAM matrices are formed where they are drawn: their
-    resample loop reads eigenvalues and so decides the later draws.
-    """
-    spec = spec_of(inequality)
-    parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    def draw(rng: np.random.Generator, size: int, cap: float | None = None) -> _Slot:
-        kappa = cfg.kappa_max if cap is None else min(cfg.kappa_max, cap)
-        if cfg.style is not GenStyle.SPECTRAL:
-            return sample_pd(rng, size, cfg.style, kappa, cfg.entry_scale)
-        drawn = parts.setdefault(size, [])
-        drawn.append(_spectral_parts(rng, size, kappa))
-        return size, len(drawn) - 1
-
-    builders = [_draw_trial(spec, cfg, trial, p, draw) for trial in trials]
-    stacks = {size: _form_spectral(np.stack([lam for lam, _ in drawn]),
-                                   np.stack([g for _, g in drawn]), cfg.entry_scale)
-              for size, drawn in parts.items()}
-
-    def formed(slot: _Slot) -> np.ndarray:
-        return stacks[slot[0]][slot[1]] if isinstance(slot, tuple) else slot
-
-    return [build(formed) for build in builders]
+    id is its injected counterexample): fuzz's draw routine, unstacked.
+    Every draw is a pure function of (cfg, trial), the same bits however the
+    trials are chunked."""
+    out: list = [None] * len(trials)
+    for positions, stack in _draw_chunk(spec_of(inequality), cfg, trials, p):
+        for j, k in enumerate(positions):
+            out[k] = _member(stack, j, stack.p)
+    return out
 
 
 def build_instance(inequality: str, cfg: GenConfig, trial: int,
@@ -300,47 +357,44 @@ _CHUNK = 64
 
 
 def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
-                tol: float) -> list[tuple[InequalityVerdict, Instance]]:
-    """Evaluate a range of trials, in order.
+                tol: float) -> list[tuple[InequalityVerdict, Callable[[], Instance]]]:
+    """Evaluate a range of trials, in order: per trial its verdict and what
+    builds its Instance.
 
-    The trials are drawn by build_instances. Trials whose instances stack
-    (catalog.stack_key: shapes, partition, idx, m, p) are validated and
-    checked together, one call per kernel. For parametrized ids without an
-    explicit p, each draw is checked at every exponent of the Spec's grid
-    (the p-independent work once, then one cheap step per p); the first
-    verdict of minimum margin is kept and returned with the instance
-    carrying that verdict's p.
+    The trials are drawn as stacks by _draw_chunk, and each stack is
+    validated once and checked in one call per kernel. For parametrized ids
+    without an explicit p, each draw is checked at every exponent of the
+    Spec's grid (the p-independent work once, then one grid step); the first
+    verdict of minimum margin is kept, and the instance carries that
+    verdict's p.
     """
     spec = exponent_spec(inequality, p)
     ps = (p,) if p is not None or spec.split is None else spec.split.grid
-    drawn = build_instances(inequality, cfg, trials, p=ps[0])
+    groups = _draw_chunk(spec, cfg, trials, ps[0])
     if spec.split is not None:
         spec.split.require(ps)
-    groups: dict[tuple, list[int]] = {}
-    for k, inst in enumerate(drawn):
-        groups.setdefault(stack_key(inst), []).append(k)
-    results: list = [None] * len(drawn)
-    for members in groups.values():
-        stack = validate_instance(spec.shape, stack_instances([drawn[k] for k in members]),
-                                  lead=1)
-        for k, verdicts in zip(members, check_validated(inequality, stack, ps, tol)):
+    results: list = [None] * len(trials)
+    for positions, stack in groups:
+        stack = validate_instance(spec.shape, stack, lead=1)
+        for j, (k, verdicts) in enumerate(zip(positions,
+                                              check_validated(inequality, stack, ps, tol))):
             worst = min(range(len(ps)), key=lambda i: verdicts[i].margin)
-            inst = replace(drawn[k], p=ps[worst]) if worst else drawn[k]
-            results[k] = (verdicts[worst], inst)
+            results[k] = (verdicts[worst], partial(_member, stack, j, ps[worst]))
     return results
 
 
 def run_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None = None,
               tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, Instance]:
     """Evaluate one trial: _run_trials on a one-trial range."""
-    return _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)[0]
+    verdict, instance = _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)[0]
+    return verdict, instance()
 
 
 def _named_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None,
-                 tol: float) -> tuple[InequalityVerdict, Instance]:
-    """run_trial, with the trial index and seed in front of any error."""
+                 tol: float) -> tuple[InequalityVerdict, Callable[[], Instance]]:
+    """_run_trials on one trial, with the trial index and seed in front of any error."""
     try:
-        return run_trial(inequality, cfg, trial, p=p, tol=tol)
+        return _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)[0]
     except MajdetError as err:
         raise type(err)(
             f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
@@ -353,7 +407,8 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     The report content is a pure function of (inequality, cfg, trials, p,
     tol) apart from the wall_time field. Instances are serialized only for
     violations unless keep_instances is set. A p for an id without an
-    exponent raises BadExponent. Trials are evaluated a chunk at a time;
+    exponent raises BadExponent, a tol that is negative or not finite
+    BadConfig. Trials are evaluated a chunk at a time;
     a chunk that raises is evaluated again one trial at a time, so the
     error raised is that of the first failing trial, named with its index
     and seed.
@@ -363,6 +418,7 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
         raise BadConfig(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise BadConfig(f"trials must be >= 1, got {trials}")
+    require_tol(tol)
     t0 = time.perf_counter()
     holds = 0
     violations = 0
@@ -374,7 +430,7 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
             results = _run_trials(inequality, cfg, chunk, p, tol)
         except MajdetError:
             results = [_named_trial(inequality, cfg, trial, p, tol) for trial in chunk]
-        for trial, (verdict, inst) in zip(chunk, results):
+        for trial, (verdict, instance) in zip(chunk, results):
             worst_margin = min(worst_margin, verdict.margin)
             if verdict.holds:
                 holds += 1
@@ -385,7 +441,7 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
                     trial=trial,
                     seed=derive_seed(cfg.seed, trial),
                     verdict=verdict,
-                    instance=inst.to_json(spec.shape),
+                    instance=instance().to_json(spec.shape),
                 ))
     return FuzzReport(
         inequality=inequality,

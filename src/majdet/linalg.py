@@ -256,10 +256,11 @@ def _rowwise(f, x: np.ndarray) -> np.ndarray:
     return np.stack([f(row) for row in rows]).reshape(x.shape)
 
 
-def eigh_power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """a^p from the decomposition (w, V) = pd_eigh(a), or from a stack of
-    them; one product per exponent."""
-    wp = _rowwise(lambda row: row**p, w)
+def eigh_powers(w: np.ndarray, v: np.ndarray, ps) -> np.ndarray:
+    """a^p for each exponent of ps, from the decomposition (w, V) =
+    pd_eigh(a) or a stack of them: a (P, ..., n, n) stack, one product for
+    all the exponents."""
+    wp = np.stack([_rowwise(lambda row: row**p, w) for p in ps])
     return symmetrize((v * wp[..., None, :]) @ v.swapaxes(-1, -2))
 
 

@@ -1,10 +1,11 @@
 """Matrix file format: JSON {"n": int, "rows": [[...]], optional "exact": ...}.
 
-Every entry of "rows" must be finite; Python's json module would otherwise
-accept NaN and Infinity. "exact" holds per-entry ["numerator",
-"denominator"] string pairs and, when present, must agree with rows to
-1e-12 after division; it enables exact rational certification of
-determinant comparisons.
+Every entry of "rows" must be finite and not a boolean; Python's json
+module would otherwise accept NaN and Infinity, and numpy reads true as 1. "exact" holds per-entry
+["numerator", "denominator"] pairs of integer strings or JSON integers
+(not floats, which int() would truncate, nor booleans) and, when present,
+must agree with rows to 1e-12 after division; it enables exact rational
+certification of determinant comparisons.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise BadMatrixFile(f"{path}: 'rows' must be a {n}x{n} array")
+    if any(isinstance(x, bool) for row in rows for x in row):
+        raise BadMatrixFile(f"{path}: boolean entry in 'rows'")
     try:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError) as err:
@@ -55,6 +58,13 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
         if (not isinstance(raw, list) or len(raw) != n
                 or any(not isinstance(r, list) or len(r) != n for r in raw)):
             raise BadMatrixFile(f"{path}: 'exact' must be a {n}x{n} array of pairs")
+        for row in raw:
+            for pair in row:
+                if not isinstance(pair, list) or any(
+                        isinstance(part, bool) or not isinstance(part, (str, int))
+                        for part in pair):
+                    raise BadMatrixFile(f"{path}: exact entry {pair!r} is not a pair of "
+                                        "integer strings or integers")
         try:
             exact = [
                 [Fraction(int(num), int(den)) for num, den in row] for row in raw

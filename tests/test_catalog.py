@@ -38,6 +38,7 @@ from majdet.catalog import (
     run_check,
 )
 from majdet.errors import (
+    BadConfig,
     BadExponent,
     DimensionMismatch,
     IndexOutOfRange,
@@ -741,6 +742,46 @@ class TestPGrid:
             assert verdict.to_json() == single.to_json()
             assert verdict.detail["p"] == p
 
+    @pytest.mark.parametrize("inequality, ps", [
+        # verify-paper's ex-2.6 grid, then one exponent whose powers overflow
+        ("neg-power", tuple(-round(0.1 * i, 1) for i in range(1, 101)) + (-300.0,)),
+        ("det-power", (0.0, 0.5, 300.0, 1.0, 2.0, 3.0)),
+        ("abs-power", (300.0, 0.0, 0.5, 2.0)),
+    ])
+    def test_long_and_overflowing_grids_equal_one_check_per_p(self, rng, inequality, ps):
+        c, blocks, part = random_block_instance(rng, 4, (2, 2))
+        if inequality == "neg-power":  # spectra below 1, whose -300th powers overflow
+            blocks = tuple(1e-3 * b for b in blocks)
+        inst = Instance(partition=part, c=c, d_blocks=blocks)
+        x, y = catalog_mod.product_spectra(inst.c, inst.d, part)
+        if inequality == "abs-power":
+            x = np.concatenate([linalg_mod.singular_values(pd_inverse(cb) @ db)
+                                for cb, db in zip(diag_blocks(inst.c, part), blocks)])
+        with np.errstate(over="ignore"):
+            assert np.isinf(x ** max(ps, key=abs)).any()
+        ref = Instance(partition=refdata.NEG_POWER_PART, c=refdata.NEG_POWER_C,
+                       d=refdata.NEG_POWER_D)
+        for case in (inst, ref):
+            grid = check_p_grid(inequality, case, ps)
+            assert [v.to_json() for v in grid] == \
+                [run_check(inequality, replace(case, p=p)).to_json() for p in ps]
+
+    @pytest.mark.parametrize("inequality, ps", [("det-power", (0.5, 2.0, 1.0, 3.0)),
+                                                ("neg-power", (-1.0, -0.5, -2.0))])
+    def test_grid_takes_one_scalar_power_per_p(self, rng, inequality, ps):
+        # numpy's x**p has fast paths for p = 0.5, 2 and -1 that a broadcast
+        # power over the grid does not take; the sides must keep their bits
+        for _ in range(20):
+            c, blocks, part = random_block_instance(rng, 5, (2, 3))
+            inst = Instance(partition=part, c=c, d_blocks=blocks)
+            x, y = catalog_mod.product_spectra(inst.c, inst.d, part)
+            for p, verdict in zip(ps, check_p_grid(inequality, inst, ps)):
+                assert verdict.detail["log_lhs"] == float(np.sum(np.log1p(x**p)))
+                assert verdict.detail["log_rhs"] == float(np.sum(np.log1p(y**p)))
+
+    def test_empty_grid(self, rng):
+        assert check_p_grid("det-power", p_instance(rng, "det-power"), ()) == ()
+
     def test_fingerprint_matches_unsplit_digest(self, rng):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))
         verdict = check_det_power(c, blocks, part, p=2.0)
@@ -762,6 +803,34 @@ class TestPGrid:
     def test_unknown_id(self):
         with pytest.raises(UnknownInequality):
             check_p_grid("matic", Instance(), (1.0,))
+
+
+BAD_TOLS = [-0.5, -1e-300, math.nan, math.inf, -math.inf, True, "1e-9", None]
+
+
+class TestTolerance:
+    """The library rejects the tolerances the CLI rejects at parse time."""
+
+    def test_negative_tol_no_longer_flips_an_exact_equality(self):
+        inst = Instance(partition=Partition((2,)), c=[[2, 1], [1, 2]])
+        assert run_check("ky-fan", inst).holds
+        with pytest.raises(BadConfig, match="^tolerance must be a finite number >= 0"):
+            run_check("ky-fan", inst, tol=-0.5)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_entry_points_reject(self, rng, tol):
+        with pytest.raises(BadConfig):
+            run_check("ky-fan", Instance(partition=Partition((2,)), c=np.eye(2)), tol=tol)
+        with pytest.raises(BadConfig):
+            check_p_grid("det-power", p_instance(rng, "det-power"), (1.0,), tol=tol)
+        c, blocks, part = random_block_instance(rng, 2, (1, 1))
+        with pytest.raises(BadConfig):
+            identity_abs_square(c, blocks, part, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-9, 1])
+    def test_accepts_finite_nonnegative(self, tol):
+        inst = Instance(partition=Partition((2,)), c=np.eye(2))
+        assert run_check("ky-fan", inst, tol=tol).tol == tol
 
 
 def small_pd(rng, n):

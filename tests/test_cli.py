@@ -86,6 +86,32 @@ class TestMatrixFiles:
         with pytest.raises(BadMatrixFile):
             read_matrix(path)
 
+    @pytest.mark.parametrize("rows", [
+        [[True, False], [False, True]], [[1.0, 0.0], [0.0, True]],
+    ], ids=["all-bool", "one-bool"])
+    def test_boolean_entry(self, tmp_path, rows):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "rows": rows}))
+        with pytest.raises(BadMatrixFile, match="boolean entry"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("pair", [
+        [1.0000000000001, 1], [1, 1.0], [True, 1], ["1", False], "11", [None, 1],
+    ], ids=["float-num", "float-den", "bool-num", "bool-den", "string", "null"])
+    def test_exact_part_not_an_integer(self, tmp_path, pair):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "rows": [[1.0]], "exact": [[pair]]}))
+        with pytest.raises(BadMatrixFile, match="is not a pair of integer strings or integers"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("pair", [["3", "2"], [3, 2], ["3", 2], [-3, "-2"]])
+    def test_exact_parts_strings_or_integers(self, tmp_path, pair):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"n": 1, "rows": [[1.5]], "exact": [[pair]]}))
+        arr, exact = read_matrix(path)
+        assert exact == [[Fraction(3, 2)]]
+        assert arr.tolist() == [[1.5]]
+
 
 class TestVerifyPaper:
     def test_exit_zero_and_json(self, capsys):

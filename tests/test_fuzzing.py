@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,12 @@ class TestGeneration:
     def test_fuzz_rejects_trials_that_are_not_an_int(self, trials):
         with pytest.raises(BadConfig, match="^trials must be an int"):
             fuzz("main-thm", GenConfig(n=2), trials)
+
+    @pytest.mark.parametrize("tol", [math.nan, -0.5, math.inf, True, "0"])
+    def test_fuzz_rejects_a_bad_tolerance(self, tol):
+        # a NaN tol used to report every trial of a theorem as a violation
+        with pytest.raises(BadConfig, match="^tolerance must be a finite number >= 0"):
+            fuzz("ky-fan", GenConfig(n=2, seed=1), 3, tol=tol)
 
     def test_derive_seed_pure(self):
         assert derive_seed(42, 7) == derive_seed(42, 7)
@@ -257,6 +264,15 @@ GRID_CONFIGS = (
     # thm32's grid reaches p = 3, where the inverse-sum spectra of matrices
     # scaled by 1e-110 overflow a double: both paths must raise the same error
     GenConfig(n=3, partition=Partition((1, 2)), m=2, seed=5, entry_scale=1e-110),
+    # no room for a spectrum: no spectrum is drawn, every matrix is scaled I
+    GenConfig(n=4, partition=Partition((1, 3)), m=2, seed=21, kappa_max=1.0, entry_scale=3.0),
+    # one block: C and the D block share one size stack under different caps
+    # (commuted-power's 1e6 and 1e3)
+    GenConfig(n=3, partition=Partition((3,)), m=2, seed=13, kappa_max=1e8),
+    # GRAM in the shape of the (2, 2) references, so the injected trial 0
+    # could stack with the drawn ones
+    GenConfig(n=4, partition=Partition((2, 2)), m=2, seed=3, style=GenStyle.GRAM,
+              kappa_max=1e3),
 )
 
 
@@ -329,6 +345,52 @@ class TestGridEvaluation:
         assert streams == list(range(7))
         assert qrs == [(7, 4, 4), (14, 2, 2)]
         assert stacks == [(7,)]
+
+    def test_one_formation_per_size_and_one_grid_step_per_group(self, monkeypatch):
+        # abs-power, 70 trials: chunk 0 holds the injected trial 0 (a group of
+        # its own) and 63 drawn trials, chunk 1 six drawn trials. Each chunk
+        # forms its SPECTRAL matrices once per size (C 4x4, D blocks 2x2),
+        # and each group is prepared once and takes its whole grid in one step.
+        formations, prepared, steps = [], [], []
+        form = fuzzing_mod._form_spectral
+        spec = SPECS["abs-power"]
+
+        def counting_form(lam, g, entry_scale):
+            formations.append(g.shape)
+            return form(lam, g, entry_scale)
+
+        def counting_prepare(inst):
+            prepared.append(inst.c.shape)
+            step = spec.split.prepare(inst)
+
+            def counting_step(ps, tol):
+                steps.append(tuple(ps))
+                return step(ps, tol)
+
+            return counting_step
+
+        monkeypatch.setattr(fuzzing_mod, "_form_spectral", counting_form)
+        monkeypatch.setitem(catalog_mod.SPECS, "abs-power", dataclasses.replace(
+            spec, split=dataclasses.replace(spec.split, prepare=counting_prepare)))
+        fuzz("abs-power", GRID_CONFIGS[0], 70)
+        assert formations == [(63, 4, 4), (126, 2, 2), (6, 4, 4), (12, 2, 2)]
+        assert prepared == [(1, 4, 4), (63, 4, 4), (6, 4, 4)]
+        assert steps == [spec.split.grid] * 3
+
+    def test_lemma31_groups_by_idx(self, monkeypatch):
+        checked = []
+        spec = SPECS["lemma31"]
+
+        def counting_check(inst, tol):
+            checked.append((inst.idx, inst.c.shape[0]))
+            return spec.check(inst, tol)
+
+        monkeypatch.setitem(catalog_mod.SPECS, "lemma31",
+                            dataclasses.replace(spec, check=counting_check))
+        cfg = GenConfig(n=3, seed=2)
+        fuzz("lemma31", cfg, 20)
+        idxs = [build_instance("lemma31", cfg, trial).idx for trial in range(20)]
+        assert checked == [(idx, idxs.count(idx)) for idx in dict.fromkeys(idxs)]
 
 
 def oracle_report(inequality, cfg, trials, p=None, keep_instances=False):

@@ -14,7 +14,7 @@ from majdet.errors import (
 from majdet.linalg import (
     cholesky,
     eig_pencil,
-    eigh_power,
+    eigh_powers,
     eigh_sym,
     eigvals_sym,
     hyperbolic_power,
@@ -204,11 +204,11 @@ class TestEigPdProduct:
 
 
 class TestMatrixFunctions:
-    """Spectral powers a^p = eigh_power(*pd_eigh(a), p)."""
+    """Spectral powers a^p = eigh_powers(*pd_eigh(a), (p,))[0]."""
 
     @staticmethod
     def power(a, p):
-        return eigh_power(*pd_eigh(a), p)
+        return eigh_powers(*pd_eigh(a), (p,))[0]
 
     def test_sqrt_identity(self):
         np.testing.assert_allclose(self.power(np.eye(3), 0.5), np.eye(3))
@@ -234,9 +234,10 @@ class TestMatrixFunctions:
         # one decomposition serves every exponent: a^0 = I, a^1 = a, a^2 = a a
         a = rand_pd(rng, 5, kappa=1e3)
         w, v = pd_eigh(a)
-        np.testing.assert_allclose(eigh_power(w, v, 0.0), np.eye(5), atol=1e-12)
-        np.testing.assert_allclose(eigh_power(w, v, 1.0), a, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(eigh_power(w, v, 2.0), a @ a, rtol=1e-9, atol=1e-9)
+        zero, one, two = eigh_powers(w, v, (0.0, 1.0, 2.0))
+        np.testing.assert_allclose(zero, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(one, a, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(two, a @ a, rtol=1e-9, atol=1e-9)
 
     def test_pd_eigh_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -372,7 +373,9 @@ def kernel_cases():
         "eigvalsh": linalg_mod._eigvalsh,
         "singular_values": linalg_mod._singular_values,
         "pencil": lambda a: linalg_mod._pencil(a, a[..., ::-1, ::-1].copy()),
-        "eigh_power": lambda a: eigh_power(*linalg_mod._pd_eigh(a), 1.7),
+        # a grid of exponents, moved behind the stack axis
+        "eigh_power": lambda a: np.moveaxis(
+            eigh_powers(*linalg_mod._pd_eigh(a), (1.7, 0.5, 2.0, -1.0)), 0, -3),
         "rowwise_pow": lambda a: linalg_mod._rowwise(lambda r: r**3.0, linalg_mod._eigvalsh(a)),
         "symmetrize": symmetrize,
     }
