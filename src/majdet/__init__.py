@@ -9,15 +9,6 @@ from .catalog import (
     THEOREM_IDS,
     InequalityVerdict,
     Instance,
-    check_choi,
-    check_det_power,
-    check_fischer_tail,
-    check_kyfan,
-    check_lemma31,
-    check_main_theorem,
-    check_matic,
-    check_open_q,
-    check_thm32,
     evaluate_general,
     identity_abs_square,
     run_check,
@@ -50,9 +41,7 @@ __all__ = [
     "Partition", "diag_blocks", "direct_sum", "principal_submatrix", "validate_partition",
     "EVALUATOR_IDS", "INEQUALITY_IDS", "THEOREM_IDS",
     "InequalityVerdict", "Instance",
-    "check_choi", "check_det_power", "check_fischer_tail", "check_kyfan",
-    "check_lemma31", "check_main_theorem", "check_matic", "check_open_q",
-    "check_thm32", "evaluate_general", "identity_abs_square", "run_check",
+    "evaluate_general", "identity_abs_square", "run_check",
     "det_exact", "inverse_exact", "rational_matrix",
     "FuzzReport", "GenConfig", "GenStyle", "TrialRecord", "fuzz", "gen_pd", "replay",
     "cholesky", "eig_pencil", "eigh_sym", "eigvals_sym", "hyperbolic_power",

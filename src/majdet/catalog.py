@@ -1,4 +1,4 @@
-"""One checker per inequality family, each returning a structured verdict.
+"""One checker per inequality family, each returning its verdicts as arrays.
 
 Theorem-family checks (expected to hold on every valid instance):
   main-thm       lambda(C1^-1 D1 (+) ... (+) Ck^-1 Dk) weak-log-majorized by lambda(C^-1 D)
@@ -31,9 +31,14 @@ symmetric), and the checkers then call only linalg's private kernels, which
 validate nothing. Every checker is written with numpy broadcasting, so it
 takes one validated instance or a stack of them (instances that share
 everything but their matrices, whose matrices are stacked along a leading
-axis, as stack_instances builds it or the fuzzer draws it) and returns one
-verdict per instance; check_validated runs it, and the fuzzer evaluates a
-whole group of trials in one call per kernel that way.
+axis, as the fuzzer draws them), and check_validated runs it.
+
+A stack of verdicts is arrays: a checker returns one Verdicts, whose margin
+and holds are (exponents, instances) arrays, with the log sides or the
+order checks and what the fingerprints hash. An InequalityVerdict, with
+its sha256 fingerprint and OrderReport, is built only where one is
+returned or stored: by run_check and check_p_grid, and by the fuzzer for a
+record its report keeps.
 
 The parametrized ids (det-power, thm32, abs-power, commuted-power,
 neg-power) are split at p: a preparation step does everything that does not
@@ -54,7 +59,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import itertools
 import math
 import numbers
 from collections.abc import Callable, Sequence
@@ -90,11 +94,11 @@ from .linalg import (
     _singular_values,
     as_square,
     eigh_powers,
-    frobenius,
     require_symmetric,
     symmetrize,
 )
-from .orders import DEFAULT_TOL, OrderKind, OrderReport, check_orders, sort_desc
+from .matio import number_array
+from .orders import DEFAULT_TOL, OrderChecks, OrderKind, OrderReport, check_orders, sort_desc
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ class Instance:
     d_blocks is a constructor keyword, not a field: blocks D1, ..., Dk, sized
     for the partition (DimensionMismatch), set d to their direct sum. The
     matrices may also be stacks along one leading axis, one matrix per
-    instance, for instances that share everything else (stack_instances).
+    instance, for instances that share everything else.
     """
 
     partition: Partition | None = None
@@ -201,8 +205,9 @@ class Instance:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Instance":
-        """Inverse of to_json (D from "d" or "d_blocks"); raises NonFinite on a
-        NaN or infinite entry or p, and BadExponent on a p not a number."""
+        """Inverse of to_json (D from "d" or "d_blocks"); matrix entries are
+        read by matio.number_array, and a NaN or infinite p raises
+        NonFinite, a p not a number BadExponent."""
         p = payload.get("p")
         if p is not None:
             if isinstance(p, bool) or not isinstance(p, (int, float)):
@@ -211,42 +216,16 @@ class Instance:
                 raise NonFinite(f"non-finite exponent p = {p}")
         return cls(
             partition=Partition(tuple(payload["partition"])) if "partition" in payload else None,
-            c=_finite_array(payload["c"]) if "c" in payload else None,
-            d_blocks=tuple(_finite_array(b) for b in payload["d_blocks"])
+            c=number_array(payload["c"]) if "c" in payload else None,
+            d_blocks=tuple(number_array(b) for b in payload["d_blocks"])
             if "d_blocks" in payload else None,
-            d=_finite_array(payload["d"]) if "d" in payload else None,
-            mats=tuple(_finite_array(m) for m in payload["mats"])
+            d=number_array(payload["d"]) if "d" in payload else None,
+            mats=tuple(number_array(m) for m in payload["mats"])
             if "mats" in payload else None,
             idx=tuple(payload["idx"]) if "idx" in payload else None,
             p=p,
             m=payload.get("m"),
         )
-
-
-def _finite_array(rows) -> np.ndarray:
-    arr = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("instance matrix has a non-finite entry")
-    return arr
-
-
-# The matrix fields of an Instance; mats holds a tuple of matrices.
-_MATRIX_FIELDS = ("c", "d", "mats")
-
-
-def stack_instances(insts: Sequence[Instance]) -> Instance:
-    """One Instance whose matrices are those of insts stacked along a new
-    leading axis, in order; insts share matrix shapes, partition, idx, m
-    and p, and the stack takes those of the first."""
-    def stacked(values: list):
-        if values[0] is None:
-            return None
-        if isinstance(values[0], tuple):
-            return tuple(np.stack(column) for column in zip(*values))
-        return np.stack(values)
-
-    return replace(insts[0], **{f: stacked([getattr(inst, f) for inst in insts])
-                                for f in _MATRIX_FIELDS})
 
 
 def _exp_or_none(x: float) -> float | None:
@@ -256,104 +235,94 @@ def _exp_or_none(x: float) -> float | None:
         return None
 
 
-def _feed(h, parts) -> None:
-    for part in parts:
+def _fingerprint(n: int, partition: Partition | None, *payload) -> Fingerprint:
+    """sha256 over the payload: an array by its float bytes, anything else
+    by its repr, each followed by a separator."""
+    h = hashlib.sha256()
+    for part in payload:
         if isinstance(part, np.ndarray):
             h.update(np.ascontiguousarray(part, dtype=float).tobytes())
         else:
             h.update(repr(part).encode())
         h.update(b"|")
-
-
-def _digest(parts) -> str:
-    h = hashlib.sha256()
-    _feed(h, parts)
-    return h.hexdigest()[:16]
-
-
-def _instances(a: np.ndarray):
-    """The index of each instance in a matrix stack a: the one index () when
-    a is a single matrix."""
-    return itertools.product(*map(range, a.shape[:-2]))
-
-
-def _fingerprint(n: int, partition: Partition | None, *payload) -> Fingerprint:
     sizes = partition.sizes if partition is not None else None
-    return Fingerprint(n=n, partition=sizes, digest=_digest(payload))
+    return Fingerprint(n=n, partition=sizes, digest=h.hexdigest()[:16])
 
 
-def _fingerprints(n: int, partition: Partition | None, arrays, *extra) -> list[Fingerprint]:
-    """One fingerprint per instance of a stack (one in all for an instance):
-    _fingerprint of its matrices from arrays, then of extra."""
-    return [_fingerprint(n, partition, *(a[i] for a in arrays), *extra)
-            for i in _instances(arrays[0])]
+def _by_exponent(a, ps: Sequence[float] | None) -> np.ndarray:
+    """a as a (P, T) array: one row per exponent of ps (one without)."""
+    return np.reshape(a, (1 if ps is None else len(ps), -1))
 
 
-def _p_fingerprints(n: int, partition: Partition | None,
-                    arrays) -> list[Callable[[float], Fingerprint]]:
-    """Per instance, p -> _fingerprint(n, partition, *its matrices, p),
-    hashing the matrices once."""
-    sizes = partition.sizes if partition is not None else None
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """The verdicts of T instances at P exponents (P = 1 without ps): margin
+    and holds are (P, T) arrays. verdict(k, i) builds the InequalityVerdict
+    of instance i at exponent k. fingerprint is _fingerprint's (n,
+    partition, *payload), each array of the payload a stack of one matrix
+    per instance; the exponent is hashed after it. A log comparison keeps
+    its (P, T) log sides, an order comparison its OrderChecks (row k*T + i).
+    detail(k, i) is what verdict (k, i) reports besides its log sides and p."""
 
-    def for_instance(i) -> Callable[[float], Fingerprint]:
-        prefix = hashlib.sha256()
-        _feed(prefix, [a[i] for a in arrays])
+    inequality: str
+    margin: np.ndarray
+    holds: np.ndarray
+    tol: float
+    fingerprint: tuple
+    ps: Sequence[float] | None = None
+    log_sides: tuple[np.ndarray, np.ndarray] | None = None
+    orders: OrderChecks | None = None
+    detail: Callable[[int, int], dict] | None = None
 
-        def at(p: float) -> Fingerprint:
-            h = prefix.copy()
-            _feed(h, (p,))
-            return Fingerprint(n=n, partition=sizes, digest=h.hexdigest()[:16])
+    def verdict(self, k: int = 0, i: int = 0) -> InequalityVerdict:
+        n, partition, *payload = self.fingerprint
+        payload = [a.reshape(-1, *a.shape[-2:])[i] if isinstance(a, np.ndarray) else a
+                   for a in payload]
+        tol, lhs, rhs, order, detail = self.tol, None, None, None, {}
+        if self.log_sides is not None:
+            llhs, lrhs = (float(side[k, i]) for side in self.log_sides)
+            tol = tol * max(1.0, abs(llhs), abs(lrhs))
+            lhs, rhs = _exp_or_none(llhs), _exp_or_none(lrhs)
+            detail = {"log_lhs": llhs, "log_rhs": lrhs}
+        if self.orders is not None:
+            order = self.orders.report(k * self.margin.shape[1] + i)
+        if self.ps is not None:
+            payload.append(self.ps[k])
+            detail["p"] = self.ps[k]
+        if self.detail is not None:
+            detail.update(self.detail(k, i))
+        return InequalityVerdict(
+            inequality=self.inequality,
+            lhs=lhs,
+            rhs=rhs,
+            margin=float(self.margin[k, i]),
+            holds=bool(self.holds[k, i]),
+            tol=tol,
+            fingerprint=_fingerprint(n, partition, *payload),
+            order=order,
+            detail=detail,
+        )
 
-        return at
 
-    return [for_instance(i) for i in _instances(arrays[0])]
-
-
-def _scalar_verdict(inequality: str, llhs: float, lrhs: float, tol: float,
-                    fingerprint: Fingerprint, detail: dict | None = None) -> InequalityVerdict:
+def _log_verdicts(inequality: str, llhs, lrhs, tol: float, fingerprint: tuple,
+                  ps: Sequence[float] | None = None, **kw) -> Verdicts:
+    """A log-determinant comparison, from the log sides per (exponent,
+    instance): margin = log rhs - log lhs, held against tol scaled by
+    max(1, |log lhs|, |log rhs|)."""
+    llhs, lrhs = _by_exponent(llhs, ps), _by_exponent(lrhs, ps)
     margin = lrhs - llhs
-    tol_eff = tol * max(1.0, abs(llhs), abs(lrhs))
-    return InequalityVerdict(
-        inequality=inequality,
-        lhs=_exp_or_none(llhs),
-        rhs=_exp_or_none(lrhs),
-        margin=margin,
-        holds=margin >= -tol_eff,
-        tol=tol_eff,
-        fingerprint=fingerprint,
-        detail={"log_lhs": llhs, "log_rhs": lrhs, **(detail or {})},
-    )
+    scale = np.fmax(1.0, np.fmax(np.abs(llhs), np.abs(lrhs)))  # max(), NaN aside
+    return Verdicts(inequality, margin, margin >= -(tol * scale), tol, fingerprint, ps,
+                    log_sides=(llhs, lrhs), **kw)
 
 
-def _scalar_verdicts(inequality: str, llhs, lrhs, tol: float,
-                     fingerprints: list[Fingerprint],
-                     detail: dict | None = None) -> list[InequalityVerdict]:
-    """One scalar verdict per instance, from the per-instance log sides."""
-    return [_scalar_verdict(inequality, lo, hi, tol, fp, detail)
-            for lo, hi, fp in zip(np.ravel(llhs).tolist(), np.ravel(lrhs).tolist(), fingerprints)]
-
-
-def _order_verdict(inequality: str, report: OrderReport, tol: float,
-                   fingerprint: Fingerprint, detail: dict | None = None) -> InequalityVerdict:
-    return InequalityVerdict(
-        inequality=inequality,
-        lhs=None,
-        rhs=None,
-        margin=report.worst_margin(),
-        holds=report.holds,
-        tol=tol,
-        fingerprint=fingerprint,
-        order=report,
-        detail=dict(detail or {}),
-    )
-
-
-def _order_verdicts(inequality: str, kind: OrderKind, x, y, tol: float,
-                    fingerprints: list[Fingerprint],
-                    detail: dict | None = None) -> list[InequalityVerdict]:
-    """One order verdict per row pair of x and y (per instance)."""
-    return [_order_verdict(inequality, report, tol, fp, detail)
-            for report, fp in zip(check_orders(kind, x, y, tol), fingerprints)]
+def _order_verdicts(inequality: str, kind: OrderKind, x, y, tol: float, fingerprint: tuple,
+                    ps: Sequence[float] | None = None, **kw) -> Verdicts:
+    """An order comparison of each row pair of x and y, one per (exponent,
+    instance); margin is the worst prefix margin."""
+    orders = check_orders(kind, x, y, tol)
+    return Verdicts(inequality, _by_exponent(orders.margins.min(axis=-1), ps),
+                    _by_exponent(orders.holds, ps), tol, fingerprint, ps, orders=orders, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +343,8 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     back as checked ints. A block-D D must be zero off the diagonal blocks
     (NotBlockDiagonal), each block judged symmetric on its own slack. A
     field the Shape reads that is unset raises MissingField. With lead = 1,
-    inst is a stack (stack_instances) and each matrix of it is checked, on
-    its own symmetry slack, in one call per field."""
+    inst is a stack and each matrix of it is checked, on its own symmetry
+    slack, in one call per field."""
     for name in _REQUIRED_FIELDS[shape]:
         if getattr(inst, name) is None:
             needs = "d or d_blocks" if name == "d" else name
@@ -418,8 +387,8 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
 
 # ---------------------------------------------------------------------------
 # Checkers. Each takes a validated instance, or a stack of them (matrices
-# with one leading axis), and returns one verdict per instance: the same
-# code runs with and without the leading axis.
+# with one leading axis), and returns the Verdicts of its instances: the
+# same code runs with and without the leading axis.
 
 def _c_d_payload(shape: Shape, inst: Instance) -> tuple[np.ndarray, ...]:
     """A C+D instance as an id of the Shape hashes and writes it: C, then D
@@ -439,19 +408,14 @@ def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     return x, _pencil(c, d)
 
 
-def _weak_log_verdicts(inequality: str, inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _weak_log_verdicts(inequality: str, inst: Instance, tol: float) -> Verdicts:
     """main-thm (block-diagonal D) and weak-log-general-d (any D): the
     blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
     part = inst.partition
     x, y = product_spectra(inst.c, inst.d, part)
     payload = _c_d_payload(SPECS[inequality].shape, inst)
     return _order_verdicts(inequality, OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
-                           _fingerprints(part.n, part, payload))
-
-
-def check_main_theorem(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """Weak log majorization of the blockwise spectrum by the full spectrum."""
-    return run_check("main-thm", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
+                           (part.n, part, *payload))
 
 
 def _logdet_ratio_blocks(c_blocks, d_blocks):
@@ -462,7 +426,7 @@ def _logdet_ratio_blocks(c_blocks, d_blocks):
     )
 
 
-def _matic_verdicts(inequality: str, inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _matic_verdicts(inequality: str, inst: Instance, tol: float) -> Verdicts:
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
     part = inst.partition
@@ -470,12 +434,7 @@ def _matic_verdicts(inequality: str, inst: Instance, tol: float) -> list[Inequal
     llhs = _logdet_ratio_blocks(diag_blocks(c, part), diag_blocks(d, part))
     lrhs = _logdet(symmetrize(c + d)) - _logdet(c)
     payload = _c_d_payload(SPECS[inequality].shape, inst)
-    return _scalar_verdicts(inequality, llhs, lrhs, tol, _fingerprints(part.n, part, payload))
-
-
-def check_matic(c, d_blocks, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """prod det(I + Ci^-1 Di) <= det(I + C^-1 D) for block-diagonal D."""
-    return run_check("matic", Instance(partition=part, c=c, d_blocks=d_blocks), tol)
+    return _log_verdicts(inequality, llhs, lrhs, tol, (part.n, part, *payload))
 
 
 def _certify(factor, c_exact, d_exact, part: Partition):
@@ -515,17 +474,6 @@ def matic_exact(c_exact, d_exact, part: Partition):
     (prod_i det(Ci + Di)/det(Ci), det(C + D)/det(C)). A singular exact C or
     Ci raises SingularMatrix."""
     return _certify(_det_ratio_exact, c_exact, d_exact, part)
-
-
-def check_det_power(c, d_blocks, part: Partition, p: float,
-                    tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """prod det(I + (Ci^-1 Di)^p) <= det(I + (C^-1 D)^p) for p >= 0.
-
-    Sides are evaluated as sums of log1p(lambda^p) over the product spectra;
-    the matrix power is never formed.
-    """
-    inst = Instance(partition=part, c=c, d_blocks=d_blocks)
-    return check_p_grid("det-power", inst, (p,), tol)[0]
 
 
 def identity_abs_square(c, d_blocks, part: Partition,
@@ -591,17 +539,12 @@ def _full_inverse_sum(mats) -> np.ndarray:
     return symmetrize(total)
 
 
-def _choi_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _choi_verdicts(inst: Instance, tol: float) -> Verdicts:
     mats, part = inst.mats, inst.partition
     llhs = sum(_logdet(s) for s in _block_inverse_sums(mats, part))
     lrhs = _logdet(_full_inverse_sum(mats))
-    return _scalar_verdicts("choi", llhs, lrhs, tol, _fingerprints(part.n, part, mats),
-                            detail={"m": len(mats)})
-
-
-def check_choi(mats, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """prod_j det(sum_i inv(Ai_block_j)) <= det(sum_i inv(Ai))."""
-    return run_check("choi", Instance(partition=part, mats=tuple(mats)), tol)
+    return _log_verdicts("choi", llhs, lrhs, tol, (part.n, part, *mats),
+                         detail=lambda k, i: {"m": len(mats)})
 
 
 def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -609,55 +552,32 @@ def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     return sort_desc(block_spec), _eigvalsh(_full_inverse_sum(mats))
 
 
-def check_thm32(mats, part: Partition, p: float, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """Weak majorization of the blockwise inverse-sum spectrum by the full one,
-    both raised entrywise to p >= 1."""
-    return check_p_grid("thm32", Instance(partition=part, mats=tuple(mats)), (p,), tol)[0]
-
-
-def _open_q_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
+    """Open in general (proved only for 2x2 with two 1x1 blocks): the
+    verdict is recorded, nothing is asserted."""
     mats, part = inst.mats, inst.partition
     x, y = _choi_spectra(mats, part)
     return _order_verdicts("open-q", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
-                           _fingerprints(part.n, part, mats), detail={"m": len(mats)})
+                           (part.n, part, *mats), detail=lambda k, i: {"m": len(mats)})
 
 
-def check_open_q(mats, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """Weak log majorization between the same spectra as thm32 at p = 1.
-
-    Open in general (proved only for 2x2 with two 1x1 blocks); this records
-    the empirical verdict and asserts nothing.
-    """
-    return run_check("open-q", Instance(partition=part, mats=tuple(mats)), tol)
-
-
-def _lemma31_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
+    """inv([A]) <= [inv(A)] in the Loewner order, for a principal submatrix
+    [.]: margin is lambda_min of the difference over max(1, its Frobenius
+    norm)."""
     a, indices = inst.c, inst.idx
     sub_inv = _pd_inverse(principal_submatrix(a, indices))
     inv_sub = principal_submatrix(_pd_inverse(a), indices)
     diff = symmetrize(inv_sub - sub_inv)
-    lam_mins = _eigvalsh(diff)[..., -1]
-    verdicts = []
-    for i, fp in zip(_instances(a), _fingerprints(a.shape[-1], None, (a,), indices)):
-        lam_min = float(lam_mins[i])
-        fro = frobenius(diff[i])
-        margin = lam_min / max(1.0, fro)
-        verdicts.append(InequalityVerdict(
-            inequality="lemma31",
-            lhs=None,
-            rhs=None,
-            margin=margin,
-            holds=margin >= -tol,
-            tol=tol,
-            fingerprint=fp,
-            detail={"idx": list(indices), "lambda_min": lam_min, "fro_norm": fro},
-        ))
-    return verdicts
-
-
-def check_lemma31(a, idx, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """inv([A]) <= [inv(A)] in the Loewner order, for a principal submatrix [.]."""
-    return run_check("lemma31", Instance(c=a, idx=idx), tol)
+    lam_min = _eigvalsh(diff)[..., -1]
+    # one dot product per matrix, as np.linalg.norm takes it, for its bits
+    flat = diff.reshape(*diff.shape[:-2], 1, -1)
+    fro = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    margin = _by_exponent(lam_min / np.maximum(1.0, fro), None)
+    lam_mins, fros = np.ravel(lam_min).tolist(), np.ravel(fro).tolist()
+    return Verdicts("lemma31", margin, margin >= -tol, tol, (a.shape[-1], None, a, indices),
+                    detail=lambda k, i: {"idx": list(indices), "lambda_min": lam_mins[i],
+                                         "fro_norm": fros[i]})
 
 
 def _tail_start(m, n: int) -> int | None:
@@ -672,60 +592,39 @@ def _tail_start(m, n: int) -> int | None:
     return int(m)
 
 
-def _tail_logsum(sorted_desc: np.ndarray, m: int) -> float:
-    # m is 1-based: product over positions m..n
-    return float(np.sum(np.log(sorted_desc[m - 1:])))
-
-
-def _fischer_tail_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
-    c, part = inst.c, inst.partition
-    n = part.n
-    start = _tail_start(inst.m, n)
-    lam_full = _eigvalsh(c)
-    lam_diag = sort_desc(np.concatenate([_eigvalsh(b) for b in diag_blocks(c, part)], axis=-1))
-    ms = range(1, n + 1) if start is None else [start]
-    verdicts = []
-    for i, fp in zip(_instances(c), _fingerprints(n, part, (c,), inst.m)):
-        worst_norm = math.inf
-        worst = (0.0, 0.0, 1)
-        per_m = {}
-        for mm in ms:
-            llhs = _tail_logsum(lam_full[i], mm)
-            lrhs = _tail_logsum(lam_diag[i], mm)
-            scale = max(1.0, abs(llhs), abs(lrhs))
-            per_m[mm] = lrhs - llhs
-            normed = (lrhs - llhs) / scale
-            if normed < worst_norm:
-                worst_norm = normed
-                worst = (llhs, lrhs, mm)
-        llhs, lrhs, worst_m = worst
-        verdicts.append(_scalar_verdict(
-            "fischer-tail", llhs, lrhs, tol, fp,
-            detail={"worst_m": worst_m, "margins_by_m": {str(k): v for k, v in per_m.items()}}))
-    return verdicts
-
-
-def check_fischer_tail(c, part: Partition, m: int | None = None,
-                       tol: float = DEFAULT_TOL) -> InequalityVerdict:
+def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
     """Tail products prod_{i>=m} lambda_i(C) <= prod_{i>=m} lambda_i(Diag C).
 
     m = 1 is the Fischer inequality det(C) <= prod det(Ci); m = None checks
-    every m and reports the worst margin. A non-integer m, or one outside
-    1..n, raises IndexOutOfRange.
+    every m and reports the first m of worst normalized margin.
     """
-    return run_check("fischer-tail", Instance(partition=part, c=c, m=m), tol)
+    c, part = inst.c, inst.partition
+    n = part.n
+    start = _tail_start(inst.m, n)
+    ms = range(1, n + 1) if start is None else [start]
+    # (2, T, n) logs of lambda(C), whose rows are reversed views and so are
+    # taken row by row as for one matrix (_rowwise), and of lambda(Diag C)
+    logs = np.stack([
+        _rowwise(np.log, _eigvalsh(c)),
+        np.log(sort_desc(np.concatenate([_eigvalsh(b) for b in diag_blocks(c, part)], axis=-1))),
+    ]).reshape(2, -1, n)
+    # (M, 2, T) log tail products, positions m..n (1-based), for each m
+    tails = np.stack([np.sum(logs[..., m - 1:], axis=-1) for m in ms])
+    llhs, lrhs = tails[:, 0], tails[:, 1]
+    margins = lrhs - llhs
+    worst = np.argmin(margins / np.fmax(1.0, np.fmax(np.abs(llhs), np.abs(lrhs))), axis=0)
+    cols = np.arange(llhs.shape[1])
+    return _log_verdicts(
+        "fischer-tail", llhs[worst, cols], lrhs[worst, cols], tol, (n, part, c, inst.m),
+        detail=lambda k, i: {"worst_m": ms[worst[i]], "margins_by_m": {
+            str(m): v for m, v in zip(ms, margins[:, i].tolist())}})
 
 
-def _kyfan_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _kyfan_verdicts(inst: Instance, tol: float) -> Verdicts:
+    """lambda(Diag C) majorized by lambda(C) (equal traces, dominated prefixes)."""
     c, part = inst.c, inst.partition
     x = np.concatenate([_eigvalsh(b) for b in diag_blocks(c, part)], axis=-1)
-    return _order_verdicts("ky-fan", OrderKind.MAJORIZE, x, _eigvalsh(c), tol,
-                           _fingerprints(part.n, part, (c,)))
-
-
-def check_kyfan(c, part: Partition, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """lambda(Diag C) majorized by lambda(C) (equal traces, dominated prefixes)."""
-    return run_check("ky-fan", Instance(partition=part, c=c), tol)
+    return _order_verdicts("ky-fan", OrderKind.MAJORIZE, x, _eigvalsh(c), tol, (part.n, part, c))
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +645,7 @@ def _inv_square_sum_logdet(c: np.ndarray, d: np.ndarray, where: str):
         raise type(err)(f"D^-2 + C^-2 ({where}): {err}") from err
 
 
-def _inv_square_sum_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _inv_square_sum_verdicts(inst: Instance, tol: float) -> Verdicts:
     part = inst.partition
     c, d = inst.c, inst.d
     dbs = diag_blocks(d, part)
@@ -755,8 +654,7 @@ def _inv_square_sum_verdicts(inst: Instance, tol: float) -> list[InequalityVerdi
         for j, (cb, db) in enumerate(zip(diag_blocks(c, part), dbs), start=1)
     )
     lrhs = _inv_square_sum_logdet(c, d, "whole")
-    return _scalar_verdicts("inv-square-sum", llhs, lrhs, tol,
-                            _fingerprints(part.n, part, (c, *dbs)))
+    return _log_verdicts("inv-square-sum", llhs, lrhs, tol, (part.n, part, c, *dbs))
 
 
 def _inv_square_sum_det(c, d, s: int, t: int, name: str) -> Fraction:
@@ -775,7 +673,7 @@ def inv_square_sum_exact(c_exact, d_exact, part: Partition):
     return _certify(_inv_square_sum_det, c_exact, d_exact, part)
 
 
-def _sv_weak_log_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]:
+def _sv_weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
     part = inst.partition
     c, d = inst.c, inst.d
     dbs = diag_blocks(d, part)
@@ -784,19 +682,19 @@ def _sv_weak_log_verdicts(inst: Instance, tol: float) -> list[InequalityVerdict]
         axis=-1)
     y = _singular_values(_pd_inverse(c) @ d)
     return _order_verdicts("sv-weak-log", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
-                           _fingerprints(part.n, part, (c, *dbs)))
+                           (part.n, part, c, *dbs))
 
 
 # ---------------------------------------------------------------------------
 # Parametrized checks, split at p. Each prepare step does the p-independent
 # work on a validated instance or stack and returns the grid step
-# `step(ps, tol) -> one verdict list per exponent, one verdict per instance`.
+# `step(ps, tol) -> Verdicts`, one row per exponent, one column per instance.
 # A step computes each side over the whole grid in one numpy pass, with one
 # power x**p per exponent: numpy's fast paths for p = 0.5, 2 and -1 round
 # differently from a broadcast power, and one power per p keeps every verdict
 # the bits of a one-exponent grid.
 
-GridStep = Callable[[Sequence[float], float], list[list[InequalityVerdict]]]
+GridStep = Callable[[Sequence[float], float], Verdicts]
 
 
 def _powers(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
@@ -817,52 +715,35 @@ def _sum_log1p_power(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     return np.sum(np.log1p(xp), axis=-1)
 
 
-def _scalar_grid(inequality: str, llhs: np.ndarray, lrhs: np.ndarray, ps: Sequence[float],
-                 tol: float, fingerprints: list[Callable[[float], Fingerprint]]
-                 ) -> list[list[InequalityVerdict]]:
-    """One list of scalar verdicts per exponent, from (P, ...) log sides."""
-    rows = zip(ps, np.reshape(llhs, (len(ps), -1)).tolist(),
-               np.reshape(lrhs, (len(ps), -1)).tolist())
-    return [[_scalar_verdict(inequality, lo, hi, tol, fp(p), {"p": p})
-             for lo, hi, fp in zip(los, his, fingerprints)]
-            for p, los, his in rows]
-
-
-def _log1p_power_sides(inequality: str, x: np.ndarray, y: np.ndarray,
-                       fingerprints: list[Callable[[float], Fingerprint]]) -> GridStep:
-    """sum log1p(x^p) <= sum log1p(y^p) over precomputed spectra."""
-    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
-        return _scalar_grid(inequality, _sum_log1p_power(x, ps), _sum_log1p_power(y, ps),
-                            ps, tol, fingerprints)
-
-    return step
-
-
 def _spectra_log1p_power(inequality: str) -> Callable[[Instance], GridStep]:
-    """det-power and neg-power: both sides from the product spectra."""
+    """det-power and neg-power: sum log1p(x^p) <= sum log1p(y^p) over the
+    product spectra."""
     def prepare(inst: Instance) -> GridStep:
         part = inst.partition
         x, y = product_spectra(inst.c, inst.d, part)
-        fingerprints = _p_fingerprints(part.n, part, _c_d_payload(SPECS[inequality].shape, inst))
-        return _log1p_power_sides(inequality, x, y, fingerprints)
+        fingerprint = (part.n, part, *_c_d_payload(SPECS[inequality].shape, inst))
+
+        def step(ps: Sequence[float], tol: float) -> Verdicts:
+            return _log_verdicts(inequality, _sum_log1p_power(x, ps), _sum_log1p_power(y, ps),
+                                 tol, fingerprint, ps)
+
+        return step
 
     return prepare
 
 
 def _prepare_thm32(inst: Instance) -> GridStep:
+    """Weak majorization of the blockwise inverse-sum spectrum by the full
+    one, both raised entrywise to p >= 1."""
     mats, part = inst.mats, inst.partition
     x, y = _choi_spectra(mats, part)
-    fingerprints = _p_fingerprints(part.n, part, mats)
-    m = len(mats)
 
-    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
+    def step(ps: Sequence[float], tol: float) -> Verdicts:
         # check_orders rejects an overflowed power
         with np.errstate(over="ignore"):
             yp = np.stack([_rowwise(lambda row: row**p, y) for p in ps])
-        reports = iter(check_orders(OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol))
-        return [[_order_verdict("thm32", report, tol, fp(p), {"p": p, "m": m})
-                 for fp, report in zip(fingerprints, reports)]
-                for p in ps]
+        return _order_verdicts("thm32", OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol,
+                               (part.n, part, *mats), ps, detail=lambda k, i: {"m": len(mats)})
 
     return step
 
@@ -874,12 +755,11 @@ def _prepare_abs_power(inst: Instance) -> GridStep:
     block_svs = [_singular_values(_pd_inverse(cb) @ db)
                  for cb, db in zip(diag_blocks(c, part), dbs)]
     s_full = _singular_values(_pd_inverse(c) @ d)
-    fingerprints = _p_fingerprints(part.n, part, (c, *dbs))
 
-    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
+    def step(ps: Sequence[float], tol: float) -> Verdicts:
         llhs = sum(_sum_log1p_power(s, ps) for s in block_svs)
-        return _scalar_grid("abs-power", llhs, _sum_log1p_power(s_full, ps), ps, tol,
-                            fingerprints)
+        return _log_verdicts("abs-power", llhs, _sum_log1p_power(s_full, ps), tol,
+                             (part.n, part, c, *dbs), ps)
 
     return step
 
@@ -891,9 +771,8 @@ def _prepare_commuted_power(inst: Instance) -> GridStep:
     c_block_eigs = [_pd_eigh(b) for b in diag_blocks(c, part)]
     d_block_eigs = [_pd_eigh(b) for b in dbs]
     c_eig = _pd_eigh(c)
-    fingerprints = _p_fingerprints(part.n, part, (c, *dbs))
 
-    def step(ps: Sequence[float], tol: float) -> list[list[InequalityVerdict]]:
+    def step(ps: Sequence[float], tol: float) -> Verdicts:
         # every power below is a (P, ..., n, n) stack, one product for the grid
         cp_blocks = [eigh_powers(w, v, ps) for w, v in c_block_eigs]
         dp_blocks = [eigh_powers(w, v, ps) for w, v in d_block_eigs]
@@ -901,7 +780,7 @@ def _prepare_commuted_power(inst: Instance) -> GridStep:
         cp = eigh_powers(*c_eig, ps)
         dp = direct_sum(dp_blocks)
         lrhs = _logdet(symmetrize(cp + dp)) - _logdet(cp)
-        return _scalar_grid("commuted-power", llhs, lrhs, ps, tol, fingerprints)
+        return _log_verdicts("commuted-power", llhs, lrhs, tol, (part.n, part, c, *dbs), ps)
 
     return step
 
@@ -937,7 +816,7 @@ def _nonnegative_domain(inequality: str) -> Callable[[float | None], None]:
 class PSplit:
     """A parametrized id: `domain(p)` raises on an exponent the statement is
     not made for; `prepare(inst)` is the p-independent step, and returns the
-    grid step `(ps, tol) -> one verdict list per p`. `grid` is the
+    grid step `(ps, tol) -> Verdicts`, one row per p. `grid` is the
     exponent grid a fuzz trial sweeps when no p is given, `default` the CLI's
     p when --p is absent."""
 
@@ -984,7 +863,7 @@ _REQUIRED_FIELDS = {
     Shape.C_IDX: ("c", "idx"),
 }
 
-Checker = Callable[[Instance, float], list[InequalityVerdict]]
+Checker = Callable[[Instance, float], Verdicts]
 # (C cap, D-block cap, block-scale bias in decades) for block-D fuzz draws;
 # a None cap leaves GenConfig.kappa_max alone.
 Caps = tuple[float | None, float | None, float]
@@ -994,8 +873,8 @@ Caps = tuple[float | None, float | None, float]
 class Spec:
     """What the catalog, the fuzzer and the CLI know about one id.
 
-    check: (validated instance or stack, tol) -> one verdict per instance;
-        None for a parametrized id, which its split checks.
+    check: (validated instance or stack, tol) -> the Verdicts of its
+        instances; None for a parametrized id, which its split checks.
     split: the p-split of a parametrized id, with its fuzz grid and default p.
     caps: the generator caps for block-D draws.
     reference: (partition, C, D) of the counterexample the fuzzer injects as
@@ -1107,24 +986,24 @@ def exponent_spec(inequality: str, p: float | None) -> Spec:
 
 
 def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
-                    tol: float = DEFAULT_TOL) -> list[tuple[InequalityVerdict, ...]]:
-    """Verdicts of a validated instance (validate_instance), or of each
-    instance of a stack of them (stack_instances), at each exponent of ps:
-    one tuple per instance, in stack order. The exponents must have passed
-    the id's PSplit.require; an id without an exponent ignores ps and gives
-    one verdict per instance."""
+                    tol: float = DEFAULT_TOL) -> Verdicts:
+    """The Verdicts of a validated instance (validate_instance), or of the
+    instances of a stack of them in stack order, at each exponent of ps.
+    The exponents must have passed the id's PSplit.require; an id without
+    an exponent ignores ps and gives one row."""
     spec = spec_of(inequality)
     if spec.split is None:
-        return [(verdict,) for verdict in spec.check(inst, tol)]
+        return spec.check(inst, tol)
     step = spec.split.prepare(inst)
     try:
-        per_p = step(ps, tol)
+        return step(ps, tol)
     except MajdetError:
         # The grid stops at its first failing kernel call over all exponents;
         # one exponent at a time raises the error of the first failing
         # exponent, as checking the exponents in turn does.
-        per_p = [step((p,), tol)[0] for p in ps]
-    return list(zip(*per_p))
+        for p in ps:
+            step((p,), tol)
+        raise
 
 
 def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
@@ -1137,8 +1016,10 @@ def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
         raise UnknownInequality(f"{inequality!r} is not a parametrized id")
     require_tol(tol)
     spec.split.require(ps)
-    inst = validate_instance(spec.shape, inst)
-    return check_validated(inequality, inst, ps, tol)[0] if len(ps) else ()
+    if not len(ps):
+        return ()
+    verdicts = check_validated(inequality, validate_instance(spec.shape, inst), ps, tol)
+    return tuple(verdicts.verdict(k) for k in range(len(ps)))
 
 
 def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
@@ -1158,4 +1039,5 @@ def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> Ineq
     require_tol(tol)
     if spec.split is not None:
         spec.split.require((inst.p,))
-    return check_validated(inequality, validate_instance(spec.shape, inst), (inst.p,), tol)[0][0]
+    inst = validate_instance(spec.shape, inst)
+    return check_validated(inequality, inst, (inst.p,), tol).verdict()

@@ -13,6 +13,10 @@ class NonFinite(MajdetError):
     """Matrix has a NaN or infinite entry."""
 
 
+class BadEntry(MajdetError):
+    """Matrix entry read from JSON is not a number (a string, a boolean, null)."""
+
+
 class NotPositiveDefinite(MajdetError):
     """Cholesky factorization hit a non-positive (or near-zero) pivot."""
 

@@ -40,12 +40,6 @@ def rational_matrix(rows) -> RationalMatrix:
     return out
 
 
-def mat_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"{len(a)} vs {len(b)}")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """a b; on integer matrices it stays in integers."""
     n = len(a)

@@ -20,7 +20,9 @@ product per matrix size, and its C, D and mats are (trials, n, n) stacks.
 Each stack (the drawn trials, lemma31's trials of one idx, the injected
 counterexample on its own) is validated once and goes through the id's
 checker in one call per kernel, a parametrized id's exponent grid in one
-step. A per-trial Instance is built only for a record the report keeps.
+step. Holds, violations and margins are counted on the verdict arrays; a
+trial's verdict, fingerprint and Instance are built only for a record the
+report keeps.
 Draws, verdicts and reports equal drawing and checking the trials one by
 one, bit for bit. build_instances, build_instance and run_trial are the same
 code on a range of trials or on one.
@@ -34,7 +36,6 @@ import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -357,47 +358,46 @@ _CHUNK = 64
 
 
 def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
-                tol: float) -> list[tuple[InequalityVerdict, Callable[[], Instance]]]:
-    """Evaluate a range of trials, in order: per trial its verdict and what
-    builds its Instance.
+                tol: float) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Evaluate a range of trials: their margins and holds flags as arrays,
+    in order, and build(t) -> (verdict, Instance) of the t-th.
 
     The trials are drawn as stacks by _draw_chunk, and each stack is
     validated once and checked in one call per kernel. For parametrized ids
     without an explicit p, each draw is checked at every exponent of the
     Spec's grid (the p-independent work once, then one grid step); the first
-    verdict of minimum margin is kept, and the instance carries that
-    verdict's p.
+    exponent of minimum margin is kept, and the instance carries that p.
     """
     spec = exponent_spec(inequality, p)
     ps = (p,) if p is not None or spec.split is None else spec.split.grid
     groups = _draw_chunk(spec, cfg, trials, ps[0])
     if spec.split is not None:
         spec.split.require(ps)
-    results: list = [None] * len(trials)
+    margin = np.empty(len(trials))
+    holds = np.empty(len(trials), dtype=bool)
+    origin: list = [None] * len(trials)  # per trial: its Verdicts, stack, exponent, member
     for positions, stack in groups:
         stack = validate_instance(spec.shape, stack, lead=1)
-        for j, (k, verdicts) in enumerate(zip(positions,
-                                              check_validated(inequality, stack, ps, tol))):
-            worst = min(range(len(ps)), key=lambda i: verdicts[i].margin)
-            results[k] = (verdicts[worst], partial(_member, stack, j, ps[worst]))
-    return results
+        verdicts = check_validated(inequality, stack, ps, tol)
+        worst = np.argmin(verdicts.margin, axis=0)  # the first minimum over the exponents
+        members = np.arange(len(positions))
+        margin[positions] = verdicts.margin[worst, members]
+        holds[positions] = verdicts.holds[worst, members]
+        for j, (t, k) in enumerate(zip(positions, worst.tolist())):
+            origin[t] = (verdicts, stack, k, j)
+
+    def build(t: int) -> tuple[InequalityVerdict, Instance]:
+        verdicts, stack, k, j = origin[t]
+        return verdicts.verdict(k, j), _member(stack, j, ps[k])
+
+    return margin, holds, build
 
 
 def run_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None = None,
               tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, Instance]:
     """Evaluate one trial: _run_trials on a one-trial range."""
-    verdict, instance = _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)[0]
-    return verdict, instance()
-
-
-def _named_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None,
-                 tol: float) -> tuple[InequalityVerdict, Callable[[], Instance]]:
-    """_run_trials on one trial, with the trial index and seed in front of any error."""
-    try:
-        return _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)[0]
-    except MajdetError as err:
-        raise type(err)(
-            f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
+    *_, build = _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)
+    return build(0)
 
 
 def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
@@ -405,8 +405,9 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     """Run seeded trials of one inequality and fold the records into a report.
 
     The report content is a pure function of (inequality, cfg, trials, p,
-    tol) apart from the wall_time field. Instances are serialized only for
-    violations unless keep_instances is set. A p for an id without an
+    tol) apart from the wall_time field. A verdict and an instance are
+    built only for a record the report keeps: a violation, or every trial
+    with keep_instances. A p for an id without an
     exponent raises BadExponent, a tol that is negative or not finite
     BadConfig. Trials are evaluated a chunk at a time;
     a chunk that raises is evaluated again one trial at a time, so the
@@ -421,33 +422,35 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     require_tol(tol)
     t0 = time.perf_counter()
     holds = 0
-    violations = 0
     worst_margin = float("inf")
     kept: list[TrialRecord] = []
     for start in range(0, trials, _CHUNK):
         chunk = range(start, min(start + _CHUNK, trials))
         try:
-            results = _run_trials(inequality, cfg, chunk, p, tol)
+            margin, held, build = _run_trials(inequality, cfg, chunk, p, tol)
         except MajdetError:
-            results = [_named_trial(inequality, cfg, trial, p, tol) for trial in chunk]
-        for trial, (verdict, instance) in zip(chunk, results):
-            worst_margin = min(worst_margin, verdict.margin)
-            if verdict.holds:
-                holds += 1
-            else:
-                violations += 1
-            if not verdict.holds or keep_instances:
-                kept.append(TrialRecord(
-                    trial=trial,
-                    seed=derive_seed(cfg.seed, trial),
-                    verdict=verdict,
-                    instance=instance().to_json(spec.shape),
-                ))
+            for trial in chunk:
+                try:
+                    _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)
+                except MajdetError as err:
+                    raise type(err)(
+                        f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
+            raise
+        worst_margin = min(worst_margin, *margin.tolist())
+        holds += int(held.sum())
+        for t in range(len(chunk)) if keep_instances else np.flatnonzero(~held).tolist():
+            verdict, instance = build(t)
+            kept.append(TrialRecord(
+                trial=chunk[t],
+                seed=derive_seed(cfg.seed, chunk[t]),
+                verdict=verdict,
+                instance=instance.to_json(spec.shape),
+            ))
     return FuzzReport(
         inequality=inequality,
         trials=trials,
         holds=holds,
-        violations=violations,
+        violations=trials - holds,
         worst_margin=worst_margin,
         config=cfg,
         records=tuple(kept),

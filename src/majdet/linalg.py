@@ -91,10 +91,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
 def _diagonal(m: np.ndarray) -> np.ndarray:
     return m.diagonal(axis1=-2, axis2=-1)
 

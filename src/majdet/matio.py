@@ -1,7 +1,9 @@
 """Matrix file format: JSON {"n": int, "rows": [[...]], optional "exact": ...}.
 
-Every entry of "rows" must be finite and not a boolean; Python's json
-module would otherwise accept NaN and Infinity, and numpy reads true as 1. "exact" holds per-entry
+Every entry of "rows" must be a finite JSON number (number_array, which
+also reads the matrices of stored instances): Python's json module would
+otherwise accept NaN and Infinity, and numpy reads true as 1 and "1" as
+1.0. "exact" holds per-entry
 ["numerator", "denominator"] pairs of integer strings or JSON integers
 (not floats, which int() would truncate, nor booleans) and, when present,
 must agree with rows to 1e-12 after division; it enables exact rational
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMatrixFile
+from .errors import BadEntry, BadMatrixFile, MajdetError, NonFinite
 
 
 def write_matrix(path, rows: np.ndarray, exact=None) -> None:
@@ -27,6 +29,25 @@ def write_matrix(path, rows: np.ndarray, exact=None) -> None:
             [[str(f.numerator), str(f.denominator)] for f in row] for row in exact
         ]
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+
+
+def number_array(rows) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array. An entry that is not
+    an int or a float (a string, a boolean, null, a list of a ragged
+    nesting) raises BadEntry; a NaN or infinite entry, or an int beyond
+    the float range, raises NonFinite."""
+    entries = np.array(rows, dtype=object)  # a ragged row stays a list, a bad entry
+    for x in entries.flat:
+        if type(x) not in (int, float):
+            kind = "boolean" if isinstance(x, bool) else "non-numeric"
+            raise BadEntry(f"{kind} entry {x!r}")
+    try:
+        arr = entries.astype(float)
+    except OverflowError as err:
+        raise NonFinite(f"entry out of float range ({err})") from err
+    if not np.isfinite(arr).all():
+        raise NonFinite("non-finite entry (NaN or infinity)")
+    return arr
 
 
 def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
@@ -44,14 +65,10 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise BadMatrixFile(f"{path}: 'rows' must be a {n}x{n} array")
-    if any(isinstance(x, bool) for row in rows for x in row):
-        raise BadMatrixFile(f"{path}: boolean entry in 'rows'")
     try:
-        arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise BadMatrixFile(f"{path}: non-numeric entry ({err})") from err
-    if not np.all(np.isfinite(arr)):
-        raise BadMatrixFile(f"{path}: non-finite entry (NaN or infinity)")
+        arr = number_array(rows)
+    except MajdetError as err:
+        raise BadMatrixFile(f"{path}: {err}") from err
     exact = None
     if "exact" in payload:
         raw = payload["exact"]

@@ -3,9 +3,9 @@ and sorted entrywise domination, each reported with per-prefix margins.
 
 Log-order arithmetic happens entirely in the log domain (prefix sums of
 logarithms, never raw products) so verdicts survive eigenvalue ratios up to
-1e12 at dimensions up to 100. check_order compares two vectors;
-check_orders compares the rows of two (..., n) arrays, taking the prefix
-margins of every row in one pass and building one OrderReport per row.
+1e12 at dimensions up to 100. check_orders compares the rows of two
+(..., n) arrays in one pass and returns arrays (OrderChecks), which build
+an OrderReport only for a row asked for; check_order compares two vectors.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class OrderReport:
     def verdict(self) -> str:
         return "holds" if self.holds else f"fails-at-k={self.fail_index}"
 
-    def worst_margin(self) -> float:
-        """Smallest per-prefix margin (0 for an empty report)."""
-        return min(self.margins, default=0.0)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind.value,
@@ -86,6 +82,29 @@ def _require_finite(xs: np.ndarray, ys: np.ndarray) -> None:
         raise NonFinite("order check on a non-finite (NaN or infinite) entry")
 
 
+@dataclass(frozen=True, eq=False)
+class OrderChecks:
+    """check_orders on the rows of two (..., n) arrays, as arrays with one
+    row per row pair, in C order: margins (rows, n) as in OrderReport, and
+    per row holds, fail_index (0 where the row holds) and residual (None for
+    the weak kinds and ENTRYWISE_LE)."""
+
+    kind: OrderKind
+    tol: float
+    margins: np.ndarray
+    holds: np.ndarray
+    fail_index: np.ndarray
+    residual: np.ndarray | None
+
+    def report(self, row: int = 0) -> OrderReport:
+        """The OrderReport of one row."""
+        fail = int(self.fail_index[row])
+        return OrderReport(
+            kind=self.kind, n=self.margins.shape[1], margins=tuple(self.margins[row].tolist()),
+            residual=None if self.residual is None else float(self.residual[row]),
+            holds=bool(self.holds[row]), fail_index=fail or None, tol=self.tol)
+
+
 def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
                 pad: bool = False) -> OrderReport:
     """Decide whether the vector x is below the vector y in the given order,
@@ -108,26 +127,26 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
             ys = np.concatenate([ys, np.zeros(width - ys.size)])
         else:
             raise LengthMismatch(f"{xs.size} vs {ys.size}")
-    return _reports(kind, xs, ys, tol)[0]
+    return _checks(kind, xs, ys, tol).report()
 
 
-def check_orders(kind: OrderKind, x, y, tol: float = DEFAULT_TOL) -> list[OrderReport]:
-    """check_order on each row pair of two (..., n) arrays of equal shape:
-    one OrderReport per row, in C order (one in all for two vectors)."""
+def check_orders(kind: OrderKind, x, y, tol: float = DEFAULT_TOL) -> OrderChecks:
+    """check_order on each row pair of two (..., n) arrays of equal shape, as
+    arrays (OrderChecks)."""
     kind = OrderKind(kind)
     xs = sort_desc(x)
     ys = sort_desc(y)
     _require_finite(xs, ys)
     if xs.shape != ys.shape:
         raise LengthMismatch(f"{xs.shape} vs {ys.shape}")
-    return _reports(kind, xs, ys, tol)
+    return _checks(kind, xs, ys, tol)
 
 
-def _reports(kind: OrderKind, xs: np.ndarray, ys: np.ndarray,
-             tol: float) -> list[OrderReport]:
-    """Reports for the rows of xs and ys, sorted nonincreasing and finite;
+def _checks(kind: OrderKind, xs: np.ndarray, ys: np.ndarray, tol: float) -> OrderChecks:
+    """The checks of the rows of xs and ys, sorted nonincreasing and finite;
     the prefix margins of all rows are taken at once."""
     n = xs.shape[-1]
+    xs, ys = xs.reshape(-1, n), ys.reshape(-1, n)
     if kind is OrderKind.ENTRYWISE_LE:
         margins = ys - xs
         scales = np.maximum(1.0, np.maximum(np.abs(xs), np.abs(ys)))
@@ -143,23 +162,17 @@ def _reports(kind: OrderKind, xs: np.ndarray, ys: np.ndarray,
         scales = np.maximum(1.0, np.maximum(np.abs(px), np.abs(py)))
     if not np.isfinite(margins).all():
         raise NonFinite("order check with a prefix sum that overflows")
-    rows = margins.reshape(-1, n).tolist()
-    oks = (margins >= -tol * scales).reshape(-1, n).tolist()
+    ok = margins >= -tol * scales
+    holds = ok.all(axis=-1)
+    fail_index = np.where(holds, 0, np.argmin(ok, axis=-1) + 1)  # the first prefix not ok
+    residual = None
     if kind in STRICT_KINDS:
-        totals_off = (np.abs(margins[..., -1]) > tol * scales[..., -1]).reshape(-1).tolist()
-    else:
-        totals_off = [False] * len(rows)
-    reports = []
-    for row, ok, total_off in zip(rows, oks, totals_off):
-        holds = all(ok)
-        fail_index = None if holds else ok.index(False) + 1
-        if holds and total_off:
-            holds = False
-            fail_index = n
-        reports.append(OrderReport(kind=kind, n=n, margins=tuple(row),
-                                   residual=row[-1] if kind in STRICT_KINDS else None,
-                                   holds=holds, fail_index=fail_index, tol=tol))
-    return reports
+        # prefixes that hold can still fail the total-equality condition
+        residual = margins[..., -1]
+        total_off = holds & (np.abs(residual) > tol * scales[..., -1])
+        holds = holds & ~total_off
+        fail_index = np.where(total_off, n, fail_index)
+    return OrderChecks(kind, tol, margins, holds, fail_index, residual)
 
 
 def _positive(a) -> np.ndarray:

@@ -22,11 +22,35 @@ from fractions import Fraction
 
 import numpy as np
 
+from dataclasses import replace
+
 from majdet.catalog import Instance, Shape, spec_of
-from majdet.errors import ResampleExhausted
-from majdet.exact import inverse_exact, mat_add, mat_mul
+from majdet.errors import DimensionMismatch, ResampleExhausted
+from majdet.exact import RationalMatrix, inverse_exact, mat_mul
 from majdet.fuzzing import GenStyle, trial_rng
 from majdet.linalg import eigvals_sym
+
+
+def mat_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    if len(a) != len(b):
+        raise DimensionMismatch(f"{len(a)} vs {len(b)}")
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def stack_instances(insts) -> Instance:
+    """One Instance whose matrices are those of insts stacked along a new
+    leading axis, in order, as the fuzzer draws a stack; insts share matrix
+    shapes, partition, idx, m and p, and the stack takes those of the
+    first."""
+    def stacked(values: list):
+        if values[0] is None:
+            return None
+        if isinstance(values[0], tuple):
+            return tuple(np.stack(column) for column in zip(*values))
+        return np.stack(values)
+
+    return replace(insts[0], **{f: stacked([getattr(inst, f) for inst in insts])
+                                for f in ("c", "d", "mats")})
 
 
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:

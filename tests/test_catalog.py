@@ -14,21 +14,11 @@ from majdet.catalog import (
     EVALUATOR_IDS,
     INEQUALITY_IDS,
     Instance,
-    check_choi,
-    check_det_power,
-    check_fischer_tail,
-    check_kyfan,
-    check_lemma31,
-    check_main_theorem,
-    check_matic,
-    check_open_q,
-    check_thm32,
     SPECS,
     THEOREM_IDS,
     Role,
     Shape,
     _fingerprint,
-    stack_instances,
     validate_instance,
     check_p_grid,
     evaluate_general,
@@ -39,6 +29,7 @@ from majdet.catalog import (
 )
 from majdet.errors import (
     BadConfig,
+    BadEntry,
     BadExponent,
     DimensionMismatch,
     IndexOutOfRange,
@@ -54,7 +45,7 @@ from majdet.exact import det_exact, rational_matrix, submatrix
 from majdet.fuzzing import replay
 from majdet.linalg import eigvals_sym, pd_inverse, require_symmetric
 
-from oracles import loewner_le, rand_pd
+from oracles import loewner_le, rand_pd, stack_instances
 
 PART22 = Partition((2, 2))
 
@@ -78,19 +69,21 @@ class TestMainTheorem:
     def test_identity_d_reduces_to_inverse_case(self):
         # with D = I the statement becomes the blockwise-inverse relation
         blocks = (np.eye(2), np.eye(2))
-        verdict = check_main_theorem(refdata.WLOG_C, blocks, PART22)
+        verdict = run_check("main-thm",
+                            Instance(partition=PART22, c=refdata.WLOG_C, d_blocks=blocks))
         assert verdict.holds
 
     def test_block_diagonal_c_gives_equality(self, rng):
         part = Partition((2, 3))
         c = direct_sum([rand_pd(rng, 2), rand_pd(rng, 3)])
         blocks = tuple(rand_pd(rng, s) for s in part.sizes)
-        verdict = check_main_theorem(c, blocks, part)
+        verdict = run_check("main-thm", Instance(partition=part, c=c, d_blocks=blocks))
         assert verdict.holds
         assert max(abs(m) for m in verdict.order.margins) <= 1e-9
 
     def test_reference_holds_weak_log_but_not_log(self):
-        verdict = check_main_theorem(refdata.WLOG_C, ref_wlog_blocks(), PART22)
+        verdict = run_check("main-thm", Instance(partition=PART22, c=refdata.WLOG_C,
+                                                 d_blocks=ref_wlog_blocks()))
         assert verdict.holds
         # the total products differ: 0.6538 vs 2.1717
         total_margin = verdict.order.margins[-1]
@@ -101,9 +94,10 @@ class TestMainTheorem:
 
     def test_scaling_invariance(self, rng):
         c, blocks, part = random_block_instance(rng, 5, (2, 3))
-        base = check_main_theorem(c, blocks, part)
+        base = run_check("main-thm", Instance(partition=part, c=c, d_blocks=blocks))
         alpha = 37.5
-        scaled = check_main_theorem(alpha * c, tuple(alpha * b for b in blocks), part)
+        scaled = run_check("main-thm", Instance(partition=part, c=alpha * c,
+                                                d_blocks=tuple(alpha * b for b in blocks)))
         np.testing.assert_allclose(scaled.order.margins, base.order.margins,
                                    rtol=0, atol=1e-10)
 
@@ -117,7 +111,7 @@ class TestMainTheorem:
                 sizes.append(s)
                 left -= s
             c, blocks, part = random_block_instance(rng, n, tuple(sizes))
-            assert check_main_theorem(c, blocks, part).holds
+            assert run_check("main-thm", Instance(partition=part, c=c, d_blocks=blocks)).holds
 
 
 class TestMatic:
@@ -125,13 +119,13 @@ class TestMatic:
         part = Partition((2, 2))
         c = direct_sum([rand_pd(rng, 2), rand_pd(rng, 2)])
         blocks = tuple(rand_pd(rng, 2) for _ in range(2))
-        verdict = check_matic(c, blocks, part)
+        verdict = run_check("matic", Instance(partition=part, c=c, d_blocks=blocks))
         assert verdict.holds
         assert abs(verdict.margin) <= 1e-12
 
     def test_reference_against_exact_oracle(self):
         blocks = ref_wlog_blocks()
-        verdict = check_matic(refdata.WLOG_C, blocks, PART22)
+        verdict = run_check("matic", Instance(partition=PART22, c=refdata.WLOG_C, d_blocks=blocks))
         assert verdict.holds
         c_exact = rational_matrix([[int(x) for x in row] for row in refdata.WLOG_C])
         d_exact = rational_matrix([[int(x) for x in row] for row in direct_sum(blocks)])
@@ -143,22 +137,23 @@ class TestMatic:
     def test_matches_det_power_p1(self, rng):
         for _ in range(10):
             c, blocks, part = random_block_instance(rng, 4, (2, 2))
-            m = check_matic(c, blocks, part)
-            d = check_det_power(c, blocks, part, p=1.0)
+            m = run_check("matic", Instance(partition=part, c=c, d_blocks=blocks))
+            d = run_check("det-power", Instance(partition=part, c=c, d_blocks=blocks, p=1.0))
             assert m.margin == pytest.approx(d.margin, abs=1e-12)
 
 
 class TestDetPower:
     def test_p0_trivial_equality(self, rng):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))
-        verdict = check_det_power(c, blocks, part, p=0.0)
+        verdict = run_check("det-power", Instance(partition=part, c=c, d_blocks=blocks, p=0.0))
         assert verdict.holds
         assert verdict.margin == 0.0
         assert verdict.lhs == pytest.approx(2.0**4)
 
     def test_p2_reference_with_bruteforce_oracle(self):
         blocks = ref_wlog_blocks()
-        verdict = check_det_power(refdata.WLOG_C, blocks, PART22, p=2.0)
+        verdict = run_check("det-power", Instance(partition=PART22, c=refdata.WLOG_C,
+                                                  d_blocks=blocks, p=2.0))
         assert verdict.holds
         # independent route: nonsymmetric eigenvalues of the explicit products
         d_full = direct_sum(blocks)
@@ -174,14 +169,15 @@ class TestDetPower:
     def test_negative_power_rejected(self, rng):
         c, blocks, part = random_block_instance(rng, 2, (1, 1))
         with pytest.raises(NegativePower):
-            check_det_power(c, blocks, part, p=-1.0)
+            run_check("det-power", Instance(partition=part, c=c, d_blocks=blocks, p=-1.0))
 
     def test_chain_consistency_with_main_theorem(self, rng):
         for _ in range(10):
             c, blocks, part = random_block_instance(rng, 5, (2, 1, 2))
-            assert check_main_theorem(c, blocks, part).holds
+            assert run_check("main-thm", Instance(partition=part, c=c, d_blocks=blocks)).holds
             for p in (0.0, 0.5, 1.0, 2.0, 3.0):
-                assert check_det_power(c, blocks, part, p).holds
+                inst = Instance(partition=part, c=c, d_blocks=blocks, p=p)
+                assert run_check("det-power", inst).holds
 
 
 class TestEvaluators:
@@ -287,14 +283,14 @@ class TestIdentityAbsSquare:
 
 class TestChoi:
     def test_single_identity(self):
-        verdict = check_choi([np.eye(3)], Partition((1, 2)))
+        verdict = run_check("choi", Instance(partition=Partition((1, 2)), mats=(np.eye(3),)))
         assert verdict.holds
         assert verdict.lhs == pytest.approx(1.0)
         assert verdict.rhs == pytest.approx(1.0)
 
     def test_m1_reference_with_exact_oracle(self):
         # m = 1 reduces to a Fischer-type inequality for the inverse
-        verdict = check_choi([refdata.WLOG_C], PART22)
+        verdict = run_check("choi", Instance(partition=PART22, mats=(refdata.WLOG_C,)))
         assert verdict.holds
         c_exact = rational_matrix([[int(x) for x in row] for row in refdata.WLOG_C])
         det_c = det_exact(c_exact)
@@ -308,47 +304,47 @@ class TestChoi:
     def test_random_pairs(self, rng):
         for _ in range(10):
             mats = [rand_pd(rng, 4, kappa=1e3) for _ in range(2)]
-            assert check_choi(mats, PART22).holds
+            assert run_check("choi", Instance(partition=PART22, mats=tuple(mats))).holds
 
 
 class TestThm32AndOpenQ:
     def test_single_identity_equality(self):
-        verdict = check_thm32([np.eye(4)], PART22, p=1.0)
+        verdict = run_check("thm32", Instance(partition=PART22, mats=(np.eye(4),), p=1.0))
         assert verdict.holds
         assert max(abs(m) for m in verdict.order.margins) <= 1e-12
 
     def test_p_grid_random(self, rng):
         for p in (1.0, 2.0, 3.0):
             mats = [rand_pd(rng, 4, kappa=1e3) for _ in range(2)]
-            assert check_thm32(mats, PART22, p=p).holds
+            assert run_check("thm32", Instance(partition=PART22, mats=tuple(mats), p=p)).holds
 
     def test_bad_exponent(self, rng):
         mats = [rand_pd(rng, 4)]
         with pytest.raises(BadExponent):
-            check_thm32(mats, PART22, p=0.5)
+            run_check("thm32", Instance(partition=PART22, mats=tuple(mats), p=0.5))
 
     def test_open_q_proved_case(self, rng):
         part = Partition((1, 1))
         for _ in range(25):
             mats = [rand_pd(rng, 2, kappa=1e3) for _ in range(2)]
-            assert check_open_q(mats, part).holds
+            assert run_check("open-q", Instance(partition=part, mats=tuple(mats))).holds
 
     def test_open_q_m1_specialization(self, rng):
         # m = 1 reduces to the blockwise-inverse weak log majorization
         for _ in range(10):
             mats = [rand_pd(rng, 4, kappa=1e3)]
-            assert check_open_q(mats, PART22).holds
+            assert run_check("open-q", Instance(partition=PART22, mats=tuple(mats))).holds
 
 
 class TestLemma31:
     def test_full_index_equality(self, rng):
         a = rand_pd(rng, 4)
-        verdict = check_lemma31(a, range(4))
+        verdict = run_check("lemma31", Instance(c=a, idx=range(4)))
         assert verdict.holds
         assert abs(verdict.margin) <= 1e-9
 
     def test_diagonal_equality(self):
-        verdict = check_lemma31(np.diag([1.0, 2.0, 3.0]), [0, 2])
+        verdict = run_check("lemma31", Instance(c=np.diag([1.0, 2.0, 3.0]), idx=[0, 2]))
         assert verdict.holds
         assert abs(verdict.margin) <= 1e-12
 
@@ -357,7 +353,7 @@ class TestLemma31:
         for _ in range(10):
             a = rand_pd(rng, 5, kappa=1e3)
             idx = (0, 2, 3)
-            verdict = check_lemma31(a, idx)
+            verdict = run_check("lemma31", Instance(c=a, idx=idx))
             assert verdict.holds
             sub_inv = pd_inverse(principal_submatrix(a, idx))
             inv_sub = principal_submatrix(pd_inverse(a), idx)
@@ -368,12 +364,12 @@ class TestLemma31:
 
     def test_bad_index(self, rng):
         with pytest.raises(IndexOutOfRange):
-            check_lemma31(rand_pd(rng, 3), [0, 5])
+            run_check("lemma31", Instance(c=rand_pd(rng, 3), idx=[0, 5]))
 
 
 class TestFischerTail:
     def test_m1_is_fischer_with_exact_oracle(self):
-        verdict = check_fischer_tail(refdata.WLOG_C, PART22, m=1)
+        verdict = run_check("fischer-tail", Instance(partition=PART22, c=refdata.WLOG_C, m=1))
         assert verdict.holds
         c_exact = rational_matrix([[int(x) for x in row] for row in refdata.WLOG_C])
         det_c = det_exact(c_exact)
@@ -387,7 +383,7 @@ class TestFischerTail:
     def test_block_diagonal_equality_every_m(self, rng):
         part = Partition((2, 3))
         c = direct_sum([rand_pd(rng, 2), rand_pd(rng, 3)])
-        verdict = check_fischer_tail(c, part)
+        verdict = run_check("fischer-tail", Instance(partition=part, c=c))
         assert verdict.holds
         for margin in verdict.detail["margins_by_m"].values():
             assert abs(margin) <= 1e-9
@@ -396,7 +392,7 @@ class TestFischerTail:
         for _ in range(10):
             c = rand_pd(rng, 5, kappa=1e3)
             part = Partition((2, 3))
-            verdict = check_fischer_tail(c, part, m=5)
+            verdict = run_check("fischer-tail", Instance(partition=part, c=c, m=5))
             assert verdict.holds
             lam_full = eigvals_sym(c)
             lam_diag = np.concatenate([eigvals_sym(b) for b in diag_blocks(c, part)])
@@ -404,22 +400,23 @@ class TestFischerTail:
 
     def test_bad_m(self, rng):
         with pytest.raises(IndexOutOfRange):
-            check_fischer_tail(rand_pd(rng, 4), PART22, m=5)
+            run_check("fischer-tail", Instance(partition=PART22, c=rand_pd(rng, 4), m=5))
 
 
 class TestKyFan:
     def test_diagonal_equality(self):
-        verdict = check_kyfan(np.diag([3.0, 1.0, 2.0]), Partition((1, 2)))
+        verdict = run_check("ky-fan",
+                            Instance(partition=Partition((1, 2)), c=np.diag([3.0, 1.0, 2.0])))
         assert verdict.holds
         assert max(abs(m) for m in verdict.order.margins) <= 1e-12
 
     def test_reference(self):
-        assert check_kyfan(refdata.WLOG_C, PART22).holds
+        assert run_check("ky-fan", Instance(partition=PART22, c=refdata.WLOG_C)).holds
 
     def test_random(self, rng):
         for _ in range(10):
             c = rand_pd(rng, 6, kappa=1e4)
-            assert check_kyfan(c, Partition((1, 2, 3))).holds
+            assert run_check("ky-fan", Instance(partition=Partition((1, 2, 3)), c=c)).holds
 
 
 class TestRegistry:
@@ -544,7 +541,8 @@ class TestOneD:
 
     def test_block_d_fingerprint_hashes_the_blocks(self):
         blocks = ref_wlog_blocks()
-        verdict = check_main_theorem(refdata.WLOG_C, blocks, PART22)
+        verdict = run_check("main-thm",
+                            Instance(partition=PART22, c=refdata.WLOG_C, d_blocks=blocks))
         assert verdict.fingerprint == _fingerprint(4, PART22, refdata.WLOG_C, *blocks)
         assert verdict.fingerprint.digest == "0862b4f67bbacf26"
         general = run_check("weak-log-general-d", Instance(partition=PART22, c=refdata.WLOG_C,
@@ -653,8 +651,8 @@ class TestDispatch:
 
     def test_fingerprint_deterministic(self, rng):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))
-        v1 = check_matic(c, blocks, part)
-        v2 = check_matic(c, blocks, part)
+        v1 = run_check("matic", Instance(partition=part, c=c, d_blocks=blocks))
+        v2 = run_check("matic", Instance(partition=part, c=c, d_blocks=blocks))
         assert v1.fingerprint == v2.fingerprint
 
     def test_evaluator_ids_subset(self):
@@ -784,7 +782,7 @@ class TestPGrid:
 
     def test_fingerprint_matches_unsplit_digest(self, rng):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))
-        verdict = check_det_power(c, blocks, part, p=2.0)
+        verdict = run_check("det-power", Instance(partition=part, c=c, d_blocks=blocks, p=2.0))
         want = _fingerprint(part.n, part, c, *blocks, 2.0)
         assert verdict.fingerprint == want
 
@@ -984,7 +982,16 @@ class TestBoundary:
         with pytest.raises(BadExponent):
             Instance.from_json(payload)
 
+    @pytest.mark.parametrize("field", ["c", "d_blocks", "mats"])
+    @pytest.mark.parametrize("entry", ["1", True, None])
+    def test_instance_json_rejects_an_entry_that_is_not_a_number(self, field, entry):
+        # the rule of matrix files (matio.number_array): JSON numbers only
+        rows = [[2.0, 0.0], [0.0, entry]]
+        payload = {"partition": [1, 1], field: [rows] if field != "c" else rows}
+        with pytest.raises(BadEntry):
+            Instance.from_json(payload)
+
     @pytest.mark.parametrize("m", [2.5, math.nan, True, "2"])
     def test_fischer_tail_rejects_a_non_integer_m(self, rng, m):
         with pytest.raises(IndexOutOfRange):
-            check_fischer_tail(rand_pd(rng, 4), PART22, m=m)
+            run_check("fischer-tail", Instance(partition=PART22, c=rand_pd(rng, 4), m=m))

@@ -95,6 +95,16 @@ class TestMatrixFiles:
         with pytest.raises(BadMatrixFile, match="boolean entry"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("rows", [
+        '[["1", "0"], ["0", " 1e0 "]]', '[[1, null], [null, 1]]', '[[1, 0], [0, [1]]]',
+        '[[1, 0], [0, 1' + '0' * 400 + ']]',
+    ], ids=["string", "null", "nested", "int-beyond-float"])
+    def test_entry_not_a_finite_number(self, tmp_path, rows):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": 2, "rows": {rows}}}')
+        with pytest.raises(BadMatrixFile):
+            read_matrix(path)
+
     @pytest.mark.parametrize("pair", [
         [1.0000000000001, 1], [1, 1.0], [True, 1], ["1", False], "11", [None, 1],
     ], ids=["float-num", "float-den", "bool-num", "bool-den", "string", "null"])

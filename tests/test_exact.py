@@ -12,14 +12,13 @@ from majdet.exact import (
     clear_denominators,
     det_exact,
     inverse_exact,
-    mat_add,
     mat_mul,
     rational_matrix,
     submatrix,
 )
 from majdet.linalg import logdet_pd
 
-from oracles import det_fraction_bareiss, inv_square_sum_det_by_inverse, rand_pd
+from oracles import det_fraction_bareiss, inv_square_sum_det_by_inverse, mat_add, rand_pd
 
 
 def test_rational_matrix_inputs():

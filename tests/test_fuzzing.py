@@ -522,3 +522,41 @@ class TestStackedDraws:
                     if mine is not None:
                         assert matrix_bytes(mine) == matrix_bytes(theirs), (cfg.seed, trial, field)
                 assert (inst.partition, inst.idx, inst.p) == (want.partition, want.idx, want.p)
+
+
+class TestBuildOnlyKept:
+    """fuzz counts holds and violations on the verdict arrays and builds a
+    verdict, so hashes a fingerprint, only for a record its report keeps."""
+
+    CFG = GenConfig(n=4, partition=Partition((2, 2)), seed=1)
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = []
+        fingerprint = catalog_mod._fingerprint
+
+        def counting(*args):
+            calls.append(args)
+            return fingerprint(*args)
+
+        monkeypatch.setattr(catalog_mod, "_fingerprint", counting)
+        return calls
+
+    def test_campaign_that_holds_hashes_nothing(self, hashed):
+        report = fuzz("main-thm", self.CFG, 64)
+        assert (report.holds, report.records) == (64, ())
+        assert len(hashed) == 0
+
+    def test_kept_instances_hash_once_each(self, hashed):
+        report = fuzz("main-thm", self.CFG, 64, keep_instances=True)
+        assert len(report.records) == 64
+        assert len(hashed) == 64
+
+    def test_grid_hashes_the_kept_exponent_only(self, hashed):
+        # a det-power trial sweeps five exponents and holds at each; every
+        # neg-power trial is a violation, kept at its worst exponent only
+        assert fuzz("det-power", self.CFG, 20).violations == 0
+        assert len(hashed) == 0
+        report = fuzz("neg-power", self.CFG, 20)
+        assert report.violations == len(report.records) == 20
+        assert len(hashed) == 20
