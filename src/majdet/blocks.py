@@ -8,6 +8,7 @@ each matrix of the stack.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +18,15 @@ from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered block sizes (n_1, ..., n_k), each >= 1."""
+    """Ordered block sizes (n_1, ..., n_k), each an int >= 1 (not a bool)."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = _integers(self.sizes)
+        if not sizes or any(s < 1 for s in sizes):
+            raise BadPartition(f"block sizes must be positive integers, got {self.sizes!r}")
         object.__setattr__(self, "sizes", sizes)
-        if len(sizes) < 1 or any(s < 1 for s in sizes):
-            raise BadPartition(f"block sizes must be positive integers, got {sizes}")
 
     @property
     def n(self) -> int:
@@ -43,6 +44,18 @@ class Partition:
             out.append((start, start + s))
             start += s
         return out
+
+
+def _integers(values) -> tuple[int, ...] | None:
+    """values as ints; None unless it is a sequence of integers that are not
+    bools, so a float, a string or a bool is never read as an int."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        return None
+    if all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+        return tuple(map(int, values))
+    return None
 
 
 def _square(a) -> np.ndarray:
@@ -84,15 +97,17 @@ def direct_sum(blocks) -> np.ndarray:
 
 def principal_indices(idx, n: int) -> tuple[int, ...]:
     """idx as 0-based ints, checked to be a nonempty, strictly increasing
-    subset of range(n)."""
-    indices = [int(i) for i in idx]
+    subset of range(n) of integers that are not bools."""
+    indices = _integers(idx)
+    if indices is None:
+        raise IndexOutOfRange(f"indices must be integers, got {idx!r}")
     if not indices:
         raise IndexOutOfRange("index set must be nonempty")
     if any(i < 0 or i >= n for i in indices):
-        raise IndexOutOfRange(f"indices {indices} out of range for n={n}")
+        raise IndexOutOfRange(f"indices {list(indices)} out of range for n={n}")
     if any(b <= a_ for a_, b in zip(indices, indices[1:])):
-        raise IndexOutOfRange(f"indices must be strictly increasing, got {indices}")
-    return tuple(indices)
+        raise IndexOutOfRange(f"indices must be strictly increasing, got {list(indices)}")
+    return indices
 
 
 def principal_submatrix(a, idx) -> np.ndarray:

@@ -16,14 +16,21 @@ data, never errors):
   weak-log-general-d, sv-weak-log, open-q
 
 Every C+D id compares the diagonal blocks Ci, Di of one C and one D with the
-whole; a block-D id's D must be block diagonal, and is hashed and written as
-its blocks, so main-thm and weak-log-general-d share one check, as do matic
-and matic-general-d.
+whole; a block-D id's D must be block diagonal, so main-thm and
+weak-log-general-d share one check, as do matic and matic-general-d.
 Determinant comparisons run in the log domain, and det(I + C^-1 D) is always
 computed as det(C + D)/det(C) through Cholesky log-determinants. Spectra of
 C^-1 D come from the pencil kernel behind linalg.eig_pencil, which never
 inverts C; explicit inverses appear only where a statement names them, and
 in the singular-value statements, which need the actual product C^-1 D.
+
+Each id reads the inputs of its Shape, and this module owns their layout.
+An instance's input matrices go in one order: the mats; or C, then D whole,
+or D as its diagonal blocks for a block-D id. The fuzzer draws them and the
+CLI reads their files in that order and builds the Instance with assemble;
+a fingerprint hashes them in that order too (_hashed), followed by
+lemma31's idx or fischer-tail's m, and a fuzz record writes a block-D D as
+its blocks.
 
 Inputs are validated once, at the boundary: validate_instance checks each
 input matrix of the id's Shape (square, sized for the partition, finite,
@@ -33,12 +40,13 @@ takes one validated instance or a stack of them (instances that share
 everything but their matrices, whose matrices are stacked along a leading
 axis, as the fuzzer draws them), and check_validated runs it.
 
-A stack of verdicts is arrays: a checker returns one Verdicts, whose margin
-and holds are (exponents, instances) arrays, with the log sides or the
-order checks and what the fingerprints hash. An InequalityVerdict, with
-its sha256 fingerprint and OrderReport, is built only where one is
-returned or stored: by run_check and check_p_grid, and by the fuzzer for a
-record its report keeps.
+A stack of verdicts is arrays: a checker takes (instance, tol) and returns
+its margins only, one Verdicts, whose margin and holds are (exponents,
+instances) arrays, with the log sides or the order checks. check_validated
+adds the id and what the fingerprints hash, from the id's Spec. An
+InequalityVerdict, with its sha256 fingerprint and OrderReport, is built
+only where one is returned or stored: by run_check and check_p_grid, and by
+the fuzzer for a record its report keeps.
 
 The parametrized ids (det-power, thm32, abs-power, commuted-power,
 neg-power) are split at p: a preparation step does everything that does not
@@ -49,10 +57,11 @@ grid and computes each side over it in one numpy pass: the powers as one
 exponents. run_check evaluates one p and check_p_grid a grid through that
 split; each verdict has the bits of a one-exponent grid.
 
-SPECS holds one Spec per id: its role, the inputs it reads, its checker and,
-for the fuzzer and the CLI, its p-split with exponent grid and default p,
-its generator caps, its reference counterexample and its exact certifier.
-Adding an id means adding its checker and one Spec.
+SPECS holds one Spec per id: its role, its Shape, its checker (a plain
+function, which two ids may share) and, for the fuzzer and the CLI, its
+p-split with exponent grid and default p, its generator caps, its
+reference counterexample and its exact certifier. Adding an id means
+adding its checker and one Spec.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ from .blocks import Partition, diag_blocks, direct_sum, principal_indices, princ
 from .errors import (
     BadConfig,
     BadExponent,
+    BadPartition,
     DimensionMismatch,
     IndexOutOfRange,
     MajdetError,
@@ -171,26 +181,19 @@ class Instance:
     m: int | None = None
 
     def __post_init__(self, d_blocks):
-        if d_blocks is None:
-            return
-        d, part = direct_sum(d_blocks), self.partition  # direct_sum checks squareness
-        if part is not None and len(d_blocks) != part.k:
-            raise DimensionMismatch(f"{len(d_blocks)} D blocks for a {part.k}-block partition")
-        for size, got in zip(part.sizes if part else (), (np.shape(b)[-1] for b in d_blocks)):
-            if got != size:
-                raise DimensionMismatch(f"D block is {got}x{got}, expected {size}")
-        object.__setattr__(self, "d", d)
+        if d_blocks is not None:
+            object.__setattr__(self, "d", _join_d_blocks(d_blocks, self.partition))
 
     def to_json(self, shape: Shape | None = None) -> dict:
         """The set fields as JSON; a Shape.BLOCK_D instance writes D as its
-        blocks, under "d_blocks" (_c_d_payload)."""
+        diagonal blocks, under "d_blocks", as it is hashed (_hashed)."""
         out: dict = {}
         if self.partition is not None:
             out["partition"] = list(self.partition.sizes)
         if self.c is not None:
             out["c"] = self.c.tolist()
         if self.d is not None and shape is Shape.BLOCK_D:
-            out["d_blocks"] = [b.tolist() for b in _c_d_payload(shape, self)[1:]]
+            out["d_blocks"] = [b.tolist() for b in diag_blocks(self.d, self.partition)]
         elif self.d is not None:
             out["d"] = self.d.tolist()
         if self.mats is not None:
@@ -207,21 +210,22 @@ class Instance:
     def from_json(cls, payload: dict) -> "Instance":
         """Inverse of to_json (D from "d" or "d_blocks"); matrix entries are
         read by matio.number_array, and a NaN or infinite p raises
-        NonFinite, a p not a number BadExponent."""
+        NonFinite, a p not a number BadExponent. A partition or an idx must
+        be a list of ints (BadPartition, IndexOutOfRange when validated)."""
         p = payload.get("p")
         if p is not None:
             if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise BadExponent(f"exponent p must be a number, got {p!r}")
             if not math.isfinite(p):
                 raise NonFinite(f"non-finite exponent p = {p}")
+        for key, err in (("partition", BadPartition), ("idx", IndexOutOfRange)):
+            if key in payload and not isinstance(payload[key], list):
+                raise err(f"{key} must be a list of integers, got {payload[key]!r}")
         return cls(
-            partition=Partition(tuple(payload["partition"])) if "partition" in payload else None,
-            c=number_array(payload["c"]) if "c" in payload else None,
-            d_blocks=tuple(number_array(b) for b in payload["d_blocks"])
-            if "d_blocks" in payload else None,
-            d=number_array(payload["d"]) if "d" in payload else None,
-            mats=tuple(number_array(m) for m in payload["mats"])
-            if "mats" in payload else None,
+            partition=Partition(payload["partition"]) if "partition" in payload else None,
+            **{key: number_array(payload[key]) for key in ("c", "d") if key in payload},
+            **{key: tuple(map(number_array, payload[key]))
+               for key in ("d_blocks", "mats") if key in payload},
             idx=tuple(payload["idx"]) if "idx" in payload else None,
             p=p,
             m=payload.get("m"),
@@ -254,28 +258,29 @@ def _by_exponent(a, ps: Sequence[float] | None) -> np.ndarray:
     return np.reshape(a, (1 if ps is None else len(ps), -1))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Verdicts:
     """The verdicts of T instances at P exponents (P = 1 without ps): margin
-    and holds are (P, T) arrays. verdict(k, i) builds the InequalityVerdict
-    of instance i at exponent k. fingerprint is _fingerprint's (n,
-    partition, *payload), each array of the payload a stack of one matrix
-    per instance; the exponent is hashed after it. A log comparison keeps
-    its (P, T) log sides, an order comparison its OrderChecks (row k*T + i).
-    detail(k, i) is what verdict (k, i) reports besides its log sides and p."""
+    and holds are (P, T) arrays. A log comparison keeps its (P, T) log
+    sides, an order comparison its OrderChecks (row k*T + i). detail(k, i)
+    is what verdict (k, i) reports besides its log sides and p. A checker
+    sets no more; check_validated then sets the id and hashed (_hashed, each
+    array a stack of one matrix per instance). verdict(k, i) builds the
+    InequalityVerdict of instance i at exponent k, its fingerprint over
+    hashed and then the exponent."""
 
-    inequality: str
     margin: np.ndarray
     holds: np.ndarray
     tol: float
-    fingerprint: tuple
     ps: Sequence[float] | None = None
     log_sides: tuple[np.ndarray, np.ndarray] | None = None
     orders: OrderChecks | None = None
     detail: Callable[[int, int], dict] | None = None
+    inequality: str = ""
+    hashed: tuple = ()
 
     def verdict(self, k: int = 0, i: int = 0) -> InequalityVerdict:
-        n, partition, *payload = self.fingerprint
+        n, partition, *payload = self.hashed
         payload = [a.reshape(-1, *a.shape[-2:])[i] if isinstance(a, np.ndarray) else a
                    for a in payload]
         tol, lhs, rhs, order, detail = self.tol, None, None, None, {}
@@ -304,25 +309,24 @@ class Verdicts:
         )
 
 
-def _log_verdicts(inequality: str, llhs, lrhs, tol: float, fingerprint: tuple,
-                  ps: Sequence[float] | None = None, **kw) -> Verdicts:
+def _log_verdicts(llhs, lrhs, tol: float, ps: Sequence[float] | None = None,
+                  **kw) -> Verdicts:
     """A log-determinant comparison, from the log sides per (exponent,
     instance): margin = log rhs - log lhs, held against tol scaled by
     max(1, |log lhs|, |log rhs|)."""
     llhs, lrhs = _by_exponent(llhs, ps), _by_exponent(lrhs, ps)
     margin = lrhs - llhs
     scale = np.fmax(1.0, np.fmax(np.abs(llhs), np.abs(lrhs)))  # max(), NaN aside
-    return Verdicts(inequality, margin, margin >= -(tol * scale), tol, fingerprint, ps,
-                    log_sides=(llhs, lrhs), **kw)
+    return Verdicts(margin, margin >= -(tol * scale), tol, ps, log_sides=(llhs, lrhs), **kw)
 
 
-def _order_verdicts(inequality: str, kind: OrderKind, x, y, tol: float, fingerprint: tuple,
-                    ps: Sequence[float] | None = None, **kw) -> Verdicts:
+def _order_verdicts(kind: OrderKind, x, y, tol: float, ps: Sequence[float] | None = None,
+                    **kw) -> Verdicts:
     """An order comparison of each row pair of x and y, one per (exponent,
     instance); margin is the worst prefix margin."""
     orders = check_orders(kind, x, y, tol)
-    return Verdicts(inequality, _by_exponent(orders.margins.min(axis=-1), ps),
-                    _by_exponent(orders.holds, ps), tol, fingerprint, ps, orders=orders, **kw)
+    return Verdicts(_by_exponent(orders.margins.min(axis=-1), ps),
+                    _by_exponent(orders.holds, ps), tol, ps, orders=orders, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +334,6 @@ def _order_verdicts(inequality: str, kind: OrderKind, x, y, tol: float, fingerpr
 # checkers below run on what it returns, through the linalg kernels only.
 # Derived matrices (sums, inverses, powers) are symmetrized where they are
 # formed and never validated again.
-
-def _check_dim(m: np.ndarray, part: Partition):
-    if m.shape[-1] != part.n:
-        raise DimensionMismatch(f"matrix is {m.shape[-1]}x{m.shape[-1]}, partition needs {part.n}")
-
 
 def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     """inst with every input matrix its Shape reads as a float array,
@@ -345,34 +344,34 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     field the Shape reads that is unset raises MissingField. With lead = 1,
     inst is a stack and each matrix of it is checked, on its own symmetry
     slack, in one call per field."""
-    for name in _REQUIRED_FIELDS[shape]:
+    with_d = shape in (Shape.BLOCK_D, Shape.GENERAL_D)
+    fields = ("mats",) if shape is Shape.MATS else ("c", "d") if with_d else ("c",)
+    for name in ("c", "idx") if shape is Shape.C_IDX else ("partition", *fields):
         if getattr(inst, name) is None:
             needs = "d or d_blocks" if name == "d" else name
             raise MissingField(f"a {shape.value} instance needs {needs}, which is unset")
     part = inst.partition
-    if shape is Shape.MATS:
-        mats = [as_square(a, lead) for a in inst.mats]
-        if not mats:
-            raise DimensionMismatch("need at least one matrix")
-        for a in mats:
-            _check_dim(a, part)
-        return replace(inst, mats=tuple(require_symmetric(a) for a in mats))
     if shape is Shape.C_IDX:
         a = as_square(inst.c, lead)
-        idx = principal_indices(inst.idx, a.shape[-1])
-        return replace(inst, c=require_symmetric(a), idx=idx)
-    if shape is Shape.C:
-        c = as_square(inst.c, lead)
-        _check_dim(c, part)
-        return replace(inst, c=require_symmetric(c))
-    c = as_square(inst.c, lead)
-    d = as_square(inst.d, lead)
-    if c.shape != d.shape:
-        raise DimensionMismatch(f"{c.shape} vs {d.shape}")
-    _check_dim(c, part)
-    c = require_symmetric(c)
+        return replace(inst, idx=principal_indices(inst.idx, a.shape[-1]), c=require_symmetric(a))
+    mats = [as_square(a, lead) for a in
+            (inst.mats if shape is Shape.MATS else [getattr(inst, f) for f in fields])]
+    if not mats:
+        raise DimensionMismatch("need at least one matrix")
+    if with_d and mats[0].shape != mats[1].shape:
+        raise DimensionMismatch(f"{mats[0].shape} vs {mats[1].shape}")
+    for a in mats:
+        if a.shape[-1] != part.n:
+            raise DimensionMismatch(f"matrix is {a.shape[-1]}x{a.shape[-1]}, "
+                                    f"partition needs {part.n}")
+    if shape is Shape.MATS:
+        return replace(inst, mats=tuple(require_symmetric(a) for a in mats))
+    c = require_symmetric(mats[0])
     if shape is Shape.GENERAL_D:
-        return replace(inst, c=c, d=require_symmetric(d))
+        return replace(inst, c=c, d=require_symmetric(mats[1]))
+    if not with_d:
+        return replace(inst, c=c)
+    d = mats[1]
     off = d.copy()  # D with its diagonal blocks zeroed
     for lo, hi in part.offsets():
         require_symmetric(d[..., lo:hi, lo:hi])
@@ -386,16 +385,61 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
 
 
 # ---------------------------------------------------------------------------
+# The instance layout: assemble builds an Instance from its input matrices in
+# input order (see the module docstring), and _hashed lists them back.
+
+def _join_d_blocks(blocks, part: Partition | None) -> np.ndarray:
+    """The direct sum of D blocks, as many as the partition has and each
+    sized for its block (DimensionMismatch)."""
+    d = direct_sum(blocks)  # direct_sum checks squareness
+    if part is not None and len(blocks) != part.k:
+        raise DimensionMismatch(f"{len(blocks)} D blocks for a {part.k}-block partition")
+    for size, got in zip(part.sizes if part else (), (np.shape(b)[-1] for b in blocks)):
+        if got != size:
+            raise DimensionMismatch(f"D block is {got}x{got}, expected {size}")
+    return d
+
+
+def assemble(shape: Shape, part: Partition | None, inputs: Sequence[np.ndarray],
+             **fields) -> Instance:
+    """The Instance of a Shape from its input matrices in input order and
+    its other fields (p, m, idx). A block-D D comes as its diagonal blocks,
+    or whole as one matrix, which is taken as it is. The wrong number of
+    inputs raises DimensionMismatch."""
+    if shape is Shape.MATS:
+        return Instance(partition=part, mats=tuple(inputs), **fields)
+    c, *ds = inputs
+    if shape is Shape.BLOCK_D and len(ds) > 1:
+        ds = [_join_d_blocks(ds, part)]
+    with_d = shape in (Shape.BLOCK_D, Shape.GENERAL_D)
+    if len(ds) != with_d:
+        raise DimensionMismatch(f"a {shape.value} instance takes {'C and D' if with_d else 'C'}"
+                                f", got {len(inputs)} matrices")
+    return Instance(partition=part, c=c, d=ds[0] if ds else None, **fields)
+
+
+def _hashed(shape: Shape, inst: Instance) -> tuple:
+    """What a fingerprint hashes, as _fingerprint's (n, partition, *payload):
+    the input matrices in input order, then lemma31's idx (with no
+    partition) or fischer-tail's m."""
+    part = inst.partition
+    if shape is Shape.MATS:
+        return (part.n, part, *inst.mats)
+    if shape is Shape.C_IDX:
+        return inst.c.shape[-1], None, inst.c, inst.idx
+    if shape is Shape.C:
+        return part.n, part, inst.c
+    if shape is Shape.C_M:
+        return part.n, part, inst.c, inst.m
+    if shape is Shape.GENERAL_D:
+        return part.n, part, inst.c, inst.d
+    return (part.n, part, inst.c, *diag_blocks(inst.d, part))
+
+
+# ---------------------------------------------------------------------------
 # Checkers. Each takes a validated instance, or a stack of them (matrices
 # with one leading axis), and returns the Verdicts of its instances: the
 # same code runs with and without the leading axis.
-
-def _c_d_payload(shape: Shape, inst: Instance) -> tuple[np.ndarray, ...]:
-    """A C+D instance as an id of the Shape hashes and writes it: C, then D
-    whole, or for Shape.BLOCK_D the diagonal blocks of D."""
-    if shape is Shape.BLOCK_D:
-        return (inst.c, *diag_blocks(inst.d, inst.partition))
-    return inst.c, inst.d
 
 
 def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -408,14 +452,11 @@ def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     return x, _pencil(c, d)
 
 
-def _weak_log_verdicts(inequality: str, inst: Instance, tol: float) -> Verdicts:
+def _weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
     """main-thm (block-diagonal D) and weak-log-general-d (any D): the
     blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
-    part = inst.partition
-    x, y = product_spectra(inst.c, inst.d, part)
-    payload = _c_d_payload(SPECS[inequality].shape, inst)
-    return _order_verdicts(inequality, OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
-                           (part.n, part, *payload))
+    x, y = product_spectra(inst.c, inst.d, inst.partition)
+    return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, x, y, tol)
 
 
 def _logdet_ratio_blocks(c_blocks, d_blocks):
@@ -426,15 +467,14 @@ def _logdet_ratio_blocks(c_blocks, d_blocks):
     )
 
 
-def _matic_verdicts(inequality: str, inst: Instance, tol: float) -> Verdicts:
+def _matic_verdicts(inst: Instance, tol: float) -> Verdicts:
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
     part = inst.partition
     c, d = inst.c, inst.d
     llhs = _logdet_ratio_blocks(diag_blocks(c, part), diag_blocks(d, part))
     lrhs = _logdet(symmetrize(c + d)) - _logdet(c)
-    payload = _c_d_payload(SPECS[inequality].shape, inst)
-    return _log_verdicts(inequality, llhs, lrhs, tol, (part.n, part, *payload))
+    return _log_verdicts(llhs, lrhs, tol)
 
 
 def _certify(factor, c_exact, d_exact, part: Partition):
@@ -487,7 +527,6 @@ def identity_abs_square(c, d_blocks, part: Partition,
     """
     require_tol(tol)
     inst = validate_instance(Shape.BLOCK_D, Instance(partition=part, c=c, d_blocks=d_blocks))
-    payload = _c_d_payload(Shape.BLOCK_D, inst)
 
     def sides(cmat, dmat) -> tuple[float, float]:
         ic = _pd_inverse(cmat)
@@ -499,14 +538,13 @@ def identity_abs_square(c, d_blocks, part: Partition,
 
     lg, rg = sides(inst.c, inst.d)
     lb, rb = 0.0, 0.0
-    for cb, db in zip(diag_blocks(inst.c, part), payload[1:]):
+    for cb, db in zip(diag_blocks(inst.c, part), diag_blocks(inst.d, part)):
         bl, br = sides(cb, db)
         lb += bl
         rb += br
     res_global = abs(lg - rg) / max(1.0, abs(lg), abs(rg))
     res_block = abs(lb - rb) / max(1.0, abs(lb), abs(rb))
     worst = max(res_global, res_block)
-    fp = _fingerprint(part.n, part, *payload)
     return InequalityVerdict(
         inequality="identity-abs-square",
         lhs=_exp_or_none(lg),
@@ -514,7 +552,7 @@ def identity_abs_square(c, d_blocks, part: Partition,
         margin=-worst,
         holds=worst <= tol,
         tol=tol,
-        fingerprint=fp,
+        fingerprint=_fingerprint(*_hashed(Shape.BLOCK_D, inst)),
         detail={
             "log_lhs_global": lg, "log_rhs_global": rg,
             "log_lhs_blocks": lb, "log_rhs_blocks": rb,
@@ -543,8 +581,7 @@ def _choi_verdicts(inst: Instance, tol: float) -> Verdicts:
     mats, part = inst.mats, inst.partition
     llhs = sum(_logdet(s) for s in _block_inverse_sums(mats, part))
     lrhs = _logdet(_full_inverse_sum(mats))
-    return _log_verdicts("choi", llhs, lrhs, tol, (part.n, part, *mats),
-                         detail=lambda k, i: {"m": len(mats)})
+    return _log_verdicts(llhs, lrhs, tol, detail=lambda k, i: {"m": len(mats)})
 
 
 def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -557,8 +594,8 @@ def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
     verdict is recorded, nothing is asserted."""
     mats, part = inst.mats, inst.partition
     x, y = _choi_spectra(mats, part)
-    return _order_verdicts("open-q", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
-                           (part.n, part, *mats), detail=lambda k, i: {"m": len(mats)})
+    return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
+                           detail=lambda k, i: {"m": len(mats)})
 
 
 def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
@@ -575,7 +612,7 @@ def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
     fro = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
     margin = _by_exponent(lam_min / np.maximum(1.0, fro), None)
     lam_mins, fros = np.ravel(lam_min).tolist(), np.ravel(fro).tolist()
-    return Verdicts("lemma31", margin, margin >= -tol, tol, (a.shape[-1], None, a, indices),
+    return Verdicts(margin, margin >= -tol, tol,
                     detail=lambda k, i: {"idx": list(indices), "lambda_min": lam_mins[i],
                                          "fro_norm": fros[i]})
 
@@ -615,16 +652,16 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
     worst = np.argmin(margins / np.fmax(1.0, np.fmax(np.abs(llhs), np.abs(lrhs))), axis=0)
     cols = np.arange(llhs.shape[1])
     return _log_verdicts(
-        "fischer-tail", llhs[worst, cols], lrhs[worst, cols], tol, (n, part, c, inst.m),
+        llhs[worst, cols], lrhs[worst, cols], tol,
         detail=lambda k, i: {"worst_m": ms[worst[i]], "margins_by_m": {
             str(m): v for m, v in zip(ms, margins[:, i].tolist())}})
 
 
 def _kyfan_verdicts(inst: Instance, tol: float) -> Verdicts:
     """lambda(Diag C) majorized by lambda(C) (equal traces, dominated prefixes)."""
-    c, part = inst.c, inst.partition
-    x = np.concatenate([_eigvalsh(b) for b in diag_blocks(c, part)], axis=-1)
-    return _order_verdicts("ky-fan", OrderKind.MAJORIZE, x, _eigvalsh(c), tol, (part.n, part, c))
+    c = inst.c
+    x = np.concatenate([_eigvalsh(b) for b in diag_blocks(c, inst.partition)], axis=-1)
+    return _order_verdicts(OrderKind.MAJORIZE, x, _eigvalsh(c), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +685,12 @@ def _inv_square_sum_logdet(c: np.ndarray, d: np.ndarray, where: str):
 def _inv_square_sum_verdicts(inst: Instance, tol: float) -> Verdicts:
     part = inst.partition
     c, d = inst.c, inst.d
-    dbs = diag_blocks(d, part)
     llhs = sum(
         _inv_square_sum_logdet(cb, db, f"block {j}")
-        for j, (cb, db) in enumerate(zip(diag_blocks(c, part), dbs), start=1)
+        for j, (cb, db) in enumerate(zip(diag_blocks(c, part), diag_blocks(d, part)), start=1)
     )
     lrhs = _inv_square_sum_logdet(c, d, "whole")
-    return _log_verdicts("inv-square-sum", llhs, lrhs, tol, (part.n, part, c, *dbs))
+    return _log_verdicts(llhs, lrhs, tol)
 
 
 def _inv_square_sum_det(c, d, s: int, t: int, name: str) -> Fraction:
@@ -676,13 +712,12 @@ def inv_square_sum_exact(c_exact, d_exact, part: Partition):
 def _sv_weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
     part = inst.partition
     c, d = inst.c, inst.d
-    dbs = diag_blocks(d, part)
     x = np.concatenate(
-        [_singular_values(_pd_inverse(cb) @ db) for cb, db in zip(diag_blocks(c, part), dbs)],
+        [_singular_values(_pd_inverse(cb) @ db)
+         for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))],
         axis=-1)
     y = _singular_values(_pd_inverse(c) @ d)
-    return _order_verdicts("sv-weak-log", OrderKind.WEAK_LOG_MAJORIZE, x, y, tol,
-                           (part.n, part, c, *dbs))
+    return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, x, y, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -715,35 +750,29 @@ def _sum_log1p_power(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     return np.sum(np.log1p(xp), axis=-1)
 
 
-def _spectra_log1p_power(inequality: str) -> Callable[[Instance], GridStep]:
+def _prepare_log1p_power(inst: Instance) -> GridStep:
     """det-power and neg-power: sum log1p(x^p) <= sum log1p(y^p) over the
     product spectra."""
-    def prepare(inst: Instance) -> GridStep:
-        part = inst.partition
-        x, y = product_spectra(inst.c, inst.d, part)
-        fingerprint = (part.n, part, *_c_d_payload(SPECS[inequality].shape, inst))
+    x, y = product_spectra(inst.c, inst.d, inst.partition)
 
-        def step(ps: Sequence[float], tol: float) -> Verdicts:
-            return _log_verdicts(inequality, _sum_log1p_power(x, ps), _sum_log1p_power(y, ps),
-                                 tol, fingerprint, ps)
+    def step(ps: Sequence[float], tol: float) -> Verdicts:
+        return _log_verdicts(_sum_log1p_power(x, ps), _sum_log1p_power(y, ps), tol, ps)
 
-        return step
-
-    return prepare
+    return step
 
 
 def _prepare_thm32(inst: Instance) -> GridStep:
     """Weak majorization of the blockwise inverse-sum spectrum by the full
     one, both raised entrywise to p >= 1."""
-    mats, part = inst.mats, inst.partition
-    x, y = _choi_spectra(mats, part)
+    mats = inst.mats
+    x, y = _choi_spectra(mats, inst.partition)
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         # check_orders rejects an overflowed power
         with np.errstate(over="ignore"):
             yp = np.stack([_rowwise(lambda row: row**p, y) for p in ps])
-        return _order_verdicts("thm32", OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol,
-                               (part.n, part, *mats), ps, detail=lambda k, i: {"m": len(mats)})
+        return _order_verdicts(OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol, ps,
+                               detail=lambda k, i: {"m": len(mats)})
 
     return step
 
@@ -751,26 +780,22 @@ def _prepare_thm32(inst: Instance) -> GridStep:
 def _prepare_abs_power(inst: Instance) -> GridStep:
     part = inst.partition
     c, d = inst.c, inst.d
-    dbs = diag_blocks(d, part)
     block_svs = [_singular_values(_pd_inverse(cb) @ db)
-                 for cb, db in zip(diag_blocks(c, part), dbs)]
+                 for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))]
     s_full = _singular_values(_pd_inverse(c) @ d)
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         llhs = sum(_sum_log1p_power(s, ps) for s in block_svs)
-        return _log_verdicts("abs-power", llhs, _sum_log1p_power(s_full, ps), tol,
-                             (part.n, part, c, *dbs), ps)
+        return _log_verdicts(llhs, _sum_log1p_power(s_full, ps), tol, ps)
 
     return step
 
 
 def _prepare_commuted_power(inst: Instance) -> GridStep:
     part = inst.partition
-    c = inst.c
-    dbs = diag_blocks(inst.d, part)
-    c_block_eigs = [_pd_eigh(b) for b in diag_blocks(c, part)]
-    d_block_eigs = [_pd_eigh(b) for b in dbs]
-    c_eig = _pd_eigh(c)
+    c_block_eigs = [_pd_eigh(b) for b in diag_blocks(inst.c, part)]
+    d_block_eigs = [_pd_eigh(b) for b in diag_blocks(inst.d, part)]
+    c_eig = _pd_eigh(inst.c)
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         # every power below is a (P, ..., n, n) stack, one product for the grid
@@ -780,7 +805,7 @@ def _prepare_commuted_power(inst: Instance) -> GridStep:
         cp = eigh_powers(*c_eig, ps)
         dp = direct_sum(dp_blocks)
         lrhs = _logdet(symmetrize(cp + dp)) - _logdet(cp)
-        return _log_verdicts("commuted-power", llhs, lrhs, tol, (part.n, part, c, *dbs), ps)
+        return _log_verdicts(llhs, lrhs, tol, ps)
 
     return step
 
@@ -844,24 +869,16 @@ class Role(enum.Enum):
 
 
 class Shape(enum.Enum):
-    """The Instance fields an id reads, and so the inputs the fuzzer draws
-    and the CLI loads."""
+    """The Instance fields an id reads, and so the inputs the fuzzer draws,
+    the CLI loads and a fingerprint hashes (assemble, _hashed)."""
 
     BLOCK_D = "block-d"      # partition, c, d block diagonal for the partition
     GENERAL_D = "general-d"  # partition, c, d
     MATS = "mats"            # partition, mats
-    C = "c"                  # partition, c (and m for fischer-tail)
+    C = "c"                  # partition, c
+    C_M = "c+m"              # partition, c, and m (None: every m)
     C_IDX = "c+idx"          # c, idx
 
-
-# The Instance fields validate_instance requires per Shape.
-_REQUIRED_FIELDS = {
-    Shape.BLOCK_D: ("partition", "c", "d"),
-    Shape.GENERAL_D: ("partition", "c", "d"),
-    Shape.MATS: ("partition", "mats"),
-    Shape.C: ("partition", "c"),
-    Shape.C_IDX: ("c", "idx"),
-}
 
 Checker = Callable[[Instance, float], Verdicts]
 # (C cap, D-block cap, block-scale bias in decades) for block-D fuzz draws;
@@ -906,14 +923,12 @@ _INV_SQ_REF = (refdata.INV_SQ_PART, refdata.INV_SQ_C, refdata.INV_SQ_D)
 # 1e6: C^2 then stays inside the Cholesky near-singular rejection envelope.
 
 SPECS: dict[str, Spec] = {
-    "main-thm": Spec(Role.THEOREM, Shape.BLOCK_D,
-                     lambda i, tol: _weak_log_verdicts("main-thm", i, tol)),
-    "matic": Spec(Role.THEOREM, Shape.BLOCK_D,
-                  lambda i, tol: _matic_verdicts("matic", i, tol),
+    "main-thm": Spec(Role.THEOREM, Shape.BLOCK_D, _weak_log_verdicts),
+    "matic": Spec(Role.THEOREM, Shape.BLOCK_D, _matic_verdicts,
                   certify=lambda c, d, part: matic_exact(c, d, part)),
     "det-power": Spec(
         Role.THEOREM, Shape.BLOCK_D,
-        split=PSplit(_det_power_domain, _spectra_log1p_power("det-power"),
+        split=PSplit(_det_power_domain, _prepare_log1p_power,
                      grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
     "abs-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D,
@@ -930,18 +945,16 @@ SPECS: dict[str, Spec] = {
                            certify=lambda c, d, part: inv_square_sum_exact(c, d, part)),
     "neg-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D,
-        split=PSplit(_neg_power_domain, _spectra_log1p_power("neg-power"),
+        split=PSplit(_neg_power_domain, _prepare_log1p_power,
                      grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
         caps=(None, 1e3, 1.5),
         reference=(refdata.NEG_POWER_PART, refdata.NEG_POWER_C, refdata.NEG_POWER_D)),
     "matic-general-d": Spec(
-        Role.EVALUATOR, Shape.GENERAL_D,
-        lambda i, tol: _matic_verdicts("matic-general-d", i, tol),
+        Role.EVALUATOR, Shape.GENERAL_D, _matic_verdicts,
         reference=(refdata.MATIC_GEN_PART, refdata.MATIC_GEN_C, refdata.MATIC_GEN_D),
         certify=lambda c, d, part: matic_exact(c, d, part)),
     "weak-log-general-d": Spec(
-        Role.EVALUATOR, Shape.GENERAL_D,
-        lambda i, tol: _weak_log_verdicts("weak-log-general-d", i, tol),
+        Role.EVALUATOR, Shape.GENERAL_D, _weak_log_verdicts,
         reference=(refdata.WLOG_PART, refdata.WLOG_C, refdata.WLOG_D)),
     "sv-weak-log": Spec(Role.EVALUATOR, Shape.BLOCK_D, _sv_weak_log_verdicts,
                         caps=(1e2, 1e2, 1.0), reference=_INV_SQ_REF),
@@ -951,7 +964,7 @@ SPECS: dict[str, Spec] = {
         split=PSplit(_thm32_domain, _prepare_thm32, grid=(1.0, 2.0, 3.0), default=1.0)),
     "open-q": Spec(Role.OPEN, Shape.MATS, _open_q_verdicts),
     "lemma31": Spec(Role.THEOREM, Shape.C_IDX, _lemma31_verdicts),
-    "fischer-tail": Spec(Role.THEOREM, Shape.C, _fischer_tail_verdicts),
+    "fischer-tail": Spec(Role.THEOREM, Shape.C_M, _fischer_tail_verdicts),
     "ky-fan": Spec(Role.THEOREM, Shape.C, _kyfan_verdicts),
 }
 
@@ -988,22 +1001,26 @@ def exponent_spec(inequality: str, p: float | None) -> Spec:
 def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
                     tol: float = DEFAULT_TOL) -> Verdicts:
     """The Verdicts of a validated instance (validate_instance), or of the
-    instances of a stack of them in stack order, at each exponent of ps.
-    The exponents must have passed the id's PSplit.require; an id without
-    an exponent ignores ps and gives one row."""
+    instances of a stack of them in stack order, at each exponent of ps,
+    with the id and what their fingerprints hash (_hashed) set from the
+    Spec. The exponents must have passed the id's PSplit.require; an id
+    without an exponent ignores ps and gives one row."""
     spec = spec_of(inequality)
     if spec.split is None:
-        return spec.check(inst, tol)
-    step = spec.split.prepare(inst)
-    try:
-        return step(ps, tol)
-    except MajdetError:
-        # The grid stops at its first failing kernel call over all exponents;
-        # one exponent at a time raises the error of the first failing
-        # exponent, as checking the exponents in turn does.
-        for p in ps:
-            step((p,), tol)
-        raise
+        verdicts = spec.check(inst, tol)
+    else:
+        step = spec.split.prepare(inst)
+        try:
+            verdicts = step(ps, tol)
+        except MajdetError:
+            # The grid stops at its first failing kernel call over all
+            # exponents; one exponent at a time raises the error of the first
+            # failing exponent, as checking the exponents in turn does.
+            for p in ps:
+                step((p,), tol)
+            raise
+    verdicts.inequality, verdicts.hashed = inequality, _hashed(spec.shape, inst)
+    return verdicts
 
 
 def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],

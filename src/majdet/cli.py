@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import exact, matio, scenarios
 from .blocks import Partition, validate_partition
-from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, run_check, spec_of
+from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, assemble, run_check, spec_of
 from .errors import BadMatrixFile, MajdetError
 from .fuzzing import GenConfig, GenStyle, fuzz, sample_pd, trial_rng
 from .orders import DEFAULT_TOL
@@ -71,80 +71,51 @@ def _table(lines, json_only: bool) -> None:
             print(line, file=sys.stderr)
 
 
-def _require_exact_block_diagonal(d_exact, part: Partition, path: str) -> None:
-    """A single D file's exact entries off the diagonal blocks must be zero.
-    The catalog checks the float D, but an exact entry can round to 0.0."""
-    if d_exact is not None and d_exact != exact.direct_sum(
-            [exact.submatrix(d_exact, lo, hi) for lo, hi in part.offsets()]):
-        raise BadMatrixFile(f"{path}: single D file must be block diagonal for this partition")
+# The check flags each Shape reads, its matrix files first, in input order
+# (catalog.assemble). Each is required but --m; any other is an input error.
+_READS = {
+    Shape.BLOCK_D: ("c", "d", "part"),
+    Shape.GENERAL_D: ("c", "d", "part"),
+    Shape.MATS: ("a", "part"),
+    Shape.C: ("c", "part"),
+    Shape.C_M: ("c", "part", "m"),
+    Shape.C_IDX: ("a", "idx"),
+}
 
 
-def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple | None]:
+def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple]:
     """Build the Instance for `check` from files and flags, plus the exact
-    (C, D) operands for certification when every one of them is rational."""
-    ineq = args.inequality
-    shape = spec.shape
+    part of each matrix file (None where it has none), in input order."""
+    ineq, reads = args.inequality, _READS[spec.shape]
+    for flag in ("c", "d", "a", "part", "m", "idx"):
+        given = getattr(args, flag) is not None
+        if given and flag not in reads:
+            raise MajdetError(f"{ineq} takes no --{flag}")
+        if not given and flag in reads and flag != "m":
+            raise MajdetError(f"{ineq} needs --{flag}")
+    paths = args.a if "a" in reads else [args.c, *(args.d or ())]
+    floats, exacts = zip(*map(matio.read_matrix, paths))
+    part = None if args.part is None else _parse_partition(args.part, floats[0].shape[0])
     p = args.p if args.p is not None or spec.split is None else spec.split.default
-
-    if shape is Shape.MATS:
-        if not args.a:
-            raise MajdetError(f"{ineq} needs --a matrix files")
-        mats = []
-        for path in args.a:
-            arr, _ = matio.read_matrix(path)
-            mats.append(arr)
-        n = mats[0].shape[0]
-        if not args.part:
-            raise MajdetError(f"{ineq} needs --part")
-        part = _parse_partition(args.part, n)
-        return Instance(partition=part, mats=tuple(mats), p=p), None
-
-    if shape is Shape.C_IDX:
-        if not args.a or len(args.a) != 1:
-            raise MajdetError(f"{ineq} needs exactly one --a file")
-        arr, _ = matio.read_matrix(args.a[0])
-        if not args.idx:
-            raise MajdetError(f"{ineq} needs --idx (0-based, comma separated)")
-        return Instance(c=arr, idx=_parse_idx(args.idx), p=p), None
-
-    if not args.c:
-        raise MajdetError(f"{ineq} needs --c")
-    c_arr, c_exact = matio.read_matrix(args.c)
-    n = c_arr.shape[0]
-    if not args.part:
-        raise MajdetError(f"{ineq} needs --part")
-    part = _parse_partition(args.part, n)
-    if shape is Shape.C:
-        return Instance(partition=part, c=c_arr, m=args.m, p=p), None
-    if shape is Shape.GENERAL_D or (args.d and len(args.d) == 1 and part.k > 1):
-        if not args.d or len(args.d) != 1:
-            raise MajdetError(f"{ineq} needs exactly one --d file")
-        d_arr, d_exact = matio.read_matrix(args.d[0])
-        if shape is Shape.BLOCK_D:
-            if d_arr.shape[0] != n:
-                raise MajdetError(f"D is {d_arr.shape[0]}x{d_arr.shape[0]}, expected {n}")
-            _require_exact_block_diagonal(d_exact, part, args.d[0])
-        inst = Instance(partition=part, c=c_arr, d=d_arr, p=p)
-        return inst, _exact_pair(c_exact, d_exact)
-    if not args.d:
-        raise MajdetError(f"{ineq} needs --d (block files, or one block-diagonal file)")
-    if len(args.d) != part.k:
-        raise MajdetError(f"expected {part.k} D block files, got {len(args.d)}")
-    blocks, exact_blocks = zip(*map(matio.read_matrix, args.d))
-    d_exact = None if None in exact_blocks else exact.direct_sum(exact_blocks)
-    inst = Instance(partition=part, c=c_arr, d_blocks=blocks, p=p)
-    return inst, _exact_pair(c_exact, d_exact)
+    idx = None if args.idx is None else _parse_idx(args.idx)
+    return assemble(spec.shape, part, floats, p=p, m=args.m, idx=idx), exacts
 
 
-def _exact_pair(c_exact, d_exact) -> tuple | None:
-    return None if c_exact is None or d_exact is None else (c_exact, d_exact)
-
-
-def _exact_certification(spec: Spec, part: Partition, exact_ops: tuple | None) -> dict | None:
-    """Exact rational recomputation of both sides when all inputs are rational."""
-    if spec.certify is None or exact_ops is None:
+def _exact_certification(spec: Spec, part: Partition, exacts: tuple) -> dict | None:
+    """Exact rational recomputation of both sides when every input file of
+    a C+D id carries an exact part: D joined from its files with
+    exact.direct_sum. A block-D id's exact D must be zero off the diagonal
+    blocks, where a float entry can round to 0.0 (BadMatrixFile)."""
+    c_exact, *d_parts = exacts
+    if spec.shape not in (Shape.BLOCK_D, Shape.GENERAL_D) or None in d_parts:
         return None
-    lhs, rhs = spec.certify(*exact_ops, part)
+    d_exact = exact.direct_sum(d_parts)
+    if spec.shape is Shape.BLOCK_D and any(
+            x for lo, hi in part.offsets() for row in d_exact[lo:hi] for x in row[:lo] + row[hi:]):
+        raise BadMatrixFile(f"exact D is not block diagonal for partition {part.sizes}")
+    if spec.certify is None or c_exact is None:
+        return None
+    lhs, rhs = spec.certify(c_exact, d_exact, part)
     return {
         "lhs": f"{lhs.numerator}/{lhs.denominator}",
         "rhs": f"{rhs.numerator}/{rhs.denominator}",
@@ -171,9 +142,9 @@ def cmd_verify_paper(args) -> int:
 
 def cmd_check(args) -> int:
     spec = spec_of(args.inequality)
-    inst, exact_ops = _load_check_inputs(args, spec)
+    inst, exacts = _load_check_inputs(args, spec)
     verdict = run_check(args.inequality, inst, tol=args.tol)
-    cert = _exact_certification(spec, inst.partition, exact_ops)
+    cert = _exact_certification(spec, inst.partition, exacts)
     payload = verdict.to_json()
     if cert is not None:
         payload["exact"] = cert

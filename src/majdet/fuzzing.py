@@ -14,18 +14,19 @@ isolation.
 
 fuzz takes the trials a chunk at a time, and a chunk is a stack from the
 draw through to the verdict. Each trial makes its generator calls from its
-own substream, writing its random parts straight into the chunk's arrays;
+own substream, drawing its matrices in the id's input order (the catalog's
+layout), and writes its random parts straight into the chunk's arrays;
 the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
-product per matrix size, and its C, D and mats are (trials, n, n) stacks.
-Each stack (the drawn trials, lemma31's trials of one idx, the injected
-counterexample on its own) is validated once and goes through the id's
-checker in one call per kernel, a parametrized id's exponent grid in one
-step. Holds, violations and margins are counted on the verdict arrays; a
-trial's verdict, fingerprint and Instance are built only for a record the
-report keeps.
-Draws, verdicts and reports equal drawing and checking the trials one by
-one, bit for bit. build_instances, build_instance and run_trial are the same
-code on a range of trials or on one.
+product per matrix size, and catalog.assemble builds the stacked Instance
+from them as it builds one Instance, so its C, D and mats are (trials, n,
+n) stacks. Each stack (the drawn trials, lemma31's trials of one idx, the
+injected counterexample on its own) is validated once and goes through the
+id's checker in one call per kernel, a parametrized id's exponent grid in
+one step. Holds, violations and margins are counted on the verdict arrays;
+a trial's verdict, fingerprint and Instance are built only for a record the
+report keeps. Draws, verdicts and reports equal drawing and checking the
+trials one by one, bit for bit. build_instances, build_instance and
+run_trial are the same code on a range of trials or on one.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .catalog import (
     Instance,
     Shape,
     Spec,
+    assemble,
     check_validated,
     exponent_spec,
     require_tol,
     run_check,
-    spec_of,
     validate_instance,
 )
 from .errors import BadConfig, MajdetError, ResampleExhausted
@@ -177,17 +178,16 @@ def gen_pd(cfg: GenConfig, trial: int) -> np.ndarray:
 
 def _roles(spec: Spec, cfg: GenConfig) -> list[tuple[int, float]]:
     """(size, condition cap) of each matrix a drawn trial makes, in draw
-    order: the mats, or C, then for a C+D id the blocks of D (a general D is
-    drawn as one block)."""
+    order, which is the input order (catalog.assemble): the mats, or C, then
+    for a C+D id the blocks of D (a general D is drawn as one block), capped
+    by the Spec's caps."""
     n, kappa = cfg.n, cfg.kappa_max
     if spec.shape is Shape.MATS:
         return [(n, kappa)] * cfg.m
-    if spec.shape in (Shape.C, Shape.C_IDX):
-        return [(n, kappa)]
     c_cap, d_cap, _ = spec.caps
-    sizes = cfg.part().sizes if spec.shape is Shape.BLOCK_D else (n,)
+    d_sizes = {Shape.BLOCK_D: cfg.part().sizes, Shape.GENERAL_D: (n,)}.get(spec.shape, ())
     return [(n, kappa if c_cap is None else min(kappa, c_cap))] + \
-        [(size, kappa if d_cap is None else min(kappa, d_cap)) for size in sizes]
+        [(size, kappa if d_cap is None else min(kappa, d_cap)) for size in d_sizes]
 
 
 # A chunk's trials as stacks: per group, the positions of its trials in the
@@ -222,15 +222,16 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     a D block's scale bias; lemma31's idx last. The SPECTRAL matrices are
     then formed per size (_form_by_size). GRAM matrices are formed where
     they are drawn, since their resample loop reads eigenvalues and so
-    decides the later draws. The drawn trials are one group; lemma31's are
+    decides the later draws. The drawn trials are one group, built from
+    their matrices in input order by catalog.assemble; lemma31's are
     grouped by idx.
     """
     groups: _Groups = []
     drawn = list(trials)
     if spec.reference is not None and drawn[:1] == [0]:
         ref_part, ref_c, ref_d = spec.reference
-        groups.append(([0], Instance(partition=ref_part, c=ref_c[None].copy(),
-                                     d=ref_d[None].copy(), p=p)))
+        groups.append(([0], assemble(spec.shape, ref_part,
+                                     (ref_c[None].copy(), ref_d[None].copy()), p=p)))
         drawn = drawn[1:]
     if not drawn:
         return groups
@@ -261,26 +262,19 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
             size = int(rng.integers(1, n + 1))
             idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
     mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
+    if bias:
+        mats[1:] = [m * scale[:, None, None] for m, scale in zip(mats[1:], scales[1:])]
 
-    positions = list(range(first, first + count))
-    part = cfg.part()
-    if spec.shape is Shape.MATS:
-        groups.append((positions, Instance(partition=part, mats=tuple(mats), p=p)))
-    elif spec.shape is Shape.C:
-        groups.append((positions, Instance(partition=part, c=mats[0])))
-    elif spec.shape is Shape.C_IDX:
-        members: dict[tuple[int, ...], list[int]] = {}
-        for t, idx in enumerate(idxs):
-            members.setdefault(idx, []).append(t)
-        for idx, ts in members.items():
-            groups.append(([first + t for t in ts], Instance(c=mats[0][ts], idx=idx)))
-    elif spec.shape is Shape.GENERAL_D:
-        groups.append((positions, Instance(partition=part, c=mats[0], d=mats[1], p=p)))
-    else:
-        d = np.zeros((count, n, n))
-        for j, (lo, hi) in enumerate(part.offsets(), start=1):
-            d[:, lo:hi, lo:hi] = mats[j] * scales[j, :, None, None] if bias else mats[j]
-        groups.append((positions, Instance(partition=part, c=mats[0], d=d, p=p)))
+    if spec.shape is not Shape.C_IDX:
+        groups.append((list(range(first, first + count)),
+                       assemble(spec.shape, cfg.part(), mats, p=p)))
+        return groups
+    members: dict[tuple[int, ...], list[int]] = {}
+    for t, idx in enumerate(idxs):
+        members.setdefault(idx, []).append(t)
+    for idx, ts in members.items():
+        groups.append(([first + t for t in ts], assemble(Shape.C_IDX, None, (mats[0][ts],),
+                                                         idx=idx, p=p)))
     return groups
 
 
@@ -298,9 +292,10 @@ def build_instances(inequality: str, cfg: GenConfig, trials: range,
     """Draw the instances of a range of trials, in order (trial 0 of a false
     id is its injected counterexample): fuzz's draw routine, unstacked.
     Every draw is a pure function of (cfg, trial), the same bits however the
-    trials are chunked."""
+    trials are chunked. A p for an id without an exponent raises
+    BadExponent."""
     out: list = [None] * len(trials)
-    for positions, stack in _draw_chunk(spec_of(inequality), cfg, trials, p):
+    for positions, stack in _draw_chunk(exponent_spec(inequality, p), cfg, trials, p):
         for j, k in enumerate(positions):
             out[k] = _member(stack, j, stack.p)
     return out

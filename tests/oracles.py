@@ -315,7 +315,7 @@ def build_instance_per_trial(inequality: str, cfg, trial: int, p: float | None =
         size = int(rng.integers(1, n + 1))
         idx = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
         return Instance(c=a, idx=idx)
-    if spec.shape is Shape.C:
+    if spec.shape in (Shape.C, Shape.C_M):
         return Instance(partition=part, c=draw(n))
     if spec.shape is Shape.GENERAL_D:
         return Instance(partition=part, c=draw(n), d=draw(n), p=p)

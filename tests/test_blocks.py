@@ -37,6 +37,15 @@ class TestPartition:
         with pytest.raises(BadPartition):
             Partition(())
 
+    @pytest.mark.parametrize("sizes", [(1, "1"), (True, True), (1.5, 0.5), 2, "22"])
+    def test_sizes_that_are_not_integers(self, sizes):
+        # int() would read each of these (or its characters) as sizes
+        with pytest.raises(BadPartition, match="block sizes must be positive integers"):
+            Partition(sizes)
+
+    def test_numpy_integer_sizes(self):
+        assert Partition(np.array([2, 3])).sizes == (2, 3)
+
 
 class TestDiagBlocks:
     def test_reference_blocks(self):
@@ -129,6 +138,11 @@ class TestPrincipalSubmatrix:
             principal_submatrix(np.eye(3), [1, 1])
         with pytest.raises(IndexOutOfRange):
             principal_submatrix(np.eye(3), [])
+
+    @pytest.mark.parametrize("idx", ["01", [0, "1"], [True, False], [0.0, 1.5], 0])
+    def test_indices_that_are_not_integers(self, idx):
+        with pytest.raises(IndexOutOfRange, match="indices must be integers"):
+            principal_submatrix(np.eye(3), idx)
 
 
 def test_ky_fan_majorization_random(rng):

@@ -19,6 +19,8 @@ from majdet.catalog import (
     Role,
     Shape,
     _fingerprint,
+    _hashed,
+    assemble,
     validate_instance,
     check_p_grid,
     evaluate_general,
@@ -31,6 +33,7 @@ from majdet.errors import (
     BadConfig,
     BadEntry,
     BadExponent,
+    BadPartition,
     DimensionMismatch,
     IndexOutOfRange,
     MissingField,
@@ -852,8 +855,63 @@ def shape_instances(rng):
         Shape.MATS: (Instance(partition=part, mats=(small_pd(rng, 4), small_pd(rng, 4),
                                                     small_pd(rng, 4))), ("mats",)),
         Shape.C: (Instance(partition=part, c=c), ("c",)),
+        Shape.C_M: (Instance(partition=part, c=c, m=2), ("c",)),
         Shape.C_IDX: (Instance(c=c, idx=(0, 1, 3)), ("c",)),
     }
+
+
+LAYOUT_PART = Partition((1, 2, 1))
+
+
+def layout_inputs(rng, shape):
+    """An instance of the Shape as its input matrices, in input order, and
+    the fields its fingerprint hashes after them."""
+    def c():
+        return small_pd(rng, 4)
+
+    return {
+        Shape.BLOCK_D: ([c(), *(small_pd(rng, s) for s in LAYOUT_PART.sizes)], {}),
+        Shape.GENERAL_D: ([c(), c()], {}),
+        Shape.MATS: ([c(), c(), c()], {}),
+        Shape.C: ([c()], {}),
+        Shape.C_M: ([c()], {"m": 3}),
+        Shape.C_IDX: ([c()], {"idx": (0, 2)}),
+    }[shape]
+
+
+class TestLayout:
+    """One rule owns both directions: assemble builds an instance from its
+    input matrices in input order, and _hashed lists them back. A Shape
+    without a rule fails here."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("shape", list(Shape))
+    def test_hashed_lists_the_assembled_inputs(self, rng, shape, stacked):
+        inputs, fields = layout_inputs(rng, shape)
+        if stacked:
+            inputs = [np.stack([a, 2.0 * a]) for a in inputs]
+        part = None if shape is Shape.C_IDX else LAYOUT_PART
+        n, partition, *payload = _hashed(shape, assemble(shape, part, inputs, **fields))
+        assert (n, partition) == (4, part)
+        assert [a.tobytes() for a in payload[:len(inputs)]] == [a.tobytes() for a in inputs]
+        assert payload[len(inputs):] == list(fields.values())
+
+    def test_a_whole_d_is_taken_as_it_is(self, rng):
+        c, d = small_pd(rng, 4), direct_sum([small_pd(rng, s) for s in LAYOUT_PART.sizes])
+        for shape in (Shape.BLOCK_D, Shape.GENERAL_D):
+            assert assemble(shape, LAYOUT_PART, (c, d)).d is d
+
+    @pytest.mark.parametrize("shape, sizes, message", [
+        (Shape.BLOCK_D, (4, 1, 3), "2 D blocks for a 3-block partition"),
+        (Shape.BLOCK_D, (4, 2, 1, 1), "D block is 2x2, expected 1"),
+        (Shape.BLOCK_D, (4,), "a block-d instance takes C and D, got 1 matrices"),
+        (Shape.GENERAL_D, (4, 4, 4), "a general-d instance takes C and D, got 3 matrices"),
+        (Shape.C_M, (4, 4), "a c+m instance takes C, got 2 matrices"),
+    ])
+    def test_wrong_inputs(self, shape, sizes, message):
+        with pytest.raises(DimensionMismatch) as info:
+            assemble(shape, LAYOUT_PART, [np.eye(s) for s in sizes])
+        assert str(info.value) == message
 
 
 def corrupt(inst, field, how):
@@ -990,6 +1048,20 @@ class TestBoundary:
         payload = {"partition": [1, 1], field: [rows] if field != "c" else rows}
         with pytest.raises(BadEntry):
             Instance.from_json(payload)
+
+    @pytest.mark.parametrize("partition", [[1, "1"], [True, True], [1.5, 0.5], 2])
+    def test_instance_json_rejects_a_partition_that_is_not_integers(self, partition):
+        # [1, "1"] and [True, True] read as (1, 1), [1.5, 0.5] as (1, 0)
+        payload = {"partition": partition, "c": np.eye(2).tolist()}
+        with pytest.raises(BadPartition):
+            run_check("ky-fan", Instance.from_json(payload))
+
+    @pytest.mark.parametrize("idx", ["01", 0, [0, "1"], [True], [0.0, 1.0]])
+    def test_instance_json_rejects_an_idx_that_is_not_integers(self, idx):
+        # "01" read as (0, 1), 0 raised a TypeError, [0.0, 1.0] as (0, 1)
+        payload = {"c": np.eye(2).tolist(), "idx": idx}
+        with pytest.raises(IndexOutOfRange):
+            run_check("lemma31", Instance.from_json(payload))
 
     @pytest.mark.parametrize("m", [2.5, math.nan, True, "2"])
     def test_fischer_tail_rejects_a_non_integer_m(self, rng, m):

@@ -416,6 +416,49 @@ def test_check_rejects_p_without_exponent(capsys, tmp_path, inequality):
     assert f"{inequality} takes no exponent" in err
 
 
+# The check flags each Shape reads; each of the others is an input error.
+SHAPE_FLAGS = {
+    Shape.BLOCK_D: ("--c", "--d", "--part"),
+    Shape.GENERAL_D: ("--c", "--d", "--part"),
+    Shape.MATS: ("--a", "--part"),
+    Shape.C: ("--c", "--part"),
+    Shape.C_M: ("--c", "--part", "--m"),
+    Shape.C_IDX: ("--a", "--idx"),
+}
+INPUT_FLAGS = ("--c", "--d", "--a", "--part", "--m", "--idx")
+
+
+def check_args(tmp_path, inequality):
+    cfg = GenConfig(n=4, partition=Partition((2, 2)), m=2, seed=2026)
+    return instance_args(tmp_path, SPECS[inequality].shape, build_instance(inequality, cfg, 1))
+
+
+@pytest.mark.parametrize("inequality, flag", [
+    (i, flag) for i, spec in SPECS.items() for flag in INPUT_FLAGS
+    if flag not in SHAPE_FLAGS[spec.shape]])
+def test_check_rejects_a_flag_its_shape_does_not_read(capsys, tmp_path, inequality, flag):
+    extra = tmp_path / "extra.json"
+    write_matrix(extra, np.eye(4))
+    value = {"--part": "2,2", "--m": "2", "--idx": "0,1"}.get(flag, str(extra))
+    code, out, err = run_cli(capsys, "check", inequality, *check_args(tmp_path, inequality),
+                             flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"majdet: error: {inequality} takes no {flag}\n"
+
+
+@pytest.mark.parametrize("inequality, flag", [
+    (i, flag) for i in ("matic", "weak-log-general-d", "choi", "ky-fan", "fischer-tail",
+                        "lemma31")
+    for flag in SHAPE_FLAGS[SPECS[i].shape] if flag != "--m"])
+def test_check_needs_every_flag_its_shape_reads(capsys, tmp_path, inequality, flag):
+    args = check_args(tmp_path, inequality)
+    at = args.index(flag)
+    rest = next((j for j in range(at + 1, len(args)) if args[j].startswith("--")), len(args))
+    code, out, err = run_cli(capsys, "check", inequality, *args[:at], *args[rest:])
+    assert (code, out) == (1, "")
+    assert err == f"majdet: error: {inequality} needs {flag}\n"
+
+
 @pytest.mark.parametrize("inequality", NO_EXPONENT_IDS)
 def test_fuzz_rejects_p_without_exponent(capsys, inequality):
     code, out, err = run_cli(capsys, "fuzz", inequality, "--n", "2", "--part", "1,1",

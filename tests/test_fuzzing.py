@@ -145,6 +145,15 @@ class TestFuzz:
         with pytest.raises(BadExponent, match="takes no exponent"):
             fuzz(inequality, GenConfig(n=2, partition=Partition((1, 1))), 3, p=7.0)
 
+    @pytest.mark.parametrize("inequality", sorted(i for i, s in SPECS.items() if not s.split))
+    def test_build_rejects_p_on_id_without_exponent(self, inequality):
+        # as fuzz and run_trial do; the p was dropped (ky-fan) or kept (choi)
+        cfg = GenConfig(n=2, partition=Partition((1, 1)))
+        with pytest.raises(BadExponent, match="takes no exponent"):
+            build_instance(inequality, cfg, 1, p=2.0)
+        with pytest.raises(BadExponent, match="takes no exponent"):
+            fuzzing_mod.build_instances(inequality, cfg, range(3), p=2.0)
+
     def test_trial_error_names_trial_and_seed(self):
         # thm32's p = 3 power of the inverse-sum spectrum overflows at this scale
         cfg = GenConfig(n=3, partition=Partition((1, 2)), entry_scale=1e-110, seed=5)
@@ -512,10 +521,11 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("inequality", sorted(SPECS))
     def test_build_instances_equal_per_trial(self, inequality):
+        p = 2.0 if SPECS[inequality].split else None
         for cfg in GRID_CONFIGS:
-            got = fuzzing_mod.build_instances(inequality, cfg, range(12), p=2.0)
+            got = fuzzing_mod.build_instances(inequality, cfg, range(12), p=p)
             for trial, inst in zip(range(12), got):
-                want = build_instance_per_trial(inequality, cfg, trial, p=2.0)
+                want = build_instance_per_trial(inequality, cfg, trial, p=p)
                 for field in ("c", "d", "mats"):
                     mine, theirs = getattr(inst, field), getattr(want, field)
                     assert (mine is None) == (theirs is None)
