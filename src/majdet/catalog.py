@@ -339,11 +339,12 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     """inst with every input matrix its Shape reads as a float array,
     checked once: square and sized for the partition (DimensionMismatch),
     finite (NonFinite) and symmetric (NotSymmetric). lemma31's idx comes
-    back as checked ints. A block-D D must be zero off the diagonal blocks
-    (NotBlockDiagonal), each block judged symmetric on its own slack. A
-    field the Shape reads that is unset raises MissingField. With lead = 1,
-    inst is a stack and each matrix of it is checked, on its own symmetry
-    slack, in one call per field."""
+    back as checked ints, and fischer-tail's m as an int in 1..n or None
+    (IndexOutOfRange, _tail_start). A block-D D must be zero off the
+    diagonal blocks (NotBlockDiagonal), each block judged symmetric on its
+    own slack. A field the Shape reads that is unset raises MissingField.
+    With lead = 1, inst is a stack and each matrix of it is checked, on its
+    own symmetry slack, in one call per field."""
     with_d = shape in (Shape.BLOCK_D, Shape.GENERAL_D)
     fields = ("mats",) if shape is Shape.MATS else ("c", "d") if with_d else ("c",)
     for name in ("c", "idx") if shape is Shape.C_IDX else ("partition", *fields):
@@ -369,6 +370,8 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     c = require_symmetric(mats[0])
     if shape is Shape.GENERAL_D:
         return replace(inst, c=c, d=require_symmetric(mats[1]))
+    if shape is Shape.C_M:
+        return replace(inst, c=c, m=_tail_start(inst.m, part.n))
     if not with_d:
         return replace(inst, c=c)
     d = mats[1]
@@ -618,7 +621,8 @@ def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
 
 
 def _tail_start(m, n: int) -> int | None:
-    """fischer-tail's m as an int in 1..n; None checks every m."""
+    """fischer-tail's m as an int in 1..n (so 2, 2.0 and np.int64(2) hash
+    alike); None checks every m."""
     if m is None:
         return None
     if (isinstance(m, bool) or not isinstance(m, numbers.Real) or not math.isfinite(m)
@@ -637,8 +641,7 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
     """
     c, part = inst.c, inst.partition
     n = part.n
-    start = _tail_start(inst.m, n)
-    ms = range(1, n + 1) if start is None else [start]
+    ms = range(1, n + 1) if inst.m is None else [inst.m]
     # (2, T, n) logs of lambda(C), whose rows are reversed views and so are
     # taken row by row as for one matrix (_rowwise), and of lambda(Diag C)
     logs = np.stack([
@@ -896,12 +899,17 @@ class Spec:
     caps: the generator caps for block-D draws.
     reference: (partition, C, D) of the counterexample the fuzzer injects as
         trial 0; D is block diagonal for the partition for a block-D id.
+        The fuzzer checks it once per process for each exponent grid and
+        tol, keyed by this Spec object, and reuses the verdicts
+        (fuzzing._checked_reference).
     certify: (c_exact, d_exact, part) -> exact (lhs, rhs), with d_exact the
         whole exact D, block diagonal for a block-D id.
 
     Entries reach the certifiers through lambdas that look up their
     module-level names, so a patch of a module attribute (a tracer's, a
-    test's) sees every call.
+    test's) sees every call made after it. A reference the fuzzer has
+    already checked is not checked again, so a patched checker or kernel
+    does not see it; a Spec swapped into SPECS is a new key and is.
     """
 
     role: Role

@@ -19,23 +19,29 @@ layout), and writes its random parts straight into the chunk's arrays;
 the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
 product per matrix size, and catalog.assemble builds the stacked Instance
 from them as it builds one Instance, so its C, D and mats are (trials, n,
-n) stacks. Each stack (the drawn trials, lemma31's trials of one idx, the
-injected counterexample on its own) is validated once and goes through the
-id's checker in one call per kernel, a parametrized id's exponent grid in
-one step. Holds, violations and margins are counted on the verdict arrays;
-a trial's verdict, fingerprint and Instance are built only for a record the
-report keeps. Draws, verdicts and reports equal drawing and checking the
-trials one by one, bit for bit. build_instances, build_instance and
-run_trial are the same code on a range of trials or on one.
+n) stacks. Each stack (the drawn trials, lemma31's trials of one idx) is
+validated once and goes through the id's checker in one call per kernel, a
+parametrized id's exponent grid in one step. The injected counterexample's
+verdicts depend only on the id's Spec, the exponent grid and tol, so it is
+validated and checked once per process for each of them, and later
+campaigns reuse its read-only stack and Verdicts (_checked_reference); only
+a process that runs several campaigns of one id gains from that, not a
+one-shot `majdet fuzz`. Holds, violations and margins are counted on the
+verdict arrays; a trial's verdict, fingerprint and Instance are built only
+for a record the report keeps, in every campaign. Draws, verdicts and
+reports equal drawing and checking the trials one by one, bit for bit.
+build_instances, build_instance and run_trial are the same code on a range
+of trials or on one.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,7 @@ from .catalog import (
     Instance,
     Shape,
     Spec,
+    Verdicts,
     assemble,
     check_validated,
     exponent_spec,
@@ -212,30 +219,36 @@ def _form_by_size(roles: list[tuple[int, float]], uniforms: list[np.ndarray],
     return mats
 
 
-def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _Groups:
-    """Draw a range of trials straight into stacks.
+def _injects(spec: Spec, trials: range) -> bool:
+    """Whether trials start at trial 0 of an id whose trial 0 is its injected
+    counterexample."""
+    return spec.reference is not None and trials[:1] == range(1)
 
-    Trial 0 of a false id is its injected counterexample, a group of its
-    own. Every other trial makes its generator calls from its own substream,
-    in the order sample_pd makes them: per matrix its spectrum's uniforms
-    and its Gaussian block (SPECTRAL), written into the chunk's arrays, then
-    a D block's scale bias; lemma31's idx last. The SPECTRAL matrices are
-    then formed per size (_form_by_size). GRAM matrices are formed where
-    they are drawn, since their resample loop reads eigenvalues and so
-    decides the later draws. The drawn trials are one group, built from
-    their matrices in input order by catalog.assemble; lemma31's are
-    grouped by idx.
+
+def _reference(spec: Spec, p: float | None) -> Instance:
+    """The id's injected counterexample as a one-instance stack, at exponent
+    p, with its own copies of the refdata matrices."""
+    ref_part, ref_c, ref_d = spec.reference
+    return assemble(spec.shape, ref_part, (ref_c[None].copy(), ref_d[None].copy()), p=p)
+
+
+def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _Groups:
+    """Draw a range of trials straight into stacks, the positions of each
+    group counted from the start of the range. Callers take an injected
+    trial 0 out of the range first (_injects).
+
+    Every trial makes its generator calls from its own substream, in the
+    order sample_pd makes them: per matrix its spectrum's uniforms and its
+    Gaussian block (SPECTRAL), written into the chunk's arrays, then a D
+    block's scale bias; lemma31's idx last. The SPECTRAL matrices are then
+    formed per size (_form_by_size). GRAM matrices are formed where they are
+    drawn, since their resample loop reads eigenvalues and so decides the
+    later draws. The trials are one group, built from their matrices in
+    input order by catalog.assemble; lemma31's are grouped by idx.
     """
-    groups: _Groups = []
-    drawn = list(trials)
-    if spec.reference is not None and drawn[:1] == [0]:
-        ref_part, ref_c, ref_d = spec.reference
-        groups.append(([0], assemble(spec.shape, ref_part,
-                                     (ref_c[None].copy(), ref_d[None].copy()), p=p)))
-        drawn = drawn[1:]
-    if not drawn:
-        return groups
-    first, count, n = len(groups), len(drawn), cfg.n
+    if not trials:
+        return []
+    count, n = len(trials), cfg.n
     roles = _roles(spec, cfg)
     spectral = cfg.style is GenStyle.SPECTRAL
     # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
@@ -246,7 +259,7 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     bias = spec.caps[2] if spec.shape is Shape.BLOCK_D else 0.0
     scales = np.empty((len(roles), count))
     idxs = []
-    for t, trial in enumerate(drawn):
+    for t, trial in enumerate(trials):
         rng = trial_rng(cfg, trial)
         for j, (size, kappa) in enumerate(roles):
             if not spectral:
@@ -266,16 +279,12 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
         mats[1:] = [m * scale[:, None, None] for m, scale in zip(mats[1:], scales[1:])]
 
     if spec.shape is not Shape.C_IDX:
-        groups.append((list(range(first, first + count)),
-                       assemble(spec.shape, cfg.part(), mats, p=p)))
-        return groups
+        return [(list(range(count)), assemble(spec.shape, cfg.part(), mats, p=p))]
     members: dict[tuple[int, ...], list[int]] = {}
     for t, idx in enumerate(idxs):
         members.setdefault(idx, []).append(t)
-    for idx, ts in members.items():
-        groups.append(([first + t for t in ts], assemble(Shape.C_IDX, None, (mats[0][ts],),
-                                                         idx=idx, p=p)))
-    return groups
+    return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), idx=idx, p=p))
+            for idx, ts in members.items()]
 
 
 def _member(stack: Instance, j: int, p: float | None) -> Instance:
@@ -294,10 +303,14 @@ def build_instances(inequality: str, cfg: GenConfig, trials: range,
     Every draw is a pure function of (cfg, trial), the same bits however the
     trials are chunked. A p for an id without an exponent raises
     BadExponent."""
+    spec = exponent_spec(inequality, p)
+    first = int(_injects(spec, trials))
     out: list = [None] * len(trials)
-    for positions, stack in _draw_chunk(exponent_spec(inequality, p), cfg, trials, p):
+    if first:
+        out[0] = _member(_reference(spec, p), 0, p)
+    for positions, stack in _draw_chunk(spec, cfg, trials[first:], p):
         for j, k in enumerate(positions):
-            out[k] = _member(stack, j, stack.p)
+            out[first + k] = _member(stack, j, stack.p)
     return out
 
 
@@ -352,28 +365,66 @@ class FuzzReport:
 _CHUNK = 64
 
 
+# The injected counterexamples checked so far, at most this many: see
+# _checked_reference.
+_REFERENCE_SLOTS = 32
+
+
+@functools.lru_cache(maxsize=_REFERENCE_SLOTS)
+def _reference_memo(spec: Spec, inequality: str, key: tuple[str, str],
+                    ps: tuple, tol: float) -> tuple[Instance, Verdicts]:
+    """_checked_reference's memo; key holds the reprs of ps and tol, which
+    keep apart equal values that report different bytes."""
+    stack = validate_instance(spec.shape, _reference(spec, ps[0]), lead=1)
+    for a in (stack.c, stack.d):
+        a.flags.writeable = False
+    return stack, check_validated(inequality, stack, ps, tol)
+
+
+def _checked_reference(inequality: str, spec: Spec, ps: Sequence[float],
+                       tol: float) -> tuple[Instance, Verdicts]:
+    """The validated one-instance stack of the id's injected counterexample,
+    read-only, and its Verdicts at each exponent of ps.
+
+    They depend on nothing but the Spec, ps and tol, so each is checked once
+    per process and shared by every later campaign, up to _REFERENCE_SLOTS
+    of them (the least recently used goes first); an error is never kept.
+    The key is the Spec object (compared by identity, so a Spec swapped into
+    SPECS is checked anew), the id, and the reprs of ps and tol: values that
+    compare equal but report different bytes, such as p = 2 and 2.0 or
+    tol = 0.0 and -0.0, are kept apart.
+    """
+    ps = tuple(ps)
+    return _reference_memo(spec, inequality, (repr(ps), repr(tol)), ps, tol)
+
+
 def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
                 tol: float) -> tuple[np.ndarray, np.ndarray, Callable]:
     """Evaluate a range of trials: their margins and holds flags as arrays,
     in order, and build(t) -> (verdict, Instance) of the t-th.
 
-    The trials are drawn as stacks by _draw_chunk, and each stack is
-    validated once and checked in one call per kernel. For parametrized ids
-    without an explicit p, each draw is checked at every exponent of the
+    The drawn trials come as stacks from _draw_chunk, and each stack is
+    validated once and checked in one call per kernel; an injected trial 0
+    takes its stack and Verdicts from _checked_reference. For parametrized
+    ids without an explicit p, each draw is checked at every exponent of the
     Spec's grid (the p-independent work once, then one grid step); the first
     exponent of minimum margin is kept, and the instance carries that p.
     """
     spec = exponent_spec(inequality, p)
     ps = (p,) if p is not None or spec.split is None else spec.split.grid
-    groups = _draw_chunk(spec, cfg, trials, ps[0])
+    first = int(_injects(spec, trials))
+    groups = _draw_chunk(spec, cfg, trials[first:], ps[0])
     if spec.split is not None:
         spec.split.require(ps)
+    checked = [([0], *_checked_reference(inequality, spec, ps, tol))] if first else []
+    for positions, stack in groups:
+        stack = validate_instance(spec.shape, stack, lead=1)
+        checked.append(([first + k for k in positions], stack,
+                        check_validated(inequality, stack, ps, tol)))
     margin = np.empty(len(trials))
     holds = np.empty(len(trials), dtype=bool)
     origin: list = [None] * len(trials)  # per trial: its Verdicts, stack, exponent, member
-    for positions, stack in groups:
-        stack = validate_instance(spec.shape, stack, lead=1)
-        verdicts = check_validated(inequality, stack, ps, tol)
+    for positions, stack, verdicts in checked:
         worst = np.argmin(verdicts.margin, axis=0)  # the first minimum over the exponents
         members = np.arange(len(positions))
         margin[positions] = verdicts.margin[worst, members]

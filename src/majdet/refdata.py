@@ -3,7 +3,8 @@
 These are the worked counterexamples the verify-paper command reproduces and
 the fuzzer injects as trial 0 for the false-inequality ids. Entries with a
 fractional decimal form are kept as exact rationals so the strict violations
-can be certified with zero tolerance.
+can be certified with zero tolerance. The float matrices are read-only,
+since every caller in a process shares them.
 """
 
 from __future__ import annotations
@@ -16,15 +17,23 @@ from .blocks import Partition
 
 F = Fraction
 
+
+def _const(rows) -> np.ndarray:
+    """rows as a read-only float array."""
+    a = np.array(rows, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 # 4x4 instance where the eigenvalue weak log majorization fails for a
 # positive definite D that is not block diagonal (first failure at k=2).
-WLOG_C = np.array(
+WLOG_C = _const(
     [[14.0, 8.0, 9.0, 8.0],
      [8.0, 12.0, 7.0, 7.0],
      [9.0, 7.0, 10.0, 8.0],
      [8.0, 7.0, 8.0, 8.0]]
 )
-WLOG_D = np.array(
+WLOG_D = _const(
     [[11.0, 12.0, 6.0, 11.0],
      [12.0, 16.0, 7.0, 12.0],
      [6.0, 7.0, 5.0, 6.0],
@@ -42,8 +51,8 @@ WLOG_FULL_DET = 2.1717
 
 # 2x2 instance violating the blockwise determinant bound when D is a general
 # positive definite matrix rather than block diagonal.
-MATIC_GEN_C = np.array([[12.0, 7.0], [7.0, 10.0]])
-MATIC_GEN_D = np.array([[16.0, 7.0], [7.0, 5.0]])
+MATIC_GEN_C = _const([[12.0, 7.0], [7.0, 10.0]])
+MATIC_GEN_D = _const([[16.0, 7.0], [7.0, 5.0]])
 MATIC_GEN_PART = Partition((1, 1))
 MATIC_GEN_RHS = 3.1549  # det(I + C^-1 D)
 MATIC_GEN_LHS = 3.5     # blockwise product
@@ -51,8 +60,8 @@ MATIC_GEN_LHS = 3.5     # blockwise product
 # 2x2 instance showing the det(I + (C^-1 D)^p) bound fails for p < 0:
 # with D = I and q = -p, the full side is f(q) = 2 + 2*5^q while the
 # blockwise side is g(q) = (1 + 3^q)^2 > f(q) for every q > 0.
-NEG_POWER_C = np.array([[3.0, 2.0], [2.0, 3.0]])
-NEG_POWER_D = np.eye(2)
+NEG_POWER_C = _const([[3.0, 2.0], [2.0, 3.0]])
+NEG_POWER_D = _const(np.eye(2))
 NEG_POWER_PART = Partition((1, 1))
 
 
@@ -79,8 +88,8 @@ INV_SQ_D_EXACT = [
     [F(0), F(0), F(1, 4), F(2, 5)],
     [F(0), F(0), F(2, 5), F(4, 5)],
 ]
-INV_SQ_C = np.array([[float(x) for x in row] for row in INV_SQ_C_EXACT])
-INV_SQ_D = np.array([[float(x) for x in row] for row in INV_SQ_D_EXACT])
+INV_SQ_C = _const(INV_SQ_C_EXACT)
+INV_SQ_D = _const(INV_SQ_D_EXACT)
 INV_SQ_PART = Partition((2, 2))
 INV_SQ_FULL = 51.0669   # det(D^-2 + C^-2)
 INV_SQ_BLOCKS = 54.6523  # blockwise product

@@ -1067,3 +1067,18 @@ class TestBoundary:
     def test_fischer_tail_rejects_a_non_integer_m(self, rng, m):
         with pytest.raises(IndexOutOfRange):
             run_check("fischer-tail", Instance(partition=PART22, c=rand_pd(rng, 4), m=m))
+
+    @pytest.mark.parametrize("m", [2.0, np.int64(2)])
+    def test_fischer_tail_m_becomes_an_int_at_the_boundary(self, rng, m):
+        # 2, 2.0 and np.int64(2) once hashed to three fingerprints
+        c = rand_pd(rng, 4)
+        validated = validate_instance(Shape.C_M, Instance(partition=PART22, c=c, m=m))
+        assert type(validated.m) is int and validated.m == 2
+        got = run_check("fischer-tail", Instance(partition=PART22, c=c, m=m))
+        assert got.to_json() == run_check("fischer-tail",
+                                          Instance(partition=PART22, c=c, m=2)).to_json()
+
+    @pytest.mark.parametrize("m", [np.int64(0), np.int64(5), 5.0])
+    def test_fischer_tail_rejects_an_m_out_of_range(self, rng, m):
+        with pytest.raises(IndexOutOfRange, match=r"out of range 1\.\.4"):
+            validate_instance(Shape.C_M, Instance(partition=PART22, c=rand_pd(rng, 4), m=m))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import majdet.catalog as catalog_mod
 import majdet.fuzzing as fuzzing_mod
+from majdet import refdata
 from majdet.blocks import Partition
 from majdet.catalog import SPECS, run_check
 from majdet.errors import (
@@ -570,3 +572,135 @@ class TestBuildOnlyKept:
         report = fuzz("neg-power", self.CFG, 20)
         assert report.violations == len(report.records) == 20
         assert len(hashed) == 20
+
+
+REF_IDS = sorted(i for i, spec in SPECS.items() if spec.reference is not None)
+
+
+def report_bytes(*args, **kwargs) -> str:
+    return json.dumps(strip_wall_time(fuzz(*args, **kwargs).to_json()))
+
+
+class TestReferenceMemo:
+    """fuzz checks an id's injected counterexample once per (Spec, exponent
+    grid, tol) in a process and reuses its stack and Verdicts; every report
+    keeps its bytes."""
+
+    CFG = GenConfig(n=4, partition=Partition((2, 2)), seed=3)
+    OTHER = GenConfig(n=2, partition=Partition((1, 1)), seed=11, kappa_max=1e3)
+
+    @pytest.fixture
+    def reference_checks(self, monkeypatch):
+        """The references fuzz checks, as (id, exponents, tol), counted
+        through fuzzing.check_validated."""
+        calls = []
+        check = fuzzing_mod.check_validated
+
+        def counting(inequality, inst, ps, tol=DEFAULT_TOL):
+            if np.array_equal(inst.c[0], SPECS[inequality].reference[1]):
+                calls.append((inequality, tuple(ps), tol))
+            return check(inequality, inst, ps, tol)
+
+        monkeypatch.setattr(fuzzing_mod, "check_validated", counting)
+        return calls
+
+    def test_seven_ids_inject_a_reference(self):
+        assert len(REF_IDS) == 7
+
+    @pytest.mark.parametrize("inequality", REF_IDS)
+    def test_warm_report_equals_cold(self, inequality):
+        split = SPECS[inequality].split
+        runs = [{}, {"keep_instances": True}] + ([{"p": split.default}] if split else [])
+        for kwargs in runs:
+            fuzzing_mod._reference_memo.cache_clear()
+            cold = report_bytes(inequality, self.CFG, 5, **kwargs)
+            # another config warms the memo: the reference does not depend on it
+            fuzzing_mod._reference_memo.cache_clear()
+            fuzz(inequality, self.OTHER, 2, **kwargs)
+            hits = fuzzing_mod._reference_memo.cache_info().hits
+            assert report_bytes(inequality, self.CFG, 5, **kwargs) == cold, kwargs
+            assert fuzzing_mod._reference_memo.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("first, second", [({"tol": 0.0}, {"tol": -0.0}),
+                                               ({"p": 2.0}, {"p": 2})])
+    def test_equal_values_that_report_other_bytes_are_other_keys(self, first, second):
+        cold_first = report_bytes("abs-power", self.CFG, 3, **first)
+        fuzzing_mod._reference_memo.cache_clear()
+        cold_second = report_bytes("abs-power", self.CFG, 3, **second)
+        assert cold_first != cold_second
+        fuzzing_mod._reference_memo.cache_clear()
+        assert report_bytes("abs-power", self.CFG, 3, **first) == cold_first
+        assert report_bytes("abs-power", self.CFG, 3, **second) == cold_second
+
+    def test_reference_checked_once_per_key(self, reference_checks):
+        for cfg in (self.CFG, self.OTHER, self.CFG):
+            fuzz("abs-power", cfg, 3)
+        grid = SPECS["abs-power"].split.grid
+        assert reference_checks == [("abs-power", grid, DEFAULT_TOL)]
+        for _ in range(2):
+            fuzz("abs-power", self.CFG, 3, tol=0.0)
+            fuzz("abs-power", self.CFG, 3, p=2.0)
+            fuzz("inv-square-sum", self.CFG, 3)
+        assert reference_checks[1:] == [("abs-power", grid, 0.0),
+                                        ("abs-power", (2.0,), DEFAULT_TOL),
+                                        ("inv-square-sum", (None,), DEFAULT_TOL)]
+
+    def test_a_campaign_without_trial_0_checks_no_reference(self, reference_checks):
+        assert len(fuzzing_mod.build_instances("sv-weak-log", self.CFG, range(1, 4))) == 3
+        fuzzing_mod._run_trials("sv-weak-log", self.CFG, range(1, 4), None, DEFAULT_TOL)
+        assert reference_checks == []
+
+    def test_swapped_spec_is_another_key(self, monkeypatch, reference_checks):
+        cold = report_bytes("sv-weak-log", self.CFG, 3)
+        fuzz("sv-weak-log", self.CFG, 3)
+        assert len(reference_checks) == 1
+        monkeypatch.setitem(catalog_mod.SPECS, "sv-weak-log",
+                            dataclasses.replace(SPECS["sv-weak-log"]))
+        assert report_bytes("sv-weak-log", self.CFG, 3) == cold
+        assert report_bytes("sv-weak-log", self.CFG, 3) == cold
+        assert len(reference_checks) == 2
+
+    def test_the_memo_is_bounded(self):
+        for k in range(fuzzing_mod._REFERENCE_SLOTS + 8):
+            fuzz("neg-power", self.CFG, 1, tol=k * 1e-12)
+        info = fuzzing_mod._reference_memo.cache_info()
+        assert info.maxsize == info.currsize == fuzzing_mod._REFERENCE_SLOTS
+
+    def test_an_error_is_not_kept(self, monkeypatch, reference_checks):
+        check = fuzzing_mod.check_validated
+
+        def failing(inequality, inst, ps, tol=DEFAULT_TOL):
+            raise NonFinite("injected failure")
+
+        monkeypatch.setattr(fuzzing_mod, "check_validated", failing)
+        with pytest.raises(NonFinite, match=r"^trial 0 .*injected failure"):
+            fuzz("matic-general-d", self.CFG, 2)
+        monkeypatch.setattr(fuzzing_mod, "check_validated", check)
+        assert fuzz("matic-general-d", self.CFG, 2).records[0].trial == 0
+        assert fuzzing_mod._reference_memo.cache_info().currsize == 1
+
+    def test_records_are_not_shared_between_reports(self):
+        cold = report_bytes("weak-log-general-d", self.CFG, 2)
+        first = fuzz("weak-log-general-d", self.CFG, 2).records[0]
+        first.instance["c"][0][0] = -1.0
+        first.verdict.detail["log_lhs"] = 0.0
+        assert report_bytes("weak-log-general-d", self.CFG, 2) == cold
+
+    @pytest.mark.parametrize("inequality", REF_IDS)
+    def test_cached_reference_is_read_only(self, inequality):
+        fuzz(inequality, self.CFG, 1)
+        _, inst = run_trial(inequality, self.CFG, 0)
+        for a in (inst.c, inst.d):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+        # build_instance's trial 0 is a copy of its own, as before
+        p = 2.0 if SPECS[inequality].split else None
+        drawn = build_instance(inequality, self.CFG, 0, p=p)
+        drawn.c[0, 0] = 0.0
+        assert drawn.c[0, 0] != SPECS[inequality].reference[1][0, 0]
+
+    @pytest.mark.parametrize("name", ["WLOG_C", "WLOG_D", "MATIC_GEN_C", "MATIC_GEN_D",
+                                      "NEG_POWER_C", "NEG_POWER_D", "INV_SQ_C", "INV_SQ_D"])
+    def test_refdata_matrices_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(refdata, name)[0, 0] = 0.0
