@@ -10,7 +10,11 @@ arrays:
   on six configs (two chunks each, the injected reference included), or
   the error it raises;
 - run_check(...).to_json() and check_p_grid(...) on fixed instances;
-- the stdout of `majdet verify-paper`.
+- the stdout of `majdet verify-paper`;
+- the files, stdout, stderr and exit code of `majdet gen` for both styles,
+  one matrix and one file per block, at three condition caps, and the
+  bytes of gen_pd on the same styles and caps (a GRAM draw at cap 30
+  resamples, at cap 1 it runs out of resamples past n = 1).
 
 A change that means to alter these bytes regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
@@ -20,7 +24,9 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +34,7 @@ from majdet import cli
 from majdet.blocks import Partition
 from majdet.catalog import SPECS, check_p_grid, run_check
 from majdet.errors import MajdetError
-from majdet.fuzzing import GenConfig, GenStyle, build_instance, fuzz
+from majdet.fuzzing import GenConfig, GenStyle, build_instance, fuzz, gen_pd
 
 FUZZ_CONFIGS = {
     "n2": GenConfig(n=2, partition=Partition((1, 1)), seed=11),
@@ -82,6 +88,36 @@ def check_digest(inequality: str) -> str:
             if split:
                 out.append(_outcome(lambda: [v.to_json() for v in check_p_grid(
                     inequality, inst, split.grid, tol=1e-7)]))
+    return _sha(out)
+
+
+GEN_LAYOUTS = {"n4": ["--n", "4"], "n8-part": ["--n", "8", "--part", "3,5"]}
+GEN_KAPPAS = ("1", "30", "1e3", "1e6")
+
+
+def gen_digest(style: str, layout: str, kappa: str) -> str:
+    """`majdet gen` run in a fresh directory: its exit code, stdout, stderr
+    and every file it leaves there, by name."""
+    argv = ["gen", *GEN_LAYOUTS[layout], "--style", style, "--kappa-max", kappa,
+            "--seed", "3", "--out", "d.json"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+        files = {path.name: path.read_text() for path in sorted(Path(tmp).iterdir())}
+    return _sha({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                 "files": files})
+
+
+def gen_pd_digest(style: str, kappa: str) -> str:
+    """gen_pd's bytes, or the error it raises, for n in (1, 3, 8) and
+    trials 0..3 at entry scale 2."""
+    out = []
+    for n in (1, 3, 8):
+        cfg = GenConfig(n=n, style=GenStyle(style), kappa_max=float(kappa),
+                        entry_scale=2.0, seed=17)
+        for trial in range(4):
+            out.append(_outcome(lambda: gen_pd(cfg, trial).tobytes().hex()))
     return _sha(out)
 
 
@@ -211,6 +247,37 @@ GOLDEN_CHECK = {
 GOLDEN_VERIFY_PAPER = "113d8b1112e8e965a3d01d0f4944667f9a846c0fba27c97e54331e6b9ae57db9"
 
 
+GOLDEN_GEN = {
+    "spectral/n4/1": "c4b42b81db399ee659bc6d61acc286d092d8b825f3a1e1bd2490fe3defe31b25",
+    "spectral/n4/30": "5541e6e61b9bc59968a9b730472eb8c61a28ad7a381611bad1cd2e7e68675b45",
+    "spectral/n4/1e3": "482bb06827f86c906ba47f19fd513121cb095de2a7e8b6b8e798aa185269885c",
+    "spectral/n4/1e6": "86594cd371107a627321f98f1828e8f2071d512e3140dd35da372294b1044f31",
+    "spectral/n8-part/1": "be93d0c2a25c971c8a1292cccfcbd87bdf1d5b8834cd78c8f28de1cc9f164c71",
+    "spectral/n8-part/30": "b4fe53ba0f3a4767144562f5dcf814eb271a122bfb84ee6dc241ef57c73c21d8",
+    "spectral/n8-part/1e3": "2e56e36a2a6d39730071dc2286390f551f877981fdc5d071181b43d467b049f0",
+    "spectral/n8-part/1e6": "bae9c77aecffabbfe109d9eb036c23d350ee7b3b450a4ed831ba4dab6c5185f2",
+    "gram/n4/1": "93808d890b307052f6e6ef8fbc654184731209b2044d5a188beab6d0d4f35516",
+    "gram/n4/30": "c7a98ceeb2550369c5dfa88c19ee65f674330a2cc2ab33e54a039b9a700e3eb0",
+    "gram/n4/1e3": "96b5a2c4a60756486f6b32d2c8fbf611214236bd859a0bacf8ea2d09aeab3bc1",
+    "gram/n4/1e6": "96b5a2c4a60756486f6b32d2c8fbf611214236bd859a0bacf8ea2d09aeab3bc1",
+    "gram/n8-part/1": "93808d890b307052f6e6ef8fbc654184731209b2044d5a188beab6d0d4f35516",
+    "gram/n8-part/30": "45842932b5159a43dc991d6a86c581f219b4914c1ff4dcd5cd75aa05aec2c8da",
+    "gram/n8-part/1e3": "caf2a72fcf8a5d269e8a0cb9290b0c865d72364ea48ec77123dae3c15f18c255",
+    "gram/n8-part/1e6": "caf2a72fcf8a5d269e8a0cb9290b0c865d72364ea48ec77123dae3c15f18c255",
+}
+
+GOLDEN_GEN_PD = {
+    "spectral/1": "b4cc3bf751357b5c29fd0f9222b13b9fad0537ef77f6f7f881581fb24eb2e792",
+    "spectral/30": "c33fab73c429c5b5645b044c6217c7070fb33acb969d9b178e07ebe3ea46b2af",
+    "spectral/1e3": "826f906d0402f823267d701f39375bbadbf30044f31828144d9f63ff8aec1666",
+    "spectral/1e6": "70acef3a55a41d556e30738a92a13395e45f954b877b62414b69a644ccff6050",
+    "gram/1": "daf58d2c2a0e5aa1ade0cc8748747b03036cb5979f9515536d5a7b6c53869f6d",
+    "gram/30": "b48f68d35926aaf16dc3b9810ab13bcc76c89ddafcf532a3e3b34893a5edc081",
+    "gram/1e3": "7c7850cc51872b5a73ac17c55154f5b7c021d0e84689f60898c02d7ac3a66f56",
+    "gram/1e6": "7c7850cc51872b5a73ac17c55154f5b7c021d0e84689f60898c02d7ac3a66f56",
+}
+
+
 @pytest.mark.parametrize("config", sorted(FUZZ_CONFIGS))
 @pytest.mark.parametrize("inequality", sorted(SPECS))
 def test_fuzz_report_bytes(inequality, config):
@@ -226,6 +293,19 @@ def test_verify_paper_bytes(capsys):
     assert verify_paper_digest(capsys) == GOLDEN_VERIFY_PAPER
 
 
+@pytest.mark.parametrize("kappa", GEN_KAPPAS)
+@pytest.mark.parametrize("layout", sorted(GEN_LAYOUTS))
+@pytest.mark.parametrize("style", [s.value for s in GenStyle])
+def test_gen_bytes(style, layout, kappa):
+    assert gen_digest(style, layout, kappa) == GOLDEN_GEN[f"{style}/{layout}/{kappa}"]
+
+
+@pytest.mark.parametrize("kappa", GEN_KAPPAS)
+@pytest.mark.parametrize("style", [s.value for s in GenStyle])
+def test_gen_pd_bytes(style, kappa):
+    assert gen_pd_digest(style, kappa) == GOLDEN_GEN_PD[f"{style}/{kappa}"]
+
+
 if __name__ == "__main__":
     print("GOLDEN_FUZZ = {")
     for inequality in sorted(SPECS):
@@ -239,3 +319,14 @@ if __name__ == "__main__":
         cli.main(["verify-paper"])
     print("}\n\nGOLDEN_VERIFY_PAPER = "
           f'"{hashlib.sha256(buf.getvalue().encode()).hexdigest()}"')
+    print("\nGOLDEN_GEN = {")
+    for style in GenStyle:
+        for layout in sorted(GEN_LAYOUTS):
+            for kappa in GEN_KAPPAS:
+                print(f'    "{style.value}/{layout}/{kappa}": '
+                      f'"{gen_digest(style.value, layout, kappa)}",')
+    print("}\n\nGOLDEN_GEN_PD = {")
+    for style in GenStyle:
+        for kappa in GEN_KAPPAS:
+            print(f'    "{style.value}/{kappa}": "{gen_pd_digest(style.value, kappa)}",')
+    print("}")
