@@ -455,6 +455,15 @@ def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     return x, _pencil(c, d)
 
 
+def _product_singular_values(c, d, part: Partition) -> tuple[list[np.ndarray], np.ndarray]:
+    """(singular values of Ci^-1 Di for each diagonal block, singular values
+    of C^-1 D): sv-weak-log's and abs-power's sides, on positive definite
+    float arrays or stacks of them."""
+    blocks = [_singular_values(_pd_inverse(cb) @ db)
+              for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))]
+    return blocks, _singular_values(_pd_inverse(c) @ d)
+
+
 def _weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
     """main-thm (block-diagonal D) and weak-log-general-d (any D): the
     blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
@@ -713,14 +722,8 @@ def inv_square_sum_exact(c_exact, d_exact, part: Partition):
 
 
 def _sv_weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
-    part = inst.partition
-    c, d = inst.c, inst.d
-    x = np.concatenate(
-        [_singular_values(_pd_inverse(cb) @ db)
-         for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))],
-        axis=-1)
-    y = _singular_values(_pd_inverse(c) @ d)
-    return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, x, y, tol)
+    blocks, y = _product_singular_values(inst.c, inst.d, inst.partition)
+    return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, np.concatenate(blocks, axis=-1), y, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -781,11 +784,7 @@ def _prepare_thm32(inst: Instance) -> GridStep:
 
 
 def _prepare_abs_power(inst: Instance) -> GridStep:
-    part = inst.partition
-    c, d = inst.c, inst.d
-    block_svs = [_singular_values(_pd_inverse(cb) @ db)
-                 for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))]
-    s_full = _singular_values(_pd_inverse(c) @ d)
+    block_svs, s_full = _product_singular_values(inst.c, inst.d, inst.partition)
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         llhs = sum(_sum_log1p_power(s, ps) for s in block_svs)

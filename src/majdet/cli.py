@@ -19,7 +19,7 @@ from . import exact, matio, scenarios
 from .blocks import Partition, validate_partition
 from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, assemble, run_check, spec_of
 from .errors import BadMatrixFile, MajdetError
-from .fuzzing import GenConfig, GenStyle, fuzz, sample_pd, trial_rng
+from .fuzzing import GenConfig, GenStyle, draw_trials, fuzz
 from .orders import DEFAULT_TOL
 
 
@@ -170,17 +170,21 @@ def cmd_check(args) -> int:
     return 0 if verdict.holds else 2
 
 
-def cmd_fuzz(args) -> int:
-    part = _parse_partition(args.part, args.n) if args.part else None
-    cfg = GenConfig(
+def _gen_config(args, **fields) -> GenConfig:
+    """The GenConfig of `fuzz` and `gen` from their shared flags, plus fields."""
+    return GenConfig(
         n=args.n,
-        partition=part,
-        m=args.m,
+        partition=_parse_partition(args.part, args.n) if args.part else None,
         style=GenStyle(args.style),
         kappa_max=args.kappa_max,
         entry_scale=args.scale,
         seed=args.seed,
+        **fields,
     )
+
+
+def cmd_fuzz(args) -> int:
+    cfg = _gen_config(args, m=args.m)
     report = fuzz(args.inequality, cfg, args.trials, p=args.p, tol=args.tol,
                   keep_instances=args.keep_instances)
     _emit(report.to_json())
@@ -197,29 +201,17 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise MajdetError(f"--n must be >= 1, got {args.n}")
-    part = _parse_partition(args.part, args.n) if args.part else None
-    cfg = GenConfig(
-        n=args.n,
-        partition=part,
-        style=GenStyle(args.style),
-        kappa_max=args.kappa_max,
-        entry_scale=args.scale,
-        seed=args.seed,
-    )
-    rng = trial_rng(cfg, 0)
-    written = []
+    """Trial 0's matrix, or one per block of --part: all are drawn before
+    any file is written, so a failed draw writes none."""
+    cfg = _gen_config(args)
+    sizes = cfg.part().sizes
+    mats, _ = draw_trials(cfg, range(1), [(size, cfg.kappa_max, 0.0) for size in sizes])
     out = Path(args.out)
-    if part is None or part.k == 1:
-        matio.write_matrix(out, sample_pd(rng, args.n, cfg.style, cfg.kappa_max, cfg.entry_scale))
-        written.append(str(out))
-    else:
-        for i, size in enumerate(part.sizes, start=1):
-            block = sample_pd(rng, size, cfg.style, cfg.kappa_max, cfg.entry_scale)
-            path = out.with_name(f"{out.stem}.{i}{out.suffix or '.json'}")
-            matio.write_matrix(path, block)
-            written.append(str(path))
+    paths = [out] if len(sizes) == 1 else [
+        out.with_name(f"{out.stem}.{i}{out.suffix or '.json'}") for i in range(1, len(sizes) + 1)]
+    for path, mat in zip(paths, mats):
+        matio.write_matrix(path, mat[0])
+    written = [str(path) for path in paths]
     _emit({"written": written})
     _table([f"wrote {p}" for p in written], args.json_only)
     return 0

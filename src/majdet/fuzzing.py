@@ -12,8 +12,11 @@ parametrized id sweeps the Spec's exponent grid on one draw. No shrinking is
 performed: violating instances are stored verbatim and can be replayed in
 isolation.
 
-fuzz takes the trials a chunk at a time, and a chunk is a stack from the
-draw through to the verdict. Each trial makes its generator calls from its
+fuzz checks its arguments (the id, p against the id's domain, the trial
+count and tol) before it draws, then takes the trials a chunk at a time,
+and a chunk is a stack from the draw through to the verdict. One routine,
+draw_trials, turns trials' substreams into matrices, for fuzz as for
+gen_pd and `majdet gen`: each trial makes its generator calls from its
 own substream, drawing its matrices in the id's input order (the catalog's
 layout), and writes its random parts straight into the chunk's arrays;
 the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
@@ -30,8 +33,8 @@ one-shot `majdet fuzz`. Holds, violations and margins are counted on the
 verdict arrays; a trial's verdict, fingerprint and Instance are built only
 for a record the report keeps, in every campaign. Draws, verdicts and
 reports equal drawing and checking the trials one by one, bit for bit.
-build_instances, build_instance and run_trial are the same code on a range
-of trials or on one.
+build_instances and build_instance are fuzz's draw on a range of trials or
+on one.
 """
 
 from __future__ import annotations
@@ -137,16 +140,6 @@ def trial_rng(cfg: GenConfig, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, trial)))
 
 
-def _spectral_parts(rng: np.random.Generator, n: int,
-                    kappa_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """The random parts of one SPECTRAL matrix, in stream order: its
-    log-uniform spectrum in [1, kappa_max], then the Gaussian block whose
-    orthogonal factor conjugates it. Without room for a spectrum (kappa_max
-    <= 1) no spectrum is drawn and it is all ones."""
-    lam = np.exp(rng.random(n) * np.log(kappa_max)) if kappa_max > 1.0 else np.ones(n)
-    return lam, rng.standard_normal((n, n))
-
-
 def _form_spectral(lam: np.ndarray, g: np.ndarray, entry_scale: float) -> np.ndarray:
     """Q diag(lam) Q^T * entry_scale, with Q the orthogonal factor of g whose
     R has a positive diagonal. Takes the parts of one matrix, or stacks of
@@ -157,44 +150,34 @@ def _form_spectral(lam: np.ndarray, g: np.ndarray, entry_scale: float) -> np.nda
     return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2) * entry_scale)
 
 
-def sample_pd(rng: np.random.Generator, n: int, style: GenStyle = GenStyle.SPECTRAL,
-              kappa_max: float = 1e6, entry_scale: float = 1.0) -> np.ndarray:
-    """One random symmetric PD matrix with condition number <= kappa_max.
+def gen_pd(cfg: GenConfig, trial: int) -> np.ndarray:
+    """The PD matrix for (cfg, trial); bit-identical across calls.
 
     SPECTRAL: orthogonal conjugation of log-uniform eigenvalues in
     [1, kappa_max], times entry_scale. GRAM: G G^T + 1e-3*n*I with Gaussian
-    G, resampled (up to 100 times) until the condition cap holds.
+    G (times entry_scale), resampled (up to 100 times) until the condition
+    cap holds. It is draw_trials' one-matrix draw.
     """
-    if style is GenStyle.SPECTRAL:
-        return _form_spectral(*_spectral_parts(rng, n, kappa_max), entry_scale)
-    for _ in range(100):
-        g = rng.standard_normal((n, n)) * entry_scale
-        a = g @ g.T + 1e-3 * n * np.eye(n)
-        a = (a + a.T) / 2.0
-        w = eigvals_sym(a)
-        if w[0] <= kappa_max * w[-1]:
-            return a
-    raise ResampleExhausted(f"no draw met kappa_max={kappa_max:g} in 100 attempts")
+    mats, _ = draw_trials(cfg, range(trial, trial + 1), [(cfg.n, cfg.kappa_max, 0.0)])
+    return mats[0][0]
 
 
-def gen_pd(cfg: GenConfig, trial: int) -> np.ndarray:
-    """The PD matrix for (cfg, trial); bit-identical across calls."""
-    rng = trial_rng(cfg, trial)
-    return sample_pd(rng, cfg.n, cfg.style, cfg.kappa_max, cfg.entry_scale)
+# A drawn matrix's role: (size, condition cap, block-scale bias in decades).
+_Role = tuple[int, float, float]
 
 
-def _roles(spec: Spec, cfg: GenConfig) -> list[tuple[int, float]]:
-    """(size, condition cap) of each matrix a drawn trial makes, in draw
-    order, which is the input order (catalog.assemble): the mats, or C, then
-    for a C+D id the blocks of D (a general D is drawn as one block), capped
-    by the Spec's caps."""
+def _roles(spec: Spec, cfg: GenConfig) -> list[_Role]:
+    """The role of each matrix a drawn trial of an id makes, in draw order,
+    which is the input order (catalog.assemble): the mats, or C, then for a
+    C+D id the blocks of D (a general D is drawn as one block), capped and
+    biased by the Spec's caps."""
     n, kappa = cfg.n, cfg.kappa_max
     if spec.shape is Shape.MATS:
-        return [(n, kappa)] * cfg.m
-    c_cap, d_cap, _ = spec.caps
+        return [(n, kappa, 0.0)] * cfg.m
+    c_cap, d_cap, bias = spec.caps
     d_sizes = {Shape.BLOCK_D: cfg.part().sizes, Shape.GENERAL_D: (n,)}.get(spec.shape, ())
-    return [(n, kappa if c_cap is None else min(kappa, c_cap))] + \
-        [(size, kappa if d_cap is None else min(kappa, d_cap)) for size in d_sizes]
+    return [(n, kappa if c_cap is None else min(kappa, c_cap), 0.0)] + \
+        [(size, kappa if d_cap is None else min(kappa, d_cap), bias) for size in d_sizes]
 
 
 # A chunk's trials as stacks: per group, the positions of its trials in the
@@ -202,14 +185,14 @@ def _roles(spec: Spec, cfg: GenConfig) -> list[tuple[int, float]]:
 _Groups = list[tuple[list[int], Instance]]
 
 
-def _form_by_size(roles: list[tuple[int, float]], uniforms: list[np.ndarray],
+def _form_by_size(roles: list[_Role], uniforms: list[np.ndarray],
                   gaussians: list[np.ndarray], entry_scale: float) -> list[np.ndarray]:
     """Each role's (trials, size, size) stack of SPECTRAL matrices, with one
     exp, one qr and one product per size: a spectrum is exp(u * log(cap)),
     all ones for a zero row u."""
     mats: list = [None] * len(roles)
-    for size in dict.fromkeys(size for size, _ in roles):
-        js = [j for j, (s, _) in enumerate(roles) if s == size]
+    for size in dict.fromkeys(size for size, *_ in roles):
+        js = [j for j, (s, *_) in enumerate(roles) if s == size]
         lam = np.exp(np.stack([uniforms[j] * np.log(roles[j][1]) for j in js]))
         formed = _form_spectral(lam.reshape(-1, size),
                                 np.stack([gaussians[j] for j in js]).reshape(-1, size, size),
@@ -217,6 +200,60 @@ def _form_by_size(roles: list[tuple[int, float]], uniforms: list[np.ndarray],
         for j, stack in zip(js, formed.reshape(len(js), -1, size, size)):
             mats[j] = stack
     return mats
+
+
+def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
+                idx: bool = False) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """Draw a range of trials into stacks: per role, the (trials, size,
+    size) stack of its random PD matrices, and with idx each trial's random
+    principal index set (lemma31). This is the one routine that turns a
+    trial's substream (trial_rng) into matrices.
+
+    Each trial makes its generator calls in role order: a SPECTRAL matrix's
+    log-uniform spectrum in [1, cap] (none when the cap is 1) and the
+    Gaussian block whose orthogonal factor conjugates it, written into
+    arrays and formed per size once every trial is drawn (_form_by_size);
+    a GRAM matrix G G^T + 1e-3*size*I, resampled up to 100 times until the
+    cap holds, formed where it is drawn since its loop reads eigenvalues;
+    then a biased role's scale 10^u, u uniform in [-bias, bias]. The index
+    set comes last.
+    """
+    count, n = len(trials), cfg.n
+    spectral = cfg.style is GenStyle.SPECTRAL
+    # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
+    # no room for a spectrum, which is then not drawn) and Gaussian block,
+    # or a GRAM matrix
+    uniforms = [np.zeros((count, size)) for size, *_ in roles]
+    blocks = [np.empty((count, size, size)) for size, *_ in roles]
+    scales = np.empty((len(roles), count))
+    idxs = []
+    for t, trial in enumerate(trials):
+        rng = trial_rng(cfg, trial)
+        for j, (size, kappa, bias) in enumerate(roles):
+            if spectral:
+                if kappa > 1.0:
+                    rng.random(out=uniforms[j][t])
+                rng.standard_normal(out=blocks[j][t])
+            else:
+                for _ in range(100):
+                    g = rng.standard_normal((size, size)) * cfg.entry_scale
+                    a = g @ g.T + 1e-3 * size * np.eye(size)
+                    a = (a + a.T) / 2.0
+                    w = eigvals_sym(a)
+                    if w[0] <= kappa * w[-1]:
+                        break
+                else:
+                    raise ResampleExhausted(f"no draw met kappa_max={kappa:g} in 100 attempts")
+                blocks[j][t] = a
+            if bias:
+                # hunt in the regime of strongly unequal block scales
+                scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
+        if idx:
+            size = int(rng.integers(1, n + 1))
+            idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+    mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
+    return [m * scale[:, None, None] if bias else m
+            for m, scale, (*_, bias) in zip(mats, scales, roles)], idxs
 
 
 def _injects(spec: Spec, trials: range) -> bool:
@@ -233,53 +270,18 @@ def _reference(spec: Spec, p: float | None) -> Instance:
 
 
 def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _Groups:
-    """Draw a range of trials straight into stacks, the positions of each
-    group counted from the start of the range. Callers take an injected
-    trial 0 out of the range first (_injects).
-
-    Every trial makes its generator calls from its own substream, in the
-    order sample_pd makes them: per matrix its spectrum's uniforms and its
-    Gaussian block (SPECTRAL), written into the chunk's arrays, then a D
-    block's scale bias; lemma31's idx last. The SPECTRAL matrices are then
-    formed per size (_form_by_size). GRAM matrices are formed where they are
-    drawn, since their resample loop reads eigenvalues and so decides the
-    later draws. The trials are one group, built from their matrices in
+    """Draw a range of trials of an id as stacks (draw_trials, with the
+    id's roles), the positions of each group counted from the start of the
+    range. Callers take an injected trial 0 out of the range first
+    (_injects). The trials are one group, built from their matrices in
     input order by catalog.assemble; lemma31's are grouped by idx.
     """
     if not trials:
         return []
-    count, n = len(trials), cfg.n
-    roles = _roles(spec, cfg)
-    spectral = cfg.style is GenStyle.SPECTRAL
-    # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
-    # no room for a spectrum, which is then not drawn) and Gaussian block,
-    # or a GRAM matrix
-    uniforms = [np.zeros((count, size)) for size, _ in roles]
-    blocks = [np.empty((count, size, size)) for size, _ in roles]
-    bias = spec.caps[2] if spec.shape is Shape.BLOCK_D else 0.0
-    scales = np.empty((len(roles), count))
-    idxs = []
-    for t, trial in enumerate(trials):
-        rng = trial_rng(cfg, trial)
-        for j, (size, kappa) in enumerate(roles):
-            if not spectral:
-                blocks[j][t] = sample_pd(rng, size, cfg.style, kappa, cfg.entry_scale)
-            else:
-                if kappa > 1.0:
-                    rng.random(out=uniforms[j][t])
-                rng.standard_normal(out=blocks[j][t])
-            if bias and j:
-                # hunt in the regime of strongly unequal block scales
-                scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
-        if spec.shape is Shape.C_IDX:
-            size = int(rng.integers(1, n + 1))
-            idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-    mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
-    if bias:
-        mats[1:] = [m * scale[:, None, None] for m, scale in zip(mats[1:], scales[1:])]
-
-    if spec.shape is not Shape.C_IDX:
-        return [(list(range(count)), assemble(spec.shape, cfg.part(), mats, p=p))]
+    lemma31 = spec.shape is Shape.C_IDX
+    mats, idxs = draw_trials(cfg, trials, _roles(spec, cfg), idx=lemma31)
+    if not lemma31:
+        return [(list(range(len(trials))), assemble(spec.shape, cfg.part(), mats, p=p))]
     members: dict[tuple[int, ...], list[int]] = {}
     for t, idx in enumerate(idxs):
         members.setdefault(idx, []).append(t)
@@ -398,24 +400,22 @@ def _checked_reference(inequality: str, spec: Spec, ps: Sequence[float],
     return _reference_memo(spec, inequality, (repr(ps), repr(tol)), ps, tol)
 
 
-def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
-                tol: float) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """Evaluate a range of trials: their margins and holds flags as arrays,
+def _run_trials(inequality: str, spec: Spec, cfg: GenConfig, trials: range,
+                ps: tuple, tol: float) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Evaluate a range of trials of an id at each exponent of ps (already
+    checked, with tol, by fuzz): their margins and holds flags as arrays,
     in order, and build(t) -> (verdict, Instance) of the t-th.
 
     The drawn trials come as stacks from _draw_chunk, and each stack is
     validated once and checked in one call per kernel; an injected trial 0
     takes its stack and Verdicts from _checked_reference. For parametrized
-    ids without an explicit p, each draw is checked at every exponent of the
-    Spec's grid (the p-independent work once, then one grid step); the first
-    exponent of minimum margin is kept, and the instance carries that p.
+    ids without an explicit p, ps is the Spec's grid: each draw is checked
+    at every exponent (the p-independent work once, then one grid step), the
+    first exponent of minimum margin is kept, and the instance carries that
+    p.
     """
-    spec = exponent_spec(inequality, p)
-    ps = (p,) if p is not None or spec.split is None else spec.split.grid
     first = int(_injects(spec, trials))
     groups = _draw_chunk(spec, cfg, trials[first:], ps[0])
-    if spec.split is not None:
-        spec.split.require(ps)
     checked = [([0], *_checked_reference(inequality, spec, ps, tol))] if first else []
     for positions, stack in groups:
         stack = validate_instance(spec.shape, stack, lead=1)
@@ -439,13 +439,6 @@ def _run_trials(inequality: str, cfg: GenConfig, trials: range, p: float | None,
     return margin, holds, build
 
 
-def run_trial(inequality: str, cfg: GenConfig, trial: int, p: float | None = None,
-              tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, Instance]:
-    """Evaluate one trial: _run_trials on a one-trial range."""
-    *_, build = _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)
-    return build(0)
-
-
 def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
          tol: float = DEFAULT_TOL, keep_instances: bool = False) -> FuzzReport:
     """Run seeded trials of one inequality and fold the records into a report.
@@ -453,14 +446,19 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     The report content is a pure function of (inequality, cfg, trials, p,
     tol) apart from the wall_time field. A verdict and an instance are
     built only for a record the report keeps: a violation, or every trial
-    with keep_instances. A p for an id without an
-    exponent raises BadExponent, a tol that is negative or not finite
-    BadConfig. Trials are evaluated a chunk at a time;
-    a chunk that raises is evaluated again one trial at a time, so the
+    with keep_instances. The campaign's arguments are checked before any
+    draw: a p for an id without an exponent raises BadExponent, a p outside
+    the id's domain its exponent error (NonFinite for a p that is not
+    finite), a trial count that is not an int >= 1 or a tol that is
+    negative or not finite BadConfig. Trials are evaluated a chunk at a
+    time; a chunk that raises is evaluated again one trial at a time, so the
     error raised is that of the first failing trial, named with its index
     and seed.
     """
     spec = exponent_spec(inequality, p)
+    ps = (p,) if p is not None or spec.split is None else spec.split.grid
+    if spec.split is not None:
+        spec.split.require(ps)
     if isinstance(trials, bool) or not isinstance(trials, int):
         raise BadConfig(f"trials must be an int, got {trials!r}")
     if trials < 1:
@@ -473,11 +471,11 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     for start in range(0, trials, _CHUNK):
         chunk = range(start, min(start + _CHUNK, trials))
         try:
-            margin, held, build = _run_trials(inequality, cfg, chunk, p, tol)
+            margin, held, build = _run_trials(inequality, spec, cfg, chunk, ps, tol)
         except MajdetError:
             for trial in chunk:
                 try:
-                    _run_trials(inequality, cfg, range(trial, trial + 1), p, tol)
+                    _run_trials(inequality, spec, cfg, range(trial, trial + 1), ps, tol)
                 except MajdetError as err:
                     raise type(err)(
                         f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err

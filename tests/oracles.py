@@ -273,10 +273,10 @@ def majorization_pair(rng: np.random.Generator, n: int,
     return x, y
 
 
-def sample_pd_per_matrix(rng: np.random.Generator, n: int, style: GenStyle = GenStyle.SPECTRAL,
-                         kappa_max: float = 1e6, entry_scale: float = 1.0) -> np.ndarray:
-    """fuzzing.sample_pd, one matrix at a time: SPECTRAL is rand_pd, GRAM
-    the resample loop."""
+def draw_pd_per_matrix(rng: np.random.Generator, n: int, style: GenStyle = GenStyle.SPECTRAL,
+                       kappa_max: float = 1e6, entry_scale: float = 1.0) -> np.ndarray:
+    """One matrix of fuzzing.draw_trials (a role without a bias), drawn and
+    formed on its own: SPECTRAL is rand_pd, GRAM the resample loop."""
     if style is GenStyle.SPECTRAL:
         return rand_pd(rng, n, kappa_max, entry_scale)
     for _ in range(100):
@@ -305,7 +305,7 @@ def build_instance_per_trial(inequality: str, cfg, trial: int, p: float | None =
 
     def draw(size: int, cap: float | None = None) -> np.ndarray:
         kappa = cfg.kappa_max if cap is None else min(cfg.kappa_max, cap)
-        return sample_pd_per_matrix(rng, size, cfg.style, kappa, cfg.entry_scale)
+        return draw_pd_per_matrix(rng, size, cfg.style, kappa, cfg.entry_scale)
 
     if spec.shape is Shape.MATS:
         mats = tuple(draw(n) for _ in range(cfg.m))

@@ -588,6 +588,13 @@ class TestFuzzCommand:
                              "--part", "3,2", "--trials", "1")
         assert code == 1
 
+    def test_exponent_outside_domain_exit_one(self, capsys):
+        # the exponent is checked before any draw: no trial is blamed
+        code, out, err = run_cli(capsys, "fuzz", "det-power", "--n", "4", "--part", "2,2",
+                                 "--trials", "3", "--p", "-1")
+        assert (code, out) == (1, "")
+        assert err == "majdet: error: p = -1.0; use the neg-power evaluator for p < 0\n"
+
 
 class TestGenCommand:
     def test_roundtrip_pd(self, capsys, tmp_path):
@@ -606,9 +613,21 @@ class TestGenCommand:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_n_zero_exit_one(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "gen", "--n", "0",
-                             "--out", str(tmp_path / "x.json"))
-        assert code == 1
+        code, out, err = run_cli(capsys, "gen", "--n", "0",
+                                 "--out", str(tmp_path / "x.json"))
+        assert (code, out) == (1, "")
+        assert err == "majdet: error: dimension must be >= 1, got 0\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_failed_draw_writes_no_file(self, capsys, tmp_path):
+        # the two 1x1 blocks draw, the 3x3 block runs out of resamples: the
+        # blocks are all drawn before any is written
+        code, out, err = run_cli(capsys, "gen", "--n", "5", "--part", "1,1,3",
+                                 "--style", "gram", "--kappa-max", "1",
+                                 "--out", str(tmp_path / "d.json"))
+        assert (code, out) == (1, "")
+        assert err == "majdet: error: no draw met kappa_max=1 in 100 attempts\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("scale", ["0", "-1"])
     def test_non_positive_scale_exit_one(self, capsys, tmp_path, scale):

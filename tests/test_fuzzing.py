@@ -14,6 +14,7 @@ from majdet.errors import (
     BadConfig,
     BadExponent,
     MajdetError,
+    NegativePower,
     NonFinite,
     ResampleExhausted,
     UnknownInequality,
@@ -23,17 +24,16 @@ from majdet.fuzzing import (
     GenStyle,
     build_instance,
     derive_seed,
+    draw_trials,
     fuzz,
     gen_pd,
     replay,
-    run_trial,
-    sample_pd,
     trial_rng,
 )
 from majdet.linalg import is_pd
 from majdet.orders import DEFAULT_TOL
 
-from oracles import build_instance_per_trial, sample_pd_per_matrix
+from oracles import build_instance_per_trial, draw_pd_per_matrix
 
 
 GRID_IDS = sorted(i for i, spec in SPECS.items() if spec.split)
@@ -82,9 +82,8 @@ class TestGeneration:
         assert is_pd(a)
 
     def test_gram_resample_exhausted(self):
-        rng = trial_rng(GenConfig(n=4, seed=0), 0)
-        with pytest.raises(ResampleExhausted):
-            sample_pd(rng, 4, GenStyle.GRAM, kappa_max=1.0)
+        with pytest.raises(ResampleExhausted, match="^no draw met kappa_max=1 in 100 attempts$"):
+            gen_pd(GenConfig(n=4, style=GenStyle.GRAM, kappa_max=1.0, seed=0), 0)
 
     @pytest.mark.parametrize("field, value", [
         ("kappa_max", math.inf), ("kappa_max", math.nan), ("kappa_max", 0.5),
@@ -107,7 +106,7 @@ class TestGeneration:
             GenConfig(**{"n": 2, field: value})
 
     def test_string_style_is_not_read_as_gram(self):
-        # a str style used to fall through sample_pd's SPECTRAL test to GRAM
+        # a str style used to fall through the draw's SPECTRAL test to GRAM
         with pytest.raises(BadConfig):
             gen_pd(GenConfig(n=3, style="spectral", seed=1), 1)
         with pytest.raises(BadConfig):
@@ -149,12 +148,45 @@ class TestFuzz:
 
     @pytest.mark.parametrize("inequality", sorted(i for i, s in SPECS.items() if not s.split))
     def test_build_rejects_p_on_id_without_exponent(self, inequality):
-        # as fuzz and run_trial do; the p was dropped (ky-fan) or kept (choi)
+        # as fuzz does; the p was dropped (ky-fan) or kept (choi)
         cfg = GenConfig(n=2, partition=Partition((1, 1)))
         with pytest.raises(BadExponent, match="takes no exponent"):
             build_instance(inequality, cfg, 1, p=2.0)
         with pytest.raises(BadExponent, match="takes no exponent"):
             fuzzing_mod.build_instances(inequality, cfg, range(3), p=2.0)
+
+    @pytest.mark.parametrize("cfg", [
+        GenConfig(n=4, partition=Partition((2, 2)), seed=1),
+        # every GRAM draw runs out of resamples here, which used to mask the
+        # exponent error
+        GenConfig(n=4, partition=Partition((2, 2)), style=GenStyle.GRAM, kappa_max=1.0, seed=1),
+    ], ids=["spectral", "gram-kappa-1"])
+    @pytest.mark.parametrize("inequality, p, error, message", [
+        ("det-power", -1.0, NegativePower, "p = -1.0; use the neg-power evaluator for p < 0"),
+        ("thm32", 0.5, BadExponent, "p = 0.5; the weak majorization is stated for p >= 1"),
+        ("neg-power", 1.0, BadExponent, "neg-power needs p < 0"),
+        ("abs-power", math.nan, NonFinite, "non-finite exponent p = nan"),
+    ])
+    def test_bad_exponent_raises_before_any_draw(self, monkeypatch, cfg, inequality, p,
+                                                 error, message):
+        # the id's own exponent error, as run_check raises it: no trial
+        # prefix, and no trial's substream is seeded
+        streams = []
+        rng_of = fuzzing_mod.trial_rng
+
+        def counting_rng(cfg, trial):
+            streams.append(trial)
+            return rng_of(cfg, trial)
+
+        monkeypatch.setattr(fuzzing_mod, "trial_rng", counting_rng)
+        with pytest.raises(MajdetError) as info:
+            fuzz(inequality, cfg, 3, p=p)
+        assert (type(info.value), str(info.value)) == (error, message)
+        assert streams == []
+        inst = build_instance(inequality, GenConfig(n=4, partition=Partition((2, 2)), seed=1),
+                              1, p=p)
+        with pytest.raises(error, match=f"^{message}$"):
+            run_check(inequality, inst)
 
     def test_trial_error_names_trial_and_seed(self):
         # thm32's p = 3 power of the inverse-sum spectrum overflows at this scale
@@ -244,8 +276,8 @@ class TestFuzz:
 
 
 def per_p_loop_trial(inequality, cfg, trial, p=None, tol=DEFAULT_TOL):
-    """Oracle for run_trial: a fresh instance and a full check per exponent,
-    keeping the first verdict of minimum margin."""
+    """Oracle for one fuzz trial: a fresh instance and a full check per
+    exponent, keeping the first verdict of minimum margin."""
     worst = worst_inst = None
     split = SPECS[inequality].split
     for pv in (p,) if p is not None or split is None else split.grid:
@@ -256,13 +288,28 @@ def per_p_loop_trial(inequality, cfg, trial, p=None, tol=DEFAULT_TOL):
     return worst, worst_inst
 
 
-def outcome(fn, *args, **kwargs):
-    """(verdict JSON, instance JSON) of a trial, or the error it raised."""
+def kept_records(inequality, cfg, trials, p=None):
+    """(verdict JSON, instance JSON) of each trial as fuzz keeps it with
+    keep_instances, or the error it raises."""
     try:
-        verdict, inst = fn(*args, **kwargs)
-    except Exception as err:
+        report = fuzz(inequality, cfg, trials, p=p, keep_instances=True)
+    except MajdetError as err:
         return type(err).__name__, str(err)
-    return verdict.to_json(), inst.to_json()
+    return [(rec.verdict.to_json(), rec.instance) for rec in report.records]
+
+
+def oracle_records(inequality, cfg, trials, p=None):
+    """kept_records from per_p_loop_trial, trial by trial: the error of the
+    first trial that raises is named as fuzz names it."""
+    out = []
+    for trial in range(trials):
+        try:
+            verdict, inst = per_p_loop_trial(inequality, cfg, trial, p=p)
+        except MajdetError as err:
+            seed = derive_seed(cfg.seed, trial)
+            return type(err).__name__, f"trial {trial} (seed {seed}): {err}"
+        out.append((verdict.to_json(), inst.to_json(SPECS[inequality].shape)))
+    return out
 
 
 GRID_CONFIGS = (
@@ -295,30 +342,28 @@ class TestGridEvaluation:
                 split.domain(p)
 
     def test_oracle_covers_an_error(self):
-        got = outcome(run_trial, "thm32", GRID_CONFIGS[4], 2)
+        got = kept_records("thm32", GRID_CONFIGS[4], 3)
         assert got[0] == "NonFinite"
+        assert got == oracle_records("thm32", GRID_CONFIGS[4], 3)
 
     @pytest.mark.parametrize("inequality", GRID_IDS)
     def test_run_trial_matches_per_p_loop(self, inequality):
+        # each fuzz record against the per-exponent loop on its trial; trial
+        # 0 is the injected counterexample for false ids
         for cfg in GRID_CONFIGS:
-            for trial in range(5):  # trial 0 is the injected counterexample for false ids
-                got = outcome(run_trial, inequality, cfg, trial)
-                assert got == outcome(per_p_loop_trial, inequality, cfg, trial), \
-                    (inequality, cfg.seed, trial)
+            assert kept_records(inequality, cfg, 5) == oracle_records(inequality, cfg, 5), \
+                (inequality, cfg.seed)
 
     def test_grid_winner_carries_its_p(self):
         for inequality in GRID_IDS:
-            for trial in range(3):
-                verdict, inst = run_trial(inequality, GRID_CONFIGS[0], trial)
-                assert inst.p == verdict.detail["p"]
+            for rec in fuzz(inequality, GRID_CONFIGS[0], 3, keep_instances=True).records:
+                assert rec.instance["p"] == rec.verdict.detail["p"]
 
     @pytest.mark.parametrize("inequality", GRID_IDS)
     def test_explicit_p_matches_per_p_loop(self, inequality):
         cfg = GRID_CONFIGS[0]
         p = SPECS[inequality].split.grid[-1]
-        for trial in range(3):
-            got = outcome(run_trial, inequality, cfg, trial, p=p)
-            assert got == outcome(per_p_loop_trial, inequality, cfg, trial, p=p)
+        assert kept_records(inequality, cfg, 3, p=p) == oracle_records(inequality, cfg, 3, p=p)
 
     @pytest.mark.parametrize("inequality", GRID_IDS)
     def test_kept_records_replay_exactly(self, inequality):
@@ -496,30 +541,29 @@ def matrix_bytes(value) -> list[bytes]:
 
 
 class TestStackedDraws:
-    """build_instances draws per trial and forms per stack; every matrix
-    equals the per-matrix oracle's bit for bit."""
+    """draw_trials draws per trial and forms per stack; every matrix equals
+    the per-matrix oracle's bit for bit, and gen_pd's."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 32])
     @pytest.mark.parametrize("count", [1, 2, 10, 64])
     def test_stacked_formation_equals_per_matrix(self, n, count):
-        kappa, scale = 1e6, 0.5
-        parts = [fuzzing_mod._spectral_parts(np.random.default_rng([n, j]), n, kappa)
-                 for j in range(count)]
-        stack = fuzzing_mod._form_spectral(np.stack([lam for lam, _ in parts]),
-                                           np.stack([g for _, g in parts]), scale)
+        cfg = GenConfig(n=n, entry_scale=0.5, seed=n)
+        (stack,), _ = draw_trials(cfg, range(count), [(n, cfg.kappa_max, 0.0)])
         assert stack.shape == (count, n, n)
-        for j in range(count):
-            want = sample_pd_per_matrix(np.random.default_rng([n, j]), n, GenStyle.SPECTRAL,
-                                        kappa, scale)
-            assert stack[j].tobytes() == want.tobytes(), (n, count, j)
+        for trial in range(count):
+            want = draw_pd_per_matrix(trial_rng(cfg, trial), n, GenStyle.SPECTRAL,
+                                      cfg.kappa_max, cfg.entry_scale)
+            assert stack[trial].tobytes() == want.tobytes(), (n, count, trial)
+            assert gen_pd(cfg, trial).tobytes() == want.tobytes(), (n, count, trial)
 
     @pytest.mark.parametrize("style", list(GenStyle))
     def test_sample_pd_equals_per_matrix(self, style):
+        # gen_pd, the one-matrix draw
         for n in (1, 2, 5):
             for seed in range(5):
-                got = sample_pd(np.random.default_rng(seed), n, style, 1e4, 2.0)
-                want = sample_pd_per_matrix(np.random.default_rng(seed), n, style, 1e4, 2.0)
-                assert got.tobytes() == want.tobytes()
+                cfg = GenConfig(n=n, style=style, kappa_max=1e4, entry_scale=2.0, seed=seed)
+                want = draw_pd_per_matrix(trial_rng(cfg, 0), n, style, 1e4, 2.0)
+                assert gen_pd(cfg, 0).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("inequality", sorted(SPECS))
     def test_build_instances_equal_per_trial(self, inequality):
@@ -647,7 +691,8 @@ class TestReferenceMemo:
 
     def test_a_campaign_without_trial_0_checks_no_reference(self, reference_checks):
         assert len(fuzzing_mod.build_instances("sv-weak-log", self.CFG, range(1, 4))) == 3
-        fuzzing_mod._run_trials("sv-weak-log", self.CFG, range(1, 4), None, DEFAULT_TOL)
+        fuzzing_mod._run_trials("sv-weak-log", SPECS["sv-weak-log"], self.CFG, range(1, 4),
+                                (None,), DEFAULT_TOL)
         assert reference_checks == []
 
     def test_swapped_spec_is_another_key(self, monkeypatch, reference_checks):
@@ -689,7 +734,11 @@ class TestReferenceMemo:
     @pytest.mark.parametrize("inequality", REF_IDS)
     def test_cached_reference_is_read_only(self, inequality):
         fuzz(inequality, self.CFG, 1)
-        _, inst = run_trial(inequality, self.CFG, 0)
+        split = SPECS[inequality].split
+        hits = fuzzing_mod._reference_memo.cache_info().hits
+        inst, _ = fuzzing_mod._checked_reference(
+            inequality, SPECS[inequality], split.grid if split else (None,), DEFAULT_TOL)
+        assert fuzzing_mod._reference_memo.cache_info().hits == hits + 1
         for a in (inst.c, inst.d):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0.0
