@@ -8,6 +8,7 @@ each matrix of the stack.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -80,6 +81,30 @@ def diag_blocks(c, part: Partition) -> list[np.ndarray]:
     if m.shape[-1] != part.n:
         raise DimensionMismatch(f"matrix is {m.shape[-1]}x{m.shape[-1]}, partition needs {part.n}")
     return [m[..., lo:hi, lo:hi].copy() for lo, hi in part.offsets()]
+
+
+def blocks_by_size(a, part: Partition) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The diagonal blocks of a (a matrix, or a stack of them along leading
+    axes) gathered by size, one group per distinct block size in order of
+    first appearance: the 0-based positions of its J blocks, in block order,
+    and a (J, ..., s, s) stack of them (a copy), block by block, so that one
+    kernel call covers every block of one size."""
+    m = _square(a)
+    if m.shape[-1] != part.n:
+        raise DimensionMismatch(f"matrix is {m.shape[-1]}x{m.shape[-1]}, partition needs {part.n}")
+    return [(js, np.array([m[..., lo:hi, lo:hi] for lo, hi in spans]))
+            for js, spans in _size_groups(part)]
+
+
+@functools.lru_cache(maxsize=64)
+def _size_groups(part: Partition) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """blocks_by_size's groups: per distinct size, the positions and
+    (start, stop) ranges of its blocks."""
+    offsets = part.offsets()
+    groups: dict[int, list[int]] = {}
+    for j, size in enumerate(part.sizes):
+        groups.setdefault(size, []).append(j)
+    return [(tuple(js), [offsets[j] for j in js]) for js in groups.values()]
 
 
 def direct_sum(blocks) -> np.ndarray:

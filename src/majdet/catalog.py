@@ -34,11 +34,20 @@ its blocks.
 
 Inputs are validated once, at the boundary: validate_instance checks each
 input matrix of the id's Shape (square, sized for the partition, finite,
-symmetric), and the checkers then call only linalg's private kernels, which
-validate nothing. Every checker is written with numpy broadcasting, so it
-takes one validated instance or a stack of them (instances that share
+symmetric; a block-D D in one pass when it is finite and symmetric to the
+smallest slack), and the checkers then call only linalg's private kernels,
+which validate nothing. Every checker is written with numpy broadcasting, so
+it takes one validated instance or a stack of them (instances that share
 everything but their matrices, whose matrices are stacked along a leading
 axis, as the fuzzer draws them), and check_validated runs it.
+
+The diagonal blocks of one size go through each kernel in one call
+(blocks.blocks_by_size, _per_size): the blocks of C and D stacked, or those
+of every A_i. Sums over the blocks and over the A_i add in their order, so
+the bits are those of a block-by-block loop. A call that raises is run
+again one block at a time (one matrix at a time where the matrices were
+once checked in turn), so the error raised is the first failing block's,
+with its message, as check_validated does for exponent grids.
 
 A stack of verdicts is arrays: a checker takes (instance, tol) and returns
 its margins only, one Verdicts, whose margin and holds are (exponents,
@@ -77,7 +86,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact, refdata
-from .blocks import Partition, diag_blocks, direct_sum, principal_indices, principal_submatrix
+from .blocks import (
+    Partition,
+    blocks_by_size,
+    diag_blocks,
+    direct_sum,
+    principal_indices,
+    principal_submatrix,
+)
 from .errors import (
     BadConfig,
     BadExponent,
@@ -94,6 +110,7 @@ from .errors import (
     UnknownInequality,
 )
 from .linalg import (
+    _each,
     _eigvalsh,
     _finite,
     _logdet,
@@ -102,6 +119,7 @@ from .linalg import (
     _pencil,
     _rowwise,
     _singular_values,
+    _within_least_slack,
     as_square,
     eigh_powers,
     require_symmetric,
@@ -375,9 +393,11 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     if not with_d:
         return replace(inst, c=c)
     d = mats[1]
+    if not _within_least_slack(d):
+        for lo, hi in part.offsets():
+            require_symmetric(d[..., lo:hi, lo:hi])
     off = d.copy()  # D with its diagonal blocks zeroed
     for lo, hi in part.offsets():
-        require_symmetric(d[..., lo:hi, lo:hi])
         off[..., lo:hi, lo:hi] = 0.0
     if np.logical_or.reduce(off != 0.0, axis=None):  # NaN and inf included
         _finite(off)
@@ -442,26 +462,62 @@ def _hashed(shape: Shape, inst: Instance) -> tuple:
 # ---------------------------------------------------------------------------
 # Checkers. Each takes a validated instance, or a stack of them (matrices
 # with one leading axis), and returns the Verdicts of its instances: the
-# same code runs with and without the leading axis.
+# same code runs with and without the leading axis. The diagonal blocks go
+# through each kernel once per distinct block size (_per_size), and sums
+# over the blocks and over the A_i add in their order.
+
+Groups = list[tuple[tuple[int, ...], object]]
+
+
+def _per_size(kernel, groups: Groups, each: bool = False) -> Groups:
+    """kernel over each group of blocks_by_size, one call per block size:
+    [(js, kernel(stack))], each result with the group's blocks along its
+    first axis. If a call raises, kernel runs on one block at a time, in
+    block order, and the first to fail raises its own error; with each, the
+    group's second axis (C and D, or the A_i) is walked first, one matrix at
+    a time, as the matrices were checked in turn."""
+    try:
+        return [(js, kernel(g)) for js, g in groups]
+    except MajdetError:
+        blocks = _one_block_stacks(groups)
+        for i in range(blocks[0].shape[1]) if each else (None,):
+            for block in blocks:
+                kernel(block if i is None else block[:, i:i + 1])
+        raise
+
+
+def _one_block_stacks(groups: Groups) -> list[np.ndarray]:
+    """Each block of blocks_by_size's groups alone, as a one-block stack,
+    in block order."""
+    return _in_block_order([(js, g[:, None]) for js, g in groups])
+
+
+def _in_block_order(groups: Groups) -> list:
+    """The per-block results of groups, in block order; a tuple result is
+    split member by member."""
+    out = {}
+    for js, r in groups:
+        for jj, j in enumerate(js):
+            out[j] = tuple(x[jj] for x in r) if isinstance(r, tuple) else r[jj]
+    return [out[j] for j in range(len(out))]
 
 
 def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(concatenated spectra of Ci^-1 Di sorted nonincreasing, spectrum of
     C^-1 D), with Ci and Di the diagonal blocks of C and D: positive
     definite float arrays, or stacks of them."""
-    x = sort_desc(np.concatenate(
-        [_pencil(cb, db) for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))],
-        axis=-1))
-    return x, _pencil(c, d)
+    cd = np.array((c, d))
+    spectra = _per_size(lambda g: _pencil(g.swapaxes(0, 1)), blocks_by_size(cd, part))
+    return sort_desc(np.concatenate(_in_block_order(spectra), axis=-1)), _pencil(cd)
 
 
 def _product_singular_values(c, d, part: Partition) -> tuple[list[np.ndarray], np.ndarray]:
     """(singular values of Ci^-1 Di for each diagonal block, singular values
     of C^-1 D): sv-weak-log's and abs-power's sides, on positive definite
     float arrays or stacks of them."""
-    blocks = [_singular_values(_pd_inverse(cb) @ db)
-              for cb, db in zip(diag_blocks(c, part), diag_blocks(d, part))]
-    return blocks, _singular_values(_pd_inverse(c) @ d)
+    blocks = _per_size(lambda g: _singular_values(_pd_inverse(g[:, 0]) @ g[:, 1]),
+                       blocks_by_size(np.array((c, d)), part))
+    return _in_block_order(blocks), _singular_values(_pd_inverse(c) @ d)
 
 
 def _weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
@@ -471,22 +527,19 @@ def _weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
     return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, x, y, tol)
 
 
-def _logdet_ratio_blocks(c_blocks, d_blocks):
-    """sum_i [logdet(Ci + Di) - logdet(Ci)]."""
-    return sum(
-        _logdet(symmetrize(cb + db)) - _logdet(cb)
-        for cb, db in zip(c_blocks, d_blocks)
-    )
+def _logdet_ratio(cd: np.ndarray):
+    """logdet(C + D) - logdet(C) of a stacked pair cd = (C, D): one
+    Cholesky call factors C + D and C, C + D's error first."""
+    logdets = _each(_logdet, np.array((symmetrize(cd[0] + cd[1]), cd[0])))
+    return logdets[0] - logdets[1]
 
 
 def _matic_verdicts(inst: Instance, tol: float) -> Verdicts:
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
-    part = inst.partition
-    c, d = inst.c, inst.d
-    llhs = _logdet_ratio_blocks(diag_blocks(c, part), diag_blocks(d, part))
-    lrhs = _logdet(symmetrize(c + d)) - _logdet(c)
-    return _log_verdicts(llhs, lrhs, tol)
+    cd = np.array((inst.c, inst.d))
+    blocks = _per_size(lambda g: _logdet_ratio(g.swapaxes(0, 1)), blocks_by_size(cd, inst.partition))
+    return _log_verdicts(sum(_in_block_order(blocks)), _logdet_ratio(cd), tol)
 
 
 def _certify(factor, c_exact, d_exact, part: Partition):
@@ -573,32 +626,35 @@ def identity_abs_square(c, d_blocks, part: Partition,
     )
 
 
-def _block_inverse_sums(mats, part: Partition) -> list[np.ndarray]:
-    """Per position j: sum_i inv(block_j(Ai))."""
-    sums = [np.zeros(mats[0].shape[:-2] + (s, s)) for s in part.sizes]
-    for a in mats:
-        for j, blk in enumerate(diag_blocks(a, part)):
-            sums[j] = sums[j] + _pd_inverse(blk)
-    return [symmetrize(s) for s in sums]
-
-
-def _full_inverse_sum(mats) -> np.ndarray:
-    total = np.zeros_like(mats[0])
-    for a in mats:
-        total = total + _pd_inverse(a)
+def _inverse_sum(a: np.ndarray) -> np.ndarray:
+    """sum_i inv(A_i) over the matrices A_i along a's first axis, added in
+    their order, in one kernel call, A_1's error first."""
+    total = np.zeros(a.shape[1:])
+    for inv in _each(_pd_inverse, a):
+        total = total + inv
     return symmetrize(total)
+
+
+def _block_inverse_sums(a: np.ndarray, part: Partition) -> Groups:
+    """Per block position j: sum_i inv(block_j(Ai)), for the A_i along a's
+    first axis, grouped by block size: one kernel call per size, A_1's
+    blocks first."""
+    return _per_size(lambda g: _inverse_sum(g.swapaxes(0, 1)), blocks_by_size(a, part), each=True)
 
 
 def _choi_verdicts(inst: Instance, tol: float) -> Verdicts:
     mats, part = inst.mats, inst.partition
-    llhs = sum(_logdet(s) for s in _block_inverse_sums(mats, part))
-    lrhs = _logdet(_full_inverse_sum(mats))
+    a = np.array(mats)
+    llhs = sum(_in_block_order(_per_size(_logdet, _block_inverse_sums(a, part))))
+    lrhs = _logdet(_inverse_sum(a))
     return _log_verdicts(llhs, lrhs, tol, detail=lambda k, i: {"m": len(mats)})
 
 
 def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    block_spec = np.concatenate([_eigvalsh(s) for s in _block_inverse_sums(mats, part)], axis=-1)
-    return sort_desc(block_spec), _eigvalsh(_full_inverse_sum(mats))
+    a = np.array(mats)
+    block_spec = np.concatenate(
+        _in_block_order(_per_size(_eigvalsh, _block_inverse_sums(a, part))), axis=-1)
+    return sort_desc(block_spec), _eigvalsh(_inverse_sum(a))
 
 
 def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
@@ -655,7 +711,7 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
     # taken row by row as for one matrix (_rowwise), and of lambda(Diag C)
     logs = np.stack([
         _rowwise(np.log, _eigvalsh(c)),
-        np.log(sort_desc(np.concatenate([_eigvalsh(b) for b in diag_blocks(c, part)], axis=-1))),
+        np.log(sort_desc(_block_spectra(c, part))),
     ]).reshape(2, -1, n)
     # (M, 2, T) log tail products, positions m..n (1-based), for each m
     tails = np.stack([np.sum(logs[..., m - 1:], axis=-1) for m in ms])
@@ -669,25 +725,28 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
             str(m): v for m, v in zip(ms, margins[:, i].tolist())}})
 
 
+def _block_spectra(c, part: Partition) -> np.ndarray:
+    """lambda(C1) ... lambda(Ck) of the diagonal blocks, concatenated in
+    block order: one eigensolver call per block size."""
+    return np.concatenate(_in_block_order(_per_size(_eigvalsh, blocks_by_size(c, part))), axis=-1)
+
+
 def _kyfan_verdicts(inst: Instance, tol: float) -> Verdicts:
     """lambda(Diag C) majorized by lambda(C) (equal traces, dominated prefixes)."""
     c = inst.c
-    x = np.concatenate([_eigvalsh(b) for b in diag_blocks(c, inst.partition)], axis=-1)
-    return _order_verdicts(OrderKind.MAJORIZE, x, _eigvalsh(c), tol)
+    return _order_verdicts(OrderKind.MAJORIZE, _block_spectra(c, inst.partition), _eigvalsh(c), tol)
 
 
 # ---------------------------------------------------------------------------
 # Evaluators for statements that are false in general.
 
-def _inv_square(a: np.ndarray) -> np.ndarray:
-    inv = _pd_inverse(a)
-    return symmetrize(inv @ inv)
-
-
-def _inv_square_sum_logdet(c: np.ndarray, d: np.ndarray, where: str):
-    """log det(D^-2 + C^-2); a failure on the derived sum names it and
-    where it was formed."""
-    total = symmetrize(_inv_square(d) + _inv_square(c))
+def _inv_square_sum_logdet(dc: np.ndarray, where: str):
+    """log det(D^-2 + C^-2) of a stacked pair dc = (D, C): one Cholesky
+    call factors D and C, D's error first. A failure on the derived sum
+    names it and where it was formed."""
+    inv = _each(_pd_inverse, dc)
+    squares = symmetrize(inv @ inv)
+    total = symmetrize(squares[0] + squares[1])
     try:
         return _logdet(total)
     except (NotPositiveDefinite, NonFinite) as err:
@@ -696,13 +755,17 @@ def _inv_square_sum_logdet(c: np.ndarray, d: np.ndarray, where: str):
 
 def _inv_square_sum_verdicts(inst: Instance, tol: float) -> Verdicts:
     part = inst.partition
-    c, d = inst.c, inst.d
-    llhs = sum(
-        _inv_square_sum_logdet(cb, db, f"block {j}")
-        for j, (cb, db) in enumerate(zip(diag_blocks(c, part), diag_blocks(d, part)), start=1)
-    )
-    lrhs = _inv_square_sum_logdet(c, d, "whole")
-    return _log_verdicts(llhs, lrhs, tol)
+    dc = np.array((inst.d, inst.c))
+    groups = blocks_by_size(dc, part)
+    try:
+        blocks = [(js, _inv_square_sum_logdet(g.swapaxes(0, 1), "blocks")) for js, g in groups]
+    except MajdetError:
+        # one block at a time, in block order, so the error names its block
+        for j, block in enumerate(_one_block_stacks(groups), start=1):
+            _inv_square_sum_logdet(block.swapaxes(0, 1), f"block {j}")
+        raise
+    lrhs = _inv_square_sum_logdet(dc, "whole")
+    return _log_verdicts(sum(_in_block_order(blocks)), lrhs, tol)
 
 
 def _inv_square_sum_det(c, d, s: int, t: int, name: str) -> Fraction:
@@ -794,19 +857,19 @@ def _prepare_abs_power(inst: Instance) -> GridStep:
 
 
 def _prepare_commuted_power(inst: Instance) -> GridStep:
-    part = inst.partition
-    c_block_eigs = [_pd_eigh(b) for b in diag_blocks(inst.c, part)]
-    d_block_eigs = [_pd_eigh(b) for b in diag_blocks(inst.d, part)]
+    # (w, V) of each block of C and D, whose first axis is (C, D): one call
+    # per block size, C's blocks first
+    block_eigs = _in_block_order(
+        _per_size(_pd_eigh, blocks_by_size(np.array((inst.c, inst.d)), inst.partition), each=True))
     c_eig = _pd_eigh(inst.c)
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         # every power below is a (P, ..., n, n) stack, one product for the grid
-        cp_blocks = [eigh_powers(w, v, ps) for w, v in c_block_eigs]
-        dp_blocks = [eigh_powers(w, v, ps) for w, v in d_block_eigs]
-        llhs = _logdet_ratio_blocks(cp_blocks, dp_blocks)
+        powers = [(eigh_powers(w[0], v[0], ps), eigh_powers(w[1], v[1], ps))
+                  for w, v in block_eigs]
+        llhs = sum(_logdet_ratio(np.array(pair)) for pair in powers)
         cp = eigh_powers(*c_eig, ps)
-        dp = direct_sum(dp_blocks)
-        lrhs = _logdet(symmetrize(cp + dp)) - _logdet(cp)
+        lrhs = _logdet_ratio(np.array((cp, direct_sum([dp for _, dp in powers]))))
         return _log_verdicts(llhs, lrhs, tol, ps)
 
     return step

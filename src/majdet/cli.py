@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import exact, matio, scenarios
 from .blocks import Partition, validate_partition
 from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, assemble, run_check, spec_of
@@ -285,7 +287,11 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # A derived matrix that overflows (C + D, an inverse, a power) is
+        # rejected by the kernels with its own error, so numpy's
+        # floating-point warnings would only repeat it on stderr.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except MajdetError as err:
         print(f"majdet: error: {err}", file=sys.stderr)
         return 1

@@ -18,6 +18,14 @@ matrix, validate it with as_square and require_symmetric, and then run the
 same kernel. require_symmetric also takes a stack, with each matrix judged
 on its own slack, so the catalog validates each input matrix, or a whole
 stack of them, once and calls the kernels directly.
+
+The guards cost one pass over a whole stack in the common case: the
+symmetry test when every entry is finite and no asymmetry exceeds the
+smallest slack, the pivot floor when the stack's least pivot clears its
+largest floor. Only otherwise is each matrix judged on its own. The pencil
+kernel takes C and D as one stacked pair and factors both in one Cholesky
+call; _each runs a kernel over a stack of different matrices, and if it
+raises, over each of them alone, so the error is the first one's own.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MajdetError,
     NoConvergence,
     NonFinite,
     NotPositiveDefinite,
@@ -59,15 +68,21 @@ def require_symmetric(a) -> np.ndarray:
     first non-finite matrix, or else the first asymmetric one.
     """
     m = as_square(a, max(np.ndim(a) - 2, 0))
-    if m.size:
-        # One pass over the whole stack settles the common case: every entry
-        # finite and no asymmetry above 1e-12, the smallest slack there is.
-        amax = float(np.maximum.reduce(np.abs(m), axis=None))
-        skew = float(np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2)), axis=None)) \
-            if math.isfinite(amax) else math.inf
-        if skew > SYMMETRY_RTOL:
-            _judge_each(m)
+    if not _within_least_slack(m):
+        _judge_each(m)
     return m
+
+
+def _within_least_slack(m: np.ndarray) -> bool:
+    """One pass over a whole stack for the common case: every entry finite
+    and no asymmetry above 1e-12, the smallest slack there is. Then each
+    matrix, and each diagonal block of each, passes require_symmetric's
+    test. Finiteness is settled first, so a NaN or inf is never subtracted."""
+    if not m.size:
+        return True
+    amax = float(np.maximum.reduce(np.abs(m), axis=None))
+    return math.isfinite(amax) and float(
+        np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2)), axis=None)) <= SYMMETRY_RTOL
 
 
 def _judge_each(m: np.ndarray) -> None:
@@ -114,7 +129,14 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         _finite(m)
         raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
-    if m.shape[-1]:
+    if not m.size:
+        return low
+    # One pass over the whole stack settles the common case: its least pivot
+    # clears its largest floor, which is finite. Otherwise each matrix is
+    # held to its own floor.
+    least = float(np.minimum.reduce(_diagonal(low), axis=None))
+    top = PIVOT_REL_FLOOR * float(np.maximum.reduce(_diagonal(m), axis=None))
+    if not (least * least >= top and top < math.inf):
         pivots = _diagonal(low) ** 2
         floor = PIVOT_REL_FLOOR * np.maximum.reduce(_diagonal(m), axis=-1)
         ok = (np.minimum.reduce(pivots, axis=-1) >= floor) & (floor < math.inf)
@@ -202,8 +224,23 @@ def singular_values(x) -> np.ndarray:
     return _singular_values(as_square(x))
 
 
-def _pencil(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    w = _singular_values(np.linalg.solve(_cholesky(c), _cholesky(d))) ** 2
+def _each(kernel, stack: np.ndarray):
+    """kernel(stack), one call over the matrices along the stack's first
+    axis; if it raises, kernel on each of them alone, in order, so that the
+    first to fail raises the error it raises alone."""
+    try:
+        return kernel(stack)
+    except MajdetError:
+        for m in stack:
+            kernel(m)
+        raise
+
+
+def _pencil(cd: np.ndarray) -> np.ndarray:
+    """lambda(C^-1 D) of a stacked pair cd = (C, D), each a matrix or a
+    stack: one Cholesky call factors both, C's error first."""
+    low = _each(_cholesky, cd)
+    w = _singular_values(np.linalg.solve(low[0], low[1])) ** 2
     if w.size and np.logical_or.reduce(w[..., -1] <= 0.0, axis=None):
         raise NotPositiveDefinite("pencil spectrum not strictly positive")
     return w
@@ -221,7 +258,7 @@ def eig_pencil(c, d) -> np.ndarray:
     md = as_square(d)
     if mc.shape != md.shape:
         raise DimensionMismatch(f"{mc.shape} vs {md.shape}")
-    return _pencil(require_symmetric(mc), require_symmetric(md))
+    return _pencil(np.array((require_symmetric(mc), require_symmetric(md))))
 
 
 def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +320,8 @@ def hyperbolic_power(a, b, p: float) -> np.ndarray:
 
 
 def _logdet(m: np.ndarray):
-    return 2.0 * np.sum(np.log(_diagonal(_cholesky(m))), axis=-1)
+    # np.add.reduce is what np.sum runs, without its dispatch
+    return 2.0 * np.add.reduce(np.log(_diagonal(_cholesky(m))), axis=-1)
 
 
 def logdet_pd(a) -> float:

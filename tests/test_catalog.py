@@ -45,7 +45,7 @@ from majdet.errors import (
     UnknownInequality,
 )
 from majdet.exact import det_exact, rational_matrix, submatrix
-from majdet.fuzzing import replay
+from majdet.fuzzing import GenConfig, fuzz, replay
 from majdet.linalg import eigvals_sym, pd_inverse, require_symmetric
 
 from oracles import loewner_le, rand_pd, stack_instances
@@ -933,14 +933,19 @@ class TestValidateOnce:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
-        original = linalg_mod.require_symmetric
 
-        def counting(a):
-            calls.append(np.shape(a))
-            return original(a)
+        def counting(original):
+            def count(a):
+                calls.append(np.shape(a))
+                return original(a)
+            return count
 
+        require = counting(linalg_mod.require_symmetric)
         for module in (linalg_mod, catalog_mod):
-            monkeypatch.setattr(module, "require_symmetric", counting)
+            monkeypatch.setattr(module, "require_symmetric", require)
+        # the one pass that clears a valid block-D D, all its blocks at once
+        monkeypatch.setattr(catalog_mod, "_within_least_slack",
+                            counting(linalg_mod._within_least_slack))
         return calls
 
     @pytest.mark.parametrize("inequality", INEQUALITY_IDS)
@@ -949,13 +954,24 @@ class TestValidateOnce:
         inst, fields = shape_instances(rng)[spec.shape]
         if spec.split:
             inst = replace(inst, p=spec.split.default)
-        # a block-D instance's D is validated as its diagonal blocks
+        # a valid block-D D is validated whole, in one pass
         inputs = sum(len(v) if isinstance(v, (tuple, list)) else 1
-                     for v in (diag_blocks(inst.d, inst.partition)
-                               if spec.shape is Shape.BLOCK_D and f == "d" else getattr(inst, f)
-                               for f in fields))
+                     for v in (getattr(inst, f) for f in fields))
         run_check(inequality, inst)
         assert len(counted) == inputs
+
+    def test_block_d_judges_each_block_on_its_own_slack(self):
+        # the large block's slack (2e-6) would pass the skew of the other one
+        big = 1e6 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        skewed = np.eye(2)
+        skewed[0, 1] = 1e-11
+        inst = Instance(partition=Partition((2, 2)), c=np.eye(4), d_blocks=(big, skewed))
+        message = r"^asymmetry 1\.000e-11 exceeds tolerance 1\.000e-12$"
+        with pytest.raises(NotSymmetric, match=message):
+            run_check("main-thm", inst)
+        stack = replace(inst, c=np.stack([inst.c, inst.c]), d=np.stack([inst.d, inst.d]))
+        with pytest.raises(NotSymmetric, match=message):
+            validate_instance(Shape.BLOCK_D, stack, lead=1)
 
     @pytest.mark.parametrize("inequality", [
         "main-thm", "weak-log-general-d", "choi", "ky-fan", "lemma31"])
@@ -970,6 +986,80 @@ class TestValidateOnce:
             with pytest.raises(err) as info:
                 run_check(inequality, corrupt(inst, field, how))
             assert str(info.value) == message, (inequality, field)
+
+
+class TestKernelCalls:
+    """The diagonal blocks of one size go through each LAPACK routine in one
+    call, and a pencil factors C and D in one call: the counts are pinned."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(("cholesky", "solve", "svd"), 0)
+
+        def counting(name, original):
+            def count(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return count
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        return counts
+
+    @pytest.mark.parametrize("inequality, sizes, want", [
+        ("main-thm", (2, 3, 3), (3, 3, 3)),
+        ("main-thm", (4, 4), (2, 2, 2)),
+        ("matic", (2, 3, 3), (3, 0, 0)),
+    ])
+    def test_one_call_per_block_size(self, rng, counts, inequality, sizes, want):
+        inst = Instance(partition=Partition(sizes), c=rand_pd(rng, 8, kappa=1e4),
+                        d_blocks=tuple(rand_pd(rng, s, kappa=1e4) for s in sizes))
+        run_check(inequality, inst)
+        assert tuple(counts.values()) == want
+
+    @pytest.mark.parametrize("trials", [1, 10, 64])
+    def test_a_fuzz_chunk_calls_as_one_check(self, counts, trials):
+        cfg = GenConfig(n=8, partition=Partition((2, 3, 3)), seed=5)
+        fuzz("main-thm", cfg, trials)
+        assert tuple(counts.values()) == (3, 3, 3)
+
+
+class TestBlockErrorOrder:
+    """Blocks stacked by size raise the error the blocks raise when checked
+    one at a time, as the checkers once did: block by block, each block's C
+    before its D, and for the per-matrix kernels of commuted-power and choi,
+    every block of one matrix before the next matrix."""
+
+    P = Partition((2, 2))
+
+    @pytest.mark.parametrize("inequality, inst, message", [
+        # C's block 2 and D's block 1 are below the pivot floor: block 1 first
+        ("main-thm", Instance(partition=P, c=np.diag([1.0, 1.0, 1.0, 1e-14]),
+                              d=np.diag([1.0, 2e-14, 1.0, 1.0])),
+         "pivot 2.000e-14 at index 1 (floor 1.000e-13)"),
+        ("sv-weak-log", Instance(partition=P, c=np.diag([1.0, 1.0, 1.0, 1e-14]),
+                                 d=np.diag([1.0, 2e-14, 1.0, 1.0])),
+         "pivot 1.000e-14 at index 1 (floor 1.000e-13)"),
+        # C1 fails the floor; C2 + D2 fails in LAPACK, which a stacked call
+        # would report first
+        ("matic", Instance(partition=P, c=np.diag([1.0, 1e-14, -1.0, 1.0]), d=np.eye(4)),
+         "pivot 1.000e-14 at index 1 (floor 1.000e-13)"),
+        # C2 and D1 are indefinite: every block of C comes before D
+        ("commuted-power", Instance(partition=P, c=np.diag([1.0, 1.0, -2.0, 1.0]),
+                                    d=np.diag([-3.0, 1.0, 1.0, 1.0]), p=2.0),
+         "eigenvalue -2.000e+00 <= 0"),
+        # A1's block 2 and A2's block 1: every block of A1 comes first
+        ("choi", Instance(partition=P, mats=(np.diag([1.0, 1.0, 1.0, 1e-14]),
+                                             np.diag([1.0, 2e-14, 1.0, 1.0]))),
+         "pivot 1.000e-14 at index 1 (floor 1.000e-13)"),
+        ("inv-square-sum", Instance(partition=P, c=np.diag([1.0, 1.0, 1e7, 1.0]),
+                                    d=np.diag([1.0, 1.0, 1e7, 1.0])),
+         "D^-2 + C^-2 (block 2): pivot 2.000e-14 at index 0 (floor 2.000e-13)"),
+    ], ids=lambda v: v if isinstance(v, str) and len(v) < 20 else None)
+    def test_first_failing_block_raises(self, inequality, inst, message):
+        with pytest.raises(NotPositiveDefinite) as info:
+            run_check(inequality, inst)
+        assert str(info.value) == message
 
 
 class TestStackedValidation:

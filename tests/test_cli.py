@@ -230,6 +230,18 @@ class TestCheck:
         assert err == ("majdet: error: D^-2 + C^-2 (whole): "
                        "pivot 1.074e+09 at index 1 (floor 7.999e+11)\n")
 
+    def test_overflowing_derived_matrix_prints_only_the_error(self, capsys, tmp_path):
+        # finite entries whose C + D overflows: the kernels reject it, and
+        # numpy's overflow warning is not printed on top of the error
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d1.json"
+        c_path.write_text('{"n": 2, "rows": [[2, 1e308], [1e308, 2]]}')
+        d_path.write_text('{"n": 1, "rows": [[1]]}')
+        code, out, err = run_cli(capsys, "check", "matic", "--c", str(c_path),
+                                 "--d", str(d_path), str(d_path), "--part", "1,1")
+        assert code == 1
+        assert out == ""
+        assert err == "majdet: error: non-finite entry (max |a_ij| = inf)\n"
+
     def test_nan_entry_exit_one(self, capsys, tmp_path):
         paths = write_ref_files(tmp_path)
         rows = refdata.WLOG_C.tolist()

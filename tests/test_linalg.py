@@ -372,7 +372,7 @@ def kernel_cases():
         "pd_eigh": linalg_mod._pd_eigh,
         "eigvalsh": linalg_mod._eigvalsh,
         "singular_values": linalg_mod._singular_values,
-        "pencil": lambda a: linalg_mod._pencil(a, a[..., ::-1, ::-1].copy()),
+        "pencil": lambda a: linalg_mod._pencil(np.stack((a, a[..., ::-1, ::-1]))),
         # a grid of exponents, moved behind the stack axis
         "eigh_power": lambda a: np.moveaxis(
             eigh_powers(*linalg_mod._pd_eigh(a), (1.7, 0.5, 2.0, -1.0)), 0, -3),
@@ -404,6 +404,13 @@ class TestStackedKernels:
         stack = np.stack([np.eye(2), np.diag([1.0, 1e-14])])
         with pytest.raises(NotPositiveDefinite, match=r"pivot 1\.000e-14 at index 1"):
             linalg_mod._cholesky(stack)
+
+    def test_pivot_floor_is_each_matrix_own(self):
+        # the stack's least pivot, 1e-8, is below its largest floor, 1e-7,
+        # but each matrix clears its own floor and factors alone
+        small, large = np.diag([1e-8, 1e-8]), np.diag([1e6, 1e6])
+        for stack in (np.stack([small, large]), np.stack([large, small])):
+            np.testing.assert_array_equal(linalg_mod._cholesky(stack), np.sqrt(stack))
 
     @pytest.mark.parametrize("bad", [
         np.diag([math.inf, math.inf]), np.diag([math.inf, 1.0]), np.array([[math.inf]]),
