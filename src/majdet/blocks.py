@@ -97,14 +97,14 @@ def blocks_by_size(a, part: Partition) -> list[tuple[tuple[int, ...], np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
-def _size_groups(part: Partition) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+def _size_groups(part: Partition) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     """blocks_by_size's groups: per distinct size, the positions and
     (start, stop) ranges of its blocks."""
     offsets = part.offsets()
     groups: dict[int, list[int]] = {}
     for j, size in enumerate(part.sizes):
         groups.setdefault(size, []).append(j)
-    return [(tuple(js), [offsets[j] for j in js]) for js in groups.values()]
+    return tuple((tuple(js), tuple(offsets[j] for j in js)) for js in groups.values())
 
 
 def direct_sum(blocks) -> np.ndarray:

@@ -538,7 +538,8 @@ def _matic_verdicts(inst: Instance, tol: float) -> Verdicts:
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
     cd = np.array((inst.c, inst.d))
-    blocks = _per_size(lambda g: _logdet_ratio(g.swapaxes(0, 1)), blocks_by_size(cd, inst.partition))
+    blocks = _per_size(lambda g: _logdet_ratio(g.swapaxes(0, 1)),
+                       blocks_by_size(cd, inst.partition))
     return _log_verdicts(sum(_in_block_order(blocks)), _logdet_ratio(cd), tol)
 
 

@@ -1055,7 +1055,7 @@ class TestBlockErrorOrder:
         ("inv-square-sum", Instance(partition=P, c=np.diag([1.0, 1.0, 1e7, 1.0]),
                                     d=np.diag([1.0, 1.0, 1e7, 1.0])),
          "D^-2 + C^-2 (block 2): pivot 2.000e-14 at index 0 (floor 2.000e-13)"),
-    ], ids=lambda v: v if isinstance(v, str) and len(v) < 20 else None)
+    ], ids=["main-thm", "sv-weak-log", "matic", "commuted-power", "choi", "inv-square-sum"])
     def test_first_failing_block_raises(self, inequality, inst, message):
         with pytest.raises(NotPositiveDefinite) as info:
             run_check(inequality, inst)
