@@ -34,20 +34,26 @@ its blocks.
 
 Inputs are validated once, at the boundary: validate_instance checks each
 input matrix of the id's Shape (square, sized for the partition, finite,
-symmetric; a block-D D in one pass when it is finite and symmetric to the
-smallest slack), and the checkers then call only linalg's private kernels,
-which validate nothing. Every checker is written with numpy broadcasting, so
-it takes one validated instance or a stack of them (instances that share
-everything but their matrices, whose matrices are stacked along a leading
-axis, as the fuzzer draws them), and check_validated runs it.
+symmetric; a block-D D in one pass when no entry exceeds half the largest
+double and it is symmetric to the smallest slack), and the checkers then
+call only linalg's private kernels, which validate nothing. Every checker
+is written with numpy broadcasting, so it takes one validated instance or
+a stack of them (instances that share everything but their matrices, whose
+matrices are stacked along a leading axis, as the fuzzer draws them), and
+check_validated runs it.
 
 The diagonal blocks of one size go through each kernel in one call
-(blocks.blocks_by_size, _per_size): the blocks of C and D stacked, or those
-of every A_i. Sums over the blocks and over the A_i add in their order, so
-the bits are those of a block-by-block loop. A call that raises is run
-again one block at a time (one matrix at a time where the matrices were
-once checked in turn), so the error raised is the first failing block's,
+(_blockwise, over blocks.blocks_by_size): the blocks of one matrix, or of
+C and D stacked where one kernel takes both. Where a checker puts several
+matrices through the same kernel (commuted-power's eigendecompositions of C
+and D, the choi family's inverses of the A_i), it walks them in turn, each
+through _blockwise, so every block of one matrix comes before the next
+matrix. Sums over the blocks and over the A_i add in their order, so the
+bits are those of a block-by-block loop. A call that raises is run again
+one block at a time, so the error raised is the first failing block's,
 with its message, as check_validated does for exponent grids.
+inv-square-sum takes its blocks one at a time, so that an error names its
+block.
 
 A stack of verdicts is arrays: a checker takes (instance, tol) and returns
 its margins only, one Verdicts, whose margin and holds are (exponents,
@@ -239,11 +245,15 @@ class Instance:
         for key, err in (("partition", BadPartition), ("idx", IndexOutOfRange)):
             if key in payload and not isinstance(payload[key], list):
                 raise err(f"{key} must be a list of integers, got {payload[key]!r}")
+        part = Partition(payload["partition"]) if "partition" in payload else None
+        arrays = {key: number_array(payload[key]) for key in ("c", "d") if key in payload}
+        arrays.update({key: tuple(map(number_array, payload[key]))
+                       for key in ("d_blocks", "mats") if key in payload})
+        if "d_blocks" in arrays:  # the blocks win over a whole "d"
+            arrays["d"] = _join_d_blocks(arrays.pop("d_blocks"), part)
         return cls(
-            partition=Partition(payload["partition"]) if "partition" in payload else None,
-            **{key: number_array(payload[key]) for key in ("c", "d") if key in payload},
-            **{key: tuple(map(number_array, payload[key]))
-               for key in ("d_blocks", "mats") if key in payload},
+            partition=part,
+            **arrays,
             idx=tuple(payload["idx"]) if "idx" in payload else None,
             p=p,
             m=payload.get("m"),
@@ -462,44 +472,32 @@ def _hashed(shape: Shape, inst: Instance) -> tuple:
 # ---------------------------------------------------------------------------
 # Checkers. Each takes a validated instance, or a stack of them (matrices
 # with one leading axis), and returns the Verdicts of its instances: the
-# same code runs with and without the leading axis. The diagonal blocks go
-# through each kernel once per distinct block size (_per_size), and sums
-# over the blocks and over the A_i add in their order.
+# same code runs with and without the leading axis. The diagonal blocks of
+# a matrix, or of a stacked pair (C, D) that one kernel takes together, go
+# through the kernel by _blockwise; a checker that puts several matrices
+# through one kernel walks them in turn (C then D, A_1 then A_2, ...), so
+# every block of one matrix is checked before the next matrix. Sums over
+# the blocks and over the A_i add in their order.
 
-Groups = list[tuple[tuple[int, ...], object]]
-
-
-def _per_size(kernel, groups: Groups, each: bool = False) -> Groups:
-    """kernel over each group of blocks_by_size, one call per block size:
-    [(js, kernel(stack))], each result with the group's blocks along its
-    first axis. If a call raises, kernel runs on one block at a time, in
-    block order, and the first to fail raises its own error; with each, the
-    group's second axis (C and D, or the A_i) is walked first, one matrix at
-    a time, as the matrices were checked in turn."""
+def _blockwise(kernel, a, part: Partition) -> list:
+    """kernel over the diagonal blocks of a (a matrix, or a stack of them
+    along leading axes), one call per distinct block size, which gets its
+    blocks along a new first axis (blocks_by_size): the per-block results
+    in block order, a tuple result split member by member. If a call
+    raises, kernel runs on one block at a time, in block order, so that
+    the first failing block raises its own error."""
+    groups = blocks_by_size(a, part)
     try:
-        return [(js, kernel(g)) for js, g in groups]
+        results = [(js, kernel(g)) for js, g in groups]
     except MajdetError:
-        blocks = _one_block_stacks(groups)
-        for i in range(blocks[0].shape[1]) if each else (None,):
-            for block in blocks:
-                kernel(block if i is None else block[:, i:i + 1])
+        for block in diag_blocks(a, part):
+            kernel(block[None])
         raise
-
-
-def _one_block_stacks(groups: Groups) -> list[np.ndarray]:
-    """Each block of blocks_by_size's groups alone, as a one-block stack,
-    in block order."""
-    return _in_block_order([(js, g[:, None]) for js, g in groups])
-
-
-def _in_block_order(groups: Groups) -> list:
-    """The per-block results of groups, in block order; a tuple result is
-    split member by member."""
-    out = {}
-    for js, r in groups:
+    out: list = [None] * part.k
+    for js, r in results:
         for jj, j in enumerate(js):
             out[j] = tuple(x[jj] for x in r) if isinstance(r, tuple) else r[jj]
-    return [out[j] for j in range(len(out))]
+    return out
 
 
 def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -507,17 +505,17 @@ def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     C^-1 D), with Ci and Di the diagonal blocks of C and D: positive
     definite float arrays, or stacks of them."""
     cd = np.array((c, d))
-    spectra = _per_size(lambda g: _pencil(g.swapaxes(0, 1)), blocks_by_size(cd, part))
-    return sort_desc(np.concatenate(_in_block_order(spectra), axis=-1)), _pencil(cd)
+    spectra = _blockwise(lambda g: _pencil(g.swapaxes(0, 1)), cd, part)
+    return sort_desc(np.concatenate(spectra, axis=-1)), _pencil(cd)
 
 
 def _product_singular_values(c, d, part: Partition) -> tuple[list[np.ndarray], np.ndarray]:
     """(singular values of Ci^-1 Di for each diagonal block, singular values
     of C^-1 D): sv-weak-log's and abs-power's sides, on positive definite
     float arrays or stacks of them."""
-    blocks = _per_size(lambda g: _singular_values(_pd_inverse(g[:, 0]) @ g[:, 1]),
-                       blocks_by_size(np.array((c, d)), part))
-    return _in_block_order(blocks), _singular_values(_pd_inverse(c) @ d)
+    blocks = _blockwise(lambda g: _singular_values(_pd_inverse(g[:, 0]) @ g[:, 1]),
+                        np.array((c, d)), part)
+    return blocks, _singular_values(_pd_inverse(c) @ d)
 
 
 def _weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
@@ -538,9 +536,8 @@ def _matic_verdicts(inst: Instance, tol: float) -> Verdicts:
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
     cd = np.array((inst.c, inst.d))
-    blocks = _per_size(lambda g: _logdet_ratio(g.swapaxes(0, 1)),
-                       blocks_by_size(cd, inst.partition))
-    return _log_verdicts(sum(_in_block_order(blocks)), _logdet_ratio(cd), tol)
+    blocks = _blockwise(lambda g: _logdet_ratio(g.swapaxes(0, 1)), cd, inst.partition)
+    return _log_verdicts(sum(blocks), _logdet_ratio(cd), tol)
 
 
 def _certify(factor, c_exact, d_exact, part: Partition):
@@ -588,26 +585,19 @@ def identity_abs_square(c, d_blocks, part: Partition,
     globally and blockwise, to relative tolerance.
 
     The two sides travel independent computation paths (singular values of
-    the explicit product vs Cholesky log-determinants). margin is minus the
-    worst normalized residual, so holds == (margin >= -tol).
+    the explicit product, as abs-power takes them at p = 2, vs
+    inv-square-sum's Cholesky log-determinants). margin is minus the worst
+    normalized residual, so holds == (margin >= -tol).
     """
     require_tol(tol)
-    inst = validate_instance(Shape.BLOCK_D, Instance(partition=part, c=c, d_blocks=d_blocks))
-
-    def sides(cmat, dmat) -> tuple[float, float]:
-        ic = _pd_inverse(cmat)
-        s = _singular_values(ic @ dmat)
-        left = float(np.sum(np.log1p(s**2)))
-        idm = _pd_inverse(dmat)
-        right = float(_logdet(symmetrize(idm @ idm + ic @ ic))) + 2.0 * float(_logdet(dmat))
-        return left, right
-
-    lg, rg = sides(inst.c, inst.d)
-    lb, rb = 0.0, 0.0
-    for cb, db in zip(diag_blocks(inst.c, part), diag_blocks(inst.d, part)):
-        bl, br = sides(cb, db)
-        lb += bl
-        rb += br
+    inst = validate_instance(Shape.BLOCK_D, assemble(Shape.BLOCK_D, part, (c, *d_blocks)))
+    block_svs, s_full = _product_singular_values(inst.c, inst.d, part)
+    inv_sq_blocks, inv_sq_full = _inv_square_sum_logdets(inst.c, inst.d, part)
+    d_blocks_logdet = _blockwise(_logdet, inst.d, part)
+    lg = float(_sum_log1p_power(s_full, (2.0,))[0])
+    rg = float(inv_sq_full + 2.0 * _logdet(inst.d))
+    lb = float(sum(_sum_log1p_power(s, (2.0,))[0] for s in block_svs))
+    rb = float(sum(x + 2.0 * y for x, y in zip(inv_sq_blocks, d_blocks_logdet)))
     res_global = abs(lg - rg) / max(1.0, abs(lg), abs(rg))
     res_block = abs(lb - rb) / max(1.0, abs(lb), abs(rb))
     worst = max(res_global, res_block)
@@ -629,33 +619,28 @@ def identity_abs_square(c, d_blocks, part: Partition,
 
 def _inverse_sum(a: np.ndarray) -> np.ndarray:
     """sum_i inv(A_i) over the matrices A_i along a's first axis, added in
-    their order, in one kernel call, A_1's error first."""
-    total = np.zeros(a.shape[1:])
-    for inv in _each(_pd_inverse, a):
-        total = total + inv
-    return symmetrize(total)
+    their order from 0.0, in one kernel call, A_1's error first."""
+    return symmetrize(sum(_each(_pd_inverse, a), 0.0))
 
 
-def _block_inverse_sums(a: np.ndarray, part: Partition) -> Groups:
-    """Per block position j: sum_i inv(block_j(Ai)), for the A_i along a's
-    first axis, grouped by block size: one kernel call per size, A_1's
-    blocks first."""
-    return _per_size(lambda g: _inverse_sum(g.swapaxes(0, 1)), blocks_by_size(a, part), each=True)
+def _block_inverse_sum(mats, part: Partition) -> np.ndarray:
+    """The block-diagonal matrix whose block j is sum_i inv(block_j(A_i)),
+    the A_i added in their order from 0.0: every block of A_1 is inverted
+    before A_2's."""
+    return symmetrize(sum((direct_sum(_blockwise(_pd_inverse, a, part)) for a in mats), 0.0))
 
 
 def _choi_verdicts(inst: Instance, tol: float) -> Verdicts:
     mats, part = inst.mats, inst.partition
-    a = np.array(mats)
-    llhs = sum(_in_block_order(_per_size(_logdet, _block_inverse_sums(a, part))))
-    lrhs = _logdet(_inverse_sum(a))
+    llhs = sum(_blockwise(_logdet, _block_inverse_sum(mats, part), part))
+    lrhs = _logdet(_inverse_sum(np.array(mats)))
     return _log_verdicts(llhs, lrhs, tol, detail=lambda k, i: {"m": len(mats)})
 
 
 def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array(mats)
-    block_spec = np.concatenate(
-        _in_block_order(_per_size(_eigvalsh, _block_inverse_sums(a, part))), axis=-1)
-    return sort_desc(block_spec), _eigvalsh(_inverse_sum(a))
+    block_spec = np.concatenate(_blockwise(_eigvalsh, _block_inverse_sum(mats, part), part),
+                                axis=-1)
+    return sort_desc(block_spec), _eigvalsh(_inverse_sum(np.array(mats)))
 
 
 def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
@@ -729,7 +714,7 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
 def _block_spectra(c, part: Partition) -> np.ndarray:
     """lambda(C1) ... lambda(Ck) of the diagonal blocks, concatenated in
     block order: one eigensolver call per block size."""
-    return np.concatenate(_in_block_order(_per_size(_eigvalsh, blocks_by_size(c, part))), axis=-1)
+    return np.concatenate(_blockwise(_eigvalsh, c, part), axis=-1)
 
 
 def _kyfan_verdicts(inst: Instance, tol: float) -> Verdicts:
@@ -754,19 +739,18 @@ def _inv_square_sum_logdet(dc: np.ndarray, where: str):
         raise type(err)(f"D^-2 + C^-2 ({where}): {err}") from err
 
 
+def _inv_square_sum_logdets(c, d, part: Partition) -> tuple[list, np.ndarray]:
+    """(log det(D^-2 + C^-2) of each diagonal block, in block order, and of
+    the whole): one block at a time, so that an error names its block."""
+    dc = np.array((d, c))
+    blocks = [_inv_square_sum_logdet(b, f"block {j}")
+              for j, b in enumerate(diag_blocks(dc, part), start=1)]
+    return blocks, _inv_square_sum_logdet(dc, "whole")
+
+
 def _inv_square_sum_verdicts(inst: Instance, tol: float) -> Verdicts:
-    part = inst.partition
-    dc = np.array((inst.d, inst.c))
-    groups = blocks_by_size(dc, part)
-    try:
-        blocks = [(js, _inv_square_sum_logdet(g.swapaxes(0, 1), "blocks")) for js, g in groups]
-    except MajdetError:
-        # one block at a time, in block order, so the error names its block
-        for j, block in enumerate(_one_block_stacks(groups), start=1):
-            _inv_square_sum_logdet(block.swapaxes(0, 1), f"block {j}")
-        raise
-    lrhs = _inv_square_sum_logdet(dc, "whole")
-    return _log_verdicts(sum(_in_block_order(blocks)), lrhs, tol)
+    blocks, lrhs = _inv_square_sum_logdets(inst.c, inst.d, inst.partition)
+    return _log_verdicts(sum(blocks), lrhs, tol)
 
 
 def _inv_square_sum_det(c, d, s: int, t: int, name: str) -> Fraction:
@@ -858,16 +842,13 @@ def _prepare_abs_power(inst: Instance) -> GridStep:
 
 
 def _prepare_commuted_power(inst: Instance) -> GridStep:
-    # (w, V) of each block of C and D, whose first axis is (C, D): one call
-    # per block size, C's blocks first
-    block_eigs = _in_block_order(
-        _per_size(_pd_eigh, blocks_by_size(np.array((inst.c, inst.d)), inst.partition), each=True))
+    # (w, V) of each diagonal block of C, then of D
+    c_eigs, d_eigs = (_blockwise(_pd_eigh, a, inst.partition) for a in (inst.c, inst.d))
     c_eig = _pd_eigh(inst.c)
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         # every power below is a (P, ..., n, n) stack, one product for the grid
-        powers = [(eigh_powers(w[0], v[0], ps), eigh_powers(w[1], v[1], ps))
-                  for w, v in block_eigs]
+        powers = [(eigh_powers(*ce, ps), eigh_powers(*de, ps)) for ce, de in zip(c_eigs, d_eigs)]
         llhs = sum(_logdet_ratio(np.array(pair)) for pair in powers)
         cp = eigh_powers(*c_eig, ps)
         lrhs = _logdet_ratio(np.array((cp, direct_sum([dp for _, dp in powers]))))
@@ -1086,7 +1067,7 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
         except MajdetError:
             # The grid stops at its first failing kernel call over all
             # exponents; one exponent at a time raises the error of the first
-            # failing exponent, as checking the exponents in turn does.
+            # failing exponent.
             for p in ps:
                 step((p,), tol)
             raise

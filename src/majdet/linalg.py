@@ -20,12 +20,13 @@ on its own slack, so the catalog validates each input matrix, or a whole
 stack of them, once and calls the kernels directly.
 
 The guards cost one pass over a whole stack in the common case: the
-symmetry test when every entry is finite and no asymmetry exceeds the
-smallest slack, the pivot floor when the stack's least pivot clears its
-largest floor. Only otherwise is each matrix judged on its own. The pencil
-kernel takes C and D as one stacked pair and factors both in one Cholesky
-call; _each runs a kernel over a stack of different matrices, and if it
-raises, over each of them alone, so the error is the first one's own.
+symmetry test when no entry exceeds half the largest double and no
+asymmetry exceeds the smallest slack, the pivot floor when the stack's
+least pivot clears its largest floor. Only otherwise is each matrix judged
+on its own. The pencil kernel takes C and D as one stacked pair and
+factors both in one Cholesky call; _each runs a kernel over a stack of
+different matrices, and if it raises, over each of them alone, so the
+error is the first one's own.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ SYMMETRY_RTOL = 1e-12
 # Cholesky pivots below this fraction of the largest diagonal entry are
 # rejected rather than regularized: silent jitter would corrupt verdicts.
 PIVOT_REL_FLOOR = 1e-13
+# Entries at most this large have differences that cannot overflow.
+_HALF_MAX = float(np.finfo(float).max) / 2
 
 
 def as_square(a, lead: int = 0) -> np.ndarray:
@@ -74,14 +77,15 @@ def require_symmetric(a) -> np.ndarray:
 
 
 def _within_least_slack(m: np.ndarray) -> bool:
-    """One pass over a whole stack for the common case: every entry finite
-    and no asymmetry above 1e-12, the smallest slack there is. Then each
-    matrix, and each diagonal block of each, passes require_symmetric's
-    test. Finiteness is settled first, so a NaN or inf is never subtracted."""
+    """One pass over a whole stack for the common case: every entry at most
+    half the largest double and no asymmetry above 1e-12, the smallest slack
+    there is. Then each matrix, and each diagonal block of each, passes
+    require_symmetric's test. The magnitude is settled first, so a NaN or
+    inf is never subtracted and a difference never overflows."""
     if not m.size:
         return True
     amax = float(np.maximum.reduce(np.abs(m), axis=None))
-    return math.isfinite(amax) and float(
+    return amax <= _HALF_MAX and float(
         np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2)), axis=None)) <= SYMMETRY_RTOL
 
 
@@ -93,7 +97,8 @@ def _judge_each(m: np.ndarray) -> None:
         at = np.flatnonzero(~finite)[0]
         raise NonFinite(f"non-finite entry (max |a_ij| = {float(amax.flat[at])})")
     slack = SYMMETRY_RTOL * np.maximum(amax, 1.0)
-    skew = np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1))
+    with np.errstate(over="ignore"):  # entries above _HALF_MAX: an inf skew fails
+        skew = np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1))
     over = skew > slack
     if np.logical_or.reduce(over, axis=None):
         at = np.flatnonzero(over)[0]

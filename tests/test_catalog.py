@@ -571,6 +571,14 @@ class TestOneD:
             a, b = Instance.from_json(split), Instance.from_json(whole)
             assert a.d.tobytes() == b.d.tobytes() == direct_sum(blocks).tobytes()
 
+    def test_from_json_blocks_win_over_whole_d(self):
+        payload = {"partition": [1, 2], "c": np.eye(3).tolist(), "d": np.zeros((3, 3)).tolist(),
+                   "d_blocks": [[[2.0]], np.eye(2).tolist()]}
+        assert Instance.from_json(payload).d.tobytes() == np.diag([2.0, 1.0, 1.0]).tobytes()
+        payload["d_blocks"] = [[[2.0]]]
+        with pytest.raises(DimensionMismatch, match=r"^1 D blocks for a 2-block partition$"):
+            Instance.from_json(payload)
+
 
 class TestOverflowingPower:
     @pytest.mark.parametrize("inequality,scale,p", [
@@ -990,7 +998,9 @@ class TestValidateOnce:
 
 class TestKernelCalls:
     """The diagonal blocks of one size go through each LAPACK routine in one
-    call, and a pencil factors C and D in one call: the counts are pinned."""
+    call, and a pencil factors C and D in one call: the counts are pinned.
+    choi factors each A_i's blocks in its own calls, and inv-square-sum
+    takes one block at a time."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -1010,12 +1020,31 @@ class TestKernelCalls:
         ("main-thm", (2, 3, 3), (3, 3, 3)),
         ("main-thm", (4, 4), (2, 2, 2)),
         ("matic", (2, 3, 3), (3, 0, 0)),
+        # A_1's and A_2's blocks, then their sums', per size; then the whole
+        ("choi", (2, 3, 3), (8, 0, 0)),
+        # D and C in one call, then their sum: per block, then the whole
+        ("inv-square-sum", (2, 3, 3), (8, 0, 0)),
     ])
     def test_one_call_per_block_size(self, rng, counts, inequality, sizes, want):
-        inst = Instance(partition=Partition(sizes), c=rand_pd(rng, 8, kappa=1e4),
-                        d_blocks=tuple(rand_pd(rng, s, kappa=1e4) for s in sizes))
+        c = rand_pd(rng, 8, kappa=1e4)
+        if SPECS[inequality].shape is Shape.MATS:
+            inst = Instance(partition=Partition(sizes), mats=(c, rand_pd(rng, 8, kappa=1e4)))
+        else:
+            inst = Instance(partition=Partition(sizes), c=c,
+                            d_blocks=tuple(rand_pd(rng, s, kappa=1e4) for s in sizes))
         run_check(inequality, inst)
         assert tuple(counts.values()) == want
+
+    def test_commuted_power_eighs_each_matrix_per_block_size(self, rng, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        sizes = (2, 3, 3)
+        inst = Instance(partition=Partition(sizes), c=rand_pd(rng, 8, kappa=1e4),
+                        d_blocks=tuple(rand_pd(rng, s, kappa=1e4) for s in sizes), p=2.0)
+        run_check("commuted-power", inst)
+        # C's blocks by size, D's blocks by size, then C whole
+        assert shapes == [(1, 2, 2), (2, 3, 3), (1, 2, 2), (2, 3, 3), (8, 8)]
 
     @pytest.mark.parametrize("trials", [1, 10, 64])
     def test_a_fuzz_chunk_calls_as_one_check(self, counts, trials):
@@ -1026,11 +1055,12 @@ class TestKernelCalls:
 
 class TestBlockErrorOrder:
     """Blocks stacked by size raise the error the blocks raise when checked
-    one at a time, as the checkers once did: block by block, each block's C
-    before its D, and for the per-matrix kernels of commuted-power and choi,
-    every block of one matrix before the next matrix."""
+    one at a time: block by block, each block's C before its D, and for the
+    per-matrix kernels of commuted-power and choi, every block of one matrix
+    before the next matrix."""
 
     P = Partition((2, 2))
+    P232 = Partition((2, 3, 2))
 
     @pytest.mark.parametrize("inequality, inst, message", [
         # C's block 2 and D's block 1 are below the pivot floor: block 1 first
@@ -1055,7 +1085,20 @@ class TestBlockErrorOrder:
         ("inv-square-sum", Instance(partition=P, c=np.diag([1.0, 1.0, 1e7, 1.0]),
                                     d=np.diag([1.0, 1.0, 1e7, 1.0])),
          "D^-2 + C^-2 (block 2): pivot 2.000e-14 at index 0 (floor 2.000e-13)"),
-    ], ids=["main-thm", "sv-weak-log", "matic", "commuted-power", "choi", "inv-square-sum"])
+        # on (2, 3, 2) the size-2 group holds blocks 1 and 3, and block 3
+        # fails before block 2 within it: block order crosses the groups
+        ("main-thm", Instance(partition=P232, c=np.diag([1.0, 1.0, 1.0, 1.0, 3e-14, 1.0, 1e-14]),
+                              d=np.eye(7)),
+         "pivot 3.000e-14 at index 2 (floor 1.000e-13)"),
+        ("matic", Instance(partition=P232, c=np.diag([1.0, 1.0, 1.0, 1.0, 3e-14, 1.0, 1e-14]),
+                           d=np.eye(7)),
+         "pivot 3.000e-14 at index 2 (floor 1.000e-13)"),
+        # A1 fails in block 3 and A2 in block 2: every block of A1 comes first
+        ("choi", Instance(partition=P232, mats=(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-14]),
+                                                np.diag([1.0, 1.0, 1.0, 1.0, 3e-14, 1.0, 1.0]))),
+         "pivot 1.000e-14 at index 1 (floor 1.000e-13)"),
+    ], ids=["main-thm", "sv-weak-log", "matic", "commuted-power", "choi", "inv-square-sum",
+            "main-thm-232", "matic-232", "choi-232"])
     def test_first_failing_block_raises(self, inequality, inst, message):
         with pytest.raises(NotPositiveDefinite) as info:
             run_check(inequality, inst)
@@ -1079,6 +1122,20 @@ class TestStackedValidation:
             with pytest.raises(NotSymmetric):
                 validate_instance(Shape.C, Instance(partition=Partition((2,)), c=stack), lead=1)
         require_symmetric(np.stack([big, np.eye(2)]))
+
+    # C - C^T overflows to inf; under the suite's warning filter a
+    # RuntimeWarning would replace the error
+    OVERFLOWING_SKEW = np.array([[1.0, 1e308], [-1e308, 1.0]])
+    INF_SKEW = r"^asymmetry inf exceeds tolerance 1\.000e\+296$"
+
+    def test_skew_that_overflows_raises_without_a_warning(self):
+        with pytest.raises(NotSymmetric, match=self.INF_SKEW):
+            run_check("ky-fan", Instance(partition=Partition((1, 1)), c=self.OVERFLOWING_SKEW))
+
+    def test_skew_that_overflows_in_a_stack_raises_without_a_warning(self):
+        stack = np.stack([np.eye(2), self.OVERFLOWING_SKEW])
+        with pytest.raises(NotSymmetric, match=self.INF_SKEW):
+            validate_instance(Shape.C, Instance(partition=Partition((2,)), c=stack), lead=1)
 
     @pytest.mark.parametrize("shape", list(Shape))
     def test_nan_in_any_member(self, rng, shape):

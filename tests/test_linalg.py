@@ -68,6 +68,12 @@ class TestCholesky:
         with pytest.raises(NotSymmetric):
             cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_skew_that_overflows_raises_without_a_warning(self):
+        # a - a^T overflows to inf; under the suite's warning filter a
+        # RuntimeWarning would replace the error
+        with pytest.raises(NotSymmetric, match=r"^asymmetry inf exceeds tolerance 1\.000e\+296$"):
+            require_symmetric(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
     def test_near_singular_pivot_floor(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.diag([1.0, 1e-14]))
