@@ -543,8 +543,9 @@ def _matic_verdicts(inst: Instance, tol: float) -> Verdicts:
 def _certify(factor, c_exact, d_exact, part: Partition):
     """(prod_i factor(Ci, Di), factor(C, D)) over the diagonal blocks and the
     whole of an exact C and D, on integers: C = C'/s and D = D'/t with C', D'
-    from clearing denominators, and factor(C', D', s, t, name) returns the
-    exact Fraction, name labelling the block ("" for the whole)."""
+    from clearing denominators (a Scaled C or D is used as it is), and
+    factor(C', D', s, t, name) returns the exact Fraction, name labelling
+    the block ("" for the whole)."""
     (c, s), (d, t) = exact.clear_denominators(c_exact), exact.clear_denominators(d_exact)
 
     def at(lo: int, hi: int, name: str) -> Fraction:
@@ -947,7 +948,8 @@ class Spec:
         tol, keyed by this Spec object, and reuses the verdicts
         (fuzzing._checked_reference).
     certify: (c_exact, d_exact, part) -> exact (lhs, rhs), with d_exact the
-        whole exact D, block diagonal for a block-D id.
+        whole exact D, block diagonal for a block-D id; each an exact.Scaled
+        (as the CLI reads it) or a matrix of Fractions.
 
     Entries reach the certifiers through lambdas that look up their
     module-level names, so a patch of a module attribute (a tracer's, a

@@ -5,9 +5,13 @@ also reads the matrices of stored instances): Python's json module would
 otherwise accept NaN and Infinity, and numpy reads true as 1 and "1" as
 1.0. "exact" holds per-entry
 ["numerator", "denominator"] pairs of integer strings or JSON integers
-(not floats, which int() would truncate, nor booleans) and, when present,
-must agree with rows to 1e-12 after division; it enables exact rational
-certification of determinant comparisons.
+(not floats, which int() would truncate, nor booleans), each denominator
+nonzero and of either sign, in lowest terms or not. When present, each pair
+divided out (correctly rounded, as float(Fraction) is) must agree with rows
+to 1e-12, and the exact matrix must be exactly symmetric. It is read once
+into integers, as an exact.Scaled: an integer matrix over its least common
+denominator, which the exact certification of determinant comparisons
+takes as it is.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadEntry, BadMatrixFile, MajdetError, NonFinite
+from .exact import Scaled, from_pairs
 
 
 def write_matrix(path, rows: np.ndarray, exact=None) -> None:
@@ -50,8 +55,12 @@ def number_array(rows) -> np.ndarray:
     return arr
 
 
-def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
-    """Parse a matrix file; returns (float array, exact rationals or None)."""
+# The JSON types of a part of an exact pair (not bool, whose type is its own).
+_PART_TYPES = frozenset((str, int))
+
+
+def read_matrix(path) -> tuple[np.ndarray, Scaled | None]:
+    """Parse a matrix file; returns (float array, exact part or None)."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
@@ -69,29 +78,43 @@ def read_matrix(path) -> tuple[np.ndarray, list[list[Fraction]] | None]:
         arr = number_array(rows)
     except MajdetError as err:
         raise BadMatrixFile(f"{path}: {err}") from err
-    exact = None
-    if "exact" in payload:
-        raw = payload["exact"]
-        if (not isinstance(raw, list) or len(raw) != n
-                or any(not isinstance(r, list) or len(r) != n for r in raw)):
-            raise BadMatrixFile(f"{path}: 'exact' must be a {n}x{n} array of pairs")
+    if "exact" not in payload:
+        return arr, None
+    raw = payload["exact"]
+    if (not isinstance(raw, list) or len(raw) != n
+            or any(not isinstance(r, list) or len(r) != n for r in raw)):
+        raise BadMatrixFile(f"{path}: 'exact' must be a {n}x{n} array of pairs")
+    for row in raw:
+        for pair in row:
+            if type(pair) is not list or not _PART_TYPES.issuperset(map(type, pair)):
+                raise BadMatrixFile(f"{path}: exact entry {pair!r} is not a pair of "
+                                    "integer strings or integers")
+    # (numerator, denominator) ints, the first bad entry in row order
+    # raising as Fraction(num, den) would
+    pairs = []
+    try:
         for row in raw:
-            for pair in row:
-                if not isinstance(pair, list) or any(
-                        isinstance(part, bool) or not isinstance(part, (str, int))
-                        for part in pair):
-                    raise BadMatrixFile(f"{path}: exact entry {pair!r} is not a pair of "
-                                        "integer strings or integers")
-        try:
-            exact = [
-                [Fraction(int(num), int(den)) for num, den in row] for row in raw
-            ]
-        except (TypeError, ValueError, ZeroDivisionError) as err:
-            raise BadMatrixFile(f"{path}: bad exact entry ({err})") from err
-        try:
-            approx = np.array([[float(f) for f in row] for row in exact])
-        except OverflowError as err:
-            raise BadMatrixFile(f"{path}: exact entry out of float range ({err})") from err
-        if np.max(np.abs(approx - arr)) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
-            raise BadMatrixFile(f"{path}: 'exact' disagrees with 'rows'")
+            parsed = []
+            for num, den in row:
+                num, den = int(num), int(den)
+                if not den:
+                    raise ZeroDivisionError(f"Fraction({num}, 0)")
+                parsed.append((num, den))
+            pairs.append(parsed)
+    except (ValueError, ZeroDivisionError) as err:
+        raise BadMatrixFile(f"{path}: bad exact entry ({err})") from err
+    try:
+        approx = np.array([[num / den for num, den in row] for row in pairs])
+    except OverflowError as err:
+        raise BadMatrixFile(f"{path}: exact entry out of float range ({err})") from err
+    if np.max(np.abs(approx - arr)) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
+        raise BadMatrixFile(f"{path}: 'exact' disagrees with 'rows'")
+    exact = from_pairs(pairs)
+    ints = exact.ints
+    for i in range(n):
+        for j in range(i + 1, n):
+            if ints[i][j] != ints[j][i]:
+                upper, lower = (Fraction(x, exact.scale) for x in (ints[i][j], ints[j][i]))
+                raise BadMatrixFile(f"{path}: 'exact' is not symmetric: entry ({i}, {j}) "
+                                    f"is {upper} but entry ({j}, {i}) is {lower}")
     return arr, exact

@@ -8,6 +8,7 @@ determinants: 1e-3). Hermetic: no file or network inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,12 @@ from . import refdata
 from .blocks import diag_blocks, direct_sum
 from .catalog import (
     Instance,
-    check_p_grid,
+    check_validated,
     evaluate_general,
     inv_square_sum_exact,
     product_spectra,
+    spec_of,
+    validate_instance,
 )
 from .linalg import eig_pencil
 from .orders import OrderKind, check_order
@@ -134,11 +137,15 @@ def run_ex26() -> ScenarioResult:
     closed_ok = all(refdata.neg_power_g(q) > refdata.neg_power_f(q) for q in grid)
     part = refdata.NEG_POWER_PART
     inst = Instance(partition=part, c=refdata.NEG_POWER_C, d=refdata.NEG_POWER_D)
-    verdicts = check_p_grid("neg-power", inst, [-q for q in grid])
-    matrix_ok = True
-    for q, verdict in zip(grid, verdicts):
-        gap = abs(verdict.lhs - refdata.neg_power_g(q)) + abs(verdict.rhs - refdata.neg_power_f(q))
-        if verdict.holds or gap > 1e-6 * max(1.0, refdata.neg_power_g(q)):
+    ps = [-q for q in grid]
+    spec = spec_of("neg-power")
+    spec.split.require(ps)
+    verdicts = check_validated("neg-power", validate_instance(spec.shape, inst), ps)
+    matrix_ok = not verdicts.holds.any()
+    for q, llhs, lrhs in zip(grid, *(side[:, 0].tolist() for side in verdicts.log_sides)):
+        gap = (abs(math.exp(llhs) - refdata.neg_power_g(q))
+               + abs(math.exp(lrhs) - refdata.neg_power_f(q)))
+        if gap > 1e-6 * max(1.0, refdata.neg_power_g(q)):
             matrix_ok = False
     rows = (
         ScenarioRow("f(1) = 2 + 2*5^q at q=1", refdata.neg_power_f(1.0), 12.0, 0.0),

@@ -1,22 +1,27 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import majdet
 from majdet import cli, refdata
 from majdet.blocks import Partition, diag_blocks
-from majdet.catalog import SPECS, Shape, run_check
+from majdet.catalog import SPECS, Shape, inv_square_sum_exact, matic_exact, run_check
 from majdet.cli import build_parser, main
 from majdet.errors import BadMatrixFile
-from majdet.exact import rational_matrix
+from majdet.exact import Scaled, clear_denominators, rational_matrix
 from majdet.fuzzing import GenConfig, build_instance, derive_seed
 from majdet.matio import read_matrix, write_matrix
 
@@ -52,7 +57,7 @@ class TestMatrixFiles:
         path = tmp_path / "c.json"
         write_matrix(path, refdata.INV_SQ_C, exact=refdata.INV_SQ_C_EXACT)
         arr, exact = read_matrix(path)
-        assert exact == refdata.INV_SQ_C_EXACT
+        assert exact == clear_denominators(refdata.INV_SQ_C_EXACT)
         np.testing.assert_array_equal(arr, refdata.INV_SQ_C)
 
     def test_not_json(self, tmp_path):
@@ -119,8 +124,23 @@ class TestMatrixFiles:
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"n": 1, "rows": [[1.5]], "exact": [[pair]]}))
         arr, exact = read_matrix(path)
-        assert exact == [[Fraction(3, 2)]]
+        assert exact == Scaled([[3]], 2)
         assert arr.tolist() == [[1.5]]
+
+    @pytest.mark.parametrize("exact, reason", [
+        ([[["1", "0"]]], "Fraction(1, 0)"),
+        ([[["1", "2", "3"]]], "too many values to unpack (expected 2)"),
+        ([[[1, 2], ["1", "0"]], [[1, 2, 3], [1, 1]]], "Fraction(1, 0)"),
+        ([[["1" + "0" * 400, "1"], [1, 2, 3]], [[1, 1], [1, 1]]],
+         "too many values to unpack (expected 2)"),
+    ], ids=["zero-denominator", "three-parts", "first-in-row-order", "before-float-range"])
+    def test_bad_exact_entry_message(self, tmp_path, exact, reason):
+        n = len(exact)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": n, "rows": np.eye(n).tolist(), "exact": exact}))
+        with pytest.raises(BadMatrixFile) as err:
+            read_matrix(path)
+        assert str(err.value) == f"{path}: bad exact entry ({reason})"
 
 
 class TestVerifyPaper:
@@ -313,6 +333,20 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert "block diagonal" in err
 
+    def test_asymmetric_exact_part_exit_one(self, capsys, tmp_path):
+        # the exact C agrees with its symmetric rows to 1e-12, but C[1][0] is
+        # not C[0][1], so there is no symmetric matrix to certify
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
+        c_path.write_text(json.dumps({
+            "n": 2, "rows": [[2, 1 / 3], [1 / 3, 2]],
+            "exact": [[[2, 1], [1, 3]], [[333333333333333, 10**15], [2, 1]]]}))
+        d_path.write_text(json.dumps({"n": 1, "rows": [[1]], "exact": [[[1, 1]]]}))
+        code, out, err = run_cli(capsys, "check", "matic", "--c", str(c_path),
+                                 "--d", str(d_path), str(d_path), "--part", "1,1")
+        assert (code, out) == (1, "")
+        assert err == (f"majdet: error: {c_path}: 'exact' is not symmetric: entry (0, 1) "
+                       "is 1/3 but entry (1, 0) is 333333333333333/1000000000000000\n")
+
     def test_bad_partition_exit_one(self, capsys, tmp_path):
         paths = write_ref_files(tmp_path)
         code, _, err = run_cli(
@@ -374,6 +408,75 @@ class TestCheck:
             paths.append(str(p))
         code, out, _ = run_cli(capsys, "check", "choi", "--a", *paths, "--part", "2,2")
         assert code == 0
+
+
+def rational_pd(draw, n: int) -> list[list[Fraction]]:
+    """A symmetric n x n Fraction matrix with a positive diagonal that
+    strictly dominates each row, so positive definite."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.fractions(-3, 3, max_denominator=12))
+    for i, row in enumerate(m):
+        row[i] = sum(map(abs, row)) + draw(st.fractions(Fraction(1, 4), 4, max_denominator=12))
+    return m
+
+
+def write_exact_file(draw, path: Path, m) -> str:
+    """A matrix file of m whose exact pairs take every spelling a file may
+    use: scaled by 1 to 3 or by -1 to -3, each part a string or an integer."""
+    def pair(x: Fraction) -> list:
+        k = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+        return [draw(st.sampled_from((str, int)))(v * k) for v in (x.numerator, x.denominator)]
+
+    path.write_text(json.dumps({"n": len(m), "rows": [[float(x) for x in row] for row in m],
+                                "exact": [[pair(x) for x in row] for row in m]}))
+    return str(path)
+
+
+def fraction_direct_sum(blocks) -> list[list[Fraction]]:
+    n = sum(map(len, blocks))
+    out = [[Fraction(0)] * n for _ in range(n)]
+    lo = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[lo + i][lo:lo + len(b)] = row
+        lo += len(b)
+    return out
+
+
+EXACT_CERTIFIERS = {"matic": matic_exact, "matic-general-d": matic_exact,
+                    "inv-square-sum": inv_square_sum_exact}
+
+
+@given(data=st.data(), inequality=st.sampled_from(sorted(EXACT_CERTIFIERS)),
+       sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_exact_certificate_from_files_matches_library(data, inequality, sizes):
+    """The CLI's exact certificate on files is the library's on the same
+    Fractions, whatever denominators and spellings each file uses."""
+    part = Partition(tuple(sizes))
+    c = rational_pd(data.draw, part.n)
+    if inequality == "matic-general-d":
+        blocks = [d := rational_pd(data.draw, part.n)]
+    else:
+        blocks = [rational_pd(data.draw, size) for size in sizes]
+        d = fraction_direct_sum(blocks)
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        c_file = write_exact_file(data.draw, Path(tmp) / "c.json", c)
+        d_files = [write_exact_file(data.draw, Path(tmp) / f"d{i}.json", b)
+                   for i, b in enumerate(blocks)]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", inequality, "--c", c_file, "--d", *d_files,
+                         "--part", ",".join(map(str, sizes))])
+    lhs, rhs = EXACT_CERTIFIERS[inequality](c, d, part)
+    assert code in (0, 2)
+    assert json.loads(stdout.getvalue())["exact"] == {
+        "lhs": f"{lhs.numerator}/{lhs.denominator}",
+        "rhs": f"{rhs.numerator}/{rhs.denominator}",
+        "holds": lhs <= rhs,
+    }
 
 
 def instance_args(tmp_path, shape: Shape, inst) -> list[str]:

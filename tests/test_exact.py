@@ -9,8 +9,11 @@ from majdet.blocks import Partition
 from majdet.catalog import inv_square_sum_exact, matic_exact
 from majdet.errors import DimensionMismatch, SingularMatrix
 from majdet.exact import (
+    Scaled,
     clear_denominators,
     det_exact,
+    direct_sum,
+    from_pairs,
     inverse_exact,
     mat_mul,
     rational_matrix,
@@ -112,6 +115,37 @@ def test_clear_denominators_is_exact(rng):
     assert all(type(x) is int for row in a for x in row)
     assert [[Fraction(x, s) for x in row] for row in a] == m
     assert s == math.lcm(*(x.denominator for row in m for x in row))
+
+
+class TestScaled:
+    """Scaled is the one canonical integer form of a rational matrix."""
+
+    def test_clear_denominators_passes_a_scaled_through(self, rng):
+        scaled = clear_denominators(random_rational(rng, 3))
+        assert isinstance(scaled, Scaled)
+        assert clear_denominators(scaled) is scaled
+
+    def test_from_pairs_equals_clear_denominators(self, rng):
+        m = random_rational(rng, 4)
+        pairs = [[(x.numerator * k, x.denominator * k) for x in row]
+                 for k, row in zip((1, -1, 6, -35), m)]
+        assert from_pairs(pairs) == clear_denominators(m)
+        assert from_pairs([[(2, 4), (-6, -3)], [(0, -5), (3, 9)]]) == Scaled([[3, 12], [0, 2]], 6)
+
+    def test_direct_sum_rescales_to_the_lcm(self, rng):
+        blocks = [random_rational(rng, k) for k in (1, 3, 2)]
+        joined = [[Fraction(0)] * 6 for _ in range(6)]
+        for lo, b in zip((0, 1, 4), blocks):
+            for i, row in enumerate(b):
+                joined[lo + i][lo:lo + len(b)] = row
+        assert direct_sum([clear_denominators(b) for b in blocks]) == clear_denominators(joined)
+
+    @pytest.mark.parametrize("certify", [matic_exact, inv_square_sum_exact])
+    def test_certifiers_take_scaled_or_fractions(self, rng, certify):
+        part = Partition((2, 3))
+        c, d = rational_pd(rng, part.n), rational_pd(rng, part.n)
+        assert (certify(clear_denominators(c), clear_denominators(d), part)
+                == certify(c, d, part))
 
 
 class TestDetAgainstFractionBareiss:
