@@ -37,6 +37,18 @@ def mat_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def fraction_direct_sum(blocks) -> RationalMatrix:
+    """Block-diagonal assembly of square Fraction matrices."""
+    n = sum(map(len, blocks))
+    out = [[Fraction(0)] * n for _ in range(n)]
+    lo = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[lo + i][lo:lo + len(b)] = row
+        lo += len(b)
+    return out
+
+
 def stack_instances(insts) -> Instance:
     """One Instance whose matrices are those of insts stacked along a new
     leading axis, in order, as the fuzzer draws a stack; insts share matrix

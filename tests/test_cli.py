@@ -25,7 +25,7 @@ from majdet.exact import Scaled, clear_denominators, rational_matrix
 from majdet.fuzzing import GenConfig, build_instance, derive_seed
 from majdet.matio import read_matrix, write_matrix
 
-from oracles import rand_pd
+from oracles import fraction_direct_sum, rand_pd
 
 
 def run_cli(capsys, *argv):
@@ -119,7 +119,8 @@ class TestMatrixFiles:
         with pytest.raises(BadMatrixFile, match="is not a pair of integer strings or integers"):
             read_matrix(path)
 
-    @pytest.mark.parametrize("pair", [["3", "2"], [3, 2], ["3", 2], [-3, "-2"]])
+    @pytest.mark.parametrize("pair", [["3", "2"], [3, 2], ["3", 2], [-3, "-2"],
+                                      ["3" + "0" * 400, "2" + "0" * 400]])
     def test_exact_parts_strings_or_integers(self, tmp_path, pair):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"n": 1, "rows": [[1.5]], "exact": [[pair]]}))
@@ -432,17 +433,6 @@ def write_exact_file(draw, path: Path, m) -> str:
     path.write_text(json.dumps({"n": len(m), "rows": [[float(x) for x in row] for row in m],
                                 "exact": [[pair(x) for x in row] for row in m]}))
     return str(path)
-
-
-def fraction_direct_sum(blocks) -> list[list[Fraction]]:
-    n = sum(map(len, blocks))
-    out = [[Fraction(0)] * n for _ in range(n)]
-    lo = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[lo + i][lo:lo + len(b)] = row
-        lo += len(b)
-    return out
 
 
 EXACT_CERTIFIERS = {"matic": matic_exact, "matic-general-d": matic_exact,

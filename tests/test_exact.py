@@ -21,7 +21,13 @@ from majdet.exact import (
 )
 from majdet.linalg import logdet_pd
 
-from oracles import det_fraction_bareiss, inv_square_sum_det_by_inverse, mat_add, rand_pd
+from oracles import (
+    det_fraction_bareiss,
+    fraction_direct_sum,
+    inv_square_sum_det_by_inverse,
+    mat_add,
+    rand_pd,
+)
 
 
 def test_rational_matrix_inputs():
@@ -134,11 +140,8 @@ class TestScaled:
 
     def test_direct_sum_rescales_to_the_lcm(self, rng):
         blocks = [random_rational(rng, k) for k in (1, 3, 2)]
-        joined = [[Fraction(0)] * 6 for _ in range(6)]
-        for lo, b in zip((0, 1, 4), blocks):
-            for i, row in enumerate(b):
-                joined[lo + i][lo:lo + len(b)] = row
-        assert direct_sum([clear_denominators(b) for b in blocks]) == clear_denominators(joined)
+        assert (direct_sum([clear_denominators(b) for b in blocks])
+                == clear_denominators(fraction_direct_sum(blocks)))
 
     @pytest.mark.parametrize("certify", [matic_exact, inv_square_sum_exact])
     def test_certifiers_take_scaled_or_fractions(self, rng, certify):
