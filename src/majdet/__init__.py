@@ -13,7 +13,7 @@ from .catalog import (
     identity_abs_square,
     run_check,
 )
-from .exact import det_exact, inverse_exact, rational_matrix
+from .exact import det_exact
 from .fuzzing import FuzzReport, GenConfig, GenStyle, TrialRecord, fuzz, gen_pd, replay
 from .linalg import (
     cholesky,
@@ -21,10 +21,6 @@ from .linalg import (
     eigh_sym,
     eigvals_sym,
     hyperbolic_power,
-    is_pd,
-    logdet_pd,
-    pd_inverse,
-    singular_values,
 )
 from .orders import (
     OrderKind,
@@ -42,10 +38,9 @@ __all__ = [
     "EVALUATOR_IDS", "INEQUALITY_IDS", "THEOREM_IDS",
     "InequalityVerdict", "Instance",
     "evaluate_general", "identity_abs_square", "run_check",
-    "det_exact", "inverse_exact", "rational_matrix",
+    "det_exact",
     "FuzzReport", "GenConfig", "GenStyle", "TrialRecord", "fuzz", "gen_pd", "replay",
     "cholesky", "eig_pencil", "eigh_sym", "eigvals_sym", "hyperbolic_power",
-    "is_pd", "logdet_pd", "pd_inverse", "singular_values",
     "OrderKind", "OrderReport", "check_order", "geometric_mean", "power_mean", "sort_desc",
     "__version__",
 ]

@@ -591,14 +591,15 @@ def identity_abs_square(c, d_blocks, part: Partition,
     normalized residual, so holds == (margin >= -tol).
     """
     require_tol(tol)
-    inst = validate_instance(Shape.BLOCK_D, assemble(Shape.BLOCK_D, part, (c, *d_blocks)))
-    block_svs, s_full = _product_singular_values(inst.c, inst.d, part)
-    inv_sq_blocks, inv_sq_full = _inv_square_sum_logdets(inst.c, inst.d, part)
-    d_blocks_logdet = _blockwise(_logdet, inst.d, part)
-    lg = float(_sum_log1p_power(s_full, (2.0,))[0])
-    rg = float(inv_sq_full + 2.0 * _logdet(inst.d))
-    lb = float(sum(_sum_log1p_power(s, (2.0,))[0] for s in block_svs))
-    rb = float(sum(x + 2.0 * y for x, y in zip(inv_sq_blocks, d_blocks_logdet)))
+    with np.errstate(all="ignore"):  # an overflow fails in a kernel's own checks
+        inst = validate_instance(Shape.BLOCK_D, assemble(Shape.BLOCK_D, part, (c, *d_blocks)))
+        block_svs, s_full = _product_singular_values(inst.c, inst.d, part)
+        inv_sq_blocks, inv_sq_full = _inv_square_sum_logdets(inst.c, inst.d, part)
+        d_blocks_logdet = _blockwise(_logdet, inst.d, part)
+        lg = float(_sum_log1p_power(s_full, (2.0,))[0])
+        rg = float(inv_sq_full + 2.0 * _logdet(inst.d))
+        lb = float(sum(_sum_log1p_power(s, (2.0,))[0] for s in block_svs))
+        rb = float(sum(x + 2.0 * y for x, y in zip(inv_sq_blocks, d_blocks_logdet)))
     res_global = abs(lg - rg) / max(1.0, abs(lg), abs(rg))
     res_block = abs(lb - rb) / max(1.0, abs(lb), abs(rb))
     worst = max(res_global, res_block)
@@ -789,8 +790,7 @@ GridStep = Callable[[Sequence[float], float], Verdicts]
 
 def _powers(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     """x**p for each p of ps, as a (P, ...) stack; an overflow is left inf."""
-    with np.errstate(over="ignore"):
-        return np.stack([x**p for p in ps])
+    return np.stack([x**p for p in ps])
 
 
 def _sum_log1p_power(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
@@ -824,8 +824,7 @@ def _prepare_thm32(inst: Instance) -> GridStep:
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         # check_orders rejects an overflowed power
-        with np.errstate(over="ignore"):
-            yp = np.stack([_rowwise(lambda row: row**p, y) for p in ps])
+        yp = np.stack([_rowwise(lambda row: row**p, y) for p in ps])
         return _order_verdicts(OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol, ps,
                                detail=lambda k, i: {"m": len(mats)})
 
@@ -1058,21 +1057,23 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
     instances of a stack of them in stack order, at each exponent of ps,
     with the id and what their fingerprints hash (_hashed) set from the
     Spec. The exponents must have passed the id's PSplit.require; an id
-    without an exponent ignores ps and gives one row."""
+    without an exponent ignores ps and gives one row. numpy's floating-point
+    warnings are off: the kernels' own checks judge an overflow."""
     spec = spec_of(inequality)
-    if spec.split is None:
-        verdicts = spec.check(inst, tol)
-    else:
-        step = spec.split.prepare(inst)
-        try:
-            verdicts = step(ps, tol)
-        except MajdetError:
-            # The grid stops at its first failing kernel call over all
-            # exponents; one exponent at a time raises the error of the first
-            # failing exponent.
-            for p in ps:
-                step((p,), tol)
-            raise
+    with np.errstate(all="ignore"):
+        if spec.split is None:
+            verdicts = spec.check(inst, tol)
+        else:
+            step = spec.split.prepare(inst)
+            try:
+                verdicts = step(ps, tol)
+            except MajdetError:
+                # The grid stops at its first failing kernel call over all
+                # exponents; one exponent at a time raises the error of the
+                # first failing exponent.
+                for p in ps:
+                    step((p,), tol)
+                raise
     verdicts.inequality, verdicts.hashed = inequality, _hashed(spec.shape, inst)
     return verdicts
 

@@ -9,9 +9,8 @@ Fractions, ints or anything Fraction() takes, and passes a Scaled through.
 A determinant is det(m) = det(A)/s^n, with det(A) from
 Bareiss's fraction-free elimination (every division is an exact integer
 division, bit growth stays polynomial), so no step normalizes a fraction;
-a Fraction is built only for the result. The inverse is Gauss-Jordan over
-the rationals. These back the zero-tolerance certification of strict
-inequality violations.
+a Fraction is built only for the result. These back the zero-tolerance
+certification of strict inequality violations.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch
 
 RationalMatrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
@@ -33,25 +32,6 @@ class Scaled(NamedTuple):
 
     ints: IntMatrix
     scale: int
-
-
-def rational_matrix(rows) -> RationalMatrix:
-    """Build a rational matrix from ints, Fractions, strings, or (num, den) pairs."""
-    out: RationalMatrix = []
-    for row in rows:
-        r = []
-        for entry in row:
-            if isinstance(entry, Fraction):
-                r.append(entry)
-            elif isinstance(entry, (tuple, list)) and len(entry) == 2:
-                r.append(Fraction(int(entry[0]), int(entry[1])))
-            else:
-                r.append(Fraction(entry))
-        out.append(r)
-    n = len(out)
-    if any(len(r) != n for r in out):
-        raise DimensionMismatch("rational matrix must be square")
-    return out
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -134,27 +114,3 @@ def det_exact(m: RationalMatrix) -> Fraction:
         raise DimensionMismatch("determinant needs a square matrix")
     a, s = clear_denominators(m)
     return Fraction(det_int(a), s ** n)
-
-
-def inverse_exact(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan elimination with partial (nonzero) pivoting."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("inverse needs a square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for i in range(n):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    break
-            else:
-                raise SingularMatrix(f"zero pivot column {i}")
-        piv = a[i][i]
-        a[i] = [v / piv for v in a[i]]
-        for r in range(n):
-            if r != i and a[r][i] != 0:
-                f = a[r][i]
-                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
-    return [row[n:] for row in a]

@@ -227,33 +227,34 @@ def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
     blocks = [np.empty((count, size, size)) for size, *_ in roles]
     scales = np.empty((len(roles), count))
     idxs = []
-    for t, trial in enumerate(trials):
-        rng = trial_rng(cfg, trial)
-        for j, (size, kappa, bias) in enumerate(roles):
-            if spectral:
-                if kappa > 1.0:
-                    rng.random(out=uniforms[j][t])
-                rng.standard_normal(out=blocks[j][t])
-            else:
-                for _ in range(100):
-                    g = rng.standard_normal((size, size)) * cfg.entry_scale
-                    a = g @ g.T + 1e-3 * size * np.eye(size)
-                    a = (a + a.T) / 2.0
-                    w = eigvals_sym(a)
-                    if w[0] <= kappa * w[-1]:
-                        break
+    with np.errstate(all="ignore"):  # an overflowed draw fails validation
+        for t, trial in enumerate(trials):
+            rng = trial_rng(cfg, trial)
+            for j, (size, kappa, bias) in enumerate(roles):
+                if spectral:
+                    if kappa > 1.0:
+                        rng.random(out=uniforms[j][t])
+                    rng.standard_normal(out=blocks[j][t])
                 else:
-                    raise ResampleExhausted(f"no draw met kappa_max={kappa:g} in 100 attempts")
-                blocks[j][t] = a
-            if bias:
-                # hunt in the regime of strongly unequal block scales
-                scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
-        if idx:
-            size = int(rng.integers(1, n + 1))
-            idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-    mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
-    return [m * scale[:, None, None] if bias else m
-            for m, scale, (*_, bias) in zip(mats, scales, roles)], idxs
+                    for _ in range(100):
+                        g = rng.standard_normal((size, size)) * cfg.entry_scale
+                        a = g @ g.T + 1e-3 * size * np.eye(size)
+                        a = (a + a.T) / 2.0
+                        w = eigvals_sym(a)
+                        if w[0] <= kappa * w[-1]:
+                            break
+                    else:
+                        raise ResampleExhausted(f"no draw met kappa_max={kappa:g} in 100 attempts")
+                    blocks[j][t] = a
+                if bias:
+                    # hunt in the regime of strongly unequal block scales
+                    scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
+            if idx:
+                size = int(rng.integers(1, n + 1))
+                idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+        mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
+        return [m * scale[:, None, None] if bias else m
+                for m, scale, (*_, bias) in zip(mats, scales, roles)], idxs
 
 
 def _injects(spec: Spec, trials: range) -> bool:

@@ -13,9 +13,10 @@ stack of them, with numpy's stacked LAPACK calls, so a stack costs one call
 per kernel and its results equal the per-matrix calls bit for bit. Kernels
 do no input validation; they keep only the checks that follow from the
 computation (a non-finite operand, which a derived matrix can overflow to,
-the pivot floor, a non-positive spectrum). The public functions take one
-matrix, validate it with as_square and require_symmetric, and then run the
-same kernel. require_symmetric also takes a stack, with each matrix judged
+the pivot floor, a non-positive spectrum). The public functions (cholesky,
+eigh_sym, eigvals_sym, eig_pencil and hyperbolic_power) take one matrix or
+pair, validate it with as_square and require_symmetric, and then run the
+kernels. require_symmetric also takes a stack, with each matrix judged
 on its own slack, so the catalog validates each input matrix, or a whole
 stack of them, once and calls the kernels directly.
 
@@ -163,23 +164,9 @@ def cholesky(a) -> np.ndarray:
     return _cholesky(require_symmetric(as_square(a)))
 
 
-def is_pd(a) -> bool:
-    """Operational membership test: does Cholesky succeed?"""
-    try:
-        cholesky(a)
-    except (NotPositiveDefinite, NotSymmetric, NonFinite, DimensionMismatch):
-        return False
-    return True
-
-
 def _pd_inverse(m: np.ndarray) -> np.ndarray:
     low_inv = np.linalg.inv(_cholesky(m))
     return symmetrize(low_inv.swapaxes(-1, -2) @ low_inv)
-
-
-def pd_inverse(a) -> np.ndarray:
-    """Inverse of a positive definite matrix, L^-T L^-1 from its Cholesky factor."""
-    return _pd_inverse(require_symmetric(as_square(a)))
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,14 +206,6 @@ def _singular_values(x: np.ndarray) -> np.ndarray:
         return np.linalg.svd(x, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd: {exc}") from exc
-
-
-def singular_values(x) -> np.ndarray:
-    """Singular values of a square matrix, sorted nonincreasing (LAPACK SVD).
-
-    Raises NonFinite on a NaN or infinite entry.
-    """
-    return _singular_values(as_square(x))
 
 
 def _each(kernel, stack: np.ndarray):
@@ -275,11 +254,6 @@ def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def pd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) with a = V diag(w) V^T for symmetric positive definite a."""
-    return _pd_eigh(require_symmetric(as_square(a)))
-
-
 def _rowwise(f, x: np.ndarray) -> np.ndarray:
     """f(x) for an elementwise numpy function f, applied to each row of x
     (the last axis) on its own.
@@ -296,7 +270,7 @@ def _rowwise(f, x: np.ndarray) -> np.ndarray:
 
 def eigh_powers(w: np.ndarray, v: np.ndarray, ps) -> np.ndarray:
     """a^p for each exponent of ps, from the decomposition (w, V) =
-    pd_eigh(a) or a stack of them: a (P, ..., n, n) stack, one product for
+    _pd_eigh(a) or a stack of them: a (P, ..., n, n) stack, one product for
     all the exponents."""
     wp = np.stack([_rowwise(lambda row: row**p, w) for p in ps])
     return symmetrize((v * wp[..., None, :]) @ v.swapaxes(-1, -2))
@@ -314,7 +288,7 @@ def hyperbolic_power(a, b, p: float) -> np.ndarray:
     if ma.shape != mb.shape:
         raise DimensionMismatch(f"{ma.shape} vs {mb.shape}")
     cholesky(ma)
-    wb, vb = pd_eigh(mb)
+    wb, vb = _pd_eigh(require_symmetric(mb))
     sq = np.sqrt(wb)
     b_half = (vb * sq) @ vb.T
     b_half_inv = (vb / sq) @ vb.T
@@ -327,8 +301,3 @@ def hyperbolic_power(a, b, p: float) -> np.ndarray:
 def _logdet(m: np.ndarray):
     # np.add.reduce is what np.sum runs, without its dispatch
     return 2.0 * np.add.reduce(np.log(_diagonal(_cholesky(m))), axis=-1)
-
-
-def logdet_pd(a) -> float:
-    """log det of a positive definite matrix, overflow-safe."""
-    return float(_logdet(require_symmetric(as_square(a))))

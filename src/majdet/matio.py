@@ -3,10 +3,10 @@
 Every entry of "rows" must be a finite JSON number (number_array, which
 also reads the matrices of stored instances): Python's json module would
 otherwise accept NaN and Infinity, and numpy reads true as 1 and "1" as
-1.0. "exact" holds per-entry
-["numerator", "denominator"] pairs of integer strings or JSON integers
-(not floats, which int() would truncate, nor booleans), each denominator
-nonzero and of either sign, in lowest terms or not. When present, each pair
+1.0. "exact" holds per-entry ["numerator", "denominator"] pairs of integer
+strings (an optional sign and ASCII digits) or JSON integers (not floats,
+which int() would truncate, nor booleans), each denominator nonzero and of
+either sign, in lowest terms or not. When present, each pair
 divided out (correctly rounded, as float(Fraction) is) must agree with rows
 to 1e-12, and the exact matrix must be exactly symmetric. It is read once
 into integers, as an exact.Scaled: an integer matrix over its least common
@@ -55,8 +55,13 @@ def number_array(rows) -> np.ndarray:
     return arr
 
 
-# The JSON types of a part of an exact pair (not bool, whose type is its own).
-_PART_TYPES = frozenset((str, int))
+def _is_integer(part) -> bool:
+    """A JSON integer (not a bool), or a string of an optional sign and ASCII
+    digits: no spaces, underscores or other digits, which int() also takes."""
+    if type(part) is int:
+        return True
+    return type(part) is str and part.isascii() and (
+        part.isdigit() or part[:1] in "+-" and part[1:].isdigit())
 
 
 def read_matrix(path) -> tuple[np.ndarray, Scaled | None]:
@@ -84,25 +89,23 @@ def read_matrix(path) -> tuple[np.ndarray, Scaled | None]:
     if (not isinstance(raw, list) or len(raw) != n
             or any(not isinstance(r, list) or len(r) != n for r in raw)):
         raise BadMatrixFile(f"{path}: 'exact' must be a {n}x{n} array of pairs")
-    for row in raw:
-        for pair in row:
-            if type(pair) is not list or not _PART_TYPES.issuperset(map(type, pair)):
-                raise BadMatrixFile(f"{path}: exact entry {pair!r} is not a pair of "
-                                    "integer strings or integers")
-    # (numerator, denominator) ints, the first bad entry in row order
-    # raising as Fraction(num, den) would
+    # (numerator, denominator) ints; the first bad entry in row order raises
     pairs = []
-    try:
-        for row in raw:
-            parsed = []
-            for num, den in row:
-                num, den = int(num), int(den)
-                if not den:
-                    raise ZeroDivisionError(f"Fraction({num}, 0)")
-                parsed.append((num, den))
-            pairs.append(parsed)
-    except (ValueError, ZeroDivisionError) as err:
-        raise BadMatrixFile(f"{path}: bad exact entry ({err})") from err
+    for i, row in enumerate(raw):
+        parsed = []
+        for j, pair in enumerate(row):
+            if (type(pair) is not list or len(pair) != 2
+                    or not (_is_integer(pair[0]) and _is_integer(pair[1]))):
+                raise BadMatrixFile(f"{path}: exact entry ({i}, {j}) {pair!r} is not a pair "
+                                    "of integer strings or integers")
+            try:
+                num, den = int(pair[0]), int(pair[1])
+            except ValueError as err:  # more digits than int() converts
+                raise BadMatrixFile(f"{path}: exact entry ({i}, {j}): {err}") from err
+            if not den:
+                raise BadMatrixFile(f"{path}: exact entry ({i}, {j}) has a zero denominator")
+            parsed.append((num, den))
+        pairs.append(parsed)
     try:
         approx = np.array([[num / den for num, den in row] for row in pairs])
     except OverflowError as err:

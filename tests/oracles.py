@@ -8,7 +8,8 @@ bracketed exactly by counting them above a rational mu through the inertia
 of D - mu C in rational arithmetic. The Loewner order oracle for lemma31
 is the smallest eigenvalue of the difference. The exact determinant
 oracles run Bareiss's elimination on Fractions, normalizing every step, and
-take det(D^-2 + C^-2) through exact inverses; majdet.exact works on
+take det(D^-2 + C^-2) through exact inverses (inverse_exact, Gauss-Jordan
+on Fractions); majdet.exact works on
 integers and majdet.catalog never inverts, so equal Fractions check both.
 The draw oracles form each random matrix on its own, one qr and one product
 per matrix, and draw one trial at a time; majdet.fuzzing forms them per
@@ -25,8 +26,8 @@ import numpy as np
 from dataclasses import replace
 
 from majdet.catalog import Instance, Shape, spec_of
-from majdet.errors import DimensionMismatch, ResampleExhausted
-from majdet.exact import RationalMatrix, inverse_exact, mat_mul
+from majdet.errors import DimensionMismatch, ResampleExhausted, SingularMatrix
+from majdet.exact import RationalMatrix, mat_mul
 from majdet.fuzzing import GenStyle, trial_rng
 from majdet.linalg import eigvals_sym
 
@@ -225,6 +226,31 @@ def det_fraction_bareiss(m) -> Fraction:
             a[i][k] = Fraction(0)
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def inverse_exact(m) -> RationalMatrix:
+    """Exact inverse by Gauss-Jordan elimination over Fractions with partial
+    (nonzero) pivoting."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise DimensionMismatch("inverse needs a square matrix")
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for i in range(n):
+        if a[i][i] == 0:
+            for r in range(i + 1, n):
+                if a[r][i] != 0:
+                    a[i], a[r] = a[r], a[i]
+                    break
+            else:
+                raise SingularMatrix(f"zero pivot column {i}")
+        piv = a[i][i]
+        a[i] = [v / piv for v in a[i]]
+        for r in range(n):
+            if r != i and a[r][i] != 0:
+                f = a[r][i]
+                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return [row[n:] for row in a]
 
 
 def inv_square_sum_det_by_inverse(c, d) -> Fraction:

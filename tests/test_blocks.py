@@ -10,7 +10,7 @@ from majdet.blocks import (
     validate_partition,
 )
 from majdet.errors import BadPartition, DimensionMismatch, IndexOutOfRange
-from majdet.linalg import eigvals_sym, is_pd
+from majdet.linalg import eigvals_sym
 from majdet.orders import OrderKind, check_order, sort_desc
 
 from oracles import rand_pd
@@ -66,7 +66,7 @@ class TestDiagBlocks:
     def test_blocks_of_pd_are_pd(self, rng):
         c = rand_pd(rng, 6, kappa=1e4)
         for block in diag_blocks(c, Partition((1, 2, 3))):
-            assert is_pd(block)
+            np.linalg.cholesky(block)  # raises unless positive definite
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -129,7 +129,7 @@ class TestPrincipalSubmatrix:
 
     def test_pd_preserved(self, rng):
         a = rand_pd(rng, 5, kappa=1e3)
-        assert is_pd(principal_submatrix(a, [0, 2, 4]))
+        np.linalg.cholesky(principal_submatrix(a, [0, 2, 4]))  # raises unless PD
 
     def test_bad_indices(self):
         with pytest.raises(IndexOutOfRange):

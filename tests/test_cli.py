@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from majdet.blocks import Partition, diag_blocks
 from majdet.catalog import SPECS, Shape, inv_square_sum_exact, matic_exact, run_check
 from majdet.cli import build_parser, main
 from majdet.errors import BadMatrixFile
-from majdet.exact import Scaled, clear_denominators, rational_matrix
+from majdet.exact import Scaled, clear_denominators
 from majdet.fuzzing import GenConfig, build_instance, derive_seed
 from majdet.matio import read_matrix, write_matrix
 
@@ -112,15 +113,21 @@ class TestMatrixFiles:
 
     @pytest.mark.parametrize("pair", [
         [1.0000000000001, 1], [1, 1.0], [True, 1], ["1", False], "11", [None, 1],
-    ], ids=["float-num", "float-den", "bool-num", "bool-den", "string", "null"])
+        ["1_0", "10"], [" 10 ", "10"], ["١٠", "10"], ["10", "+-1"], ["10", "-"], ["10", ""],
+        ["10"], ["10", "10", "1"],
+    ], ids=["float-num", "float-den", "bool-num", "bool-den", "string", "null",
+            "underscore", "spaces", "non-ascii-digits", "two-signs", "sign-only", "empty",
+            "one-part", "three-parts"])
     def test_exact_part_not_an_integer(self, tmp_path, pair):
+        # int() would read the underscore, spaced and Arabic-Indic parts as 10
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 1, "rows": [[1.0]], "exact": [[pair]]}))
-        with pytest.raises(BadMatrixFile, match="is not a pair of integer strings or integers"):
+        with pytest.raises(BadMatrixFile, match=r"\(0, 0\) .* is not a pair of integer strings "
+                                                 "or integers"):
             read_matrix(path)
 
-    @pytest.mark.parametrize("pair", [["3", "2"], [3, 2], ["3", 2], [-3, "-2"],
-                                      ["3" + "0" * 400, "2" + "0" * 400]])
+    @pytest.mark.parametrize("pair", [["3", "2"], [3, 2], ["3", 2], [-3, "-2"], ["+3", "+2"],
+                                      ["-03", "-02"], ["3" + "0" * 400, "2" + "0" * 400]])
     def test_exact_parts_strings_or_integers(self, tmp_path, pair):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"n": 1, "rows": [[1.5]], "exact": [[pair]]}))
@@ -129,11 +136,12 @@ class TestMatrixFiles:
         assert arr.tolist() == [[1.5]]
 
     @pytest.mark.parametrize("exact, reason", [
-        ([[["1", "0"]]], "Fraction(1, 0)"),
-        ([[["1", "2", "3"]]], "too many values to unpack (expected 2)"),
-        ([[[1, 2], ["1", "0"]], [[1, 2, 3], [1, 1]]], "Fraction(1, 0)"),
+        ([[["1", "0"]]], "(0, 0) has a zero denominator"),
+        ([[["1", "2", "3"]]],
+         "(0, 0) ['1', '2', '3'] is not a pair of integer strings or integers"),
+        ([[[1, 2], ["1", "0"]], [[1, 2, 3], [1, 1]]], "(0, 1) has a zero denominator"),
         ([[["1" + "0" * 400, "1"], [1, 2, 3]], [[1, 1], [1, 1]]],
-         "too many values to unpack (expected 2)"),
+         "(0, 1) [1, 2, 3] is not a pair of integer strings or integers"),
     ], ids=["zero-denominator", "three-parts", "first-in-row-order", "before-float-range"])
     def test_bad_exact_entry_message(self, tmp_path, exact, reason):
         n = len(exact)
@@ -141,7 +149,18 @@ class TestMatrixFiles:
         path.write_text(json.dumps({"n": n, "rows": np.eye(n).tolist(), "exact": exact}))
         with pytest.raises(BadMatrixFile) as err:
             read_matrix(path)
-        assert str(err.value) == f"{path}: bad exact entry ({reason})"
+        assert str(err.value) == f"{path}: exact entry {reason}"
+
+    def test_exact_part_beyond_int_digit_limit(self, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python converts integer strings of any length")
+        path = tmp_path / "bad.json"
+        exact = [[["1", "1"], ["1", "1" * (limit + 1)]], [[1, 1], [1, 1]]]
+        path.write_text(json.dumps({"n": 2, "rows": np.eye(2).tolist(), "exact": exact}))
+        with pytest.raises(BadMatrixFile, match=rf"^{re.escape(str(path))}: exact entry "
+                                                r"\(0, 1\): Exceeds the limit"):
+            read_matrix(path)
 
 
 class TestVerifyPaper:
@@ -227,7 +246,7 @@ class TestCheck:
                 write_matrix(path, [[1.0]], exact=[[Fraction(1)]])
         else:
             d_paths = [str(tmp_path / "d.json")]
-            write_matrix(d_paths[0], np.eye(2), exact=rational_matrix([[1, 0], [0, 1]]))
+            write_matrix(d_paths[0], np.eye(2), exact=[[1, 0], [0, 1]])
         code, out, err = run_cli(capsys, "check", inequality, "--c", str(c_path),
                                  "--d", *d_paths, "--part", "1,1")
         assert code == 1
@@ -708,8 +727,7 @@ class TestGenCommand:
                                "--out", str(out_path))
         assert code == 0
         arr, _ = read_matrix(out_path)
-        from majdet.linalg import is_pd
-        assert is_pd(arr)
+        np.linalg.cholesky(arr)  # raises unless positive definite
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -30,7 +30,6 @@ from majdet.fuzzing import (
     replay,
     trial_rng,
 )
-from majdet.linalg import is_pd
 from majdet.orders import DEFAULT_TOL
 
 from oracles import build_instance_per_trial, draw_pd_per_matrix
@@ -78,8 +77,7 @@ class TestGeneration:
 
     def test_gram_style(self):
         cfg = GenConfig(n=4, seed=2, style=GenStyle.GRAM, kappa_max=1e8)
-        a = gen_pd(cfg, 0)
-        assert is_pd(a)
+        np.linalg.cholesky(gen_pd(cfg, 0))  # raises unless positive definite
 
     def test_gram_resample_exhausted(self):
         with pytest.raises(ResampleExhausted, match="^no draw met kappa_max=1 in 100 attempts$"):
@@ -193,6 +191,14 @@ class TestFuzz:
         cfg = GenConfig(n=3, partition=Partition((1, 2)), entry_scale=1e-110, seed=5)
         with pytest.raises(NonFinite, match=rf"^trial 0 \(seed {derive_seed(5, 0)}\): order check"):
             fuzz("thm32", cfg, 3)
+
+    @pytest.mark.parametrize("style", list(GenStyle))
+    def test_overflowing_draw_raises_without_a_warning(self, style):
+        # the drawn matrices overflow a double; under the suite's warning
+        # filter numpy's RuntimeWarning would replace the error
+        cfg = GenConfig(n=4, partition=Partition((2, 2)), entry_scale=1e307, style=style)
+        with pytest.raises(NonFinite, match=r"^trial 0 .*non-finite entry"):
+            fuzz("main-thm", cfg, 3)
 
     def test_deterministic_report(self):
         cfg = GenConfig(n=4, partition=Partition((2, 2)), seed=31337)

@@ -20,6 +20,13 @@ def test_exports_are_unique():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def test_every_export_is_documented():
+    """Every name of majdet.__all__ appears in a code span of README.md."""
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    documented = {word for span in spans for word in re.findall(r"\w+", span)}
+    assert [name for name in majdet.__all__ if name not in documented] == []
+
+
 def top_level_imports(path: Path) -> set[str]:
     """The top-level names of the absolute imports in one source file."""
     names = set()
