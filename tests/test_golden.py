@@ -7,8 +7,9 @@ library and the CLI emit, taken before the verdict layer was rewritten as
 arrays:
 
 - fuzz(id, cfg, 70, keep_instances=True) without wall_time, for every id
-  on six configs (two chunks each, the injected reference included), or
-  the error it raises;
+  on nine configs (two chunks each, the injected reference included), or
+  the error it raises; two GRAM configs resample often, and two configs
+  have three D blocks at n = 8;
 - run_check(...).to_json() and check_p_grid(...) on fixed instances;
 - the stdout of `majdet verify-paper`;
 - the files, stdout, stderr and exit code of `majdet gen` for both styles,
@@ -43,6 +44,13 @@ FUZZ_CONFIGS = {
     "n16": GenConfig(n=16, partition=Partition((8, 8)), seed=14),
     "gram": GenConfig(n=4, partition=Partition((1, 3)), style=GenStyle.GRAM,
                       kappa_max=1e8, seed=15),
+    # GRAM draws that resample: at cap 1e3 (n = 4) and 1e5 (n = 8, three
+    # D blocks, two of one size)
+    "gram-1e3": GenConfig(n=4, partition=Partition((2, 2)), style=GenStyle.GRAM,
+                          kappa_max=1e3, seed=16),
+    "gram-n8": GenConfig(n=8, partition=Partition((2, 3, 3)), m=3, style=GenStyle.GRAM,
+                         kappa_max=1e5, seed=17),
+    "n8-3": GenConfig(n=8, partition=Partition((2, 3, 3)), m=3, seed=18),
     # p = 3 powers of thm32's spectra overflow here: the error text is pinned
     "tiny": GenConfig(n=3, partition=Partition((1, 2)), entry_scale=1e-110, seed=5),
 }
@@ -128,100 +136,148 @@ def verify_paper_digest(capsys) -> str:
 
 GOLDEN_FUZZ = {
     "abs-power/gram": "074a085b2b98e01b20929cc03f286cb2d9128a3a6fd5869ece9bcb00787131fe",
+    "abs-power/gram-1e3": "99e963949c9d10644f7c57a3e41c328e344c53c743e0ab965cffbafcd557278d",
+    "abs-power/gram-n8": "345323b6ef3fbdbe50c2c12cd25ec5a206ca3374d13b408fa2cf494da75c4ebb",
     "abs-power/n16": "06ff923c3c4d7844e47bd99500da1b6ce9c7770415c989dc5a2130c8d3f3c263",
     "abs-power/n2": "39ca44901b7c2a895dbab20926a79405e8632e305fd7e1bcc40985611e9cb0fc",
     "abs-power/n4": "30446e9b36135985fe53171d55148f48a9e660ee66e2d0d5c096a54af57a8449",
     "abs-power/n8": "6f69efa539a018ae05c879351d93b6122fbc0649b22d5ee531006173bc457747",
+    "abs-power/n8-3": "5d776fee9401ac14bb1d8c116e9edc02a51b47461a46022f6ed2e101def939fe",
     "abs-power/tiny": "ca7a6c0cc858ebf284e5272728f151d2e9d77037c606862299c944e32c2bff6a",
     "choi/gram": "1185e4fbd170d0e241c917273407849f0e540cbb8e5becea3585d3b03dc925fa",
+    "choi/gram-1e3": "84ba1b0a0c69a9b7c5dcac4516406e28ed86f6bbc037188ea906b2c2c31bad25",
+    "choi/gram-n8": "fe8c035d998e6c4deab3ccbed46b60ccd67d52c55230f3589ac6464e0ed95018",
     "choi/n16": "26af4156e20569e7891e9aa43982b472c95352d527ff58a79fcf5a80877e29bc",
     "choi/n2": "aa7d2e9b12160ecd34e933bfc92363dda6c46a9affe0506154cc1ebd6f4ffa2c",
     "choi/n4": "f757a1efecf8d4323d2de66ca0c968c46f59747f20f5b4fb42480ed5a86074ca",
     "choi/n8": "bc7320d039998adc962a7fef4dcbc4f02814e91e693b9dcfebff3350e27b53db",
+    "choi/n8-3": "514abb94e2bde7c5f51ffa6a6ced4c75f050aafd75ed8181628d97a5ef2e8003",
     "choi/tiny": "33d14d4226b5d9ab0de25a93aa3565b4ba9e97f5c3e8641f15638cd76886c8b7",
     "commuted-power/gram": "a45a4a67e0d5f98c9b9fba73cc1d29a6c193234a86cdc094aa22a8d53235db49",
+    "commuted-power/gram-1e3": "b966af4179ac9089cde32d3391fdcd041b617de9cb013f0d68804825534c4f5d",
+    "commuted-power/gram-n8": "fb61af0e378270313f18ebd8034824f90709a09f0385004d59cda25ed0b10721",
     "commuted-power/n16": "75a6ecffb5997afc2c8a81e5ab352246903d7f681f0d8f9cbd1ed6087e129e88",
     "commuted-power/n2": "fb89951a717a24254edc99ab12169fa3d4b692de0e80bb8bc00bb3fc44d1fea1",
     "commuted-power/n4": "3dd1eb10d73ccecc9daf4d63c747cf5e0964f95aad7a4f390841540d928f26dc",
     "commuted-power/n8": "1d6a434541c077441b976664e0cec71809e460b809c13d2a5a09b2f28717c030",
+    "commuted-power/n8-3": "df4c8aa8a79b3d13bc45a002754e218131a8b456e91ae23c06b623ba568f6ea0",
     "commuted-power/tiny": "7f87614230a08dc37dc54c03e110f71e2f1fe3bd1a3afc004504796cab0e7107",
     "det-power/gram": "c93d7e4d68234e828cb044c6cf5fb6f6561a1a2a9bc88209a150ceae289839d1",
+    "det-power/gram-1e3": "c5ba0f757cdbf187399b624942c21d809cd251a5cfb110a27765a71cfdf30208",
+    "det-power/gram-n8": "363ade600a798e80723c49cef0c7102fabb6d66d24242df9fef1f545b7ec7e1b",
     "det-power/n16": "7688dfd9b1e56948b9da8acb3913de0b9f6e7e9ec4f5d4470beb8ffb6e1ae9d2",
     "det-power/n2": "6057a8114b1d8a376905d7c8a48f1da967306ae55cfae0327ac53c1fd8a903c5",
     "det-power/n4": "b8fcaee6388177a282f6461e6504b99c7f84fbe0444232769366f88545d1117c",
     "det-power/n8": "908230428080a7736551fa54981cae7018249a82a681658bff4cc545ed813746",
+    "det-power/n8-3": "65961a78a14283d4c2f972863c4d56e3a9bb1a61d21aa54daa25ee75127b8929",
     "det-power/tiny": "18f3b39b6c108a66ae7ab5733eb3b96b1b34fb6d72a76df204aa622402ab52c8",
     "fischer-tail/gram": "d70da40b65156dc3f81a7b18addcbfa537ea27225b921a0f73329f560d630d27",
+    "fischer-tail/gram-1e3": "23964aba722cb4e535f300577be44d2094517f44a08b2888254b206a3466df4e",
+    "fischer-tail/gram-n8": "9a4e3691e5c4c1422940ccbff857e5186dbbb5f6e9e005f8c529e965fcf84d97",
     "fischer-tail/n16": "44913483248cab8623af7d58e9555e160feee85049d6cd2fbf8a98ca81cda567",
     "fischer-tail/n2": "50cd055e32a61a9bc5233ae258e351e92a78593b4add1b3250968f7da54beb2a",
     "fischer-tail/n4": "c741995c031d6e2f7c6d4073b3bcdda22abae6ecf7f19108006a29ced2092d2f",
     "fischer-tail/n8": "1657146f3a86389fb63a18bdb11f804d1c77a416a4a7572edbbe4e0fc0884cd5",
+    "fischer-tail/n8-3": "b80453a926806ae6599e06df4f3fa9a09bf7cae0d1993ec88f1583a66391ef63",
     "fischer-tail/tiny": "267fe9b9ec887986568d6af85f2293b169bec0c18f7905f2bf3d37569ce6308c",
     "inv-square-sum/gram": "0b1c08583047a43b823f9d37ff0d1106bf493f335331e8c09bdee8309a4968d2",
+    "inv-square-sum/gram-1e3": "9d7f688acfe8f6196052bf6e8985cfb7cfcc567145a633e6c7f3620e4d3d3afa",
+    "inv-square-sum/gram-n8": "b431084eafa93c1b90939ca1220b7138a2bf05f190bfcd6f24f51e83a8ed2d45",
     "inv-square-sum/n16": "960a68e9feac5d5f2720948f73bbc81cae123c7a6d56bedf309bee44301d9103",
     "inv-square-sum/n2": "1878762d4a1dcfc37c31ae1466caf03851331bf3d2172f05a2106f7a6338f66c",
     "inv-square-sum/n4": "bcf03514caabf6cc053bb7dfb801b6533b49d1bef2d49a74203e458c1415db4b",
     "inv-square-sum/n8": "79317d3535d9a79182bc0ac12473b0ac944a40b1ba516e39aa097f4df3ed57f0",
+    "inv-square-sum/n8-3": "08e7a82d23f92b1c19b2e4297a5af775d94b1e1b5d324acbb19a721fd9b4a84a",
     "inv-square-sum/tiny": "cb92415cd601228a1e3a03d93863cd16fa0d901dc92081c71ba6ee5adef92d71",
     "ky-fan/gram": "0214aa4ae707df5806b38eb496492f9963ddb2132a96ad112debb9d618e72513",
+    "ky-fan/gram-1e3": "30509647bc3ec56784b33790e938979dfefcf5803c6c6c75fefc063cf78f7f2c",
+    "ky-fan/gram-n8": "10704855cdf4d6fc6f4de9fad8f572aaad4c2eae9dac7618a6a37396ed71d7a3",
     "ky-fan/n16": "eb82d3916842dc81d2193a892c138dec9e81a4bd7df4936399133dc87a3005ba",
     "ky-fan/n2": "cddf701f008737c44e43c16a35527fd4d07dd8b9607ea59c8f9494fb34711f94",
     "ky-fan/n4": "5aaaaab255a5ff41476076e9543de06189ee3b7350db2557f03b809f87da7cb3",
     "ky-fan/n8": "7b7ba8247e4d90609e7c19eb393f5a05fd0ed927e18d90ff9deb7dd828647f99",
+    "ky-fan/n8-3": "5b4df8f3fd1b8186ed84fa392a441bbcc7b8db1fe83417e7e91cd2b47790ba7b",
     "ky-fan/tiny": "d6e755d04e9ae899e017ddd6161ecd572c2e12103443a79af097fbf5ea8e0328",
     "lemma31/gram": "5d1ee5f2667605ec2a285c07d16d2896a9614d0349d4d580e61d228a2eb38ed0",
+    "lemma31/gram-1e3": "2ac5c3872f149462aea67bd0a1d047f12a3f8dccdd419d8defb5624c3e14b5c8",
+    "lemma31/gram-n8": "81448f6dddc34cfbc20e3ed74fdfe681159178d235904939ab242138ae35eff6",
     "lemma31/n16": "160b5b68f8a4675410482d80702f4586c633ee0b3446405dfb517d1ae22334db",
     "lemma31/n2": "f8c6047d6a76eee2ef7986f5a8a68f21acbee95d8366a11d7a207fe7518f2aa0",
     "lemma31/n4": "daba438b9cc6450ddfb7f0d465b21ccd4034738bd61084b793209cfe4b223321",
     "lemma31/n8": "0d9cd27c8166e1ca7eee99e2cce1fd9121033b055ac0e1d598f9387a820d3643",
+    "lemma31/n8-3": "d3f80765ad104ea1b27b3df82404e4eda069bad1f455ea9fc1a3c2c2aa276a7d",
     "lemma31/tiny": "654e866e7302171a4003136627f3da54dffc1cdc727d612c0858ce1bc9e566e4",
     "main-thm/gram": "bcdbce69c68e6e368aa8482dbe996486198eb225198363fee4bb561056a5f780",
+    "main-thm/gram-1e3": "515c39717b712dc4a042021bae67210b62053966e29452a2d42be78588b5b302",
+    "main-thm/gram-n8": "45834da501f8a9e21e818b3fea7a68ca3dcb6dbcfef749e95e863cab18aec151",
     "main-thm/n16": "fcd24f1aae33860548a8b6331c4d1524d23fa44bda385c1b44ffc99d3275acf7",
     "main-thm/n2": "076f94e3bc1d507d6337ab7dcbca51a72f59388318c97d8ad90fc794b4865359",
     "main-thm/n4": "889484c6cbfb6e1d146faba6854462406ad4010ce2c40709ae9cf23ff571057e",
     "main-thm/n8": "66154db89e5f356b7cf524d3c862232e6f50642079f54b28a17c8327a6ee6cfa",
+    "main-thm/n8-3": "2dac6f680e3a5643f941be56912b6d8121d1587f677d7832c3282f3c8020fe2c",
     "main-thm/tiny": "e706b1dd5c1575df32eb863b0f0f00164b87bebaf62a7bca727b490eff38766f",
     "matic/gram": "8b854377bfbb5c30cc6aea12dc5434b526ef34eeb606c9baa485578779bea61b",
+    "matic/gram-1e3": "56f87a5fa9ac2bb9ad5422a701aed9e9e01b86b298644f11076ce57d91f754df",
+    "matic/gram-n8": "12f0a66fc42473fdb57b439e0217ac3d38dab709d0245a3fa9127433120b488a",
     "matic/n16": "09242ac6a808bdfca474bf608505fe45c19484059062dad29b02bfe907692af5",
     "matic/n2": "6f395061e8991554fd8cf16ab720b4307c63785f6f839ae17e035ed5f5369c5d",
     "matic/n4": "4ce09166cdc9c09f5e0a8bb3afaf02c7ac19329fcbe04119fe625e5cd1529349",
     "matic/n8": "a1df67900883bfc1192fc9a610034f6d646b229a87038ae9a1a0883232849b1c",
+    "matic/n8-3": "dd0f61ab6cd3010a3ead28ab9f7c1e1eb616539cd0ec01d08372d69257c62976",
     "matic/tiny": "b6dda0ec28edec2eb5dbeb81c2dbd42cd4acb9e1f5617b9fe4bb29976f72d381",
     "matic-general-d/gram": "08696f7b941cf0ce76f7cbc6dc1d72cf79b0a30f56987ee0cfb9fc4bd1e888b4",
+    "matic-general-d/gram-1e3": "7e9341aad7163254cfcf90b860ef3ca0740572b0c2a718da0c98ab1ee9c77280",
+    "matic-general-d/gram-n8": "c17a878d03a6288837094203a74cf909fa77b74ee76146d167af3826ac926720",
     "matic-general-d/n16": "92620d6768fe4a87163a19ded5358c18c0e178edebb6b186907db03f69086040",
     "matic-general-d/n2": "d7418b6300be0bbfaa401ec67ce0369e77cba2cbfeae47b3db04598e505d8902",
     "matic-general-d/n4": "74bca1720087afaec9d066a37d199bead80e73acc8c1decff859459fc9360bde",
     "matic-general-d/n8": "0d086766720a2bc946744a4ccd2ef11f0691d680d16494f552b5d4f318d552e6",
+    "matic-general-d/n8-3": "cc56e7f07a312bd9042f88f70dfd572b07122c2d0f318968cea8b4877283f412",
     "matic-general-d/tiny": "e3a97f8b836884f00b9778a9450951fe95236d08cf9b47fc42d107a9a25daf52",
     "neg-power/gram": "4c89b55d93aca035b3ea4c2badb0d6c7d0dcea1de120c17f80dd9139044372c6",
+    "neg-power/gram-1e3": "432a8f19dd0217507f6e88fe5db0f3df0f6eb437844a797df99cafc55efeee5d",
+    "neg-power/gram-n8": "aa6f0c19237abd960733385b089ed893b44e4f5925464a2556d581d92040d166",
     "neg-power/n16": "06f35e83f2db3526fa5866cae12465181baf17155b381e34d13f64836598af0f",
     "neg-power/n2": "24ad0c0f76390a7de8eaabfc4719e0ddc956b693e50f53b6dab2fc34fbd7ccea",
     "neg-power/n4": "90be9e804def90a87f5123c82d4dca86c47163939cc6092d78071782eac94fcb",
     "neg-power/n8": "8fea98f7eb2422074c9c330eeee462df1df73cef4543a11478be4b8f96b4adba",
+    "neg-power/n8-3": "09517eb2771132c365455755e81d8f12e5e729c61ed2a7fd250924a745f57d4b",
     "neg-power/tiny": "a63c61195532066b1a77d944f09eb490e7b2f798822423fed1ad53537ee6e855",
     "open-q/gram": "593e6605bb731cf5e7bd9cc2cc7ba3b3b15a61798134c17c17f3b0e19e153c2d",
+    "open-q/gram-1e3": "b393b2899200656aaa12a2c0969ce09305df0f535da6f907ac5b0b8a098fb02e",
+    "open-q/gram-n8": "51245c163b1776ce6fdcd5da1c1e16bd8ce133e72bdb57a70c7778bdc2926a5d",
     "open-q/n16": "ebf3b2d13d5f9dc25ce5847512d056390e516fcb2922d4a3407f375fc8d6864a",
     "open-q/n2": "16747eb708c46e9b35f1a47bd6e98fdb13864dc48e49d41c1802abc1d0abbf24",
     "open-q/n4": "2c1cb3fb53e52858e02b310e6ab658efde4513aaad3b83462cd81c26d8ff85a8",
     "open-q/n8": "ac36d97888c139137a25c1bf7777943fbd593337f42791db268e532f8e550868",
+    "open-q/n8-3": "35a7277a79ac19fce39265ba6d724d7a9c99df66d3619a1db2026557eee08211",
     "open-q/tiny": "c440c2a36d73dccc6712641e843dbae3ee7a3b8aafae8369f44b78965c9951f7",
     "sv-weak-log/gram": "396eaeddf426da1b6ded3c1b4ef94ec0050df53a9d65250a71629c2a2b769bc3",
+    "sv-weak-log/gram-1e3": "439d88dd6108a37a01c87bf9c1fb35bef5d4d94a3019457f8da99ab3fe494f15",
+    "sv-weak-log/gram-n8": "d61a33f173b2cef92aff43b675405d6edd6e9b6056b8df52eee6561aa9ba2782",
     "sv-weak-log/n16": "5d3f7787278666d7b5ae528973336db8c563b560e258db267d23a56354a538bb",
     "sv-weak-log/n2": "33cdf7d6ab442f34c8f9092056097ac0a4491f96ad1c23edaaf432d54ccafefe",
     "sv-weak-log/n4": "80cb14899b1f36376e2a3005ab3fc259b276dc0d6a819e5e69fe303c9995c263",
     "sv-weak-log/n8": "c968d2f97747c4a87c0e3b6a7d87494bae93f1a3df7dec50c3fbb55d56dec74d",
+    "sv-weak-log/n8-3": "71ff38e48c641e565ca029fc3d653485ee10714218b1515a1d59a1a4388728bf",
     "sv-weak-log/tiny": "832a558c2e9dc8b5952d765c463ede24d5e63f6a5bde6c786765ef4d36e24224",
     "thm32/gram": "518652a78631f5893c09ccfa377ac6ae90cd9368c3dbd207ab7a72ea6c7d21a5",
+    "thm32/gram-1e3": "7ca2a6726c8dde2fe53ae2bf814bd42fabdf2a0ab92c2dcffcdd4e735e507e68",
+    "thm32/gram-n8": "0f9ef5502bc4916c15ff157f71b7ee3bda6341f354ea00d25da3d205a8404053",
     "thm32/n16": "b26ddba0a6cfb36dbc2c7d5f02873529a3a03e5f9c28596a0fe0614c34fae7db",
     "thm32/n2": "7676fd5f68d58288f55ebef0d9cafd9026bf572c2a307feecafcf1f91760999f",
     "thm32/n4": "1934372fd9a6b2b82f0ab93986d515bdca87caf60619dbe53f80fdcd077ebec5",
     "thm32/n8": "d7d7bd5d598004e3fcc498318c68d6d13cbd7c7d66d39f545f3b1b2f325698c1",
+    "thm32/n8-3": "2d64e1e54a1f8d9a0faa8aee07b5461638b768df98d620fd94d99ea0f0a2a4de",
     "thm32/tiny": "5a02ad060992f19f8c3f4ed1a05ccae6f65db949e181f165d837832f0f5518ff",
     "weak-log-general-d/gram": "c6c2458e5cf360a81cd5ccbc6adde4800ed20e430dd57836c889c7dfbd230f9a",
+    "weak-log-general-d/gram-1e3": "6884f0b272031264cf24b653a0dc359a6dcf5d1ecd25b8c1c958afca1c17c3e9",
+    "weak-log-general-d/gram-n8": "9f0022300001b320fd3419ee18d74302015c2f4e9eaf7f056e011f95c83b80a0",
     "weak-log-general-d/n16": "ec153b405dadb8ee3df6811b70b9432f4c16a98c994a0bedfe67539e83f4e060",
     "weak-log-general-d/n2": "a8900f395301f472f5f04b28bb4b89ebc2fe8052cd26b33e17d4f1ee29300bdf",
     "weak-log-general-d/n4": "6551753477990eb0f5e2b4493fa97b69330fababc8f45fc71cce9020657a585d",
     "weak-log-general-d/n8": "f4936d9bf12a0bae05cf9898041b901f9cf757db118258b0b8b30854cff7fc02",
+    "weak-log-general-d/n8-3": "173b6665e30457910a66bf1c8c104703fc1877e02b36bb5601be69c1698e7ce4",
     "weak-log-general-d/tiny": "125bf405e47f63e6dad9cb9ebb3b0f9d22d105a55099ab6e96650e7d38bc2456",
 }
 
