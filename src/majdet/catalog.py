@@ -98,7 +98,6 @@ from .blocks import (
     diag_blocks,
     direct_sum,
     principal_indices,
-    principal_submatrix,
 )
 from .errors import (
     BadConfig,
@@ -123,6 +122,7 @@ from .linalg import (
     _pd_eigh,
     _pd_inverse,
     _pencil,
+    _power,
     _rowwise,
     _singular_values,
     _within_least_slack,
@@ -192,7 +192,8 @@ class Instance:
     d_blocks is a constructor keyword, not a field: blocks D1, ..., Dk, sized
     for the partition (DimensionMismatch), set d to their direct sum. The
     matrices may also be stacks along one leading axis, one matrix per
-    instance, for instances that share everything else.
+    instance, for instances that share everything else but lemma31's idx:
+    a stack's idx is a tuple of one idx per instance, all of one length.
     """
 
     partition: Partition | None = None
@@ -293,7 +294,8 @@ class Verdicts:
     sides, an order comparison its OrderChecks (row k*T + i). detail(k, i)
     is what verdict (k, i) reports besides its log sides and p. A checker
     sets no more; check_validated then sets the id and hashed (_hashed, each
-    array a stack of one matrix per instance). verdict(k, i) builds the
+    array a stack of one matrix per instance, a stack's idx one per
+    instance). verdict(k, i) builds the
     InequalityVerdict of instance i at exponent k, its fingerprint over
     hashed and then the exponent."""
 
@@ -309,7 +311,9 @@ class Verdicts:
 
     def verdict(self, k: int = 0, i: int = 0) -> InequalityVerdict:
         n, partition, *payload = self.hashed
-        payload = [a.reshape(-1, *a.shape[-2:])[i] if isinstance(a, np.ndarray) else a
+        # instance i's matrices, and its own idx from a stack's (_hashed)
+        payload = [a.reshape(-1, *a.shape[-2:])[i] if isinstance(a, np.ndarray)
+                   else a[i] if isinstance(a, tuple) and isinstance(a[0], tuple) else a
                    for a in payload]
         tol, lhs, rhs, order, detail = self.tol, None, None, None, {}
         if self.log_sides is not None:
@@ -382,7 +386,12 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     part = inst.partition
     if shape is Shape.C_IDX:
         a = as_square(inst.c, lead)
-        return replace(inst, idx=principal_indices(inst.idx, a.shape[-1]), c=require_symmetric(a))
+        n = a.shape[-1]
+        idx = tuple(principal_indices(i, n) for i in inst.idx) if lead else \
+            principal_indices(inst.idx, n)
+        if lead and (len(idx) != len(a) or len(set(map(len, idx))) > 1):
+            raise IndexOutOfRange("a stack takes one idx per instance, all of one length")
+        return replace(inst, idx=idx, c=require_symmetric(a))
     mats = [as_square(a, lead) for a in
             (inst.mats if shape is Shape.MATS else [getattr(inst, f) for f in fields])]
     if not mats:
@@ -454,7 +463,7 @@ def assemble(shape: Shape, part: Partition | None, inputs: Sequence[np.ndarray],
 def _hashed(shape: Shape, inst: Instance) -> tuple:
     """What a fingerprint hashes, as _fingerprint's (n, partition, *payload):
     the input matrices in input order, then lemma31's idx (with no
-    partition) or fischer-tail's m."""
+    partition; on a stack, one per instance) or fischer-tail's m."""
     part = inst.partition
     if shape is Shape.MATS:
         return (part.n, part, *inst.mats)
@@ -657,10 +666,19 @@ def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
 def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
     """inv([A]) <= [inv(A)] in the Loewner order, for a principal submatrix
     [.]: margin is lambda_min of the difference over max(1, its Frobenius
-    norm)."""
+    norm). A stack's instances each have their own idx, all of one length:
+    the (T, k, k) submatrices are gathered by fancy indexing, and A and
+    they are each inverted in one call."""
     a, indices = inst.c, inst.idx
-    sub_inv = _pd_inverse(principal_submatrix(a, indices))
-    inv_sub = principal_submatrix(_pd_inverse(a), indices)
+    idxs = [indices] if a.ndim == 2 else indices  # per instance
+    sel = np.array(indices)[..., None]  # (k, 1) or (T, k, 1)
+
+    def sub(m: np.ndarray) -> np.ndarray:
+        rows = np.take_along_axis(m, sel, axis=-2)
+        return np.take_along_axis(rows, sel.swapaxes(-1, -2), axis=-1)
+
+    sub_inv = _pd_inverse(sub(a))
+    inv_sub = sub(_pd_inverse(a))
     diff = symmetrize(inv_sub - sub_inv)
     lam_min = _eigvalsh(diff)[..., -1]
     # one dot product per matrix, as np.linalg.norm takes it, for its bits
@@ -669,7 +687,7 @@ def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
     margin = _by_exponent(lam_min / np.maximum(1.0, fro), None)
     lam_mins, fros = np.ravel(lam_min).tolist(), np.ravel(fro).tolist()
     return Verdicts(margin, margin >= -tol, tol,
-                    detail=lambda k, i: {"idx": list(indices), "lambda_min": lam_mins[i],
+                    detail=lambda k, i: {"idx": list(idxs[i]), "lambda_min": lam_mins[i],
                                          "fro_norm": fros[i]})
 
 
@@ -824,7 +842,7 @@ def _prepare_thm32(inst: Instance) -> GridStep:
 
     def step(ps: Sequence[float], tol: float) -> Verdicts:
         # check_orders rejects an overflowed power
-        yp = np.stack([_rowwise(lambda row: row**p, y) for p in ps])
+        yp = np.stack([_power(y, p) for p in ps])
         return _order_verdicts(OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol, ps,
                                detail=lambda k, i: {"m": len(mats)})
 

@@ -22,9 +22,11 @@ layout), and writes its random parts straight into the chunk's arrays;
 the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
 product per matrix size, and catalog.assemble builds the stacked Instance
 from them as it builds one Instance, so its C, D and mats are (trials, n,
-n) stacks. Each stack (the drawn trials, lemma31's trials of one idx) is
-validated once and goes through the id's checker in one call per kernel, a
-parametrized id's exponent grid in one step. The injected counterexample's
+n) stacks. A GRAM matrix is resampled until its cap holds, every pending
+trial's attempt of a round in one stack and one eigensolver call. Each
+stack (the drawn trials, lemma31's trials of one idx length, each with its
+own idx) is validated once and goes through the id's checker in one call
+per kernel, a parametrized id's exponent grid in one step. The injected counterexample's
 verdicts depend only on the id's Spec, the exponent grid and tol, so it is
 validated and checked once per process for each of them, and later
 campaigns reuse its read-only stack and Verdicts (_checked_reference); only
@@ -64,7 +66,7 @@ from .catalog import (
     validate_instance,
 )
 from .errors import BadConfig, MajdetError, ResampleExhausted
-from .linalg import eigvals_sym, symmetrize
+from .linalg import _eigvalsh, require_symmetric, symmetrize
 from .orders import DEFAULT_TOL
 
 _MASK64 = (1 << 64) - 1
@@ -202,6 +204,64 @@ def _form_by_size(roles: list[_Role], uniforms: list[np.ndarray],
     return mats
 
 
+def _gram_rounds(rngs: list[np.random.Generator], size: int, kappa: float,
+                 entry_scale: float, out: np.ndarray) -> None:
+    """Each trial's GRAM matrix of one role into out, drawn from its own
+    generator of rngs: G G^T + 1e-3*size*I with Gaussian G (times
+    entry_scale), resampled until its condition number is at most kappa.
+    Every trial still pending draws one attempt a round, and a round's
+    attempts are formed as one stack and go through one eigensolver call;
+    after 100 rounds a pending trial raises ResampleExhausted."""
+    pending = np.arange(len(rngs))
+    shift = 1e-3 * size * np.eye(size)
+    for _ in range(100):
+        g = np.stack([rngs[t].standard_normal((size, size)) for t in pending.tolist()])
+        g = g * entry_scale
+        a = g @ g.swapaxes(-1, -2) + shift
+        a = (a + a.swapaxes(-1, -2)) / 2.0
+        w = _eigvalsh(require_symmetric(a))
+        met = w[:, 0] <= kappa * w[:, -1]
+        out[pending[met]] = a[met]
+        pending = pending[~met]
+        if not pending.size:
+            return
+    raise ResampleExhausted(f"no draw met kappa_max={kappa:g} in 100 attempts")
+
+
+def _draw_stacked(cfg: GenConfig, trials: range, roles: list[_Role],
+                  idx: bool) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """draw_trials' work, role by role over the whole range."""
+    count, n = len(trials), cfg.n
+    spectral = cfg.style is GenStyle.SPECTRAL
+    # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
+    # no room for a spectrum, which is then not drawn) and Gaussian block,
+    # or a GRAM matrix
+    uniforms = [np.zeros((count, size)) for size, *_ in roles]
+    blocks = [np.empty((count, size, size)) for size, *_ in roles]
+    scales = np.empty((len(roles), count))
+    rngs = [trial_rng(cfg, trial) for trial in trials]
+    with np.errstate(all="ignore"):  # an overflowed draw fails validation
+        for j, (size, kappa, bias) in enumerate(roles):
+            if spectral:
+                for t, rng in enumerate(rngs):
+                    if kappa > 1.0:
+                        rng.random(out=uniforms[j][t])
+                    rng.standard_normal(out=blocks[j][t])
+            else:
+                _gram_rounds(rngs, size, kappa, cfg.entry_scale, blocks[j])
+            if bias:
+                # hunt in the regime of strongly unequal block scales
+                for t, rng in enumerate(rngs):
+                    scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
+        idxs = []
+        for rng in rngs if idx else ():
+            size = int(rng.integers(1, n + 1))
+            idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+        mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
+        return [m * scale[:, None, None] if bias else m
+                for m, scale, (*_, bias) in zip(mats, scales, roles)], idxs
+
+
 def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
                 idx: bool = False) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
     """Draw a range of trials into stacks: per role, the (trials, size,
@@ -214,47 +274,19 @@ def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
     Gaussian block whose orthogonal factor conjugates it, written into
     arrays and formed per size once every trial is drawn (_form_by_size);
     a GRAM matrix G G^T + 1e-3*size*I, resampled up to 100 times until the
-    cap holds, formed where it is drawn since its loop reads eigenvalues;
-    then a biased role's scale 10^u, u uniform in [-bias, bias]. The index
-    set comes last.
+    cap holds, the attempts of every trial in rounds (_gram_rounds); then a
+    biased role's scale 10^u, u uniform in [-bias, bias]. The index set
+    comes last. The roles are drawn in turn over the whole range, each
+    trial from its own generator, so every trial's stream is drawn in that
+    order. If the range raises, its trials are drawn again one at a time,
+    in order, and the first to fail raises its own error.
     """
-    count, n = len(trials), cfg.n
-    spectral = cfg.style is GenStyle.SPECTRAL
-    # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
-    # no room for a spectrum, which is then not drawn) and Gaussian block,
-    # or a GRAM matrix
-    uniforms = [np.zeros((count, size)) for size, *_ in roles]
-    blocks = [np.empty((count, size, size)) for size, *_ in roles]
-    scales = np.empty((len(roles), count))
-    idxs = []
-    with np.errstate(all="ignore"):  # an overflowed draw fails validation
-        for t, trial in enumerate(trials):
-            rng = trial_rng(cfg, trial)
-            for j, (size, kappa, bias) in enumerate(roles):
-                if spectral:
-                    if kappa > 1.0:
-                        rng.random(out=uniforms[j][t])
-                    rng.standard_normal(out=blocks[j][t])
-                else:
-                    for _ in range(100):
-                        g = rng.standard_normal((size, size)) * cfg.entry_scale
-                        a = g @ g.T + 1e-3 * size * np.eye(size)
-                        a = (a + a.T) / 2.0
-                        w = eigvals_sym(a)
-                        if w[0] <= kappa * w[-1]:
-                            break
-                    else:
-                        raise ResampleExhausted(f"no draw met kappa_max={kappa:g} in 100 attempts")
-                    blocks[j][t] = a
-                if bias:
-                    # hunt in the regime of strongly unequal block scales
-                    scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
-            if idx:
-                size = int(rng.integers(1, n + 1))
-                idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-        mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
-        return [m * scale[:, None, None] if bias else m
-                for m, scale, (*_, bias) in zip(mats, scales, roles)], idxs
+    try:
+        return _draw_stacked(cfg, trials, roles, idx)
+    except MajdetError:
+        for trial in trials:
+            _draw_stacked(cfg, range(trial, trial + 1), roles, idx)
+        raise
 
 
 def _injects(spec: Spec, trials: range) -> bool:
@@ -275,7 +307,8 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     id's roles), the positions of each group counted from the start of the
     range. Callers take an injected trial 0 out of the range first
     (_injects). The trials are one group, built from their matrices in
-    input order by catalog.assemble; lemma31's are grouped by idx.
+    input order by catalog.assemble; lemma31's are grouped by the length
+    of their idx, at most n groups, each stack carrying its trials' idx.
     """
     if not trials:
         return []
@@ -283,11 +316,10 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     mats, idxs = draw_trials(cfg, trials, _roles(spec, cfg), idx=lemma31)
     if not lemma31:
         return [(list(range(len(trials))), assemble(spec.shape, cfg.part(), mats, p=p))]
-    members: dict[tuple[int, ...], list[int]] = {}
-    for t, idx in enumerate(idxs):
-        members.setdefault(idx, []).append(t)
-    return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), idx=idx, p=p))
-            for idx, ts in members.items()]
+    lengths = np.array([len(idx) for idx in idxs])
+    groups = [np.flatnonzero(lengths == k).tolist() for k in np.unique(lengths).tolist()]
+    return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), idx=tuple(idxs[t] for t in ts), p=p))
+            for ts in groups]
 
 
 def _member(stack: Instance, j: int, p: float | None) -> Instance:
@@ -296,7 +328,7 @@ def _member(stack: Instance, j: int, p: float | None) -> Instance:
                     c=None if stack.c is None else stack.c[j],
                     d=None if stack.d is None else stack.d[j],
                     mats=None if stack.mats is None else tuple(a[j] for a in stack.mats),
-                    idx=stack.idx, p=p, m=stack.m)
+                    idx=None if stack.idx is None else stack.idx[j], p=p, m=stack.m)
 
 
 def build_instances(inequality: str, cfg: GenConfig, trials: range,

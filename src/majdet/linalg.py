@@ -236,13 +236,15 @@ def eig_pencil(c, d) -> np.ndarray:
     With C = L L^T and D = R R^T, lambda(C^-1 D) = lambda(L^-1 D L^-T) =
     sigma(L^-1 R)^2. The reduction stays in factored form, so the condition
     number is never squared; C is never inverted, the nonsymmetric product
-    C^-1 D is never formed, and the output is real and positive.
+    C^-1 D is never formed, and the output is real and positive. An
+    eigenvalue that overflows a double raises NonFinite.
     """
     mc = as_square(c)
     md = as_square(d)
     if mc.shape != md.shape:
         raise DimensionMismatch(f"{mc.shape} vs {md.shape}")
-    return _pencil(np.array((require_symmetric(mc), require_symmetric(md))))
+    with np.errstate(all="ignore"):  # an overflowed eigenvalue raises NonFinite
+        return _finite(_pencil(np.array((require_symmetric(mc), require_symmetric(md)))))
 
 
 def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,21 +260,33 @@ def _rowwise(f, x: np.ndarray) -> np.ndarray:
     """f(x) for an elementwise numpy function f, applied to each row of x
     (the last axis) on its own.
 
-    numpy picks the code path of a transcendental function (vectorized or
-    scalar libm, which differ in the last bit) by the layout and length of
-    the operand it is handed. The eigenvalue rows of _eigvalsh and _eigh are
-    reversed views; row by row, a row of a stack is handed over exactly as
-    the vector of one matrix is, so both get the same bits.
+    numpy picks the code path of a transcendental function, such as log or
+    a power other than those of _EXACT_POWERS (vectorized or scalar libm,
+    which differ in the last bit), by the layout and length of the operand
+    it is handed. The eigenvalue rows of _eigvalsh and _eigh are reversed
+    views; row by row, a row of a stack is handed over exactly as the vector
+    of one matrix is, so both get the same bits.
     """
     rows = x.reshape(-1, x.shape[-1])
     return np.stack([f(row) for row in rows]).reshape(x.shape)
 
 
+# The exponents numpy computes as ones, sqrt, a copy, square and reciprocal,
+# all correctly rounded, so their bits do not depend on the operand's layout.
+_EXACT_POWERS = frozenset((0.0, 0.5, 1.0, 2.0, -1.0))
+
+
+def _power(w: np.ndarray, p: float) -> np.ndarray:
+    """w**p with the bits of a per-row power (_rowwise): on the whole stack
+    for an exponent of _EXACT_POWERS, row by row for any other."""
+    return w**p if p in _EXACT_POWERS else _rowwise(lambda row: row**p, w)
+
+
 def eigh_powers(w: np.ndarray, v: np.ndarray, ps) -> np.ndarray:
     """a^p for each exponent of ps, from the decomposition (w, V) =
-    _pd_eigh(a) or a stack of them: a (P, ..., n, n) stack, one product for
-    all the exponents."""
-    wp = np.stack([_rowwise(lambda row: row**p, w) for p in ps])
+    _pd_eigh(a) or a stack of them: a (P, ..., n, n) stack, one power
+    (_power) per exponent and one product for all the exponents."""
+    wp = np.stack([_power(w, p) for p in ps])
     return symmetrize((v * wp[..., None, :]) @ v.swapaxes(-1, -2))
 
 
@@ -282,20 +296,22 @@ def hyperbolic_power(a, b, p: float) -> np.ndarray:
     a@b is diagonalizable with positive spectrum, so real powers are well
     defined. Realized as b^{-1/2} (b^{1/2} a b^{1/2})^p b^{1/2}: conjugate
     into the symmetric world, take the spectral power there, conjugate back.
+    A power that overflows raises NonFinite.
     """
     ma = as_square(a)
     mb = as_square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatch(f"{ma.shape} vs {mb.shape}")
     cholesky(ma)
-    wb, vb = _pd_eigh(require_symmetric(mb))
-    sq = np.sqrt(wb)
-    b_half = (vb * sq) @ vb.T
-    b_half_inv = (vb / sq) @ vb.T
-    w, v = eigh_sym(symmetrize(b_half @ ma @ b_half))
-    if w.size and w[-1] <= 0.0:
-        raise NotPositiveDefinite("product spectrum not strictly positive")
-    return b_half_inv @ ((v * w**p) @ v.T) @ b_half
+    with np.errstate(all="ignore"):  # the result's check judges an overflow
+        wb, vb = _pd_eigh(require_symmetric(mb))
+        sq = np.sqrt(wb)
+        b_half = (vb * sq) @ vb.T
+        b_half_inv = (vb / sq) @ vb.T
+        w, v = eigh_sym(symmetrize(b_half @ ma @ b_half))
+        if w.size and w[-1] <= 0.0:
+            raise NotPositiveDefinite("product spectrum not strictly positive")
+        return _finite(b_half_inv @ ((v * w**p) @ v.T) @ b_half)
 
 
 def _logdet(m: np.ndarray):

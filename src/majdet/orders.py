@@ -185,11 +185,18 @@ def _positive(a) -> np.ndarray:
 
 
 def power_mean(a, r: float) -> float:
-    """Power mean ((1/m) sum a_i^r)^(1/r); nondecreasing in r."""
+    """Power mean ((1/m) sum a_i^r)^(1/r); nondecreasing in r. A mean of
+    the a_i^r or a result that is not finite, as when a_i^r overflows,
+    raises NonFinite."""
     arr = _positive(a)
     if r == 0.0:
         raise ZeroOrder("order 0 is the geometric mean; call geometric_mean")
-    return float(np.mean(arr**r) ** (1.0 / r))
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(arr**r))
+        out = float(np.float64(mean) ** (1.0 / r))
+    if not (math.isfinite(mean) and math.isfinite(out)):
+        raise NonFinite(f"power mean of order {r}: the mean of a_i^r is {mean}")
+    return out
 
 
 def geometric_mean(a) -> float:

@@ -52,9 +52,9 @@ def fraction_direct_sum(blocks) -> RationalMatrix:
 
 def stack_instances(insts) -> Instance:
     """One Instance whose matrices are those of insts stacked along a new
-    leading axis, in order, as the fuzzer draws a stack; insts share matrix
-    shapes, partition, idx, m and p, and the stack takes those of the
-    first."""
+    leading axis, in order, as the fuzzer draws a stack, and whose idx, if
+    set, is theirs, one per instance; insts share matrix shapes, partition,
+    the length of idx, m and p, and the stack takes those of the first."""
     def stacked(values: list):
         if values[0] is None:
             return None
@@ -62,8 +62,9 @@ def stack_instances(insts) -> Instance:
             return tuple(np.stack(column) for column in zip(*values))
         return np.stack(values)
 
-    return replace(insts[0], **{f: stacked([getattr(inst, f) for inst in insts])
-                                for f in ("c", "d", "mats")})
+    idx = None if insts[0].idx is None else tuple(inst.idx for inst in insts)
+    return replace(insts[0], idx=idx, **{f: stacked([getattr(inst, f) for inst in insts])
+                                         for f in ("c", "d", "mats")})
 
 
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:

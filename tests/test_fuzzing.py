@@ -439,7 +439,10 @@ class TestGridEvaluation:
         assert prepared == [(1, 4, 4), (63, 4, 4), (6, 4, 4)]
         assert steps == [spec.split.grid] * 3
 
-    def test_lemma31_groups_by_idx(self, monkeypatch):
+    def test_lemma31_groups_by_idx_length(self, monkeypatch):
+        # n = 8, 100 trials in chunks of 64 and 36: one checker call per
+        # distinct idx length in each chunk, each stack carrying the idx of
+        # its trials in trial order, and the stacks of a chunk adding up to it
         checked = []
         spec = SPECS["lemma31"]
 
@@ -449,10 +452,21 @@ class TestGridEvaluation:
 
         monkeypatch.setitem(catalog_mod.SPECS, "lemma31",
                             dataclasses.replace(spec, check=counting_check))
-        cfg = GenConfig(n=3, seed=2)
-        fuzz("lemma31", cfg, 20)
-        idxs = [build_instance("lemma31", cfg, trial).idx for trial in range(20)]
-        assert checked == [(idx, idxs.count(idx)) for idx in dict.fromkeys(idxs)]
+        cfg = GenConfig(n=8, seed=2)
+        report = fuzz("lemma31", cfg, 100, keep_instances=True)
+        idxs = [build_instance("lemma31", cfg, trial).idx for trial in range(100)]
+        assert all(type(idx) is tuple and all(type(i) is int for i in idx) for idx in idxs)
+        assert [rec.instance["idx"] for rec in report.records] == [list(idx) for idx in idxs]
+        want = []
+        for chunk in (idxs[:64], idxs[64:]):
+            lengths = sorted({len(idx) for idx in chunk})
+            groups = [tuple(idx for idx in chunk if len(idx) == k) for k in lengths]
+            assert sum(map(len, groups)) == len(chunk)
+            want += [(group, len(group)) for group in groups]
+        assert checked == want
+        assert len(checked) < len(set(idxs))  # fewer calls than distinct idx
+        for rec in report.records:
+            assert replay("lemma31", rec).to_json() == rec.verdict.to_json()
 
 
 def oracle_report(inequality, cfg, trials, p=None, keep_instances=False):
@@ -584,6 +598,91 @@ class TestStackedDraws:
                     if mine is not None:
                         assert matrix_bytes(mine) == matrix_bytes(theirs), (cfg.seed, trial, field)
                 assert (inst.partition, inst.idx, inst.p) == (want.partition, want.idx, want.p)
+
+
+def gram_attempts(rng, size: int, kappa: float, entry_scale: float) -> int | None:
+    """How many attempts the per-matrix GRAM loop (draw_pd_per_matrix)
+    makes on rng, or None when it runs out of them."""
+    for attempt in range(1, 101):
+        g = rng.standard_normal((size, size)) * entry_scale
+        a = g @ g.T + 1e-3 * size * np.eye(size)
+        w = np.linalg.eigvalsh((a + a.T) / 2.0)
+        if w[-1] <= kappa * w[0]:
+            return attempt
+    return None
+
+
+class TestGramRounds:
+    """draw_trials resamples GRAM matrices in rounds: each role's pending
+    trials draw one attempt a round from their own generators, and a round
+    goes through one eigensolver call. The draws equal the one-trial draws
+    and the per-matrix loop bit for bit, and a failing range raises the
+    error of its first failing trial."""
+
+    @staticmethod
+    def abs_power(kappa: float, n: int = 4, part=(2, 2), seed: int = 7):
+        cfg = GenConfig(n=n, partition=Partition(part), style=GenStyle.GRAM,
+                        kappa_max=kappa, seed=seed)
+        return cfg, fuzzing_mod._roles(SPECS["abs-power"], cfg)
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e3])
+    def test_one_eigensolver_call_per_round_per_role(self, monkeypatch, kappa):
+        cfg, roles = self.abs_power(kappa)
+        trials = range(1, 41)
+        rounds = []
+        eigvalsh = fuzzing_mod._eigvalsh
+
+        def counting(a):
+            rounds.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(fuzzing_mod, "_eigvalsh", counting)
+        draw_trials(cfg, trials, roles)
+        # per trial and role, the attempts of the per-matrix loop
+        attempts = []
+        for trial in trials:
+            rng = trial_rng(cfg, trial)
+            per_role = []
+            for size, cap, bias in roles:
+                per_role.append(gram_attempts(rng, size, cap, cfg.entry_scale))
+                if bias:
+                    rng.uniform(-bias, bias)
+            attempts.append(per_role)
+        want = []
+        for j in range(len(roles)):
+            need = [per_role[j] for per_role in attempts]
+            want += [sum(k >= r for k in need) for r in range(1, max(need) + 1)]
+        assert rounds == want
+        assert max(map(max, attempts)) > 1  # the draws resample
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e3])
+    def test_range_equals_one_trial_draws(self, kappa):
+        # abs-power's caps: C at min(kappa, 1e3), D blocks at 1e2 with a bias
+        cfg, roles = self.abs_power(kappa)
+        trials = range(1, 41)
+        mats, _ = draw_trials(cfg, trials, roles)
+        for t, trial in enumerate(trials):
+            one, _ = draw_trials(cfg, range(trial, trial + 1), roles)
+            assert [m[t].tobytes() for m in mats] == [m[0].tobytes() for m in one]
+            want = build_instance_per_trial("abs-power", cfg, trial)
+            blocks = [want.d[lo:hi, lo:hi] for lo, hi in cfg.part().offsets()]
+            assert [m[t].tobytes() for m in mats] == \
+                [a.tobytes() for a in (want.c, *blocks)], trial
+
+    def test_first_failing_trial_raises_its_error(self):
+        # n = 40, abs-power: trial 5 meets the C cap (1e3) and then runs out
+        # of resamples at a D block (cap 1e2); trial 6 runs out of them at C,
+        # an earlier role, which the rounds reach first
+        cfg, _ = self.abs_power(1e3, n=40, part=(16, 24), seed=1)
+        with pytest.raises(ResampleExhausted, match="^no draw met kappa_max=100 in 100"):
+            build_instance("abs-power", cfg, 5)
+        with pytest.raises(ResampleExhausted, match="^no draw met kappa_max=1000 in 100"):
+            build_instance("abs-power", cfg, 6)
+        for trials in (range(5, 7), range(4, 7)):
+            with pytest.raises(ResampleExhausted, match="^no draw met kappa_max=100 in 100"):
+                fuzzing_mod.build_instances("abs-power", cfg, trials)
+        with pytest.raises(ResampleExhausted, match="^no draw met kappa_max=1000 in 100"):
+            fuzzing_mod.build_instances("abs-power", cfg, range(6, 8))
 
 
 class TestBuildOnlyKept:

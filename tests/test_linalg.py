@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import majdet.linalg as linalg_mod
+from majdet.catalog import SPECS
 from majdet.errors import (
     DimensionMismatch,
     NonFinite,
@@ -183,6 +187,12 @@ class TestEigPdProduct:
         with pytest.raises(DimensionMismatch):
             eig_pencil(np.eye(2), np.eye(3))
 
+    def test_overflowed_eigenvalue_raises_non_finite(self):
+        # lambda = 1e400 overflows; it came back inf, and under the suite's
+        # warning filter a RuntimeWarning would replace the error
+        with pytest.raises(NonFinite, match=r"^non-finite entry \(max \|a_ij\| = inf\)$"):
+            eig_pencil(1e-200 * np.eye(2), 1e200 * np.eye(2))
+
     def test_relative_accuracy_vs_exact_inertia(self):
         # C^-1 D spans up to 24 decades at these condition numbers; every
         # eigenvalue must still be right to 1e-3 relative, bracketed exactly.
@@ -249,6 +259,11 @@ class TestMatrixFunctions:
 
 
 class TestHyperbolicPower:
+    def test_overflowed_power_raises_non_finite(self):
+        # 10^400 overflows, and the conjugation back turns it into NaN
+        with pytest.raises(NonFinite, match=r"^non-finite entry \(max \|a_ij\| = nan\)$"):
+            hyperbolic_power(np.eye(2), 10 * np.eye(2), 400.0)
+
     def test_identity(self):
         np.testing.assert_allclose(hyperbolic_power(np.eye(3), np.eye(3), 7.3), np.eye(3),
                                    atol=1e-12)
@@ -438,3 +453,54 @@ class TestStackedKernels:
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: np.full_like(m, np.nan))
         with pytest.raises(NotPositiveDefinite, match="pivot nan"):
             linalg_mod._cholesky(np.eye(2))
+
+
+EXACT_POWERS = {0.0: np.ones_like, 0.5: np.sqrt, 1.0: np.positive, 2.0: np.square,
+                -1.0: np.reciprocal}
+
+
+def reversed_rows(shape) -> st.SearchStrategy:
+    """Stacks of positive spectra, each row a reversed view as _eigvalsh
+    and _eigh return it."""
+    return arrays(float, shape, elements=st.floats(1e-300, 1e300)).map(lambda x: x[..., ::-1])
+
+
+class TestPowers:
+    """linalg._power takes w**p on the whole stack for the exponents numpy
+    computes correctly rounded, and row by row (_rowwise) for the others;
+    either way each row gets the bits of one matrix's eigenvalue vector. A
+    numpy that drops one of the exactly rounded fast paths fails here."""
+
+    def test_the_exact_powers(self):
+        assert linalg_mod._EXACT_POWERS == set(EXACT_POWERS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(EXACT_POWERS)),
+           reversed_rows(array_shapes(min_dims=2, max_dims=3, max_side=9)))
+    def test_whole_stack_power_equals_per_row(self, p, w):
+        with np.errstate(all="ignore"):  # 1e-300**-1 overflows
+            per_row = linalg_mod._rowwise(lambda row: row**p, w)
+            assert (w**p).tobytes() == per_row.tobytes()
+            assert linalg_mod._power(w, p).tobytes() == per_row.tobytes()
+            # the correctly rounded function numpy takes for the power
+            assert (w**p).tobytes() == EXACT_POWERS[p](w).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([3.0, 1.5, -0.5, 1.7]),
+           reversed_rows(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=40)))
+    def test_other_powers_go_row_by_row(self, p, w):
+        with np.errstate(all="ignore"):
+            per_row = linalg_mod._rowwise(lambda row: row**p, w)
+            assert linalg_mod._power(w, p).tobytes() == per_row.tobytes()
+
+    @pytest.mark.parametrize("ps", [
+        SPECS["commuted-power"].split.grid, SPECS["thm32"].split.grid, (3.0,), (1.5,), (-0.5,),
+    ])
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 8, 16))
+    def test_eigh_powers_of_a_stack_equal_per_matrix(self, rng, ps, n):
+        stack = pd_stack(rng, 10, n)
+        got = eigh_powers(*_pd_eigh(stack), ps)
+        assert got.shape == (len(ps), 10, n, n)
+        for t in range(10):
+            want = eigh_powers(*_pd_eigh(stack[t]), ps)
+            assert got[:, t].tobytes() == want.tobytes(), (ps, n, t)

@@ -229,6 +229,15 @@ class TestMeans:
         with pytest.raises(ZeroOrder):
             power_mean([1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("a, r", [([1e300, 1e300], 2.0), ([1e-300, 2.0], -2.0),
+                                      ([1.0, 2.0], math.nan)])
+    def test_overflowed_mean_raises_non_finite(self, a, r):
+        # a_i^r overflows (the result was inf, or 0.0 at r < 0) or is NaN;
+        # under the suite's warning filter a RuntimeWarning would replace
+        # the error
+        with pytest.raises(NonFinite, match=r"^power mean of order .*: the mean of a_i\^r is (inf|nan)$"):
+            power_mean(a, r)
+
     def test_nonpositive(self):
         with pytest.raises(NonPositiveEntry):
             power_mean([1.0, 0.0], 1.0)
