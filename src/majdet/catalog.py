@@ -191,9 +191,8 @@ class Instance:
 
     d_blocks is a constructor keyword, not a field: blocks D1, ..., Dk, sized
     for the partition (DimensionMismatch), set d to their direct sum. The
-    matrices may also be stacks along one leading axis, one matrix per
-    instance, for instances that share everything else but lemma31's idx:
-    a stack's idx is a tuple of one idx per instance, all of one length.
+    matrices may be stacks along a leading axis, one matrix (and idx, all of
+    one length) per instance, for instances that share everything else.
     """
 
     partition: Partition | None = None
@@ -295,9 +294,8 @@ class Verdicts:
     is what verdict (k, i) reports besides its log sides and p. A checker
     sets no more; check_validated then sets the id and hashed (_hashed, each
     array a stack of one matrix per instance, a stack's idx one per
-    instance). verdict(k, i) builds the
-    InequalityVerdict of instance i at exponent k, its fingerprint over
-    hashed and then the exponent."""
+    instance). verdict(k, i) builds the InequalityVerdict of instance i at
+    exponent k, its fingerprint over hashed and then the exponent."""
 
     margin: np.ndarray
     holds: np.ndarray
@@ -311,7 +309,6 @@ class Verdicts:
 
     def verdict(self, k: int = 0, i: int = 0) -> InequalityVerdict:
         n, partition, *payload = self.hashed
-        # instance i's matrices, and its own idx from a stack's (_hashed)
         payload = [a.reshape(-1, *a.shape[-2:])[i] if isinstance(a, np.ndarray)
                    else a[i] if isinstance(a, tuple) and isinstance(a[0], tuple) else a
                    for a in payload]
@@ -386,12 +383,8 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     part = inst.partition
     if shape is Shape.C_IDX:
         a = as_square(inst.c, lead)
-        n = a.shape[-1]
-        idx = tuple(principal_indices(i, n) for i in inst.idx) if lead else \
-            principal_indices(inst.idx, n)
-        if lead and (len(idx) != len(a) or len(set(map(len, idx))) > 1):
-            raise IndexOutOfRange("a stack takes one idx per instance, all of one length")
-        return replace(inst, idx=idx, c=require_symmetric(a))
+        idx = [principal_indices(i, a.shape[-1]) for i in (inst.idx if lead else [inst.idx])]
+        return replace(inst, idx=tuple(idx) if lead else idx[0], c=require_symmetric(a))
     mats = [as_square(a, lead) for a in
             (inst.mats if shape is Shape.MATS else [getattr(inst, f) for f in fields])]
     if not mats:
@@ -666,19 +659,14 @@ def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
 def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
     """inv([A]) <= [inv(A)] in the Loewner order, for a principal submatrix
     [.]: margin is lambda_min of the difference over max(1, its Frobenius
-    norm). A stack's instances each have their own idx, all of one length:
-    the (T, k, k) submatrices are gathered by fancy indexing, and A and
-    they are each inverted in one call."""
+    norm). On a stack, the submatrices of each instance's own idx (all of
+    one length) are gathered into one (T, k, k) stack."""
     a, indices = inst.c, inst.idx
     idxs = [indices] if a.ndim == 2 else indices  # per instance
-    sel = np.array(indices)[..., None]  # (k, 1) or (T, k, 1)
-
-    def sub(m: np.ndarray) -> np.ndarray:
-        rows = np.take_along_axis(m, sel, axis=-2)
-        return np.take_along_axis(rows, sel.swapaxes(-1, -2), axis=-1)
-
-    sub_inv = _pd_inverse(sub(a))
-    inv_sub = sub(_pd_inverse(a))
+    rows = np.array(indices)[..., None]  # (k, 1), or (T, k, 1) on a stack
+    cols = rows.swapaxes(-1, -2)
+    sub_inv = _pd_inverse(np.take_along_axis(np.take_along_axis(a, rows, -2), cols, -1))
+    inv_sub = np.take_along_axis(np.take_along_axis(_pd_inverse(a), rows, -2), cols, -1)
     diff = symmetrize(inv_sub - sub_inv)
     lam_min = _eigvalsh(diff)[..., -1]
     # one dot product per matrix, as np.linalg.norm takes it, for its bits

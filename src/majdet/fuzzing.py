@@ -22,11 +22,10 @@ layout), and writes its random parts straight into the chunk's arrays;
 the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
 product per matrix size, and catalog.assemble builds the stacked Instance
 from them as it builds one Instance, so its C, D and mats are (trials, n,
-n) stacks. A GRAM matrix is resampled until its cap holds, every pending
-trial's attempt of a round in one stack and one eigensolver call. Each
-stack (the drawn trials, lemma31's trials of one idx length, each with its
-own idx) is validated once and goes through the id's checker in one call
-per kernel, a parametrized id's exponent grid in one step. The injected counterexample's
+n) stacks; GRAM resamples go in rounds, one eigensolver call a round. Each
+stack (the drawn trials, lemma31's trials of one idx length) is validated
+once and goes through the id's checker in one call per kernel, a
+parametrized id's exponent grid in one step. The injected counterexample's
 verdicts depend only on the id's Spec, the exponent grid and tol, so it is
 validated and checked once per process for each of them, and later
 campaigns reuse its read-only stack and Verdicts (_checked_reference); only
@@ -206,19 +205,14 @@ def _form_by_size(roles: list[_Role], uniforms: list[np.ndarray],
 
 def _gram_rounds(rngs: list[np.random.Generator], size: int, kappa: float,
                  entry_scale: float, out: np.ndarray) -> None:
-    """Each trial's GRAM matrix of one role into out, drawn from its own
-    generator of rngs: G G^T + 1e-3*size*I with Gaussian G (times
-    entry_scale), resampled until its condition number is at most kappa.
-    Every trial still pending draws one attempt a round, and a round's
-    attempts are formed as one stack and go through one eigensolver call;
-    after 100 rounds a pending trial raises ResampleExhausted."""
+    """One role's GRAM matrices into out, each drawn from its trial's
+    generator of rngs until its condition number is at most kappa: each
+    round, every pending trial draws one attempt, all in one eigensolver
+    call; after 100 rounds a pending trial raises ResampleExhausted."""
     pending = np.arange(len(rngs))
-    shift = 1e-3 * size * np.eye(size)
     for _ in range(100):
-        g = np.stack([rngs[t].standard_normal((size, size)) for t in pending.tolist()])
-        g = g * entry_scale
-        a = g @ g.swapaxes(-1, -2) + shift
-        a = (a + a.swapaxes(-1, -2)) / 2.0
+        g = np.stack([rngs[t].standard_normal((size, size)) for t in pending]) * entry_scale
+        a = symmetrize(g @ g.swapaxes(-1, -2) + 1e-3 * size * np.eye(size))
         w = _eigvalsh(require_symmetric(a))
         met = w[:, 0] <= kappa * w[:, -1]
         out[pending[met]] = a[met]
@@ -228,9 +222,22 @@ def _gram_rounds(rngs: list[np.random.Generator], size: int, kappa: float,
     raise ResampleExhausted(f"no draw met kappa_max={kappa:g} in 100 attempts")
 
 
-def _draw_stacked(cfg: GenConfig, trials: range, roles: list[_Role],
-                  idx: bool) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """draw_trials' work, role by role over the whole range."""
+def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
+                idx: bool = False) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """Draw a range of trials into stacks: per role, the (trials, size,
+    size) stack of its random PD matrices, and with idx each trial's random
+    principal index set (lemma31). This is the one routine that turns a
+    trial's substream (trial_rng) into matrices.
+
+    Each trial makes its generator calls in role order: a SPECTRAL matrix's
+    log-uniform spectrum in [1, cap] (none when the cap is 1) and the
+    Gaussian block whose orthogonal factor conjugates it, written into
+    arrays and formed per size once every trial is drawn (_form_by_size);
+    a GRAM matrix G G^T + 1e-3*size*I, resampled up to 100 times until the
+    cap holds, in rounds over the range (_gram_rounds); then a biased
+    role's scale 10^u, u uniform in [-bias, bias]. The index set comes
+    last. If a round raises, the first trial to fail alone raises its error.
+    """
     count, n = len(trials), cfg.n
     spectral = cfg.style is GenStyle.SPECTRAL
     # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
@@ -248,7 +255,12 @@ def _draw_stacked(cfg: GenConfig, trials: range, roles: list[_Role],
                         rng.random(out=uniforms[j][t])
                     rng.standard_normal(out=blocks[j][t])
             else:
-                _gram_rounds(rngs, size, kappa, cfg.entry_scale, blocks[j])
+                try:
+                    _gram_rounds(rngs, size, kappa, cfg.entry_scale, blocks[j])
+                except MajdetError:
+                    for trial in trials if count > 1 else ():
+                        draw_trials(cfg, range(trial, trial + 1), roles, idx)
+                    raise
             if bias:
                 # hunt in the regime of strongly unequal block scales
                 for t, rng in enumerate(rngs):
@@ -260,33 +272,6 @@ def _draw_stacked(cfg: GenConfig, trials: range, roles: list[_Role],
         mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
         return [m * scale[:, None, None] if bias else m
                 for m, scale, (*_, bias) in zip(mats, scales, roles)], idxs
-
-
-def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
-                idx: bool = False) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """Draw a range of trials into stacks: per role, the (trials, size,
-    size) stack of its random PD matrices, and with idx each trial's random
-    principal index set (lemma31). This is the one routine that turns a
-    trial's substream (trial_rng) into matrices.
-
-    Each trial makes its generator calls in role order: a SPECTRAL matrix's
-    log-uniform spectrum in [1, cap] (none when the cap is 1) and the
-    Gaussian block whose orthogonal factor conjugates it, written into
-    arrays and formed per size once every trial is drawn (_form_by_size);
-    a GRAM matrix G G^T + 1e-3*size*I, resampled up to 100 times until the
-    cap holds, the attempts of every trial in rounds (_gram_rounds); then a
-    biased role's scale 10^u, u uniform in [-bias, bias]. The index set
-    comes last. The roles are drawn in turn over the whole range, each
-    trial from its own generator, so every trial's stream is drawn in that
-    order. If the range raises, its trials are drawn again one at a time,
-    in order, and the first to fail raises its own error.
-    """
-    try:
-        return _draw_stacked(cfg, trials, roles, idx)
-    except MajdetError:
-        for trial in trials:
-            _draw_stacked(cfg, range(trial, trial + 1), roles, idx)
-        raise
 
 
 def _injects(spec: Spec, trials: range) -> bool:
@@ -308,7 +293,7 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     range. Callers take an injected trial 0 out of the range first
     (_injects). The trials are one group, built from their matrices in
     input order by catalog.assemble; lemma31's are grouped by the length
-    of their idx, at most n groups, each stack carrying its trials' idx.
+    of their idx, each stack carrying its trials' idx.
     """
     if not trials:
         return []
@@ -317,9 +302,9 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     if not lemma31:
         return [(list(range(len(trials))), assemble(spec.shape, cfg.part(), mats, p=p))]
     lengths = np.array([len(idx) for idx in idxs])
-    groups = [np.flatnonzero(lengths == k).tolist() for k in np.unique(lengths).tolist()]
-    return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), idx=tuple(idxs[t] for t in ts), p=p))
-            for ts in groups]
+    groups = (np.flatnonzero(lengths == k).tolist() for k in np.unique(lengths))
+    return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), p=p,
+                          idx=tuple(idxs[t] for t in ts))) for ts in groups]
 
 
 def _member(stack: Instance, j: int, p: float | None) -> Instance:

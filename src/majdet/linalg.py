@@ -236,8 +236,8 @@ def eig_pencil(c, d) -> np.ndarray:
     With C = L L^T and D = R R^T, lambda(C^-1 D) = lambda(L^-1 D L^-T) =
     sigma(L^-1 R)^2. The reduction stays in factored form, so the condition
     number is never squared; C is never inverted, the nonsymmetric product
-    C^-1 D is never formed, and the output is real and positive. An
-    eigenvalue that overflows a double raises NonFinite.
+    C^-1 D is never formed, and the output is real and positive (an
+    overflow raises NonFinite).
     """
     mc = as_square(c)
     md = as_square(d)
@@ -261,9 +261,8 @@ def _rowwise(f, x: np.ndarray) -> np.ndarray:
     (the last axis) on its own.
 
     numpy picks the code path of a transcendental function, such as log or
-    a power other than those of _EXACT_POWERS (vectorized or scalar libm,
-    which differ in the last bit), by the layout and length of the operand
-    it is handed. The eigenvalue rows of _eigvalsh and _eigh are reversed
+    most powers (_power), vectorized or scalar libm, which differ in the
+    last bit, by the layout and length of the operand it is handed. The eigenvalue rows of _eigvalsh and _eigh are reversed
     views; row by row, a row of a stack is handed over exactly as the vector
     of one matrix is, so both get the same bits.
     """
@@ -271,15 +270,11 @@ def _rowwise(f, x: np.ndarray) -> np.ndarray:
     return np.stack([f(row) for row in rows]).reshape(x.shape)
 
 
-# The exponents numpy computes as ones, sqrt, a copy, square and reciprocal,
-# all correctly rounded, so their bits do not depend on the operand's layout.
-_EXACT_POWERS = frozenset((0.0, 0.5, 1.0, 2.0, -1.0))
-
-
 def _power(w: np.ndarray, p: float) -> np.ndarray:
-    """w**p with the bits of a per-row power (_rowwise): on the whole stack
-    for an exponent of _EXACT_POWERS, row by row for any other."""
-    return w**p if p in _EXACT_POWERS else _rowwise(lambda row: row**p, w)
+    """w**p with the bits of a per-row power (_rowwise): whole for p in (0,
+    0.5, 1, 2, -1), which numpy takes as ones, sqrt, a copy, square and
+    reciprocal, correctly rounded whatever the layout; else row by row."""
+    return w**p if p in (0.0, 0.5, 1.0, 2.0, -1.0) else _rowwise(lambda row: row**p, w)
 
 
 def eigh_powers(w: np.ndarray, v: np.ndarray, ps) -> np.ndarray:

@@ -185,8 +185,7 @@ def _positive(a) -> np.ndarray:
 
 
 def power_mean(a, r: float) -> float:
-    """Power mean ((1/m) sum a_i^r)^(1/r); nondecreasing in r. A mean of
-    the a_i^r or a result that is not finite, as when a_i^r overflows,
+    """Power mean ((1/m) sum a_i^r)^(1/r); nondecreasing in r. An overflow
     raises NonFinite."""
     arr = _positive(a)
     if r == 0.0:

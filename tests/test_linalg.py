@@ -471,8 +471,21 @@ class TestPowers:
     either way each row gets the bits of one matrix's eigenvalue vector. A
     numpy that drops one of the exactly rounded fast paths fails here."""
 
-    def test_the_exact_powers(self):
-        assert linalg_mod._EXACT_POWERS == set(EXACT_POWERS)
+    def test_whole_stack_for_the_exact_powers_only(self, monkeypatch):
+        rowwise, calls = linalg_mod._rowwise, []
+
+        def counting(f, x):
+            calls.append(x.shape)
+            return rowwise(f, x)
+
+        monkeypatch.setattr(linalg_mod, "_rowwise", counting)
+        w = np.arange(1.0, 13.0).reshape(3, 4)[..., ::-1]
+        for p in (*EXACT_POWERS, 2, -1, np.float64(0.5), -0.0):
+            linalg_mod._power(w, p)
+        assert calls == []
+        for p in (3.0, 1.5, -0.5, 0.25, -2.0, math.nan):
+            linalg_mod._power(w, p)
+        assert calls == [(3, 4)] * 6
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(EXACT_POWERS)),
