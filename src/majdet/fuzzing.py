@@ -301,8 +301,8 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     mats, idxs = draw_trials(cfg, trials, _roles(spec, cfg), idx=lemma31)
     if not lemma31:
         return [(list(range(len(trials))), assemble(spec.shape, cfg.part(), mats, p=p))]
-    lengths = np.array([len(idx) for idx in idxs])
-    groups = (np.flatnonzero(lengths == k).tolist() for k in np.unique(lengths))
+    lengths = [len(idx) for idx in idxs]
+    groups = ([t for t, k in enumerate(lengths) if k == size] for size in sorted(set(lengths)))
     return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), p=p,
                           idx=tuple(idxs[t] for t in ts))) for ts in groups]
 
