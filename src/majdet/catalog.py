@@ -372,8 +372,8 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     (IndexOutOfRange, _tail_start). A block-D D must be zero off the
     diagonal blocks (NotBlockDiagonal), each block judged symmetric on its
     own slack. A field the Shape reads that is unset raises MissingField.
-    With lead = 1, inst is a stack and each matrix of it is checked, on its
-    own symmetry slack, in one call per field."""
+    With lead = 1, inst is a stack, each matrix checked on its own symmetry
+    slack in one call per field, and its idx one per instance, of one length."""
     with_d = shape in (Shape.BLOCK_D, Shape.GENERAL_D)
     fields = ("mats",) if shape is Shape.MATS else ("c", "d") if with_d else ("c",)
     for name in ("c", "idx") if shape is Shape.C_IDX else ("partition", *fields):
@@ -384,6 +384,8 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     if shape is Shape.C_IDX:
         a = as_square(inst.c, lead)
         idx = [principal_indices(i, a.shape[-1]) for i in (inst.idx if lead else [inst.idx])]
+        if lead and (len(idx) != len(a) or len(set(map(len, idx))) > 1):
+            raise IndexOutOfRange("a stack takes one idx per instance, all of one length")
         return replace(inst, idx=tuple(idx) if lead else idx[0], c=require_symmetric(a))
     mats = [as_square(a, lead) for a in
             (inst.mats if shape is Shape.MATS else [getattr(inst, f) for f in fields])]
@@ -659,8 +661,7 @@ def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
 def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
     """inv([A]) <= [inv(A)] in the Loewner order, for a principal submatrix
     [.]: margin is lambda_min of the difference over max(1, its Frobenius
-    norm). On a stack, the submatrices of each instance's own idx (all of
-    one length) are gathered into one (T, k, k) stack."""
+    norm), each instance of a stack at its own idx."""
     a, indices = inst.c, inst.idx
     idxs = [indices] if a.ndim == 2 else indices  # per instance
     rows = np.array(indices)[..., None]  # (k, 1), or (T, k, 1) on a stack

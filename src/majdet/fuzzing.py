@@ -22,9 +22,8 @@ layout), and writes its random parts straight into the chunk's arrays;
 the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
 product per matrix size, and catalog.assemble builds the stacked Instance
 from them as it builds one Instance, so its C, D and mats are (trials, n,
-n) stacks; GRAM resamples go in rounds, one eigensolver call a round. Each
-stack (the drawn trials, lemma31's trials of one idx length) is validated
-once and goes through the id's checker in one call per kernel, a
+n) stacks. Each stack (the drawn trials, lemma31's of one idx length) is
+validated once and goes through the id's checker in one call per kernel, a
 parametrized id's exponent grid in one step. The injected counterexample's
 verdicts depend only on the id's Spec, the exponent grid and tol, so it is
 validated and checked once per process for each of them, and later

@@ -1158,6 +1158,16 @@ class TestStackedValidation:
                 with pytest.raises(NonFinite, match=r"^non-finite entry \(max \|a_ij\| = nan\)$"):
                     validate_instance(shape, stack_instances(members), lead=1)
 
+    @pytest.mark.parametrize("idx", [((0, 1), (2, 3), (1,)), ((0, 1), (2, 3)),
+                                     ((0, 1),) * 4, ((0, 1), (2, 3), (1, 4))])
+    def test_stacked_idx_is_one_per_instance_of_one_length(self, rng, idx):
+        c = np.stack([rand_pd(rng, 4) for _ in range(3)])
+        with pytest.raises(IndexOutOfRange):
+            validate_instance(Shape.C_IDX, Instance(c=c, idx=idx), lead=1)
+        checked = validate_instance(Shape.C_IDX, Instance(c=c, idx=((0, 1), (2, 3), (1, 3))),
+                                    lead=1)
+        assert checked.idx == ((0, 1), (2, 3), (1, 3))
+
     @pytest.mark.parametrize("shape", list(Shape))
     def test_valid_stack_passes(self, rng, shape):
         inst, fields = shape_instances(rng)[shape]
