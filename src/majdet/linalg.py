@@ -260,11 +260,11 @@ def _rowwise(f, x: np.ndarray) -> np.ndarray:
     """f(x) for an elementwise numpy function f, applied to each row of x
     (the last axis) on its own.
 
-    numpy picks the code path of a transcendental function, such as log or
-    most powers (_power), vectorized or scalar libm, which differ in the
-    last bit, by the layout and length of the operand it is handed. The eigenvalue rows of _eigvalsh and _eigh are reversed
-    views; row by row, a row of a stack is handed over exactly as the vector
-    of one matrix is, so both get the same bits.
+    numpy picks the code path of log or of most powers (_power), vectorized
+    or scalar libm, which differ in the last bit, by the operand's layout
+    and length. The eigenvalue rows of _eigvalsh and _eigh are reversed
+    views; row by row, a row of a stack is handed over exactly as the
+    vector of one matrix is, so both get the same bits.
     """
     rows = x.reshape(-1, x.shape[-1])
     return np.stack([f(row) for row in rows]).reshape(x.shape)

@@ -235,7 +235,8 @@ class TestMeans:
         # a_i^r overflows (the result was inf, or 0.0 at r < 0) or is NaN;
         # under the suite's warning filter a RuntimeWarning would replace
         # the error
-        with pytest.raises(NonFinite, match=r"^power mean of order .*: the mean of a_i\^r is (inf|nan)$"):
+        with pytest.raises(NonFinite,
+                           match=r"^power mean of order .*: the mean of a_i\^r is (inf|nan)$"):
             power_mean(a, r)
 
     def test_nonpositive(self):
