@@ -507,7 +507,9 @@ def _blockwise(kernel, a, part: Partition) -> list:
 def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(concatenated spectra of Ci^-1 Di sorted nonincreasing, spectrum of
     C^-1 D), with Ci and Di the diagonal blocks of C and D: positive
-    definite float arrays, or stacks of them."""
+    definite float arrays, or stacks of them. Like the kernels, it expects
+    numpy's warnings off (check_validated's np.errstate); otherwise a
+    failed factorization warns before it raises."""
     cd = np.array((c, d))
     spectra = _blockwise(lambda g: _pencil(g.swapaxes(0, 1)), cd, part)
     return sort_desc(np.concatenate(spectra, axis=-1)), _pencil(cd)

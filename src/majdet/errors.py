@@ -22,7 +22,8 @@ class NotPositiveDefinite(MajdetError):
 
 
 class NoConvergence(MajdetError):
-    """LAPACK's symmetric eigensolver or SVD did not converge (numpy LinAlgError)."""
+    """LAPACK's symmetric eigensolver or SVD did not converge (its numpy gufunc
+    filled the matrix's output with NaN)."""
 
 
 class NotBlockDiagonal(MajdetError):

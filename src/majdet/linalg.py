@@ -1,4 +1,4 @@
-"""Dense real symmetric linear algebra on LAPACK through numpy.linalg.
+"""Dense real symmetric linear algebra on LAPACK through numpy's gufuncs.
 
 Cholesky factorization (which doubles as the positive-definiteness test,
 with a relative pivot floor on top of LAPACK's), the symmetric eigensolver,
@@ -10,15 +10,22 @@ the eigensolver and the SVD.
 
 Each computation is one private kernel over a matrix or a `(..., n, n)`
 stack of them, with numpy's stacked LAPACK calls, so a stack costs one call
-per kernel and its results equal the per-matrix calls bit for bit. Kernels
-do no input validation; they keep only the checks that follow from the
-computation (a non-finite operand, which a derived matrix can overflow to,
-the pivot floor, a non-positive spectrum). The public functions (cholesky,
-eigh_sym, eigvals_sym, eig_pencil and hyperbolic_power) take one matrix or
-pair, validate it with as_square and require_symmetric, and then run the
-kernels. require_symmetric also takes a stack, with each matrix judged
-on its own slack, so the catalog validates each input matrix, or a whole
-stack of them, once and calls the kernels directly.
+per kernel and its results equal the per-matrix calls bit for bit. The
+kernels call the LAPACK gufuncs of numpy.linalg._umath_linalg, bound once at
+import, with the signatures numpy.linalg passes them, so each result has
+numpy.linalg's bits without its wrappers' dtype handling and errstate. A
+gufunc reports a failed LAPACK call by filling that matrix's output with NaN
+(and raising the invalid flag, which the np.errstate(all="ignore") that
+every caller runs under silences); each kernel turns the NaN into the
+package error. Kernels do no input validation; they keep only the checks
+that follow from the computation (a non-finite operand, which a derived
+matrix can overflow to, the pivot floor, a non-positive spectrum). The
+public functions (cholesky, eigh_sym, eigvals_sym, eig_pencil and
+hyperbolic_power) take one matrix or pair, validate it with as_square and
+require_symmetric, and then run the kernels. require_symmetric also takes a
+stack, with each matrix judged on its own slack, so the catalog validates
+each input matrix, or a whole stack of them, once and calls the kernels
+directly.
 
 The guards cost one pass over a whole stack in the common case: the
 symmetry test when no entry exceeds half the largest double and no
@@ -35,6 +42,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DimensionMismatch,
@@ -52,6 +60,17 @@ SYMMETRY_RTOL = 1e-12
 PIVOT_REL_FLOOR = 1e-13
 # Entries at most this large have differences that cannot overflow.
 _HALF_MAX = float(np.finfo(float).max) / 2
+
+# The LAPACK gufuncs behind numpy.linalg's cholesky, solve, svd (values
+# only), eigvalsh, eigh and inv, each on the lower triangle where it reads
+# one; called with signature "d->d", "dd->d" or "d->dd" as numpy.linalg does.
+_cholesky_lo = _umath_linalg.cholesky_lo
+_solve = _umath_linalg.solve
+_svd = _umath_linalg.svd
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+_eigh_lo = _umath_linalg.eigh_lo
+_inv = _umath_linalg.inv
+_SVD_FAILED = "svd: SVD did not converge"
 
 
 def as_square(a, lead: int = 0) -> np.ndarray:
@@ -125,21 +144,24 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _failed(out: np.ndarray) -> bool:
+    """Whether a gufunc filled some matrix's output with NaN, its report of a
+    failed LAPACK call. A sum of squares is NaN exactly when a term is."""
+    return math.isnan(np.vdot(out, out))
+
+
 def _cholesky(m: np.ndarray) -> np.ndarray:
-    # A symmetric m with a NaN or infinite entry either makes LAPACK fail or
-    # yields a NaN or infinite pivot, or an infinite diagonal and so an
-    # infinite floor; each fails below, and NonFinite is raised before the
-    # Cholesky error, so a finite m pays for no separate scan.
-    try:
-        low = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        _finite(m)
-        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
+    # A symmetric m with a NaN or infinite entry either makes LAPACK fail,
+    # which fills that matrix's factor with NaN, or yields a NaN or infinite
+    # pivot, or an infinite diagonal and so an infinite floor; each fails
+    # below, and NonFinite is raised before the Cholesky error, so a finite
+    # m pays for no separate scan.
+    low = _cholesky_lo(m, signature="d->d")
     if not m.size:
         return low
     # One pass over the whole stack settles the common case: its least pivot
-    # clears its largest floor, which is finite. Otherwise each matrix is
-    # held to its own floor.
+    # clears its largest floor, which is finite. Otherwise (a NaN pivot
+    # included) each matrix is held to its own floor.
     least = float(np.minimum.reduce(_diagonal(low), axis=None))
     top = PIVOT_REL_FLOOR * float(np.maximum.reduce(_diagonal(m), axis=None))
     if not (least * least >= top and top < math.inf):
@@ -148,6 +170,8 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         ok = (np.minimum.reduce(pivots, axis=-1) >= floor) & (floor < math.inf)
         if not np.logical_and.reduce(ok, axis=None):
             _finite(m)
+            if _failed(pivots):
+                raise NotPositiveDefinite("Cholesky failed: Matrix is not positive definite")
             at = tuple(np.argwhere(~(pivots >= floor[..., None]))[0])
             raise NotPositiveDefinite(f"pivot {pivots[at]:.3e} at index {at[-1]} "
                                       f"(floor {floor[at[:-1]]:.3e})")
@@ -161,51 +185,58 @@ def cholesky(a) -> np.ndarray:
     below 1e-13 times the largest diagonal entry (near-singular inputs are
     rejected, never regularized).
     """
-    return _cholesky(require_symmetric(as_square(a)))
+    with np.errstate(all="ignore"):  # a failed factorization raises its own error
+        return _cholesky(require_symmetric(as_square(a)))
 
 
 def _pd_inverse(m: np.ndarray) -> np.ndarray:
-    low_inv = np.linalg.inv(_cholesky(m))
+    # a factor whose pivots clear the floor is nonsingular
+    low_inv = _inv(_cholesky(m), signature="d->d")
     return symmetrize(low_inv.swapaxes(-1, -2) @ low_inv)
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        w, v = np.linalg.eigh(symmetrize(_finite(m)))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh: {exc}") from exc
+    w, v = _eigh_lo(symmetrize(_finite(m)), signature="d->dd")
+    if _failed(w):
+        raise NoConvergence("eigh: Eigenvalues did not converge")
     return w[..., ::-1], v[..., ::-1]
 
 
 def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with a = V diag(w) V^T for symmetric a, w sorted nonincreasing.
 
-    Column i of V pairs with eigenvalue i. LAPACK's symmetric eigensolver
-    (numpy.linalg.eigh) on the symmetric part of a.
+    Column i of V pairs with eigenvalue i. LAPACK's symmetric eigensolver,
+    as numpy.linalg.eigh runs it, on the symmetric part of a.
     """
-    return _eigh(require_symmetric(as_square(a)))
+    with np.errstate(all="ignore"):  # a failed solver raises its own error
+        return _eigh(require_symmetric(as_square(a)))
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    try:
-        w = np.linalg.eigvalsh(symmetrize(_finite(m)))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigvalsh: {exc}") from exc
+    w = _eigvalsh_lo(symmetrize(_finite(m)), signature="d->d")
+    if _failed(w):
+        raise NoConvergence("eigvalsh: Eigenvalues did not converge")
     return w[..., ::-1]
 
 
 def eigvals_sym(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted nonincreasing."""
-    return _eigvalsh(require_symmetric(as_square(a)))
+    with np.errstate(all="ignore"):  # a failed solver raises its own error
+        return _eigvalsh(require_symmetric(as_square(a)))
+
+
+def _sv(x: np.ndarray) -> np.ndarray:
+    """The singular values of x, NaN for a matrix whose SVD failed."""
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+        raise NonFinite("non-finite entry")
+    return _svd(x, signature="d->d")
 
 
 def _singular_values(x: np.ndarray) -> np.ndarray:
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
-        raise NonFinite("non-finite entry")
-    try:
-        return np.linalg.svd(x, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"svd: {exc}") from exc
+    s = _sv(x)
+    if _failed(s):
+        raise NoConvergence(_SVD_FAILED)
+    return s
 
 
 def _each(kernel, stack: np.ndarray):
@@ -224,8 +255,11 @@ def _pencil(cd: np.ndarray) -> np.ndarray:
     """lambda(C^-1 D) of a stacked pair cd = (C, D), each a matrix or a
     stack: one Cholesky call factors both, C's error first."""
     low = _each(_cholesky, cd)
-    w = _singular_values(np.linalg.solve(low[0], low[1])) ** 2
-    if w.size and np.logical_or.reduce(w[..., -1] <= 0.0, axis=None):
+    w = _sv(_solve(low[0], low[1], signature="dd->d")) ** 2
+    # one test for the common case: a NaN (a failed SVD) is not positive
+    if w.size and not np.logical_and.reduce(w[..., -1] > 0.0, axis=None):
+        if _failed(w):
+            raise NoConvergence(_SVD_FAILED)
         raise NotPositiveDefinite("pencil spectrum not strictly positive")
     return w
 

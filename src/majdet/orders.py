@@ -19,6 +19,8 @@ import numpy as np
 from .errors import EmptyVector, LengthMismatch, NonFinite, NonPositiveEntry, ZeroOrder
 
 DEFAULT_TOL = 1e-9
+# The smallest normal double.
+_TINY = float(np.finfo(float).tiny)
 
 
 class OrderKind(enum.Enum):
@@ -185,16 +187,26 @@ def _positive(a) -> np.ndarray:
 
 
 def power_mean(a, r: float) -> float:
-    """Power mean ((1/m) sum a_i^r)^(1/r); nondecreasing in r. An overflow
-    raises NonFinite."""
+    """Power mean ((1/m) sum a_i^r)^(1/r); nondecreasing in r.
+
+    The entries are scaled by max(a) for r > 0 and by min(a) for r < 0, so
+    the largest term (a_i/scale)^r is 1 and the mean neither overflows nor
+    underflows; a ratio a_i/scale outside the normal doubles is raised to r
+    through logarithms. A result that still overflows raises NonFinite.
+    """
     arr = _positive(a)
     if r == 0.0:
         raise ZeroOrder("order 0 is the geometric mean; call geometric_mean")
+    scale = float(np.max(arr) if r > 0.0 else np.min(arr))
     with np.errstate(all="ignore"):
-        mean = float(np.mean(arr**r))
-        out = float(np.float64(mean) ** (1.0 / r))
+        ratio = arr / scale
+        normal = (ratio >= _TINY) & (ratio < math.inf)
+        terms = np.where(normal, ratio**r, np.exp(r * (np.log(arr) - math.log(scale))))
+        mean = float(np.mean(terms))
+        out = scale * float(np.float64(mean) ** (1.0 / r))
     if not (math.isfinite(mean) and math.isfinite(out)):
-        raise NonFinite(f"power mean of order {r}: the mean of a_i^r is {mean}")
+        raise NonFinite(f"power mean of order {r}: the mean of (a_i/{scale!r})^r is {mean}, "
+                        f"the result {out}")
     return out
 
 

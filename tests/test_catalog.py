@@ -1010,13 +1010,14 @@ class TestValidateOnce:
 
 class TestKernelCalls:
     """The diagonal blocks of one size go through each LAPACK routine in one
-    call, and a pencil factors C and D in one call: the counts are pinned.
-    choi factors each A_i's blocks in its own calls, and inv-square-sum
-    takes one block at a time."""
+    call, and a pencil factors C and D in one call: the counts of the
+    gufunc calls behind linalg's kernels are pinned. choi factors each
+    A_i's blocks in its own calls, and inv-square-sum takes one block at a
+    time."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = dict.fromkeys(("cholesky", "solve", "svd"), 0)
+        counts = dict.fromkeys(("_cholesky_lo", "_solve", "_svd"), 0)
 
         def counting(name, original):
             def count(*args, **kwargs):
@@ -1025,7 +1026,7 @@ class TestKernelCalls:
             return count
 
         for name in counts:
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+            monkeypatch.setattr(linalg_mod, name, counting(name, getattr(linalg_mod, name)))
         return counts
 
     @pytest.mark.parametrize("inequality, sizes, want", [
@@ -1049,8 +1050,9 @@ class TestKernelCalls:
 
     def test_commuted_power_eighs_each_matrix_per_block_size(self, rng, monkeypatch):
         shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        eigh = linalg_mod._eigh_lo
+        monkeypatch.setattr(linalg_mod, "_eigh_lo",
+                            lambda m, **kw: shapes.append(m.shape) or eigh(m, **kw))
         sizes = (2, 3, 3)
         inst = Instance(partition=Partition(sizes), c=rand_pd(rng, 8, kappa=1e4),
                         d_blocks=tuple(rand_pd(rng, s, kappa=1e4) for s in sizes), p=2.0)

@@ -11,6 +11,7 @@ import majdet.linalg as linalg_mod
 from majdet.catalog import SPECS
 from majdet.errors import (
     DimensionMismatch,
+    NoConvergence,
     NonFinite,
     NotPositiveDefinite,
     NotSymmetric,
@@ -449,10 +450,94 @@ class TestStackedKernels:
                     linalg_mod._eigvalsh(m)
 
     def test_nan_pivot_fails_the_floor(self, monkeypatch):
-        # a factorization that returned a NaN pivot must not pass
-        monkeypatch.setattr(np.linalg, "cholesky", lambda m: np.full_like(m, np.nan))
-        with pytest.raises(NotPositiveDefinite, match="pivot nan"):
+        # a factorization that returned a NaN pivot must not pass: a gufunc
+        # fills a failed matrix's factor with NaN
+        monkeypatch.setattr(linalg_mod, "_cholesky_lo", lambda m, **kw: np.full_like(m, np.nan))
+        with pytest.raises(NotPositiveDefinite,
+                           match="^Cholesky failed: Matrix is not positive definite$"):
             linalg_mod._cholesky(np.eye(2))
+
+
+def lead_shapes_stacks(rng, n):
+    """PD stacks of n x n matrices with 0, 1 and 2 leading axes, and a
+    strided view of one of them."""
+    stacks = [pd_stack(rng, size, n).reshape(shape + (n, n))
+              for size, shape in ((1, ()), (3, (3,)), (4, (2, 2)))]
+    return stacks + [stacks[1][::-1, ::-1, ::-1]]
+
+
+class TestGufuncSeam:
+    """linalg calls numpy's LAPACK gufuncs directly (_cholesky_lo, _solve,
+    _svd, _eigvalsh_lo, _eigh_lo, _inv). Each kernel gives the bits of its
+    numpy.linalg counterpart, and a NaN-filled output, the gufunc's report
+    of a failed LAPACK call, raises the error numpy's LinAlgError mapped to."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
+    def test_kernels_equal_numpy_linalg(self, rng, n):
+        for a in lead_shapes_stacks(rng, n):
+            sym = symmetrize(a)
+            low = np.linalg.cholesky(a)
+            assert np.array_equal(linalg_mod._cholesky(a), low)
+            low_inv = np.linalg.inv(low)
+            assert np.array_equal(linalg_mod._pd_inverse(a),
+                                  symmetrize(low_inv.swapaxes(-1, -2) @ low_inv))
+            assert np.array_equal(linalg_mod._eigvalsh(a), np.linalg.eigvalsh(sym)[..., ::-1])
+            w, v = np.linalg.eigh(sym)
+            got_w, got_v = linalg_mod._eigh(a)
+            assert np.array_equal(got_w, w[..., ::-1]) and np.array_equal(got_v, v[..., ::-1])
+            x = a[..., : max(n - 1, 1), :]  # not square unless n = 1
+            assert np.array_equal(_singular_values(x), np.linalg.svd(x, compute_uv=False))
+            b = a[..., ::-1, ::-1]
+            want = np.linalg.svd(np.linalg.solve(low, np.linalg.cholesky(b)),
+                                 compute_uv=False) ** 2
+            assert np.array_equal(linalg_mod._pencil(np.stack((a, b))), want)
+
+    def nan_at(self, monkeypatch, name, at):
+        """Patch the gufunc `name` to fill the outputs of matrix `at` of its
+        stack with NaN, as it does when LAPACK fails on that matrix."""
+        gufunc = getattr(linalg_mod, name)
+
+        def failing(*args, **kwargs):
+            out = gufunc(*args, **kwargs)
+            for o in out if isinstance(out, tuple) else (out,):
+                o[at] = math.nan
+            return out
+
+        monkeypatch.setattr(linalg_mod, name, failing)
+
+    @pytest.mark.parametrize("name, kernel, err, message", [
+        ("_cholesky_lo", linalg_mod._cholesky, NotPositiveDefinite,
+         "Cholesky failed: Matrix is not positive definite"),
+        ("_cholesky_lo", linalg_mod._logdet, NotPositiveDefinite,
+         "Cholesky failed: Matrix is not positive definite"),
+        ("_eigvalsh_lo", linalg_mod._eigvalsh, NoConvergence,
+         "eigvalsh: Eigenvalues did not converge"),
+        ("_eigh_lo", linalg_mod._eigh, NoConvergence, "eigh: Eigenvalues did not converge"),
+        ("_eigh_lo", linalg_mod._pd_eigh, NoConvergence, "eigh: Eigenvalues did not converge"),
+        ("_svd", _singular_values, NoConvergence, "svd: SVD did not converge"),
+        ("_svd", lambda a: linalg_mod._pencil(np.stack((a, a))), NoConvergence,
+         "svd: SVD did not converge"),
+    ])
+    @pytest.mark.parametrize("at", (0, 2))
+    def test_nan_output_raises_the_package_error(self, rng, monkeypatch, name, kernel, err,
+                                                 message, at):
+        stack = pd_stack(rng, 3, 4)
+        kernel(stack)  # passes before the patch
+        self.nan_at(monkeypatch, name, at)
+        with pytest.raises(err) as info:
+            kernel(stack)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, public, message", [
+        ("_cholesky_lo", cholesky, "Cholesky failed: Matrix is not positive definite"),
+        ("_eigvalsh_lo", eigvals_sym, "eigvalsh: Eigenvalues did not converge"),
+        ("_eigh_lo", eigh_sym, "eigh: Eigenvalues did not converge"),
+        ("_svd", lambda a: eig_pencil(a, a), "svd: SVD did not converge"),
+    ])
+    def test_public_entries_raise_it(self, monkeypatch, name, public, message):
+        self.nan_at(monkeypatch, name, ...)
+        with pytest.raises((NotPositiveDefinite, NoConvergence), match=f"^{message}$"):
+            public(np.eye(3))
 
 
 EXACT_POWERS = {0.0: np.ones_like, 0.5: np.sqrt, 1.0: np.positive, 2.0: np.square,

@@ -229,15 +229,26 @@ class TestMeans:
         with pytest.raises(ZeroOrder):
             power_mean([1.0, 2.0], 0.0)
 
-    @pytest.mark.parametrize("a, r", [([1e300, 1e300], 2.0), ([1e-300, 2.0], -2.0),
-                                      ([1.0, 2.0], math.nan)])
-    def test_overflowed_mean_raises_non_finite(self, a, r):
-        # a_i^r overflows (the result was inf, or 0.0 at r < 0) or is NaN;
-        # under the suite's warning filter a RuntimeWarning would replace
-        # the error
+    @pytest.mark.parametrize("a, r, want", [
+        # a_i^r under- or overflows unscaled; the mean of equal entries is
+        # the entry itself, exactly
+        ([1e-200, 1e-200], 2.0, 1e-200), ([1e200, 1e200], -2.0, 1e200),
+        ([1e300, 1e300], 2.0, 1e300), ([1e-300, 2.0], -2.0, math.sqrt(2.0) * 1e-300),
+        # a_i/max(a) underflows and a_i/min(a) overflows, so the ratio goes
+        # through logarithms; the means to 17 digits, from 60 with decimal
+        ([1e-300, 1e300], 1e-4, 22563316772.247870),
+        ([1e-300, 1e300], -1e-4, 4.4319725246687436e-11),
+    ])
+    def test_extreme_entries_are_scaled(self, a, r, want):
+        # under the suite's warning filter a RuntimeWarning would fail it
+        assert power_mean(a, r) == pytest.approx(want, rel=1e-11)
+        if len(set(a)) == 1:
+            assert power_mean(a, r) == want
+
+    def test_nan_order_raises_non_finite(self):
         with pytest.raises(NonFinite,
-                           match=r"^power mean of order .*: the mean of a_i\^r is (inf|nan)$"):
-            power_mean(a, r)
+                           match=r"^power mean of order nan: .* is nan, the result nan$"):
+            power_mean([1.0, 2.0], math.nan)
 
     def test_nonpositive(self):
         with pytest.raises(NonPositiveEntry):
