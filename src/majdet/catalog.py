@@ -764,20 +764,33 @@ def _inv_square_sum_verdicts(inst: Instance, tol: float) -> Verdicts:
     return _log_verdicts(sum(blocks), lrhs, tol)
 
 
-def _inv_square_sum_det(c, d, s: int, t: int, name: str) -> Fraction:
+def _inv_square_sum_det(c, d, s: int, t: int, name: str, d_work) -> Fraction:
     """det(D^-2 + C^-2) for C = c/s, D = d/t, without an inverse: since
     D^-2 + C^-2 = D^-2 (C^2 + D^2) C^-2, it is
-    det(C^2 + D^2)/(det C det D)^2 = det(t^2 c^2 + s^2 d^2)/(det c det d)^2."""
-    scale = _nonzero_det(c, "C" + name) * _nonzero_det(d, "D" + name)
-    squares = _combine(t * t, exact.mat_mul(c, c), s * s, exact.mat_mul(d, d))
-    return Fraction(exact.det_int(squares), scale * scale)
+    det(C^2 + D^2)/(det C det D)^2 = det(t^2 c^2 + s^2 d^2)/(det c det d)^2,
+    with (det d, d^2) = d_work(d, name) taken after det c."""
+    det_c = _nonzero_det(c, "C" + name)
+    det_d, d_square = d_work(d, name)
+    squares = _combine(t * t, exact.mat_mul(c, c), s * s, d_square)
+    return Fraction(exact.det_int(squares), (det_c * det_d) ** 2)
 
 
 def inv_square_sum_exact(c_exact, d_exact, part: Partition):
     """Exact rational sides of inv-square-sum: (blockwise product, full det),
     each factor det(D^-2 + C^-2). A singular exact C, Ci, D or Di raises
-    SingularMatrix."""
-    return _certify(_inv_square_sum_det, c_exact, d_exact, part)
+    SingularMatrix. A D zero off its diagonal blocks gives the whole's
+    det D = prod det Di and D^2 = D1^2 (+) ... (+) Dk^2 from the blocks'."""
+    d_exact = exact.clear_denominators(d_exact)
+    block_d, done = exact.block_diagonal(d_exact.ints, part.offsets()), []
+
+    def d_work(d, name: str) -> tuple[int, exact.IntMatrix]:
+        if name or not block_d:  # a block, or a whole D of its own
+            done.append((_nonzero_det(d, "D" + name), exact.mat_mul(d, d)))
+            return done[-1]
+        return (math.prod(det for det, _ in done),
+                exact.direct_sum([exact.Scaled(square, 1) for _, square in done]).ints)
+
+    return _certify(lambda *args: _inv_square_sum_det(*args, d_work), c_exact, d_exact, part)
 
 
 def _sv_weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:

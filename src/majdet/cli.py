@@ -113,9 +113,7 @@ def _exact_certification(spec: Spec, part: Partition, exacts: tuple) -> dict | N
     if spec.shape not in (Shape.BLOCK_D, Shape.GENERAL_D) or None in d_parts:
         return None
     d_exact = exact.direct_sum(d_parts)
-    if spec.shape is Shape.BLOCK_D and any(
-            x for lo, hi in part.offsets() for row in d_exact.ints[lo:hi]
-            for x in row[:lo] + row[hi:]):
+    if spec.shape is Shape.BLOCK_D and not exact.block_diagonal(d_exact.ints, part.offsets()):
         raise BadMatrixFile(f"exact D is not block diagonal for partition {part.sizes}")
     if spec.certify is None or c_exact is None:
         return None

@@ -9,7 +9,11 @@ Fractions, ints or anything Fraction() takes, and passes a Scaled through.
 A determinant is det(m) = det(A)/s^n, with det(A) from
 Bareiss's fraction-free elimination (every division is an exact integer
 division, bit growth stays polynomial), so no step normalizes a fraction;
-a Fraction is built only for the result. These back the zero-tolerance
+a Fraction is built only for the result. A certificate takes determinants
+of symmetric matrices only: leading_minors eliminates those on the upper
+triangle, without row swaps, and its pivots are the leading principal minors
+(Bareiss 1968); inv-square-sum takes a block-diagonal D's determinant and
+square from its blocks (catalog). These back the zero-tolerance
 certification of strict inequality violations.
 """
 
@@ -59,6 +63,11 @@ def direct_sum(parts) -> Scaled:
     return Scaled(out, scale)
 
 
+def block_diagonal(a: IntMatrix, offsets) -> bool:
+    """Whether a is zero off its diagonal blocks, rows and columns lo:hi."""
+    return not any(x for lo, hi in offsets for row in a[lo:hi] for x in row[:lo] + row[hi:])
+
+
 def from_pairs(pairs) -> Scaled:
     """The Scaled form of a matrix of (numerator, denominator) int pairs,
     each denominator nonzero, of either sign, and not necessarily in lowest
@@ -82,11 +91,27 @@ def clear_denominators(m) -> Scaled:
     return Scaled([[x.numerator * (s // x.denominator) for x in row] for row in rows], s)
 
 
+def leading_minors(a: IntMatrix) -> list[int]:
+    """The leading principal minors M_1, M_2, ... of a symmetric integer
+    matrix, up to the first zero one: Bareiss's pivots without row swaps,
+    each reduced matrix symmetric and kept as its upper triangle."""
+    rows, minors = [row[i:] for i, row in enumerate(a)], [1]
+    while rows and minors[-1]:
+        top, prev = rows.pop(0), minors[-1]
+        minors.append(pivot := top[0])
+        rows = [[(x * pivot - top[i] * y) // prev for x, y in zip(row, top[i:])]
+                for i, row in enumerate(rows, start=1)]
+    return minors[1:]
+
+
 def det_int(a: IntMatrix) -> int:
     """Determinant of a square integer matrix by Bareiss's fraction-free
     elimination: each step's entries are minors of a, so the division by the
-    previous pivot is exact. A zero pivot swaps in a lower row; a zero
-    column returns 0."""
+    previous pivot is exact. A symmetric a with no zero leading minor before
+    the last takes leading_minors; otherwise a zero pivot swaps in a lower
+    row, and a zero column returns 0."""
+    if a == [list(col) for col in zip(*a)] and len(minors := leading_minors(a)) == len(a):
+        return minors[-1] if a else 1
     sign, prev = 1, 1
     while len(a) > 1:
         r = next((i for i, row in enumerate(a) if row[0]), None)

@@ -64,7 +64,7 @@ from .catalog import (
     validate_instance,
 )
 from .errors import BadConfig, MajdetError, ResampleExhausted
-from .linalg import _eigvalsh, require_symmetric, symmetrize
+from .linalg import _eigvalsh, _qr_r_raw, _qr_reduced, require_symmetric, symmetrize
 from .orders import DEFAULT_TOL
 
 _MASK64 = (1 << 64) - 1
@@ -145,8 +145,9 @@ def _form_spectral(lam: np.ndarray, g: np.ndarray, entry_scale: float) -> np.nda
     R has a positive diagonal. Takes the parts of one matrix, or stacks of
     them ((..., n) spectra, (..., n, n) blocks): one qr and one product for
     the whole stack, equal bit for bit to forming each matrix on its own."""
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(r.diagonal(axis1=-2, axis2=-1))[..., None, :]
+    a = g.copy()  # becomes R on and above the diagonal
+    q = _qr_reduced(a, _qr_r_raw(a, signature="d->d"), signature="dd->d")
+    q = q * np.sign(a.diagonal(axis1=-2, axis2=-1))[..., None, :]
     return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2) * entry_scale)
 
 

@@ -62,7 +62,7 @@ PIVOT_REL_FLOOR = 1e-13
 _HALF_MAX = float(np.finfo(float).max) / 2
 
 # The LAPACK gufuncs behind numpy.linalg's cholesky, solve, svd (values
-# only), eigvalsh, eigh and inv, each on the lower triangle where it reads
+# only), eigvalsh, eigh, inv and qr, each on the lower triangle where it reads
 # one; called with signature "d->d", "dd->d" or "d->dd" as numpy.linalg does.
 _cholesky_lo = _umath_linalg.cholesky_lo
 _solve = _umath_linalg.solve
@@ -70,6 +70,8 @@ _svd = _umath_linalg.svd
 _eigvalsh_lo = _umath_linalg.eigvalsh_lo
 _eigh_lo = _umath_linalg.eigh_lo
 _inv = _umath_linalg.inv
+_qr_r_raw = _umath_linalg.qr_r_raw
+_qr_reduced = _umath_linalg.qr_reduced
 _SVD_FAILED = "svd: SVD did not converge"
 
 

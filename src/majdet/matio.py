@@ -65,10 +65,10 @@ def _is_integer(part) -> bool:
 
 
 def read_matrix(path) -> tuple[np.ndarray, Scaled | None]:
-    """Parse a matrix file; returns (float array, exact part or None)."""
+    """Parse a UTF-8 matrix file; returns (float array, exact part or None)."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise BadMatrixFile(f"{path}: {err}") from err
     if not isinstance(payload, dict) or "n" not in payload or "rows" not in payload:
         raise BadMatrixFile(f"{path}: expected an object with 'n' and 'rows'")

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
@@ -270,6 +271,19 @@ def loewner_le(a, b, tol: float = 1e-9) -> bool:
     diff = (diff + diff.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(diff)[0]) if diff.size else 0.0
     return lam_min >= -tol * max(1.0, float(np.linalg.norm(diff)))
+
+
+def drawn_rational_pd(draw, n: int) -> RationalMatrix:
+    """A symmetric n x n Fraction matrix, drawn with hypothesis's draw, with
+    a positive diagonal that strictly dominates each row, so positive
+    definite."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.fractions(-3, 3, max_denominator=12))
+    for i, row in enumerate(m):
+        row[i] = sum(map(abs, row)) + draw(st.fractions(Fraction(1, 4), 4, max_denominator=12))
+    return m
 
 
 def rand_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -26,7 +26,7 @@ from majdet.exact import Scaled, clear_denominators
 from majdet.fuzzing import GenConfig, build_instance, derive_seed
 from majdet.matio import read_matrix, write_matrix
 
-from oracles import fraction_direct_sum, rand_pd
+from oracles import drawn_rational_pd, fraction_direct_sum, rand_pd
 
 
 def run_cli(capsys, *argv):
@@ -390,10 +390,11 @@ class TestCheck:
         {"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]],
          "exact": [[["1" + "0" * 400, "1"], ["0", "1"]], [["0", "1"], ["1", "1"]]]},
         {"n": True, "rows": [[1.0]]},
-    ], ids=["exact-not-pairs", "exact-overflows-float", "n-is-bool"])
+        b'{"n": 1, "rows": [[1.0]], "note": "\xff"}',
+    ], ids=["exact-not-pairs", "exact-overflows-float", "n-is-bool", "not-utf-8"])
     def test_malformed_matrix_file_exit_one(self, capsys, tmp_path, payload):
         c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
-        c_path.write_text(json.dumps(payload))
+        c_path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         write_matrix(d_path, np.eye(2))
         code, out, err = run_cli(capsys, "check", "matic", "--c", str(c_path),
                                  "--d", str(d_path), "--part", "1,1")
@@ -430,18 +431,6 @@ class TestCheck:
         assert code == 0
 
 
-def rational_pd(draw, n: int) -> list[list[Fraction]]:
-    """A symmetric n x n Fraction matrix with a positive diagonal that
-    strictly dominates each row, so positive definite."""
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = m[j][i] = draw(st.fractions(-3, 3, max_denominator=12))
-    for i, row in enumerate(m):
-        row[i] = sum(map(abs, row)) + draw(st.fractions(Fraction(1, 4), 4, max_denominator=12))
-    return m
-
-
 def write_exact_file(draw, path: Path, m) -> str:
     """A matrix file of m whose exact pairs take every spelling a file may
     use: scaled by 1 to 3 or by -1 to -3, each part a string or an integer."""
@@ -465,11 +454,11 @@ def test_exact_certificate_from_files_matches_library(data, inequality, sizes):
     """The CLI's exact certificate on files is the library's on the same
     Fractions, whatever denominators and spellings each file uses."""
     part = Partition(tuple(sizes))
-    c = rational_pd(data.draw, part.n)
+    c = drawn_rational_pd(data.draw, part.n)
     if inequality == "matic-general-d":
-        blocks = [d := rational_pd(data.draw, part.n)]
+        blocks = [d := drawn_rational_pd(data.draw, part.n)]
     else:
-        blocks = [rational_pd(data.draw, size) for size in sizes]
+        blocks = [drawn_rational_pd(data.draw, size) for size in sizes]
         d = fraction_direct_sum(blocks)
     stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

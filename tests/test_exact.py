@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import majdet.exact as exact_mod
 from majdet import refdata, scenarios
@@ -13,14 +15,17 @@ from majdet.exact import (
     Scaled,
     clear_denominators,
     det_exact,
+    det_int,
     direct_sum,
     from_pairs,
+    leading_minors,
     mat_mul,
     submatrix,
 )
 
 from oracles import (
     det_fraction_bareiss,
+    drawn_rational_pd,
     fraction_direct_sum,
     inv_square_sum_det_by_inverse,
     inverse_exact,
@@ -183,6 +188,76 @@ class TestDetAgainstFractionBareiss:
             det_exact([[1, 2]])
 
 
+# Entries up to 2^100, mixed with small ones, which make zero minors likely.
+ENTRIES = st.integers(-2**100, 2**100) | st.integers(-2, 2)
+
+
+@st.composite
+def symmetric_ints(draw, max_n: int = 7) -> list[list[int]]:
+    """A symmetric integer matrix of order 0..max_n: as drawn (mostly
+    indefinite), diagonally dominant (positive definite), with two equal
+    rows and columns (singular), or with a zero leading minor M_k, k < n
+    where n > 1, from two equal rows and columns of the leading k x k block
+    (k > 1) or a zero corner (k = 1)."""
+    n = draw(st.integers(0, max_n))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(ENTRIES)
+    kind = draw(st.sampled_from(["drawn", "definite", "singular", "zero-minor"]))
+    if kind == "definite":
+        for i, row in enumerate(m):
+            off_diagonal = sum(abs(x) for j, x in enumerate(row) if j != i)
+            row[i] = off_diagonal + draw(st.integers(1, 2**100))
+    elif n > 1 and kind in ("singular", "zero-minor"):
+        k = n if kind == "singular" else draw(st.integers(1, n - 1))
+        if k == 1:
+            m[0][0] = 0
+        else:
+            pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
+            i, j = sorted(draw(pair))
+            for x in range(k):
+                m[j][x] = m[i][x]
+            for x in range(k):
+                m[x][j] = m[x][i]
+    return m
+
+
+class TestSymmetricElimination:
+    """det_int on the upper triangle (leading_minors) where that is exact,
+    on the whole square otherwise; both equal Bareiss with row swaps on
+    Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=symmetric_ints())
+    def test_det_int_on_symmetric_matrices(self, m):
+        assert m == [list(col) for col in zip(*m)]
+        assert det_int(m) == det_fraction_bareiss(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_det_int_on_asymmetric_matrices(self, n, data):
+        m = [[data.draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+        assert det_int(m) == det_fraction_bareiss(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=symmetric_ints())
+    def test_pivots_are_the_leading_minors(self, m):
+        expected = []
+        for k in range(1, len(m) + 1):
+            expected.append(det_fraction_bareiss(submatrix(m, 0, k)))
+            if not expected[-1]:
+                break
+        assert leading_minors(m) == expected
+
+    def test_zero_leading_minor_falls_back(self):
+        m = [[1, 1, 2], [1, 1, 3], [2, 3, 5]]  # M_2 = 0, det = -1
+        assert leading_minors(m) == [1, 0]
+        assert det_int(m) == det_fraction_bareiss(m) == -1
+        assert leading_minors([[0, 1], [1, 0]]) == [0]
+        assert det_int([[0, 1], [1, 0]]) == -1
+
+
 class TestInvSquareSumAgainstInverse:
     """The inverse-free certificate equals det(D^-2 + C^-2) through inverses."""
 
@@ -205,6 +280,33 @@ class TestInvSquareSumAgainstInverse:
             inv_square_sum_det_by_inverse(submatrix(c, lo, hi), submatrix(d, lo, hi))
             for lo, hi in part.offsets())
 
+    @pytest.mark.parametrize("sizes", [(1,), (2, 1), (3, 5), (4, 4, 4)])
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_block_diagonal_d(self, sizes, data):
+        """A block-diagonal D takes the whole's det D and D^2 from its
+        blocks; the certificate is still the one through inverses."""
+        part = Partition(sizes)
+        c = drawn_rational_pd(data.draw, part.n)
+        d_blocks = [drawn_rational_pd(data.draw, size) for size in sizes]
+        d = fraction_direct_sum(d_blocks)
+        lhs, rhs = inv_square_sum_exact(c, d, part)
+        assert rhs == inv_square_sum_det_by_inverse(c, d)
+        assert lhs == math.prod(
+            inv_square_sum_det_by_inverse(submatrix(c, lo, hi), block)
+            for (lo, hi), block in zip(part.offsets(), d_blocks))
+
+
+def singular_names(c, d, part: Partition, certify) -> list[str]:
+    """The operands a certifier takes determinants of, in the order it takes
+    them (Ci and, for inv-square-sum, Di block by block, then C and D),
+    that are singular: det_fraction_bareiss is 0."""
+    spans = [(str(i), lo, hi) for i, (lo, hi) in enumerate(part.offsets(), start=1)]
+    mats = ("C", "D") if certify is inv_square_sum_exact else ("C",)
+    return [name + label for label, lo, hi in [*spans, ("", 0, part.n)]
+            for name, m in zip(mats, (c, d))
+            if det_fraction_bareiss(submatrix(m, lo, hi)) == 0]
+
 
 class TestSingularExactOperand:
     def test_matic_singular_c(self):
@@ -222,6 +324,28 @@ class TestSingularExactOperand:
         d = [[1, 0], [0, 0]]
         with pytest.raises(SingularMatrix, match="exact D2 is singular"):
             inv_square_sum_exact(c, d, Partition((1, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), certify=st.sampled_from([matic_exact, inv_square_sum_exact]),
+           sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3), block_d=st.booleans())
+    def test_first_singular_operand_raises(self, data, certify, sizes, block_d):
+        """Of several singular operands, the first in block order (Ci before
+        Di), then the whole, raises; with none, no error."""
+        part = Partition(tuple(sizes))
+        c, d = ([[0] * part.n for _ in range(part.n)] for _ in range(2))
+        for m in (c, d):
+            for i in range(part.n):
+                for j in range(i, part.n):
+                    m[i][j] = m[j][i] = data.draw(st.integers(-1, 1))
+        if block_d:
+            d = fraction_direct_sum([submatrix(d, lo, hi) for lo, hi in part.offsets()])
+        names = singular_names(c, d, part, certify)
+        if not names:
+            certify(c, d, part)
+            return
+        with pytest.raises(SingularMatrix) as err:
+            certify(c, d, part)
+        assert str(err.value) == f"exact {names[0]} is singular"
 
 
 def test_certifier_path_never_inverts():

@@ -386,7 +386,8 @@ class TestGridEvaluation:
         streams = []
         qrs = []
         stacks = []
-        rng_of, qr, spectra = fuzzing_mod.trial_rng, np.linalg.qr, catalog_mod.product_spectra
+        rng_of, spectra = fuzzing_mod.trial_rng, catalog_mod.product_spectra
+        qr = fuzzing_mod._qr_r_raw
 
         def counting_rng(cfg, trial):
             streams.append(trial)
@@ -401,7 +402,7 @@ class TestGridEvaluation:
             return spectra(c, d, part)
 
         monkeypatch.setattr(fuzzing_mod, "trial_rng", counting_rng)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(fuzzing_mod, "_qr_r_raw", counting_qr)
         monkeypatch.setattr(catalog_mod, "product_spectra", counting_spectra)
         fuzz("det-power", GRID_CONFIGS[0], 7)
         assert streams == list(range(7))

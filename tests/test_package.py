@@ -38,6 +38,32 @@ def top_level_imports(path: Path) -> set[str]:
     return names
 
 
+def dotted_name(node) -> str:
+    """"a.b.c" for a Name or an Attribute chain on a Name; "" otherwise."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def test_no_numpy_linalg_call_in_the_package():
+    """The package reaches LAPACK only through linalg's bindings of numpy's
+    gufuncs: no call of np.linalg.* or numpy.linalg.*, and no import from
+    numpy.linalg besides _umath_linalg."""
+    found = []
+    for path in sorted((ROOT / "src" / "majdet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = dotted_name(node.func)
+                if name.startswith(("np.linalg.", "numpy.linalg.")):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                found += [f"{path.name}:{node.lineno} import {alias.name}"
+                          for alias in node.names if alias.name != "_umath_linalg"]
+    assert found == []
+
+
 def test_every_third_party_import_is_declared():
     """Every import under src/, tests/ and bench/ is the standard library,
     majdet, a module beside the importing file, or a requirement of
