@@ -49,9 +49,9 @@ matrices through the same kernel (commuted-power's eigendecompositions of C
 and D, the choi family's inverses of the A_i), it walks them in turn, each
 through _blockwise, so every block of one matrix comes before the next
 matrix. Sums over the blocks and over the A_i add in their order, so the
-bits are those of a block-by-block loop. A call that raises is run again
-one block at a time, so the error raised is the first failing block's,
-with its message, as check_validated does for exponent grids.
+bits are those of a block-by-block loop. A call that raises follows
+errors.first_error, with the blocks as its members in block order, as
+check_validated does with the exponents of a grid.
 inv-square-sum takes its blocks one at a time, so that an error names its
 block.
 
@@ -105,7 +105,6 @@ from .errors import (
     BadPartition,
     DimensionMismatch,
     IndexOutOfRange,
-    MajdetError,
     MissingField,
     NegativePower,
     NotBlockDiagonal,
@@ -113,6 +112,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularMatrix,
     UnknownInequality,
+    first_error,
 )
 from .linalg import (
     _each,
@@ -342,9 +342,15 @@ def _log_verdicts(llhs, lrhs, tol: float, ps: Sequence[float] | None = None,
                   **kw) -> Verdicts:
     """A log-determinant comparison, from the log sides per (exponent,
     instance): margin = log rhs - log lhs, held against tol scaled by
-    max(1, |log lhs|, |log rhs|)."""
+    max(1, |log lhs|, |log rhs|). A margin that is not finite (a side that
+    overflows, or fischer-tail's log of a non-positive eigenvalue) raises
+    NonFinite."""
     llhs, lrhs = _by_exponent(llhs, ps), _by_exponent(lrhs, ps)
     margin = lrhs - llhs
+    if not np.logical_and.reduce(np.isfinite(margin), axis=None):
+        k = np.argmin(np.isfinite(margin))  # the first, in a stack
+        raise NonFinite("log-determinant comparison with a non-finite side: "
+                        f"log lhs = {float(llhs.flat[k])}, log rhs = {float(lrhs.flat[k])}")
     scale = np.fmax(1.0, np.fmax(np.abs(llhs), np.abs(lrhs)))  # max(), NaN aside
     return Verdicts(margin, margin >= -(tol * scale), tol, ps, log_sides=(llhs, lrhs), **kw)
 
@@ -487,16 +493,11 @@ def _blockwise(kernel, a, part: Partition) -> list:
     """kernel over the diagonal blocks of a (a matrix, or a stack of them
     along leading axes), one call per distinct block size, which gets its
     blocks along a new first axis (blocks_by_size): the per-block results
-    in block order, a tuple result split member by member. If a call
-    raises, kernel runs on one block at a time, in block order, so that
-    the first failing block raises its own error."""
+    in block order, a tuple result split member by member. first_error's
+    members are the blocks, in block order."""
     groups = blocks_by_size(a, part)
-    try:
-        results = [(js, kernel(g)) for js, g in groups]
-    except MajdetError:
-        for block in diag_blocks(a, part):
-            kernel(block[None])
-        raise
+    results = first_error(lambda: [(js, kernel(g)) for js, g in groups],
+                          lambda block: kernel(block[None]), lambda: diag_blocks(a, part))
     out: list = [None] * part.k
     for js, r in results:
         for jj, j in enumerate(js):
@@ -1087,15 +1088,9 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
             verdicts = spec.check(inst, tol)
         else:
             step = spec.split.prepare(inst)
-            try:
-                verdicts = step(ps, tol)
-            except MajdetError:
-                # The grid stops at its first failing kernel call over all
-                # exponents; one exponent at a time raises the error of the
-                # first failing exponent.
-                for p in ps:
-                    step((p,), tol)
-                raise
+            # The grid stops at its first failing kernel call over all
+            # exponents; first_error's members are the exponents, in order.
+            verdicts = first_error(lambda: step(ps, tol), lambda p: step((p,), tol), lambda: ps)
     verdicts.inequality, verdicts.hashed = inequality, _hashed(spec.shape, inst)
     return verdicts
 

@@ -292,10 +292,7 @@ def main(argv=None) -> int:
         # floating-point warnings would only repeat it on stderr.
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except MajdetError as err:
-        print(f"majdet: error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (MajdetError, OSError) as err:
         print(f"majdet: error: {err}", file=sys.stderr)
         return 1
 

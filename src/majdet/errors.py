@@ -5,6 +5,20 @@ class MajdetError(Exception):
     """Base class for all majdet errors."""
 
 
+def first_error(run, each, members):
+    """run(), a stacked call over members (blocks, exponents, trials). If
+    it raises a MajdetError, each(m) for m in members(), in order, and then
+    run's error again: the first member that fails alone raises the error
+    it raises alone, and run's error stands only if none does. members is
+    a callable so that a call that succeeds lists none of them."""
+    try:
+        return run()
+    except MajdetError:
+        for m in members():
+            each(m)
+        raise
+
+
 class NotSymmetric(MajdetError):
     """Matrix fails the symmetry tolerance."""
 

@@ -63,7 +63,7 @@ from .catalog import (
     run_check,
     validate_instance,
 )
-from .errors import BadConfig, MajdetError, ResampleExhausted
+from .errors import BadConfig, MajdetError, ResampleExhausted, first_error
 from .linalg import _eigvalsh, _qr_r_raw, _qr_reduced, require_symmetric, symmetrize
 from .orders import DEFAULT_TOL
 
@@ -236,7 +236,8 @@ def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
     a GRAM matrix G G^T + 1e-3*size*I, resampled up to 100 times until the
     cap holds, in rounds over the range (_gram_rounds); then a biased
     role's scale 10^u, u uniform in [-bias, bias]. The index set comes
-    last. If a round raises, the first trial to fail alone raises its error.
+    last. A round that raises follows errors.first_error, with the trials
+    of the range as its members, in order.
     """
     count, n = len(trials), cfg.n
     spectral = cfg.style is GenStyle.SPECTRAL
@@ -255,12 +256,10 @@ def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
                         rng.random(out=uniforms[j][t])
                     rng.standard_normal(out=blocks[j][t])
             else:
-                try:
-                    _gram_rounds(rngs, size, kappa, cfg.entry_scale, blocks[j])
-                except MajdetError:
-                    for trial in trials if count > 1 else ():
-                        draw_trials(cfg, range(trial, trial + 1), roles, idx)
-                    raise
+                # a one-trial range has no members: it would redraw itself forever
+                first_error(lambda: _gram_rounds(rngs, size, kappa, cfg.entry_scale, blocks[j]),
+                            lambda trial: draw_trials(cfg, range(trial, trial + 1), roles, idx),
+                            lambda: trials if count > 1 else ())
             if bias:
                 # hunt in the regime of strongly unequal block scales
                 for t, rng in enumerate(rngs):
@@ -469,9 +468,9 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     the id's domain its exponent error (NonFinite for a p that is not
     finite), a trial count that is not an int >= 1 or a tol that is
     negative or not finite BadConfig. Trials are evaluated a chunk at a
-    time; a chunk that raises is evaluated again one trial at a time, so the
-    error raised is that of the first failing trial, named with its index
-    and seed.
+    time; a chunk that raises follows errors.first_error, with the chunk's
+    trials as its members, in order, and a trial's error is named with its
+    index and seed.
     """
     spec = exponent_spec(inequality, p)
     ps = (p,) if p is not None or spec.split is None else spec.split.grid
@@ -486,18 +485,17 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     holds = 0
     worst_margin = float("inf")
     kept: list[TrialRecord] = []
+
+    def each(trial: int) -> None:
+        try:
+            _run_trials(inequality, spec, cfg, range(trial, trial + 1), ps, tol)
+        except MajdetError as err:
+            raise type(err)(f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
+
     for start in range(0, trials, _CHUNK):
         chunk = range(start, min(start + _CHUNK, trials))
-        try:
-            margin, held, build = _run_trials(inequality, spec, cfg, chunk, ps, tol)
-        except MajdetError:
-            for trial in chunk:
-                try:
-                    _run_trials(inequality, spec, cfg, range(trial, trial + 1), ps, tol)
-                except MajdetError as err:
-                    raise type(err)(
-                        f"trial {trial} (seed {derive_seed(cfg.seed, trial)}): {err}") from err
-            raise
+        margin, held, build = first_error(
+            lambda: _run_trials(inequality, spec, cfg, chunk, ps, tol), each, lambda: chunk)
         worst_margin = min(worst_margin, *margin.tolist())
         holds += int(held.sum())
         for t in range(len(chunk)) if keep_instances else np.flatnonzero(~held).tolist():

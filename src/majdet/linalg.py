@@ -33,8 +33,8 @@ asymmetry exceeds the smallest slack, the pivot floor when the stack's
 least pivot clears its largest floor. Only otherwise is each matrix judged
 on its own. The pencil kernel takes C and D as one stacked pair and
 factors both in one Cholesky call; _each runs a kernel over a stack of
-different matrices, and if it raises, over each of them alone, so the
-error is the first one's own.
+different matrices, whose members for errors.first_error are the matrices
+in stack order.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ from numpy.linalg import _umath_linalg
 
 from .errors import (
     DimensionMismatch,
-    MajdetError,
     NoConvergence,
     NonFinite,
     NotPositiveDefinite,
     NotSymmetric,
+    first_error,
 )
 
 # Symmetry slack relative to the largest entry magnitude.
@@ -243,14 +243,8 @@ def _singular_values(x: np.ndarray) -> np.ndarray:
 
 def _each(kernel, stack: np.ndarray):
     """kernel(stack), one call over the matrices along the stack's first
-    axis; if it raises, kernel on each of them alone, in order, so that the
-    first to fail raises the error it raises alone."""
-    try:
-        return kernel(stack)
-    except MajdetError:
-        for m in stack:
-            kernel(m)
-        raise
+    axis, which are first_error's members, in order."""
+    return first_error(lambda: kernel(stack), kernel, lambda: stack)
 
 
 def _pencil(cd: np.ndarray) -> np.ndarray:

@@ -405,6 +405,12 @@ class TestFischerTail:
         with pytest.raises(IndexOutOfRange):
             run_check("fischer-tail", Instance(partition=PART22, c=rand_pd(rng, 4), m=5))
 
+    def test_indefinite_c_raises(self):
+        # lambda(C) = (3, -1): the log of -1 is NaN, which no margin can judge
+        inst = Instance(partition=Partition((1, 1)), c=np.array([[1.0, 2.0], [2.0, 1.0]]), m=2)
+        with pytest.raises(NonFinite, match=r": log lhs = nan, log rhs = 0\.0$"):
+            run_check("fischer-tail", inst)
+
 
 class TestKyFan:
     def test_diagonal_equality(self):
@@ -581,6 +587,9 @@ class TestOneD:
 
 
 class TestOverflowingPower:
+    OVERFLOWED = ("^log-determinant comparison with a non-finite side: "
+                  "log lhs = inf, log rhs = inf$")
+
     @pytest.mark.parametrize("inequality,scale,p", [
         ("det-power", 1000.0, 120.0), ("abs-power", 1000.0, 120.0),
         ("neg-power", 1e-3, -120.0),
@@ -595,6 +604,25 @@ class TestOverflowingPower:
         assert verdict.margin == pytest.approx(0.0, abs=1e-12)
         assert verdict.lhs is None and verdict.rhs is None
         assert verdict.detail["log_lhs"] == pytest.approx(2 * p * math.log(scale))
+
+    @pytest.mark.parametrize("inequality,scale,p", [
+        ("det-power", 1000.0, 1e308), ("abs-power", 1000.0, 1e308),
+        ("neg-power", 1e-3, -1e308),
+    ])
+    def test_overflowing_log_sides_raise(self, inequality, scale, p):
+        # both log sides are p log(scale) = inf, and their difference NaN:
+        # no verdict can be read from them
+        part = Partition((1, 1))
+        inst = Instance(partition=part, c=np.eye(2), d_blocks=(np.array([[scale]]),) * 2, p=p)
+        with pytest.raises(NonFinite, match=self.OVERFLOWED):
+            run_check(inequality, inst)
+
+    def test_overflowing_exponent_of_a_grid_raises(self):
+        part = Partition((1, 1))
+        inst = Instance(partition=part, c=np.eye(2), d_blocks=(np.array([[1000.0]]),) * 2)
+        assert check_p_grid("det-power", inst, (1.0,))[0].holds
+        with pytest.raises(NonFinite, match=self.OVERFLOWED):
+            check_p_grid("det-power", inst, (1.0, 1e308))
 
     def test_partial_overflow_keeps_small_terms(self):
         # one spectrum entry overflows at p = 120, the other does not
@@ -802,6 +830,14 @@ class TestPGrid:
 
     def test_empty_grid(self, rng):
         assert check_p_grid("det-power", p_instance(rng, "det-power"), ()) == ()
+
+    def test_first_failing_exponent_raises(self):
+        # C^2 fails the pivot floor at p = 2, C^3 + D^3 at p = 3; one
+        # Cholesky call over the grid factors every C^p + D^p before any C^p
+        inst = Instance(partition=Partition((2,)), c=np.diag([1.0, 3e-7]), d=np.diag([1e5, 1.0]))
+        with pytest.raises(NotPositiveDefinite) as info:
+            check_p_grid("commuted-power", inst, (2.0, 3.0))
+        assert str(info.value) == "pivot 9.000e-14 at index 1 (floor 1.000e-13)"
 
     def test_fingerprint_matches_unsplit_digest(self, rng):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))

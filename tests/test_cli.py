@@ -598,6 +598,24 @@ class TestOverflow:
         assert verdict["detail"]["log_lhs"] == pytest.approx(240 * math.log(1000.0))
         assert "lhs = exp(" in err
 
+    def test_overflowing_log_sides_exit_one(self, capsys, tmp_path):
+        # both log sides are 1e308 log(1000) = inf: no verdict, and no NaN JSON
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
+        write_matrix(c_path, np.eye(3))
+        write_matrix(d_path, 1000.0 * np.eye(3))
+        code, out, err = run_cli(capsys, "check", "det-power", "--c", str(c_path),
+                                 "--d", str(d_path), "--part", "3", "--p", "1e308")
+        assert (code, out) == (1, "")
+        assert err == ("majdet: error: log-determinant comparison with a non-finite side: "
+                       "log lhs = inf, log rhs = inf\n")
+
+    def test_overflowing_log_sides_in_fuzz_name_the_trial(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "det-power", "--n", "3", "--trials", "3",
+                                 "--p", "1e308")
+        assert (code, out) == (1, "")
+        assert err == (f"majdet: error: trial 0 (seed {derive_seed(0, 0)}): log-determinant "
+                       "comparison with a non-finite side: log lhs = inf, log rhs = inf\n")
+
     def test_overflowing_order_power_is_input_error(self, capsys, tmp_path):
         # the inverse-sum spectra are 100 and 200; their 150th powers overflow
         paths = []
@@ -739,6 +757,13 @@ class TestGenCommand:
                                  "--out", str(tmp_path / "d.json"))
         assert (code, out) == (1, "")
         assert err == "majdet: error: no draw met kappa_max=1 in 100 attempts\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_unwritable_path_exit_one(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "gen", "--n", "3",
+                                 "--out", str(tmp_path / "missing" / "x.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("majdet: error: [Errno 2] ")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("scale", ["0", "-1"])

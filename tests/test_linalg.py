@@ -217,6 +217,13 @@ class TestEigPdProduct:
             with pytest.raises(NotPositiveDefinite):
                 eig_pencil(c, d)
 
+    def test_c_error_comes_first(self):
+        # C fails the pivot floor and D fails in LAPACK; the stacked
+        # Cholesky of (C, D) reports D's failure first
+        with pytest.raises(NotPositiveDefinite) as info:
+            eig_pencil(np.diag([1.0, 1e-14]), np.diag([-1.0, 1.0]))
+        assert str(info.value) == "pivot 1.000e-14 at index 1 (floor 1.000e-13)"
+
 
 class TestMatrixFunctions:
     """Spectral powers a^p = eigh_powers(*_pd_eigh(a), (p,))[0]."""

@@ -64,6 +64,30 @@ def test_no_numpy_linalg_call_in_the_package():
     assert found == []
 
 
+def except_handlers(node, func="<module>"):
+    """(name of the innermost enclosing function, handler) for each except
+    handler under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield func, child
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from except_handlers(child, child.name if inner else func)
+
+
+def test_one_function_reruns_members_on_a_majdet_error():
+    """errors.first_error holds the package's only handler of a MajdetError
+    that binds no name: the fallback that reruns the members of a stacked
+    call. Every other handler of a MajdetError binds it, to report or
+    rename it."""
+    found = []
+    for path in sorted((ROOT / "src" / "majdet").glob("*.py")):
+        for func, handler in except_handlers(ast.parse(path.read_text(), filename=str(path))):
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            if handler.name is None and "MajdetError" in map(dotted_name, caught):
+                found.append(f"{path.name}:{func}")
+    assert found == ["errors.py:first_error"]
+
+
 def test_every_third_party_import_is_declared():
     """Every import under src/, tests/ and bench/ is the standard library,
     majdet, a module beside the importing file, or a requirement of
