@@ -9,6 +9,7 @@ each matrix of the stack.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -19,7 +20,10 @@ from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered block sizes (n_1, ..., n_k), each an int >= 1 (not a bool)."""
+    """Ordered block sizes (n_1, ..., n_k), each an int >= 1 (not a bool).
+
+    n and the block ranges are computed once, on construction; sizes is the
+    only field, so equality, hashing and repr read it alone."""
 
     sizes: tuple[int, ...]
 
@@ -28,23 +32,21 @@ class Partition:
         if not sizes or any(s < 1 for s in sizes):
             raise BadPartition(f"block sizes must be positive integers, got {self.sizes!r}")
         object.__setattr__(self, "sizes", sizes)
+        stops = tuple(itertools.accumulate(sizes))
+        object.__setattr__(self, "_n", stops[-1])
+        object.__setattr__(self, "_offsets", tuple(zip((0,) + stops, stops)))
 
     @property
     def n(self) -> int:
-        return sum(self.sizes)
+        return self._n
 
     @property
     def k(self) -> int:
         return len(self.sizes)
 
     def offsets(self) -> list[tuple[int, int]]:
-        """Half-open (start, stop) ranges of each block."""
-        out = []
-        start = 0
-        for s in self.sizes:
-            out.append((start, start + s))
-            start += s
-        return out
+        """Half-open (start, stop) ranges of each block, as a new list."""
+        return list(self._offsets)
 
 
 def _integers(values) -> tuple[int, ...] | None:
@@ -105,6 +107,18 @@ def _size_groups(part: Partition) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     for j, size in enumerate(part.sizes):
         groups.setdefault(size, []).append(j)
     return tuple((tuple(js), tuple(offsets[j] for j in js)) for js in groups.values())
+
+
+@functools.lru_cache(maxsize=64)
+def _off_block_indices(part: Partition) -> np.ndarray:
+    """The flat indices (row * n + column, read-only) of the entries of an
+    n x n matrix that lie off the partition's diagonal blocks."""
+    mask = np.ones((part.n, part.n), dtype=bool)
+    for lo, hi in part.offsets():
+        mask[lo:hi, lo:hi] = False
+    indices = np.flatnonzero(mask)
+    indices.flags.writeable = False
+    return indices
 
 
 def direct_sum(blocks) -> np.ndarray:

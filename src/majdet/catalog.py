@@ -34,13 +34,13 @@ its blocks.
 
 Inputs are validated once, at the boundary: validate_instance checks each
 input matrix of the id's Shape (square, sized for the partition, finite,
-symmetric; a block-D D in one pass when no entry exceeds half the largest
-double and it is symmetric to the smallest slack), and the checkers then
-call only linalg's private kernels, which validate nothing. Every checker
-is written with numpy broadcasting, so it takes one validated instance or
-a stack of them (instances that share everything but their matrices, whose
-matrices are stacked along a leading axis, as the fuzzer draws them), and
-check_validated runs it.
+symmetric; C and D, or the A_i, in one pass over their stack when no entry
+exceeds half the largest double and each is symmetric to the smallest
+slack), and the checkers then call only linalg's private kernels, which
+validate nothing. Every checker is written with numpy broadcasting, so it
+takes one validated instance or a stack of them (instances that share
+everything but their matrices, whose matrices are stacked along a leading
+axis, as the fuzzer draws them), and check_validated runs it.
 
 The diagonal blocks of one size go through each kernel in one call
 (_blockwise, over blocks.blocks_by_size): the blocks of one matrix, or of
@@ -86,7 +86,7 @@ import hashlib
 import math
 import numbers
 from collections.abc import Callable, Sequence
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +94,7 @@ import numpy as np
 from . import exact, refdata
 from .blocks import (
     Partition,
+    _off_block_indices,
     blocks_by_size,
     diag_blocks,
     direct_sum,
@@ -122,6 +123,7 @@ from .linalg import (
     _pd_eigh,
     _pd_inverse,
     _pencil,
+    _positive_spectrum,
     _power,
     _rowwise,
     _singular_values,
@@ -268,12 +270,14 @@ def _exp_or_none(x: float) -> float | None:
 
 
 def _fingerprint(n: int, partition: Partition | None, *payload) -> Fingerprint:
-    """sha256 over the payload: an array by its float bytes, anything else
-    by its repr, each followed by a separator."""
+    """sha256 over the payload: an array by its float bytes in C order
+    (tobytes writes a view's entries in C order too), anything else by its
+    repr, each followed by a separator."""
     h = hashlib.sha256()
     for part in payload:
         if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+            h.update((part if part.dtype == np.float64
+                      else np.ascontiguousarray(part, dtype=float)).tobytes())
         else:
             h.update(repr(part).encode())
         h.update(b"|")
@@ -283,7 +287,7 @@ def _fingerprint(n: int, partition: Partition | None, *payload) -> Fingerprint:
 
 def _by_exponent(a, ps: Sequence[float] | None) -> np.ndarray:
     """a as a (P, T) array: one row per exponent of ps (one without)."""
-    return np.reshape(a, (1 if ps is None else len(ps), -1))
+    return a.reshape(1 if ps is None else len(ps), -1)
 
 
 @dataclass(eq=False)
@@ -309,7 +313,8 @@ class Verdicts:
 
     def verdict(self, k: int = 0, i: int = 0) -> InequalityVerdict:
         n, partition, *payload = self.hashed
-        payload = [a.reshape(-1, *a.shape[-2:])[i] if isinstance(a, np.ndarray)
+        payload = [(a if a.ndim == 2 else a.reshape(-1, *a.shape[-2:])[i])
+                   if isinstance(a, np.ndarray)
                    else a[i] if isinstance(a, tuple) and isinstance(a[0], tuple) else a
                    for a in payload]
         tol, lhs, rhs, order, detail = self.tol, None, None, None, {}
@@ -342,16 +347,23 @@ def _log_verdicts(llhs, lrhs, tol: float, ps: Sequence[float] | None = None,
                   **kw) -> Verdicts:
     """A log-determinant comparison, from the log sides per (exponent,
     instance): margin = log rhs - log lhs, held against tol scaled by
-    max(1, |log lhs|, |log rhs|). A margin that is not finite (a side that
-    overflows, or fischer-tail's log of a non-positive eigenvalue) raises
-    NonFinite."""
-    llhs, lrhs = _by_exponent(llhs, ps), _by_exponent(lrhs, ps)
+    max(1, |log lhs|, |log rhs|); the two sides go through each step as one
+    stacked pair. A margin that is not finite (a side that overflows) or a
+    scaled tolerance that is not finite raises NonFinite."""
+    sides = np.array((llhs, lrhs)).reshape(2, 1 if ps is None else len(ps), -1)
+    llhs, lrhs = sides
     margin = lrhs - llhs
     if not np.logical_and.reduce(np.isfinite(margin), axis=None):
         k = np.argmin(np.isfinite(margin))  # the first, in a stack
         raise NonFinite("log-determinant comparison with a non-finite side: "
                         f"log lhs = {float(llhs.flat[k])}, log rhs = {float(lrhs.flat[k])}")
-    scale = np.fmax(1.0, np.fmax(np.abs(llhs), np.abs(lrhs)))  # max(), NaN aside
+    size = np.abs(sides)
+    scale = np.maximum(1.0, np.maximum(size[0], size[1]))
+    if not math.isfinite(tol * float(np.maximum.reduce(scale, axis=None))):
+        k = np.argmax(scale)  # the first largest, in a stack
+        raise NonFinite(f"log-determinant comparison with a tolerance that overflows: "
+                        f"tol = {tol!r}, log lhs = {float(llhs.flat[k])}, "
+                        f"log rhs = {float(lrhs.flat[k])}")
     return Verdicts(margin, margin >= -(tol * scale), tol, ps, log_sides=(llhs, lrhs), **kw)
 
 
@@ -360,7 +372,7 @@ def _order_verdicts(kind: OrderKind, x, y, tol: float, ps: Sequence[float] | Non
     """An order comparison of each row pair of x and y, one per (exponent,
     instance); margin is the worst prefix margin."""
     orders = check_orders(kind, x, y, tol)
-    return Verdicts(_by_exponent(orders.margins.min(axis=-1), ps),
+    return Verdicts(_by_exponent(np.minimum.reduce(orders.margins, axis=-1), ps),
                     _by_exponent(orders.holds, ps), tol, ps, orders=orders, **kw)
 
 
@@ -379,7 +391,13 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     diagonal blocks (NotBlockDiagonal), each block judged symmetric on its
     own slack. A field the Shape reads that is unset raises MissingField.
     With lead = 1, inst is a stack, each matrix checked on its own symmetry
-    slack in one call per field, and its idx one per instance, of one length."""
+    slack in one call per field, and its idx one per instance, of one length.
+
+    Several input matrices (C and D, or the mats) are cleared in one pass
+    over their stack when no entry exceeds half the largest double and no
+    asymmetry the smallest slack; only otherwise is each judged on its own,
+    C before D and the A_i in order, so the first bad input raises its own
+    error."""
     with_d = shape in (Shape.BLOCK_D, Shape.GENERAL_D)
     fields = ("mats",) if shape is Shape.MATS else ("c", "d") if with_d else ("c",)
     for name in ("c", "idx") if shape is Shape.C_IDX else ("partition", *fields):
@@ -392,7 +410,7 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
         idx = [principal_indices(i, a.shape[-1]) for i in (inst.idx if lead else [inst.idx])]
         if lead and (len(idx) != len(a) or len(set(map(len, idx))) > 1):
             raise IndexOutOfRange("a stack takes one idx per instance, all of one length")
-        return replace(inst, idx=tuple(idx) if lead else idx[0], c=require_symmetric(a))
+        return _validated(inst, idx=tuple(idx) if lead else idx[0], c=require_symmetric(a))
     mats = [as_square(a, lead) for a in
             (inst.mats if shape is Shape.MATS else [getattr(inst, f) for f in fields])]
     if not mats:
@@ -403,28 +421,44 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
         if a.shape[-1] != part.n:
             raise DimensionMismatch(f"matrix is {a.shape[-1]}x{a.shape[-1]}, "
                                     f"partition needs {part.n}")
+    if shape in (Shape.C, Shape.C_M):
+        c = require_symmetric(mats[0])
+        if shape is Shape.C_M:
+            return _validated(inst, c=c, m=_tail_start(inst.m, part.n))
+        return _validated(inst, c=c)
+    # One pass over the stack of the inputs; each on its own only if it fails
+    if len({a.shape for a in mats}) > 1 or not _within_least_slack(np.array(mats)):
+        for a in mats[:1] if shape is Shape.BLOCK_D else mats:
+            require_symmetric(a)
+        if shape is Shape.BLOCK_D and not _within_least_slack(mats[1]):
+            for lo, hi in part.offsets():  # each block of D on its own slack
+                require_symmetric(mats[1][..., lo:hi, lo:hi])
     if shape is Shape.MATS:
-        return replace(inst, mats=tuple(require_symmetric(a) for a in mats))
-    c = require_symmetric(mats[0])
-    if shape is Shape.GENERAL_D:
-        return replace(inst, c=c, d=require_symmetric(mats[1]))
-    if shape is Shape.C_M:
-        return replace(inst, c=c, m=_tail_start(inst.m, part.n))
-    if not with_d:
-        return replace(inst, c=c)
-    d = mats[1]
-    if not _within_least_slack(d):
+        return _validated(inst, mats=tuple(mats))
+    if shape is Shape.BLOCK_D:
+        _require_block_diagonal(mats[1], part)
+    return _validated(inst, c=mats[0], d=mats[1])
+
+
+def _require_block_diagonal(d: np.ndarray, part: Partition) -> None:
+    """NotBlockDiagonal naming the first nonzero entry of d (or of each
+    matrix of a stack) off the partition's diagonal blocks; NonFinite
+    instead when an entry off the blocks is NaN or infinite."""
+    flat = d.reshape(*d.shape[:-2], part.n * part.n)
+    if np.count_nonzero(flat.take(_off_block_indices(part), axis=-1)):  # NaN and inf count
+        off = d.copy()  # D with its diagonal blocks zeroed
         for lo, hi in part.offsets():
-            require_symmetric(d[..., lo:hi, lo:hi])
-    off = d.copy()  # D with its diagonal blocks zeroed
-    for lo, hi in part.offsets():
-        off[..., lo:hi, lo:hi] = 0.0
-    if np.logical_or.reduce(off != 0.0, axis=None):  # NaN and inf included
+            off[..., lo:hi, lo:hi] = 0.0
         _finite(off)
         at = tuple(np.argwhere(off)[0])
         raise NotBlockDiagonal(f"D is not block diagonal for partition {part.sizes}: entry "
                                f"({at[-2]}, {at[-1]}) = {float(d[at])!r} is off the blocks")
-    return replace(inst, c=c, d=d)
+
+
+def _validated(inst: Instance, **fields) -> Instance:
+    """inst with the given fields replaced, built by the constructor (the
+    instance's attributes are its fields)."""
+    return Instance(**{**vars(inst), **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +510,7 @@ def _hashed(shape: Shape, inst: Instance) -> tuple:
         return part.n, part, inst.c, inst.m
     if shape is Shape.GENERAL_D:
         return part.n, part, inst.c, inst.d
-    return (part.n, part, inst.c, *diag_blocks(inst.d, part))
+    return (part.n, part, inst.c, *(inst.d[..., lo:hi, lo:hi] for lo, hi in part.offsets()))
 
 
 # ---------------------------------------------------------------------------
@@ -700,17 +734,19 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
     """Tail products prod_{i>=m} lambda_i(C) <= prod_{i>=m} lambda_i(Diag C).
 
     m = 1 is the Fischer inequality det(C) <= prod det(Ci); m = None checks
-    every m and reports the first m of worst normalized margin.
+    every m and reports the first m of worst normalized margin. C must be
+    positive definite (NotPositiveDefinite).
     """
     c, part = inst.c, inst.partition
     n = part.n
     ms = range(1, n + 1) if inst.m is None else [inst.m]
+    # Both spectra must be positive before their logs: C's first, then
+    # Diag C's (NotPositiveDefinite names the eigenvalue)
+    spectrum = _positive_spectrum(_eigvalsh(c))
+    block_spectrum = _positive_spectrum(sort_desc(_block_spectra(c, part)))
     # (2, T, n) logs of lambda(C), whose rows are reversed views and so are
     # taken row by row as for one matrix (_rowwise), and of lambda(Diag C)
-    logs = np.stack([
-        _rowwise(np.log, _eigvalsh(c)),
-        np.log(sort_desc(_block_spectra(c, part))),
-    ]).reshape(2, -1, n)
+    logs = np.stack([_rowwise(np.log, spectrum), np.log(block_spectrum)]).reshape(2, -1, n)
     # (M, 2, T) log tail products, positions m..n (1-based), for each m
     tails = np.stack([np.sum(logs[..., m - 1:], axis=-1) for m in ms])
     llhs, lrhs = tails[:, 0], tails[:, 1]
@@ -772,7 +808,7 @@ def _inv_square_sum_det(c, d, s: int, t: int, name: str, d_work) -> Fraction:
     with (det d, d^2) = d_work(d, name) taken after det c."""
     det_c = _nonzero_det(c, "C" + name)
     det_d, d_square = d_work(d, name)
-    squares = _combine(t * t, exact.mat_mul(c, c), s * s, d_square)
+    squares = _combine(t * t, exact.square(c), s * s, d_square)
     return Fraction(exact.det_int(squares), (det_c * det_d) ** 2)
 
 
@@ -786,7 +822,7 @@ def inv_square_sum_exact(c_exact, d_exact, part: Partition):
 
     def d_work(d, name: str) -> tuple[int, exact.IntMatrix]:
         if name or not block_d:  # a block, or a whole D of its own
-            done.append((_nonzero_det(d, "D" + name), exact.mat_mul(d, d)))
+            done.append((_nonzero_det(d, "D" + name), exact.square(d)))
             return done[-1]
         return (math.prod(det for det, _ in done),
                 exact.direct_sum([exact.Scaled(square, 1) for _, square in done]).ints)

@@ -12,9 +12,10 @@ division, bit growth stays polynomial), so no step normalizes a fraction;
 a Fraction is built only for the result. A certificate takes determinants
 of symmetric matrices only: leading_minors eliminates those on the upper
 triangle, without row swaps, and its pivots are the leading principal minors
-(Bareiss 1968); inv-square-sum takes a block-diagonal D's determinant and
-square from its blocks (catalog). These back the zero-tolerance
-certification of strict inequality violations.
+(Bareiss 1968); square forms the upper triangle of a symmetric matrix's
+square and mirrors it; inv-square-sum takes a block-diagonal D's
+determinant and square from its blocks (catalog). These back the
+zero-tolerance certification of strict inequality violations.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise DimensionMismatch(f"{n} vs {len(b)}")
     bt = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
+
+
+def square(a: RationalMatrix) -> RationalMatrix:
+    """a a. A symmetric a has a symmetric square, so only its upper triangle
+    is formed, row i of a times row j for j >= i, and mirrored; any other a
+    goes through mat_mul."""
+    if a != [list(col) for col in zip(*a)]:
+        return mat_mul(a, a)
+    upper = [[sum(map(operator.mul, row, other)) for other in a[i:]] for i, row in enumerate(a)]
+    return [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(a))]
 
 
 def submatrix(m: RationalMatrix, lo: int, hi: int) -> RationalMatrix:

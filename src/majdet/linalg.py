@@ -253,7 +253,7 @@ def _pencil(cd: np.ndarray) -> np.ndarray:
     low = _each(_cholesky, cd)
     w = _sv(_solve(low[0], low[1], signature="dd->d")) ** 2
     # one test for the common case: a NaN (a failed SVD) is not positive
-    if w.size and not np.logical_and.reduce(w[..., -1] > 0.0, axis=None):
+    if w.size and not np.minimum.reduce(w[..., -1], axis=None) > 0.0:
         if _failed(w):
             raise NoConvergence(_SVD_FAILED)
         raise NotPositiveDefinite("pencil spectrum not strictly positive")
@@ -277,13 +277,19 @@ def eig_pencil(c, d) -> np.ndarray:
         return _finite(_pencil(np.array((require_symmetric(mc), require_symmetric(md)))))
 
 
-def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = _eigh(m)
+def _positive_spectrum(w: np.ndarray) -> np.ndarray:
+    """w, spectra sorted nonincreasing along the last axis, or
+    NotPositiveDefinite naming the first least eigenvalue that is <= 0."""
     if w.size:
         low = w[..., -1]
-        if (low <= 0.0).any():
+        if np.logical_or.reduce(low <= 0.0, axis=None):
             raise NotPositiveDefinite(f"eigenvalue {low[low <= 0.0].flat[0]:.3e} <= 0")
-    return w, v
+    return w
+
+
+def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = _eigh(m)
+    return _positive_spectrum(w), v
 
 
 def _rowwise(f, x: np.ndarray) -> np.ndarray:

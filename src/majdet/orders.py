@@ -6,6 +6,11 @@ logarithms, never raw products) so verdicts survive eigenvalue ratios up to
 1e12 at dimensions up to 100. check_orders compares the rows of two
 (..., n) arrays in one pass and returns arrays (OrderChecks), which build
 an OrderReport only for a row asked for; check_order compares two vectors.
+Both take x and y as one stack: one sort, one finiteness test and, for the
+log kinds, one positivity test and one log serve both sides. Only when the
+stack is not finite, or x and y differ in shape, are they sorted and
+tested one at a time, so each error and their order stay those of the
+one-at-a-time sequence.
 """
 
 from __future__ import annotations
@@ -79,9 +84,27 @@ def sort_desc(v) -> np.ndarray:
     return -np.sort(-arr, axis=-1, kind="stable")
 
 
-def _require_finite(xs: np.ndarray, ys: np.ndarray) -> None:
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+def _sorted_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """x and y as one (2, ..., n) stack, each row sorted nonincreasing, with
+    one sort and one finiteness test for both; None unless x and y are
+    nonempty, of one shape with at least one axis, and finite."""
+    if x.shape != y.shape or not x.ndim or not x.size:
+        return None
+    xy = np.negative((x, y))
+    xy.sort(axis=-1, kind="stable")
+    np.negative(xy, out=xy)
+    return xy if np.logical_and.reduce(np.isfinite(xy), axis=None) else None
+
+
+def _sorted_each(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y sorted nonincreasing one at a time, then tested finite: the
+    slow path, whose errors come in the order check_order and check_orders
+    report (an empty x, an empty y, then a NaN or infinite entry)."""
+    xs, ys = sort_desc(x), sort_desc(y)
+    if not (np.logical_and.reduce(np.isfinite(xs), axis=None)
+            and np.logical_and.reduce(np.isfinite(ys), axis=None)):
         raise NonFinite("order check on a non-finite (NaN or infinite) entry")
+    return xs, ys
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,57 +138,64 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
     Margins are computed on sorted-descending copies. Tolerances are applied
     per prefix, scaled by max(1, |prefix|). With pad=True (ENTRYWISE_LE
     only), the shorter vector is zero-padded to the longer one's length.
-    A NaN or infinite entry, or a prefix sum that overflows, raises
-    NonFinite.
+    A NaN or infinite entry, a prefix sum that overflows, or a scaled
+    tolerance that overflows raises NonFinite.
     """
     kind = OrderKind(kind)
-    xs = sort_desc(np.ravel(x))
-    ys = sort_desc(np.ravel(y))
-    _require_finite(xs, ys)
-    if xs.size != ys.size:
-        if pad and kind is OrderKind.ENTRYWISE_LE:
+    x = np.ravel(np.asarray(x, dtype=float))
+    y = np.ravel(np.asarray(y, dtype=float))
+    xy = _sorted_pair(x, y)
+    if xy is None:
+        xs, ys = _sorted_each(x, y)
+        if xs.size != ys.size:
+            if not (pad and kind is OrderKind.ENTRYWISE_LE):
+                raise LengthMismatch(f"{xs.size} vs {ys.size}")
             width = max(xs.size, ys.size)
             xs = np.concatenate([xs, np.zeros(width - xs.size)])
             ys = np.concatenate([ys, np.zeros(width - ys.size)])
-        else:
-            raise LengthMismatch(f"{xs.size} vs {ys.size}")
-    return _checks(kind, xs, ys, tol).report()
+        xy = np.array((xs, ys))
+    return _checks(kind, xy, tol).report()
 
 
 def check_orders(kind: OrderKind, x, y, tol: float = DEFAULT_TOL) -> OrderChecks:
     """check_order on each row pair of two (..., n) arrays of equal shape, as
-    arrays (OrderChecks)."""
+    arrays (OrderChecks): x and y are sorted and checked as one stack."""
     kind = OrderKind(kind)
-    xs = sort_desc(x)
-    ys = sort_desc(y)
-    _require_finite(xs, ys)
-    if xs.shape != ys.shape:
-        raise LengthMismatch(f"{xs.shape} vs {ys.shape}")
-    return _checks(kind, xs, ys, tol)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xy = _sorted_pair(x, y)
+    if xy is None:
+        xs, ys = _sorted_each(x, y)
+        if xs.shape != ys.shape:
+            raise LengthMismatch(f"{xs.shape} vs {ys.shape}")
+        xy = np.array((xs, ys))
+    return _checks(kind, xy, tol)
 
 
-def _checks(kind: OrderKind, xs: np.ndarray, ys: np.ndarray, tol: float) -> OrderChecks:
-    """The checks of the rows of xs and ys, sorted nonincreasing and finite;
-    the prefix margins of all rows are taken at once."""
-    n = xs.shape[-1]
-    xs, ys = xs.reshape(-1, n), ys.reshape(-1, n)
-    if kind is OrderKind.ENTRYWISE_LE:
-        margins = ys - xs
-        scales = np.maximum(1.0, np.maximum(np.abs(xs), np.abs(ys)))
-    else:
+def _checks(kind: OrderKind, xy: np.ndarray, tol: float) -> OrderChecks:
+    """The checks of the row pairs of xy, a (2, ..., n) stack of the x rows
+    and then the y rows, sorted nonincreasing and finite: the positivity
+    test, the logs, the prefix sums and their magnitudes are taken once for
+    all rows of both. A tolerance whose scaled value overflows raises
+    NonFinite."""
+    n = xy.shape[-1]
+    xy = xy.reshape(2, -1, n)
+    if kind is not OrderKind.ENTRYWISE_LE:
         if kind in LOG_KINDS:
-            if (xs[..., -1] <= 0.0).any() or (ys[..., -1] <= 0.0).any():
+            if not np.minimum.reduce(xy[..., -1], axis=None) > 0.0:
                 raise NonPositiveEntry("log orders need strictly positive entries")
-            xs = np.log(xs)
-            ys = np.log(ys)
-        px = np.cumsum(xs, axis=-1)
-        py = np.cumsum(ys, axis=-1)
-        margins = py - px
-        scales = np.maximum(1.0, np.maximum(np.abs(px), np.abs(py)))
-    if not np.isfinite(margins).all():
+            xy = np.log(xy)
+        xy = np.cumsum(xy, axis=-1)
+    margins = xy[1] - xy[0]
+    if not np.logical_and.reduce(np.isfinite(margins), axis=None):
         raise NonFinite("order check with a prefix sum that overflows")
+    size = np.abs(xy)
+    scales = np.maximum(1.0, np.maximum(size[0], size[1]))
+    largest = float(np.maximum.reduce(scales, axis=None))
+    if not math.isfinite(tol * largest):
+        raise NonFinite(f"order check with a tolerance that overflows: tol = {tol!r} "
+                        f"times the prefix scale {largest!r}")
     ok = margins >= -tol * scales
-    holds = ok.all(axis=-1)
+    holds = np.logical_and.reduce(ok, axis=-1)
     fail_index = np.where(holds, 0, np.argmin(ok, axis=-1) + 1)  # the first prefix not ok
     residual = None
     if kind in STRICT_KINDS:

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,29 @@ class TestPartition:
 
     def test_numpy_integer_sizes(self):
         assert Partition(np.array([2, 3])).sizes == (2, 3)
+
+
+    def test_layout_is_computed_once_and_offsets_are_fresh(self):
+        part = Partition((2, 3, 3))
+        first = part.offsets()
+        first.append((8, 9))
+        assert part.offsets() == [(0, 2), (2, 5), (5, 8)]
+        assert part.offsets() is not part.offsets()
+        assert part.n == 8
+
+    def test_sizes_alone_decide_eq_hash_and_repr(self):
+        part = Partition((2, 3, 3))
+        same = Partition([np.int64(2), 3, 3])
+        assert part == same and hash(part) == hash(same)
+        assert part != Partition((3, 2, 3))
+        assert repr(part) == "Partition(sizes=(2, 3, 3))"
+        assert [f.name for f in dataclasses.fields(part)] == ["sizes"]
+
+    def test_pickle_round_trip(self):
+        part = Partition((2, 3, 3))
+        back = pickle.loads(pickle.dumps(part))
+        assert back == part and hash(back) == hash(part) and repr(back) == repr(part)
+        assert (back.n, back.k, back.offsets()) == (8, 3, [(0, 2), (2, 5), (5, 8)])
 
 
 class TestDiagBlocks:

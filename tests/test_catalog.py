@@ -23,6 +23,7 @@ from majdet.catalog import (
     assemble,
     validate_instance,
     check_p_grid,
+    check_validated,
     evaluate_general,
     identity_abs_square,
     inv_square_sum_exact,
@@ -406,10 +407,22 @@ class TestFischerTail:
             run_check("fischer-tail", Instance(partition=PART22, c=rand_pd(rng, 4), m=5))
 
     def test_indefinite_c_raises(self):
-        # lambda(C) = (3, -1): the log of -1 is NaN, which no margin can judge
-        inst = Instance(partition=Partition((1, 1)), c=np.array([[1.0, 2.0], [2.0, 1.0]]), m=2)
-        with pytest.raises(NonFinite, match=r": log lhs = nan, log rhs = 0\.0$"):
-            run_check("fischer-tail", inst)
+        # lambda(C) = (3, -1): C is not positive definite, and the error names
+        # the eigenvalue before any log of it is taken, whatever m is
+        c = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for m in (None, 1, 2):
+            inst = Instance(partition=Partition((1, 1)), c=c, m=m)
+            with pytest.raises(NotPositiveDefinite, match=r"^eigenvalue -1\.000e\+00 <= 0$"):
+                run_check("fischer-tail", inst)
+
+    def test_indefinite_c_in_a_stack_raises(self):
+        # the second C of a stack is indefinite: its eigenvalue is named
+        good = np.diag([2.0, 1.0])
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        stack = validate_instance(Shape.C_M, Instance(partition=Partition((1, 1)),
+                                                      c=np.stack([good, bad])), lead=1)
+        with pytest.raises(NotPositiveDefinite, match=r"^eigenvalue -1\.000e\+00 <= 0$"):
+            check_validated("fischer-tail", stack, (None,))
 
 
 class TestKyFan:
@@ -616,6 +629,27 @@ class TestOverflowingPower:
         inst = Instance(partition=part, c=np.eye(2), d_blocks=(np.array([[scale]]),) * 2, p=p)
         with pytest.raises(NonFinite, match=self.OVERFLOWED):
             run_check(inequality, inst)
+
+    @pytest.mark.parametrize("inequality", ["det-power", "abs-power"])
+    def test_overflowing_tolerance_raises(self, inequality):
+        # the log sides are about 1e200, finite, but tol times them is not:
+        # every margin would hold, with an infinite tol in the verdict
+        inst = Instance(partition=Partition((3,)), c=np.diag([2.0, 1.0, 3.0]),
+                        d=np.diag([1.5, 2.0, 0.7]), p=1e200)
+        message = (r"^log-determinant comparison with a tolerance that overflows: "
+                   r"tol = 1e\+110, log lhs = 6\.93\d+e\+199, log rhs = 6\.93\d+e\+199$")
+        with pytest.raises(NonFinite, match=message):
+            run_check(inequality, inst, 1e110)
+        assert run_check(inequality, inst, 1e100).holds  # 1e100 * 1e200 is finite
+
+    def test_overflowing_order_tolerance_raises(self):
+        # lambda(C^-1 D) = 10: the log prefix sums reach 4 log 10, and 1e308
+        # times that overflows
+        inst = Instance(partition=Partition((2, 2)), c=np.eye(4),
+                        d_blocks=(10.0 * np.eye(2),) * 2)
+        with pytest.raises(NonFinite, match=r"^order check with a tolerance that overflows: "
+                                            r"tol = 1e\+308 times the prefix scale 9\.21"):
+            run_check("main-thm", inst, 1e308)
 
     def test_overflowing_exponent_of_a_grid_raises(self):
         part = Partition((1, 1))
@@ -984,7 +1018,9 @@ def corrupt(inst, field, how):
 
 class TestValidateOnce:
     """run_check validates each input matrix exactly once, then runs the
-    kernels on what validation returned."""
+    kernels on what validation returned. One validation call may cover a
+    stack of input matrices (C and D, or the A_i); it counts as the
+    matrices it covers, the product of its leading dimensions."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -992,7 +1028,7 @@ class TestValidateOnce:
 
         def counting(original):
             def count(a):
-                calls.append(np.shape(a))
+                calls.extend([np.shape(a)[-2:]] * math.prod(np.shape(a)[:-2]))
                 return original(a)
             return count
 
@@ -1010,7 +1046,7 @@ class TestValidateOnce:
         inst, fields = shape_instances(rng)[spec.shape]
         if spec.split:
             inst = replace(inst, p=spec.split.default)
-        # a valid block-D D is validated whole, in one pass
+        # a valid block-D D is validated whole, with C, in one pass
         inputs = sum(len(v) if isinstance(v, (tuple, list)) else 1
                      for v in (getattr(inst, f) for f in fields))
         run_check(inequality, inst)

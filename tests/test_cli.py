@@ -609,6 +609,34 @@ class TestOverflow:
         assert err == ("majdet: error: log-determinant comparison with a non-finite side: "
                        "log lhs = inf, log rhs = inf\n")
 
+    def test_overflowing_tolerance_exit_one(self, capsys, tmp_path):
+        # the log sides are about 1e200; 1e110 times them overflows, and the
+        # verdict's tol would be inf, which JSON cannot hold
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
+        write_matrix(c_path, np.diag([2.0, 1.0, 3.0]))
+        write_matrix(d_path, np.diag([1.5, 2.0, 0.7]))
+        code, out, err = run_cli(capsys, "check", "det-power", "--c", str(c_path),
+                                 "--d", str(d_path), "--part", "3", "--p", "1e200",
+                                 "--tol", "1e110")
+        assert (code, out) == (1, "")
+        assert err.startswith("majdet: error: log-determinant comparison with a tolerance "
+                              "that overflows: tol = 1e+110, log lhs = 6.93")
+        # lambda(C^-1 D) = 10: the log prefix sums reach 3 log 10
+        write_matrix(c_path, np.eye(3))
+        write_matrix(d_path, 10.0 * np.eye(3))
+        code, out, err = run_cli(capsys, "check", "main-thm", "--c", str(c_path),
+                                 "--d", str(d_path), "--part", "3", "--tol", "1e308")
+        assert (code, out) == (1, "")
+        assert err.startswith("majdet: error: order check with a tolerance that overflows: "
+                              "tol = 1e+308 times the prefix scale ")
+
+    def test_indefinite_fischer_tail_c_exit_one(self, capsys, tmp_path):
+        c_path = tmp_path / "c.json"
+        write_matrix(c_path, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        code, out, err = run_cli(capsys, "check", "fischer-tail", "--c", str(c_path),
+                                 "--part", "1,1")
+        assert (code, out, err) == (1, "", "majdet: error: eigenvalue -1.000e+00 <= 0\n")
+
     def test_overflowing_log_sides_in_fuzz_name_the_trial(self, capsys):
         code, out, err = run_cli(capsys, "fuzz", "det-power", "--n", "3", "--trials", "3",
                                  "--p", "1e308")

@@ -20,6 +20,7 @@ from majdet.exact import (
     from_pairs,
     leading_minors,
     mat_mul,
+    square,
     submatrix,
 )
 
@@ -256,6 +257,31 @@ class TestSymmetricElimination:
         assert det_int(m) == det_fraction_bareiss(m) == -1
         assert leading_minors([[0, 1], [1, 0]]) == [0]
         assert det_int([[0, 1], [1, 0]]) == -1
+
+
+class TestSquare:
+    """square forms a symmetric matrix's square on its upper triangle and
+    mirrors it; every other matrix goes through the full product. Either
+    way it equals mat_mul(a, a) entry for entry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=symmetric_ints())
+    def test_symmetric_ints(self, m):
+        got = square(m)
+        assert got == mat_mul(m, m)
+        assert got == [list(col) for col in zip(*got)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_asymmetric_ints(self, n, data):
+        m = [[data.draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+        assert square(m) == mat_mul(m, m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_symmetric_fractions(self, n, data):
+        m = drawn_rational_pd(data.draw, n)
+        assert square(m) == mat_mul(m, m)
 
 
 class TestInvSquareSumAgainstInverse:

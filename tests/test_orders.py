@@ -203,6 +203,76 @@ class TestStackedOrders:
                 assert (np.array(report.margins).tobytes()
                         == np.array(want.margins).tobytes())
 
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(list(OrderKind)), lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           n=st.integers(1, 9), data=st.data())
+    def test_stack_equals_rows_bit_for_bit(self, kind, lead, n, data):
+        # x and y are sorted, tested and logged as one stack; each row's
+        # report, margins and residual have the bits of check_order on that
+        # row, and those of prefix sums taken one vector at a time
+        log = kind in (OrderKind.LOG_MAJORIZE, OrderKind.WEAK_LOG_MAJORIZE)
+        entries = (st.floats(-60.0, 60.0).map(math.exp) if log
+                   else st.floats(-1e6, 1e6, allow_nan=False))
+        shape = (*lead, n)
+        x = np.array(data.draw(st.lists(entries, min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+        y = x[..., ::-1].copy() if data.draw(st.booleans()) else np.array(data.draw(
+            st.lists(entries, min_size=x.size, max_size=x.size))).reshape(shape)
+        checks = check_orders(kind, x, y)
+        rows_x, rows_y = x.reshape(-1, n), y.reshape(-1, n)
+        for t in range(len(rows_x)):
+            report, want = checks.report(t), check_order(kind, rows_x[t], rows_y[t])
+            assert report == want
+            assert (np.array(report.margins).tobytes()
+                    == np.array(want.margins).tobytes())
+            assert repr(report.residual) == repr(want.residual)
+            xs, ys = sort_desc(rows_x[t]), sort_desc(rows_y[t])
+            if kind is OrderKind.ENTRYWISE_LE:
+                margins = ys - xs
+            else:
+                if log:
+                    xs, ys = np.log(xs), np.log(ys)
+                margins = np.cumsum(ys) - np.cumsum(xs)
+            assert np.array(report.margins).tobytes() == margins.tobytes()
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_errors_keep_their_order(self, kind):
+        # a NaN is found before a length mismatch, an empty x before a NaN
+        # y, and a NaN before a non-positive entry
+        for check in (check_order, check_orders):
+            with pytest.raises(NonFinite, match=r"^order check on a non-finite"):
+                check(kind, [math.nan, 1.0], [1.0, 2.0, 3.0])
+            with pytest.raises(NonFinite, match=r"^order check on a non-finite"):
+                check(kind, [0.0, 1.0], [1.0, math.nan])
+            with pytest.raises(EmptyVector):
+                check(kind, [], [math.nan])
+            with pytest.raises(LengthMismatch):
+                check(kind, [0.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(LengthMismatch, match=r"^\(2,\) vs \(3,\)$"):
+            check_orders(kind, [0.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(LengthMismatch, match=r"^\(2, 2\) vs \(2, 3\)$"):
+            check_orders(kind, np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("kind", [OrderKind.LOG_MAJORIZE, OrderKind.WEAK_LOG_MAJORIZE])
+    def test_zero_entry_under_a_log_kind(self, kind):
+        message = r"^log orders need strictly positive entries$"
+        with pytest.raises(NonPositiveEntry, match=message):
+            check_order(kind, [1.0, 0.0], [1.0, 1.0])
+        with pytest.raises(NonPositiveEntry, match=message):
+            check_orders(kind, np.ones((3, 2)), np.array([[1.0, 1.0], [2.0, 0.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    def test_overflowing_tolerance_raises(self, kind):
+        # 1e308 times a prefix scale above 1 is inf: every prefix would hold
+        x, y = [1.0, 2.0, 3.0], [6.0, 1e-3, 1e-3]
+        message = r"^order check with a tolerance that overflows: tol = 1e\+308 times"
+        with pytest.raises(NonFinite, match=message):
+            check_order(kind, x, y, tol=1e308)
+        with pytest.raises(NonFinite, match=message):
+            check_orders(kind, np.array([x, x]), np.array([y, y]), tol=1e308)
+        # a large tolerance whose scaled value is finite is applied
+        assert check_order(kind, x, y, tol=1e300).holds
+
     def test_any_bad_row_raises(self):
         x = np.ones((3, 2))
         y = np.ones((3, 2))
