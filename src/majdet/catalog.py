@@ -55,26 +55,29 @@ check_validated does with the exponents of a grid.
 inv-square-sum takes its blocks one at a time, so that an error names its
 block.
 
-A stack of verdicts is arrays: a checker takes (instance, tol) and returns
-its margins only, one Verdicts, whose margin and holds are (exponents,
-instances) arrays, with the log sides or the order checks. check_validated
-adds the id and what the fingerprints hash, from the id's Spec. An
-InequalityVerdict, with its sha256 fingerprint and OrderReport, is built
-only where one is returned or stored: by run_check and check_p_grid, and by
-the fuzzer for a record its report keeps.
+A stack of verdicts is arrays: every checker takes (instance, ps, tol)
+and returns its margins only, one Verdicts, whose margin and holds are
+(exponents, instances) arrays, with the log sides or the order checks.
+check_validated makes one call of it for every id, and adds the id and
+what the fingerprints hash, from the id's Spec. An InequalityVerdict, with
+its sha256 fingerprint and OrderReport, is built only where one is returned
+or stored: by run_check and check_p_grid, and by the fuzzer for a record
+its report keeps.
 
-The parametrized ids (det-power, thm32, abs-power, commuted-power,
-neg-power) are split at p: a preparation step does everything that does not
-depend on p (spectra, singular values, eigendecompositions) once per
-instance or stack, and returns a grid step, which takes a whole exponent
-grid and computes each side over it in one numpy pass: the powers as one
-(P, ...) stack, one log1p and one sum, or one order check, over all the
-exponents. run_check evaluates one p and check_p_grid a grid through that
-split; each verdict has the bits of a one-exponent grid.
+The checker of a parametrized id (det-power, thm32, abs-power,
+commuted-power, neg-power) does everything that does not depend on p
+(spectra, singular values, eigendecompositions) once per instance or
+stack, then computes each side over the whole exponent grid ps in one
+numpy pass: the powers as one (P, ...) stack, one log1p and one sum, or
+one order check, over all the exponents. An id without an exponent ignores
+ps. run_check evaluates one p and check_p_grid a grid through the same
+checker; each verdict has the bits of a one-exponent grid. The exact
+certifiers (matic_exact, inv_square_sum_exact) are plain loops over the
+diagonal blocks, then the whole.
 
 SPECS holds one Spec per id: its role, its Shape, its checker (a plain
 function, which two ids may share) and, for the fuzzer and the CLI, its
-p-split with exponent grid and default p, its generator caps, its
+exponents (domain, fuzz grid and default p), its generator caps, its
 reference counterexample and its exact certifier. Adding an id means
 adding its checker and one Spec.
 """
@@ -370,7 +373,8 @@ def _log_verdicts(llhs, lrhs, tol: float, ps: Sequence[float] | None = None,
 def _order_verdicts(kind: OrderKind, x, y, tol: float, ps: Sequence[float] | None = None,
                     **kw) -> Verdicts:
     """An order comparison of each row pair of x and y, one per (exponent,
-    instance); margin is the worst prefix margin."""
+    instance), each row nonincreasing (check_orders); margin is the worst
+    prefix margin."""
     orders = check_orders(kind, x, y, tol)
     return Verdicts(_by_exponent(np.minimum.reduce(orders.margins, axis=-1), ps),
                     _by_exponent(orders.holds, ps), tol, ps, orders=orders, **kw)
@@ -444,15 +448,14 @@ def _require_block_diagonal(d: np.ndarray, part: Partition) -> None:
     """NotBlockDiagonal naming the first nonzero entry of d (or of each
     matrix of a stack) off the partition's diagonal blocks; NonFinite
     instead when an entry off the blocks is NaN or infinite."""
-    flat = d.reshape(*d.shape[:-2], part.n * part.n)
-    if np.count_nonzero(flat.take(_off_block_indices(part), axis=-1)):  # NaN and inf count
-        off = d.copy()  # D with its diagonal blocks zeroed
-        for lo, hi in part.offsets():
-            off[..., lo:hi, lo:hi] = 0.0
+    indices = _off_block_indices(part)
+    off = d.reshape(-1, part.n * part.n).take(indices, axis=-1)  # (members, entries)
+    if np.count_nonzero(off):  # NaN and inf count
         _finite(off)
-        at = tuple(np.argwhere(off)[0])
+        member, j = np.argwhere(off)[0]  # the first in (member, flat index) order
+        row, col = divmod(int(indices[j]), part.n)
         raise NotBlockDiagonal(f"D is not block diagonal for partition {part.sizes}: entry "
-                               f"({at[-2]}, {at[-1]}) = {float(d[at])!r} is off the blocks")
+                               f"({row}, {col}) = {float(off[member, j])!r} is off the blocks")
 
 
 def _validated(inst: Instance, **fields) -> Instance:
@@ -515,8 +518,9 @@ def _hashed(shape: Shape, inst: Instance) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Checkers. Each takes a validated instance, or a stack of them (matrices
-# with one leading axis), and returns the Verdicts of its instances: the
-# same code runs with and without the leading axis. The diagonal blocks of
+# with one leading axis), the exponents ps (ignored by an id without one)
+# and tol, and returns the Verdicts of its instances: the same code runs
+# with and without the leading axis. The diagonal blocks of
 # a matrix, or of a stacked pair (C, D) that one kernel takes together, go
 # through the kernel by _blockwise; a checker that puts several matrices
 # through one kernel walks them in turn (C then D, A_1 then A_2, ...), so
@@ -559,7 +563,7 @@ def _product_singular_values(c, d, part: Partition) -> tuple[list[np.ndarray], n
     return blocks, _singular_values(_pd_inverse(c) @ d)
 
 
-def _weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _weak_log_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """main-thm (block-diagonal D) and weak-log-general-d (any D): the
     blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
     x, y = product_spectra(inst.c, inst.d, inst.partition)
@@ -573,7 +577,7 @@ def _logdet_ratio(cd: np.ndarray):
     return logdets[0] - logdets[1]
 
 
-def _matic_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _matic_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """matic (block-diagonal D) and matic-general-d (any D):
     prod det(I + Ci^-1 Di) <= det(I + C^-1 D)."""
     cd = np.array((inst.c, inst.d))
@@ -581,19 +585,10 @@ def _matic_verdicts(inst: Instance, tol: float) -> Verdicts:
     return _log_verdicts(sum(blocks), _logdet_ratio(cd), tol)
 
 
-def _certify(factor, c_exact, d_exact, part: Partition):
-    """(prod_i factor(Ci, Di), factor(C, D)) over the diagonal blocks and the
-    whole of an exact C and D, on integers: C = C'/s and D = D'/t with C', D'
-    from clearing denominators (a Scaled C or D is used as it is), and
-    factor(C', D', s, t, name) returns the exact Fraction, name labelling
-    the block ("" for the whole)."""
-    (c, s), (d, t) = exact.clear_denominators(c_exact), exact.clear_denominators(d_exact)
-
-    def at(lo: int, hi: int, name: str) -> Fraction:
-        return factor(exact.submatrix(c, lo, hi), exact.submatrix(d, lo, hi), s, t, name)
-
-    lhs = math.prod(at(lo, hi, str(i)) for i, (lo, hi) in enumerate(part.offsets(), start=1))
-    return lhs, at(0, len(c), "")
+def _blocks_then_whole(part: Partition, n: int) -> list[tuple[str, int, int]]:
+    """(name, lo, hi) of each diagonal block ("1", ...), then of the whole
+    ("", 0, n): the order an exact certificate takes them in."""
+    return [(str(i), lo, hi) for i, (lo, hi) in enumerate(part.offsets(), start=1)] + [("", 0, n)]
 
 
 def _nonzero_det(a: exact.IntMatrix, name: str) -> int:
@@ -608,17 +603,19 @@ def _combine(x: int, a: exact.IntMatrix, y: int, b: exact.IntMatrix) -> exact.In
     return [[x * u + y * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _det_ratio_exact(c, d, s: int, t: int, name: str) -> Fraction:
-    """det(C + D)/det(C) for C = c/s, D = d/t: det(t c + s d)/(t^n det c)."""
-    det_c = _nonzero_det(c, "C" + name)
-    return Fraction(exact.det_int(_combine(t, c, s, d)), t ** len(c) * det_c)
-
-
 def matic_exact(c_exact, d_exact, part: Partition):
     """Exact rational sides of matic and matic-general-d:
     (prod_i det(Ci + Di)/det(Ci), det(C + D)/det(C)). A singular exact C or
-    Ci raises SingularMatrix."""
-    return _certify(_det_ratio_exact, c_exact, d_exact, part)
+    Ci raises SingularMatrix. On integers, with C = c/s and D = d/t (a
+    Scaled C or D is used as it is), each factor is
+    det(t c + s d)/(t^n det c)."""
+    (c, s), (d, t) = exact.clear_denominators(c_exact), exact.clear_denominators(d_exact)
+    factors = []
+    for name, lo, hi in _blocks_then_whole(part, len(c)):
+        ci, di = exact.submatrix(c, lo, hi), exact.submatrix(d, lo, hi)
+        det_c = _nonzero_det(ci, "C" + name)
+        factors.append(Fraction(exact.det_int(_combine(t, ci, s, di)), t ** len(ci) * det_c))
+    return math.prod(factors[:-1]), factors[-1]
 
 
 def identity_abs_square(c, d_blocks, part: Partition,
@@ -673,7 +670,7 @@ def _block_inverse_sum(mats, part: Partition) -> np.ndarray:
     return symmetrize(sum((direct_sum(_blockwise(_pd_inverse, a, part)) for a in mats), 0.0))
 
 
-def _choi_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _choi_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     mats, part = inst.mats, inst.partition
     llhs = sum(_blockwise(_logdet, _block_inverse_sum(mats, part), part))
     lrhs = _logdet(_inverse_sum(np.array(mats)))
@@ -686,7 +683,7 @@ def _choi_spectra(mats, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     return sort_desc(block_spec), _eigvalsh(_inverse_sum(np.array(mats)))
 
 
-def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _open_q_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """Open in general (proved only for 2x2 with two 1x1 blocks): the
     verdict is recorded, nothing is asserted."""
     mats, part = inst.mats, inst.partition
@@ -695,7 +692,7 @@ def _open_q_verdicts(inst: Instance, tol: float) -> Verdicts:
                            detail=lambda k, i: {"m": len(mats)})
 
 
-def _lemma31_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _lemma31_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """inv([A]) <= [inv(A)] in the Loewner order, for a principal submatrix
     [.]: margin is lambda_min of the difference over max(1, its Frobenius
     norm), each instance of a stack at its own idx."""
@@ -730,7 +727,7 @@ def _tail_start(m, n: int) -> int | None:
     return int(m)
 
 
-def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _fischer_tail_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """Tail products prod_{i>=m} lambda_i(C) <= prod_{i>=m} lambda_i(Diag C).
 
     m = 1 is the Fischer inequality det(C) <= prod det(Ci); m = None checks
@@ -743,7 +740,7 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
     # Both spectra must be positive before their logs: C's first, then
     # Diag C's (NotPositiveDefinite names the eigenvalue)
     spectrum = _positive_spectrum(_eigvalsh(c))
-    block_spectrum = _positive_spectrum(sort_desc(_block_spectra(c, part)))
+    block_spectrum = _positive_spectrum(_block_spectra(c, part))
     # (2, T, n) logs of lambda(C), whose rows are reversed views and so are
     # taken row by row as for one matrix (_rowwise), and of lambda(Diag C)
     logs = np.stack([_rowwise(np.log, spectrum), np.log(block_spectrum)]).reshape(2, -1, n)
@@ -760,12 +757,12 @@ def _fischer_tail_verdicts(inst: Instance, tol: float) -> Verdicts:
 
 
 def _block_spectra(c, part: Partition) -> np.ndarray:
-    """lambda(C1) ... lambda(Ck) of the diagonal blocks, concatenated in
-    block order: one eigensolver call per block size."""
-    return np.concatenate(_blockwise(_eigvalsh, c, part), axis=-1)
+    """lambda(Diag C): the spectra of the diagonal blocks, concatenated and
+    sorted nonincreasing, with one eigensolver call per block size."""
+    return sort_desc(np.concatenate(_blockwise(_eigvalsh, c, part), axis=-1))
 
 
-def _kyfan_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _kyfan_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """lambda(Diag C) majorized by lambda(C) (equal traces, dominated prefixes)."""
     c = inst.c
     return _order_verdicts(OrderKind.MAJORIZE, _block_spectra(c, inst.partition), _eigvalsh(c), tol)
@@ -796,56 +793,51 @@ def _inv_square_sum_logdets(c, d, part: Partition) -> tuple[list, np.ndarray]:
     return blocks, _inv_square_sum_logdet(dc, "whole")
 
 
-def _inv_square_sum_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _inv_square_sum_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     blocks, lrhs = _inv_square_sum_logdets(inst.c, inst.d, inst.partition)
     return _log_verdicts(sum(blocks), lrhs, tol)
-
-
-def _inv_square_sum_det(c, d, s: int, t: int, name: str, d_work) -> Fraction:
-    """det(D^-2 + C^-2) for C = c/s, D = d/t, without an inverse: since
-    D^-2 + C^-2 = D^-2 (C^2 + D^2) C^-2, it is
-    det(C^2 + D^2)/(det C det D)^2 = det(t^2 c^2 + s^2 d^2)/(det c det d)^2,
-    with (det d, d^2) = d_work(d, name) taken after det c."""
-    det_c = _nonzero_det(c, "C" + name)
-    det_d, d_square = d_work(d, name)
-    squares = _combine(t * t, exact.square(c), s * s, d_square)
-    return Fraction(exact.det_int(squares), (det_c * det_d) ** 2)
 
 
 def inv_square_sum_exact(c_exact, d_exact, part: Partition):
     """Exact rational sides of inv-square-sum: (blockwise product, full det),
     each factor det(D^-2 + C^-2). A singular exact C, Ci, D or Di raises
-    SingularMatrix. A D zero off its diagonal blocks gives the whole's
-    det D = prod det Di and D^2 = D1^2 (+) ... (+) Dk^2 from the blocks'."""
-    d_exact = exact.clear_denominators(d_exact)
-    block_d, done = exact.block_diagonal(d_exact.ints, part.offsets()), []
-
-    def d_work(d, name: str) -> tuple[int, exact.IntMatrix]:
+    SingularMatrix, C's before D's. On integers, with C = c/s and D = d/t
+    (a Scaled C or D is used as it is), and no inverse: since
+    D^-2 + C^-2 = D^-2 (C^2 + D^2) C^-2, each factor is
+    det(t^2 c^2 + s^2 d^2)/(det c det d)^2. A D zero off its diagonal
+    blocks gives the whole's det d = prod det di and
+    d^2 = d1^2 (+) ... (+) dk^2 from the blocks'."""
+    (d, t), (c, s) = exact.clear_denominators(d_exact), exact.clear_denominators(c_exact)
+    block_d = exact.block_diagonal(d, part.offsets())
+    factors, d_dets, d_squares = [], [], []
+    for name, lo, hi in _blocks_then_whole(part, len(c)):
+        ci, di = exact.submatrix(c, lo, hi), exact.submatrix(d, lo, hi)
+        det_c = _nonzero_det(ci, "C" + name)
         if name or not block_d:  # a block, or a whole D of its own
-            done.append((_nonzero_det(d, "D" + name), exact.square(d)))
-            return done[-1]
-        return (math.prod(det for det, _ in done),
-                exact.direct_sum([exact.Scaled(square, 1) for _, square in done]).ints)
+            d_dets.append(_nonzero_det(di, "D" + name))
+            d_squares.append(exact.square(di))
+            det_d, d_square = d_dets[-1], d_squares[-1]
+        else:
+            det_d = math.prod(d_dets)
+            d_square = exact.direct_sum([exact.Scaled(sq, 1) for sq in d_squares]).ints
+        squares = _combine(t * t, exact.square(ci), s * s, d_square)
+        factors.append(Fraction(exact.det_int(squares), (det_c * det_d) ** 2))
+    return math.prod(factors[:-1]), factors[-1]
 
-    return _certify(lambda *args: _inv_square_sum_det(*args, d_work), c_exact, d_exact, part)
 
-
-def _sv_weak_log_verdicts(inst: Instance, tol: float) -> Verdicts:
+def _sv_weak_log_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     blocks, y = _product_singular_values(inst.c, inst.d, inst.partition)
-    return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, np.concatenate(blocks, axis=-1), y, tol)
+    x = sort_desc(np.concatenate(blocks, axis=-1))
+    return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, x, y, tol)
 
 
 # ---------------------------------------------------------------------------
-# Parametrized checks, split at p. Each prepare step does the p-independent
-# work on a validated instance or stack and returns the grid step
-# `step(ps, tol) -> Verdicts`, one row per exponent, one column per instance.
-# A step computes each side over the whole grid in one numpy pass, with one
+# Parametrized checks. Each does the p-independent work once on a validated
+# instance or stack, then computes each side over the whole exponent grid in
+# one numpy pass, one row per exponent, one column per instance, with one
 # power x**p per exponent: numpy's fast paths for p = 0.5, 2 and -1 round
 # differently from a broadcast power, and one power per p keeps every verdict
 # the bits of a one-exponent grid.
-
-GridStep = Callable[[Sequence[float], float], Verdicts]
-
 
 def _powers(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     """x**p for each p of ps, as a (P, ...) stack; an overflow is left inf."""
@@ -864,56 +856,41 @@ def _sum_log1p_power(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     return np.sum(np.log1p(xp), axis=-1)
 
 
-def _prepare_log1p_power(inst: Instance) -> GridStep:
+def _log1p_power_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """det-power and neg-power: sum log1p(x^p) <= sum log1p(y^p) over the
     product spectra."""
     x, y = product_spectra(inst.c, inst.d, inst.partition)
-
-    def step(ps: Sequence[float], tol: float) -> Verdicts:
-        return _log_verdicts(_sum_log1p_power(x, ps), _sum_log1p_power(y, ps), tol, ps)
-
-    return step
+    return _log_verdicts(_sum_log1p_power(x, ps), _sum_log1p_power(y, ps), tol, ps)
 
 
-def _prepare_thm32(inst: Instance) -> GridStep:
+def _thm32_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """Weak majorization of the blockwise inverse-sum spectrum by the full
     one, both raised entrywise to p >= 1."""
     mats = inst.mats
     x, y = _choi_spectra(mats, inst.partition)
-
-    def step(ps: Sequence[float], tol: float) -> Verdicts:
-        # check_orders rejects an overflowed power
-        yp = np.stack([_power(y, p) for p in ps])
-        return _order_verdicts(OrderKind.WEAK_MAJORIZE, _powers(x, ps), yp, tol, ps,
-                               detail=lambda k, i: {"m": len(mats)})
-
-    return step
+    # x**p need not be nonincreasing in its last bit, so the powers are
+    # sorted, as one stack; check_orders rejects an overflowed power
+    xp, yp = sort_desc((_powers(x, ps), np.stack([_power(y, p) for p in ps])))
+    return _order_verdicts(OrderKind.WEAK_MAJORIZE, xp, yp, tol, ps,
+                           detail=lambda k, i: {"m": len(mats)})
 
 
-def _prepare_abs_power(inst: Instance) -> GridStep:
+def _abs_power_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     block_svs, s_full = _product_singular_values(inst.c, inst.d, inst.partition)
-
-    def step(ps: Sequence[float], tol: float) -> Verdicts:
-        llhs = sum(_sum_log1p_power(s, ps) for s in block_svs)
-        return _log_verdicts(llhs, _sum_log1p_power(s_full, ps), tol, ps)
-
-    return step
+    llhs = sum(_sum_log1p_power(s, ps) for s in block_svs)
+    return _log_verdicts(llhs, _sum_log1p_power(s_full, ps), tol, ps)
 
 
-def _prepare_commuted_power(inst: Instance) -> GridStep:
+def _commuted_power_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     # (w, V) of each diagonal block of C, then of D
     c_eigs, d_eigs = (_blockwise(_pd_eigh, a, inst.partition) for a in (inst.c, inst.d))
     c_eig = _pd_eigh(inst.c)
-
-    def step(ps: Sequence[float], tol: float) -> Verdicts:
-        # every power below is a (P, ..., n, n) stack, one product for the grid
-        powers = [(eigh_powers(*ce, ps), eigh_powers(*de, ps)) for ce, de in zip(c_eigs, d_eigs)]
-        llhs = sum(_logdet_ratio(np.array(pair)) for pair in powers)
-        cp = eigh_powers(*c_eig, ps)
-        lrhs = _logdet_ratio(np.array((cp, direct_sum([dp for _, dp in powers]))))
-        return _log_verdicts(llhs, lrhs, tol, ps)
-
-    return step
+    # every power below is a (P, ..., n, n) stack, one product for the grid
+    powers = [(eigh_powers(*ce, ps), eigh_powers(*de, ps)) for ce, de in zip(c_eigs, d_eigs)]
+    llhs = sum(_logdet_ratio(np.array(pair)) for pair in powers)
+    cp = eigh_powers(*c_eig, ps)
+    lrhs = _logdet_ratio(np.array((cp, direct_sum([dp for _, dp in powers]))))
+    return _log_verdicts(llhs, lrhs, tol, ps)
 
 
 def _det_power_domain(p) -> None:
@@ -945,14 +922,11 @@ def _nonnegative_domain(inequality: str) -> Callable[[float | None], None]:
 
 @dataclass(frozen=True)
 class PSplit:
-    """A parametrized id: `domain(p)` raises on an exponent the statement is
-    not made for; `prepare(inst)` is the p-independent step, and returns the
-    grid step `(ps, tol) -> Verdicts`, one row per p. `grid` is the
-    exponent grid a fuzz trial sweeps when no p is given, `default` the CLI's
-    p when --p is absent."""
+    """A parametrized id's exponents: `domain(p)` raises on an exponent the
+    statement is not made for; `grid` is the exponent grid a fuzz trial
+    sweeps when no p is given, `default` the CLI's p when --p is absent."""
 
     domain: Callable[[float | None], None]
-    prepare: Callable[[Instance], GridStep]
     grid: tuple[float, ...]
     default: float
 
@@ -986,7 +960,7 @@ class Shape(enum.Enum):
     C_IDX = "c+idx"          # c, idx
 
 
-Checker = Callable[[Instance, float], Verdicts]
+Checker = Callable[[Instance, Sequence[float], float], Verdicts]
 # (C cap, D-block cap, block-scale bias in decades) for block-D fuzz draws;
 # a None cap leaves GenConfig.kappa_max alone.
 Caps = tuple[float | None, float | None, float]
@@ -996,9 +970,11 @@ Caps = tuple[float | None, float | None, float]
 class Spec:
     """What the catalog, the fuzzer and the CLI know about one id.
 
-    check: (validated instance or stack, tol) -> the Verdicts of its
-        instances; None for a parametrized id, which its split checks.
-    split: the p-split of a parametrized id, with its fuzz grid and default p.
+    check: (validated instance or stack, ps, tol) -> the Verdicts of its
+        instances, one row per exponent of ps; an id without an exponent
+        ignores ps and gives one row.
+    split: the exponents of a parametrized id: its domain, fuzz grid and
+        default p.
     caps: the generator caps for block-D draws.
     reference: (partition, C, D) of the counterexample the fuzzer injects as
         trial 0; D is block diagonal for the partition for a block-D id.
@@ -1018,7 +994,7 @@ class Spec:
 
     role: Role
     shape: Shape
-    check: Checker | None = None
+    check: Checker
     split: PSplit | None = None
     caps: Caps = (None, None, 0.0)
     reference: tuple[Partition, np.ndarray, np.ndarray] | None = None
@@ -1039,26 +1015,24 @@ SPECS: dict[str, Spec] = {
     "matic": Spec(Role.THEOREM, Shape.BLOCK_D, _matic_verdicts,
                   certify=lambda c, d, part: matic_exact(c, d, part)),
     "det-power": Spec(
-        Role.THEOREM, Shape.BLOCK_D,
-        split=PSplit(_det_power_domain, _prepare_log1p_power,
-                     grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
+        Role.THEOREM, Shape.BLOCK_D, _log1p_power_verdicts,
+        split=PSplit(_det_power_domain, grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
     "abs-power": Spec(
-        Role.EVALUATOR, Shape.BLOCK_D,
-        split=PSplit(_nonnegative_domain("abs-power"), _prepare_abs_power,
-                     grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=2.0),
+        Role.EVALUATOR, Shape.BLOCK_D, _abs_power_verdicts,
+        split=PSplit(_nonnegative_domain("abs-power"), grid=(0.0, 0.5, 1.0, 2.0, 3.0),
+                     default=2.0),
         caps=(1e3, 1e2, 1.0), reference=_INV_SQ_REF),
     "commuted-power": Spec(
-        Role.EVALUATOR, Shape.BLOCK_D,
-        split=PSplit(_nonnegative_domain("commuted-power"), _prepare_commuted_power,
-                     grid=(0.0, 0.5, 1.0, 2.0), default=2.0),
+        Role.EVALUATOR, Shape.BLOCK_D, _commuted_power_verdicts,
+        split=PSplit(_nonnegative_domain("commuted-power"), grid=(0.0, 0.5, 1.0, 2.0),
+                     default=2.0),
         caps=(1e6, 1e3, 1.5), reference=_INV_SQ_REF),
     "inv-square-sum": Spec(Role.EVALUATOR, Shape.BLOCK_D, _inv_square_sum_verdicts,
                            caps=(None, 1e3, 1.5), reference=_INV_SQ_REF,
                            certify=lambda c, d, part: inv_square_sum_exact(c, d, part)),
     "neg-power": Spec(
-        Role.EVALUATOR, Shape.BLOCK_D,
-        split=PSplit(_neg_power_domain, _prepare_log1p_power,
-                     grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
+        Role.EVALUATOR, Shape.BLOCK_D, _log1p_power_verdicts,
+        split=PSplit(_neg_power_domain, grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
         caps=(None, 1e3, 1.5),
         reference=(refdata.NEG_POWER_PART, refdata.NEG_POWER_C, refdata.NEG_POWER_D)),
     "matic-general-d": Spec(
@@ -1071,9 +1045,8 @@ SPECS: dict[str, Spec] = {
     "sv-weak-log": Spec(Role.EVALUATOR, Shape.BLOCK_D, _sv_weak_log_verdicts,
                         caps=(1e2, 1e2, 1.0), reference=_INV_SQ_REF),
     "choi": Spec(Role.THEOREM, Shape.MATS, _choi_verdicts),
-    "thm32": Spec(
-        Role.THEOREM, Shape.MATS,
-        split=PSplit(_thm32_domain, _prepare_thm32, grid=(1.0, 2.0, 3.0), default=1.0)),
+    "thm32": Spec(Role.THEOREM, Shape.MATS, _thm32_verdicts,
+                  split=PSplit(_thm32_domain, grid=(1.0, 2.0, 3.0), default=1.0)),
     "open-q": Spec(Role.OPEN, Shape.MATS, _open_q_verdicts),
     "lemma31": Spec(Role.THEOREM, Shape.C_IDX, _lemma31_verdicts),
     "fischer-tail": Spec(Role.THEOREM, Shape.C_M, _fischer_tail_verdicts),
@@ -1120,13 +1093,11 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
     warnings are off: the kernels' own checks judge an overflow."""
     spec = spec_of(inequality)
     with np.errstate(all="ignore"):
-        if spec.split is None:
-            verdicts = spec.check(inst, tol)
-        else:
-            step = spec.split.prepare(inst)
-            # The grid stops at its first failing kernel call over all
-            # exponents; first_error's members are the exponents, in order.
-            verdicts = first_error(lambda: step(ps, tol), lambda p: step((p,), tol), lambda: ps)
+        # first_error's members are the exponents, in order: a call that
+        # raises reruns the whole checker at one exponent at a time, so
+        # only a failure pays for it
+        verdicts = first_error(lambda: spec.check(inst, ps, tol),
+                               lambda p: spec.check(inst, (p,), tol), lambda: ps)
     verdicts.inequality, verdicts.hashed = inequality, _hashed(spec.shape, inst)
     return verdicts
 
@@ -1134,8 +1105,8 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
 def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
                  tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, ...]:
     """Verdicts of a parametrized id at each exponent of ps, in order, on one
-    instance. The tolerance and every exponent are checked first; the
-    p-independent work is then done once, and the whole grid in one step."""
+    instance. The tolerance and every exponent are checked first; the id's
+    checker then does its p-independent work once and takes the whole grid."""
     spec = spec_of(inequality)
     if spec.split is None:
         raise UnknownInequality(f"{inequality!r} is not a parametrized id")

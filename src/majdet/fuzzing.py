@@ -427,9 +427,9 @@ def _run_trials(inequality: str, spec: Spec, cfg: GenConfig, trials: range,
     validated once and checked in one call per kernel; an injected trial 0
     takes its stack and Verdicts from _checked_reference. For parametrized
     ids without an explicit p, ps is the Spec's grid: each draw is checked
-    at every exponent (the p-independent work once, then one grid step), the
-    first exponent of minimum margin is kept, and the instance carries that
-    p.
+    at every exponent (one checker call: the p-independent work once, then
+    the whole grid), the first exponent of minimum margin is kept, and the
+    instance carries that p.
     """
     first = int(_injects(spec, trials))
     groups = _draw_chunk(spec, cfg, trials[first:], ps[0])

@@ -3,14 +3,15 @@ and sorted entrywise domination, each reported with per-prefix margins.
 
 Log-order arithmetic happens entirely in the log domain (prefix sums of
 logarithms, never raw products) so verdicts survive eigenvalue ratios up to
-1e12 at dimensions up to 100. check_orders compares the rows of two
-(..., n) arrays in one pass and returns arrays (OrderChecks), which build
-an OrderReport only for a row asked for; check_order compares two vectors.
-Both take x and y as one stack: one sort, one finiteness test and, for the
-log kinds, one positivity test and one log serve both sides. Only when the
+1e12 at dimensions up to 100. check_order compares two vectors, which it
+sorts and tests one at a time. check_orders compares the rows of two
+(..., n) arrays whose rows are already nonincreasing (a caller sorts each
+spectrum once, or has it sorted from its solver) in one pass, and returns
+arrays (OrderChecks), which build an OrderReport only for a row asked for.
+It checks x and y as one stack: one finiteness test and, for the log
+kinds, one positivity test and one log serve both sides. Only when the
 stack is not finite, or x and y differ in shape, are they sorted and
-tested one at a time, so each error and their order stay those of the
-one-at-a-time sequence.
+tested one at a time, so each error and their order stay check_order's.
 """
 
 from __future__ import annotations
@@ -84,22 +85,10 @@ def sort_desc(v) -> np.ndarray:
     return -np.sort(-arr, axis=-1, kind="stable")
 
 
-def _sorted_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """x and y as one (2, ..., n) stack, each row sorted nonincreasing, with
-    one sort and one finiteness test for both; None unless x and y are
-    nonempty, of one shape with at least one axis, and finite."""
-    if x.shape != y.shape or not x.ndim or not x.size:
-        return None
-    xy = np.negative((x, y))
-    xy.sort(axis=-1, kind="stable")
-    np.negative(xy, out=xy)
-    return xy if np.logical_and.reduce(np.isfinite(xy), axis=None) else None
-
-
 def _sorted_each(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x and y sorted nonincreasing one at a time, then tested finite: the
-    slow path, whose errors come in the order check_order and check_orders
-    report (an empty x, an empty y, then a NaN or infinite entry)."""
+    way into check_order, and check_orders' slow path, whose errors come in
+    this order (an empty x, an empty y, then a NaN or infinite entry)."""
     xs, ys = sort_desc(x), sort_desc(y)
     if not (np.logical_and.reduce(np.isfinite(xs), axis=None)
             and np.logical_and.reduce(np.isfinite(ys), axis=None)):
@@ -139,36 +128,37 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
     per prefix, scaled by max(1, |prefix|). With pad=True (ENTRYWISE_LE
     only), the shorter vector is zero-padded to the longer one's length.
     A NaN or infinite entry, a prefix sum that overflows, or a scaled
-    tolerance that overflows raises NonFinite.
+    tolerance that overflows raises NonFinite, without a numpy warning.
     """
     kind = OrderKind(kind)
-    x = np.ravel(np.asarray(x, dtype=float))
-    y = np.ravel(np.asarray(y, dtype=float))
-    xy = _sorted_pair(x, y)
-    if xy is None:
-        xs, ys = _sorted_each(x, y)
-        if xs.size != ys.size:
-            if not (pad and kind is OrderKind.ENTRYWISE_LE):
-                raise LengthMismatch(f"{xs.size} vs {ys.size}")
-            width = max(xs.size, ys.size)
-            xs = np.concatenate([xs, np.zeros(width - xs.size)])
-            ys = np.concatenate([ys, np.zeros(width - ys.size)])
-        xy = np.array((xs, ys))
-    return _checks(kind, xy, tol).report()
+    xs, ys = _sorted_each(np.ravel(np.asarray(x, dtype=float)),
+                          np.ravel(np.asarray(y, dtype=float)))
+    if xs.size != ys.size:
+        if not (pad and kind is OrderKind.ENTRYWISE_LE):
+            raise LengthMismatch(f"{xs.size} vs {ys.size}")
+        width = max(xs.size, ys.size)
+        xs = np.concatenate([xs, np.zeros(width - xs.size)])
+        ys = np.concatenate([ys, np.zeros(width - ys.size)])
+    with np.errstate(all="ignore"):  # an overflow raises NonFinite in _checks
+        return _checks(kind, np.array((xs, ys)), tol).report()
 
 
 def check_orders(kind: OrderKind, x, y, tol: float = DEFAULT_TOL) -> OrderChecks:
-    """check_order on each row pair of two (..., n) arrays of equal shape, as
-    arrays (OrderChecks): x and y are sorted and checked as one stack."""
+    """check_order on each row pair of two (..., n) arrays of equal shape,
+    each row already nonincreasing, as arrays (OrderChecks): x and y are
+    checked as one stack. Only when that stack is not finite, or x and y
+    differ in shape, are they sorted and tested one at a time
+    (_sorted_each), for check_order's errors in its order."""
     kind = OrderKind(kind)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    xy = _sorted_pair(x, y)
-    if xy is None:
-        xs, ys = _sorted_each(x, y)
-        if xs.shape != ys.shape:
-            raise LengthMismatch(f"{xs.shape} vs {ys.shape}")
-        xy = np.array((xs, ys))
-    return _checks(kind, xy, tol)
+    if x.shape == y.shape and x.ndim and x.size:
+        xy = np.array((x, y))
+        if np.logical_and.reduce(np.isfinite(xy), axis=None):
+            return _checks(kind, xy, tol)
+    xs, ys = _sorted_each(x, y)
+    if xs.shape != ys.shape:
+        raise LengthMismatch(f"{xs.shape} vs {ys.shape}")
+    return _checks(kind, np.array((xs, ys)), tol)
 
 
 def _checks(kind: OrderKind, xy: np.ndarray, tol: float) -> OrderChecks:

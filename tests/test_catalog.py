@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -46,7 +47,7 @@ from majdet.errors import (
     UnknownInequality,
 )
 from majdet.exact import det_exact, submatrix
-from majdet.fuzzing import GenConfig, fuzz, replay
+from majdet.fuzzing import GenConfig, GenStyle, fuzz, replay
 from majdet.linalg import eigvals_sym, require_symmetric
 
 from oracles import loewner_le, rand_pd, stack_instances
@@ -456,6 +457,12 @@ class TestRegistry:
         assert {i for i, s in SPECS.items() if s.certify} == {
             "matic", "inv-square-sum", "matic-general-d"}
 
+    def test_every_checker_takes_inst_ps_tol(self):
+        # one signature for every id; an id without an exponent ignores ps
+        for inequality, spec in SPECS.items():
+            assert list(inspect.signature(spec.check).parameters) == ["inst", "ps", "tol"], \
+                inequality
+
     def test_p_on_id_without_exponent(self, rng):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))
         inst = Instance(partition=part, c=c, d_blocks=blocks, p=2.0)
@@ -544,6 +551,25 @@ class TestOneD:
             with pytest.raises(NotBlockDiagonal):
                 validate_instance(Shape.BLOCK_D, stack_instances(members), lead=1)
         validate_instance(Shape.BLOCK_D, stack_instances([good, good]), lead=1)
+
+    def test_bad_member_of_a_stack_keeps_its_message(self):
+        # the first off-block entry in (member, flat index) order is named:
+        # member 1's (1, 2), although member 2's (0, 3) comes first in its
+        # matrix; a NaN off the blocks of any member is NonFinite first
+        good = direct_sum(ref_wlog_blocks())
+        late, early = good.copy(), good.copy()
+        late[1, 2] = late[2, 1] = 0.5
+        early[0, 3] = early[3, 0] = 0.25
+        stack = Instance(partition=PART22, c=np.stack([refdata.WLOG_C] * 3),
+                         d=np.stack([good, late, early]))
+        message = (r"^D is not block diagonal for partition \(2, 2\): "
+                   r"entry \(1, 2\) = 0\.5 is off the blocks$")
+        with pytest.raises(NotBlockDiagonal, match=message):
+            validate_instance(Shape.BLOCK_D, stack, lead=1)
+        early[0, 3] = early[3, 0] = math.nan
+        stack = replace(stack, d=np.stack([good, late, early]))
+        with pytest.raises(NonFinite, match=r"^non-finite entry \(max \|a_ij\| = nan\)$"):
+            validate_instance(Shape.BLOCK_D, stack, lead=1)
 
     def test_each_d_block_on_its_own_slack(self):
         skewed = np.eye(2)
@@ -1325,3 +1351,45 @@ class TestBoundary:
     def test_fischer_tail_rejects_an_m_out_of_range(self, rng, m):
         with pytest.raises(IndexOutOfRange, match=r"out of range 1\.\.4"):
             validate_instance(Shape.C_M, Instance(partition=PART22, c=rand_pd(rng, 4), m=m))
+
+
+ORDER_IDS = ["main-thm", "weak-log-general-d", "sv-weak-log", "open-q", "thm32", "ky-fan"]
+
+
+def refdata_instances(inequality):
+    """Instances of an id's Shape from the refdata matrices (ex. 2.3 and
+    the inv-square-sum counterexample), at the id's default p."""
+    spec = SPECS[inequality]
+    p = spec.split.default if spec.split else None
+    for part, c, d in ((refdata.WLOG_PART, refdata.WLOG_C, refdata.WLOG_D),
+                       (refdata.INV_SQ_PART, refdata.INV_SQ_C, refdata.INV_SQ_D)):
+        if spec.shape is Shape.BLOCK_D:
+            d = direct_sum(diag_blocks(d, part))
+        if spec.shape is Shape.MATS:
+            yield Instance(partition=part, mats=(c, d), p=p)
+        elif spec.shape is Shape.C:
+            yield Instance(partition=part, c=c)
+        else:
+            yield Instance(partition=part, c=c, d=d, p=p)
+
+
+@pytest.mark.parametrize("inequality", ORDER_IDS)
+def test_order_ids_hand_check_orders_nonincreasing_rows(monkeypatch, inequality):
+    # check_orders takes rows already sorted: each order id sorts each
+    # spectrum once, or has it nonincreasing from its solver
+    rows = []
+    check_orders = catalog_mod.check_orders
+
+    def recording(kind, x, y, tol):
+        rows.extend((np.asarray(x), np.asarray(y)))
+        return check_orders(kind, x, y, tol)
+
+    monkeypatch.setattr(catalog_mod, "check_orders", recording)
+    for cfg in (GenConfig(n=5, partition=Partition((2, 3)), m=3, seed=8, kappa_max=1e8),
+                GenConfig(n=4, partition=Partition((1, 2, 1)), seed=3, style=GenStyle.GRAM)):
+        fuzz(inequality, cfg, 20)
+    for inst in refdata_instances(inequality):
+        run_check(inequality, inst)
+    assert len(rows) >= 2 * 3
+    for a in rows:
+        assert a.shape[-1] > 1 and np.all(a[..., :-1] >= a[..., 1:]), inequality

@@ -413,8 +413,8 @@ class TestGridEvaluation:
         # abs-power, 70 trials: chunk 0 holds the injected trial 0 (a group of
         # its own) and 63 drawn trials, chunk 1 six drawn trials. Each chunk
         # forms its SPECTRAL matrices once per size (C 4x4, D blocks 2x2),
-        # and each group is prepared once and takes its whole grid in one step.
-        formations, prepared, steps = [], [], []
+        # and each group is checked in one call that takes the whole grid.
+        formations, checked = [], []
         form = fuzzing_mod._form_spectral
         spec = SPECS["abs-power"]
 
@@ -422,23 +422,17 @@ class TestGridEvaluation:
             formations.append(g.shape)
             return form(lam, g, entry_scale)
 
-        def counting_prepare(inst):
-            prepared.append(inst.c.shape)
-            step = spec.split.prepare(inst)
-
-            def counting_step(ps, tol):
-                steps.append(tuple(ps))
-                return step(ps, tol)
-
-            return counting_step
+        def counting_check(inst, ps, tol):
+            checked.append((inst.c.shape, tuple(ps)))
+            return spec.check(inst, ps, tol)
 
         monkeypatch.setattr(fuzzing_mod, "_form_spectral", counting_form)
-        monkeypatch.setitem(catalog_mod.SPECS, "abs-power", dataclasses.replace(
-            spec, split=dataclasses.replace(spec.split, prepare=counting_prepare)))
+        monkeypatch.setitem(catalog_mod.SPECS, "abs-power",
+                            dataclasses.replace(spec, check=counting_check))
         fuzz("abs-power", GRID_CONFIGS[0], 70)
         assert formations == [(63, 4, 4), (126, 2, 2), (6, 4, 4), (12, 2, 2)]
-        assert prepared == [(1, 4, 4), (63, 4, 4), (6, 4, 4)]
-        assert steps == [spec.split.grid] * 3
+        assert checked == [((1, 4, 4), spec.split.grid), ((63, 4, 4), spec.split.grid),
+                           ((6, 4, 4), spec.split.grid)]
 
     def test_lemma31_groups_by_idx_length(self, monkeypatch):
         # n = 8, 100 trials in chunks of 64 and 36: one checker call per
@@ -447,9 +441,9 @@ class TestGridEvaluation:
         checked = []
         spec = SPECS["lemma31"]
 
-        def counting_check(inst, tol):
+        def counting_check(inst, ps, tol):
             checked.append((inst.idx, inst.c.shape[0]))
-            return spec.check(inst, tol)
+            return spec.check(inst, ps, tol)
 
         monkeypatch.setitem(catalog_mod.SPECS, "lemma31",
                             dataclasses.replace(spec, check=counting_check))

@@ -176,16 +176,17 @@ class TestCheckOrder:
             check_order(kind, [2.0, 1.0], [2.0, bad])
 
     def test_overflowing_prefix_sum_raises(self):
+        # no numpy warning first (the suite turns a RuntimeWarning into an error)
         big = np.array([1e308, 1e308])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFinite):
-                check_order(OrderKind.WEAK_MAJORIZE, big, big)
+        with pytest.raises(NonFinite, match=r"^order check with a prefix sum that overflows$"):
+            check_order(OrderKind.WEAK_MAJORIZE, big, big)
 
 
 class TestStackedOrders:
-    """check_orders on (T, n) rows equals check_order row by row, margins
-    bit for bit: the prefix margins of a stack are taken in one pass, and
-    each row's report is built from the arrays."""
+    """check_orders on (T, n) rows, each sorted nonincreasing by sort_desc,
+    equals check_order (which sorts) on the unsorted rows, row by row,
+    margins bit for bit: the prefix margins of a stack are taken in one
+    pass, and each row's report is built from the arrays."""
 
     @pytest.mark.parametrize("kind", list(OrderKind))
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
@@ -194,7 +195,7 @@ class TestStackedOrders:
             x = np.exp(rng.uniform(-20.0, 20.0, size=(size, n)))
             y = np.exp(rng.uniform(-20.0, 20.0, size=(size, n)))
             y[0] = x[0][::-1]  # a row that holds with equality
-            checks = check_orders(kind, x, y)
+            checks = check_orders(kind, sort_desc(x), sort_desc(y))
             assert checks.holds.shape == (size,)
             for t in range(size):
                 report = checks.report(t)
@@ -207,9 +208,10 @@ class TestStackedOrders:
     @given(kind=st.sampled_from(list(OrderKind)), lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
            n=st.integers(1, 9), data=st.data())
     def test_stack_equals_rows_bit_for_bit(self, kind, lead, n, data):
-        # x and y are sorted, tested and logged as one stack; each row's
-        # report, margins and residual have the bits of check_order on that
-        # row, and those of prefix sums taken one vector at a time
+        # x and y, sorted by sort_desc, are tested and logged as one stack;
+        # each row's report, margins and residual have the bits of
+        # check_order on that unsorted row, and those of prefix sums taken
+        # one vector at a time
         log = kind in (OrderKind.LOG_MAJORIZE, OrderKind.WEAK_LOG_MAJORIZE)
         entries = (st.floats(-60.0, 60.0).map(math.exp) if log
                    else st.floats(-1e6, 1e6, allow_nan=False))
@@ -218,7 +220,7 @@ class TestStackedOrders:
                                         max_size=math.prod(shape)))).reshape(shape)
         y = x[..., ::-1].copy() if data.draw(st.booleans()) else np.array(data.draw(
             st.lists(entries, min_size=x.size, max_size=x.size))).reshape(shape)
-        checks = check_orders(kind, x, y)
+        checks = check_orders(kind, sort_desc(x), sort_desc(y))
         rows_x, rows_y = x.reshape(-1, n), y.reshape(-1, n)
         for t in range(len(rows_x)):
             report, want = checks.report(t), check_order(kind, rows_x[t], rows_y[t])
