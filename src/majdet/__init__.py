@@ -9,7 +9,6 @@ from .catalog import (
     THEOREM_IDS,
     InequalityVerdict,
     Instance,
-    evaluate_general,
     identity_abs_square,
     run_check,
 )
@@ -37,7 +36,7 @@ __all__ = [
     "Partition", "diag_blocks", "direct_sum", "principal_submatrix", "validate_partition",
     "EVALUATOR_IDS", "INEQUALITY_IDS", "THEOREM_IDS",
     "InequalityVerdict", "Instance",
-    "evaluate_general", "identity_abs_square", "run_check",
+    "identity_abs_square", "run_check",
     "det_exact",
     "FuzzReport", "GenConfig", "GenStyle", "TrialRecord", "fuzz", "gen_pd", "replay",
     "cholesky", "eig_pencil", "eigh_sym", "eigvals_sym", "hyperbolic_power",

@@ -61,8 +61,8 @@ and returns its margins only, one Verdicts, whose margin and holds are
 check_validated makes one call of it for every id, and adds the id and
 what the fingerprints hash, from the id's Spec. An InequalityVerdict, with
 its sha256 fingerprint and OrderReport, is built only where one is returned
-or stored: by run_check and check_p_grid, and by the fuzzer for a record
-its report keeps.
+or stored: by run_check, and by the fuzzer for a record its report
+keeps.
 
 The checker of a parametrized id (det-power, thm32, abs-power,
 commuted-power, neg-power) does everything that does not depend on p
@@ -70,10 +70,10 @@ commuted-power, neg-power) does everything that does not depend on p
 stack, then computes each side over the whole exponent grid ps in one
 numpy pass: the powers as one (P, ...) stack, one log1p and one sum, or
 one order check, over all the exponents. An id without an exponent ignores
-ps. run_check evaluates one p and check_p_grid a grid through the same
-checker; each verdict has the bits of a one-exponent grid. The exact
-certifiers (matic_exact, inv_square_sum_exact) are plain loops over the
-diagonal blocks, then the whole.
+ps. run_check evaluates one p and the fuzzer a grid through the same
+checker; verdict k of a grid has the bits of run_check at ps[k]. The
+exact certifiers (matic_exact, inv_square_sum_exact) are plain loops over
+the diagonal blocks, then the whole.
 
 SPECS holds one Spec per id: its role, its Shape, its checker (a plain
 function, which two ids may share) and, for the fuzzer and the CLI, its
@@ -543,12 +543,11 @@ def _blockwise(kernel, a, part: Partition) -> list:
     return out
 
 
-def product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
+def _product_spectra(c, d, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(concatenated spectra of Ci^-1 Di sorted nonincreasing, spectrum of
     C^-1 D), with Ci and Di the diagonal blocks of C and D: positive
-    definite float arrays, or stacks of them. Like the kernels, it expects
-    numpy's warnings off (check_validated's np.errstate); otherwise a
-    failed factorization warns before it raises."""
+    definite float arrays, or stacks of them. Like the kernels, it
+    validates nothing and runs under check_validated's np.errstate."""
     cd = np.array((c, d))
     spectra = _blockwise(lambda g: _pencil(g.swapaxes(0, 1)), cd, part)
     return sort_desc(np.concatenate(spectra, axis=-1)), _pencil(cd)
@@ -566,7 +565,7 @@ def _product_singular_values(c, d, part: Partition) -> tuple[list[np.ndarray], n
 def _weak_log_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """main-thm (block-diagonal D) and weak-log-general-d (any D): the
     blockwise spectrum weak-log-majorized by lambda(C^-1 D)."""
-    x, y = product_spectra(inst.c, inst.d, inst.partition)
+    x, y = _product_spectra(inst.c, inst.d, inst.partition)
     return _order_verdicts(OrderKind.WEAK_LOG_MAJORIZE, x, y, tol)
 
 
@@ -859,7 +858,7 @@ def _sum_log1p_power(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
 def _log1p_power_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
     """det-power and neg-power: sum log1p(x^p) <= sum log1p(y^p) over the
     product spectra."""
-    x, y = product_spectra(inst.c, inst.d, inst.partition)
+    x, y = _product_spectra(inst.c, inst.d, inst.partition)
     return _log_verdicts(_sum_log1p_power(x, ps), _sum_log1p_power(y, ps), tol, ps)
 
 
@@ -1100,29 +1099,6 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
                                lambda p: spec.check(inst, (p,), tol), lambda: ps)
     verdicts.inequality, verdicts.hashed = inequality, _hashed(spec.shape, inst)
     return verdicts
-
-
-def check_p_grid(inequality: str, inst: Instance, ps: Sequence[float],
-                 tol: float = DEFAULT_TOL) -> tuple[InequalityVerdict, ...]:
-    """Verdicts of a parametrized id at each exponent of ps, in order, on one
-    instance. The tolerance and every exponent are checked first; the id's
-    checker then does its p-independent work once and takes the whole grid."""
-    spec = spec_of(inequality)
-    if spec.split is None:
-        raise UnknownInequality(f"{inequality!r} is not a parametrized id")
-    require_tol(tol)
-    spec.split.require(ps)
-    if not len(ps):
-        return ()
-    verdicts = check_validated(inequality, validate_instance(spec.shape, inst), ps, tol)
-    return tuple(verdicts.verdict(k) for k in range(len(ps)))
-
-
-def evaluate_general(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """Evaluate one of the no-expectation statements; violation is data, not error."""
-    if spec_of(inequality).role is not Role.EVALUATOR:
-        raise UnknownInequality(f"{inequality!r} is not an evaluator id")
-    return run_check(inequality, inst, tol)
 
 
 def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,10 @@ from .orders import DEFAULT_TOL
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors, per the CLI contract."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # -1e-3 is a value, as in 3.13
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -320,9 +320,11 @@ def build_instances(inequality: str, cfg: GenConfig, trials: range,
     """Draw the instances of a range of trials, in order (trial 0 of a false
     id is its injected counterexample): fuzz's draw routine, unstacked.
     Every draw is a pure function of (cfg, trial), the same bits however the
-    trials are chunked. A p for an id without an exponent raises
-    BadExponent."""
+    trials are chunked. A p is checked before any draw, as fuzz checks it:
+    BadExponent for an id without an exponent, else the id's domain."""
     spec = exponent_spec(inequality, p)
+    if p is not None:
+        spec.split.require((p,))
     first = int(_injects(spec, trials))
     out: list = [None] * len(trials)
     if first:

@@ -18,14 +18,13 @@ from .blocks import diag_blocks, direct_sum
 from .catalog import (
     Instance,
     check_validated,
-    evaluate_general,
     inv_square_sum_exact,
-    product_spectra,
+    run_check,
     spec_of,
     validate_instance,
 )
 from .linalg import eig_pencil
-from .orders import OrderKind, check_order
+from .orders import OrderKind, check_order, sort_desc
 
 EIG_TOL = 1.5e-4
 DET_TOL = 1e-3
@@ -76,16 +75,20 @@ def _rows_for_spectrum(label: str, computed: np.ndarray, expected, tol) -> list[
     ]
 
 
+def _ex23_block_spectra() -> list[np.ndarray]:
+    """lambda(Ci^-1 Di) of ex-2.3's diagonal blocks, in block order; D's
+    block-diagonal part has the same blocks as D."""
+    part = refdata.WLOG_PART
+    return [eig_pencil(cb, db) for cb, db in
+            zip(diag_blocks(refdata.WLOG_C, part), diag_blocks(refdata.WLOG_D, part))]
+
+
 def run_ex23() -> ScenarioResult:
     """Eigenvalue weak log majorization failure for a non-block-diagonal D."""
-    part = refdata.WLOG_PART
-    inst = Instance(partition=part, c=refdata.WLOG_C, d=refdata.WLOG_D)
-    verdict = evaluate_general("weak-log-general-d", inst)
-    c_blocks = diag_blocks(refdata.WLOG_C, part)
-    d_blocks = diag_blocks(refdata.WLOG_D, part)
+    inst = Instance(partition=refdata.WLOG_PART, c=refdata.WLOG_C, d=refdata.WLOG_D)
+    verdict = run_check("weak-log-general-d", inst)
     lam_full = eig_pencil(refdata.WLOG_C, refdata.WLOG_D)
-    lam_b1 = eig_pencil(c_blocks[0], d_blocks[0])
-    lam_b2 = eig_pencil(c_blocks[1], d_blocks[1])
+    lam_b1, lam_b2 = _ex23_block_spectra()
     rows = (
         _rows_for_spectrum("lambda(C^-1 D)", lam_full, refdata.WLOG_EIG_FULL, EIG_TOL)
         + _rows_for_spectrum("lambda(C1^-1 D1)", lam_b1, refdata.WLOG_EIG_B1, EIG_TOL)
@@ -102,9 +105,8 @@ def run_ex23() -> ScenarioResult:
 def run_ex23_log() -> ScenarioResult:
     """With D block diagonal the weak log majorization holds but full log
     majorization fails: the total products differ."""
-    part = refdata.WLOG_PART
-    d_block_diagonal = direct_sum(diag_blocks(refdata.WLOG_D, part))
-    x, y = product_spectra(refdata.WLOG_C, d_block_diagonal, part)
+    x = sort_desc(np.concatenate(_ex23_block_spectra()))
+    y = eig_pencil(refdata.WLOG_C, direct_sum(diag_blocks(refdata.WLOG_D, refdata.WLOG_PART)))
     weak = check_order(OrderKind.WEAK_LOG_MAJORIZE, x, y)
     full_log = check_order(OrderKind.LOG_MAJORIZE, x, y)
     rows = (
@@ -118,13 +120,9 @@ def run_ex23_log() -> ScenarioResult:
 
 def run_ex23_entrywise() -> ScenarioResult:
     """Zero-padded blockwise spectra sit entrywise below the full spectrum."""
-    part = refdata.WLOG_PART
     lam_full = eig_pencil(refdata.WLOG_C, refdata.WLOG_D)
     rows = []
-    for i, (cb, db) in enumerate(
-        zip(diag_blocks(refdata.WLOG_C, part), diag_blocks(refdata.WLOG_D, part)), start=1
-    ):
-        lam_b = eig_pencil(cb, db)
+    for i, lam_b in enumerate(_ex23_block_spectra(), start=1):
         rep = check_order(OrderKind.ENTRYWISE_LE, lam_b, lam_full, pad=True)
         rows.append(ScenarioRow(f"(lambda(C{i}^-1 D{i}), 0, 0) <= lambda(C^-1 D)",
                                 float(rep.holds), 1.0, 0.0))
@@ -160,7 +158,7 @@ def run_ex27() -> ScenarioResult:
     """Blockwise determinant bound fails when D is not block diagonal."""
     inst = Instance(partition=refdata.MATIC_GEN_PART,
                     c=refdata.MATIC_GEN_C, d=refdata.MATIC_GEN_D)
-    verdict = evaluate_general("matic-general-d", inst)
+    verdict = run_check("matic-general-d", inst)
     rows = (
         ScenarioRow("det(I + C^-1 D)", verdict.rhs, refdata.MATIC_GEN_RHS, DET_TOL),
         ScenarioRow("blockwise product", verdict.lhs, refdata.MATIC_GEN_LHS, DET_TOL),
@@ -174,7 +172,7 @@ def run_ex28() -> ScenarioResult:
     """Violation of the inverse-square-sum determinant bound, certified exactly."""
     part = refdata.INV_SQ_PART
     inst = Instance(partition=part, c=refdata.INV_SQ_C, d=refdata.INV_SQ_D)
-    verdict = evaluate_general("inv-square-sum", inst)
+    verdict = run_check("inv-square-sum", inst)
     lhs_exact, rhs_exact = inv_square_sum_exact(refdata.INV_SQ_C_EXACT,
                                                 refdata.INV_SQ_D_EXACT, part)
     rows = (

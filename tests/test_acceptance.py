@@ -9,7 +9,7 @@ import numpy as np
 
 from majdet import scenarios
 from majdet.blocks import Partition, diag_blocks
-from majdet.catalog import Instance, evaluate_general, identity_abs_square
+from majdet.catalog import Instance, identity_abs_square, run_check
 from majdet.fuzzing import GenConfig, build_instance, fuzz
 from majdet.linalg import eigh_sym, hyperbolic_power
 from majdet.orders import geometric_mean, power_mean
@@ -235,8 +235,8 @@ def test_criterion_11_identity_and_verdict_equivalence():
         ident = identity_abs_square(inst.c, diag_blocks(inst.d, inst.partition), inst.partition)
         worst_residual = max(worst_residual, -ident.margin)
         assert ident.holds, f"identity residual {-ident.margin:.3e} at trial {trial}"
-        via_abs = evaluate_general("abs-power", inst)
-        via_sq = evaluate_general(
+        via_abs = run_check("abs-power", inst)
+        via_sq = run_check(
             "inv-square-sum",
             Instance(partition=inst.partition, c=inst.c, d=inst.d),
         )

@@ -23,9 +23,7 @@ from majdet.catalog import (
     _hashed,
     assemble,
     validate_instance,
-    check_p_grid,
     check_validated,
-    evaluate_general,
     identity_abs_square,
     inv_square_sum_exact,
     matic_exact,
@@ -188,7 +186,7 @@ class TestDetPower:
 class TestEvaluators:
     def test_inv_square_sum_reference(self):
         inst = Instance(partition=PART22, c=refdata.INV_SQ_C, d_blocks=ref_invsq_blocks())
-        verdict = evaluate_general("inv-square-sum", inst)
+        verdict = run_check("inv-square-sum", inst)
         assert not verdict.holds
         assert verdict.lhs == pytest.approx(refdata.INV_SQ_BLOCKS, abs=1e-3)
         assert verdict.rhs == pytest.approx(refdata.INV_SQ_FULL, abs=1e-3)
@@ -210,7 +208,7 @@ class TestEvaluators:
     def test_matic_general_d_reference(self):
         inst = Instance(partition=refdata.MATIC_GEN_PART,
                         c=refdata.MATIC_GEN_C, d=refdata.MATIC_GEN_D)
-        verdict = evaluate_general("matic-general-d", inst)
+        verdict = run_check("matic-general-d", inst)
         assert not verdict.holds
         assert verdict.rhs == pytest.approx(3.1549, abs=1e-3)
         assert verdict.lhs == pytest.approx(3.5, abs=1e-12)
@@ -220,7 +218,7 @@ class TestEvaluators:
         part = refdata.NEG_POWER_PART
         blocks = tuple(diag_blocks(refdata.NEG_POWER_D, part))
         inst = Instance(partition=part, c=refdata.NEG_POWER_C, d_blocks=blocks, p=-1.0)
-        verdict = evaluate_general("neg-power", inst)
+        verdict = run_check("neg-power", inst)
         assert not verdict.holds
         assert verdict.rhs == pytest.approx(12.0, rel=1e-12)
         assert verdict.lhs == pytest.approx(16.0, rel=1e-12)
@@ -230,17 +228,17 @@ class TestEvaluators:
         blocks = tuple(diag_blocks(refdata.NEG_POWER_D, part))
         inst = Instance(partition=part, c=refdata.NEG_POWER_C, d_blocks=blocks, p=1.0)
         with pytest.raises(BadExponent):
-            evaluate_general("neg-power", inst)
+            run_check("neg-power", inst)
 
     def test_weak_log_general_d_reference(self):
         inst = Instance(partition=PART22, c=refdata.WLOG_C, d=refdata.WLOG_D)
-        verdict = evaluate_general("weak-log-general-d", inst)
+        verdict = run_check("weak-log-general-d", inst)
         assert not verdict.holds
         assert verdict.order.fail_index == 2
 
     def test_sv_weak_log_reference_violated(self):
         inst = Instance(partition=PART22, c=refdata.INV_SQ_C, d_blocks=ref_invsq_blocks())
-        verdict = evaluate_general("sv-weak-log", inst)
+        verdict = run_check("sv-weak-log", inst)
         assert not verdict.holds
 
     def test_abs_power_matches_inv_square_sum_at_p2(self, rng):
@@ -248,8 +246,8 @@ class TestEvaluators:
         for _ in range(10):
             c, blocks, part = random_block_instance(rng, 4, (2, 2), kappa=100.0)
             inst = Instance(partition=part, c=c, d_blocks=blocks, p=2.0)
-            a = evaluate_general("abs-power", inst)
-            b = evaluate_general("inv-square-sum", replace(inst, p=None))
+            a = run_check("abs-power", inst)
+            b = run_check("inv-square-sum", replace(inst, p=None))
             assert a.margin == pytest.approx(b.margin, abs=1e-8)
             assert a.holds == b.holds
 
@@ -257,14 +255,10 @@ class TestEvaluators:
         for _ in range(10):
             c, blocks, part = random_block_instance(rng, 4, (2, 2), kappa=100.0)
             inst = Instance(partition=part, c=c, d_blocks=blocks, p=2.0)
-            a = evaluate_general("commuted-power", inst)
-            b = evaluate_general("inv-square-sum", replace(inst, p=None))
+            a = run_check("commuted-power", inst)
+            b = run_check("inv-square-sum", replace(inst, p=None))
             assert a.margin == pytest.approx(b.margin, abs=1e-8)
             assert a.holds == b.holds
-
-    def test_unknown_evaluator(self):
-        with pytest.raises(UnknownInequality):
-            evaluate_general("matic", Instance())
 
 
 class TestIdentityAbsSquare:
@@ -680,9 +674,11 @@ class TestOverflowingPower:
     def test_overflowing_exponent_of_a_grid_raises(self):
         part = Partition((1, 1))
         inst = Instance(partition=part, c=np.eye(2), d_blocks=(np.array([[1000.0]]),) * 2)
-        assert check_p_grid("det-power", inst, (1.0,))[0].holds
-        with pytest.raises(NonFinite, match=self.OVERFLOWED):
-            check_p_grid("det-power", inst, (1.0, 1e308))
+        assert grid_verdicts("det-power", inst, (1.0,))[0].holds
+        for check in (lambda: grid_verdicts("det-power", inst, (1.0, 1e308)),
+                      lambda: run_check("det-power", replace(inst, p=1e308))):
+            with pytest.raises(NonFinite, match=self.OVERFLOWED):
+                check()
 
     def test_partial_overflow_keeps_small_terms(self):
         # one spectrum entry overflows at p = 120, the other does not
@@ -836,6 +832,13 @@ def p_instance(rng, inequality):
     return Instance(partition=part, c=c, d_blocks=blocks)
 
 
+def grid_verdicts(inequality, inst, ps):
+    """The verdicts of one instance at each exponent of ps, in order, from
+    one check_validated call, as the fuzzer checks a trial's grid."""
+    verdicts = check_validated(inequality, validate_instance(SPECS[inequality].shape, inst), ps)
+    return [verdicts.verdict(k) for k in range(len(ps))]
+
+
 class TestPGrid:
     def test_parametrized_ids(self):
         assert {i for i, spec in SPECS.items() if spec.split} == set(P_INSTANCE_P)
@@ -844,7 +847,7 @@ class TestPGrid:
     def test_grid_equals_one_check_per_p(self, rng, inequality):
         inst = p_instance(rng, inequality)
         ps = P_TEST_GRIDS[inequality]
-        grid = check_p_grid(inequality, inst, ps)
+        grid = grid_verdicts(inequality, inst, ps)
         assert len(grid) == len(ps)
         for p, verdict in zip(ps, grid):
             single = run_check(inequality, replace(inst, p=p))
@@ -862,7 +865,7 @@ class TestPGrid:
         if inequality == "neg-power":  # spectra below 1, whose -300th powers overflow
             blocks = tuple(1e-3 * b for b in blocks)
         inst = Instance(partition=part, c=c, d_blocks=blocks)
-        x, y = catalog_mod.product_spectra(inst.c, inst.d, part)
+        x, y = catalog_mod._product_spectra(inst.c, inst.d, part)
         if inequality == "abs-power":
             x = np.concatenate([np.linalg.svd(np.linalg.inv(cb) @ db, compute_uv=False)
                                 for cb, db in zip(diag_blocks(inst.c, part), blocks)])
@@ -871,7 +874,7 @@ class TestPGrid:
         ref = Instance(partition=refdata.NEG_POWER_PART, c=refdata.NEG_POWER_C,
                        d=refdata.NEG_POWER_D)
         for case in (inst, ref):
-            grid = check_p_grid(inequality, case, ps)
+            grid = grid_verdicts(inequality, case, ps)
             assert [v.to_json() for v in grid] == \
                 [run_check(inequality, replace(case, p=p)).to_json() for p in ps]
 
@@ -883,21 +886,20 @@ class TestPGrid:
         for _ in range(20):
             c, blocks, part = random_block_instance(rng, 5, (2, 3))
             inst = Instance(partition=part, c=c, d_blocks=blocks)
-            x, y = catalog_mod.product_spectra(inst.c, inst.d, part)
-            for p, verdict in zip(ps, check_p_grid(inequality, inst, ps)):
+            x, y = catalog_mod._product_spectra(inst.c, inst.d, part)
+            for p, verdict in zip(ps, grid_verdicts(inequality, inst, ps)):
                 assert verdict.detail["log_lhs"] == float(np.sum(np.log1p(x**p)))
                 assert verdict.detail["log_rhs"] == float(np.sum(np.log1p(y**p)))
-
-    def test_empty_grid(self, rng):
-        assert check_p_grid("det-power", p_instance(rng, "det-power"), ()) == ()
 
     def test_first_failing_exponent_raises(self):
         # C^2 fails the pivot floor at p = 2, C^3 + D^3 at p = 3; one
         # Cholesky call over the grid factors every C^p + D^p before any C^p
         inst = Instance(partition=Partition((2,)), c=np.diag([1.0, 3e-7]), d=np.diag([1e5, 1.0]))
-        with pytest.raises(NotPositiveDefinite) as info:
-            check_p_grid("commuted-power", inst, (2.0, 3.0))
-        assert str(info.value) == "pivot 9.000e-14 at index 1 (floor 1.000e-13)"
+        for check in (lambda: grid_verdicts("commuted-power", inst, (2.0, 3.0)),
+                      lambda: run_check("commuted-power", replace(inst, p=2.0))):
+            with pytest.raises(NotPositiveDefinite) as info:
+                check()
+            assert str(info.value) == "pivot 9.000e-14 at index 1 (floor 1.000e-13)"
 
     def test_fingerprint_matches_unsplit_digest(self, rng):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))
@@ -913,13 +915,10 @@ class TestPGrid:
                                      ("abs-power", -1.0, BadExponent),
                                      ("commuted-power", None, BadExponent)):
             with pytest.raises(err):
-                check_p_grid(inequality, Instance(), (P_INSTANCE_P[inequality], bad))
-            with pytest.raises(err):
                 run_check(inequality, Instance(p=bad))
-
-    def test_unknown_id(self):
-        with pytest.raises(UnknownInequality):
-            check_p_grid("matic", Instance(), (1.0,))
+            if bad is not None:  # fuzz without a p sweeps the id's grid
+                with pytest.raises(err):
+                    fuzz(inequality, GenConfig(n=2), 1, p=bad)
 
 
 BAD_TOLS = [-0.5, -1e-300, math.nan, math.inf, -math.inf, True, "1e-9", None]
@@ -939,7 +938,7 @@ class TestTolerance:
         with pytest.raises(BadConfig):
             run_check("ky-fan", Instance(partition=Partition((2,)), c=np.eye(2)), tol=tol)
         with pytest.raises(BadConfig):
-            check_p_grid("det-power", p_instance(rng, "det-power"), (1.0,), tol=tol)
+            fuzz("det-power", GenConfig(n=2), 1, tol=tol)
         c, blocks, part = random_block_instance(rng, 2, (1, 1))
         with pytest.raises(BadConfig):
             identity_abs_square(c, blocks, part, tol=tol)

@@ -679,6 +679,28 @@ class TestOverflow:
         assert (code, out) == (1, "")
         assert "argument --tol" in err
 
+    @pytest.mark.parametrize("command", ["check", "fuzz"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5e1", "-1", "-.5"])
+    def test_negative_exponent_after_a_space(self, capsys, tmp_path, command, value):
+        # argparse before Python 3.13 took "-1e-3" for an option
+        paths = write_ref_files(tmp_path)
+        argv = (["check", "neg-power", "--c", str(paths["c"]), "--d", str(paths["d1"]),
+                 str(paths["d2"]), "--part", "2,2"] if command == "check"
+                else ["fuzz", "neg-power", "--n", "2", "--trials", "3", "--json-only"])
+
+        def run(*flags):
+            code, out, err = run_cli(capsys, *argv, *flags)
+            if command == "fuzz":  # drop the report's wall_time
+                out = {k: v for k, v in json.loads(out).items() if k != "wall_time"}
+            return code, out, err
+
+        spaced = run("--p", value)
+        assert spaced == run(f"--p={value}")
+        assert spaced[0] in (0, 2)  # a verdict, not a usage error
+        code, out, err = run_cli(capsys, *argv, "--tol", "-1e-9")
+        assert (code, out) == (1, "")
+        assert "argument --tol: '-1e-9' is negative" in err
+
     def test_zero_tol_holds_on_equality(self, capsys, tmp_path):
         # ky-fan on one block compares a trace with itself: margin exactly 0
         paths = write_ref_files(tmp_path)

@@ -153,6 +153,18 @@ class TestFuzz:
         with pytest.raises(BadExponent, match="takes no exponent"):
             fuzzing_mod.build_instances(inequality, cfg, range(3), p=2.0)
 
+    @pytest.mark.parametrize("p, error", [(-1.0, NegativePower), (math.nan, NonFinite)])
+    def test_build_rejects_p_outside_the_domain(self, p, error):
+        # as fuzz does, with the same error, before any draw
+        cfg = GenConfig(n=4, partition=Partition((2, 2)), seed=1)
+        with pytest.raises(error) as want:
+            fuzz("det-power", cfg, 3, p=p)
+        for build in (lambda: build_instance("det-power", cfg, 1, p=p),
+                      lambda: fuzzing_mod.build_instances("det-power", cfg, range(3), p=p)):
+            with pytest.raises(error) as got:
+                build()
+            assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("cfg", [
         GenConfig(n=4, partition=Partition((2, 2)), seed=1),
         # every GRAM draw runs out of resamples here, which used to mask the
@@ -181,10 +193,13 @@ class TestFuzz:
             fuzz(inequality, cfg, 3, p=p)
         assert (type(info.value), str(info.value)) == (error, message)
         assert streams == []
-        inst = build_instance(inequality, GenConfig(n=4, partition=Partition((2, 2)), seed=1),
-                              1, p=p)
+        # build_instance checks the exponent before its draw too
         with pytest.raises(error, match=f"^{message}$"):
-            run_check(inequality, inst)
+            build_instance(inequality, cfg, 1, p=p)
+        assert streams == []
+        inst = build_instance(inequality, GenConfig(n=4, partition=Partition((2, 2)), seed=1), 1)
+        with pytest.raises(error, match=f"^{message}$"):
+            run_check(inequality, dataclasses.replace(inst, p=p))
 
     def test_trial_error_names_trial_and_seed(self):
         # thm32's p = 3 power of the inverse-sum spectrum overflows at this scale
@@ -382,11 +397,11 @@ class TestGridEvaluation:
     def test_one_draw_and_one_spectrum_per_trial(self, monkeypatch):
         # seven trials of one shape: seven substreams, one stacked qr per
         # matrix size (seven 4x4 Cs, fourteen 2x2 D blocks), and their
-        # spectra in one stacked product_spectra call of seven instances
+        # spectra in one stacked _product_spectra call of seven instances
         streams = []
         qrs = []
         stacks = []
-        rng_of, spectra = fuzzing_mod.trial_rng, catalog_mod.product_spectra
+        rng_of, spectra = fuzzing_mod.trial_rng, catalog_mod._product_spectra
         qr = fuzzing_mod._qr_r_raw
 
         def counting_rng(cfg, trial):
@@ -403,7 +418,7 @@ class TestGridEvaluation:
 
         monkeypatch.setattr(fuzzing_mod, "trial_rng", counting_rng)
         monkeypatch.setattr(fuzzing_mod, "_qr_r_raw", counting_qr)
-        monkeypatch.setattr(catalog_mod, "product_spectra", counting_spectra)
+        monkeypatch.setattr(catalog_mod, "_product_spectra", counting_spectra)
         fuzz("det-power", GRID_CONFIGS[0], 7)
         assert streams == list(range(7))
         assert qrs == [(7, 4, 4), (14, 2, 2)]
@@ -582,7 +597,8 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("inequality", sorted(SPECS))
     def test_build_instances_equal_per_trial(self, inequality):
-        p = 2.0 if SPECS[inequality].split else None
+        split = SPECS[inequality].split
+        p = split.default if split else None
         for cfg in GRID_CONFIGS:
             got = fuzzing_mod.build_instances(inequality, cfg, range(12), p=p)
             for trial, inst in zip(range(12), got):
@@ -843,8 +859,7 @@ class TestReferenceMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0.0
         # build_instance's trial 0 is a copy of its own, as before
-        p = 2.0 if SPECS[inequality].split else None
-        drawn = build_instance(inequality, self.CFG, 0, p=p)
+        drawn = build_instance(inequality, self.CFG, 0, p=split.default if split else None)
         drawn.c[0, 0] = 0.0
         assert drawn.c[0, 0] != SPECS[inequality].reference[1][0, 0]
 

@@ -10,7 +10,7 @@ arrays:
   on nine configs (two chunks each, the injected reference included), or
   the error it raises; two GRAM configs resample often, and two configs
   have three D blocks at n = 8;
-- run_check(...).to_json() and check_p_grid(...) on fixed instances;
+- run_check(...).to_json() on fixed instances, one exponent or a grid;
 - the stdout of `majdet verify-paper`;
 - the files, stdout, stderr and exit code of `majdet gen` for both styles,
   one matrix and one file per block, at three condition caps, and the
@@ -33,7 +33,7 @@ import pytest
 
 from majdet import cli
 from majdet.blocks import Partition
-from majdet.catalog import SPECS, check_p_grid, run_check
+from majdet.catalog import SPECS, run_check
 from majdet.errors import MajdetError
 from majdet.fuzzing import GenConfig, GenStyle, build_instance, fuzz, gen_pd
 
@@ -83,7 +83,8 @@ def fuzz_digest(inequality: str, config: str) -> str:
 
 def check_digest(inequality: str) -> str:
     """run_check at the Spec's default p (and at m = 2 for fischer-tail),
-    and check_p_grid over the Spec's grid, on three draws of each config."""
+    and at each p of the Spec's grid, in one outcome (the first error ends
+    it), on three draws of each config."""
     split = SPECS[inequality].split
     out = []
     for cfg in CHECK_CONFIGS:
@@ -94,8 +95,8 @@ def check_digest(inequality: str) -> str:
             if inequality == "fischer-tail":
                 out.append(_outcome(lambda: run_check(inequality, replace(inst, m=2)).to_json()))
             if split:
-                out.append(_outcome(lambda: [v.to_json() for v in check_p_grid(
-                    inequality, inst, split.grid, tol=1e-7)]))
+                out.append(_outcome(lambda: [run_check(inequality, replace(inst, p=p), tol=1e-7)
+                                             .to_json() for p in split.grid]))
     return _sha(out)
 
 
