@@ -3,7 +3,10 @@
 Blocks are contiguous along the diagonal; non-contiguous selections go
 through principal_submatrix. Every matrix argument may also be a stack of
 equally sized matrices along leading axes; the operation then applies to
-each matrix of the stack.
+each matrix of the stack. The public functions coerce and size-check their
+arguments (linalg.as_square); the catalog, whose matrices are validated
+once, slices them itself by a partition's cached layouts (_size_groups,
+_off_block_indices) and assembles derived blocks with _direct_sum.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
+from .linalg import as_square
 
 
 @dataclass(frozen=True)
@@ -61,14 +65,6 @@ def _integers(values) -> tuple[int, ...] | None:
     return None
 
 
-def _square(a) -> np.ndarray:
-    """A float64 square matrix, or a stack of them."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def validate_partition(sizes, n: int) -> Partition:
     """Partition whose sizes sum to the ambient dimension n."""
     part = Partition(tuple(sizes))
@@ -79,29 +75,17 @@ def validate_partition(sizes, n: int) -> Partition:
 
 def diag_blocks(c, part: Partition) -> list[np.ndarray]:
     """The contiguous diagonal blocks of c under the partition (copies)."""
-    m = _square(c)
+    m = as_square(c, max(np.ndim(c) - 2, 0))
     if m.shape[-1] != part.n:
         raise DimensionMismatch(f"matrix is {m.shape[-1]}x{m.shape[-1]}, partition needs {part.n}")
     return [m[..., lo:hi, lo:hi].copy() for lo, hi in part.offsets()]
 
 
-def blocks_by_size(a, part: Partition) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The diagonal blocks of a (a matrix, or a stack of them along leading
-    axes) gathered by size, one group per distinct block size in order of
-    first appearance: the 0-based positions of its J blocks, in block order,
-    and a (J, ..., s, s) stack of them (a copy), block by block, so that one
-    kernel call covers every block of one size."""
-    m = _square(a)
-    if m.shape[-1] != part.n:
-        raise DimensionMismatch(f"matrix is {m.shape[-1]}x{m.shape[-1]}, partition needs {part.n}")
-    return [(js, np.array([m[..., lo:hi, lo:hi] for lo, hi in spans]))
-            for js, spans in _size_groups(part)]
-
-
 @functools.lru_cache(maxsize=64)
 def _size_groups(part: Partition) -> tuple[tuple[tuple[int, ...], tuple], ...]:
-    """blocks_by_size's groups: per distinct size, the positions and
-    (start, stop) ranges of its blocks."""
+    """The blocks of the partition gathered by size, one group per distinct
+    size in order of first appearance: the 0-based positions of its blocks,
+    in block order, and their (start, stop) ranges."""
     offsets = part.offsets()
     groups: dict[int, list[int]] = {}
     for j, size in enumerate(part.sizes):
@@ -123,7 +107,12 @@ def _off_block_indices(part: Partition) -> np.ndarray:
 
 def direct_sum(blocks) -> np.ndarray:
     """Block-diagonal assembly of square matrices."""
-    mats = [_square(b) for b in blocks]
+    return _direct_sum([as_square(b, max(np.ndim(b) - 2, 0)) for b in blocks])
+
+
+def _direct_sum(mats: list[np.ndarray]) -> np.ndarray:
+    """direct_sum of float square matrices, or of stacks of them with one
+    leading shape, which it does not check."""
     n = sum(b.shape[-1] for b in mats)
     out = np.zeros((mats[0].shape[:-2] if mats else ()) + (n, n))
     start = 0
@@ -151,6 +140,6 @@ def principal_indices(idx, n: int) -> tuple[int, ...]:
 
 def principal_submatrix(a, idx) -> np.ndarray:
     """Rows and columns of a restricted to the 0-based index set idx (a copy)."""
-    m = _square(a)
+    m = as_square(a, max(np.ndim(a) - 2, 0))
     sel = np.array(principal_indices(idx, m.shape[-1]))
     return m[..., sel[:, None], sel]

@@ -43,7 +43,7 @@ everything but their matrices, whose matrices are stacked along a leading
 axis, as the fuzzer draws them), and check_validated runs it.
 
 The diagonal blocks of one size go through each kernel in one call
-(_blockwise, over blocks.blocks_by_size): the blocks of one matrix, or of
+(_blockwise, by blocks._size_groups): the blocks of one matrix, or of
 C and D stacked where one kernel takes both. Where a checker puts several
 matrices through the same kernel (commuted-power's eigendecompositions of C
 and D, the choi family's inverses of the A_i), it walks them in turn, each
@@ -59,10 +59,10 @@ A stack of verdicts is arrays: every checker takes (instance, ps, tol)
 and returns its margins only, one Verdicts, whose margin and holds are
 (exponents, instances) arrays, with the log sides or the order checks.
 check_validated makes one call of it for every id, and adds the id and
-what the fingerprints hash, from the id's Spec. An InequalityVerdict, with
-its sha256 fingerprint and OrderReport, is built only where one is returned
-or stored: by run_check, and by the fuzzer for a record its report
-keeps.
+its Shape from the id's Spec. An InequalityVerdict, with its sha256
+fingerprint over the instance it reports on and its OrderReport, is built
+only where one is returned or stored: by run_check, and by the fuzzer for
+a record its report keeps.
 
 The checker of a parametrized id (det-power, thm32, abs-power,
 commuted-power, neg-power) does everything that does not depend on p
@@ -97,9 +97,9 @@ import numpy as np
 from . import exact, refdata
 from .blocks import (
     Partition,
+    _direct_sum,
     _off_block_indices,
-    blocks_by_size,
-    diag_blocks,
+    _size_groups,
     direct_sum,
     principal_indices,
 )
@@ -222,7 +222,7 @@ class Instance:
         if self.c is not None:
             out["c"] = self.c.tolist()
         if self.d is not None and shape is Shape.BLOCK_D:
-            out["d_blocks"] = [b.tolist() for b in diag_blocks(self.d, self.partition)]
+            out["d_blocks"] = [b.tolist() for b in _hashed(shape, self)[3:]]
         elif self.d is not None:
             out["d"] = self.d.tolist()
         if self.mats is not None:
@@ -242,11 +242,7 @@ class Instance:
         NonFinite, a p not a number BadExponent. A partition or an idx must
         be a list of ints (BadPartition, IndexOutOfRange when validated)."""
         p = payload.get("p")
-        if p is not None:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise BadExponent(f"exponent p must be a number, got {p!r}")
-            if not math.isfinite(p):
-                raise NonFinite(f"non-finite exponent p = {p}")
+        _require_exponent(p)
         for key, err in (("partition", BadPartition), ("idx", IndexOutOfRange)):
             if key in payload and not isinstance(payload[key], list):
                 raise err(f"{key} must be a list of integers, got {payload[key]!r}")
@@ -299,10 +295,10 @@ class Verdicts:
     and holds are (P, T) arrays. A log comparison keeps its (P, T) log
     sides, an order comparison its OrderChecks (row k*T + i). detail(k, i)
     is what verdict (k, i) reports besides its log sides and p. A checker
-    sets no more; check_validated then sets the id and hashed (_hashed, each
-    array a stack of one matrix per instance, a stack's idx one per
-    instance). verdict(k, i) builds the InequalityVerdict of instance i at
-    exponent k, its fingerprint over hashed and then the exponent."""
+    sets no more; check_validated then sets the id and its Shape.
+    verdict(k, i, inst) builds the InequalityVerdict of instance i at
+    exponent k, inst that validated instance (a stack's member i), its
+    fingerprint over _hashed(shape, inst) and then the exponent."""
 
     margin: np.ndarray
     holds: np.ndarray
@@ -312,14 +308,10 @@ class Verdicts:
     orders: OrderChecks | None = None
     detail: Callable[[int, int], dict] | None = None
     inequality: str = ""
-    hashed: tuple = ()
+    shape: Shape | None = None
 
-    def verdict(self, k: int = 0, i: int = 0) -> InequalityVerdict:
-        n, partition, *payload = self.hashed
-        payload = [(a if a.ndim == 2 else a.reshape(-1, *a.shape[-2:])[i])
-                   if isinstance(a, np.ndarray)
-                   else a[i] if isinstance(a, tuple) and isinstance(a[0], tuple) else a
-                   for a in payload]
+    def verdict(self, k: int, i: int, inst: Instance) -> InequalityVerdict:
+        n, partition, *payload = _hashed(self.shape, inst)
         tol, lhs, rhs, order, detail = self.tol, None, None, None, {}
         if self.log_sides is not None:
             llhs, lrhs = (float(side[k, i]) for side in self.log_sides)
@@ -530,12 +522,14 @@ def _hashed(shape: Shape, inst: Instance) -> tuple:
 def _blockwise(kernel, a, part: Partition) -> list:
     """kernel over the diagonal blocks of a (a matrix, or a stack of them
     along leading axes), one call per distinct block size, which gets its
-    blocks along a new first axis (blocks_by_size): the per-block results
-    in block order, a tuple result split member by member. first_error's
-    members are the blocks, in block order."""
-    groups = blocks_by_size(a, part)
+    blocks along a new first axis (a copy, block by block): the per-block
+    results in block order, a tuple result split member by member.
+    first_error's members are the blocks (copies), in block order."""
+    groups = [(js, np.array([a[..., lo:hi, lo:hi] for lo, hi in spans]))
+              for js, spans in _size_groups(part)]
     results = first_error(lambda: [(js, kernel(g)) for js, g in groups],
-                          lambda block: kernel(block[None]), lambda: diag_blocks(a, part))
+                          lambda block: kernel(block[None]),
+                          lambda: [a[..., lo:hi, lo:hi].copy() for lo, hi in part.offsets()])
     out: list = [None] * part.k
     for js, r in results:
         for jj, j in enumerate(js):
@@ -666,7 +660,7 @@ def _block_inverse_sum(mats, part: Partition) -> np.ndarray:
     """The block-diagonal matrix whose block j is sum_i inv(block_j(A_i)),
     the A_i added in their order from 0.0: every block of A_1 is inverted
     before A_2's."""
-    return symmetrize(sum((direct_sum(_blockwise(_pd_inverse, a, part)) for a in mats), 0.0))
+    return symmetrize(sum((_direct_sum(_blockwise(_pd_inverse, a, part)) for a in mats), 0.0))
 
 
 def _choi_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
@@ -787,8 +781,8 @@ def _inv_square_sum_logdets(c, d, part: Partition) -> tuple[list, np.ndarray]:
     """(log det(D^-2 + C^-2) of each diagonal block, in block order, and of
     the whole): one block at a time, so that an error names its block."""
     dc = np.array((d, c))
-    blocks = [_inv_square_sum_logdet(b, f"block {j}")
-              for j, b in enumerate(diag_blocks(dc, part), start=1)]
+    blocks = [_inv_square_sum_logdet(dc[..., lo:hi, lo:hi], f"block {j}")
+              for j, (lo, hi) in enumerate(part.offsets(), start=1)]
     return blocks, _inv_square_sum_logdet(dc, "whole")
 
 
@@ -888,8 +882,20 @@ def _commuted_power_verdicts(inst: Instance, ps: Sequence[float], tol: float) ->
     powers = [(eigh_powers(*ce, ps), eigh_powers(*de, ps)) for ce, de in zip(c_eigs, d_eigs)]
     llhs = sum(_logdet_ratio(np.array(pair)) for pair in powers)
     cp = eigh_powers(*c_eig, ps)
-    lrhs = _logdet_ratio(np.array((cp, direct_sum([dp for _, dp in powers]))))
+    lrhs = _logdet_ratio(np.array((cp, _direct_sum([dp for _, dp in powers]))))
     return _log_verdicts(llhs, lrhs, tol, ps)
+
+
+def _require_exponent(p) -> None:
+    """Raise BadExponent on an exponent that is not None, an int or a float
+    (a bool, a string, a numpy integer), NonFinite on a NaN or infinite one:
+    every exponent accepted writes to JSON and reads back (from_json)."""
+    if p is None:
+        return
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise BadExponent(f"exponent p must be a number, got {p!r}")
+    if not math.isfinite(p):
+        raise NonFinite(f"non-finite exponent p = {p}")
 
 
 def _det_power_domain(p) -> None:
@@ -930,11 +936,10 @@ class PSplit:
     default: float
 
     def require(self, ps: Sequence[float]) -> None:
-        """Raise on the first exponent of ps that is not finite or outside
-        the domain."""
+        """Raise on the first exponent of ps that is not a finite number
+        (_require_exponent) or is outside the domain."""
         for p in ps:
-            if p is not None and not math.isfinite(p):
-                raise NonFinite(f"non-finite exponent p = {p}")
+            _require_exponent(p)
             self.domain(p)
 
 
@@ -1086,10 +1091,10 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
                     tol: float = DEFAULT_TOL) -> Verdicts:
     """The Verdicts of a validated instance (validate_instance), or of the
     instances of a stack of them in stack order, at each exponent of ps,
-    with the id and what their fingerprints hash (_hashed) set from the
-    Spec. The exponents must have passed the id's PSplit.require; an id
-    without an exponent ignores ps and gives one row. numpy's floating-point
-    warnings are off: the kernels' own checks judge an overflow."""
+    with the id and its Shape set from the Spec. The exponents must have
+    passed the id's PSplit.require; an id without an exponent ignores ps and
+    gives one row. numpy's floating-point warnings are off: the kernels' own
+    checks judge an overflow."""
     spec = spec_of(inequality)
     with np.errstate(all="ignore"):
         # first_error's members are the exponents, in order: a call that
@@ -1097,7 +1102,7 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
         # only a failure pays for it
         verdicts = first_error(lambda: spec.check(inst, ps, tol),
                                lambda p: spec.check(inst, (p,), tol), lambda: ps)
-    verdicts.inequality, verdicts.hashed = inequality, _hashed(spec.shape, inst)
+    verdicts.inequality, verdicts.shape = inequality, spec.shape
     return verdicts
 
 
@@ -1112,4 +1117,4 @@ def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> Ineq
     if spec.split is not None:
         spec.split.require((inst.p,))
     inst = validate_instance(spec.shape, inst)
-    return check_validated(inequality, inst, (inst.p,), tol).verdict()
+    return check_validated(inequality, inst, (inst.p,), tol).verdict(0, 0, inst)

@@ -21,7 +21,7 @@ import numpy as np
 from . import exact, matio, scenarios
 from .blocks import Partition, validate_partition
 from .catalog import INEQUALITY_IDS, Instance, Shape, Spec, assemble, run_check, spec_of
-from .errors import BadMatrixFile, MajdetError
+from .errors import BadMatrixFile, BadPartition, IndexOutOfRange, MajdetError
 from .fuzzing import GenConfig, GenStyle, draw_trials, fuzz
 from .orders import DEFAULT_TOL
 
@@ -43,7 +43,7 @@ def _parse_partition(text: str, n: int) -> Partition:
     try:
         sizes = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise MajdetError(f"bad partition {text!r}; expected n1,n2,...,nk") from None
+        raise BadPartition(f"bad partition {text!r}; expected n1,n2,...,nk") from None
     return validate_partition(sizes, n)
 
 
@@ -51,7 +51,7 @@ def _parse_idx(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise MajdetError(f"bad index list {text!r}; expected i,j,... (0-based)") from None
+        raise IndexOutOfRange(f"bad index list {text!r}; expected i,j,... (0-based)") from None
 
 
 def finite(text: str) -> float:

@@ -453,7 +453,8 @@ def _run_trials(inequality: str, spec: Spec, cfg: GenConfig, trials: range,
 
     def build(t: int) -> tuple[InequalityVerdict, Instance]:
         verdicts, stack, k, j = origin[t]
-        return verdicts.verdict(k, j), _member(stack, j, ps[k])
+        member = _member(stack, j, ps[k])
+        return verdicts.verdict(k, j, member), member
 
     return margin, holds, build
 

@@ -4,14 +4,12 @@ and sorted entrywise domination, each reported with per-prefix margins.
 Log-order arithmetic happens entirely in the log domain (prefix sums of
 logarithms, never raw products) so verdicts survive eigenvalue ratios up to
 1e12 at dimensions up to 100. check_order compares two vectors, which it
-sorts and tests one at a time. check_orders compares the rows of two
-(..., n) arrays whose rows are already nonincreasing (a caller sorts each
-spectrum once, or has it sorted from its solver) in one pass, and returns
-arrays (OrderChecks), which build an OrderReport only for a row asked for.
-It checks x and y as one stack: one finiteness test and, for the log
-kinds, one positivity test and one log serve both sides. Only when the
-stack is not finite, or x and y differ in shape, are they sorted and
-tested one at a time, so each error and their order stay check_order's.
+sorts and tests one at a time. check_orders compares the rows of two float
+(..., n) arrays of one shape whose rows are already nonincreasing (a caller
+sorts each spectrum once, or has it sorted from its solver) in one pass,
+and returns arrays (OrderChecks), which build an OrderReport only for a row
+asked for. It checks x and y as one stack: one finiteness test and, for
+the log kinds, one positivity test and one log serve both sides.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .errors import EmptyVector, LengthMismatch, NonFinite, NonPositiveEntry, Ze
 DEFAULT_TOL = 1e-9
 # The smallest normal double.
 _TINY = float(np.finfo(float).tiny)
+_NON_FINITE = "order check on a non-finite (NaN or infinite) entry"
 
 
 class OrderKind(enum.Enum):
@@ -85,17 +84,6 @@ def sort_desc(v) -> np.ndarray:
     return -np.sort(-arr, axis=-1, kind="stable")
 
 
-def _sorted_each(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y sorted nonincreasing one at a time, then tested finite: the
-    way into check_order, and check_orders' slow path, whose errors come in
-    this order (an empty x, an empty y, then a NaN or infinite entry)."""
-    xs, ys = sort_desc(x), sort_desc(y)
-    if not (np.logical_and.reduce(np.isfinite(xs), axis=None)
-            and np.logical_and.reduce(np.isfinite(ys), axis=None)):
-        raise NonFinite("order check on a non-finite (NaN or infinite) entry")
-    return xs, ys
-
-
 @dataclass(frozen=True, eq=False)
 class OrderChecks:
     """check_orders on the rows of two (..., n) arrays, as arrays with one
@@ -127,12 +115,14 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
     Margins are computed on sorted-descending copies. Tolerances are applied
     per prefix, scaled by max(1, |prefix|). With pad=True (ENTRYWISE_LE
     only), the shorter vector is zero-padded to the longer one's length.
-    A NaN or infinite entry, a prefix sum that overflows, or a scaled
-    tolerance that overflows raises NonFinite, without a numpy warning.
+    An empty x, then an empty y, raises EmptyVector; then a NaN or infinite
+    entry, a prefix sum that overflows, or a scaled tolerance that overflows
+    raises NonFinite, without a numpy warning.
     """
     kind = OrderKind(kind)
-    xs, ys = _sorted_each(np.ravel(np.asarray(x, dtype=float)),
-                          np.ravel(np.asarray(y, dtype=float)))
+    xs, ys = (sort_desc(np.ravel(np.asarray(v, dtype=float))) for v in (x, y))
+    if not (np.logical_and.reduce(np.isfinite(xs)) and np.logical_and.reduce(np.isfinite(ys))):
+        raise NonFinite(_NON_FINITE)
     if xs.size != ys.size:
         if not (pad and kind is OrderKind.ENTRYWISE_LE):
             raise LengthMismatch(f"{xs.size} vs {ys.size}")
@@ -143,22 +133,16 @@ def check_order(kind: OrderKind, x, y, tol: float = DEFAULT_TOL,
         return _checks(kind, np.array((xs, ys)), tol).report()
 
 
-def check_orders(kind: OrderKind, x, y, tol: float = DEFAULT_TOL) -> OrderChecks:
-    """check_order on each row pair of two (..., n) arrays of equal shape,
-    each row already nonincreasing, as arrays (OrderChecks): x and y are
-    checked as one stack. Only when that stack is not finite, or x and y
-    differ in shape, are they sorted and tested one at a time
-    (_sorted_each), for check_order's errors in its order."""
-    kind = OrderKind(kind)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape == y.shape and x.ndim and x.size:
-        xy = np.array((x, y))
-        if np.logical_and.reduce(np.isfinite(xy), axis=None):
-            return _checks(kind, xy, tol)
-    xs, ys = _sorted_each(x, y)
-    if xs.shape != ys.shape:
-        raise LengthMismatch(f"{xs.shape} vs {ys.shape}")
-    return _checks(kind, np.array((xs, ys)), tol)
+def check_orders(kind: OrderKind, x: np.ndarray, y: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> OrderChecks:
+    """check_order on each row pair of two float (..., n) arrays of one
+    shape, each row already nonincreasing, as arrays (OrderChecks): x and y
+    are checked as one stack, whose NaN or infinite entry raises
+    check_order's NonFinite."""
+    xy = np.array((x, y))
+    if not np.logical_and.reduce(np.isfinite(xy), axis=None):
+        raise NonFinite(_NON_FINITE)
+    return _checks(kind, xy, tol)
 
 
 def _checks(kind: OrderKind, xy: np.ndarray, tol: float) -> OrderChecks:

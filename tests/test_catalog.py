@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import majdet.blocks as blocks_mod
 import majdet.catalog as catalog_mod
+import majdet.fuzzing as fuzzing_mod
 import majdet.linalg as linalg_mod
 from majdet import refdata
 from majdet.blocks import Partition, diag_blocks, direct_sum
@@ -835,8 +837,9 @@ def p_instance(rng, inequality):
 def grid_verdicts(inequality, inst, ps):
     """The verdicts of one instance at each exponent of ps, in order, from
     one check_validated call, as the fuzzer checks a trial's grid."""
-    verdicts = check_validated(inequality, validate_instance(SPECS[inequality].shape, inst), ps)
-    return [verdicts.verdict(k) for k in range(len(ps))]
+    inst = validate_instance(SPECS[inequality].shape, inst)
+    verdicts = check_validated(inequality, inst, ps)
+    return [verdicts.verdict(k, 0, inst) for k in range(len(ps))]
 
 
 class TestPGrid:
@@ -1077,6 +1080,43 @@ class TestValidateOnce:
         run_check(inequality, inst)
         assert len(counted) == inputs
 
+    def test_nothing_below_validation_rechecks(self, rng, monkeypatch):
+        # once validate_instance returns, neither run_check nor a fuzz
+        # chunk with its records coerces, size-checks or validates a matrix
+        # again: the checkers slice and assemble their blocks themselves
+        late = []
+        validated = [False]
+
+        def watched(name, original):
+            def call(*args, **kwargs):
+                if validated[0]:
+                    late.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        def validating(*args, **kwargs):
+            validated[0] = False
+            out = validate_instance(*args, **kwargs)
+            validated[0] = True
+            return out
+
+        for module, name in ((catalog_mod, "as_square"), (catalog_mod, "require_symmetric"),
+                             (blocks_mod, "as_square"), (blocks_mod, "diag_blocks")):
+            monkeypatch.setattr(module, name, watched(f"{module.__name__}.{name}",
+                                                      getattr(module, name)))
+        for module in (catalog_mod, fuzzing_mod):
+            monkeypatch.setattr(module, "validate_instance", validating)
+        cfg = GenConfig(n=4, partition=Partition((1, 3)), seed=5)
+        for inequality, spec in SPECS.items():
+            validated[0] = False
+            inst, _ = shape_instances(rng)[spec.shape]
+            if spec.split:
+                inst = replace(inst, p=spec.split.default)
+            run_check(inequality, inst)
+            validated[0] = False
+            assert fuzz(inequality, cfg, 4, keep_instances=True).records
+            assert late == [], inequality
+
     def test_block_d_judges_each_block_on_its_own_slack(self):
         # the large block's slack (2e-6) would pass the skew of the other one
         big = 1e6 * np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -1300,6 +1340,25 @@ class TestStackedValidation:
 
 
 class TestBoundary:
+    @pytest.mark.parametrize("inequality, inst, err, message", [
+        ("det-power", Instance(), BadExponent, "det-power needs p"),
+        ("thm32", Instance(), BadExponent, "thm32 needs p"),
+        ("choi", Instance(partition=Partition((1, 1)), mats=()), DimensionMismatch,
+         "need at least one matrix"),
+        # the pencil spectrum 1e-600 underflows to 0
+        ("main-thm", Instance(partition=Partition((1, 1)), c=1e300 * np.eye(2),
+                              d=1e-300 * np.eye(2)),
+         NotPositiveDefinite, "pencil spectrum not strictly positive"),
+        # C^-1 = 1e300 I times D = 1e300 I overflows
+        ("sv-weak-log", Instance(partition=Partition((1, 1)), c=1e-300 * np.eye(2),
+                                 d=1e300 * np.eye(2)),
+         NonFinite, "non-finite entry"),
+    ])
+    def test_run_check_keeps_its_error(self, inequality, inst, err, message):
+        with pytest.raises(err) as info:
+            run_check(inequality, inst)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("p", ["x", True, [2.0]])
     def test_instance_json_rejects_a_p_that_is_not_a_number(self, rng, p):
         c, blocks, part = random_block_instance(rng, 4, (2, 2))

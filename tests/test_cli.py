@@ -21,7 +21,7 @@ from majdet import cli, refdata
 from majdet.blocks import Partition, diag_blocks
 from majdet.catalog import SPECS, Shape, inv_square_sum_exact, matic_exact, run_check
 from majdet.cli import build_parser, main
-from majdet.errors import BadMatrixFile
+from majdet.errors import BadMatrixFile, BadPartition, IndexOutOfRange
 from majdet.exact import Scaled, clear_denominators
 from majdet.fuzzing import GenConfig, build_instance, derive_seed
 from majdet.matio import read_matrix, write_matrix
@@ -65,6 +65,12 @@ class TestMatrixFiles:
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
         with pytest.raises(BadMatrixFile):
+            read_matrix(path)
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(BadMatrixFile, match="expected an object with 'n' and 'rows'$"):
             read_matrix(path)
 
     def test_wrong_shape(self, tmp_path):
@@ -376,6 +382,27 @@ class TestCheck:
         )
         assert code == 1
         assert "error" in err
+
+    def test_non_integer_partition_token(self, capsys, tmp_path):
+        paths = write_ref_files(tmp_path)
+        code, out, err = run_cli(
+            capsys, "check", "matic",
+            "--c", str(paths["c"]), "--d", str(paths["d1"]), str(paths["d2"]),
+            "--part", "1,x",
+        )
+        assert (code, out) == (1, "")
+        assert err == "majdet: error: bad partition '1,x'; expected n1,n2,...,nk\n"
+        with pytest.raises(BadPartition):
+            cli._parse_partition("1,x", 2)
+
+    def test_non_integer_index_token(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        write_matrix(path, np.eye(2))
+        code, out, err = run_cli(capsys, "check", "lemma31", "--a", str(path), "--idx", "0,a")
+        assert (code, out) == (1, "")
+        assert err == "majdet: error: bad index list '0,a'; expected i,j,... (0-based)\n"
+        with pytest.raises(IndexOutOfRange):
+            cli._parse_idx("0,a")
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run_cli(

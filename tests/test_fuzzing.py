@@ -9,7 +9,7 @@ import majdet.catalog as catalog_mod
 import majdet.fuzzing as fuzzing_mod
 from majdet import refdata
 from majdet.blocks import Partition
-from majdet.catalog import SPECS, run_check
+from majdet.catalog import SPECS, Instance, run_check
 from majdet.errors import (
     BadConfig,
     BadExponent,
@@ -109,6 +109,30 @@ class TestGeneration:
             gen_pd(GenConfig(n=3, style="spectral", seed=1), 1)
         with pytest.raises(BadConfig):
             fuzz("main-thm", GenConfig(n=2, style="spectral"), 1)
+
+    def test_config_rejects_no_matrices(self):
+        with pytest.raises(BadConfig, match="^matrix count must be >= 1, got 0$"):
+            GenConfig(n=2, m=0)
+
+    def test_fuzz_rejects_no_trials(self):
+        with pytest.raises(BadConfig, match="^trials must be >= 1, got 0$"):
+            fuzz("main-thm", GenConfig(n=2), 0)
+
+    @pytest.mark.parametrize("p", [True, np.int64(2), "2"])
+    def test_exponent_that_json_cannot_replay_raises_before_any_draw(self, monkeypatch, p):
+        # the rule of Instance.from_json: an int or a float, not a bool
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a trial")
+
+        monkeypatch.setattr(fuzzing_mod, "draw_trials", no_draw)
+        cfg = GenConfig(n=2, partition=Partition((1, 1)))
+        message = f"exponent p must be a number, got {p!r}"
+        for call in (lambda: fuzz("det-power", cfg, 2, p=p, keep_instances=True),
+                     lambda: build_instance("det-power", cfg, 0, p),
+                     lambda: run_check("det-power", Instance(p=p))):
+            with pytest.raises(BadExponent) as info:
+                call()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("trials", [2.5, True, "3", None])
     def test_fuzz_rejects_trials_that_are_not_an_int(self, trials):

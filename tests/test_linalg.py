@@ -267,6 +267,10 @@ class TestMatrixFunctions:
 
 
 class TestHyperbolicPower:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"^\(2, 2\) vs \(3, 3\)$"):
+            hyperbolic_power(np.eye(2), np.eye(3), 2.0)
+
     def test_overflowed_power_raises_non_finite(self):
         # 10^400 overflows, and the conjugation back turns it into NaN
         with pytest.raises(NonFinite, match=r"^non-finite entry \(max \|a_ij\| = nan\)$"):
