@@ -2,7 +2,10 @@
 
 Every trial draws from its own substream: the trial seed is a splitmix-style
 mix of (master seed, trial index), so reports are deterministic regardless of
-execution order and removing one trial never perturbs another. What a
+execution order and removing one trial never perturbs another. A range's
+substreams are seeded in one pass (trial_rngs): numpy's SeedSequence hash
+runs on all of the range's trial seeds at once, and each substream equals
+Generator(PCG64(seed)) bit for bit. What a
 trial draws follows the id's catalog Spec: its input shape, its generator
 caps, and, for the false-inequality ids, the known reference counterexample
 injected as trial 0, so the recorded violation never depends on random
@@ -64,9 +67,10 @@ from .catalog import (
     validate_instance,
 )
 from .errors import BadConfig, MajdetError, ResampleExhausted, first_error
-from .linalg import _eigvalsh, _qr_r_raw, _qr_reduced, require_symmetric, symmetrize
+from .linalg import _eigvalsh, _qr_r_raw, _qr_reduced, symmetrize
 from .orders import DEFAULT_TOL
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -136,8 +140,84 @@ def derive_seed(master: int, trial: int) -> int:
     return _splitmix64((master & _MASK64) ^ _splitmix64(trial & _MASK64))
 
 
-def trial_rng(cfg: GenConfig, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, trial)))
+def _hash_consts(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) pair of each of SeedSequence's first count hash
+    steps: a step xors the running constant in, then multiplies by its
+    next value."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return tuple(zip(consts, consts[1:]))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) on a pool of four
+# words: 16 hashes of the pool's entropy, 8 of the state's output words
+_POOL_HASHES = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASHES = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seed_states(seeds: list[int]) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) of every seed, as the
+    rows of one C-contiguous (len(seeds), 4) array.
+
+    The hash runs once for all seeds: each seed has its own 64-bit lane of
+    one Python int, and every lane holds a uint32 word. A product of two
+    words fits its lane and is masked back to 32 bits, and a subtraction
+    first adds 2^32 per lane, so no lane carries or borrows into the next.
+    A seed is always two entropy words, which hashes as numpy's one word
+    for a seed below 2^32: the pool pads missing words with zeros.
+    """
+    ones = int.from_bytes(b"\x01\0\0\0\0\0\0\0" * len(seeds), "little")
+    mask, borrow = _MASK32 * ones, ones << 32
+    packed = int.from_bytes(b"".join(s.to_bytes(8, "little") for s in seeds), "little")
+    hashes = iter(_POOL_HASHES)
+
+    def hashmix(value: int) -> int:
+        xor, mult = next(hashes)
+        value = (value ^ xor * ones) * mult & mask
+        return (value ^ value >> 16) & mask
+
+    pool = [hashmix(packed & mask), hashmix(packed >> 32 & mask), hashmix(0), hashmix(0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:  # numpy's mix: L * dst - R * hashmix(src), xorshifted
+                mixed = (0xCA01F9DD * pool[dst] & mask) + borrow \
+                    - (0x4973F715 * hashmix(pool[src]) & mask) & mask
+                pool[dst] = (mixed ^ mixed >> 16) & mask
+    words = []
+    for i, (xor, mult) in enumerate(_STATE_HASHES):
+        value = (pool[i % 4] ^ xor * ones) * mult & mask
+        words.append((value ^ value >> 16) & mask)
+    state = b"".join((lo | hi << 32).to_bytes(8 * len(seeds), "little")
+                     for lo, hi in zip(words[::2], words[1::2]))
+    # PCG64 reads a state row's buffer raw: the rows must be C-contiguous
+    return np.frombuffer(state, dtype="<u8").reshape(4, -1).T.copy()
+
+
+@functools.cache
+def _state_words() -> type:
+    """An ISeedSequence whose generate_state returns the words it holds:
+    PCG64 takes its four state words from it. Made on first use, so that
+    importing majdet imports no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return StateWords
+
+
+def trial_rngs(cfg: GenConfig, trials: range) -> list[np.random.Generator]:
+    """Each trial's substream: Generator(PCG64(derive_seed(cfg.seed, trial)))
+    bit for bit, with numpy's SeedSequence hash run once for the range
+    (_seed_states)."""
+    words, generator, pcg64 = _state_words(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(words(row)))
+            for row in _seed_states([derive_seed(cfg.seed, trial) for trial in trials])]
 
 
 def _form_spectral(lam: np.ndarray, g: np.ndarray, entry_scale: float) -> np.ndarray:
@@ -213,7 +293,9 @@ def _gram_rounds(rngs: list[np.random.Generator], size: int, kappa: float,
     for _ in range(100):
         g = np.stack([rngs[t].standard_normal((size, size)) for t in pending]) * entry_scale
         a = symmetrize(g @ g.swapaxes(-1, -2) + 1e-3 * size * np.eye(size))
-        w = _eigvalsh(require_symmetric(a))
+        # symmetrize made a exactly symmetric, and validate_instance checks
+        # the accepted draws; _eigvalsh still raises NonFinite on an overflow
+        w = _eigvalsh(a)
         met = w[:, 0] <= kappa * w[:, -1]
         out[pending[met]] = a[met]
         pending = pending[~met]
@@ -227,7 +309,8 @@ def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
     """Draw a range of trials into stacks: per role, the (trials, size,
     size) stack of its random PD matrices, and with idx each trial's random
     principal index set (lemma31). This is the one routine that turns a
-    trial's substream (trial_rng) into matrices.
+    trial's substream into matrices; the range's substreams are seeded in
+    one pass (trial_rngs).
 
     Each trial makes its generator calls in role order: a SPECTRAL matrix's
     log-uniform spectrum in [1, cap] (none when the cap is 1) and the
@@ -247,7 +330,7 @@ def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
     uniforms = [np.zeros((count, size)) for size, *_ in roles]
     blocks = [np.empty((count, size, size)) for size, *_ in roles]
     scales = np.empty((len(roles), count))
-    rngs = [trial_rng(cfg, trial) for trial in trials]
+    rngs = trial_rngs(cfg, trials)
     with np.errstate(all="ignore"):  # an overflowed draw fails validation
         for j, (size, kappa, bias) in enumerate(roles):
             if spectral:

@@ -12,8 +12,9 @@ take det(D^-2 + C^-2) through exact inverses (inverse_exact, Gauss-Jordan
 on Fractions); majdet.exact works on
 integers and majdet.catalog never inverts, so equal Fractions check both.
 The draw oracles form each random matrix on its own, one qr and one product
-per matrix, and draw one trial at a time; majdet.fuzzing forms them per
-stack, so equal bytes check the stacked draws.
+per matrix, and draw one trial at a time from numpy's own seeding
+(trial_rng); majdet.fuzzing seeds a range in one pass and forms the
+matrices per stack, so equal bytes check both.
 """
 
 from __future__ import annotations
@@ -29,8 +30,14 @@ from dataclasses import replace
 from majdet.catalog import Instance, Shape, spec_of
 from majdet.errors import DimensionMismatch, ResampleExhausted, SingularMatrix
 from majdet.exact import RationalMatrix, mat_mul
-from majdet.fuzzing import GenStyle, trial_rng
+from majdet.fuzzing import GenStyle, derive_seed
 from majdet.linalg import eigvals_sym
+
+
+def trial_rng(cfg, trial: int) -> np.random.Generator:
+    """The reference substream of (cfg, trial): numpy's own SeedSequence
+    path, which fuzzing.trial_rngs reproduces for a whole range at once."""
+    return np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, trial)))
 
 
 def mat_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import majdet.catalog as catalog_mod
 import majdet.fuzzing as fuzzing_mod
+import majdet.linalg as linalg_mod
 from majdet import refdata
 from majdet.blocks import Partition
 from majdet.catalog import SPECS, Instance, run_check
@@ -28,11 +31,11 @@ from majdet.fuzzing import (
     fuzz,
     gen_pd,
     replay,
-    trial_rng,
+    trial_rngs,
 )
 from majdet.orders import DEFAULT_TOL
 
-from oracles import build_instance_per_trial, draw_pd_per_matrix
+from oracles import build_instance_per_trial, draw_pd_per_matrix, trial_rng
 
 
 GRID_IDS = sorted(i for i, spec in SPECS.items() if spec.split)
@@ -206,13 +209,13 @@ class TestFuzz:
         # the id's own exponent error, as run_check raises it: no trial
         # prefix, and no trial's substream is seeded
         streams = []
-        rng_of = fuzzing_mod.trial_rng
+        rngs_of = fuzzing_mod.trial_rngs
 
-        def counting_rng(cfg, trial):
-            streams.append(trial)
-            return rng_of(cfg, trial)
+        def counting_rngs(cfg, trials):
+            streams.append(trials)
+            return rngs_of(cfg, trials)
 
-        monkeypatch.setattr(fuzzing_mod, "trial_rng", counting_rng)
+        monkeypatch.setattr(fuzzing_mod, "trial_rngs", counting_rngs)
         with pytest.raises(MajdetError) as info:
             fuzz(inequality, cfg, 3, p=p)
         assert (type(info.value), str(info.value)) == (error, message)
@@ -222,6 +225,7 @@ class TestFuzz:
             build_instance(inequality, cfg, 1, p=p)
         assert streams == []
         inst = build_instance(inequality, GenConfig(n=4, partition=Partition((2, 2)), seed=1), 1)
+        assert streams == [range(1, 2)]  # the counter sees a draw
         with pytest.raises(error, match=f"^{message}$"):
             run_check(inequality, dataclasses.replace(inst, p=p))
 
@@ -419,18 +423,19 @@ class TestGridEvaluation:
             assert replay(inequality, rec).to_json() == rec.verdict.to_json()
 
     def test_one_draw_and_one_spectrum_per_trial(self, monkeypatch):
-        # seven trials of one shape: seven substreams, one stacked qr per
-        # matrix size (seven 4x4 Cs, fourteen 2x2 D blocks), and their
-        # spectra in one stacked _product_spectra call of seven instances
+        # seven trials of one shape: seven substreams seeded in one call,
+        # one stacked qr per matrix size (seven 4x4 Cs, fourteen 2x2 D
+        # blocks), and their spectra in one stacked _product_spectra call
+        # of seven instances
         streams = []
         qrs = []
         stacks = []
-        rng_of, spectra = fuzzing_mod.trial_rng, catalog_mod._product_spectra
+        rngs_of, spectra = fuzzing_mod.trial_rngs, catalog_mod._product_spectra
         qr = fuzzing_mod._qr_r_raw
 
-        def counting_rng(cfg, trial):
-            streams.append(trial)
-            return rng_of(cfg, trial)
+        def counting_rngs(cfg, trials):
+            streams.append(trials)
+            return rngs_of(cfg, trials)
 
         def counting_qr(a, *args, **kwargs):
             qrs.append(a.shape)
@@ -440,11 +445,11 @@ class TestGridEvaluation:
             stacks.append(c.shape[:-2])
             return spectra(c, d, part)
 
-        monkeypatch.setattr(fuzzing_mod, "trial_rng", counting_rng)
+        monkeypatch.setattr(fuzzing_mod, "trial_rngs", counting_rngs)
         monkeypatch.setattr(fuzzing_mod, "_qr_r_raw", counting_qr)
         monkeypatch.setattr(catalog_mod, "_product_spectra", counting_spectra)
         fuzz("det-power", GRID_CONFIGS[0], 7)
-        assert streams == list(range(7))
+        assert streams == [range(7)]
         assert qrs == [(7, 4, 4), (14, 2, 2)]
         assert stacks == [(7,)]
 
@@ -574,19 +579,71 @@ class TestStackedFuzz:
         assert got == oracle_report("thm32", cfg, 3)
 
     def test_error_in_a_later_chunk(self, small_chunk, monkeypatch):
-        # trial 6 fails to draw: trials 0..5 succeed, and the error names trial 6
-        rng_of = fuzzing_mod.trial_rng
+        # seeding any range that holds trial 6 fails: trials 0..5 succeed,
+        # and first_error's rerun of trial 6 alone names it
+        rngs_of = fuzzing_mod.trial_rngs
 
-        def failing(cfg, trial):
-            if trial == 6:
+        def failing(cfg, trials):
+            if 6 in trials:
                 raise ResampleExhausted("no draw")
-            return rng_of(cfg, trial)
+            return rngs_of(cfg, trials)
 
-        monkeypatch.setattr(fuzzing_mod, "trial_rng", failing)
+        monkeypatch.setattr(fuzzing_mod, "trial_rngs", failing)
         cfg = GRID_CONFIGS[0]
         with pytest.raises(ResampleExhausted) as info:
             fuzz("matic", cfg, 9)
         assert str(info.value) == f"trial 6 (seed {derive_seed(cfg.seed, 6)}): no draw"
+
+
+class TestTrialRngs:
+    """trial_rngs seeds a range in one pass; every substream equals numpy's
+    own SeedSequence path (oracles.trial_rng) bit for bit."""
+
+    @staticmethod
+    def draws(rng: np.random.Generator) -> list[bytes]:
+        """A few draws of each kind the fuzzer makes, as bytes."""
+        out = [np.empty(3), np.empty((2, 2))]
+        rng.random(out=out[0])
+        rng.standard_normal(out=out[1])
+        return [a.tobytes() for a in (
+            *out, rng.standard_normal((3, 3)), np.float64(rng.uniform(-2.0, 2.0)),
+            np.int64(rng.integers(1, 9)), rng.choice(8, size=5, replace=False))]
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**63 - 1])
+    @pytest.mark.parametrize("count", [1, 9, 10, 64, 65, 200])
+    @pytest.mark.parametrize("start", [0, 7, 2**40])
+    def test_equal_numpy_seeding(self, seed, count, start):
+        cfg = GenConfig(n=2, seed=seed)
+        trials = range(start, start + count)
+        got = trial_rngs(cfg, trials)
+        assert len(got) == count
+        for trial, rng in zip(trials, got):
+            want = trial_rng(cfg, trial)
+            assert rng.bit_generator.state == want.bit_generator.state, trial
+            assert self.draws(rng) == self.draws(want), trial
+
+    def test_empty_range(self):
+        assert trial_rngs(GenConfig(n=2), range(0)) == []
+
+    @staticmethod
+    def assert_states_equal_numpy(seeds: list[int]) -> None:
+        got = fuzzing_mod._seed_states(seeds)
+        assert got.shape == (len(seeds), 4) and got.flags.c_contiguous
+        for seed, row in zip(seeds, got):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tobytes() == want.tobytes(), seed
+
+    def test_lane_hash_at_word_boundaries(self):
+        # numpy hashes a seed below 2^32 as one entropy word, the lanes as two
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        self.assert_states_equal_numpy(seeds)
+        for seed in seeds:
+            self.assert_states_equal_numpy([seed])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+    def test_lane_hash_equals_numpy(self, seeds):
+        self.assert_states_equal_numpy(seeds)
 
 
 def matrix_bytes(value) -> list[bytes]:
@@ -703,6 +760,28 @@ class TestGramRounds:
             blocks = [want.d[lo:hi, lo:hi] for lo, hi in cfg.part().offsets()]
             assert [m[t].tobytes() for m in mats] == \
                 [a.tobytes() for a in (want.c, *blocks)], trial
+
+    def test_rounds_do_not_revalidate(self, monkeypatch):
+        # symmetrize makes every attempt exactly symmetric, and
+        # validate_instance checks the accepted draws: the rounds run no
+        # require_symmetric, however it is bound
+        cfg, roles = self.abs_power(1e2)
+        checks, rounds = [], []
+        within, eigvalsh = linalg_mod._within_least_slack, fuzzing_mod._eigvalsh
+
+        def counting_check(m):
+            checks.append(m.shape)
+            return within(m)
+
+        def counting_eigvalsh(a):
+            rounds.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(linalg_mod, "_within_least_slack", counting_check)
+        monkeypatch.setattr(fuzzing_mod, "_eigvalsh", counting_eigvalsh)
+        draw_trials(cfg, range(1, 41), roles)
+        assert len(rounds) > len(roles)  # the draws resample
+        assert checks == []
 
     def test_first_failing_trial_raises_its_error(self):
         # n = 40, abs-power: trial 5 meets the C cap (1e3) and then runs out

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -106,3 +108,16 @@ def test_every_third_party_import_is_declared():
                 if name != "majdet" and name.lower() not in declared:
                     undeclared.setdefault(name, []).append(str(path.relative_to(ROOT)))
     assert undeclared == {}
+
+
+def test_import_loads_no_numpy_random():
+    """import majdet leaves numpy.random unloaded: fuzzing binds its
+    seeding classes on first use, so a process that never draws (the CLI's
+    check, a library caller of run_check) does not pay for that import."""
+    probe = "import sys, majdet; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
