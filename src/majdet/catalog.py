@@ -21,8 +21,12 @@ weak-log-general-d share one check, as do matic and matic-general-d.
 Determinant comparisons run in the log domain, and det(I + C^-1 D) is always
 computed as det(C + D)/det(C) through Cholesky log-determinants. Spectra of
 C^-1 D come from the pencil kernel behind linalg.eig_pencil, which never
-inverts C; explicit inverses appear only where a statement names them, and
-in the singular-value statements, which need the actual product C^-1 D.
+inverts C. inv-square-sum's det(D^-2 + C^-2) is det(C^2 + D^2)/(det C
+det D)^2, and C^2 + D^2 is the Gram matrix of the stacked [C; D], whose
+log-determinant a QR takes (linalg._gram_logdet): no inverse or square is
+formed, so the condition number is not squared. Explicit inverses appear
+only where a statement sums or compares them (the choi family, lemma31),
+and in the singular-value statements, which need the actual product C^-1 D.
 
 Each id reads the inputs of its Shape, and this module owns their layout.
 An instance's input matrices go in one order: the mats; or C, then D whole,
@@ -52,8 +56,6 @@ matrix. Sums over the blocks and over the A_i add in their order, so the
 bits are those of a block-by-block loop. A call that raises follows
 errors.first_error, with the blocks as its members in block order, as
 check_validated does with the exponents of a grid.
-inv-square-sum takes its blocks one at a time, so that an error names its
-block.
 
 A stack of verdicts is arrays: every checker takes (instance, ps, tol)
 and returns its margins only, one Verdicts, whose margin and holds are
@@ -113,7 +115,6 @@ from .errors import (
     NegativePower,
     NotBlockDiagonal,
     NonFinite,
-    NotPositiveDefinite,
     SingularMatrix,
     UnknownInequality,
     first_error,
@@ -122,6 +123,7 @@ from .linalg import (
     _each,
     _eigvalsh,
     _finite,
+    _gram_logdet,
     _logdet,
     _pd_eigh,
     _pd_inverse,
@@ -381,13 +383,14 @@ def _order_verdicts(kind: OrderKind, x, y, tol: float, ps: Sequence[float] | Non
 def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
     """inst with every input matrix its Shape reads as a float array,
     checked once: square and sized for the partition (DimensionMismatch),
-    finite (NonFinite) and symmetric (NotSymmetric). lemma31's idx comes
-    back as checked ints, and fischer-tail's m as an int in 1..n or None
-    (IndexOutOfRange, _tail_start). A block-D D must be zero off the
-    diagonal blocks (NotBlockDiagonal), each block judged symmetric on its
-    own slack. A field the Shape reads that is unset raises MissingField.
-    With lead = 1, inst is a stack, each matrix checked on its own symmetry
-    slack in one call per field, and its idx one per instance, of one length.
+    finite (NonFinite) and symmetric (NotSymmetric); a partition that is not
+    a Partition raises BadPartition. lemma31's idx comes back as checked
+    ints, and fischer-tail's m as an int in 1..n or None (IndexOutOfRange,
+    _tail_start). A block-D D must be zero off the diagonal blocks
+    (NotBlockDiagonal), each block judged symmetric on its own slack. A
+    field the Shape reads that is unset raises MissingField. With lead = 1,
+    inst is a stack, each matrix checked on its own symmetry slack in one
+    call per field, and its idx one per instance, of one length.
 
     Several input matrices (C and D, or the mats) are cleared in one pass
     over their stack when no entry exceeds half the largest double and no
@@ -407,6 +410,7 @@ def validate_instance(shape: Shape, inst: Instance, lead: int = 0) -> Instance:
         if lead and (len(idx) != len(a) or len(set(map(len, idx))) > 1):
             raise IndexOutOfRange("a stack takes one idx per instance, all of one length")
         return _validated(inst, idx=tuple(idx) if lead else idx[0], c=require_symmetric(a))
+    _require_partition(part)
     mats = [as_square(a, lead) for a in
             (inst.mats if shape is Shape.MATS else [getattr(inst, f) for f in fields])]
     if not mats:
@@ -460,9 +464,18 @@ def _validated(inst: Instance, **fields) -> Instance:
 # The instance layout: assemble builds an Instance from its input matrices in
 # input order (see the module docstring), and _hashed lists them back.
 
+def _require_partition(part) -> None:
+    """BadPartition unless part is a Partition (a tuple of sizes is not)."""
+    if not isinstance(part, Partition):
+        raise BadPartition(f"partition must be a Partition, got {part!r}")
+
+
 def _join_d_blocks(blocks, part: Partition | None) -> np.ndarray:
     """The direct sum of D blocks, as many as the partition has and each
-    sized for its block (DimensionMismatch)."""
+    sized for its block (DimensionMismatch); a partition that is set must
+    be a Partition (BadPartition)."""
+    if part is not None:
+        _require_partition(part)
     d = direct_sum(blocks)  # direct_sum checks squareness
     if part is not None and len(blocks) != part.k:
         raise DimensionMismatch(f"{len(blocks)} D blocks for a {part.k}-block partition")
@@ -616,10 +629,12 @@ def identity_abs_square(c, d_blocks, part: Partition,
     """Equality check: det(I + |C^-1 D|^2) = det(D^-2 + C^-2) * det(D)^2,
     globally and blockwise, to relative tolerance.
 
-    The two sides travel independent computation paths (singular values of
-    the explicit product, as abs-power takes them at p = 2, vs
-    inv-square-sum's Cholesky log-determinants). margin is minus the worst
-    normalized residual, so holds == (margin >= -tol).
+    The two sides travel independent computation paths: singular values of
+    the explicit product, as abs-power takes them at p = 2, vs the
+    inv-square-sum checker's own log-determinants (a QR of [C; D] and the
+    Cholesky factors of C and D, with no inverse). margin is minus the
+    worst normalized residual, so holds == (margin >= -tol). A partition
+    that is not a Partition raises BadPartition.
     """
     require_tol(tol)
     with np.errstate(all="ignore"):  # an overflow fails in a kernel's own checks
@@ -764,26 +779,22 @@ def _kyfan_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts
 # ---------------------------------------------------------------------------
 # Evaluators for statements that are false in general.
 
-def _inv_square_sum_logdet(dc: np.ndarray, where: str):
-    """log det(D^-2 + C^-2) of a stacked pair dc = (D, C): one Cholesky
-    call factors D and C, D's error first. A failure on the derived sum
-    names it and where it was formed."""
-    inv = _each(_pd_inverse, dc)
-    squares = symmetrize(inv @ inv)
-    total = symmetrize(squares[0] + squares[1])
-    try:
-        return _logdet(total)
-    except (NotPositiveDefinite, NonFinite) as err:
-        raise type(err)(f"D^-2 + C^-2 ({where}): {err}") from err
+def _inv_square_sum_logdet(cd: np.ndarray):
+    """log det(D^-2 + C^-2) of a stacked pair cd = (C, D), each a matrix or
+    a stack, with no inverse or square formed: D^-2 + C^-2 =
+    D^-2 (C^2 + D^2) C^-2, and for symmetric C and D, C^2 + D^2 is the Gram
+    matrix of [C; D], whose log-determinant a QR takes without squaring the
+    condition number. One Cholesky call factors C and D, C's error first."""
+    logdets = _each(_logdet, cd)
+    return _gram_logdet(np.concatenate(cd, axis=-2)) - 2.0 * (logdets[0] + logdets[1])
 
 
 def _inv_square_sum_logdets(c, d, part: Partition) -> tuple[list, np.ndarray]:
     """(log det(D^-2 + C^-2) of each diagonal block, in block order, and of
-    the whole): one block at a time, so that an error names its block."""
-    dc = np.array((d, c))
-    blocks = [_inv_square_sum_logdet(dc[..., lo:hi, lo:hi], f"block {j}")
-              for j, (lo, hi) in enumerate(part.offsets(), start=1)]
-    return blocks, _inv_square_sum_logdet(dc, "whole")
+    the whole)."""
+    cd = np.array((c, d))
+    return (_blockwise(lambda g: _inv_square_sum_logdet(g.swapaxes(0, 1)), cd, part),
+            _inv_square_sum_logdet(cd))
 
 
 def _inv_square_sum_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
@@ -797,8 +808,9 @@ def inv_square_sum_exact(c_exact, d_exact, part: Partition):
     SingularMatrix, C's before D's. On integers, with C = c/s and D = d/t
     (a Scaled C or D is used as it is), and no inverse: since
     D^-2 + C^-2 = D^-2 (C^2 + D^2) C^-2, each factor is
-    det(t^2 c^2 + s^2 d^2)/(det c det d)^2. A D zero off its diagonal
-    blocks gives the whole's det d = prod det di and
+    det(t^2 c^2 + s^2 d^2)/(det c det d)^2. The float checker takes the
+    same identity, with det(C^2 + D^2) from a QR of [C; D]. A D zero off
+    its diagonal blocks gives the whole's det d = prod det di and
     d^2 = d1^2 (+) ... (+) dk^2 from the blocks'."""
     (d, t), (c, s) = exact.clear_denominators(d_exact), exact.clear_denominators(c_exact)
     block_d = exact.block_diagonal(d, part.offsets())
@@ -1006,13 +1018,15 @@ class Spec:
 
 
 _INV_SQ_REF = (refdata.INV_SQ_PART, refdata.INV_SQ_C, refdata.INV_SQ_D)
-# The false block-D statements need squared inverses, matrix powers, or
-# singular values of explicit products, which square or cube the working
-# condition number. Their caps keep every derived object within double
-# precision while still reaching the strongly unequal block scales the known
-# violations live in. commuted-power forms C^p and D^p, whose condition
-# numbers are kappa^p, so its grid stops at p = 2 and its C draw is capped at
-# 1e6: C^2 then stays inside the Cholesky near-singular rejection envelope.
+# The false block-D statements need matrix powers or singular values of
+# explicit products, which square or cube the working condition number.
+# Their caps keep every derived object within double precision while still
+# reaching the strongly unequal block scales the known violations live in.
+# commuted-power forms C^p and D^p, whose condition numbers are kappa^p, so
+# its grid stops at p = 2 and its C draw is capped at 1e6: C^2 then stays
+# inside the Cholesky near-singular rejection envelope. inv-square-sum does
+# not square kappa (a QR of [C; D], no inverse): its D cap and bias set the
+# regime its draws are made in, not a limit of double precision.
 
 SPECS: dict[str, Spec] = {
     "main-thm": Spec(Role.THEOREM, Shape.BLOCK_D, _weak_log_verdicts),

@@ -4,9 +4,10 @@ Cholesky factorization (which doubles as the positive-definiteness test,
 with a relative pivot floor on top of LAPACK's), the symmetric eigensolver,
 spectral matrix functions, singular values, and the spectrum of the pencil
 C^-1 D for positive definite C and D, taken as the squared singular values
-of L^-1 R with C = L L^T and D = R R^T. LAPACK failures surface as the
-package's own errors: NotPositiveDefinite from Cholesky, NoConvergence from
-the eigensolver and the SVD.
+of L^-1 R with C = L L^T and D = R R^T, and the log-determinant of a Gram
+matrix A^T A from a QR of A. LAPACK failures surface as the package's own
+errors: NotPositiveDefinite from Cholesky, NoConvergence from the
+eigensolver and the SVD.
 
 Each computation is one private kernel over a matrix or a `(..., n, n)`
 stack of them, with numpy's stacked LAPACK calls, so a stack costs one call
@@ -348,3 +349,13 @@ def hyperbolic_power(a, b, p: float) -> np.ndarray:
 def _logdet(m: np.ndarray):
     # np.add.reduce is what np.sum runs, without its dispatch
     return 2.0 * np.add.reduce(np.log(_diagonal(_cholesky(m))), axis=-1)
+
+
+def _gram_logdet(a: np.ndarray):
+    """log det(A^T A) of a tall (..., m, n) matrix A, m >= n, or a stack:
+    2 sum log|r_ii| over R of a QR of A, so A's condition number is not
+    squared, as forming A^T A would square it. The gufunc overwrites its
+    operand with R and the reflectors, so it runs on a copy."""
+    r = a.copy()
+    _qr_r_raw(r, signature="d->d")
+    return 2.0 * np.add.reduce(np.log(np.abs(_diagonal(r))), axis=-1)

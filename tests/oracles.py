@@ -308,6 +308,17 @@ def rand_pd(rng: np.random.Generator, n: int, kappa: float = 100.0,
     return (a + a.T) / 2.0
 
 
+def rand_pd_spanning(rng: np.random.Generator, n: int, kappa: float) -> np.ndarray:
+    """Random PD matrix whose spectrum spans exactly 1..kappa (n >= 2): its
+    condition number is kappa, not at most kappa as rand_pd's is."""
+    lam = np.exp(rng.uniform(0.0, np.log(kappa), size=n))
+    lam[0], lam[-1] = 1.0, kappa
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    a = (q * lam) @ q.T
+    return (a + a.T) / 2.0
+
+
 def rand_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
     k = rank if rank is not None else n
     g = rng.standard_normal((n, k))

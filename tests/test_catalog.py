@@ -50,7 +50,7 @@ from majdet.exact import det_exact, submatrix
 from majdet.fuzzing import GenConfig, GenStyle, fuzz, replay
 from majdet.linalg import eigvals_sym, require_symmetric
 
-from oracles import loewner_le, rand_pd, stack_instances
+from oracles import loewner_le, rand_pd, rand_pd_spanning, stack_instances
 
 PART22 = Partition((2, 2))
 
@@ -61,6 +61,26 @@ def ref_wlog_blocks():
 
 def ref_invsq_blocks():
     return tuple(diag_blocks(refdata.INV_SQ_D, PART22))
+
+
+def exact_inv_square_sum(c, d, part):
+    """(log lhs, log rhs, lhs <= rhs) of inv_square_sum_exact on the
+    Fractions of the float entries of C and D: what inv-square-sum's float
+    verdict on the same C and D approximates, with no stored answer."""
+    lhs, rhs = inv_square_sum_exact(*([[Fraction(float(x)) for x in row] for row in a]
+                                      for a in (c, d)), part)
+    logs = [math.log(f.numerator) - math.log(f.denominator) for f in (lhs, rhs)]
+    return *logs, lhs <= rhs
+
+
+def assert_inv_square_sum_agrees_with_exact(c, d, part):
+    """inv-square-sum's float verdict on C and D holds exactly when its
+    exact certificate does, and its margin is the exact one within the
+    verdict's tol."""
+    verdict = run_check("inv-square-sum", Instance(partition=part, c=c, d=d))
+    log_lhs, log_rhs, holds = exact_inv_square_sum(c, d, part)
+    assert verdict.holds == holds
+    assert verdict.margin == pytest.approx(log_rhs - log_lhs, rel=0, abs=verdict.tol)
 
 
 def random_block_instance(rng, n, sizes, kappa=1e3):
@@ -193,14 +213,13 @@ class TestEvaluators:
         assert verdict.lhs == pytest.approx(refdata.INV_SQ_BLOCKS, abs=1e-3)
         assert verdict.rhs == pytest.approx(refdata.INV_SQ_FULL, abs=1e-3)
 
-    def test_inv_square_sum_names_the_rejected_block(self):
-        # C and its block 2 pass the pivot floor; block 2's D^-2 + C^-2 does not
+    def test_inv_square_sum_near_singular_block_agrees_with_exact(self):
+        # C and its block 2 pass the pivot floor, but D^-2 + C^-2 of block 2
+        # would not: its factored form never forms that sum, and the verdict
+        # is the exact certificate's (blockwise product = whole, here)
         c = np.eye(3)
         c[1:, 1:] = [[1.0, 1.0], [1.0, 1.0 + 5e-13]]
-        inst = Instance(partition=Partition((1, 2)), c=c, d_blocks=(np.eye(1), np.eye(2)))
-        run_check("matic", inst)
-        with pytest.raises(NotPositiveDefinite, match=r"^D\^-2 \+ C\^-2 \(block 2\): pivot "):
-            run_check("inv-square-sum", inst)
+        assert_inv_square_sum_agrees_with_exact(c, np.eye(3), Partition((1, 2)))
 
     def test_inv_square_sum_exact_certification(self):
         lhs, rhs = inv_square_sum_exact(refdata.INV_SQ_C_EXACT, refdata.INV_SQ_D_EXACT, PART22)
@@ -280,6 +299,28 @@ class TestIdentityAbsSquare:
         for _ in range(20):
             c, blocks, part = random_block_instance(rng, 4, (2, 2), kappa=100.0)
             assert identity_abs_square(c, blocks, part).holds
+
+
+class TestInvSquareSumAccuracy:
+    """inv-square-sum's float margin against log rhs - log lhs of its exact
+    certificate on the same float entries, for a C and D blocks each of
+    condition number kappa: the oracle needs no stored answer. The QR of
+    [C; D] and the Cholesky factors of C and D see kappa, never kappa^2, so
+    the margin stays within a first-order bound of
+    100 n eps kappa max(1, |log lhs|, |log rhs|). At kappa 1e10, a formed
+    D^-2 + C^-2 (kappa^2 = 1e20) fails the pivot floor on most draws."""
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10])
+    def test_margin_within_a_first_order_bound(self, rng, kappa):
+        part = Partition((2, 3, 3))
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            c = rand_pd_spanning(rng, part.n, kappa)
+            d = direct_sum([rand_pd_spanning(rng, s, kappa) for s in part.sizes])
+            verdict = run_check("inv-square-sum", Instance(partition=part, c=c, d=d))
+            log_lhs, log_rhs, _ = exact_inv_square_sum(c, d, part)
+            bound = 100 * part.n * eps * kappa * max(1.0, abs(log_lhs), abs(log_rhs))
+            assert abs(verdict.margin - (log_rhs - log_lhs)) <= bound
 
 
 class TestChoi:
@@ -709,10 +750,13 @@ class TestOverflowingPower:
         with pytest.raises(NonFinite):
             run_check("matic", inst)
 
-    def test_identity_overflow_raises_without_a_warning(self):
-        # C^-1 D and C^-2 overflow: singular values and inverse squares
-        with pytest.raises(NonFinite):
-            identity_abs_square(1e-200 * np.eye(2), (np.eye(1),) * 2, Partition((1, 1)))
+    def test_identity_with_an_overflowing_inverse_square_holds_without_a_warning(self):
+        # C^-2 = 1e400 I would overflow, but inv-square-sum's side never
+        # forms it; |C^-1 D|^2 overflows only as a power, taken as p log s
+        verdict = identity_abs_square(1e-200 * np.eye(2), (np.eye(1),) * 2, Partition((1, 1)))
+        assert verdict.holds
+        assert verdict.lhs is None and verdict.rhs is None
+        assert verdict.detail["log_rhs_global"] == pytest.approx(4 * math.log(1e200))
 
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_exponent_rejected(self, p):
@@ -1149,12 +1193,11 @@ class TestKernelCalls:
     """The diagonal blocks of one size go through each LAPACK routine in one
     call, and a pencil factors C and D in one call: the counts of the
     gufunc calls behind linalg's kernels are pinned. choi factors each
-    A_i's blocks in its own calls, and inv-square-sum takes one block at a
-    time."""
+    A_i's blocks in its own calls."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = dict.fromkeys(("_cholesky_lo", "_solve", "_svd"), 0)
+        counts = dict.fromkeys(("_cholesky_lo", "_solve", "_svd", "_qr_r_raw"), 0)
 
         def counting(name, original):
             def count(*args, **kwargs):
@@ -1167,13 +1210,14 @@ class TestKernelCalls:
         return counts
 
     @pytest.mark.parametrize("inequality, sizes, want", [
-        ("main-thm", (2, 3, 3), (3, 3, 3)),
-        ("main-thm", (4, 4), (2, 2, 2)),
-        ("matic", (2, 3, 3), (3, 0, 0)),
+        ("main-thm", (2, 3, 3), (3, 3, 3, 0)),
+        ("main-thm", (4, 4), (2, 2, 2, 0)),
+        ("matic", (2, 3, 3), (3, 0, 0, 0)),
         # A_1's and A_2's blocks, then their sums', per size; then the whole
-        ("choi", (2, 3, 3), (8, 0, 0)),
-        # D and C in one call, then their sum: per block, then the whole
-        ("inv-square-sum", (2, 3, 3), (8, 0, 0)),
+        ("choi", (2, 3, 3), (8, 0, 0, 0)),
+        # C and D in one Cholesky call and [C; D] in one QR call, per block
+        # size; then the whole
+        ("inv-square-sum", (2, 3, 3), (3, 0, 0, 3)),
     ])
     def test_one_call_per_block_size(self, rng, counts, inequality, sizes, want):
         c = rand_pd(rng, 8, kappa=1e4)
@@ -1201,7 +1245,7 @@ class TestKernelCalls:
     def test_a_fuzz_chunk_calls_as_one_check(self, counts, trials):
         cfg = GenConfig(n=8, partition=Partition((2, 3, 3)), seed=5)
         fuzz("main-thm", cfg, trials)
-        assert tuple(counts.values()) == (3, 3, 3)
+        assert tuple(counts.values()) == (3, 3, 3, 0)
 
 
 class TestBlockErrorOrder:
@@ -1233,9 +1277,10 @@ class TestBlockErrorOrder:
         ("choi", Instance(partition=P, mats=(np.diag([1.0, 1.0, 1.0, 1e-14]),
                                              np.diag([1.0, 2e-14, 1.0, 1.0]))),
          "pivot 1.000e-14 at index 1 (floor 1.000e-13)"),
-        ("inv-square-sum", Instance(partition=P, c=np.diag([1.0, 1.0, 1e7, 1.0]),
-                                    d=np.diag([1.0, 1.0, 1e7, 1.0])),
-         "D^-2 + C^-2 (block 2): pivot 2.000e-14 at index 0 (floor 2.000e-13)"),
+        # block 1's D before block 2's C, as for main-thm and matic
+        ("inv-square-sum", Instance(partition=P, c=np.diag([1.0, 1.0, 1.0, 1e-14]),
+                                    d=np.diag([1.0, 2e-14, 1.0, 1.0])),
+         "pivot 2.000e-14 at index 1 (floor 1.000e-13)"),
         # on (2, 3, 2) the size-2 group holds blocks 1 and 3, and block 3
         # fails before block 2 within it: block order crosses the groups
         ("main-thm", Instance(partition=P232, c=np.diag([1.0, 1.0, 1.0, 1.0, 3e-14, 1.0, 1e-14]),
@@ -1254,6 +1299,12 @@ class TestBlockErrorOrder:
         with pytest.raises(NotPositiveDefinite) as info:
             run_check(inequality, inst)
         assert str(info.value) == message
+
+    def test_inv_square_sum_near_singular_sum_agrees_with_exact(self):
+        # every block of C and D clears its pivot floor, but D^-2 + C^-2 of
+        # block 2 would not; inv-square-sum never forms it
+        c = d = np.diag([1.0, 1.0, 1e7, 1.0])
+        assert_inv_square_sum_agrees_with_exact(c, d, self.P)
 
 
 class TestStackedValidation:
@@ -1382,6 +1433,17 @@ class TestBoundary:
         payload = {"partition": partition, "c": np.eye(2).tolist()}
         with pytest.raises(BadPartition):
             run_check("ky-fan", Instance.from_json(payload))
+
+    @pytest.mark.parametrize("entry", [
+        lambda: run_check("matic", Instance(partition=(1, 1), c=np.eye(2), d=np.eye(2))),
+        lambda: Instance(partition=(1, 1), d_blocks=(np.eye(1), np.eye(1))),
+        lambda: identity_abs_square(np.eye(2), (np.eye(1), np.eye(1)), (1, 1)),
+    ], ids=["run_check", "d_blocks", "identity_abs_square"])
+    def test_a_partition_that_is_not_a_partition(self, entry):
+        # a tuple of sizes raised a bare AttributeError ('tuple' object has
+        # no attribute 'n' or 'k')
+        with pytest.raises(BadPartition, match=r"^partition must be a Partition, got \(1, 1\)$"):
+            entry()
 
     @pytest.mark.parametrize("idx", ["01", 0, [0, "1"], [True], [0.0, 1.0]])
     def test_instance_json_rejects_an_idx_that_is_not_integers(self, idx):

@@ -259,22 +259,25 @@ class TestCheck:
         assert out == ""
         assert err.startswith("majdet: error:") and "exact C is singular" in err
 
-    def test_inv_square_sum_names_the_rejected_derived_matrix(self, capsys, tmp_path):
-        # C passes the pivot floor, so matic and main-thm hold on these files;
-        # inv-square-sum's derived D^-2 + C^-2 fails it
+    def test_inv_square_sum_near_singular_derived_matrix_agrees_with_exact(self, capsys,
+                                                                             tmp_path):
+        # C passes the pivot floor, but D^-2 + C^-2 would not: inv-square-sum
+        # never forms it, and its float verdict is the exact certificate's
+        c = [[1.0, 1.0], [1.0, 1.0 + 5e-13]]
         c_path = tmp_path / "c.json"
-        write_matrix(c_path, [[1.0, 1.0], [1.0, 1.0 + 5e-13]])
+        write_matrix(c_path, c, exact=[[Fraction(x) for x in row] for row in c])
         d_paths = [str(tmp_path / "d1.json"), str(tmp_path / "d2.json")]
         for path in d_paths:
-            write_matrix(path, [[1.0]])
-        argv = ("--c", str(c_path), "--d", *d_paths, "--part", "1,1")
-        for inequality in ("matic", "main-thm"):
-            assert run_cli(capsys, "check", inequality, *argv)[0] == 0
-        code, out, err = run_cli(capsys, "check", "inv-square-sum", *argv)
-        assert code == 1
-        assert out == ""
-        assert err == ("majdet: error: D^-2 + C^-2 (whole): "
-                       "pivot 1.074e+09 at index 1 (floor 7.999e+11)\n")
+            write_matrix(path, [[1.0]], exact=[[Fraction(1)]])
+        code, out, _ = run_cli(capsys, "check", "inv-square-sum", "--c", str(c_path),
+                               "--d", *d_paths, "--part", "1,1")
+        verdict = json.loads(out)
+        assert code == 0
+        assert verdict["holds"] is verdict["exact"]["holds"] is True
+        lhs, rhs = (Fraction(verdict["exact"][side]) for side in ("lhs", "rhs"))
+        exact_margin = (math.log(rhs.numerator) - math.log(rhs.denominator)
+                        - math.log(lhs.numerator) + math.log(lhs.denominator))
+        assert verdict["margin"] == pytest.approx(exact_margin, rel=0, abs=verdict["tol"])
 
     def test_overflowing_derived_matrix_prints_only_the_error(self, capsys, tmp_path):
         # finite entries whose C + D overflows: the kernels reject it, and

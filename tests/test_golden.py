@@ -181,15 +181,15 @@ GOLDEN_FUZZ = {
     "fischer-tail/n8": "1657146f3a86389fb63a18bdb11f804d1c77a416a4a7572edbbe4e0fc0884cd5",
     "fischer-tail/n8-3": "b80453a926806ae6599e06df4f3fa9a09bf7cae0d1993ec88f1583a66391ef63",
     "fischer-tail/tiny": "267fe9b9ec887986568d6af85f2293b169bec0c18f7905f2bf3d37569ce6308c",
-    "inv-square-sum/gram": "0b1c08583047a43b823f9d37ff0d1106bf493f335331e8c09bdee8309a4968d2",
-    "inv-square-sum/gram-1e3": "9d7f688acfe8f6196052bf6e8985cfb7cfcc567145a633e6c7f3620e4d3d3afa",
-    "inv-square-sum/gram-n8": "b431084eafa93c1b90939ca1220b7138a2bf05f190bfcd6f24f51e83a8ed2d45",
-    "inv-square-sum/n16": "960a68e9feac5d5f2720948f73bbc81cae123c7a6d56bedf309bee44301d9103",
-    "inv-square-sum/n2": "1878762d4a1dcfc37c31ae1466caf03851331bf3d2172f05a2106f7a6338f66c",
-    "inv-square-sum/n4": "bcf03514caabf6cc053bb7dfb801b6533b49d1bef2d49a74203e458c1415db4b",
-    "inv-square-sum/n8": "79317d3535d9a79182bc0ac12473b0ac944a40b1ba516e39aa097f4df3ed57f0",
-    "inv-square-sum/n8-3": "08e7a82d23f92b1c19b2e4297a5af775d94b1e1b5d324acbb19a721fd9b4a84a",
-    "inv-square-sum/tiny": "cb92415cd601228a1e3a03d93863cd16fa0d901dc92081c71ba6ee5adef92d71",
+    "inv-square-sum/gram": "10d2a215f3f3f7e7eaa91a2df516d64a809e1621a5964514394b91d4d5053a52",
+    "inv-square-sum/gram-1e3": "6e7b31433081ecba49fcf7aa3ee89b40ffeb450c47786f8c4b162fb237714397",
+    "inv-square-sum/gram-n8": "8f2324439a16dbe3d1af8e018bf99bc19b84eba83ef4f3199b15edeb7557bad2",
+    "inv-square-sum/n16": "79491d53922005aa43894110ec821089d3b395706067f54c41d57c51b4ccc4da",
+    "inv-square-sum/n2": "fa0d041a4bd512e5616e1bf19e90e7cb7515698466d8028c594b5502267d9fd8",
+    "inv-square-sum/n4": "b353a3cbb0d2cb063b77c48c1176d3fcb6810db19cbe90063584f59badb658e9",
+    "inv-square-sum/n8": "ffc9bbcb42a895015d46eb58b92932c07f0561a48070c5186d00711bd37ba5ca",
+    "inv-square-sum/n8-3": "a0faaed58676124fc6af6c0a765636d33b9bce940d49ae8eb4fb0de4efa8ed5c",
+    "inv-square-sum/tiny": "ffb945ee261ce045320658f157df8f68d0f03a4b241531b3318dce2bf0300d53",
     "ky-fan/gram": "0214aa4ae707df5806b38eb496492f9963ddb2132a96ad112debb9d618e72513",
     "ky-fan/gram-1e3": "30509647bc3ec56784b33790e938979dfefcf5803c6c6c75fefc063cf78f7f2c",
     "ky-fan/gram-n8": "10704855cdf4d6fc6f4de9fad8f572aaad4c2eae9dac7618a6a37396ed71d7a3",
@@ -288,7 +288,7 @@ GOLDEN_CHECK = {
     "commuted-power": "ce78511bfd4763305f0ccadfb08d97d8f945cde97520ef45f06a7110549eaa52",
     "det-power": "ceb3304332bff3c988433762d3af1c356932483f76b0f3c1918c9a998bc083cc",
     "fischer-tail": "2ce4969907e0a387d8c9107ef1e15e33a7249b2d43629bc532870407d709c4f3",
-    "inv-square-sum": "e5f768b60dcf5dced7d45dc74cdbd18501d03635baea6fc086a1321f2d442338",
+    "inv-square-sum": "09fd7aac260bebb3f0a4eb20c5bdba6eff44c89093177057d0fec7d1c093c743",
     "ky-fan": "18c6afe0f6583ec93e21a71aaa4d7c5e2d45c9f924a3d5404cad7964041eade9",
     "lemma31": "b54de1c22344b664b7c39f9a16eddf53edf69a7a737f824ccca902227f2f37ce",
     "main-thm": "abf7e6113c59244cf32989f9ae94a7dde67497a0f15c56b0a6a3c472a5c97847",
@@ -301,7 +301,7 @@ GOLDEN_CHECK = {
     "weak-log-general-d": "7342083b1485f85192e5f4f82e083b3ead3ebd01a8a5d615b341aa856f584c31",
 }
 
-GOLDEN_VERIFY_PAPER = "113d8b1112e8e965a3d01d0f4944667f9a846c0fba27c97e54331e6b9ae57db9"
+GOLDEN_VERIFY_PAPER = "951ce357b4a4d3625511458557882a297e7b559bbde78080cce1f3e418700d51"
 
 
 GOLDEN_GEN = {
