@@ -79,7 +79,7 @@ the diagonal blocks, then the whole.
 
 SPECS holds one Spec per id: its role, its Shape, its checker (a plain
 function, which two ids may share) and, for the fuzzer and the CLI, its
-exponents (domain, fuzz grid and default p), its generator caps, its
+exponents (interval, fuzz grid and default p), its generator caps, its
 reference counterexample and its exact certifier. Adding an id means
 adding its checker and one Spec.
 """
@@ -112,7 +112,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     MissingField,
-    NegativePower,
     NotBlockDiagonal,
     NonFinite,
     SingularMatrix,
@@ -295,7 +294,8 @@ def _by_exponent(a, ps: Sequence[float] | None) -> np.ndarray:
 class Verdicts:
     """The verdicts of T instances at P exponents (P = 1 without ps): margin
     and holds are (P, T) arrays. A log comparison keeps its (P, T) log
-    sides, an order comparison its OrderChecks (row k*T + i). detail(k, i)
+    sides and, as tol, the (P, T) tolerances it applied; an order
+    comparison keeps its OrderChecks (row k*T + i). detail(k, i)
     is what verdict (k, i) reports besides its log sides and p. A checker
     sets no more; check_validated then sets the id and its Shape.
     verdict(k, i, inst) builds the InequalityVerdict of instance i at
@@ -304,7 +304,7 @@ class Verdicts:
 
     margin: np.ndarray
     holds: np.ndarray
-    tol: float
+    tol: float | np.ndarray
     ps: Sequence[float] | None = None
     log_sides: tuple[np.ndarray, np.ndarray] | None = None
     orders: OrderChecks | None = None
@@ -317,7 +317,7 @@ class Verdicts:
         tol, lhs, rhs, order, detail = self.tol, None, None, None, {}
         if self.log_sides is not None:
             llhs, lrhs = (float(side[k, i]) for side in self.log_sides)
-            tol = tol * max(1.0, abs(llhs), abs(lrhs))
+            tol = float(self.tol[k, i])
             lhs, rhs = _exp_or_none(llhs), _exp_or_none(lrhs)
             detail = {"log_lhs": llhs, "log_rhs": lrhs}
         if self.orders is not None:
@@ -356,12 +356,13 @@ def _log_verdicts(llhs, lrhs, tol: float, ps: Sequence[float] | None = None,
                         f"log lhs = {float(llhs.flat[k])}, log rhs = {float(lrhs.flat[k])}")
     size = np.abs(sides)
     scale = np.maximum(1.0, np.maximum(size[0], size[1]))
-    if not math.isfinite(tol * float(np.maximum.reduce(scale, axis=None))):
+    scaled = tol * scale
+    if not np.logical_and.reduce(np.isfinite(scaled), axis=None):
         k = np.argmax(scale)  # the first largest, in a stack
         raise NonFinite(f"log-determinant comparison with a tolerance that overflows: "
                         f"tol = {tol!r}, log lhs = {float(llhs.flat[k])}, "
                         f"log rhs = {float(lrhs.flat[k])}")
-    return Verdicts(margin, margin >= -(tol * scale), tol, ps, log_sides=(llhs, lrhs), **kw)
+    return Verdicts(margin, margin >= -scaled, scaled, ps, log_sides=(llhs, lrhs), **kw)
 
 
 def _order_verdicts(kind: OrderKind, x, y, tol: float, ps: Sequence[float] | None = None,
@@ -632,20 +633,20 @@ def identity_abs_square(c, d_blocks, part: Partition,
     The two sides travel independent computation paths: singular values of
     the explicit product, as abs-power takes them at p = 2, vs the
     inv-square-sum checker's own log-determinants (a QR of [C; D] and the
-    Cholesky factors of C and D, with no inverse). margin is minus the
-    worst normalized residual, so holds == (margin >= -tol). A partition
-    that is not a Partition raises BadPartition.
+    Cholesky factor of C, with no inverse; log det D cancels). margin is
+    minus the worst normalized residual, so holds == (margin >= -tol). A
+    partition that is not a Partition raises BadPartition.
     """
     require_tol(tol)
     with np.errstate(all="ignore"):  # an overflow fails in a kernel's own checks
         inst = validate_instance(Shape.BLOCK_D, assemble(Shape.BLOCK_D, part, (c, *d_blocks)))
         block_svs, s_full = _product_singular_values(inst.c, inst.d, part)
-        inv_sq_blocks, inv_sq_full = _inv_square_sum_logdets(inst.c, inst.d, part)
-        d_blocks_logdet = _blockwise(_logdet, inst.d, part)
+        # det(D^-2 + C^-2) det(D)^2 = det(C^2 + D^2) / det(C)^2
+        blocks, (gram, logdet_c, _) = _blockwise_square_sum_logdets(inst.c, inst.d, part)
         lg = float(_sum_log1p_power(s_full, (2.0,))[0])
-        rg = float(inv_sq_full + 2.0 * _logdet(inst.d))
+        rg = float(gram - 2.0 * logdet_c)
         lb = float(sum(_sum_log1p_power(s, (2.0,))[0] for s in block_svs))
-        rb = float(sum(x + 2.0 * y for x, y in zip(inv_sq_blocks, d_blocks_logdet)))
+        rb = float(sum(g - 2.0 * lc for g, lc, _ in blocks))
     res_global = abs(lg - rg) / max(1.0, abs(lg), abs(rg))
     res_block = abs(lb - rb) / max(1.0, abs(lb), abs(rb))
     worst = max(res_global, res_block)
@@ -779,27 +780,29 @@ def _kyfan_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts
 # ---------------------------------------------------------------------------
 # Evaluators for statements that are false in general.
 
-def _inv_square_sum_logdet(cd: np.ndarray):
-    """log det(D^-2 + C^-2) of a stacked pair cd = (C, D), each a matrix or
-    a stack, with no inverse or square formed: D^-2 + C^-2 =
-    D^-2 (C^2 + D^2) C^-2, and for symmetric C and D, C^2 + D^2 is the Gram
-    matrix of [C; D], whose log-determinant a QR takes without squaring the
-    condition number. One Cholesky call factors C and D, C's error first."""
+def _square_sum_logdets(cd: np.ndarray) -> tuple:
+    """(log det(C^2 + D^2), log det C, log det D) of a stacked pair
+    cd = (C, D), each a matrix or a stack, with no square formed: for
+    symmetric C and D, C^2 + D^2 is the Gram matrix of [C; D], whose
+    log-determinant a QR takes without squaring the condition number. One
+    Cholesky call factors C and D, C's error first."""
     logdets = _each(_logdet, cd)
-    return _gram_logdet(np.concatenate(cd, axis=-2)) - 2.0 * (logdets[0] + logdets[1])
+    return _gram_logdet(np.concatenate(cd, axis=-2)), logdets[0], logdets[1]
 
 
-def _inv_square_sum_logdets(c, d, part: Partition) -> tuple[list, np.ndarray]:
-    """(log det(D^-2 + C^-2) of each diagonal block, in block order, and of
+def _blockwise_square_sum_logdets(c, d, part: Partition) -> tuple[list, tuple]:
+    """(_square_sum_logdets of each diagonal block, in block order, and of
     the whole)."""
     cd = np.array((c, d))
-    return (_blockwise(lambda g: _inv_square_sum_logdet(g.swapaxes(0, 1)), cd, part),
-            _inv_square_sum_logdet(cd))
+    return (_blockwise(lambda g: _square_sum_logdets(g.swapaxes(0, 1)), cd, part),
+            _square_sum_logdets(cd))
 
 
 def _inv_square_sum_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts:
-    blocks, lrhs = _inv_square_sum_logdets(inst.c, inst.d, inst.partition)
-    return _log_verdicts(sum(blocks), lrhs, tol)
+    # log det(D^-2 + C^-2), as D^-2 + C^-2 = D^-2 (C^2 + D^2) C^-2
+    blocks, (gram, lc, ld) = _blockwise_square_sum_logdets(inst.c, inst.d, inst.partition)
+    llhs = sum(gram_j - 2.0 * (lc_j + ld_j) for gram_j, lc_j, ld_j in blocks)
+    return _log_verdicts(llhs, gram - 2.0 * (lc + ld), tol)
 
 
 def inv_square_sum_exact(c_exact, d_exact, part: Partition):
@@ -910,49 +913,17 @@ def _require_exponent(p) -> None:
         raise NonFinite(f"non-finite exponent p = {p}")
 
 
-def _det_power_domain(p) -> None:
-    if p is None:
-        raise BadExponent("det-power needs p")
-    if p < 0:
-        raise NegativePower(f"p = {p}; use the neg-power evaluator for p < 0")
-
-
-def _thm32_domain(p) -> None:
-    if p is None:
-        raise BadExponent("thm32 needs p")
-    if p < 1:
-        raise BadExponent(f"p = {p}; the weak majorization is stated for p >= 1")
-
-
-def _neg_power_domain(p) -> None:
-    if p is None or p >= 0:
-        raise BadExponent("neg-power needs p < 0")
-
-
-def _nonnegative_domain(inequality: str) -> Callable[[float | None], None]:
-    def domain(p) -> None:
-        if p is None or p < 0:
-            raise BadExponent(f"{inequality} needs p >= 0")
-
-    return domain
-
-
 @dataclass(frozen=True)
 class PSplit:
-    """A parametrized id's exponents: `domain(p)` raises on an exponent the
-    statement is not made for; `grid` is the exponent grid a fuzz trial
-    sweeps when no p is given, `default` the CLI's p when --p is absent."""
+    """A parametrized id's exponents: the statement is made for
+    lo <= p < hi (exponent_spec rejects any other p); `grid` is the
+    exponent grid a fuzz trial sweeps when no p is given, `default` the
+    CLI's p when --p is absent."""
 
-    domain: Callable[[float | None], None]
+    lo: float
+    hi: float
     grid: tuple[float, ...]
     default: float
-
-    def require(self, ps: Sequence[float]) -> None:
-        """Raise on the first exponent of ps that is not a finite number
-        (_require_exponent) or is outside the domain."""
-        for p in ps:
-            _require_exponent(p)
-            self.domain(p)
 
 
 # ---------------------------------------------------------------------------
@@ -989,8 +960,8 @@ class Spec:
     check: (validated instance or stack, ps, tol) -> the Verdicts of its
         instances, one row per exponent of ps; an id without an exponent
         ignores ps and gives one row.
-    split: the exponents of a parametrized id: its domain, fuzz grid and
-        default p.
+    split: the exponents of a parametrized id: its interval, fuzz grid
+        and default p.
     caps: the generator caps for block-D draws.
     reference: (partition, C, D) of the counterexample the fuzzer injects as
         trial 0; D is block diagonal for the partition for a block-D id.
@@ -1034,23 +1005,21 @@ SPECS: dict[str, Spec] = {
                   certify=lambda c, d, part: matic_exact(c, d, part)),
     "det-power": Spec(
         Role.THEOREM, Shape.BLOCK_D, _log1p_power_verdicts,
-        split=PSplit(_det_power_domain, grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
+        split=PSplit(0.0, math.inf, grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=1.0)),
     "abs-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D, _abs_power_verdicts,
-        split=PSplit(_nonnegative_domain("abs-power"), grid=(0.0, 0.5, 1.0, 2.0, 3.0),
-                     default=2.0),
+        split=PSplit(0.0, math.inf, grid=(0.0, 0.5, 1.0, 2.0, 3.0), default=2.0),
         caps=(1e3, 1e2, 1.0), reference=_INV_SQ_REF),
     "commuted-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D, _commuted_power_verdicts,
-        split=PSplit(_nonnegative_domain("commuted-power"), grid=(0.0, 0.5, 1.0, 2.0),
-                     default=2.0),
+        split=PSplit(0.0, math.inf, grid=(0.0, 0.5, 1.0, 2.0), default=2.0),
         caps=(1e6, 1e3, 1.5), reference=_INV_SQ_REF),
     "inv-square-sum": Spec(Role.EVALUATOR, Shape.BLOCK_D, _inv_square_sum_verdicts,
                            caps=(None, 1e3, 1.5), reference=_INV_SQ_REF,
                            certify=lambda c, d, part: inv_square_sum_exact(c, d, part)),
     "neg-power": Spec(
         Role.EVALUATOR, Shape.BLOCK_D, _log1p_power_verdicts,
-        split=PSplit(_neg_power_domain, grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
+        split=PSplit(-math.inf, 0.0, grid=(-0.5, -1.0, -2.0, -3.0), default=-1.0),
         caps=(None, 1e3, 1.5),
         reference=(refdata.NEG_POWER_PART, refdata.NEG_POWER_C, refdata.NEG_POWER_D)),
     "matic-general-d": Spec(
@@ -1064,7 +1033,7 @@ SPECS: dict[str, Spec] = {
                         caps=(1e2, 1e2, 1.0), reference=_INV_SQ_REF),
     "choi": Spec(Role.THEOREM, Shape.MATS, _choi_verdicts),
     "thm32": Spec(Role.THEOREM, Shape.MATS, _thm32_verdicts,
-                  split=PSplit(_thm32_domain, grid=(1.0, 2.0, 3.0), default=1.0)),
+                  split=PSplit(1.0, math.inf, grid=(1.0, 2.0, 3.0), default=1.0)),
     "open-q": Spec(Role.OPEN, Shape.MATS, _open_q_verdicts),
     "lemma31": Spec(Role.THEOREM, Shape.C_IDX, _lemma31_verdicts),
     "fischer-tail": Spec(Role.THEOREM, Shape.C_M, _fischer_tail_verdicts),
@@ -1092,12 +1061,25 @@ def require_tol(tol) -> None:
         raise BadConfig(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
-def exponent_spec(inequality: str, p: float | None) -> Spec:
-    """spec_of(inequality), raising BadExponent when an exponent p is given to
-    an id that has none."""
+def exponent_spec(inequality: str, ps: Sequence[float | None]) -> Spec:
+    """spec_of(inequality), once each exponent a call runs at (ps, None
+    where it has none; empty to check the id alone) passes, in order: a
+    finite number or None (_require_exponent); no p for an id without an
+    exponent; a p for a parametrized id; lo <= p < hi. Each of the last
+    three raises BadExponent."""
     spec = spec_of(inequality)
-    if p is not None and spec.split is None:
-        raise BadExponent(f"{inequality} takes no exponent, got p = {p}")
+    split = spec.split
+    for p in ps:
+        _require_exponent(p)
+        if split is None:
+            if p is not None:
+                raise BadExponent(f"{inequality} takes no exponent, got p = {p}")
+        elif p is None:
+            raise BadExponent(f"{inequality} needs p")
+        elif p < split.lo:
+            raise BadExponent(f"{inequality} needs p >= {split.lo:g}, got p = {p}")
+        elif p >= split.hi:
+            raise BadExponent(f"{inequality} needs p < {split.hi:g}, got p = {p}")
     return spec
 
 
@@ -1106,8 +1088,8 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
     """The Verdicts of a validated instance (validate_instance), or of the
     instances of a stack of them in stack order, at each exponent of ps,
     with the id and its Shape set from the Spec. The exponents must have
-    passed the id's PSplit.require; an id without an exponent ignores ps and
-    gives one row. numpy's floating-point warnings are off: the kernels' own
+    passed exponent_spec; an id without an exponent ignores ps and gives
+    one row. numpy's floating-point warnings are off: the kernels' own
     checks judge an overflow."""
     spec = spec_of(inequality)
     with np.errstate(all="ignore"):
@@ -1122,13 +1104,10 @@ def check_validated(inequality: str, inst: Instance, ps: Sequence[float],
 
 def run_check(inequality: str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityVerdict:
     """Dispatch any catalog id on an Instance; the single entry point used by
-    the CLI. Parametrized ids are evaluated at inst.p; an instance with a p
-    for an id without an exponent raises BadExponent. The exponent and the
-    tolerance (require_tol) are checked first, then each input matrix once
-    (validate_instance)."""
-    spec = exponent_spec(inequality, inst.p)
+    the CLI. Parametrized ids are evaluated at inst.p. The exponent
+    (exponent_spec) and the tolerance (require_tol) are checked first, then
+    each input matrix once (validate_instance)."""
+    spec = exponent_spec(inequality, (inst.p,))
     require_tol(tol)
-    if spec.split is not None:
-        spec.split.require((inst.p,))
     inst = validate_instance(spec.shape, inst)
     return check_validated(inequality, inst, (inst.p,), tol).verdict(0, 0, inst)

@@ -84,10 +84,6 @@ class IndexOutOfRange(MajdetError):
     """Principal-submatrix index set is invalid."""
 
 
-class NegativePower(MajdetError):
-    """Exponent must be nonnegative for this check."""
-
-
 class BadExponent(MajdetError):
     """Exponent outside the range this check is stated for."""
 

@@ -15,7 +15,7 @@ parametrized id sweeps the Spec's exponent grid on one draw. No shrinking is
 performed: violating instances are stored verbatim and can be replayed in
 isolation.
 
-fuzz checks its arguments (the id, p against the id's domain, the trial
+fuzz checks its arguments (the id, p against the id's interval, the trial
 count and tol) before it draws, then takes the trials a chunk at a time,
 and a chunk is a stack from the draw through to the verdict. One routine,
 draw_trials, turns trials' substreams into matrices, for fuzz as for
@@ -403,11 +403,9 @@ def build_instances(inequality: str, cfg: GenConfig, trials: range,
     """Draw the instances of a range of trials, in order (trial 0 of a false
     id is its injected counterexample): fuzz's draw routine, unstacked.
     Every draw is a pure function of (cfg, trial), the same bits however the
-    trials are chunked. A p is checked before any draw, as fuzz checks it:
-    BadExponent for an id without an exponent, else the id's domain."""
-    spec = exponent_spec(inequality, p)
-    if p is not None:
-        spec.split.require((p,))
+    trials are chunked. A p is checked before any draw, as fuzz checks it
+    (exponent_spec)."""
+    spec = exponent_spec(inequality, () if p is None else (p,))
     first = int(_injects(spec, trials))
     out: list = [None] * len(trials)
     if first:
@@ -550,18 +548,14 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     tol) apart from the wall_time field. A verdict and an instance are
     built only for a record the report keeps: a violation, or every trial
     with keep_instances. The campaign's arguments are checked before any
-    draw: a p for an id without an exponent raises BadExponent, a p outside
-    the id's domain its exponent error (NonFinite for a p that is not
-    finite), a trial count that is not an int >= 1 or a tol that is
-    negative or not finite BadConfig. Trials are evaluated a chunk at a
-    time; a chunk that raises follows errors.first_error, with the chunk's
-    trials as its members, in order, and a trial's error is named with its
-    index and seed.
+    draw: a p as exponent_spec checks it, a trial count that is not an
+    int >= 1 or a tol that is negative or not finite BadConfig. Trials are
+    evaluated a chunk at a time; a chunk that raises follows
+    errors.first_error, with the chunk's trials as its members, in order,
+    and a trial's error is named with its index and seed.
     """
-    spec = exponent_spec(inequality, p)
+    spec = exponent_spec(inequality, () if p is None else (p,))
     ps = (p,) if p is not None or spec.split is None else spec.split.grid
-    if spec.split is not None:
-        spec.split.require(ps)
     if isinstance(trials, bool) or not isinstance(trials, int):
         raise BadConfig(f"trials must be an int, got {trials!r}")
     if trials < 1:

@@ -18,9 +18,9 @@ from .blocks import diag_blocks, direct_sum
 from .catalog import (
     Instance,
     check_validated,
+    exponent_spec,
     inv_square_sum_exact,
     run_check,
-    spec_of,
     validate_instance,
 )
 from .linalg import eig_pencil
@@ -136,8 +136,7 @@ def run_ex26() -> ScenarioResult:
     part = refdata.NEG_POWER_PART
     inst = Instance(partition=part, c=refdata.NEG_POWER_C, d=refdata.NEG_POWER_D)
     ps = [-q for q in grid]
-    spec = spec_of("neg-power")
-    spec.split.require(ps)
+    spec = exponent_spec("neg-power", ps)
     verdicts = check_validated("neg-power", validate_instance(spec.shape, inst), ps)
     matrix_ok = not verdicts.holds.any()
     for q, llhs, lrhs in zip(grid, *(side[:, 0].tolist() for side in verdicts.log_sides)):

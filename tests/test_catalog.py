@@ -39,7 +39,6 @@ from majdet.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     MissingField,
-    NegativePower,
     NonFinite,
     NotBlockDiagonal,
     NotPositiveDefinite,
@@ -193,7 +192,7 @@ class TestDetPower:
 
     def test_negative_power_rejected(self, rng):
         c, blocks, part = random_block_instance(rng, 2, (1, 1))
-        with pytest.raises(NegativePower):
+        with pytest.raises(BadExponent, match=r"^det-power needs p >= 0, got p = -1.0$"):
             run_check("det-power", Instance(partition=part, c=c, d_blocks=blocks, p=-1.0))
 
     def test_chain_consistency_with_main_theorem(self, rng):
@@ -956,15 +955,12 @@ class TestPGrid:
 
     def test_domain_checked_before_any_work(self):
         # an instance with no matrices: the exponent error must come first
-        for inequality, bad, err in (("det-power", -1.0, NegativePower),
-                                     ("thm32", 0.5, BadExponent),
-                                     ("neg-power", 1.0, BadExponent),
-                                     ("abs-power", -1.0, BadExponent),
-                                     ("commuted-power", None, BadExponent)):
-            with pytest.raises(err):
+        for inequality, bad in (("det-power", -1.0), ("thm32", 0.5), ("neg-power", 1.0),
+                                ("abs-power", -1.0), ("commuted-power", None)):
+            with pytest.raises(BadExponent):
                 run_check(inequality, Instance(p=bad))
             if bad is not None:  # fuzz without a p sweeps the id's grid
-                with pytest.raises(err):
+                with pytest.raises(BadExponent):
                     fuzz(inequality, GenConfig(n=2), 1, p=bad)
 
 
@@ -1218,15 +1214,22 @@ class TestKernelCalls:
         # C and D in one Cholesky call and [C; D] in one QR call, per block
         # size; then the whole
         ("inv-square-sum", (2, 3, 3), (3, 0, 0, 3)),
+        # abs-power's inverses and singular values, then inv-square-sum's
+        # Cholesky and QR calls, per block size and the whole: log det D
+        # is not taken again
+        ("identity-abs-square", (2, 3, 3), (6, 0, 3, 3)),
     ])
     def test_one_call_per_block_size(self, rng, counts, inequality, sizes, want):
         c = rand_pd(rng, 8, kappa=1e4)
-        if SPECS[inequality].shape is Shape.MATS:
+        if inequality in SPECS and SPECS[inequality].shape is Shape.MATS:
             inst = Instance(partition=Partition(sizes), mats=(c, rand_pd(rng, 8, kappa=1e4)))
         else:
             inst = Instance(partition=Partition(sizes), c=c,
                             d_blocks=tuple(rand_pd(rng, s, kappa=1e4) for s in sizes))
-        run_check(inequality, inst)
+        if inequality == "identity-abs-square":
+            assert identity_abs_square(c, diag_blocks(inst.d, inst.partition), inst.partition).holds
+        else:
+            run_check(inequality, inst)
         assert tuple(counts.values()) == want
 
     def test_commuted_power_eighs_each_matrix_per_block_size(self, rng, monkeypatch):

@@ -602,6 +602,20 @@ def test_check_needs_every_flag_its_shape_reads(capsys, tmp_path, inequality, fl
     assert err == f"majdet: error: {inequality} needs {flag}\n"
 
 
+@pytest.mark.parametrize("inequality, p, message", [
+    ("det-power", "-1", "det-power needs p >= 0, got p = -1.0"),
+    ("abs-power", "-1", "abs-power needs p >= 0, got p = -1.0"),
+    ("commuted-power", "-0.5", "commuted-power needs p >= 0, got p = -0.5"),
+    ("thm32", "0.5", "thm32 needs p >= 1, got p = 0.5"),
+    ("neg-power", "0", "neg-power needs p < 0, got p = 0.0"),
+])
+def test_check_rejects_p_outside_the_interval(capsys, tmp_path, inequality, p, message):
+    code, out, err = run_cli(capsys, "check", inequality, "--p", p,
+                             *check_args(tmp_path, inequality))
+    assert (code, out) == (1, "")
+    assert err == f"majdet: error: {message}\n"
+
+
 @pytest.mark.parametrize("inequality", NO_EXPONENT_IDS)
 def test_fuzz_rejects_p_without_exponent(capsys, inequality):
     code, out, err = run_cli(capsys, "fuzz", inequality, "--n", "2", "--part", "1,1",
@@ -804,7 +818,7 @@ class TestFuzzCommand:
         code, out, err = run_cli(capsys, "fuzz", "det-power", "--n", "4", "--part", "2,2",
                                  "--trials", "3", "--p", "-1")
         assert (code, out) == (1, "")
-        assert err == "majdet: error: p = -1.0; use the neg-power evaluator for p < 0\n"
+        assert err == "majdet: error: det-power needs p >= 0, got p = -1.0\n"
 
 
 class TestGenCommand:

@@ -17,7 +17,6 @@ from majdet.errors import (
     BadConfig,
     BadExponent,
     MajdetError,
-    NegativePower,
     NonFinite,
     ResampleExhausted,
     UnknownInequality,
@@ -39,6 +38,18 @@ from oracles import build_instance_per_trial, draw_pd_per_matrix, trial_rng
 
 
 GRID_IDS = sorted(i for i, spec in SPECS.items() if spec.split)
+# (id, p, error, message): the nearest double outside each finite end of
+# every parametrized id's interval lo <= p < hi, and a NaN
+BAD_EXPONENTS = [
+    ("det-power", -5e-324, BadExponent, "det-power needs p >= 0, got p = -5e-324"),
+    ("abs-power", -5e-324, BadExponent, "abs-power needs p >= 0, got p = -5e-324"),
+    ("commuted-power", -5e-324, BadExponent, "commuted-power needs p >= 0, got p = -5e-324"),
+    ("thm32", 0.9999999999999999, BadExponent,
+     "thm32 needs p >= 1, got p = 0.9999999999999999"),
+    ("neg-power", 0.0, BadExponent, "neg-power needs p < 0, got p = 0.0"),
+    ("neg-power", 1.0, BadExponent, "neg-power needs p < 0, got p = 1.0"),
+    ("abs-power", math.nan, NonFinite, "non-finite exponent p = nan"),
+]
 
 
 def strip_wall_time(report_json: dict) -> dict:
@@ -180,7 +191,7 @@ class TestFuzz:
         with pytest.raises(BadExponent, match="takes no exponent"):
             fuzzing_mod.build_instances(inequality, cfg, range(3), p=2.0)
 
-    @pytest.mark.parametrize("p, error", [(-1.0, NegativePower), (math.nan, NonFinite)])
+    @pytest.mark.parametrize("p, error", [(-1.0, BadExponent), (math.nan, NonFinite)])
     def test_build_rejects_p_outside_the_domain(self, p, error):
         # as fuzz does, with the same error, before any draw
         cfg = GenConfig(n=4, partition=Partition((2, 2)), seed=1)
@@ -198,16 +209,11 @@ class TestFuzz:
         # exponent error
         GenConfig(n=4, partition=Partition((2, 2)), style=GenStyle.GRAM, kappa_max=1.0, seed=1),
     ], ids=["spectral", "gram-kappa-1"])
-    @pytest.mark.parametrize("inequality, p, error, message", [
-        ("det-power", -1.0, NegativePower, "p = -1.0; use the neg-power evaluator for p < 0"),
-        ("thm32", 0.5, BadExponent, "p = 0.5; the weak majorization is stated for p >= 1"),
-        ("neg-power", 1.0, BadExponent, "neg-power needs p < 0"),
-        ("abs-power", math.nan, NonFinite, "non-finite exponent p = nan"),
-    ])
+    @pytest.mark.parametrize("inequality, p, error, message", BAD_EXPONENTS)
     def test_bad_exponent_raises_before_any_draw(self, monkeypatch, cfg, inequality, p,
                                                  error, message):
-        # the id's own exponent error, as run_check raises it: no trial
-        # prefix, and no trial's substream is seeded
+        # the id's own exponent error, the same from every entry point: no
+        # trial prefix, and no trial's substream is seeded
         streams = []
         rngs_of = fuzzing_mod.trial_rngs
 
@@ -216,18 +222,29 @@ class TestFuzz:
             return rngs_of(cfg, trials)
 
         monkeypatch.setattr(fuzzing_mod, "trial_rngs", counting_rngs)
-        with pytest.raises(MajdetError) as info:
-            fuzz(inequality, cfg, 3, p=p)
-        assert (type(info.value), str(info.value)) == (error, message)
-        assert streams == []
-        # build_instance checks the exponent before its draw too
-        with pytest.raises(error, match=f"^{message}$"):
-            build_instance(inequality, cfg, 1, p=p)
+        for call in (lambda: fuzz(inequality, cfg, 3, p=p),
+                     lambda: build_instance(inequality, cfg, 1, p=p),
+                     lambda: fuzzing_mod.build_instances(inequality, cfg, range(3), p=p)):
+            with pytest.raises(MajdetError) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (error, message)
         assert streams == []
         inst = build_instance(inequality, GenConfig(n=4, partition=Partition((2, 2)), seed=1), 1)
         assert streams == [range(1, 2)]  # the counter sees a draw
-        with pytest.raises(error, match=f"^{message}$"):
+        with pytest.raises(MajdetError) as info:
             run_check(inequality, dataclasses.replace(inst, p=p))
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_bad_exponents_cover_both_ends_of_every_interval(self):
+        # lo is the least exponent accepted, hi the least rejected above it
+        for inequality in GRID_IDS:
+            split = SPECS[inequality].split
+            ends = {p for i, p, _, _ in BAD_EXPONENTS if i == inequality}
+            assert ends >= {math.nextafter(split.lo, -math.inf), split.hi} - {-math.inf, math.inf}
+            inst = build_instance(inequality, GenConfig(n=4, partition=Partition((2, 2))), 1)
+            for end, p in ((split.lo, split.lo), (split.hi, math.nextafter(split.hi, -math.inf))):
+                if math.isfinite(end):
+                    run_check(inequality, dataclasses.replace(inst, p=p))
 
     def test_trial_error_names_trial_and_seed(self):
         # thm32's p = 3 power of the inverse-sum spectrum overflows at this scale
@@ -388,7 +405,7 @@ class TestGridEvaluation:
         for inequality in GRID_IDS:
             split = SPECS[inequality].split
             for p in (*split.grid, split.default):
-                split.domain(p)
+                assert split.lo <= p < split.hi
 
     def test_oracle_covers_an_error(self):
         got = kept_records("thm32", GRID_CONFIGS[4], 3)

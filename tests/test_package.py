@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import majdet
+from majdet import errors
 
 
 def test_every_export_resolves():
@@ -88,6 +89,23 @@ def test_one_function_reruns_members_on_a_majdet_error():
             if handler.name is None and "MajdetError" in map(dotted_name, caught):
                 found.append(f"{path.name}:{func}")
     assert found == ["errors.py:first_error"]
+
+
+def test_every_error_class_is_used():
+    """Every MajdetError subclass in errors.py is named in the code (not in
+    an import, a docstring or a comment) of another module of the package:
+    a class goes when its last raiser does."""
+    used = set()
+    for path in sorted((ROOT / "src" / "majdet").glob("*.py")):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    classes = [name for name, value in vars(errors).items() if isinstance(value, type)
+               and issubclass(value, errors.MajdetError) and value is not errors.MajdetError]
+    assert classes and [name for name in classes if name not in used] == []
 
 
 def test_every_third_party_import_is_declared():
