@@ -21,13 +21,15 @@ and a chunk is a stack from the draw through to the verdict. One routine,
 draw_trials, turns trials' substreams into matrices, for fuzz as for
 gen_pd and `majdet gen`: each trial makes its generator calls from its
 own substream, drawing its matrices in the id's input order (the catalog's
-layout), and writes its random parts straight into the chunk's arrays;
-the chunk's SPECTRAL matrices are then formed with one exp, one qr and one
-product per matrix size, and catalog.assemble builds the stacked Instance
-from them as it builds one Instance, so its C, D and mats are (trials, n,
-n) stacks. Each stack (the drawn trials, lemma31's of one idx length) is
-validated once and goes through the id's checker in one call per kernel, a
-parametrized id's exponent grid in one step. The injected counterexample's
+layout), and writes its random parts straight into one buffer of uniforms
+and one of Gaussian blocks per matrix size; each size's SPECTRAL matrices
+are then formed with one multiply by the roles' log caps, one exp, one qr
+run in place on the Gaussian buffer, and one product, and catalog.assemble
+builds the stacked Instance from them as it builds one Instance, so its C,
+D and mats are (trials, n, n) stacks. Each stack (the drawn trials,
+lemma31's of one idx length) is validated once and goes through the id's
+checker in one call per kernel, a parametrized id's exponent grid in one
+step. The injected counterexample's
 verdicts depend only on the id's Spec, the exponent grid and tol, so it is
 validated and checked once per process for each of them, and later
 campaigns reuse its read-only stack and Verdicts (_checked_reference); only
@@ -104,6 +106,8 @@ class GenConfig:
             raise BadConfig(f"partition must be a Partition or None, got {self.partition!r}")
         if self.n < 1:
             raise BadConfig(f"dimension must be >= 1, got {self.n}")
+        if not 0 <= self.seed <= _MASK64:  # derive_seed reads it modulo 2^64
+            raise BadConfig(f"seed must be in [0, 2**64), got {self.seed}")
         if not (math.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
             raise BadConfig(f"condition cap must be finite and >= 1, got {self.kappa_max}")
         if not (math.isfinite(self.entry_scale) and self.entry_scale > 0.0):
@@ -214,30 +218,37 @@ def _state_words() -> type:
 def trial_rngs(cfg: GenConfig, trials: range) -> list[np.random.Generator]:
     """Each trial's substream: Generator(PCG64(derive_seed(cfg.seed, trial)))
     bit for bit, with numpy's SeedSequence hash run once for the range
-    (_seed_states)."""
+    (_seed_states). A trial outside [0, 2^64) raises BadConfig: derive_seed
+    reads it modulo 2^64, so it would draw another trial's stream."""
+    for trial in (trials[0], trials[-1]) if trials else ():
+        if not 0 <= trial <= _MASK64:
+            raise BadConfig(f"trial must be in [0, 2**64), got {trial}")
     words, generator, pcg64 = _state_words(), np.random.Generator, np.random.PCG64
     return [generator(pcg64(words(row)))
             for row in _seed_states([derive_seed(cfg.seed, trial) for trial in trials])]
 
 
 def _form_spectral(lam: np.ndarray, g: np.ndarray, entry_scale: float) -> np.ndarray:
-    """Q diag(lam) Q^T * entry_scale, with Q the orthogonal factor of g whose
-    R has a positive diagonal. Takes the parts of one matrix, or stacks of
-    them ((..., n) spectra, (..., n, n) blocks): one qr and one product for
-    the whole stack, equal bit for bit to forming each matrix on its own."""
-    a = g.copy()  # becomes R on and above the diagonal
-    q = _qr_reduced(a, _qr_r_raw(a, signature="d->d"), signature="dd->d")
-    q = q * np.sign(a.diagonal(axis1=-2, axis2=-1))[..., None, :]
-    return symmetrize((q * lam[..., None, :]) @ q.swapaxes(-1, -2) * entry_scale)
+    """Q diag(lam) Q^T * entry_scale, with Q the orthogonal factor of g. Takes
+    the parts of one matrix, or stacks of them ((..., n) spectra, (..., n, n)
+    blocks): one qr, in place on g, and one product for the whole stack,
+    equal bit for bit to forming each matrix on its own. Q's column signs
+    are LAPACK's: a sign s_k = +-1 enters each term of Q diag(lam) Q^T as
+    s_k^2, and IEEE negation is exact, so flipping them changes no bit."""
+    q = _qr_reduced(g, _qr_r_raw(g, signature="d->d"), signature="dd->d")
+    a = (q * lam[..., None, :]) @ q.swapaxes(-1, -2)
+    return symmetrize(a if entry_scale == 1.0 else a * entry_scale)
 
 
 def gen_pd(cfg: GenConfig, trial: int) -> np.ndarray:
     """The PD matrix for (cfg, trial); bit-identical across calls.
 
     SPECTRAL: orthogonal conjugation of log-uniform eigenvalues in
-    [1, kappa_max], times entry_scale. GRAM: G G^T + 1e-3*n*I with Gaussian
-    G (times entry_scale), resampled (up to 100 times) until the condition
-    cap holds. It is draw_trials' one-matrix draw.
+    [1, kappa_max], times entry_scale. GRAM: G G^T + 1e-3*n*I with G a
+    standard Gaussian matrix times entry_scale, so G G^T scales by
+    entry_scale^2 and the ridge 1e-3*n*I does not scale; resampled (up to
+    100 times) until the condition cap holds. It is draw_trials' one-matrix
+    draw; a trial outside [0, 2^64) raises BadConfig.
     """
     mats, _ = draw_trials(cfg, range(trial, trial + 1), [(cfg.n, cfg.kappa_max, 0.0)])
     return mats[0][0]
@@ -266,21 +277,21 @@ def _roles(spec: Spec, cfg: GenConfig) -> list[_Role]:
 _Groups = list[tuple[list[int], Instance]]
 
 
-def _form_by_size(roles: list[_Role], uniforms: list[np.ndarray],
-                  gaussians: list[np.ndarray], entry_scale: float) -> list[np.ndarray]:
-    """Each role's (trials, size, size) stack of SPECTRAL matrices, with one
-    exp, one qr and one product per size: a spectrum is exp(u * log(cap)),
+def _form_by_size(roles: list[_Role], sizes: dict[int, list[int]],
+                  uniforms: dict[int, np.ndarray], gaussians: dict[int, np.ndarray],
+                  entry_scale: float) -> dict[int, np.ndarray]:
+    """Per size, its roles' (roles, trials, size, size) SPECTRAL matrices,
+    formed from that size's buffers (draw_trials) with one exp, one qr in
+    place on the Gaussians and one product: a spectrum is exp(u * log(cap)),
     all ones for a zero row u."""
-    mats: list = [None] * len(roles)
-    for size in dict.fromkeys(size for size, *_ in roles):
-        js = [j for j, (s, *_) in enumerate(roles) if s == size]
-        lam = np.exp(np.stack([uniforms[j] * np.log(roles[j][1]) for j in js]))
-        formed = _form_spectral(lam.reshape(-1, size),
-                                np.stack([gaussians[j] for j in js]).reshape(-1, size, size),
-                                entry_scale)
-        for j, stack in zip(js, formed.reshape(len(js), -1, size, size)):
-            mats[j] = stack
-    return mats
+    formed = {}
+    for size, js in sizes.items():
+        log_caps = np.array([np.log(roles[j][1]) for j in js])
+        lam = np.exp(uniforms[size] * log_caps[:, None, None])
+        g = gaussians[size]
+        formed[size] = _form_spectral(lam.reshape(-1, size), g.reshape(-1, size, size),
+                                      entry_scale).reshape(g.shape)
+    return formed
 
 
 def _gram_rounds(rngs: list[np.random.Generator], size: int, kappa: float,
@@ -310,50 +321,59 @@ def draw_trials(cfg: GenConfig, trials: range, roles: list[_Role],
     size) stack of its random PD matrices, and with idx each trial's random
     principal index set (lemma31). This is the one routine that turns a
     trial's substream into matrices; the range's substreams are seeded in
-    one pass (trial_rngs).
+    one pass (trial_rngs, which raises BadConfig for a trial outside
+    [0, 2^64)).
 
     Each trial makes its generator calls in role order: a SPECTRAL matrix's
     log-uniform spectrum in [1, cap] (none when the cap is 1) and the
-    Gaussian block whose orthogonal factor conjugates it, written into
-    arrays and formed per size once every trial is drawn (_form_by_size);
-    a GRAM matrix G G^T + 1e-3*size*I, resampled up to 100 times until the
-    cap holds, in rounds over the range (_gram_rounds); then a biased
-    role's scale 10^u, u uniform in [-bias, bias]. The index set comes
-    last. A round that raises follows errors.first_error, with the trials
-    of the range as its members, in order.
+    Gaussian block whose orthogonal factor conjugates it, written into one
+    buffer of each kind per matrix size and formed per size once every
+    trial is drawn (_form_by_size); a GRAM matrix G G^T + 1e-3*size*I,
+    resampled up to 100 times until the cap holds, in rounds over the range
+    (_gram_rounds); then a biased role's scale 10^u, u uniform in [-bias,
+    bias]. The index set comes last. A round that raises follows
+    errors.first_error, with the trials of the range as its members, in
+    order.
     """
     count, n = len(trials), cfg.n
     spectral = cfg.style is GenStyle.SPECTRAL
-    # per role, a SPECTRAL matrix's uniforms (left zero where the cap leaves
-    # no room for a spectrum, which is then not drawn) and Gaussian block,
-    # or a GRAM matrix
-    uniforms = [np.zeros((count, size)) for size, *_ in roles]
-    blocks = [np.empty((count, size, size)) for size, *_ in roles]
+    # per distinct size, its roles in order
+    sizes = {size: [j for j, role in enumerate(roles) if role[0] == size] for size, *_ in roles}
+    # per size, its roles' SPECTRAL uniforms (left zero where the cap leaves
+    # no room for a spectrum, which is then not drawn) and Gaussian blocks,
+    # or GRAM matrices, role by role
+    uniforms = {size: np.zeros((len(js), count, size)) for size, js in sizes.items()} \
+        if spectral else {}
+    blocks = {size: np.empty((len(js), count, size, size)) for size, js in sizes.items()}
+    slot = [sizes[size].index(j) for j, (size, *_) in enumerate(roles)]
     scales = np.empty((len(roles), count))
     rngs = trial_rngs(cfg, trials)
     with np.errstate(all="ignore"):  # an overflowed draw fails validation
         for j, (size, kappa, bias) in enumerate(roles):
+            block = blocks[size][slot[j]]
             if spectral:
-                for t, rng in enumerate(rngs):
+                for rng, u, g in zip(rngs, uniforms[size][slot[j]], block):
                     if kappa > 1.0:
-                        rng.random(out=uniforms[j][t])
-                    rng.standard_normal(out=blocks[j][t])
+                        rng.random(out=u)
+                    rng.standard_normal(out=g)
             else:
                 # a one-trial range has no members: it would redraw itself forever
-                first_error(lambda: _gram_rounds(rngs, size, kappa, cfg.entry_scale, blocks[j]),
+                first_error(lambda: _gram_rounds(rngs, size, kappa, cfg.entry_scale, block),
                             lambda trial: draw_trials(cfg, range(trial, trial + 1), roles, idx),
                             lambda: trials if count > 1 else ())
             if bias:
-                # hunt in the regime of strongly unequal block scales
+                # hunt in the regime of strongly unequal block scales; this is
+                # rng.uniform(-bias, bias) bit for bit, without its overhead
                 for t, rng in enumerate(rngs):
-                    scales[j, t] = 10.0 ** rng.uniform(-bias, bias)
+                    scales[j, t] = 10.0 ** (-bias + 2.0 * bias * rng.random())
         idxs = []
         for rng in rngs if idx else ():
             size = int(rng.integers(1, n + 1))
             idxs.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-        mats = _form_by_size(roles, uniforms, blocks, cfg.entry_scale) if spectral else blocks
-        return [m * scale[:, None, None] if bias else m
-                for m, scale, (*_, bias) in zip(mats, scales, roles)], idxs
+        if spectral:
+            blocks = _form_by_size(roles, sizes, uniforms, blocks, cfg.entry_scale)
+        return [blocks[size][k] * scale[:, None, None] if bias else blocks[size][k]
+                for (size, _, bias), k, scale in zip(roles, slot, scales)], idxs
 
 
 def _injects(spec: Spec, trials: range) -> bool:
@@ -404,7 +424,8 @@ def build_instances(inequality: str, cfg: GenConfig, trials: range,
     id is its injected counterexample): fuzz's draw routine, unstacked.
     Every draw is a pure function of (cfg, trial), the same bits however the
     trials are chunked. A p is checked before any draw, as fuzz checks it
-    (exponent_spec)."""
+    (exponent_spec), and so is each trial index: one outside [0, 2^64)
+    raises BadConfig (trial_rngs)."""
     spec = exponent_spec(inequality, () if p is None else (p,))
     first = int(_injects(spec, trials))
     out: list = [None] * len(trials)
@@ -545,7 +566,10 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
     """Run seeded trials of one inequality and fold the records into a report.
 
     The report content is a pure function of (inequality, cfg, trials, p,
-    tol) apart from the wall_time field. A verdict and an instance are
+    tol) on one BLAS build, apart from the wall_time field: the SPECTRAL
+    draw's qr and product, like the checks' kernels, run on the kernel that
+    OpenBLAS picks for the CPU, and another kernel changes their last
+    bits. A verdict and an instance are
     built only for a record the report keeps: a violation, or every trial
     with keep_instances. The campaign's arguments are checked before any
     draw: a p as exponent_spec checks it, a trial count that is not an

@@ -4,6 +4,15 @@ import pytest
 import majdet.fuzzing as fuzzing_mod
 
 
+def pytest_report_header(config):
+    """Where the golden digests were taken, next to this run's BLAS build
+    and CPU level: under another BLAS kernel they differ in their last
+    bits."""
+    from test_golden import provenance
+
+    return provenance()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)

@@ -756,6 +756,13 @@ class TestOverflow:
 
 
 class TestFuzzCommand:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exit_one(self, capsys, seed):
+        code, out, err = run_cli(capsys, "fuzz", "main-thm", "--n", "2", "--trials", "2",
+                                 "--seed", seed)
+        assert (code, out) == (1, "")
+        assert err == f"majdet: error: seed must be in [0, 2**64), got {seed}\n"
+
     def test_theorem_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "fuzz", "main-thm", "--n", "4", "--part", "2,2",
@@ -868,6 +875,16 @@ class TestGenCommand:
         assert code == 1
         assert out == ""
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exit_one(self, capsys, tmp_path, seed):
+        # derive_seed reads a seed modulo 2^64: -1 would draw as 2^64 - 1
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "gen", "--n", "2", "--seed", seed,
+                                 "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"majdet: error: seed must be in [0, 2**64), got {seed}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_partition_writes_blocks(self, capsys, tmp_path):
         out_path = tmp_path / "d.json"

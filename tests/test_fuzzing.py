@@ -159,6 +159,42 @@ class TestGeneration:
         with pytest.raises(BadConfig, match="^tolerance must be a finite number >= 0"):
             fuzz("ky-fan", GenConfig(n=2, seed=1), 3, tol=tol)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -2**64])
+    def test_config_rejects_a_seed_outside_64_bits(self, seed):
+        # derive_seed reads a seed modulo 2^64: -1 would draw as 2^64 - 1
+        with pytest.raises(BadConfig, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            GenConfig(n=2, seed=seed)
+
+    def test_config_takes_both_ends_of_the_seed_range(self):
+        for seed in (0, 2**64 - 1):
+            assert GenConfig(n=2, seed=seed).seed == seed
+
+    @pytest.mark.parametrize("draw, bad", [
+        (lambda cfg: gen_pd(cfg, 2**64), 2**64),
+        (lambda cfg: gen_pd(cfg, -1), -1),
+        (lambda cfg: build_instance("main-thm", cfg, 2**64), 2**64),
+        (lambda cfg: build_instance("inv-square-sum", cfg, -1), -1),
+        # a range from -1 drew trial 0 at random instead of the reference
+        (lambda cfg: fuzzing_mod.build_instances("inv-square-sum", cfg, range(-1, 2)), -1),
+        (lambda cfg: fuzzing_mod.build_instances("main-thm", cfg, range(2**64 - 2, 2**64 + 1)),
+         2**64),
+    ])
+    def test_trial_outside_64_bits_raises_before_seeding(self, monkeypatch, draw, bad):
+        # derive_seed reads a trial modulo 2^64: gen_pd(cfg, 2**64) drew
+        # trial 0's matrix, and gen_pd(cfg, -1) trial 2^64 - 1's
+        def no_seeding(*args, **kwargs):
+            raise AssertionError("seeded a trial")
+
+        monkeypatch.setattr(fuzzing_mod, "derive_seed", no_seeding)
+        cfg = GenConfig(n=4, partition=Partition((2, 2)), seed=3)
+        with pytest.raises(BadConfig, match=rf"^trial must be in \[0, 2\*\*64\), got {bad}$"):
+            draw(cfg)
+
+    def test_last_trial_in_range_draws(self):
+        cfg = GenConfig(n=3, seed=2**64 - 1)
+        want = draw_pd_per_matrix(trial_rng(cfg, 2**64 - 1), 3)
+        assert gen_pd(cfg, 2**64 - 1).tobytes() == want.tobytes()
+
     def test_derive_seed_pure(self):
         assert derive_seed(42, 7) == derive_seed(42, 7)
         assert derive_seed(42, 7) != derive_seed(42, 8)
@@ -630,7 +666,9 @@ class TestTrialRngs:
     @pytest.mark.parametrize("count", [1, 9, 10, 64, 65, 200])
     @pytest.mark.parametrize("start", [0, 7, 2**40])
     def test_equal_numpy_seeding(self, seed, count, start):
-        cfg = GenConfig(n=2, seed=seed)
+        # GenConfig takes a seed in [0, 2**64): -1 stands for 2**64 - 1, the
+        # seed that derive_seed's mask made of it
+        cfg = GenConfig(n=2, seed=seed % 2**64)
         trials = range(start, start + count)
         got = trial_rngs(cfg, trials)
         assert len(got) == count
@@ -641,6 +679,11 @@ class TestTrialRngs:
 
     def test_empty_range(self):
         assert trial_rngs(GenConfig(n=2), range(0)) == []
+
+    @pytest.mark.parametrize("trials", [range(-1, 1), range(2**64 - 1, 2**64 + 1), range(5, -2, -3)])
+    def test_trial_outside_64_bits(self, trials):
+        with pytest.raises(BadConfig, match=r"^trial must be in \[0, 2\*\*64\)"):
+            trial_rngs(GenConfig(n=2), trials)
 
     @staticmethod
     def assert_states_equal_numpy(seeds: list[int]) -> None:
@@ -707,6 +750,55 @@ class TestStackedDraws:
                     if mine is not None:
                         assert matrix_bytes(mine) == matrix_bytes(theirs), (cfg.seed, trial, field)
                 assert (inst.partition, inst.idx, inst.p) == (want.partition, want.idx, want.p)
+
+
+def form_with_sign_pass(lam: np.ndarray, g: np.ndarray, entry_scale: float) -> np.ndarray:
+    """The SPECTRAL formation with a column-sign pass: Q from the QR of a
+    copy of g, each column times the sign of R's diagonal entry (so that R's
+    diagonal is positive), then symmetrize(Q diag(lam) Q^T * entry_scale)."""
+    q, r = np.linalg.qr(g.copy())
+    q = q * np.sign(r.diagonal(axis1=-2, axis2=-1))[..., None, :]
+    a = (q * lam[..., None, :]) @ q.swapaxes(-1, -2) * entry_scale
+    return (a + a.swapaxes(-1, -2)) / 2.0
+
+
+class TestFormSpectral:
+    """_form_spectral runs its QR in place and skips the column-sign pass: a
+    sign s_k = +-1 enters each term of Q diag(lam) Q^T as s_k^2, and IEEE
+    negation is exact and rounding symmetric in sign, so the pass changes
+    no bit. The golden digests rest on this too; here it is pinned by
+    name."""
+
+    @pytest.mark.parametrize("entry_scale", [1.0, 3.0, 1e-110])
+    @pytest.mark.parametrize("spectrum", ["log-uniform", "ones"])
+    @pytest.mark.parametrize("count", [1, 20])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equal_with_sign_pass(self, n, count, spectrum, entry_scale):
+        rng = np.random.default_rng(100 * n + count)
+        lam = np.ones((count, n)) if spectrum == "ones" else \
+            np.exp(rng.random((count, n)) * np.log(1e6))
+        g = rng.standard_normal((count, n, n))
+        want = form_with_sign_pass(lam, g, entry_scale)
+        signs = np.sign(np.linalg.qr(g)[1].diagonal(axis1=-2, axis2=-1))
+        got = fuzzing_mod._form_spectral(lam, g.copy(), entry_scale)
+        assert got.tobytes() == want.tobytes()
+        if count == 20:
+            assert (signs < 0).any()  # the pass would flip some column
+
+
+class TestBiasedScale:
+    """draw_trials draws a biased role's scale exponent as
+    -bias + 2.0 * bias * rng.random(), which is numpy's rng.uniform(-bias,
+    bias) bit for bit (uniform(lo, hi) is lo + (hi - lo) * next_double).
+    The golden digests of every biased id rest on this identity, so a numpy
+    whose uniform draws otherwise fails here by name."""
+
+    @pytest.mark.parametrize("bias", sorted({spec.caps[2] for spec in SPECS.values()} - {0.0}))
+    def test_equal_numpy_uniform(self, bias):
+        ours, numpys = np.random.default_rng(31), np.random.default_rng(31)
+        got = [(-bias + 2.0 * bias * ours.random()).hex() for _ in range(10_000)]
+        want = [numpys.uniform(-bias, bias).hex() for _ in range(10_000)]
+        assert got == want
 
 
 def gram_attempts(rng, size: int, kappa: float, entry_scale: float) -> int | None:

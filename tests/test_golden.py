@@ -19,16 +19,27 @@ arrays:
 
 A change that means to alter these bytes regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
+
+The digests are bits of one BLAS kernel. numpy's OpenBLAS is built with
+DYNAMIC_ARCH and picks its kernels by CPU, and the SPECTRAL draw forms
+Q diag(lam) Q^T through its QR and matrix product; so do several checks.
+Under another kernel, drawn matrices and margins differ in their last
+bits, and most digests with them, with no verdict changed. TAKEN_ON names
+the BLAS build and the CPU level the digests were taken on, and a
+mismatch names them next to this run's (provenance), so that a kernel
+change does not read as a regression.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from majdet import cli
@@ -59,6 +70,40 @@ CHECK_CONFIGS = (
     GenConfig(n=4, partition=Partition((2, 2)), seed=3),
     GenConfig(n=5, partition=Partition((2, 3)), kappa_max=1e10, seed=4),
 )
+
+
+# The BLAS build (np.show_config) and the CPU's highest x86-64 level
+# (numpy's CPU feature table) that every digest below was taken on.
+TAKEN_ON = ("scipy-openblas 0.3.31.188.0", "X86_V4 (AVX512_SKX)")
+
+
+def blas_build() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def cpu_level() -> str:
+    """The highest x86-64 level that numpy's CPU feature table finds on this
+    CPU, with the AVX-512 group that X86_V4 stands for."""
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    level = next((name for name in ("X86_V4", "X86_V3", "X86_V2") if features.get(name)),
+                 "no x86-64 level")
+    return f"{level} (AVX512_SKX)" if features.get("AVX512_SKX") else level
+
+
+def provenance() -> str:
+    """Where the digests were taken, and this run's BLAS build, CPU level
+    and OPENBLAS_CORETYPE (when set), on one line."""
+    here = f"{blas_build()}, {cpu_level()}"
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    if coretype is not None:
+        here += f", OPENBLAS_CORETYPE={coretype}"
+    return f"golden digests taken on {TAKEN_ON[0]}, {TAKEN_ON[1]}; this run: {here}"
+
+
+def assert_digest(got: str, want: str) -> None:
+    assert got == want, f"digest {got} != {want} ({provenance()})"
 
 
 def _sha(payload) -> str:
@@ -338,29 +383,38 @@ GOLDEN_GEN_PD = {
 @pytest.mark.parametrize("config", sorted(FUZZ_CONFIGS))
 @pytest.mark.parametrize("inequality", sorted(SPECS))
 def test_fuzz_report_bytes(inequality, config):
-    assert fuzz_digest(inequality, config) == GOLDEN_FUZZ[f"{inequality}/{config}"]
+    assert_digest(fuzz_digest(inequality, config), GOLDEN_FUZZ[f"{inequality}/{config}"])
 
 
 @pytest.mark.parametrize("inequality", sorted(SPECS))
 def test_check_bytes(inequality):
-    assert check_digest(inequality) == GOLDEN_CHECK[inequality]
+    assert_digest(check_digest(inequality), GOLDEN_CHECK[inequality])
 
 
 def test_verify_paper_bytes(capsys):
-    assert verify_paper_digest(capsys) == GOLDEN_VERIFY_PAPER
+    assert_digest(verify_paper_digest(capsys), GOLDEN_VERIFY_PAPER)
 
 
 @pytest.mark.parametrize("kappa", GEN_KAPPAS)
 @pytest.mark.parametrize("layout", sorted(GEN_LAYOUTS))
 @pytest.mark.parametrize("style", [s.value for s in GenStyle])
 def test_gen_bytes(style, layout, kappa):
-    assert gen_digest(style, layout, kappa) == GOLDEN_GEN[f"{style}/{layout}/{kappa}"]
+    assert_digest(gen_digest(style, layout, kappa), GOLDEN_GEN[f"{style}/{layout}/{kappa}"])
 
 
 @pytest.mark.parametrize("kappa", GEN_KAPPAS)
 @pytest.mark.parametrize("style", [s.value for s in GenStyle])
 def test_gen_pd_bytes(style, kappa):
-    assert gen_pd_digest(style, kappa) == GOLDEN_GEN_PD[f"{style}/{kappa}"]
+    assert_digest(gen_pd_digest(style, kappa), GOLDEN_GEN_PD[f"{style}/{kappa}"])
+
+
+def test_provenance_names_build_cpu_and_coretype(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    line = provenance()
+    assert line.startswith(f"golden digests taken on {TAKEN_ON[0]}, {TAKEN_ON[1]}; this run: ")
+    assert line.endswith(f"this run: {blas_build()}, {cpu_level()}")
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert provenance() == f"{line}, OPENBLAS_CORETYPE=Haswell"
 
 
 if __name__ == "__main__":
