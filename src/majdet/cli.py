@@ -110,16 +110,21 @@ def _load_check_inputs(args, spec: Spec) -> tuple[Instance, tuple]:
 
 def _exact_certification(spec: Spec, part: Partition, exacts: tuple) -> dict | None:
     """Exact rational recomputation of both sides when every input file of
-    a C+D id carries an exact part (an exact.Scaled): D joined from its
-    files with exact.direct_sum, on integers. A block-D id's exact D must be
-    zero off the diagonal blocks, where a float entry can round to 0.0
-    (BadMatrixFile)."""
+    a C+D id carries an exact part (an exact.Scaled): D as read from its one
+    file, or joined from its block files with exact.direct_sum, on
+    integers. Block files are block diagonal by construction (assemble has
+    checked their sizes); a block-D id's D read whole must be zero off the
+    diagonal blocks, where a float entry can round to 0.0 (BadMatrixFile)."""
     c_exact, *d_parts = exacts
     if spec.shape not in (Shape.BLOCK_D, Shape.GENERAL_D) or None in d_parts:
         return None
-    d_exact = exact.direct_sum(d_parts)
-    if spec.shape is Shape.BLOCK_D and not exact.block_diagonal(d_exact.ints, part.offsets()):
-        raise BadMatrixFile(f"exact D is not block diagonal for partition {part.sizes}")
+    if len(d_parts) > 1:
+        d_exact = exact.direct_sum(d_parts)
+    else:
+        d_exact, = d_parts
+        if spec.shape is Shape.BLOCK_D and not exact.block_diagonal(d_exact.ints,
+                                                                    part.offsets()):
+            raise BadMatrixFile(f"exact D is not block diagonal for partition {part.sizes}")
     if spec.certify is None or c_exact is None:
         return None
     lhs, rhs = spec.certify(c_exact, d_exact, part)

@@ -79,16 +79,20 @@ def block_diagonal(a: IntMatrix, offsets) -> bool:
     return not any(x for lo, hi in offsets for row in a[lo:hi] for x in row[:lo] + row[hi:])
 
 
-def from_pairs(pairs) -> Scaled:
-    """The Scaled form of a matrix of (numerator, denominator) int pairs,
+def from_pairs(nums: list[int], dens: list[int], n: int) -> Scaled:
+    """The Scaled form of the n x n matrix of nums[k]/dens[k], in row order:
     each denominator nonzero, of either sign, and not necessarily in lowest
-    terms with its numerator."""
-    scale = math.lcm(*(den for row in pairs for _, den in row))
-    ints = [[num * (scale // den) for num, den in row] for row in pairs]
-    g = math.gcd(scale, *(x for row in ints for x in row))
+    terms with its numerator. The lcm and the rescaling take each distinct
+    denominator once."""
+    factor = dict.fromkeys(dens)
+    scale = math.lcm(*factor)
+    for den in factor:
+        factor[den] = scale // den
+    flat = list(map(operator.mul, nums, map(factor.__getitem__, dens)))
+    g = math.gcd(scale, *flat)
     if g > 1:
-        ints, scale = [[x // g for x in row] for row in ints], scale // g
-    return Scaled(ints, scale)
+        flat, scale = [x // g for x in flat], scale // g
+    return Scaled([flat[lo:lo + n] for lo in range(0, n * n, n)], scale)
 
 
 def clear_denominators(m) -> Scaled:

@@ -14,13 +14,19 @@ integers and majdet.catalog never inverts, so equal Fractions check both.
 The draw oracles form each random matrix on its own, one qr and one product
 per matrix, and draw one trial at a time from numpy's own seeding
 (trial_rng); majdet.fuzzing seeds a range in one pass and forms the
-matrices per stack, so equal bytes check both.
+matrices per stack, so equal bytes check both. The matrix file oracle
+(read_matrix_per_entry) reads a file entry by entry, testing and
+converting each entry and each exact part on its own; majdet.matio reads
+it in whole-matrix passes, so equal arrays, equal Scaled forms and equal
+errors check both.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -28,8 +34,9 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 from majdet.catalog import Instance, Shape, spec_of
-from majdet.errors import DimensionMismatch, ResampleExhausted, SingularMatrix
-from majdet.exact import RationalMatrix, mat_mul
+from majdet.errors import (BadEntry, BadMatrixFile, DimensionMismatch, MajdetError, NonFinite,
+                           ResampleExhausted, SingularMatrix)
+from majdet.exact import RationalMatrix, Scaled, mat_mul
 from majdet.fuzzing import GenStyle, derive_seed
 from majdet.linalg import eigvals_sym
 
@@ -73,6 +80,95 @@ def stack_instances(insts) -> Instance:
     idx = None if insts[0].idx is None else tuple(inst.idx for inst in insts)
     return replace(insts[0], idx=idx, **{f: stacked([getattr(inst, f) for inst in insts])
                                          for f in ("c", "d", "mats")})
+
+
+def number_array_per_entry(rows) -> np.ndarray:
+    """matio.number_array one entry at a time: each entry's type tested,
+    then the whole converted, then tested finite."""
+    entries = np.array(rows, dtype=object)  # a ragged row stays a list, a bad entry
+    for x in entries.flat:
+        if type(x) not in (int, float):
+            kind = "boolean" if isinstance(x, bool) else "non-numeric"
+            raise BadEntry(f"{kind} entry {x!r}")
+    try:
+        arr = entries.astype(float)
+    except OverflowError as err:
+        raise NonFinite(f"entry out of float range ({err})") from err
+    if not np.isfinite(arr).all():
+        raise NonFinite("non-finite entry (NaN or infinity)")
+    return arr
+
+
+def _is_integer(part) -> bool:
+    """A JSON integer (not a bool), or a string of an optional sign and ASCII
+    digits."""
+    if type(part) is int:
+        return True
+    return type(part) is str and part.isascii() and (
+        part.isdigit() or part[:1] in "+-" and part[1:].isdigit())
+
+
+def read_matrix_per_entry(path) -> tuple[np.ndarray, Scaled | None]:
+    """matio.read_matrix one entry at a time: the pairs tested and converted
+    in row order, the first bad one raising, then the float cross-check, the
+    least common denominator and the symmetry test entry by entry."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise BadMatrixFile(f"{path}: {err}") from err
+    if not isinstance(payload, dict) or "n" not in payload or "rows" not in payload:
+        raise BadMatrixFile(f"{path}: expected an object with 'n' and 'rows'")
+    n = payload["n"]
+    rows = payload["rows"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise BadMatrixFile(f"{path}: 'n' must be a positive integer")
+    if (not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(r, list) or len(r) != n for r in rows)):
+        raise BadMatrixFile(f"{path}: 'rows' must be a {n}x{n} array")
+    try:
+        arr = number_array_per_entry(rows)
+    except MajdetError as err:
+        raise BadMatrixFile(f"{path}: {err}") from err
+    if "exact" not in payload:
+        return arr, None
+    raw = payload["exact"]
+    if (not isinstance(raw, list) or len(raw) != n
+            or any(not isinstance(r, list) or len(r) != n for r in raw)):
+        raise BadMatrixFile(f"{path}: 'exact' must be a {n}x{n} array of pairs")
+    pairs = []
+    for i, row in enumerate(raw):
+        parsed = []
+        for j, pair in enumerate(row):
+            if (type(pair) is not list or len(pair) != 2
+                    or not (_is_integer(pair[0]) and _is_integer(pair[1]))):
+                raise BadMatrixFile(f"{path}: exact entry ({i}, {j}) {pair!r} is not a pair "
+                                    "of integer strings or integers")
+            try:
+                num, den = int(pair[0]), int(pair[1])
+            except ValueError as err:  # more digits than int() converts
+                raise BadMatrixFile(f"{path}: exact entry ({i}, {j}): {err}") from err
+            if not den:
+                raise BadMatrixFile(f"{path}: exact entry ({i}, {j}) has a zero denominator")
+            parsed.append((num, den))
+        pairs.append(parsed)
+    try:
+        approx = np.array([[num / den for num, den in row] for row in pairs])
+    except OverflowError as err:
+        raise BadMatrixFile(f"{path}: exact entry out of float range ({err})") from err
+    if np.max(np.abs(approx - arr)) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
+        raise BadMatrixFile(f"{path}: 'exact' disagrees with 'rows'")
+    scale = math.lcm(*(den for row in pairs for _, den in row))
+    ints = [[num * (scale // den) for num, den in row] for row in pairs]
+    g = math.gcd(scale, *(x for row in ints for x in row))
+    if g > 1:
+        ints, scale = [[x // g for x in row] for row in ints], scale // g
+    for i in range(n):
+        for j in range(i + 1, n):
+            if ints[i][j] != ints[j][i]:
+                upper, lower = (Fraction(x, scale) for x in (ints[i][j], ints[j][i]))
+                raise BadMatrixFile(f"{path}: 'exact' is not symmetric: entry ({i}, {j}) "
+                                    f"is {upper} but entry ({j}, {i}) is {lower}")
+    return arr, Scaled(ints, scale)
 
 
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:

@@ -295,7 +295,8 @@ class TestCheck:
         paths = write_ref_files(tmp_path)
         rows = refdata.WLOG_C.tolist()
         rows[0][1] = rows[1][0] = float("nan")
-        write_matrix(paths["c"], np.array(rows))
+        # json's NaN token, which write_matrix refuses to write
+        paths["c"].write_text(json.dumps({"n": len(rows), "rows": rows}))
         code, out, err = run_cli(
             capsys, "check", "matic",
             "--c", str(paths["c"]), "--d", str(paths["d1"]), str(paths["d2"]),
@@ -336,6 +337,34 @@ class TestCheck:
             outs.append(json.loads(out))
         assert outs[0] == outs[1]
         assert outs[0]["exact"]["holds"] is False
+
+    def test_exact_d_joined_once(self, capsys, tmp_path, monkeypatch):
+        # one D file is certified as read and scanned for its off-block
+        # entries; block files are joined by one direct sum and not scanned
+        calls = []
+        for name in ("direct_sum", "block_diagonal"):
+            def counted(*args, _name=name, _fn=getattr(cli.exact, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(cli.exact, name, counted)
+        c_path, d_path = tmp_path / "c.json", tmp_path / "d.json"
+        write_matrix(c_path, refdata.INV_SQ_C, exact=refdata.INV_SQ_C_EXACT)
+        write_matrix(d_path, refdata.INV_SQ_D, exact=refdata.INV_SQ_D_EXACT)
+        block_paths = []
+        for i, (lo, hi) in enumerate(Partition((2, 2)).offsets()):
+            path = tmp_path / f"d{i}.json"
+            write_matrix(path, refdata.INV_SQ_D[lo:hi, lo:hi],
+                         exact=[row[lo:hi] for row in refdata.INV_SQ_D_EXACT[lo:hi]])
+            block_paths.append(str(path))
+        seen = {}
+        for inequality, d_args in (("matic", [str(d_path)]), ("matic", block_paths),
+                                   ("matic-general-d", [str(d_path)])):
+            calls.clear()
+            run_cli(capsys, "check", inequality, "--c", str(c_path), "--d", *d_args,
+                    "--part", "2,2")
+            seen[inequality, len(d_args)] = list(calls)
+        assert seen == {("matic", 1): ["block_diagonal"], ("matic", 2): ["direct_sum"],
+                        ("matic-general-d", 1): []}
 
     def test_single_dense_d_file_exit_one(self, capsys, tmp_path):
         paths = write_ref_files(tmp_path)

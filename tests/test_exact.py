@@ -133,10 +133,10 @@ class TestScaled:
 
     def test_from_pairs_equals_clear_denominators(self, rng):
         m = random_rational(rng, 4)
-        pairs = [[(x.numerator * k, x.denominator * k) for x in row]
-                 for k, row in zip((1, -1, 6, -35), m)]
-        assert from_pairs(pairs) == clear_denominators(m)
-        assert from_pairs([[(2, 4), (-6, -3)], [(0, -5), (3, 9)]]) == Scaled([[3, 12], [0, 2]], 6)
+        pairs = [(x.numerator * k, x.denominator * k) for k, row in zip((1, -1, 6, -35), m)
+                 for x in row]
+        assert from_pairs(*map(list, zip(*pairs)), 4) == clear_denominators(m)
+        assert from_pairs([2, -6, 0, 3], [4, -3, -5, 9], 2) == Scaled([[3, 12], [0, 2]], 6)
 
     def test_direct_sum_rescales_to_the_lcm(self, rng):
         blocks = [random_rational(rng, k) for k in (1, 3, 2)]

@@ -15,7 +15,11 @@ arrays:
 - the files, stdout, stderr and exit code of `majdet gen` for both styles,
   one matrix and one file per block, at three condition caps, and the
   bytes of gen_pd on the same styles and caps (a GRAM draw at cap 30
-  resamples, at cap 1 it runs out of resamples past n = 1).
+  resamples, at cap 1 it runs out of resamples past n = 1);
+- the stdout, stderr and exit code of `majdet check` on exact-entry files:
+  matic, matic-general-d and inv-square-sum on seeded 4-decimal matrices
+  at n = 4, 8 and 12, the ex-2.7 and ex-2.8 violators, and one rejected
+  file per rule of a file's exact part.
 
 A change that means to alter these bytes regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
@@ -34,15 +38,17 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import os
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from majdet import cli
+from majdet import cli, refdata
 from majdet.blocks import Partition
 from majdet.catalog import SPECS, run_check
 from majdet.errors import MajdetError
@@ -149,13 +155,24 @@ GEN_LAYOUTS = {"n4": ["--n", "4"], "n8-part": ["--n", "8", "--part", "3,5"]}
 GEN_KAPPAS = ("1", "30", "1e3", "1e6")
 
 
+@contextlib.contextmanager
+def _chdir(path):
+    """Run the block in directory path (contextlib.chdir is new in 3.11)."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def gen_digest(style: str, layout: str, kappa: str) -> str:
     """`majdet gen` run in a fresh directory: its exit code, stdout, stderr
     and every file it leaves there, by name."""
     argv = ["gen", *GEN_LAYOUTS[layout], "--style", style, "--kappa-max", kappa,
             "--seed", "3", "--out", "d.json"]
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+    with tempfile.TemporaryDirectory() as tmp, _chdir(tmp), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
         files = {path.name: path.read_text() for path in sorted(Path(tmp).iterdir())}
@@ -173,6 +190,116 @@ def gen_pd_digest(style: str, kappa: str) -> str:
         for trial in range(4):
             out.append(_outcome(lambda: gen_pd(cfg, trial).tobytes().hex()))
     return _sha(out)
+
+
+def _decimal_pd(rng: np.random.Generator, n: int) -> list[list[Fraction]]:
+    """G G^T/10^4 + I for G of integers in [-99, 99], formed on Python ints
+    (no BLAS): symmetric positive definite, with 4-decimal entries."""
+    g = rng.integers(-99, 100, size=(n, n)).tolist()
+    return [[Fraction(sum(map(operator.mul, gi, gj)) + 10**4 * (i == j), 10**4)
+             for j, gj in enumerate(g)] for i, gi in enumerate(g)]
+
+
+def _exact_pairs(entries) -> list:
+    return [[[str(x.numerator), str(x.denominator)] for x in row] for row in entries]
+
+
+def _matrix_file(entries, **changes) -> dict:
+    """A matrix file's JSON: n, rows and exact from Fraction entries, then
+    changes."""
+    return {"n": len(entries), "rows": [[float(x) for x in row] for row in entries],
+            "exact": _exact_pairs(entries), **changes}
+
+
+EXACT_PARTS = {4: (2, 2), 8: (3, 5), 12: (5, 7)}
+_GOOD_C = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
+# The rejected files, each a 2x2 C of a matic check that breaks one rule of
+# a file's exact part (README, matrix file format); D is two good 1x1 files.
+_BAD_EXACT = {
+    "not-a-list": [["2", "1"], "11"],
+    "three-parts": [["2", "1"], ["1", "1", "1"]],
+    "float-part": [["2", "1"], [1.0, 1]],
+    "bool-part": [["2", "1"], [True, 1]],
+    "null-part": [["2", "1"], [None, 1]],
+    "spaced-part": [["2", "1"], [" 1 ", "1"]],
+    "underscore-part": [["2", "1"], ["1_0", "10"]],
+    "non-ascii-digit": [["2", "1"], ["\u0661", "1"]],
+    "superscript-digit": [["2", "1"], ["\u00b2", "2"]],
+    "two-signs": [["2", "1"], ["1", "+-1"]],
+    "zero-denominator": [["2", "1"], ["1", "0"]],
+}
+
+
+def exact_check_cases() -> dict:
+    """name -> (files by name, as JSON, and the argv of `majdet check`)."""
+    cases = {}
+    rng = np.random.default_rng(20261021)
+    for ineq in ("matic", "inv-square-sum", "matic-general-d"):
+        for n, sizes in EXACT_PARTS.items():
+            c = _decimal_pd(rng, n)
+            ds = [_decimal_pd(rng, n)] if ineq == "matic-general-d" else [
+                _decimal_pd(rng, s) for s in sizes]
+            files = {"c.json": _matrix_file(c)}
+            files.update({f"d{i}.json": _matrix_file(d) for i, d in enumerate(ds)})
+            cases[f"{ineq}/n{n}"] = (files, ["check", ineq, "--c", "c.json", "--d",
+                                             *sorted(files)[1:], "--part",
+                                             ",".join(map(str, sizes))])
+    # one whole block-diagonal D file for a block-D id
+    whole = [[Fraction(0)] * 8 for _ in range(8)]
+    for lo, hi in ((0, 3), (3, 8)):
+        block = _decimal_pd(rng, hi - lo)
+        for i in range(lo, hi):
+            whole[i][lo:hi] = block[i - lo]
+    cases["matic/n8-one-d"] = (
+        {"c.json": _matrix_file(_decimal_pd(rng, 8)), "d.json": _matrix_file(whole)},
+        ["check", "matic", "--c", "c.json", "--d", "d.json", "--part", "3,5"])
+    gen_c, gen_d = ([[Fraction(int(x)) for x in row] for row in m]
+                    for m in (refdata.MATIC_GEN_C, refdata.MATIC_GEN_D))
+    cases["ex-2.7"] = ({"c.json": _matrix_file(gen_c), "d.json": _matrix_file(gen_d)},
+                       ["check", "matic-general-d", "--c", "c.json", "--d", "d.json",
+                        "--part", "1,1"])
+    sq_c, sq_d = refdata.INV_SQ_C_EXACT, refdata.INV_SQ_D_EXACT
+    cases["ex-2.8"] = (
+        {"c.json": _matrix_file(sq_c), "d0.json": _matrix_file([r[:2] for r in sq_d[:2]]),
+         "d1.json": _matrix_file([r[2:] for r in sq_d[2:]])},
+        ["check", "inv-square-sum", "--c", "c.json", "--d", "d0.json", "d1.json",
+         "--part", "2,2"])
+    cases["ex-2.8-one-d"] = (
+        {"c.json": _matrix_file(sq_c), "d.json": _matrix_file(sq_d)},
+        ["check", "inv-square-sum", "--c", "c.json", "--d", "d.json", "--part", "2,2"])
+
+    one = [[Fraction(1)]]
+    good = {"d0.json": _matrix_file(one), "d1.json": _matrix_file(one)}
+    matic = ["check", "matic", "--c", "c.json", "--d", "d0.json", "d1.json", "--part", "1,1"]
+    pairs = _exact_pairs(_GOOD_C)
+    bad = {f"rejected/{name}": {"exact": [pairs[0], row]} for name, row in _BAD_EXACT.items()}
+    bad["rejected/not-square"] = {"exact": [pairs[0], pairs[1][:1]]}
+    bad["rejected/disagrees"] = {"exact": [pairs[0], [["1", "1"], ["21", "10"]]]}
+    bad["rejected/beyond-float-range"] = {
+        "exact": [pairs[0], [["1", "1"], ["2" + "0" * 400, "1"]]]}
+    bad["rejected/asymmetric"] = {
+        "exact": [[["2", "1"], ["1", "1"]], [["10000000000000001", "10000000000000000"],
+                                             ["2", "1"]]]}
+    for name, changes in bad.items():
+        cases[name] = ({"c.json": _matrix_file(_GOOD_C, **changes), **good}, matic)
+    off = [[Fraction(2), Fraction(1, 10**400)], [Fraction(1, 10**400), Fraction(2)]]
+    cases["rejected/not-block-diagonal"] = (
+        {"c.json": _matrix_file(_GOOD_C), "d.json": _matrix_file(off)},
+        ["check", "matic", "--c", "c.json", "--d", "d.json", "--part", "1,1"])
+    return cases
+
+
+def exact_check_digest(name: str) -> str:
+    """`majdet check` on one case's files, written in a fresh directory: its
+    exit code, stdout and stderr."""
+    files, argv = exact_check_cases()[name]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, _chdir(tmp), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        for file, payload in files.items():
+            Path(file).write_text(json.dumps(payload) + "\n")
+        code = cli.main(argv)
+    return _sha({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
 
 
 def verify_paper_digest(capsys) -> str:
@@ -379,6 +506,38 @@ GOLDEN_GEN_PD = {
     "gram/1e6": "7c7850cc51872b5a73ac17c55154f5b7c021d0e84689f60898c02d7ac3a66f56",
 }
 
+GOLDEN_EXACT_CHECK = {
+    "ex-2.7": "6636e62a39b82735445f44a74e90f2ea9ced20c58b0a55f2232549b4f909f406",
+    "ex-2.8": "a8f13326aab584d97819af277d0cb767c32eb2c1ab62b464515781f04f85fecc",
+    "ex-2.8-one-d": "a8f13326aab584d97819af277d0cb767c32eb2c1ab62b464515781f04f85fecc",
+    "inv-square-sum/n12": "0939b25716ccefd1bb578ac31780321dcb7be42400f59ac14fc10489cdb2b849",
+    "inv-square-sum/n4": "78ed142748ecb29c6114c82b1b16f0febb8f90e0d9382736a6d79c72e0761c17",
+    "inv-square-sum/n8": "0d9203813fcd7ab79d5bef0d7738529fea64f80ebb6ca0e514ef3e4a11e9e5f7",
+    "matic-general-d/n12": "6565f2321ee10e149783d876d3098a746d6c3526f13f01e9671716187b3a75f6",
+    "matic-general-d/n4": "095e92cdb4418fc91b1948a9572148eb712d4df6cf41cc1c6b08a240f210e3be",
+    "matic-general-d/n8": "6477bc76a8bbf74872c04504644d7c135519ca9fc80698c0fd3a2b291b19788f",
+    "matic/n12": "9170505b48242f4289556979b15b02d2f769445b968c287eab24ff33c5f409e9",
+    "matic/n4": "3345e379c93d1787c77b00f699c1a66c60e9c04323cf4a108260e0f2e1b4ebc9",
+    "matic/n8": "6829770efe9c4ee0d9321cec56efa8a301f9674fd000c2b46f29d4e49b29a5f5",
+    "matic/n8-one-d": "f50c0dad2e272311b436eaff04e769dca123066974a34d88a3f6636bc87fbe83",
+    "rejected/asymmetric": "cad0aee74c7abda46ad30d8ddb84e51bde96bef59f49d231c8f3da2b63ad8066",
+    "rejected/beyond-float-range": "d3c9bcf5d32e0d19e6f9c2a326609be69eee14772235c7750d4d75351aac6c14",
+    "rejected/bool-part": "c85edab1f6c0c15d24356b7e726583473530a6c970ed89304fd4b4e5cb4c958a",
+    "rejected/disagrees": "e1fc01696ad20aa3558743e6720e8adf75c697dfcbbb52faba79a7a1e57c550a",
+    "rejected/float-part": "3851559f9fcf21aa788b11bdd83902ea95eb866a6c71f03a181e03727f05f486",
+    "rejected/non-ascii-digit": "244ef8038cc285ab4c32e800649c24ea9c3170c2edbaad97b28302a4b24c1dd0",
+    "rejected/not-a-list": "0d86fb954b1019bf130fe1f5491100ad2cdc6f69cb252645163b98d3032cbe81",
+    "rejected/not-block-diagonal": "87c43ae0c0f629d5dc284c9e1bd49bfe410b1ed1031bd323650de728571d0e6d",
+    "rejected/not-square": "cd970f8c090b56b030ff101e6b837b5df7b59362b46b1159e125e739a4a14229",
+    "rejected/null-part": "4a2b66707a9ec2ae7351733696ebfbeb2fa11649f94b7486fa191d73e04cc83e",
+    "rejected/spaced-part": "3417831f79d4fe6b9627dfc28210cfc5ebd8c4f192f3f3b0519f30a433c072f7",
+    "rejected/superscript-digit": "ac6fe1f43e77aa4965e400f499b76c0a4d0607be79c9fddb78746cc412e0e558",
+    "rejected/three-parts": "76aa0120f154f1e0452ba3e556c1459f3dba921acbce2ec81fe939cf7850d769",
+    "rejected/two-signs": "cdbad7c0ce7e99b8784b88bb631ed53614b46477e9b12961eb910c13cd2c82db",
+    "rejected/underscore-part": "18225342616e4a40d5d9dc8d10eeebcd2c53e937ef5463b36e5d666c6fb7a5a3",
+    "rejected/zero-denominator": "b9844e871b550e36396dc3590385699438bfefc70ac41690843e470616d76c64",
+}
+
 
 @pytest.mark.parametrize("config", sorted(FUZZ_CONFIGS))
 @pytest.mark.parametrize("inequality", sorted(SPECS))
@@ -406,6 +565,15 @@ def test_gen_bytes(style, layout, kappa):
 @pytest.mark.parametrize("style", [s.value for s in GenStyle])
 def test_gen_pd_bytes(style, kappa):
     assert_digest(gen_pd_digest(style, kappa), GOLDEN_GEN_PD[f"{style}/{kappa}"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXACT_CHECK))
+def test_exact_check_bytes(name):
+    assert_digest(exact_check_digest(name), GOLDEN_EXACT_CHECK[name])
+
+
+def test_exact_check_cases_all_pinned():
+    assert sorted(GOLDEN_EXACT_CHECK) == sorted(exact_check_cases())
 
 
 def test_provenance_names_build_cpu_and_coretype(monkeypatch):
@@ -440,4 +608,7 @@ if __name__ == "__main__":
     for style in GenStyle:
         for kappa in GEN_KAPPAS:
             print(f'    "{style.value}/{kappa}": "{gen_pd_digest(style.value, kappa)}",')
+    print("}\n\nGOLDEN_EXACT_CHECK = {")
+    for name in sorted(exact_check_cases()):
+        print(f'    "{name}": "{exact_check_digest(name)}",')
     print("}")
