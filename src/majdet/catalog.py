@@ -128,8 +128,7 @@ from .linalg import (
     _pd_inverse,
     _pencil,
     _positive_spectrum,
-    _power,
-    _rowwise,
+    _powers,
     _singular_values,
     _within_least_slack,
     as_square,
@@ -750,9 +749,8 @@ def _fischer_tail_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> V
     # Diag C's (NotPositiveDefinite names the eigenvalue)
     spectrum = _positive_spectrum(_eigvalsh(c))
     block_spectrum = _positive_spectrum(_block_spectra(c, part))
-    # (2, T, n) logs of lambda(C), whose rows are reversed views and so are
-    # taken row by row as for one matrix (_rowwise), and of lambda(Diag C)
-    logs = np.stack([_rowwise(np.log, spectrum), np.log(block_spectrum)]).reshape(2, -1, n)
+    # (2, T, n) logs of lambda(C) and of lambda(Diag C)
+    logs = np.log(np.stack([spectrum, block_spectrum])).reshape(2, -1, n)
     # (M, 2, T) log tail products, positions m..n (1-based), for each m
     tails = np.stack([np.sum(logs[..., m - 1:], axis=-1) for m in ms])
     llhs, lrhs = tails[:, 0], tails[:, 1]
@@ -843,14 +841,8 @@ def _sv_weak_log_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Ve
 # Parametrized checks. Each does the p-independent work once on a validated
 # instance or stack, then computes each side over the whole exponent grid in
 # one numpy pass, one row per exponent, one column per instance, with one
-# power x**p per exponent: numpy's fast paths for p = 0.5, 2 and -1 round
-# differently from a broadcast power, and one power per p keeps every verdict
-# the bits of a one-exponent grid.
-
-def _powers(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
-    """x**p for each p of ps, as a (P, ...) stack; an overflow is left inf."""
-    return np.stack([x**p for p in ps])
-
+# power x**p per exponent (_powers), which keeps every verdict the bits of a
+# one-exponent grid.
 
 def _sum_log1p_power(x: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     """sum log1p(x^p) over the last axis, for each p of ps: a (P, ...) array.
@@ -878,7 +870,7 @@ def _thm32_verdicts(inst: Instance, ps: Sequence[float], tol: float) -> Verdicts
     x, y = _choi_spectra(mats, inst.partition)
     # x**p need not be nonincreasing in its last bit, so the powers are
     # sorted, as one stack; check_orders rejects an overflowed power
-    xp, yp = sort_desc((_powers(x, ps), np.stack([_power(y, p) for p in ps])))
+    xp, yp = sort_desc((_powers(x, ps), _powers(y, ps)))
     return _order_verdicts(OrderKind.WEAK_MAJORIZE, xp, yp, tol, ps,
                            detail=lambda k, i: {"m": len(mats)})
 

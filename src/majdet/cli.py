@@ -205,9 +205,8 @@ def cmd_fuzz(args) -> int:
         f"{report.violations} violations, worst margin {report.worst_margin:.6g} "
         f"({report.wall_time:.2f}s)"
     ]
-    for rec in report.records[:5]:
-        if not rec.verdict.holds:
-            lines.append(f"  trial {rec.trial}: margin {rec.verdict.margin:.6g}")
+    for rec in [rec for rec in report.records if not rec.verdict.holds][:5]:
+        lines.append(f"  trial {rec.trial}: margin {rec.verdict.margin:.6g}")
     _table(lines, args.json_only)
     return 0 if report.violations == 0 else 2
 

@@ -382,14 +382,14 @@ def _injects(spec: Spec, trials: range) -> bool:
     return spec.reference is not None and trials[:1] == range(1)
 
 
-def _reference(spec: Spec, p: float | None) -> Instance:
-    """The id's injected counterexample as a one-instance stack, at exponent
-    p, with its own copies of the refdata matrices."""
+def _reference(spec: Spec) -> Instance:
+    """The id's injected counterexample as a one-instance stack, with its
+    own copies of the refdata matrices."""
     ref_part, ref_c, ref_d = spec.reference
-    return assemble(spec.shape, ref_part, (ref_c[None].copy(), ref_d[None].copy()), p=p)
+    return assemble(spec.shape, ref_part, (ref_c[None].copy(), ref_d[None].copy()))
 
 
-def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _Groups:
+def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range) -> _Groups:
     """Draw a range of trials of an id as stacks (draw_trials, with the
     id's roles), the positions of each group counted from the start of the
     range. Callers take an injected trial 0 out of the range first
@@ -402,11 +402,11 @@ def _draw_chunk(spec: Spec, cfg: GenConfig, trials: range, p: float | None) -> _
     lemma31 = spec.shape is Shape.C_IDX
     mats, idxs = draw_trials(cfg, trials, _roles(spec, cfg), idx=lemma31)
     if not lemma31:
-        return [(list(range(len(trials))), assemble(spec.shape, cfg.part(), mats, p=p))]
+        return [(list(range(len(trials))), assemble(spec.shape, cfg.part(), mats))]
     lengths = [len(idx) for idx in idxs]
     groups = ([t for t, k in enumerate(lengths) if k == size] for size in sorted(set(lengths)))
-    return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), p=p,
-                          idx=tuple(idxs[t] for t in ts))) for ts in groups]
+    return [(ts, assemble(Shape.C_IDX, None, (mats[0][ts],), idx=tuple(idxs[t] for t in ts)))
+            for ts in groups]
 
 
 def _member(stack: Instance, j: int, p: float | None) -> Instance:
@@ -430,10 +430,10 @@ def build_instances(inequality: str, cfg: GenConfig, trials: range,
     first = int(_injects(spec, trials))
     out: list = [None] * len(trials)
     if first:
-        out[0] = _member(_reference(spec, p), 0, p)
-    for positions, stack in _draw_chunk(spec, cfg, trials[first:], p):
+        out[0] = _member(_reference(spec), 0, p)
+    for positions, stack in _draw_chunk(spec, cfg, trials[first:]):
         for j, k in enumerate(positions):
-            out[first + k] = _member(stack, j, stack.p)
+            out[first + k] = _member(stack, j, p)
     return out
 
 
@@ -498,7 +498,7 @@ def _reference_memo(spec: Spec, inequality: str, key: tuple[str, str],
                     ps: tuple, tol: float) -> tuple[Instance, Verdicts]:
     """_checked_reference's memo; key holds the reprs of ps and tol, which
     keep apart equal values that report different bytes."""
-    stack = validate_instance(spec.shape, _reference(spec, ps[0]), lead=1)
+    stack = validate_instance(spec.shape, _reference(spec), lead=1)
     for a in (stack.c, stack.d):
         a.flags.writeable = False
     return stack, check_validated(inequality, stack, ps, tol)
@@ -536,7 +536,7 @@ def _run_trials(inequality: str, spec: Spec, cfg: GenConfig, trials: range,
     instance carries that p.
     """
     first = int(_injects(spec, trials))
-    groups = _draw_chunk(spec, cfg, trials[first:], ps[0])
+    groups = _draw_chunk(spec, cfg, trials[first:])
     checked = [([0], *_checked_reference(inequality, spec, ps, tol))] if first else []
     for positions, stack in groups:
         stack = validate_instance(spec.shape, stack, lead=1)

@@ -11,7 +11,10 @@ eigensolver and the SVD.
 
 Each computation is one private kernel over a matrix or a `(..., n, n)`
 stack of them, with numpy's stacked LAPACK calls, so a stack costs one call
-per kernel and its results equal the per-matrix calls bit for bit. The
+per kernel and its results equal the per-matrix calls bit for bit. Spectra
+come out C-contiguous and nonincreasing: numpy rounds a power or a log by
+its operand's layout, so one call over a stack of spectra gives each the
+bits it gets alone. The
 kernels call the LAPACK gufuncs of numpy.linalg._umath_linalg, bound once at
 import, with the signatures numpy.linalg passes them, so each result has
 numpy.linalg's bits without its wrappers' dtype handling and errstate. A
@@ -202,7 +205,7 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = _eigh_lo(symmetrize(_finite(m)), signature="d->dd")
     if _failed(w):
         raise NoConvergence("eigh: Eigenvalues did not converge")
-    return w[..., ::-1], v[..., ::-1]
+    return w[..., ::-1].copy(), v[..., ::-1]
 
 
 def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +222,7 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     w = _eigvalsh_lo(symmetrize(_finite(m)), signature="d->d")
     if _failed(w):
         raise NoConvergence("eigvalsh: Eigenvalues did not converge")
-    return w[..., ::-1]
+    return w[..., ::-1].copy()
 
 
 def eigvals_sym(a) -> np.ndarray:
@@ -293,33 +296,18 @@ def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _positive_spectrum(w), v
 
 
-def _rowwise(f, x: np.ndarray) -> np.ndarray:
-    """f(x) for an elementwise numpy function f, applied to each row of x
-    (the last axis) on its own.
-
-    numpy picks the code path of log or of most powers (_power), vectorized
-    or scalar libm, which differ in the last bit, by the operand's layout
-    and length. The eigenvalue rows of _eigvalsh and _eigh are reversed
-    views; row by row, a row of a stack is handed over exactly as the
-    vector of one matrix is, so both get the same bits.
-    """
-    rows = x.reshape(-1, x.shape[-1])
-    return np.stack([f(row) for row in rows]).reshape(x.shape)
-
-
-def _power(w: np.ndarray, p: float) -> np.ndarray:
-    """w**p with the bits of a per-row power (_rowwise): whole for p in (0,
-    0.5, 1, 2, -1), which numpy takes as ones, sqrt, a copy, square and
-    reciprocal, correctly rounded whatever the layout; else row by row."""
-    return w**p if p in (0.0, 0.5, 1.0, 2.0, -1.0) else _rowwise(lambda row: row**p, w)
+def _powers(w: np.ndarray, ps) -> np.ndarray:
+    """w**p for each p of ps, as a (P, ...) stack; an overflow is left inf.
+    One power per p: numpy's fast paths for p = 0.5, 2 and -1 round
+    differently from a broadcast power."""
+    return np.stack([w**p for p in ps])
 
 
 def eigh_powers(w: np.ndarray, v: np.ndarray, ps) -> np.ndarray:
     """a^p for each exponent of ps, from the decomposition (w, V) =
-    _pd_eigh(a) or a stack of them: a (P, ..., n, n) stack, one power
-    (_power) per exponent and one product for all the exponents."""
-    wp = np.stack([_power(w, p) for p in ps])
-    return symmetrize((v * wp[..., None, :]) @ v.swapaxes(-1, -2))
+    _pd_eigh(a) or a stack of them: a (P, ..., n, n) stack, one power per
+    exponent (_powers) and one product for all the exponents."""
+    return symmetrize((v * _powers(w, ps)[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def hyperbolic_power(a, b, p: float) -> np.ndarray:
@@ -340,9 +328,7 @@ def hyperbolic_power(a, b, p: float) -> np.ndarray:
         sq = np.sqrt(wb)
         b_half = (vb * sq) @ vb.T
         b_half_inv = (vb / sq) @ vb.T
-        w, v = eigh_sym(symmetrize(b_half @ ma @ b_half))
-        if w.size and w[-1] <= 0.0:
-            raise NotPositiveDefinite("product spectrum not strictly positive")
+        w, v = _pd_eigh(symmetrize(b_half @ ma @ b_half))
         return _finite(b_half_inv @ ((v * w**p) @ v.T) @ b_half)
 
 

@@ -48,11 +48,11 @@ _INT_NOISE = re.compile(r"[\t\n\v\f\r _]")  # the ASCII int() takes beyond a sig
 
 
 def write_matrix(path, rows: np.ndarray, exact=None) -> None:
-    """Write a matrix file that read_matrix reads back: a rows array that is
-    not square (DimensionMismatch) or has a NaN or infinite entry
-    (NonFinite) raises before the file is opened."""
+    """Write a matrix file that read_matrix reads back: empty or non-square
+    rows (DimensionMismatch), non-finite rows (NonFinite) or an exact part
+    read_matrix refuses (BadMatrixFile) raise before the file is opened."""
     arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise DimensionMismatch(f"a matrix file holds a square matrix, got shape {arr.shape}")
     payload: dict = {"n": int(arr.shape[0]), "rows": arr.tolist()}
     if exact is not None:
@@ -63,6 +63,8 @@ def write_matrix(path, rows: np.ndarray, exact=None) -> None:
         text = json.dumps(payload, indent=1, allow_nan=False)
     except ValueError as err:
         raise NonFinite("non-finite entry (NaN or infinity)") from err
+    if exact is not None:
+        _exact_part(path, payload["exact"], arr)
     Path(path).write_text(text + "\n")
 
 
@@ -178,7 +180,13 @@ def read_matrix(path) -> tuple[np.ndarray, Scaled | None]:
         raise BadMatrixFile(f"{path}: {err}") from err
     if "exact" not in payload:
         return arr, None
-    raw = payload["exact"]
+    return arr, _exact_part(path, payload["exact"], arr)
+
+
+def _exact_part(path, raw, arr: np.ndarray) -> Scaled:
+    """The exact part raw of the matrix file at path, checked against its
+    rows arr as read_matrix reads it: a Scaled, or BadMatrixFile."""
+    n = len(arr)
     if (not isinstance(raw, list) or len(raw) != n
             or any(not isinstance(r, list) or len(r) != n for r in raw)):
         raise BadMatrixFile(f"{path}: 'exact' must be a {n}x{n} array of pairs")
@@ -199,4 +207,4 @@ def read_matrix(path) -> tuple[np.ndarray, Scaled | None]:
         upper, lower = (Fraction(x, exact.scale) for x in (ints[i][j], ints[j][i]))
         raise BadMatrixFile(f"{path}: 'exact' is not symmetric: entry ({i}, {j}) "
                             f"is {upper} but entry ({j}, {i}) is {lower}")
-    return arr, exact
+    return exact

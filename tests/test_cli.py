@@ -792,6 +792,16 @@ class TestFuzzCommand:
         assert (code, out) == (1, "")
         assert err == f"majdet: error: seed must be in [0, 2**64), got {seed}\n"
 
+    def test_keep_instances_lists_the_same_violations(self, capsys):
+        argv = ["fuzz", "matic-general-d", "--n", "4", "--part", "2,2", "--trials", "40",
+                "--seed", "3"]
+        listed = []
+        for flags in ([], ["--keep-instances"]):
+            _, _, err = run_cli(capsys, *argv, *flags)
+            listed.append([line for line in err.splitlines() if line.startswith("  trial")])
+        assert len(listed[0]) == 5
+        assert listed[0] == listed[1]
+
     def test_theorem_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "fuzz", "main-thm", "--n", "4", "--part", "2,2",

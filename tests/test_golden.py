@@ -437,11 +437,11 @@ GOLDEN_FUZZ = {
     "thm32/gram": "518652a78631f5893c09ccfa377ac6ae90cd9368c3dbd207ab7a72ea6c7d21a5",
     "thm32/gram-1e3": "7ca2a6726c8dde2fe53ae2bf814bd42fabdf2a0ab92c2dcffcdd4e735e507e68",
     "thm32/gram-n8": "0f9ef5502bc4916c15ff157f71b7ee3bda6341f354ea00d25da3d205a8404053",
-    "thm32/n16": "b26ddba0a6cfb36dbc2c7d5f02873529a3a03e5f9c28596a0fe0614c34fae7db",
-    "thm32/n2": "7676fd5f68d58288f55ebef0d9cafd9026bf572c2a307feecafcf1f91760999f",
-    "thm32/n4": "1934372fd9a6b2b82f0ab93986d515bdca87caf60619dbe53f80fdcd077ebec5",
-    "thm32/n8": "d7d7bd5d598004e3fcc498318c68d6d13cbd7c7d66d39f545f3b1b2f325698c1",
-    "thm32/n8-3": "2d64e1e54a1f8d9a0faa8aee07b5461638b768df98d620fd94d99ea0f0a2a4de",
+    "thm32/n16": "5952790b3d29bdfd2a63dae8b821023e335b1a97840408e380d9970cff3a2383",
+    "thm32/n2": "87042a8099d2d87f6e4b86ffb67426630d0f096c44d663fce3e89d071a4ab410",
+    "thm32/n4": "8a08355f589120507a6a934dfdb6c3137e6b9ca447b6caa6b5773143ec18ba16",
+    "thm32/n8": "7a1e2568264f9440a6d433d7147e5c7a62f4006cc2f3fd26d87af4010e460a54",
+    "thm32/n8-3": "ed2b168b4d84e6b07901988f2adec78bc91bf48d68d1bade1c01f662cbc0b05d",
     "thm32/tiny": "5a02ad060992f19f8c3f4ed1a05ccae6f65db949e181f165d837832f0f5518ff",
     "weak-log-general-d/gram": "c6c2458e5cf360a81cd5ccbc6adde4800ed20e430dd57836c889c7dfbd230f9a",
     "weak-log-general-d/gram-1e3": "6884f0b272031264cf24b653a0dc359a6dcf5d1ecd25b8c1c958afca1c17c3e9",
@@ -469,7 +469,7 @@ GOLDEN_CHECK = {
     "neg-power": "ce454a2ef8f5e81dfd949e13d55e56199e38f1ebdb2405ee56dd1b72f4ca5233",
     "open-q": "7ce4327b888ef229073cef274966ec668ff111cda8223aae1b08a84c304df2c5",
     "sv-weak-log": "60fdf8c639ded07ce2aeb0ed977869b52ef1a193bf9a457032f9724d18f83f8f",
-    "thm32": "462c7e14a5b144c83ed1e7c5b915810cd23228fde9f1fcb539c314f3bc70d659",
+    "thm32": "ba1d7ea7d681c9f090cd8f848e3ef8fd072c50ea36c211610bfb67c02229e5e0",
     "weak-log-general-d": "7342083b1485f85192e5f4f82e083b3ead3ebd01a8a5d615b341aa856f584c31",
 }
 

@@ -3,10 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
-
 import majdet.linalg as linalg_mod
 from majdet.catalog import SPECS
 from majdet.errors import (
@@ -30,6 +26,7 @@ from majdet.linalg import (
     require_symmetric,
     symmetrize,
 )
+from majdet.orders import sort_desc
 
 from oracles import (
     count_product_eigs_above,
@@ -410,9 +407,23 @@ def kernel_cases():
         # a grid of exponents, moved behind the stack axis
         "eigh_power": lambda a: np.moveaxis(
             eigh_powers(*linalg_mod._pd_eigh(a), (1.7, 0.5, 2.0, -1.0)), 0, -3),
-        "rowwise_pow": lambda a: linalg_mod._rowwise(lambda r: r**3.0, linalg_mod._eigvalsh(a)),
+        # one elementwise call over a stack of spectra, at exponents numpy
+        # rounds by the operand's layout, and a log
+        "eigvalsh_pow3": lambda a: linalg_mod._eigvalsh(a) ** 3.0,
+        "eigvalsh_pow1.7": lambda a: linalg_mod._eigvalsh(a) ** 1.7,
+        "eigvalsh_log": lambda a: np.log(linalg_mod._eigvalsh(a)),
         "symmetrize": symmetrize,
     }
+
+
+# The kernels that return spectra, sorted nonincreasing along the last axis
+SPECTRA = {
+    "eigvalsh": linalg_mod._eigvalsh,
+    "eigh": lambda a: linalg_mod._eigh(a)[0],
+    "pencil": lambda a: linalg_mod._pencil(np.stack((a, a[..., ::-1, ::-1]))),
+    "singular_values": _singular_values,
+    "sort_desc": lambda a: sort_desc(a.diagonal(axis1=-2, axis2=-1)),
+}
 
 
 class TestStackedKernels:
@@ -433,6 +444,14 @@ class TestStackedKernels:
                 want = want if isinstance(want, tuple) else (want,)
                 for g, w in zip(got, want):
                     assert np.asarray(g[t]).tobytes() == np.asarray(w).tobytes(), (name, n, size, t)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_spectra_are_contiguous_and_nonincreasing(self, rng, name):
+        # so that one elementwise call gives a stack the bits it gives each member
+        for a in (rand_pd(rng, 5), pd_stack(rng, 4, 5)):
+            w = SPECTRA[name](a)
+            assert w.shape == a.shape[:-1] and w.flags.c_contiguous, name
+            assert np.all(np.diff(w, axis=-1) <= 0.0), name
 
     def test_pivot_floor_rejects_any_matrix_of_a_stack(self):
         stack = np.stack([np.eye(2), np.diag([1.0, 1e-14])])
@@ -551,56 +570,9 @@ class TestGufuncSeam:
             public(np.eye(3))
 
 
-EXACT_POWERS = {0.0: np.ones_like, 0.5: np.sqrt, 1.0: np.positive, 2.0: np.square,
-                -1.0: np.reciprocal}
-
-
-def reversed_rows(shape) -> st.SearchStrategy:
-    """Stacks of positive spectra, each row a reversed view as _eigvalsh
-    and _eigh return it."""
-    return arrays(float, shape, elements=st.floats(1e-300, 1e300)).map(lambda x: x[..., ::-1])
-
-
 class TestPowers:
-    """linalg._power takes w**p on the whole stack for the exponents numpy
-    computes correctly rounded, and row by row (_rowwise) for the others;
-    either way each row gets the bits of one matrix's eigenvalue vector. A
-    numpy that drops one of the exactly rounded fast paths fails here."""
-
-    def test_whole_stack_for_the_exact_powers_only(self, monkeypatch):
-        rowwise, calls = linalg_mod._rowwise, []
-
-        def counting(f, x):
-            calls.append(x.shape)
-            return rowwise(f, x)
-
-        monkeypatch.setattr(linalg_mod, "_rowwise", counting)
-        w = np.arange(1.0, 13.0).reshape(3, 4)[..., ::-1]
-        for p in (*EXACT_POWERS, 2, -1, np.float64(0.5), -0.0):
-            linalg_mod._power(w, p)
-        assert calls == []
-        for p in (3.0, 1.5, -0.5, 0.25, -2.0, math.nan):
-            linalg_mod._power(w, p)
-        assert calls == [(3, 4)] * 6
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(sorted(EXACT_POWERS)),
-           reversed_rows(array_shapes(min_dims=2, max_dims=3, max_side=9)))
-    def test_whole_stack_power_equals_per_row(self, p, w):
-        with np.errstate(all="ignore"):  # 1e-300**-1 overflows
-            per_row = linalg_mod._rowwise(lambda row: row**p, w)
-            assert (w**p).tobytes() == per_row.tobytes()
-            assert linalg_mod._power(w, p).tobytes() == per_row.tobytes()
-            # the correctly rounded function numpy takes for the power
-            assert (w**p).tobytes() == EXACT_POWERS[p](w).tobytes()
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.sampled_from([3.0, 1.5, -0.5, 1.7]),
-           reversed_rows(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=40)))
-    def test_other_powers_go_row_by_row(self, p, w):
-        with np.errstate(all="ignore"):
-            per_row = linalg_mod._rowwise(lambda row: row**p, w)
-            assert linalg_mod._power(w, p).tobytes() == per_row.tobytes()
+    """eigh_powers takes one power per exponent over a whole stack of
+    contiguous spectra; each matrix gets the bits it gets alone."""
 
     @pytest.mark.parametrize("ps", [
         SPECS["commuted-power"].split.grid, SPECS["thm32"].split.grid, (3.0,), (1.5,), (-0.5,),

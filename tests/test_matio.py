@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from majdet import catalog, matio
 from majdet.catalog import Instance
-from majdet.errors import DimensionMismatch, NonFinite
+from majdet.errors import BadMatrixFile, DimensionMismatch, NonFinite
 from majdet.exact import clear_denominators
 from majdet.matio import number_array, read_matrix, write_matrix
 
@@ -270,9 +270,28 @@ class TestWriteMatrix:
         (np.zeros((2, 3)), DimensionMismatch),
         (np.zeros(3), DimensionMismatch),
         (np.zeros((2, 2, 2)), DimensionMismatch),
-    ], ids=["nan", "inf", "2x3", "vector", "stack"])
+        (np.zeros((0, 0)), DimensionMismatch),
+    ], ids=["nan", "inf", "2x3", "vector", "stack", "empty"])
     def test_unreadable_matrix_raises_before_writing(self, tmp_path, rows, error):
         path = tmp_path / "m.json"
         with pytest.raises(error):
             write_matrix(path, rows)
         assert not path.exists()
+
+    @pytest.mark.parametrize("rows, exact", [
+        (np.eye(2), [[Fraction(1)]]),
+        (np.eye(2), [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]),
+        ([[1.0, 0.5], [0.5, 1.0]],
+         [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2) + Fraction(1, 10**15), Fraction(1)]]),
+    ], ids=["shape", "disagrees", "asymmetric"])
+    def test_unreadable_exact_part_raises_before_writing(self, tmp_path, rows, exact):
+        path = tmp_path / "m.json"
+        with pytest.raises(BadMatrixFile) as wrote:
+            write_matrix(path, rows, exact=exact)
+        assert not path.exists()
+        # the error a read of that file raises
+        path.write_text(json.dumps({"n": 2, "rows": np.asarray(rows).tolist(), "exact": [
+            [[str(f.numerator), str(f.denominator)] for f in row] for row in exact]}))
+        with pytest.raises(BadMatrixFile) as read:
+            read_matrix(path)
+        assert str(wrote.value) == str(read.value)

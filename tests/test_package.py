@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import majdet
-from majdet import errors
+from majdet import errors, linalg
 
 
 def test_every_export_resolves():
@@ -23,11 +25,25 @@ def test_exports_are_unique():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def readme_code_words() -> set[str]:
+    """The words of the code spans of README.md."""
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    return {word for span in spans for word in re.findall(r"\w+", span)}
+
+
 def test_every_export_is_documented():
     """Every name of majdet.__all__ appears in a code span of README.md."""
-    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
-    documented = {word for span in spans for word in re.findall(r"\w+", span)}
+    documented = readme_code_words()
     assert [name for name in majdet.__all__ if name not in documented] == []
+
+
+def test_every_bound_gufunc_is_documented():
+    """Every LAPACK gufunc of numpy.linalg._umath_linalg that majdet.linalg
+    binds at module level is named in a code span of README.md."""
+    bound = {f.__name__ for f in vars(linalg).values()
+             if isinstance(f, np.ufunc) and getattr(_umath_linalg, f.__name__, None) is f}
+    assert "cholesky_lo" in bound
+    assert sorted(bound - readme_code_words()) == []
 
 
 def top_level_imports(path: Path) -> set[str]:
