@@ -90,6 +90,7 @@ import enum
 import hashlib
 import math
 import numbers
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -107,6 +108,7 @@ from .blocks import (
 )
 from .errors import (
     BadConfig,
+    BadEntry,
     BadExponent,
     BadPartition,
     DimensionMismatch,
@@ -237,15 +239,21 @@ class Instance:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Instance":
-        """Inverse of to_json (D from "d" or "d_blocks"); matrix entries are
-        read by matio.number_array, and a NaN or infinite p raises
-        NonFinite, a p not a number BadExponent. A partition or an idx must
-        be a list of ints (BadPartition, IndexOutOfRange when validated)."""
+        """Inverse of to_json (D from "d" or "d_blocks"); a payload that is
+        not a dict raises MissingField. Matrix entries are read by
+        matio.number_array, and a NaN or infinite p raises NonFinite, a p
+        not a number BadExponent. A partition or an idx must be a list of
+        ints (BadPartition, IndexOutOfRange when validated), "mats" and
+        "d_blocks" lists of matrices (BadEntry)."""
+        if not isinstance(payload, dict):
+            raise MissingField(f"an instance record must be a JSON object, got {payload!r}")
         p = payload.get("p")
         _require_exponent(p)
-        for key, err in (("partition", BadPartition), ("idx", IndexOutOfRange)):
+        for key, err, of in (("partition", BadPartition, "integers"),
+                             ("idx", IndexOutOfRange, "integers"),
+                             ("mats", BadEntry, "matrices"), ("d_blocks", BadEntry, "matrices")):
             if key in payload and not isinstance(payload[key], list):
-                raise err(f"{key} must be a list of integers, got {payload[key]!r}")
+                raise err(f"{key} must be a list of {of}, got {payload[key]!r}")
         part = Partition(payload["partition"]) if "partition" in payload else None
         arrays = {key: number_array(payload[key]) for key in ("c", "d") if key in payload}
         arrays.update({key: tuple(map(number_array, payload[key]))
@@ -727,8 +735,8 @@ def _tail_start(m, n: int) -> int | None:
     alike); None checks every m."""
     if m is None:
         return None
-    if (isinstance(m, bool) or not isinstance(m, numbers.Real) or not math.isfinite(m)
-            or m != int(m)):
+    if (isinstance(m, bool) or not isinstance(m, numbers.Real)
+            or not abs(m) <= sys.float_info.max or m != int(m)):
         raise IndexOutOfRange(f"m = {m!r} is not an integer in 1..{n}")
     if not 1 <= m <= n:
         raise IndexOutOfRange(f"m = {m} out of range 1..{n}")
@@ -895,13 +903,14 @@ def _commuted_power_verdicts(inst: Instance, ps: Sequence[float], tol: float) ->
 
 def _require_exponent(p) -> None:
     """Raise BadExponent on an exponent that is not None, an int or a float
-    (a bool, a string, a numpy integer), NonFinite on a NaN or infinite one:
-    every exponent accepted writes to JSON and reads back (from_json)."""
+    (a bool, a string, a numpy integer), NonFinite on a NaN or infinite one
+    or an int beyond the float range: every exponent accepted writes to
+    JSON and reads back (from_json)."""
     if p is None:
         return
     if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise BadExponent(f"exponent p must be a number, got {p!r}")
-    if not math.isfinite(p):
+    if not abs(p) <= sys.float_info.max:  # an int too, with no conversion
         raise NonFinite(f"non-finite exponent p = {p}")
 
 
@@ -1049,7 +1058,7 @@ def spec_of(inequality: str) -> Spec:
 def require_tol(tol) -> None:
     """Raise BadConfig on a tolerance that is not a finite real >= 0."""
     if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not math.isfinite(tol) or tol < 0):
+            or not 0 <= tol <= sys.float_info.max):
         raise BadConfig(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 

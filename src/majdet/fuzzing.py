@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import numbers
+import sys
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -108,9 +108,9 @@ class GenConfig:
             raise BadConfig(f"dimension must be >= 1, got {self.n}")
         if not 0 <= self.seed <= _MASK64:  # derive_seed reads it modulo 2^64
             raise BadConfig(f"seed must be in [0, 2**64), got {self.seed}")
-        if not (math.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
+        if not 1.0 <= self.kappa_max <= sys.float_info.max:
             raise BadConfig(f"condition cap must be finite and >= 1, got {self.kappa_max}")
-        if not (math.isfinite(self.entry_scale) and self.entry_scale > 0.0):
+        if not 0.0 < self.entry_scale <= sys.float_info.max:
             raise BadConfig(f"entry scale must be finite and > 0, got {self.entry_scale}")
         if self.m < 1:
             raise BadConfig(f"matrix count must be >= 1, got {self.m}")
@@ -624,6 +624,7 @@ def fuzz(inequality: str, cfg: GenConfig, trials: int, p: float | None = None,
 
 def replay(inequality: str, record: TrialRecord | dict,
            tol: float = DEFAULT_TOL) -> InequalityVerdict:
-    """Re-run a stored trial record's instance through the catalog in isolation."""
-    payload = record.instance if isinstance(record, TrialRecord) else record["instance"]
+    """Re-run a stored trial record's instance through the catalog in
+    isolation; a record with no instance raises MissingField."""
+    payload = record.instance if isinstance(record, TrialRecord) else record.get("instance")
     return run_check(inequality, Instance.from_json(payload), tol)

@@ -16,15 +16,16 @@ takes as it is.
 A valid file is read in whole-matrix passes, with no Python call per
 entry. The file's bytes are decoded once, and its newlines translated as
 text mode does, so that a JSON error names the same offsets. "rows" takes
-one set of the entries' types, one float conversion and one finiteness
-test. "exact" takes one pass over the pairs, one join of the parts (their
-types are tested only when one is not a string), one scan of the joined
-string parts (what int() takes beyond a sign and ASCII digits is
-non-ASCII, whitespace or an underscore), one int() per numerator and per
-distinct denominator, then the float cross-check, the least common
-denominator and the symmetry test on flat lists. When a pass fails, a walk
-over the entries in row order names the first bad one, with the message
-of the rule it breaks (_number_array_each, _raise_first_bad_pair).
+one object array, one set of the entries' types, one float conversion and
+one finiteness test (number_array). "exact" takes one pass over the pairs,
+one join of the parts (their types are tested only when one is not a
+string), one scan of the joined string parts (what int() takes beyond a
+sign and ASCII digits is non-ASCII, whitespace or an underscore), one
+int() per numerator and per distinct denominator, then the float
+cross-check, the least common denominator and the symmetry test on flat
+lists. Only a bad entry costs a walk in row order, which names the first
+one with the message of the rule it breaks: number_array walks its own
+entries, and _raise_first_bad_pair walks the pairs of "exact".
 """
 
 from __future__ import annotations
@@ -71,29 +72,15 @@ def write_matrix(path, rows: np.ndarray, exact=None) -> None:
 def number_array(rows) -> np.ndarray:
     """Nested lists of JSON numbers as a float array. An entry that is not
     an int or a float (a string, a boolean, null, a list of a ragged
-    nesting) raises BadEntry; a NaN or infinite entry, or an int beyond
-    the float range, raises NonFinite. A list of equal-length lists of ints
-    and floats is converted whole; anything else takes _number_array_each."""
-    arr = None
-    if type(rows) is list and set(map(type, rows)) <= {list}:
-        try:
-            if set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
-                arr = np.array(rows, dtype=float)
-        except (ValueError, OverflowError):  # ragged rows, an int beyond the float range
-            pass
-    if arr is not None and np.isfinite(arr).all():
-        return arr
-    return _number_array_each(rows)
-
-
-def _number_array_each(rows) -> np.ndarray:
-    """number_array entry by entry: each entry's type tested, in row order,
-    then the whole converted and tested finite."""
+    nesting) raises BadEntry, the first in row order; a NaN or infinite
+    entry, or an int beyond the float range, raises NonFinite. The entries
+    take one object array, one set of their types, one float conversion and
+    one finiteness test; only a bad type walks them."""
     entries = np.array(rows, dtype=object)  # a ragged row stays a list, a bad entry
-    for x in entries.flat:
-        if type(x) not in (int, float):
-            kind = "boolean" if isinstance(x, bool) else "non-numeric"
-            raise BadEntry(f"{kind} entry {x!r}")
+    if not set(map(type, entries.flat)) <= _NUMBERS:
+        x = next(x for x in entries.flat if type(x) not in _NUMBERS)
+        kind = "boolean" if isinstance(x, bool) else "non-numeric"
+        raise BadEntry(f"{kind} entry {x!r}")
     try:
         arr = entries.astype(float)
     except OverflowError as err:

@@ -29,6 +29,7 @@ from majdet.catalog import (
     identity_abs_square,
     inv_square_sum_exact,
     matic_exact,
+    require_tol,
     run_check,
 )
 from majdet.errors import (
@@ -46,7 +47,7 @@ from majdet.errors import (
     UnknownInequality,
 )
 from majdet.exact import det_exact, submatrix
-from majdet.fuzzing import GenConfig, GenStyle, fuzz, replay
+from majdet.fuzzing import GenConfig, GenStyle, TrialRecord, fuzz, replay
 from majdet.linalg import eigvals_sym, require_symmetric
 
 from oracles import loewner_le, rand_pd, rand_pd_spanning, stack_instances
@@ -992,6 +993,30 @@ class TestTolerance:
         assert run_check("ky-fan", inst, tol=tol).tol == tol
 
 
+# each call at an int beyond the float range, which math.isfinite would
+# convert (OverflowError), and the class the same value as inf raises
+BEYOND_FLOAT = {
+    "run_check-p": (lambda x: run_check("det-power", Instance(
+        partition=PART22, c=np.eye(4), d=np.eye(4), p=x)), NonFinite),
+    "from_json-p": (lambda x: Instance.from_json(
+        {"partition": [2, 2], "c": np.eye(4).tolist(), "p": x}), NonFinite),
+    "fischer-tail-m": (lambda x: run_check("fischer-tail", Instance(
+        partition=PART22, c=np.eye(4), m=x)), IndexOutOfRange),
+    "require_tol": (require_tol, BadConfig),
+    "kappa_max": (lambda x: GenConfig(n=2, kappa_max=x), BadConfig),
+    "entry_scale": (lambda x: GenConfig(n=2, entry_scale=x), BadConfig),
+    "fuzz-p": (lambda x: fuzz("det-power", GenConfig(n=2), 1, p=x), NonFinite),
+}
+
+
+@pytest.mark.parametrize("call, err", BEYOND_FLOAT.values(), ids=BEYOND_FLOAT)
+@pytest.mark.parametrize("x", [10**400, -(10**400), math.inf, -math.inf],
+                         ids=["int", "-int", "inf", "-inf"])
+def test_int_beyond_float_range_raises_as_inf_does(call, err, x):
+    with pytest.raises(err):
+        call(x)
+
+
 def small_pd(rng, n):
     """A PD matrix whose entries are all below 1 in magnitude, so the
     symmetry tolerance is 1e-12 on the matrix and on each of its blocks."""
@@ -1454,6 +1479,21 @@ class TestBoundary:
         payload = {"c": np.eye(2).tolist(), "idx": idx}
         with pytest.raises(IndexOutOfRange):
             run_check("lemma31", Instance.from_json(payload))
+
+    @pytest.mark.parametrize("call, err", [
+        (lambda: Instance.from_json([1, 2]), MissingField),
+        (lambda: Instance.from_json({"partition": [1, 1], "mats": 5}), BadEntry),
+        (lambda: Instance.from_json({"partition": [1, 1], "c": np.eye(2).tolist(),
+                                     "d_blocks": 3}), BadEntry),
+        (lambda: replay("matic", {"trial": 0}), MissingField),
+        (lambda: replay("matic", {"instance": None}), MissingField),
+        (lambda: replay("matic", TrialRecord(0, 0, run_check(
+            "ky-fan", Instance(partition=Partition((2,)), c=np.eye(2))))), MissingField),
+    ], ids=["not-a-dict", "mats-not-a-list", "d_blocks-not-a-list", "no-instance",
+            "null-instance", "record-without-instance"])
+    def test_malformed_record_raises_an_input_error(self, call, err):
+        with pytest.raises(err):
+            call()
 
     @pytest.mark.parametrize("m", [2.5, math.nan, True, "2"])
     def test_fischer_tail_rejects_a_non_integer_m(self, rng, m):

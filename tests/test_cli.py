@@ -783,6 +783,15 @@ class TestOverflow:
         verdict = json.loads(out)
         assert (verdict["holds"], verdict["margin"], verdict["tol"]) == (True, 0.0, 0.0)
 
+    def test_tail_start_beyond_float_range_exit_one(self, tmp_path):
+        c_path = tmp_path / "c.json"
+        write_matrix(c_path, np.eye(4))
+        proc = run_module("check", "fischer-tail", "--c", str(c_path), "--part", "2,2",
+                          "--m", str(10**400))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("majdet: error: m = 1000")
+        assert "Traceback" not in proc.stderr
+
 
 class TestFuzzCommand:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -10,6 +10,7 @@ error or an invalid UTF-8 byte past the first 8 KB.
 """
 
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,7 @@ from majdet.errors import BadMatrixFile, DimensionMismatch, NonFinite
 from majdet.exact import clear_denominators
 from majdet.matio import number_array, read_matrix, write_matrix
 
-from oracles import number_array_per_entry, read_matrix_per_entry
+from oracles import number_array_per_entry, rand_pd, read_matrix_per_entry
 
 # parts that are not integers, though int() takes some of them
 BAD_PARTS = [" 1 ", "1 ", "\t1", "1\n", "1_0", "١", "²", "", "-", "+", "+-1", "--1",
@@ -233,7 +234,6 @@ class TestWholeMatrixPasses:
             raise AssertionError("per-entry step on a valid file")
 
         monkeypatch.setattr(matio, "_is_integer", refuse)
-        monkeypatch.setattr(matio, "_number_array_each", refuse)
         monkeypatch.setattr(matio, "_raise_first_bad_pair", refuse)
         path = tmp_path / "m.json"
         exact = [[Fraction(3, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(10**400 + 1, 10**400)]]
@@ -243,6 +243,32 @@ class TestWholeMatrixPasses:
         arr, scaled = read_matrix(path)
         assert scaled == clear_denominators(exact)
         assert arr.tolist() == [[1.5, -1 / 3], [-1 / 3, 1.0]]
+
+    @pytest.mark.parametrize("with_exact", [False, True], ids=["float", "exact"])
+    def test_valid_file_costs_no_python_call_per_entry(self, tmp_path, with_exact):
+        """Python calls counted by the profiler, however the helpers are
+        named: from n = 4 to n = 12 a call per entry would add 128 of them;
+        a valid file adds at most 2 per row (its row-shape generators)."""
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        calls = {}
+        for n in (4, 12):
+            exact = [[Fraction(f"{x:.4f}") for x in row]
+                     for row in rand_pd(np.random.default_rng(n), n)]
+            path = tmp_path / f"m{n}.json"
+            write_matrix(path, np.array(exact, dtype=float), exact=exact if with_exact else None)
+            count = 0
+            sys.setprofile(profile)
+            try:
+                read_matrix(path)
+            finally:
+                sys.setprofile(None)
+            calls[n] = count
+        assert calls[12] - calls[4] <= 2 * (12 - 4), calls
 
 
 class TestWriteMatrix:

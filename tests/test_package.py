@@ -124,6 +124,27 @@ def test_every_error_class_is_used():
     assert classes and [name for name in classes if name not in used] == []
 
 
+def test_every_private_helper_has_a_caller():
+    """Every module-level function or class of the package whose name starts
+    with a single underscore is named in the package's code (a name, an
+    attribute or an import; not a docstring or a comment): a helper goes
+    when its last caller does."""
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "majdet").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [f"{path.name}:{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined and [d for d in defined if d.split(":")[1] not in used] == []
+
+
 def test_every_third_party_import_is_declared():
     """Every import under src/, tests/ and bench/ is the standard library,
     majdet, a module beside the importing file, or a requirement of
